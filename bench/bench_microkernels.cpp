@@ -122,8 +122,8 @@ ExecOptions implOptions(const std::string &Impl) {
   O.Threads = 1;
   if (Impl == "native")
     O.Engines = {Engine::Native, Engine::Fused, Engine::Interp};
-  else
-    O.EnableMicroKernels = Impl == "fused";
+  else if (Impl != "fused")
+    O.Engines = {Engine::Interp};
   return O;
 }
 

@@ -14,7 +14,6 @@
 #include "baselines/Baselines.h"
 #include "core/Compiler.h"
 #include "kernels/Kernels.h"
-#include "support/Counters.h"
 
 using namespace systec;
 using namespace systec::bench;
@@ -71,12 +70,10 @@ int main(int argc, char **argv) {
     std::string Base = "mttkrp/" + Label;
 
     // Measure the canonical-read saving once (paper: 1/n! of A).
-    counters().reset();
     Naive.runBody();
-    uint64_t NaiveReads = counters().SparseReads;
-    counters().reset();
     Opt.runBody();
-    ReadCounts[Label] = {NaiveReads, counters().SparseReads};
+    ReadCounts[Label] = {Naive.lastReport().Counters.SparseReads,
+                         Opt.lastReport().Counters.SparseReads};
 
     auto Reset = [Out] { Out->setAllValues(0.0); };
     registerRun(Base + "/naive", Reset, [&Naive] { Naive.runBody(); });

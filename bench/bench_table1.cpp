@@ -60,13 +60,13 @@ bool checkKernel(const char *What, const Einsum &E,
     Exec.bind(N, &T);
   Exec.bind(E.Output->tensorName(), &Out);
   Exec.prepare();
-  counters().reset();
   Exec.run();
   bool Ok = Tensor::maxAbsDiff(Out, Ref) < 1e-8;
+  const CounterSnapshot &C = Exec.lastReport().Counters;
   std::printf("  [%s] %-34s %s (%llu sparse reads, %llu scalar ops)\n",
               Ok ? "ok" : "FAIL", What, E.str().c_str(),
-              static_cast<unsigned long long>(counters().SparseReads),
-              static_cast<unsigned long long>(counters().ScalarOps));
+              static_cast<unsigned long long>(C.SparseReads),
+              static_cast<unsigned long long>(C.ScalarOps));
   return Ok;
 }
 
@@ -148,9 +148,8 @@ int main() {
       Executor Exec(K);
       Exec.bind("A", &A).bind("x", &X).bind("y", &Y);
       Exec.prepare();
-      counters().reset();
       Exec.run();
-      return counters().snapshot();
+      return Exec.lastReport().Counters;
     };
     CounterSnapshot N = Measure(C.Naive);
     CounterSnapshot O = Measure(C.Optimized);

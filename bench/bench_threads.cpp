@@ -115,12 +115,11 @@ int main(int argc, char **argv) {
       E.prepare();
       if (W.Flops == 0) {
         // Count useful work once (any variant performs the same ops).
-        counters().reset();
         setCountersEnabled(true);
         W.Out->setAllValues(0.0);
         E.runBody();
-        W.Flops = static_cast<double>(counters().ScalarOps +
-                                      counters().Reductions);
+        const CounterSnapshot &C = E.lastReport().Counters;
+        W.Flops = static_cast<double>(C.ScalarOps + C.Reductions);
       }
       Tensor *Out = W.Out;
       registerRun("threads/" + W.Kernel + "/" + W.Label + "/" +

@@ -15,7 +15,6 @@
 #include "core/Compiler.h"
 #include "data/Generators.h"
 #include "runtime/Executor.h"
-#include "support/Counters.h"
 
 #include <cstdio>
 #include <limits>
@@ -55,12 +54,13 @@ int main() {
   Exec.prepare();
 
   // 4. Relax until fixpoint (at most |V|-1 rounds).
-  counters().reset();
+  uint64_t Reads = 0;
   unsigned Rounds = 0;
   for (; Rounds < NumNodes - 1; ++Rounds) {
     // y starts from the current distances (self-paths).
     Next.vals() = Dist.vals();
     Exec.run();
+    Reads += Exec.lastReport().Counters.SparseReads;
     if (Next.vals() == Dist.vals())
       break;
     Dist.vals() = Next.vals();
@@ -78,8 +78,7 @@ int main() {
               Reached, static_cast<long long>(NumNodes), MaxDist);
   std::printf("edge reads per round (symmetric kernel): ~%llu of %zu "
               "stored\n",
-              static_cast<unsigned long long>(counters().SparseReads /
-                                              (Rounds + 1)),
+              static_cast<unsigned long long>(Reads / (Rounds + 1)),
               Weights.storedCount());
   return Reached > 0 ? 0 : 1;
 }

@@ -17,7 +17,6 @@
 #include "data/Generators.h"
 #include "kernels/Kernels.h"
 #include "runtime/Executor.h"
-#include "support/Counters.h"
 
 #include <cmath>
 #include <cstdio>
@@ -55,17 +54,18 @@ int main() {
   std::printf("quadratic forms over a %lld-dimensional symmetric "
               "matrix (%zu stored entries):\n",
               static_cast<long long>(Dim), Sigma.storedCount());
-  counters().reset();
+  uint64_t Reads = 0;
   for (unsigned Trial = 0; Trial < 5; ++Trial) {
     for (double &V : X.vals())
       V = Random.nextDouble(-1.0, 1.0);
     Scalar.setAllValues(0.0);
     Quad.run();
+    Reads += Quad.lastReport().Counters.SparseReads;
     std::printf("  x_%u' A x_%u = %12.4f\n", Trial, Trial,
                 Scalar.at({0}));
   }
   std::printf("canonical reads per evaluation: ~%llu of %zu\n",
-              static_cast<unsigned long long>(counters().SparseReads / 5),
+              static_cast<unsigned long long>(Reads / 5),
               Sigma.storedCount());
 
   // Rayleigh quotient power iteration with the SSYMV kernel.

@@ -13,7 +13,6 @@
 #include "data/Generators.h"
 #include "kernels/Kernels.h"
 #include "runtime/Executor.h"
-#include "support/Counters.h"
 
 #include <cstdio>
 
@@ -40,22 +39,20 @@ int main() {
   Tensor YNaive = Tensor::dense({2000});
   Tensor YOpt = Tensor::dense({2000});
 
-  // 4. Run the naive kernel.
-  counters().reset();
+  // 4. Run the naive kernel; each run's counts are in its report.
   Executor Naive(R.Naive);
   Naive.bind("A", &A).bind("x", &X).bind("y", &YNaive);
   Naive.prepare();
   Naive.run();
-  uint64_t NaiveReads = counters().SparseReads;
+  uint64_t NaiveReads = Naive.lastReport().Counters.SparseReads;
 
   // 5. Run the optimized kernel (reads only the upper triangle and
   //    performs both updates per read).
-  counters().reset();
   Executor Opt(R.Optimized);
   Opt.bind("A", &A).bind("x", &X).bind("y", &YOpt);
   Opt.prepare();
   Opt.run();
-  uint64_t OptReads = counters().SparseReads;
+  uint64_t OptReads = Opt.lastReport().Counters.SparseReads;
 
   double Diff = Tensor::maxAbsDiff(YNaive, YOpt);
   std::printf("naive reads of A:     %llu\n",

@@ -29,10 +29,6 @@ void addCounters(CounterSnapshot &C, const CounterSnapshot &O) {
   C.Reductions += O.Reductions;
   C.ScalarOps += O.ScalarOps;
   C.OutputWrites += O.OutputWrites;
-  C.LoopsSpecialized += O.LoopsSpecialized;
-  C.LoopsGeneric += O.LoopsGeneric;
-  C.WalkersRecovered += O.WalkersRecovered;
-  C.WalkersRejected += O.WalkersRejected;
   C.FusedBlockedPanels += O.FusedBlockedPanels;
   C.FusedBlockedStores += O.FusedBlockedStores;
 }

@@ -68,9 +68,9 @@ struct ExecReport {
   std::vector<PhaseStat> Phases;
   std::vector<LoopStat> Loops;   ///< indexed by plan-loop trace id
   std::vector<WorkerStat> Workers;
-  /// Exactly this run's counter deltas (captured from the execution
-  /// context before the global flush, so concurrent executors do not
-  /// bleed into each other).
+  /// Exactly this run's counter deltas — the only place run counts
+  /// are published, so concurrent executors never bleed into each
+  /// other.
   CounterSnapshot Counters;
   std::string Options; ///< execOptionsSummary() of the run's options
   /// Empty on a completed run; the errCodeName() of the stop reason

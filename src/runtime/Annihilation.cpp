@@ -8,7 +8,6 @@
 #include <cmath>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 namespace systec {
@@ -29,9 +28,7 @@ using AbsVal = std::optional<double>;
 /// defined inside the region keeps its value: the lowering defines
 /// every block temporary before its reads and guards the reads with the
 /// defining block's condition, so a read never observes the
-/// never-defined fall-through path. (The legacy membership check leaned
-/// on the same contract — its def-reference map was fully
-/// flow-insensitive.)
+/// never-defined fall-through path.
 void joinInto(std::map<std::string, AbsVal> &A,
               const std::map<std::string, AbsVal> &B) {
   for (auto &[Name, V] : A) {
@@ -174,76 +171,11 @@ private:
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Legacy membership check
-//===----------------------------------------------------------------------===//
-
-/// Accesses an expression's value depends on, transitively through
-/// scalar temporaries in \p DefRefs.
-void exprRefs(const ExprPtr &Ex,
-              const std::map<std::string, std::set<std::string>> &DefRefs,
-              std::set<std::string> &Out) {
-  switch (Ex->kind()) {
-  case ExprKind::Access:
-    Out.insert(Ex->str());
-    return;
-  case ExprKind::Scalar: {
-    auto It = DefRefs.find(Ex->scalarName());
-    if (It != DefRefs.end())
-      Out.insert(It->second.begin(), It->second.end());
-    return;
-  }
-  case ExprKind::Call:
-    for (const ExprPtr &A : Ex->args())
-      exprRefs(A, DefRefs, Out);
-    return;
-  case ExprKind::Literal:
-  case ExprKind::Lut:
-    return;
-  }
-}
-
-/// Per assignment in \p S (program order), the set of access keys its
-/// value transitively depends on, following scalar defs inside the
-/// subtree. A scalar defined on several paths keeps the intersection:
-/// an access only backs a use if it backs every possible definition.
-std::vector<std::set<std::string>> collectAssignRefs(const StmtPtr &S) {
-  std::map<std::string, std::set<std::string>> DefRefs;
-  std::vector<std::set<std::string>> Out;
-  Stmt::walk(S, [&](const StmtPtr &Node) {
-    if (Node->kind() == StmtKind::DefScalar) {
-      std::set<std::string> Refs;
-      exprRefs(Node->rhs(), DefRefs, Refs);
-      auto [It, New] = DefRefs.insert({Node->scalarName(), Refs});
-      if (!New) {
-        std::set<std::string> Inter;
-        for (const std::string &R : Refs)
-          if (It->second.count(R))
-            Inter.insert(R);
-        It->second = std::move(Inter);
-      }
-    } else if (Node->kind() == StmtKind::Assign) {
-      std::set<std::string> Refs;
-      exprRefs(Node->rhs(), DefRefs, Refs);
-      Out.push_back(std::move(Refs));
-    }
-  });
-  return Out;
-}
-
 } // namespace
 
 bool accessAnnihilatesSubtree(const StmtPtr &Body,
                               const std::string &AccessKey, double Fill) {
   return AnnihilationQuery(AccessKey, Fill).run(Body);
-}
-
-bool accessBacksEveryAssignment(const StmtPtr &Body,
-                                const std::string &AccessKey) {
-  for (const std::set<std::string> &Refs : collectAssignRefs(Body))
-    if (!Refs.count(AccessKey))
-      return false;
-  return true;
 }
 
 } // namespace systec

@@ -23,17 +23,12 @@
 /// themselves annihilate, so loop-carried accumulators are handled
 /// soundly.
 ///
-/// This subsumes the earlier conservative check,
-/// accessBacksEveryAssignment(), which only tested that the access key
-/// appears in every assignment's transitive operand set: membership
-/// cannot see that a workspace flush (`y[j] += w` where `w` starts at
-/// the reduction identity) is annihilated, so kernels with workspaces
-/// under sparse-topped formats lost every walker; and membership cannot
-/// tell an annihilating fill from a non-annihilating one (min-plus over
-/// a fill-0 operand), which was latently unsound. The membership check
-/// is kept for differential accounting (Executor's WalkersRecovered /
-/// WalkersRejected stats) and as the legacy mode behind
-/// ExecOptions::AnnihilationAlgebra.
+/// A check that only asks whether the access appears in every
+/// assignment's transitive operand set is not enough: it cannot see
+/// that a workspace flush (`y[j] += w` where `w` starts at the
+/// reduction identity) is annihilated, and it cannot tell an
+/// annihilating fill from a non-annihilating one (min-plus over a
+/// fill-0 operand), which gives wrong results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,16 +48,6 @@ namespace systec {
 /// \p Body.
 bool accessAnnihilatesSubtree(const StmtPtr &Body,
                               const std::string &AccessKey, double Fill);
-
-/// The legacy string-level "transitive product membership" condition:
-/// every assignment in \p Body transitively references \p AccessKey
-/// (through scalar definitions; conditional redefinitions keep the
-/// intersection). Sound only under the implicit assumption that
-/// membership implies annihilation — true for multiplicative bodies
-/// over fill-0 operands, false in general. Retained for differential
-/// stats and the AnnihilationAlgebra=false ablation mode.
-bool accessBacksEveryAssignment(const StmtPtr &Body,
-                                const std::string &AccessKey);
 
 } // namespace systec
 

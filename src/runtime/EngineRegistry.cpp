@@ -30,45 +30,31 @@ bool parseEngine(const std::string &Name, Engine &Out) {
   return false;
 }
 
-EngineResolution resolveEngines(const std::vector<Engine> &Requested,
-                                bool LegacyMicroKernels,
-                                bool LegacyBlocking) {
+EngineResolution resolveEngines(const std::vector<Engine> &Requested) {
   EngineResolution R;
-  if (Requested.empty()) {
-    // Deprecated-shim path: the booleans define the list. Blocking
-    // implies the fused tier (the plan compiler has always treated
-    // EnableBlocking as a refinement of EnableMicroKernels).
-    if (LegacyBlocking && LegacyMicroKernels)
-      R.Order.push_back(Engine::Blocked);
-    if (LegacyMicroKernels)
-      R.Order.push_back(Engine::Fused);
-    R.Order.push_back(Engine::Interp);
-  } else {
-    for (size_t I = 0; I < Requested.size(); ++I) {
-      Engine E = Requested[I];
-      if (std::find(R.Order.begin(), R.Order.end(), E) != R.Order.end())
-        continue; // duplicate
-      if (E == Engine::Native && !R.Order.empty()) {
-        R.Notes.push_back("engines: native is whole-body and only "
-                          "effective as the first preference -> dropped");
-        continue;
-      }
-      R.Order.push_back(E);
+  for (Engine E : Requested) {
+    if (std::find(R.Order.begin(), R.Order.end(), E) != R.Order.end())
+      continue; // duplicate
+    if (E == Engine::Native && !R.Order.empty()) {
+      R.Notes.push_back("engines: native is whole-body and only "
+                        "effective as the first preference -> dropped");
+      continue;
     }
-    if (std::find(R.Order.begin(), R.Order.end(), Engine::Blocked) !=
-            R.Order.end() &&
-        std::find(R.Order.begin(), R.Order.end(), Engine::Fused) ==
-            R.Order.end()) {
-      // Blocked engines are specializations of the fused ones; insert
-      // the prerequisite right after Blocked.
-      auto It = std::find(R.Order.begin(), R.Order.end(), Engine::Blocked);
-      R.Order.insert(It + 1, Engine::Fused);
-      R.Notes.push_back("engines: blocked without fused -> fused inserted");
-    }
-    if (std::find(R.Order.begin(), R.Order.end(), Engine::Interp) ==
-        R.Order.end())
-      R.Order.push_back(Engine::Interp);
+    R.Order.push_back(E);
   }
+  if (std::find(R.Order.begin(), R.Order.end(), Engine::Blocked) !=
+          R.Order.end() &&
+      std::find(R.Order.begin(), R.Order.end(), Engine::Fused) ==
+          R.Order.end()) {
+    // Blocked engines are specializations of the fused ones; insert
+    // the prerequisite right after Blocked.
+    auto It = std::find(R.Order.begin(), R.Order.end(), Engine::Blocked);
+    R.Order.insert(It + 1, Engine::Fused);
+    R.Notes.push_back("engines: blocked without fused -> fused inserted");
+  }
+  if (std::find(R.Order.begin(), R.Order.end(), Engine::Interp) ==
+      R.Order.end())
+    R.Order.push_back(Engine::Interp);
   R.UseNative = R.Order.front() == Engine::Native;
   R.UseFused = std::find(R.Order.begin(), R.Order.end(), Engine::Fused) !=
                R.Order.end();

@@ -1,12 +1,12 @@
 //===- runtime/EngineRegistry.h - Execution-engine selection --*- C++ -*-===//
 ///
 /// \file
-/// The typed engine-selection surface that replaces the accreting
-/// per-engine booleans on ExecOptions. An execution request names an
-/// ordered preference list of engines; one resolver normalizes it into
-/// the effective engine set the plan compiler and the JIT layer consume,
-/// and renders the canonical summary string used by both
-/// execOptionsSummary and the PlanCache structural key.
+/// The typed engine-selection surface (ExecOptions::Engines). An
+/// execution request names an ordered preference list of engines; one
+/// resolver normalizes it into the effective engine set the plan
+/// compiler and the JIT layer consume, and renders the canonical
+/// summary string used by both execOptionsSummary and the PlanCache
+/// structural key.
 ///
 /// Engine semantics:
 ///  - Interp   — the plan interpreter (runtime/Plan.cpp). Always
@@ -35,8 +35,7 @@
 /// the per-loop specialization (each loop independently runs the most
 /// specialized engine whose shape matches), it does not rank them.
 /// The list form exists so Native — the only whole-body engine — has a
-/// place to be first, and so future engines have a home that is not
-/// another boolean.
+/// place to be first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +70,7 @@ struct EngineResolution {
   /// Whole-body native JIT requested (Order.front() == Native).
   bool UseNative = false;
   /// Per-loop specialization switches derived from membership — what
-  /// the plan compiler consumes (the legacy boolean surface).
+  /// the plan compiler consumes.
   bool UseBlocked = false;
   bool UseFused = false;
   /// Human-readable normalization notes ("engines: blocked without
@@ -80,13 +79,8 @@ struct EngineResolution {
 };
 
 /// Normalizes \p Requested into an EngineResolution. An empty request
-/// derives the list from the legacy booleans (the deprecated-shim path:
-/// EnableBlocking -> Blocked, EnableMicroKernels -> Fused, always
-/// Interp; Native is never derived — it needs a host compiler and must
-/// be asked for by name). A non-empty request wins over the booleans.
-EngineResolution resolveEngines(const std::vector<Engine> &Requested,
-                                bool LegacyMicroKernels,
-                                bool LegacyBlocking);
+/// normalizes like any other list, to interp alone.
+EngineResolution resolveEngines(const std::vector<Engine> &Requested);
 
 /// Canonical rendering of a normalized order ("native>fused>interp").
 /// Deterministic for a given resolution, so it is usable in the

@@ -44,17 +44,16 @@ struct RunControl;
 
 /// Execution options (ablation switches).
 struct ExecOptions {
-  /// Ordered engine-preference list (runtime/EngineRegistry.h) — the
-  /// typed replacement for the per-engine booleans below. Empty (the
-  /// default) derives the list from the deprecated EnableMicroKernels /
-  /// EnableBlocking shims, preserving their historical behavior and
-  /// plan-cache keys exactly; a non-empty list wins over the booleans.
-  /// tryPrepare() normalizes the list (EngineResolution) and writes the
-  /// derived membership back into the booleans so downstream consumers
-  /// see one consistent surface either way. {Engine::Native, ...} asks
+  /// Ordered engine-preference list (runtime/EngineRegistry.h), the
+  /// one place engines are chosen. tryPrepare() normalizes it
+  /// (EngineResolution); the default resolves to blocked>fused>interp.
+  /// Dropping Fused (or Blocked) is the ablation switch for the
+  /// micro-kernel specializer (or the blocked output engine); outputs
+  /// and counters are identical either way. {Engine::Native, ...} asks
   /// for the JIT-compiled whole-body engine with graceful typed
   /// fallback to the rest of the list (nativeStatus() records why).
-  std::vector<Engine> Engines;
+  std::vector<Engine> Engines = {Engine::Blocked, Engine::Fused,
+                                 Engine::Interp};
   /// On-disk directory for the native engine's compiled-.so cache
   /// (src/jit/NativeKernelCache.h). Empty resolves to the
   /// SYSTEC_JIT_CACHE_DIR environment variable, then a per-user temp
@@ -79,46 +78,17 @@ struct ExecOptions {
   /// Auto resolves to triangle-balanced for loops the analysis marked
   /// triangular and static blocks otherwise.
   SchedulePolicy Schedule = SchedulePolicy::Auto;
-  /// Ceiling on privatized accumulator storage, in elements summed
-  /// over all tasks of one loop. A loop whose privatization would
-  /// exceed this is left sequential at that level; an inner annotated
-  /// loop (typically with disjoint writes) runs parallel instead.
-  size_t PrivatizationBudget = size_t(1) << 24;
-  /// DEPRECATED shim for Engines (one release): equivalent to listing
-  /// Engine::Fused. Run the plan-specialization pass
-  /// (runtime/MicroKernels.h): loop subtrees matching a known shape
-  /// execute as fused loops over raw level arrays instead of the
-  /// interpreted plan. Disabling is the ablation switch; outputs and
-  /// counters are identical either way. Ignored when Engines is
-  /// non-empty (and overwritten with the resolved membership).
-  bool EnableMicroKernels = true;
-  /// DEPRECATED shim for Engines (one release): equivalent to listing
-  /// Engine::Blocked. Panel-block the dense output mode of fused nests (the
-  /// ssyrk/syprd/ttm shape: an outer loop whose variable strides a
-  /// dense output dimension while the inner sparse walk it re-runs is
-  /// invariant in it). The blocked engine walks the fiber once per
-  /// fixed-width column panel instead of once per column, hoisting the
-  /// per-column operand values — and, when the output cell is invariant
-  /// across the walk, the accumulators themselves — into registers.
-  /// Bit-identical to the interpreter (panel lanes write disjoint cells,
-  /// per-cell fold order is preserved) with exact counter parity;
-  /// disabling is the ablation switch.
-  bool EnableBlocking = true;
+  /// Ceiling, in bytes, on privatized accumulator storage summed over
+  /// all tasks of one parallel loop. A loop whose privatization would
+  /// exceed it is left sequential at that level and never allocates;
+  /// an inner annotated loop (typically with disjoint writes) runs
+  /// parallel instead. The default is 2^24 doubles.
+  size_t PrivatizationBudgetBytes = size_t(1) << 27;
   /// Output-panel width for the blocked engine. 0 picks the width at
   /// specialization from the panel mode's extent (8, or 4 for narrow
   /// modes); explicit values are clamped to [1, 8]. Results and the
   /// runtime counters are identical for every width.
   unsigned BlockWidth = 0;
-  /// Decide coordinate-skipping walker soundness with the algebraic
-  /// annihilation analysis (runtime/Annihilation.h): fill/annihilator
-  /// facts propagate per operator position and transitively through
-  /// scalar definitions, so walkers are registered exactly when the
-  /// level's fill provably annihilates every assignment it backs.
-  /// Disabling falls back to the legacy string-level membership check —
-  /// strictly for ablation: the legacy check both loses walkers
-  /// (workspace flushes under sparse-topped formats) and accepts
-  /// unsound ones (additive bodies over non-annihilating fills).
-  bool AnnihilationAlgebra = true;
   /// Structural integrity checks run by prepare() on every bound
   /// tensor before anything dereferences its level arrays (Shallow:
   /// O(levels) size/endpoint agreement; Deep: O(nnz) fiber scans; see
@@ -140,12 +110,6 @@ struct ExecOptions {
   /// any thread; a cancelled run aborts with ErrCode::Cancelled under
   /// the same discard-partial-results contract as deadlines.
   CancelToken *Cancel = nullptr;
-  /// Hard ceiling, in bytes, on privatized-accumulator storage for one
-  /// parallel loop (all tasks summed); 0 = unlimited. Distinct from
-  /// PrivatizationBudget (elements, a performance heuristic): this is
-  /// a resource bound — a loop that would exceed it degrades to the
-  /// inner disjoint-write parallelization instead of allocating.
-  size_t MemoryBudgetBytes = 0;
   /// Emit execution trace spans (observability/Trace.h): prepare()
   /// turns the process-wide tracing flag on, after which this executor
   /// (and anything else running) records phase, plan-loop, and pool
@@ -153,15 +117,6 @@ struct ExecOptions {
   /// lastReport(), which is populated on every run regardless — with
   /// tracing off only the per-loop call/time aggregates stay zero.
   bool Tracing = false;
-  /// Flush the run's counter deltas into the process-global
-  /// support/Counters atomics after each run (the historical behavior,
-  /// kept as the default for tools and tests that read the globals).
-  /// Concurrent executors interleave their flushes, so an aggregate
-  /// read mid-traffic attributes deltas to no one in particular; the
-  /// kernel service turns this off — every run's exact deltas are in
-  /// its ExecReport::Counters regardless, and the service aggregates
-  /// those per-request snapshots itself.
-  bool GlobalCounterFlush = true;
 };
 
 /// Result of the plan-specialization pass for one prepared executor
@@ -173,15 +128,6 @@ struct MicroKernelStats {
 
   /// Walker registration outcomes (plan compilation).
   uint64_t WalkersRegistered = 0; ///< walkers bound to plan loops
-  /// Coordinate-skipping walkers the annihilation algebra proves sound
-  /// where the legacy membership check rejects (typically workspace
-  /// flushes: `y[j] += w` with `w` defined from the reduction
-  /// identity).
-  uint64_t WalkersRecovered = 0;
-  /// Candidates the algebra vetoes although membership would accept —
-  /// each one a latent wrong-results shape under the legacy check
-  /// (e.g. min-plus over a fill-0 operand).
-  uint64_t WalkersRejected = 0;
 
   /// Specialized loops by driver shape (which fused engine iterates).
   uint64_t FusedRangeDrivers = 0;
@@ -216,13 +162,20 @@ struct MicroKernelStats {
   /// panel accumulators live in registers across the whole sparse walk
   /// (output cell invariant in the inner driver — one writeback per
   /// panel lane per row). The runtime panel/store counts are the
-  /// FusedBlockedPanels / FusedBlockedStores global counters.
+  /// FusedBlockedPanels / FusedBlockedStores report counters.
   uint64_t BlockedLoops = 0;
   uint64_t BlockedAccumLoops = 0;
 };
 
-/// One-line rendering of \p O ("threads=4 schedule=auto ..."), recorded
-/// with benchmark JSON so BENCH_* entries are attributable across PRs.
+/// One-line rendering of the structural options of \p O — the ones a
+/// compiled plan embodies ("threads=4 schedule=auto ... engines=...").
+/// The PlanCache key's options part; NativeCacheDir is absent because
+/// the .so cache is content-hash keyed.
+std::string structuralOptionsSummary(const ExecOptions &O);
+
+/// structuralOptionsSummary plus the per-request fields (validation,
+/// deadline, cancel, tracing), recorded with every run report and with
+/// benchmark JSON so BENCH_* entries are attributable across PRs.
 std::string execOptionsSummary(const ExecOptions &O);
 
 /// Compiles and runs one Kernel over bound tensors.
@@ -303,7 +256,7 @@ public:
   /// with the compiled options on every structural knob (threads,
   /// schedule, engines — the plan-cache key guarantees this) and
   /// supplies the per-request knobs the plan adopts: Cancel,
-  /// DeadlineMs, Tracing, ValidateInputs, GlobalCounterFlush.
+  /// DeadlineMs, Tracing, ValidateInputs.
   /// Materialized aliases (diagonal splits, transposes) are rebuilt
   /// from the new tensors. On error the executor keeps its previous
   /// bindings and stays runnable. Fails with InvalidArgument when two
@@ -326,8 +279,8 @@ public:
   const MicroKernelStats &microKernelStats() const { return MKStats; }
 
   /// The normalized engine preference order tryPrepare() resolved from
-  /// Options.Engines / the deprecated booleans (empty before prepare).
-  const std::vector<Engine> &engines() const { return Engines; }
+  /// Options.Engines (empty before prepare).
+  const std::vector<Engine> &engines() const { return Resolved.Order; }
 
   /// Outcome of the native (JIT) engine build when Engine::Native led
   /// the preference list: ok() when the body runs natively; otherwise a
@@ -386,7 +339,7 @@ private:
   bool Prepared = false;
 
   /// Engine preference order resolved by sanitizeOptions().
-  std::vector<Engine> Engines;
+  EngineResolution Resolved;
   /// JIT-compiled whole-body plan (null unless Native resolved first
   /// AND the build succeeded); runBody() dispatches to it over
   /// BodyPlan. Holds the dlopened .so alive via a shared handle.

@@ -147,17 +147,11 @@ void KernelService::workerLoop() {
 RequestResult KernelService::process(KernelRequest &R) {
   RequestResult Out;
   const std::string Key = PlanCache::makeKey(R.E, R.Bindings, R.Options);
-  // Per-request counter discipline: each run's exact deltas are in its
-  // report; the process-global flush stays off so concurrent requests
-  // never interleave deltas in the shared atomics. The service's own
-  // aggregate (stats().Counters) sums the per-request snapshots.
-  ExecOptions RunOpts = R.Options;
-  RunOpts.GlobalCounterFlush = false;
 
   const uint64_t F0 = obs::nowNs();
   std::unique_ptr<Executor> Ex = Cache.acquire(Key);
   if (Ex) {
-    if (Status S = Ex->rebind(R.Bindings, RunOpts); S.ok()) {
+    if (Status S = Ex->rebind(R.Bindings, R.Options); S.ok()) {
       Out.CacheHit = true;
     } else {
       // A colliding key whose structure check refused the repatch;
@@ -170,7 +164,7 @@ RequestResult KernelService::process(KernelRequest &R) {
   }
   if (!Ex) {
     CompileResult CR = compileEinsum(R.E);
-    Ex = std::make_unique<Executor>(std::move(CR.Optimized), RunOpts);
+    Ex = std::make_unique<Executor>(std::move(CR.Optimized), R.Options);
     for (const auto &[Name, T] : R.Bindings)
       Ex->bind(Name, T);
     if (Status S = Ex->tryPrepare(); !S.ok()) {

@@ -18,10 +18,9 @@
 ///    compiled through the full pipeline and a fresh executor prepared,
 /// then runs with the request's per-request knobs (cancellation token,
 /// deadline, input validation, tracing), and the executor returns to
-/// the cache. Each request gets its own by-value ExecReport; executors
-/// run with GlobalCounterFlush off, so concurrent requests never
-/// interleave deltas in the process-global counters — the service
-/// aggregates the per-request snapshots itself (stats().Counters).
+/// the cache. Each request gets its own by-value ExecReport carrying
+/// exactly its counts; the service aggregates those per-request
+/// snapshots itself (stats().Counters).
 ///
 /// Fairness: concurrent request executions share the persistent
 /// ThreadPool; batches from different requests interleave in strict

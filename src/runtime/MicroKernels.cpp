@@ -667,7 +667,7 @@ bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
   MK->D = M.D;
   MK->Items = std::move(Items);
   L.Fused = std::move(MK);
-  if (Opts.EnableBlocking)
+  if (Opts.UseBlocked)
     tryInstallBlocked(L, *L.Fused, Opts);
   return true;
 }

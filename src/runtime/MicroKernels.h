@@ -39,8 +39,8 @@
 ///    inner sparse walk is invariant in it tile that mode into
 ///    fixed-width column panels — one fiber walk per panel, per-lane
 ///    bound operands, and register-resident accumulators for the
-///    workspace/accumulator forms (ExecOptions::EnableBlocking /
-///    BlockWidth).
+///    workspace/accumulator forms (Engine::Blocked /
+///    ExecOptions::BlockWidth).
 ///
 /// Correctness contract: a fused loop is *bit-identical* to the generic
 /// interpreted path (same factor fold order, same reduction order, same
@@ -356,7 +356,7 @@ private:
 /// Specialization-time knobs threaded from ExecOptions, plus the
 /// compile context the blocked-shape matcher needs.
 struct MKSpecializeOptions {
-  bool EnableBlocking = true;
+  bool UseBlocked = true;
   unsigned BlockWidth = 0; ///< 0 = auto from the panel mode's extent
   /// Output tensors registered so far; a dense factor reading an output
   /// array declines blocking (reordering element visits across lanes

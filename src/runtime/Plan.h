@@ -8,12 +8,11 @@
 /// only by the runtime's own translation units and tests that need to
 /// poke at plan internals.
 ///
-/// Counter discipline: plan nodes never touch the process-wide atomic
-/// counters directly. Each ExecCtx carries a plain-integer delta block
+/// Counter discipline: each ExecCtx carries a plain-integer delta block
 /// (`Local`) guarded by a per-run copy of the counters-enabled flag
-/// (`CountersOn`); the Executor flushes the deltas into the global
-/// atomics once per run, and parallel loops sum task-context deltas in
-/// task order. This keeps the hot loops free of atomic traffic while
+/// (`CountersOn`); the Executor moves the deltas into the run's report
+/// once per run, and parallel loops sum task-context deltas in task
+/// order. This keeps the hot loops free of atomic traffic while
 /// preserving exact counter totals.
 ///
 //===----------------------------------------------------------------------===//
@@ -120,9 +119,9 @@ struct ExecCtx {
   /// Snapshot of countersEnabled() taken once per run (hoists the
   /// atomic flag load out of every inner loop).
   bool CountersOn = true;
-  /// Counter deltas accumulated by this context; flushed into the
-  /// global atomics once per run (or summed into the parent context
-  /// after a parallel loop).
+  /// Counter deltas accumulated by this context; moved into the run's
+  /// report once per run (or summed into the parent context after a
+  /// parallel loop).
   CounterSnapshot Local;
   /// Snapshot of obs::tracingEnabled() taken once per run, exactly
   /// like CountersOn: plan-loop instrumentation branches on this plain

@@ -2,8 +2,6 @@
 
 #include "runtime/PlanCache.h"
 
-#include "parallel/Schedule.h"
-
 namespace systec {
 
 std::string PlanCache::makeKey(const Einsum &E,
@@ -27,27 +25,8 @@ std::string PlanCache::makeKey(const Einsum &E,
     Key += "]:" + std::to_string(T->fill());
   }
   // Structural options only — the per-request knobs (cancel, deadline,
-  // tracing, validation, global flush) are adopted at rebind.
-  Key += ";opts threads=" + std::to_string(O.Threads);
-  Key += std::string(" schedule=") + schedulePolicyName(O.Schedule);
-  Key += std::string(" microkernels=") + (O.EnableMicroKernels ? "on" : "off");
-  Key += std::string(" blocking=") + (O.EnableBlocking ? "on" : "off");
-  Key += " blockwidth=" + std::to_string(O.BlockWidth);
-  Key += std::string(" walk=") + (O.EnableSparseWalk ? "on" : "off");
-  Key += std::string(" lift=") + (O.EnableBoundLifting ? "on" : "off");
-  Key += std::string(" algebra=") + (O.AnnihilationAlgebra ? "on" : "off");
-  Key += " privbudget=" + std::to_string(O.PrivatizationBudget);
-  Key += " membudget=" + std::to_string(O.MemoryBudgetBytes);
-  // The RESOLVED engine preference list, so the typed Engines request
-  // and its legacy-boolean equivalent share one entry, and distinct
-  // orders (native-first vs not) never collide. The booleans above stay
-  // in the key for back-compat; NativeCacheDir is deliberately absent —
-  // the .so cache is content-hash keyed, so the directory choice never
-  // changes the compiled plan.
-  Key += " engines=" +
-         enginesSummary(resolveEngines(O.Engines, O.EnableMicroKernels,
-                                       O.EnableBlocking)
-                            .Order);
+  // tracing, validation) are adopted at rebind.
+  Key += ";opts " + structuralOptionsSummary(O);
   return Key;
 }
 

@@ -14,12 +14,12 @@
 ///  - every bound operand's name, storage format, dimensions, and fill
 ///    value (the compiled walkers, strides, and fused engines are
 ///    specialized to this structure — values are free to differ),
-///  - the structural ExecOptions: threads, schedule, privatization and
-///    memory budgets, and the engine switches (micro-kernels, blocking,
-///    block width, sparse walk, bound lifting, annihilation algebra).
+///  - the structural ExecOptions (structuralOptionsSummary): threads,
+///    schedule, privatization budget, block width, sparse walk, bound
+///    lifting, and the resolved engine list.
 /// Per-request knobs — cancellation token, deadline, tracing, input
-/// validation, global counter flush — are deliberately NOT part of the
-/// key; Executor::rebind adopts them per request.
+/// validation — are deliberately NOT part of the key; Executor::rebind
+/// adopts them per request.
 ///
 /// Checkout semantics: acquire() *removes* the entry, so one cached
 /// executor never runs two requests concurrently. Concurrent requests

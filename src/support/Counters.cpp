@@ -2,13 +2,14 @@
 
 #include "support/Counters.h"
 
+#include <atomic>
+
 namespace systec {
 
 namespace {
 // Atomic so worker threads can poll the gate race-free while the main
 // thread toggles it around timed regions.
 std::atomic<bool> CountersOn{true};
-ExecCounters GlobalCounters;
 } // namespace
 
 bool countersEnabled() {
@@ -17,6 +18,5 @@ bool countersEnabled() {
 void setCountersEnabled(bool Enabled) {
   CountersOn.store(Enabled, std::memory_order_relaxed);
 }
-ExecCounters &counters() { return GlobalCounters; }
 
 } // namespace systec

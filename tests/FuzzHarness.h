@@ -317,7 +317,8 @@ inline ValidationLevel envValidationLevel() {
 }
 
 inline Tensor run(const Kernel &K, FuzzCase &F,
-                  const ExecOptions &O = ExecOptions()) {
+                  const ExecOptions &O = ExecOptions(),
+                  CounterSnapshot *Counts = nullptr) {
   Tensor Out = Tensor::dense(F.OutDims, 0.0);
   Out.setAllValues(F.OutInit);
   ExecOptions Opts = O;
@@ -329,7 +330,19 @@ inline Tensor run(const Kernel &K, FuzzCase &F,
   E.bind("O", &Out);
   E.prepare();
   E.run();
+  if (Counts)
+    *Counts = E.lastReport().Counters;
   return Out;
+}
+
+/// The engine list a (fused, blocking) toggle pair of the matrix
+/// stands for; blocking is ignored when fused is off.
+inline std::vector<Engine> fuzzEngines(bool Fused, bool Blocking) {
+  if (!Fused)
+    return {Engine::Interp};
+  if (!Blocking)
+    return {Engine::Fused, Engine::Interp};
+  return {Engine::Blocked, Engine::Fused, Engine::Interp};
 }
 
 /// Seed-derived parallel execution options: random thread count,
@@ -345,21 +358,19 @@ inline ExecOptions parallelOptions(uint64_t Seed) {
       SchedulePolicy::TriangleBalanced};
   O.Schedule = Policies[R.nextIndex(4)];
   if (R.nextBool(0.25))
-    O.PrivatizationBudget = 64; // exercise the inner-loop fallback
-  O.EnableMicroKernels = R.nextBool(0.5);
-  O.EnableBlocking = R.nextBool(0.5);
+    O.PrivatizationBudgetBytes = 512; // exercise the inner-loop fallback
+  const bool Fused = R.nextBool(0.5);
+  const bool Blocking = R.nextBool(0.5);
+  O.Engines = fuzzEngines(Fused, Blocking);
   O.BlockWidth = BlockWidthSamples[R.nextIndex(NumBlockWidthSamples)];
   return O;
 }
 
-/// Runs \p K with counters on and snapshots them.
+/// Runs \p K with counters on and takes the counts from its report.
 inline Tensor runCounted(const Kernel &K, FuzzCase &F, const ExecOptions &O,
                          CounterSnapshot &Snap) {
-  counters().reset();
   setCountersEnabled(true);
-  Tensor Out = run(K, F, O);
-  Snap = counters().snapshot();
-  return Out;
+  return run(K, F, O, &Snap);
 }
 
 //===----------------------------------------------------------------------===//
@@ -383,7 +394,7 @@ inline void checkCompiledKernelsMatchOracle(uint64_t Seed) {
   ExecOptions Par = parallelOptions(Seed);
   SCOPED_TRACE(std::string("threads ") + std::to_string(Par.Threads) +
                " schedule " + schedulePolicyName(Par.Schedule) +
-               (Par.EnableMicroKernels ? " fused" : " interp"));
+               " engines " + enginesSummary(Par.Engines));
   Tensor NaivePar = run(R.Naive, F, Par);
   Tensor OptPar = run(R.Optimized, F, Par);
   EXPECT_LT(Tensor::maxAbsDiff(NaivePar, Ref), 1e-8) << "naive-parallel";
@@ -459,9 +470,8 @@ inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
                                         : std::string(" noblocking"))
                           : std::string()));
     ExecOptions O;
-    O.EnableMicroKernels = C.Fused;
+    O.Engines = fuzzEngines(C.Fused, C.Blocking);
     O.Threads = C.Threads;
-    O.EnableBlocking = C.Blocking;
     O.BlockWidth = C.Width;
     CounterSnapshot Snap;
     Tensor Out = runCounted(K, F, O, Snap);
@@ -502,12 +512,11 @@ inline void checkMicroKernelsBitIdentical(uint64_t Seed) {
   SCOPED_TRACE(caseTrace(F));
   CompileResult R = compileEinsum(F.E);
   ExecOptions Interp, Fused;
-  Interp.EnableMicroKernels = false;
-  Fused.EnableMicroKernels = true;
+  Interp.Engines = {Engine::Interp};
   // Blocking must be invisible to this differential too: randomize the
   // toggle and panel width from the seed.
   Rng BR(Seed ^ 0xB10C6ED5EEDull);
-  Fused.EnableBlocking = BR.nextBool(0.5);
+  Fused.Engines = fuzzEngines(true, BR.nextBool(0.5));
   Fused.BlockWidth =
       BlockWidthSamples[BR.nextIndex(NumBlockWidthSamples)];
   for (const Kernel *K : {&R.Naive, &R.Optimized}) {
@@ -640,7 +649,7 @@ inline void checkLutDifferential(uint64_t Seed) {
   SCOPED_TRACE("lut-injected: " + K.Body->str(0));
   ExecOptions OracleOpts;
   OracleOpts.EnableSparseWalk = false;
-  OracleOpts.EnableMicroKernels = false;
+  OracleOpts.Engines = {Engine::Interp};
   Tensor Ref = run(K, F, OracleOpts);
   checkCellMatrix(K, F, Ref, Seed, (Seed % 8) == 0);
 }

@@ -3,11 +3,11 @@
 /// Unit suite for the algebraic annihilation analysis
 /// (runtime/Annihilation.h) and its integration with walker
 /// registration: per-operator-position algebra cases on hand-built
-/// statement trees, plus end-to-end kernels pinned by the new
-/// WalkersRecovered / WalkersRejected counters — an additive body whose
-/// fill still annihilates recovers a coordinate-skipping walker the
-/// legacy membership check rejects, and a non-annihilating fill must
-/// not, with the fused and interpreted paths bit-identical either way.
+/// statement trees, plus end-to-end kernels pinned by their exact
+/// WalkersRegistered and SparseReads — an additive body whose fill
+/// still annihilates keeps its coordinate-skipping walkers, and a
+/// non-annihilating fill registers none, with the fused and
+/// interpreted paths bit-identical and oracle-exact either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +44,7 @@ std::string keyA() { return acc("A", {"a", "b"})->str(); }
 // Per-operator-position algebra on hand-built trees
 //===----------------------------------------------------------------------===//
 
-TEST(AnnihilationAlgebra, MultiplicativeBodyFillZero) {
+TEST(AnnihilationRules, MultiplicativeBodyFillZero) {
   // O[b] += A[a,b] * x[a]: fill 0 annihilates the product and 0 is the
   // Add identity.
   StmtPtr S = Stmt::assign(
@@ -55,7 +55,7 @@ TEST(AnnihilationAlgebra, MultiplicativeBodyFillZero) {
   EXPECT_FALSE(accessAnnihilatesSubtree(S, keyA(), 1.0));
 }
 
-TEST(AnnihilationAlgebra, AdditiveBodyMinPlus) {
+TEST(AnnihilationRules, AdditiveBodyMinPlus) {
   // O[b] min= A[a,b] + x[a]: +inf absorbs addition and is the Min
   // identity — the Bellman-Ford shape. Fill 0 does not absorb.
   StmtPtr S = Stmt::assign(
@@ -65,7 +65,7 @@ TEST(AnnihilationAlgebra, AdditiveBodyMinPlus) {
   EXPECT_FALSE(accessAnnihilatesSubtree(S, keyA(), 0.0));
 }
 
-TEST(AnnihilationAlgebra, MaxTimesFillZeroDoesNotAnnihilate) {
+TEST(AnnihilationRules, MaxTimesFillZeroDoesNotAnnihilate) {
   // O[b] max= A[a,b] * x[a]: the product collapses to 0, but 0 is not
   // the Max identity (-inf), so skipping is unsound.
   StmtPtr S = Stmt::assign(
@@ -74,7 +74,7 @@ TEST(AnnihilationAlgebra, MaxTimesFillZeroDoesNotAnnihilate) {
   EXPECT_FALSE(accessAnnihilatesSubtree(S, keyA(), 0.0));
 }
 
-TEST(AnnihilationAlgebra, OperatorPositionMatters) {
+TEST(AnnihilationRules, OperatorPositionMatters) {
   // x[a] - A[a,b]: subtraction has no annihilator, so even a fill-0
   // operand forces nothing (x - 0 == x is the identity in the *other*
   // position).
@@ -89,23 +89,20 @@ TEST(AnnihilationAlgebra, OperatorPositionMatters) {
   EXPECT_TRUE(accessAnnihilatesSubtree(P, keyA(), 0.0));
 }
 
-TEST(AnnihilationAlgebra, PropagatesThroughScalarDefs) {
+TEST(AnnihilationRules, PropagatesThroughScalarDefs) {
   // t = A[a,b] * x[a]; O[b] += t: the constant flows through the def.
   StmtPtr S = Stmt::block(
       {Stmt::defScalar("t", Expr::call(OpKind::Mul, {acc("A", {"a", "b"}),
                                                      acc("x", {"a"})})),
        Stmt::assign(acc("O", {"b"}), OpKind::Add, Expr::scalar("t"))});
   EXPECT_TRUE(accessAnnihilatesSubtree(S, keyA(), 0.0));
-  EXPECT_TRUE(accessBacksEveryAssignment(S, keyA()))
-      << "membership also accepts this shape";
 }
 
-TEST(AnnihilationAlgebra, WorkspaceFlushRecovered) {
-  // The workspace pattern the legacy membership check cannot see:
+TEST(AnnihilationRules, WorkspaceFlushRecovered) {
+  // The workspace pattern an operand-membership check cannot see:
   //   w = 0; for a: w += A[a,b] * x[a]; O[b] += w
   // Under the hypothesis, w provably stays at the Add identity, so the
-  // flush is a no-op — but w's refs are empty (literal def), so
-  // membership rejects.
+  // flush is a no-op although w's definition reads no access.
   StmtPtr S = Stmt::block(
       {Stmt::defScalar("w", Expr::lit(0.0)),
        Stmt::loop("a", Stmt::assign(Expr::scalar("w"), OpKind::Add,
@@ -114,7 +111,6 @@ TEST(AnnihilationAlgebra, WorkspaceFlushRecovered) {
                                                 acc("x", {"a"})}))),
        Stmt::assign(acc("O", {"b"}), OpKind::Add, Expr::scalar("w"))});
   EXPECT_TRUE(accessAnnihilatesSubtree(S, keyA(), 0.0));
-  EXPECT_FALSE(accessBacksEveryAssignment(S, keyA()));
   // The min-plus flavor of the same shape (additive body).
   StmtPtr M = Stmt::block(
       {Stmt::defScalar("w", Expr::lit(Inf)),
@@ -124,7 +120,6 @@ TEST(AnnihilationAlgebra, WorkspaceFlushRecovered) {
                                                 acc("x", {"a"})}))),
        Stmt::assign(acc("O", {"b"}), OpKind::Min, Expr::scalar("w"))});
   EXPECT_TRUE(accessAnnihilatesSubtree(M, keyA(), Inf));
-  EXPECT_FALSE(accessBacksEveryAssignment(M, keyA()));
   // A workspace seeded off the identity is not provably transparent.
   StmtPtr Bad = Stmt::block(
       {Stmt::defScalar("w", Expr::lit(3.0)),
@@ -132,7 +127,7 @@ TEST(AnnihilationAlgebra, WorkspaceFlushRecovered) {
   EXPECT_FALSE(accessAnnihilatesSubtree(Bad, keyA(), 0.0));
 }
 
-TEST(AnnihilationAlgebra, ConditionalDefsJoin) {
+TEST(AnnihilationRules, ConditionalDefsJoin) {
   // A conditional redefinition that changes the abstract value widens
   // to unknown; one that agrees keeps the constant.
   Cond C = Cond::conj({CmpAtom{CmpKind::EQ, "a", "b"}});
@@ -152,7 +147,7 @@ TEST(AnnihilationAlgebra, ConditionalDefsJoin) {
   EXPECT_FALSE(accessAnnihilatesSubtree(Disagree, keyA(), 0.0));
 }
 
-TEST(AnnihilationAlgebra, LoopCarriedScalarIsWidened) {
+TEST(AnnihilationRules, LoopCarriedScalarIsWidened) {
   // s accumulates across iterations and is then flushed *inside* the
   // walked loop's subtree with an overwrite: never skippable.
   StmtPtr S = Stmt::block(
@@ -163,7 +158,7 @@ TEST(AnnihilationAlgebra, LoopCarriedScalarIsWidened) {
   EXPECT_FALSE(accessAnnihilatesSubtree(S, keyA(), 0.0));
 }
 
-TEST(AnnihilationAlgebra, OverwritesAndLutsAreConservative) {
+TEST(AnnihilationRules, OverwritesAndLutsAreConservative) {
   StmtPtr Over = Stmt::assign(acc("O", {"b"}), std::nullopt,
                               Expr::call(OpKind::Mul, {acc("A", {"a", "b"}),
                                                        acc("x", {"a"})}));
@@ -179,7 +174,7 @@ TEST(AnnihilationAlgebra, OverwritesAndLutsAreConservative) {
   EXPECT_TRUE(accessAnnihilatesSubtree(Lut, keyA(), 0.0));
 }
 
-TEST(AnnihilationAlgebra, MixedInfinitiesStayUnknown) {
+TEST(AnnihilationRules, MixedInfinitiesStayUnknown) {
   // inf + (-inf) is NaN at runtime: two absorbing operands that force
   // different results must not prove anything.
   StmtPtr S = Stmt::assign(
@@ -208,19 +203,18 @@ RunResult runKernel(const Kernel &K, std::map<std::string, Tensor> &Inputs,
   for (auto &[Name, T] : Inputs)
     E.bind(Name, &T);
   E.bind(OutName, &R.Out);
-  counters().reset();
   setCountersEnabled(true);
   E.prepare();
   E.run();
   R.Stats = E.microKernelStats();
-  R.Counters = counters().snapshot();
+  R.Counters = E.lastReport().Counters;
   return R;
 }
 
 /// The workspace kernel over a sparse-topped (DCSR-style) matrix:
 ///   for b: { w = init; for a: w R= A[a,b] C x[a]; O[b] R= w }
-/// The loop-b walker on A's top Sparse level is exactly the shape the
-/// membership check rejects (the flush reads a literal-seeded scalar).
+/// The loop-b walker on A's top Sparse level is sound only because the
+/// algebra sees through the flush of a literal-seeded scalar.
 Einsum workspaceEinsum(OpKind Reduce, const char *Combine, double Fill) {
   Einsum E = parseEinsum(
       "ws", std::string("O[b] ") +
@@ -237,9 +231,8 @@ Einsum workspaceEinsum(OpKind Reduce, const char *Combine, double Fill) {
 }
 
 /// The same contraction with loop order (a, b) and no symmetry or
-/// workspace: the walker candidate on (transposed) A's top level exists
-/// and the membership check accepts it, so a fill that does not
-/// annihilate must show up as a WalkersRejected veto.
+/// workspace: every access backs the assignment, so a fill that does
+/// not annihilate must still register no walker.
 Einsum plainEinsum(OpKind Reduce, const char *Combine, double Fill) {
   Einsum E = parseEinsum(
       "plain", std::string("O[b] ") +
@@ -258,8 +251,15 @@ Einsum plainEinsum(OpKind Reduce, const char *Combine, double Fill) {
 
 class AnnihilationEndToEnd : public ::testing::Test {
 protected:
-  void runMatrix(const Einsum &E, OpKind Reduce, double Fill,
-                 bool ExpectRecovered, bool ExpectRejected) {
+  /// Exact facts of one compiled kernel's fused run: walkers bound at
+  /// plan compilation and sparse elements read.
+  struct Pins {
+    uint64_t WalkersRegistered;
+    uint64_t SparseReads;
+  };
+
+  void runMatrix(const Einsum &E, OpKind Reduce, double Fill, Pins Naive,
+                 Pins Optimized) {
     Rng R(11);
     const int64_t N = 24;
     TensorFormat Dcsr;
@@ -278,8 +278,9 @@ protected:
     CompileResult CR = compileEinsum(E);
     for (const Kernel *K : {&CR.Naive, &CR.Optimized}) {
       SCOPED_TRACE(K == &CR.Naive ? "naive" : "optimized");
+      const Pins &P = K == &CR.Naive ? Naive : Optimized;
       ExecOptions Interp, Fused;
-      Interp.EnableMicroKernels = false;
+      Interp.Engines = {Engine::Interp};
       RunResult RI = runKernel(*K, Inputs, "O", Init, Interp);
       RunResult RF = runKernel(*K, Inputs, "O", Init, Fused);
       // Correctness against the dense oracle and exact parity between
@@ -290,54 +291,34 @@ protected:
         EXPECT_EQ(RI.Out.vals()[I], RF.Out.vals()[I]) << "element " << I;
       EXPECT_EQ(RI.Counters.SparseReads, RF.Counters.SparseReads);
       EXPECT_EQ(RI.Counters.Reductions, RF.Counters.Reductions);
-      if (ExpectRecovered)
-        EXPECT_GT(RF.Stats.WalkersRecovered, 0u)
-            << "algebra must recover a walker membership rejects";
-      else
-        EXPECT_EQ(RF.Stats.WalkersRecovered, 0u);
-      if (ExpectRejected)
-        EXPECT_GT(RF.Stats.WalkersRejected, 0u)
-            << "algebra must veto a walker membership accepts";
-      // The legacy mode registers strictly fewer walkers on recovered
-      // shapes (and performs more sparse reads through the locator).
-      if (ExpectRecovered) {
-        ExecOptions Legacy;
-        Legacy.AnnihilationAlgebra = false;
-        RunResult RL = runKernel(*K, Inputs, "O", Init, Legacy);
-        EXPECT_LT(RL.Stats.WalkersRegistered, RF.Stats.WalkersRegistered);
-        EXPECT_GT(RL.Counters.SparseReads, RF.Counters.SparseReads);
-        for (size_t I = 0; I < RL.Out.vals().size(); ++I)
-          EXPECT_EQ(RL.Out.vals()[I], RF.Out.vals()[I])
-              << "legacy mode is slower, never different, on sound shapes";
-      }
+      EXPECT_EQ(RF.Stats.WalkersRegistered, P.WalkersRegistered);
+      EXPECT_EQ(RF.Counters.SparseReads, P.SparseReads);
     }
   }
 };
 
 TEST_F(AnnihilationEndToEnd, MultiplicativeWorkspaceRecoversWalker) {
-  // Arithmetic (+, *) with fill 0: annihilating — the acceptance-
-  // criteria shape. Membership loses the top-level walker (workspace
-  // flush); the algebra recovers it.
+  // Arithmetic (+, *) with fill 0: annihilating. The top-level walker
+  // survives the workspace flush, so both levels of A walk.
   runMatrix(workspaceEinsum(OpKind::Add, "*", 0.0), OpKind::Add, 0.0,
-            /*ExpectRecovered=*/true, /*ExpectRejected=*/false);
+            {2, 126}, {4, 64});
 }
 
 TEST_F(AnnihilationEndToEnd, AdditiveMinPlusWorkspaceRecoversWalker) {
   // min-plus with fill inf: an *additive* body whose fill still
-  // annihilates. The string check rejects the walker; the algebra
-  // proves w stays at +inf and recovers it.
+  // annihilates. The algebra proves w stays at +inf and keeps the
+  // walker.
   runMatrix(workspaceEinsum(OpKind::Min, "+", Inf), OpKind::Min, Inf,
-            /*ExpectRecovered=*/true, /*ExpectRejected=*/false);
+            {2, 126}, {4, 64});
 }
 
 TEST_F(AnnihilationEndToEnd, AdditiveMinPlusFillZeroIsVetoed) {
-  // min-plus with fill 0: membership accepts the walker (the access
-  // backs every assignment), but 0 does not absorb addition — skipping
-  // would drop real min candidates. The algebra vetoes it and the
-  // result still matches the dense oracle.
+  // min-plus with fill 0: the access backs every assignment, but 0
+  // does not absorb addition — skipping would drop real min
+  // candidates. No walker registers; every element of A is located
+  // (24 x 24 reads) and the result matches the dense oracle.
   Einsum E = plainEinsum(OpKind::Min, "+", 0.0);
-  runMatrix(E, OpKind::Min, 0.0,
-            /*ExpectRecovered=*/false, /*ExpectRejected=*/true);
+  runMatrix(E, OpKind::Min, 0.0, {0, 576}, {0, 576});
 }
 
 TEST_F(AnnihilationEndToEnd, MaxTimesFillZeroIsVetoed) {
@@ -345,8 +326,7 @@ TEST_F(AnnihilationEndToEnd, MaxTimesFillZeroIsVetoed) {
   // the Max identity, so the walker must stay off.
   Einsum E = plainEinsum(OpKind::Max, "*", 0.0);
   E.ReduceOp = OpKind::Max;
-  runMatrix(E, OpKind::Max, 0.0,
-            /*ExpectRecovered=*/false, /*ExpectRejected=*/true);
+  runMatrix(E, OpKind::Max, 0.0, {0, 576}, {0, 576});
 }
 
 TEST(AnnihilationEndToEnd2, RecoveredWalkerKeepsPlansFullyFused) {
@@ -366,7 +346,6 @@ TEST(AnnihilationEndToEnd2, RecoveredWalkerKeepsPlansFullyFused) {
   RunResult RR = runKernel(CR.Optimized, Inputs, "O", Init, ExecOptions());
   EXPECT_EQ(RR.Stats.GenericLoops, 0u);
   EXPECT_GT(RR.Stats.FusedSparseDrivers, 0u);
-  EXPECT_GT(RR.Stats.WalkersRecovered, 0u);
-  // The global counter mirrors the per-executor stat.
-  EXPECT_EQ(RR.Counters.WalkersRecovered, RR.Stats.WalkersRecovered);
+  EXPECT_EQ(RR.Stats.WalkersRegistered, 4u);
+  EXPECT_EQ(RR.Counters.SparseReads, 66u);
 }

@@ -89,7 +89,8 @@ Workload makeWorkload(const std::string &Kernel, uint64_t Seed,
 }
 
 Tensor runKernel(const Kernel &K, Workload &W,
-                 ExecOptions Options = ExecOptions()) {
+                 ExecOptions Options = ExecOptions(),
+                 CounterSnapshot *Counts = nullptr) {
   Tensor Out = Tensor::dense(W.OutDims, 0.0);
   Out.setAllValues(W.OutInit);
   Executor E(K, Options);
@@ -98,6 +99,8 @@ Tensor runKernel(const Kernel &K, Workload &W,
   E.bind(W.E.Output->tensorName(), &Out);
   E.prepare();
   E.run();
+  if (Counts)
+    *Counts = E.lastReport().Counters;
   return Out;
 }
 
@@ -234,11 +237,10 @@ struct Measured {
 };
 
 Measured measure(const Kernel &K, Workload &W) {
-  counters().reset();
   setCountersEnabled(true);
-  runKernel(K, W);
-  return Measured{counters().SparseReads, counters().ScalarOps,
-                  counters().Reductions};
+  CounterSnapshot C;
+  runKernel(K, W, ExecOptions(), &C);
+  return Measured{C.SparseReads, C.ScalarOps, C.Reductions};
 }
 
 } // namespace

@@ -55,12 +55,12 @@ std::vector<std::pair<std::string, Tensor>> corpusTensors() {
 
 struct EngineCfg {
   const char *Name;
-  bool Micro;
-  bool Blocking;
+  std::vector<Engine> List;
 };
-constexpr EngineCfg Engines[] = {{"interp", false, false},
-                                 {"fused", true, false},
-                                 {"blocked", true, true}};
+const EngineCfg Engines[] = {
+    {"interp", {Engine::Interp}},
+    {"fused", {Engine::Fused, Engine::Interp}},
+    {"blocked", {Engine::Blocked, Engine::Fused, Engine::Interp}}};
 
 } // namespace
 
@@ -143,8 +143,7 @@ TEST(FaultInjection, ExecutorRejectsCorruptedOperandsAcrossEngines) {
                          E.Name + " threads=" + std::to_string(Threads) +
                          "]: " + *Site);
             ExecOptions O;
-            O.EnableMicroKernels = E.Micro;
-            O.EnableBlocking = E.Blocking;
+            O.Engines = E.List;
             O.Threads = Threads;
             O.ValidateInputs = ValidationLevel::Deep;
             Tensor Out = Tensor::dense(Base.OutDims, 0.0);
@@ -258,7 +257,7 @@ TEST(HardenedExecution, MemoryBudgetDegradesWithoutChangingResults) {
   ExecOptions Unrestricted;
   Unrestricted.Threads = 4;
   ExecOptions Budgeted = Unrestricted;
-  Budgeted.MemoryBudgetBytes = 1;
+  Budgeted.PrivatizationBudgetBytes = 1;
   Tensor Ref = run(R.Naive, F1, Unrestricted);
   Tensor Out = run(R.Naive, F2, Budgeted);
   EXPECT_EQ(Out.vals(), Ref.vals());

@@ -2,8 +2,8 @@
 ///
 /// The JIT-compiled native engine and the engine-selection API:
 ///
-///  - EngineRegistry resolution (typed lists, deprecated-boolean shims,
-///    normalization notes, summaries).
+///  - EngineRegistry resolution (list normalization, notes,
+///    summaries).
 ///  - Native-vs-interpreter bit-identity and counter parity for every
 ///    paper kernel (the differential contract of docs/CODEGEN.md).
 ///  - On-disk .so cache reuse: a fresh "process" (simulated by dropping
@@ -181,53 +181,30 @@ struct ScratchCacheDir {
 // EngineRegistry resolution
 //===----------------------------------------------------------------------===//
 
-TEST(EngineRegistry, LegacyBooleansDerive) {
-  // microkernels on, blocking off: the historical default.
-  EngineResolution R = resolveEngines({}, true, false);
-  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Fused, Engine::Interp}));
-  EXPECT_TRUE(R.UseFused);
-  EXPECT_FALSE(R.UseBlocked);
-  EXPECT_FALSE(R.UseNative);
-  EXPECT_TRUE(R.Notes.empty());
-
-  // Both on.
-  R = resolveEngines({}, true, true);
-  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Blocked, Engine::Fused,
-                                          Engine::Interp}));
-  EXPECT_TRUE(R.UseBlocked);
-
-  // Everything off: pure interpreter.
-  R = resolveEngines({}, false, false);
-  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Interp}));
-  EXPECT_FALSE(R.UseFused);
-
-  // Blocking without microkernels was historically inert.
-  R = resolveEngines({}, false, true);
-  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Interp}));
-  EXPECT_FALSE(R.UseBlocked);
-}
-
 TEST(EngineRegistry, ExplicitListNormalizes) {
   // Interp is appended when missing; duplicates collapse.
-  EngineResolution R =
-      resolveEngines({Engine::Fused, Engine::Fused}, false, false);
+  EngineResolution R = resolveEngines({Engine::Fused, Engine::Fused});
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Fused, Engine::Interp}));
 
+  // An empty list normalizes like any other: the interpreter alone.
+  R = resolveEngines({});
+  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Interp}));
+
   // Native anywhere but first is dropped with a note.
-  R = resolveEngines({Engine::Fused, Engine::Native}, true, false);
+  R = resolveEngines({Engine::Fused, Engine::Native});
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Fused, Engine::Interp}));
   EXPECT_FALSE(R.UseNative);
   ASSERT_EQ(R.Notes.size(), 1u);
 
   // Blocked without Fused gets Fused inserted (with a note).
-  R = resolveEngines({Engine::Blocked}, false, false);
+  R = resolveEngines({Engine::Blocked});
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Blocked, Engine::Fused,
                                           Engine::Interp}));
   EXPECT_TRUE(R.UseFused);
   EXPECT_FALSE(R.Notes.empty());
 
-  // Native-first is honored; booleans are ignored for non-empty lists.
-  R = resolveEngines(nativeFirst(), false, false);
+  // Native-first is honored.
+  R = resolveEngines(nativeFirst());
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Native, Engine::Fused,
                                           Engine::Interp}));
   EXPECT_TRUE(R.UseNative);
@@ -373,7 +350,7 @@ TEST(EngineKeys, ResolvedListKeysPlans) {
   Tensor Out = Tensor::dense(W.OutDims, 0.0);
   B[W.E.Output->tensorName()] = &Out;
 
-  ExecOptions Legacy; // both deprecated booleans default on
+  ExecOptions Default; // blocked>fused>interp
   ExecOptions Typed;
   Typed.Engines = {Engine::Blocked, Engine::Fused, Engine::Interp};
   ExecOptions Normalized; // native dropped (not first) -> same as Typed
@@ -382,16 +359,16 @@ TEST(EngineKeys, ResolvedListKeysPlans) {
   ExecOptions NativeOpt;
   NativeOpt.Engines = nativeFirst();
 
-  const std::string KLegacy = PlanCache::makeKey(W.E, B, Legacy);
+  const std::string KDefault = PlanCache::makeKey(W.E, B, Default);
   const std::string KTyped = PlanCache::makeKey(W.E, B, Typed);
   const std::string KNorm = PlanCache::makeKey(W.E, B, Normalized);
   const std::string KNative = PlanCache::makeKey(W.E, B, NativeOpt);
 
   // Equivalent requests share one plan; native-first is distinct.
-  EXPECT_EQ(KLegacy, KTyped);
+  EXPECT_EQ(KDefault, KTyped);
   EXPECT_EQ(KTyped, KNorm);
-  EXPECT_NE(KNative, KLegacy);
-  EXPECT_NE(KLegacy.find("engines=blocked>fused>interp"),
+  EXPECT_NE(KNative, KDefault);
+  EXPECT_NE(KDefault.find("engines=blocked>fused>interp"),
             std::string::npos);
   EXPECT_NE(KNative.find("engines=native>fused>interp"), std::string::npos);
 

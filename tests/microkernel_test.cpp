@@ -89,15 +89,15 @@ compareEngines(const Kernel &K,
   CounterSnapshot SnapGeneric, SnapFused;
   for (bool Fused : {false, true}) {
     ExecOptions O;
-    O.EnableMicroKernels = Fused;
+    if (!Fused)
+      O.Engines = {Engine::Interp};
     Executor E(K, O);
     Tensor &Out = Fused ? OutFused : OutGeneric;
     Bind(E, Out);
     E.prepare();
-    counters().reset();
     setCountersEnabled(true);
     E.run();
-    (Fused ? SnapFused : SnapGeneric) = counters().snapshot();
+    (Fused ? SnapFused : SnapGeneric) = E.lastReport().Counters;
     if (Fused)
       Stats = E.microKernelStats();
   }
@@ -283,22 +283,18 @@ TEST(MicroKernels, AblationSwitchReportsStats) {
   Tensor X = denseVec({1, 1, 1, 1});
   Tensor Y = Tensor::dense({4});
   ExecOptions Off;
-  Off.EnableMicroKernels = false;
+  Off.Engines = {Engine::Interp};
   Executor EOff(spmvKernel(), Off);
   EOff.bind("A", &A).bind("x", &X).bind("y", &Y);
   EOff.prepare();
   EXPECT_EQ(EOff.microKernelStats().SpecializedLoops, 0u);
   EXPECT_EQ(EOff.microKernelStats().GenericLoops, 2u);
 
-  counters().reset();
   Executor EOn(spmvKernel());
   EOn.bind("A", &A).bind("x", &X).bind("y", &Y);
   EOn.prepare();
   EXPECT_EQ(EOn.microKernelStats().SpecializedLoops, 2u);
   EXPECT_EQ(EOn.microKernelStats().GenericLoops, 0u);
-  // The global ablation counters see the same split.
-  EXPECT_EQ(counters().LoopsSpecialized, 2u);
-  EXPECT_EQ(counters().LoopsGeneric, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -356,10 +352,9 @@ TEST(ExpressionVm, LocatorMatchesRandomAccess) {
     Tensor Y = Tensor::dense({1});
     E.bind("A", &A).bind("y", &Y);
     E.prepare();
-    counters().reset();
     E.run();
     EXPECT_DOUBLE_EQ(Y.at({0}), Sum) << "walk=" << Walk;
-    EXPECT_GT(counters().SparseReads, 0u);
+    EXPECT_GT(E.lastReport().Counters.SparseReads, 0u);
   }
 }
 
@@ -503,8 +498,9 @@ TEST(MicroKernels, SparseLoadOperandFusesWithExactCounters) {
       Tensor::dense({4}), "sparse-load operand");
   EXPECT_GT(St.FusedSparseLoadFactors, 0u);
   EXPECT_EQ(St.GenericLoops, 0u);
-  EXPECT_GT(St.WalkersRejected, 0u)
-      << "additive fill-0 body must not skip coordinates";
+  EXPECT_EQ(St.WalkersRegistered, 1u)
+      << "only A's dense level walks: an additive fill-0 body must not "
+         "skip coordinates";
 }
 
 TEST(MicroKernels, ThreeWalkerIntersectionBitIdentical) {
@@ -668,7 +664,7 @@ TEST(MicroKernels, PrebindDeterministicAcrossTaskRanges) {
     BC.add({K}, static_cast<double>(1 + K % 5));
   Tensor B = Tensor::fromCoo(std::move(BC), TensorFormat{{LevelKind::Sparse}});
 
-  for (size_t Budget : {size_t(1) << 24, size_t(0)}) {
+  for (size_t Budget : {size_t(1) << 27, size_t(0)}) {
     SCOPED_TRACE(Budget ? "outer-loop tasks" : "inner range splits");
     Tensor First;
     CounterSnapshot FirstSnap;
@@ -678,16 +674,15 @@ TEST(MicroKernels, PrebindDeterministicAcrossTaskRanges) {
       ExecOptions O;
       O.Threads = Threads;
       O.Schedule = SchedulePolicy::TriangleBalanced;
-      O.PrivatizationBudget = Budget;
+      O.PrivatizationBudgetBytes = Budget;
       Executor Ex(R.Naive, O);
       Tensor Out = Tensor::dense({N});
       Ex.bind("A", &A).bind("B", &B).bind("O", &Out);
       Ex.prepare();
       EXPECT_GT(Ex.microKernelStats().PrebindSlots, 0u);
-      counters().reset();
       setCountersEnabled(true);
       Ex.run();
-      CounterSnapshot Snap = counters().snapshot();
+      CounterSnapshot Snap = Ex.lastReport().Counters;
       if (!Have) {
         First = std::move(Out);
         FirstSnap = Snap;
@@ -752,10 +747,9 @@ struct SsyrkFixture {
     E.bind("A", &A).bind("C", &Out);
     E.prepare();
     Stats = E.microKernelStats();
-    counters().reset();
     setCountersEnabled(true);
     E.run();
-    Snap = counters().snapshot();
+    Snap = E.lastReport().Counters;
     return Out;
   }
 };
@@ -773,7 +767,7 @@ TEST(BlockedEngine, SsyrkBitIdenticalAcrossPanelWidths) {
   for (const Kernel *K : {&F.R.Naive, &F.R.Optimized}) {
     SCOPED_TRACE(K == &F.R.Naive ? "naive" : "optimized");
     ExecOptions Interp;
-    Interp.EnableMicroKernels = false;
+    Interp.Engines = {Engine::Interp};
     CounterSnapshot SI, SB;
     MicroKernelStats StI, StB;
     Tensor Ref = F.run(*K, Interp, SI, StI);
@@ -787,11 +781,11 @@ TEST(BlockedEngine, SsyrkBitIdenticalAcrossPanelWidths) {
       expectBitIdentical(Ref, Out, "blocked ssyrk");
       expectCountersEqual(SI, SB, "blocked ssyrk");
     }
-    // Ablation: EnableBlocking=false must not install the engine (and
-    // the unblocked nest is still bit-identical — the original
+    // Ablation: without Engine::Blocked the engine is not installed
+    // (and the unblocked nest is still bit-identical — the original
     // contract).
     ExecOptions Off;
-    Off.EnableBlocking = false;
+    Off.Engines = {Engine::Fused, Engine::Interp};
     Tensor Out = F.run(*K, Off, SB, StB);
     EXPECT_EQ(StB.BlockedLoops, 0u);
     EXPECT_EQ(SB.FusedBlockedPanels, 0u);
@@ -843,7 +837,7 @@ TEST(BlockedEngine, EmptyColumnsAndEmptyFiber) {
   for (unsigned W : {0u, 2u, 8u}) {
     SCOPED_TRACE("width " + std::to_string(W));
     ExecOptions Interp, Blk;
-    Interp.EnableMicroKernels = false;
+    Interp.Engines = {Engine::Interp};
     Blk.BlockWidth = W;
     for (const Kernel *K : {&R.Naive, &R.Optimized}) {
       CounterSnapshot SI, SB;
@@ -854,13 +848,11 @@ TEST(BlockedEngine, EmptyColumnsAndEmptyFiber) {
       EB.bind("A", &A).bind("C", &OutB);
       EI.prepare();
       EB.prepare();
-      counters().reset();
       setCountersEnabled(true);
       EI.run();
-      SI = counters().snapshot();
-      counters().reset();
+      SI = EI.lastReport().Counters;
       EB.run();
-      SB = counters().snapshot();
+      SB = EB.lastReport().Counters;
       expectBitIdentical(OutI, OutB, "gappy blocked ssyrk");
       expectCountersEqual(SI, SB, "gappy blocked ssyrk");
     }
@@ -891,14 +883,13 @@ TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
     Ex.bind("A", &A).bind("B", &B).bind("C", &Out);
     Ex.prepare();
     Stats = Ex.microKernelStats();
-    counters().reset();
     setCountersEnabled(true);
     Ex.run();
-    Snap = counters().snapshot();
+    Snap = Ex.lastReport().Counters;
     return Out;
   };
   ExecOptions Interp;
-  Interp.EnableMicroKernels = false;
+  Interp.Engines = {Engine::Interp};
   CounterSnapshot SI, SB;
   MicroKernelStats StI, StB;
   Tensor Ref = RunIt(Interp, SI, StI);

@@ -383,7 +383,8 @@ std::vector<DetCase> determinismCases() {
   return Cases;
 }
 
-Tensor runKernel(const Kernel &K, DetCase &C, const ExecOptions &O) {
+Tensor runKernel(const Kernel &K, DetCase &C, const ExecOptions &O,
+                 CounterSnapshot *Counts = nullptr) {
   Tensor Out = Tensor::dense(C.OutDims, 0.0);
   Out.setAllValues(C.OutInit);
   Executor E(K, O);
@@ -392,6 +393,8 @@ Tensor runKernel(const Kernel &K, DetCase &C, const ExecOptions &O) {
   E.bind(C.E.Output->tensorName(), &Out);
   E.prepare();
   E.run();
+  if (Counts)
+    *Counts = E.lastReport().Counters;
   return Out;
 }
 
@@ -470,7 +473,7 @@ TEST(Determinism, PrivatizationBudgetFallbackStaysCorrect) {
   Tensor Ref = runKernel(R.Optimized, C, Base);
   ExecOptions O;
   O.Threads = 4;
-  O.PrivatizationBudget = 1024; // << N*N elements
+  O.PrivatizationBudgetBytes = 8192; // << N*N doubles
   Tensor Out = runKernel(R.Optimized, C, O);
   EXPECT_EQ(Tensor::maxAbsDiff(Ref, Out), 0.0);
 }
@@ -483,14 +486,11 @@ TEST(ParallelRuntime, CountersStayExact) {
   DetCase C = std::move(determinismCases()[0]);
   CompileResult R = compileEinsum(C.E);
   setCountersEnabled(true);
-  counters().reset();
-  runKernel(R.Optimized, C, ExecOptions());
-  CounterSnapshot Seq = counters().snapshot();
+  CounterSnapshot Seq, Par;
+  runKernel(R.Optimized, C, ExecOptions(), &Seq);
   ExecOptions O;
   O.Threads = 8;
-  counters().reset();
-  runKernel(R.Optimized, C, O);
-  CounterSnapshot Par = counters().snapshot();
+  runKernel(R.Optimized, C, O, &Par);
   EXPECT_EQ(Seq.SparseReads, Par.SparseReads);
   EXPECT_EQ(Seq.ScalarOps, Par.ScalarOps);
   EXPECT_EQ(Seq.Reductions, Par.Reductions);
@@ -589,9 +589,8 @@ TEST(ParallelRuntime, ReplicateEpilogueThreadedViaExecutor) {
     Executor E(C.Optimized);
     E.bind("A", &A).bind("C", &Seq);
     E.prepare();
-    counters().reset();
     E.run();
-    SeqSnap = counters().snapshot();
+    SeqSnap = E.lastReport().Counters;
   }
   for (unsigned Threads : {2u, 4u}) {
     Tensor Par = Tensor::dense({30, 30});
@@ -600,9 +599,8 @@ TEST(ParallelRuntime, ReplicateEpilogueThreadedViaExecutor) {
     Executor E(C.Optimized, O);
     E.bind("A", &A).bind("C", &Par);
     E.prepare();
-    counters().reset();
     E.run();
-    ParSnap = counters().snapshot();
+    ParSnap = E.lastReport().Counters;
     EXPECT_EQ(SeqSnap.OutputWrites, ParSnap.OutputWrites)
         << "threads " << Threads;
     EXPECT_EQ(Tensor::maxAbsDiff(Seq, Par), 0.0) << "threads " << Threads;
@@ -660,8 +658,6 @@ TEST(ExecOptionsSanitize, AbsurdThreadCountClampsToHardwareMultiple) {
 TEST(ExecOptionsSanitize, OversizedBlockWidthClampsToEngineMaximum) {
   SanitizeSetup S;
   ExecOptions O;
-  O.EnableMicroKernels = true;
-  O.EnableBlocking = true;
   O.BlockWidth = 4096;
   Executor E(S.C.Optimized, O);
   S.bindInto(E);
@@ -677,8 +673,6 @@ TEST(ExecOptionsSanitize, SupportedValuesRecordNoClamps) {
   SanitizeSetup S;
   ExecOptions O;
   O.Threads = 4;
-  O.EnableMicroKernels = true;
-  O.EnableBlocking = true;
   O.BlockWidth = 8;
   Executor E(S.C.Optimized, O);
   S.bindInto(E);

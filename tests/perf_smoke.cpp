@@ -78,7 +78,8 @@ std::vector<SmokeCase> makeCases() {
 Tensor runOnce(const Kernel &K, SmokeCase &C, bool Fused,
                MicroKernelStats &Stats) {
   ExecOptions O;
-  O.EnableMicroKernels = Fused;
+  if (!Fused)
+    O.Engines = {Engine::Interp};
   Executor E(K, O);
   Tensor Out = Tensor::dense(C.OutDims, 0.0);
   Out.setAllValues(C.OutInit);
@@ -365,11 +366,10 @@ TEST(PerfSmoke, SpecializerFiresOnRunLengthAndBandedDrivers) {
   }
 }
 
-TEST(PerfSmoke, WalkersRecoveredOnGroupedTwoSparseOperandKernels) {
+TEST(PerfSmoke, WalkersRegisteredOnGroupedTwoSparseOperandKernels) {
   // Grouped symmetric kernels over two sparse operands, with A in a
-  // sparse-topped (DCSR) format: the workspace flush used to cost the
-  // outer walker under the string-level membership check. The algebra
-  // must recover it (WalkersRecovered > 0), the mismatched accesses of
+  // sparse-topped (DCSR) format: the workspace flush must not cost the
+  // outer walker (exact WalkersRegistered), the mismatched accesses of
   // the second sparse operand must bind as SparseLoad factors inside
   // the fused bodies, and the plans stay fully fused and bit-identical
   // to the interpreter.
@@ -394,13 +394,14 @@ TEST(PerfSmoke, WalkersRecoveredOnGroupedTwoSparseOperandKernels) {
     MicroKernelStats FusedStats, GenericStats;
     Tensor Generic = runOnce(*K, C, /*Fused=*/false, GenericStats);
     Tensor Fused = runOnce(*K, C, /*Fused=*/true, FusedStats);
-    if (K == &R2.Optimized) {
+    if (K == &R2.Naive) {
+      EXPECT_EQ(FusedStats.WalkersRegistered, 3u);
+    } else {
       // Only the grouped symmetric lowering has the workspace flush
-      // (losing the top-level walker under membership) and the
-      // mismatched second-operand accesses (x[j] vs x[i]) that must
-      // bind as SparseLoad factors; the naive nest walks both operands
-      // directly.
-      EXPECT_GT(FusedStats.WalkersRecovered, 0u)
+      // and the mismatched second-operand accesses (x[j] vs x[i]) that
+      // must bind as SparseLoad factors; the naive nest walks both
+      // operands directly.
+      EXPECT_EQ(FusedStats.WalkersRegistered, 5u)
           << "the workspace flush must not cost the sparse-topped walker";
       EXPECT_GT(FusedStats.FusedSparseLoadFactors, 0u)
           << "second sparse operand must fuse via the chained locator";
@@ -418,12 +419,12 @@ TEST(PerfSmoke, WalkersRecoveredOnGroupedTwoSparseOperandKernels) {
 TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
   // The register/cache-blocked output engine (the ssyrk memory-wall
   // fix): the optimized ssyrk plan must install blocked nests
-  // (BlockedLoops > 0) while staying fully fused (LoopsGeneric == 0),
+  // (BlockedLoops > 0) while staying fully fused (GenericLoops == 0),
   // and actually execute panels at run time (the FusedBlockedPanels
-  // global counter). The SpMM-style workspace shape must take the
-  // register-accumulator form (BlockedAccumLoops > 0). The
-  // EnableBlocking=false ablation must keep everything on the
-  // unblocked nests with zero panels.
+  // report counter). The SpMM-style workspace shape must take the
+  // register-accumulator form (BlockedAccumLoops > 0). The ablation
+  // without Engine::Blocked must keep everything on the unblocked
+  // nests with zero panels.
   Rng R(20260801);
   const int64_t N = 40, Rank = 6;
 
@@ -459,7 +460,8 @@ TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
     for (bool Blocking : {true, false}) {
       SCOPED_TRACE(Blocking ? "blocking on" : "blocking off");
       ExecOptions O;
-      O.EnableBlocking = Blocking;
+      if (!Blocking)
+        O.Engines = {Engine::Fused, Engine::Interp};
       Executor E(R2.Optimized, O);
       Tensor Out = Tensor::dense(C.OutDims, 0.0);
       for (auto &[Name, T] : C.Inputs)
@@ -476,10 +478,9 @@ TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
       } else {
         EXPECT_EQ(Stats.BlockedLoops, 0u);
       }
-      counters().reset();
       setCountersEnabled(true);
       E.run();
-      CounterSnapshot Snap = counters().snapshot();
+      const CounterSnapshot &Snap = E.lastReport().Counters;
       if (Blocking) {
         EXPECT_GT(Snap.FusedBlockedPanels, 0u)
             << "the blocked engine must actually execute panels";
@@ -571,15 +572,14 @@ TEST(PerfSmoke, ValidationOffHasZeroHotPathCost) {
       if (VL == ValidationLevel::None)
         EXPECT_NE(P.Name, "validate")
             << "hot-path default must not even time a validation phase";
-    counters().reset();
     setCountersEnabled(true);
     for (int I = 0; I < 7; ++I) {
       Y.setAllValues(0.0);
       const uint64_t T0 = obs::nowNs();
       E.runBody();
       Ms.push_back((obs::nowNs() - T0) / 1e6);
+      obs::addCounters(Snap, E.lastReport().Counters);
     }
-    Snap = counters().snapshot();
   };
 
   Tensor YOff = Tensor::dense({N}), YDeep = Tensor::dense({N});

@@ -91,28 +91,26 @@ TEST(Executor, WalkerCountsSparseReads) {
   Tensor A = smallCsc();
   Tensor X = vec3(1, 1, 1);
   Tensor Y = Tensor::dense({3});
-  counters().reset();
   setCountersEnabled(true);
   Executor E(spmvKernel());
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
   E.prepare();
   E.run();
-  EXPECT_EQ(counters().SparseReads, 5u);
-  EXPECT_EQ(counters().Reductions, 5u);
+  EXPECT_EQ(E.lastReport().Counters.SparseReads, 5u);
+  EXPECT_EQ(E.lastReport().Counters.Reductions, 5u);
 }
 
 TEST(Executor, CountersCanBeDisabled) {
   Tensor A = smallCsc();
   Tensor X = vec3(1, 1, 1);
   Tensor Y = Tensor::dense({3});
-  counters().reset();
   setCountersEnabled(false);
   Executor E(spmvKernel());
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
   E.prepare();
   E.run();
   setCountersEnabled(true);
-  EXPECT_EQ(counters().SparseReads, 0u);
+  EXPECT_EQ(E.lastReport().Counters.SparseReads, 0u);
 }
 
 TEST(Executor, BoundLiftingUpperTriangle) {
@@ -130,7 +128,6 @@ TEST(Executor, BoundLiftingUpperTriangle) {
                                                              {"i", "j"})))));
   Tensor A = smallCsc();
   Tensor Y = Tensor::dense({1});
-  counters().reset();
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
   E.prepare();
@@ -138,7 +135,7 @@ TEST(Executor, BoundLiftingUpperTriangle) {
   // Upper entries: (0,0)=1, (1,1)=3, (0,2)=2, (2,2)=5 -> sum 11.
   EXPECT_EQ(Y.at({0}), 11.0);
   // The walker visited only the four upper-triangle entries.
-  EXPECT_EQ(counters().SparseReads, 4u);
+  EXPECT_EQ(E.lastReport().Counters.SparseReads, 4u);
 }
 
 TEST(Executor, BoundLiftingDisabledStillCorrect) {

@@ -147,7 +147,7 @@ TEST(PlanCache, KeyIsSensitiveToStructureNotValues) {
   Threaded.Threads = 4;
   EXPECT_NE(K1, PlanCache::makeKey(W1.E, bindings(W1, O1), Threaded));
   ExecOptions NoMk;
-  NoMk.EnableMicroKernels = false;
+  NoMk.Engines = {Engine::Interp};
   EXPECT_NE(K1, PlanCache::makeKey(W1.E, bindings(W1, O1), NoMk));
 
   // ...but the per-request knobs do not.
@@ -156,7 +156,6 @@ TEST(PlanCache, KeyIsSensitiveToStructureNotValues) {
   PerRequest.Cancel = &Tok;
   PerRequest.DeadlineMs = 50;
   PerRequest.ValidateInputs = ValidationLevel::Shallow;
-  PerRequest.GlobalCounterFlush = false;
   EXPECT_EQ(K1, PlanCache::makeKey(W1.E, bindings(W1, O1), PerRequest));
 
   // A different einsum is a different key.
@@ -334,29 +333,22 @@ TEST(KernelService, SecondRequestHitsTheCache) {
   expectBitIdentical(O2, Solo2, "second request");
 }
 
-TEST(KernelService, PerRequestCountersDoNotFlushGlobally) {
+TEST(KernelService, PerRequestCountersReachReportAndAggregate) {
   setCountersEnabled(true);
   Workload W = makeWorkload("ssymv", 1);
   Tensor Out = freshOutput(W);
-  const CounterSnapshot Before = counters().snapshot();
-  {
-    ServiceOptions SO;
-    SO.Workers = 1;
-    KernelService Svc(SO);
-    auto H = Svc.submit({"req", W.E, bindings(W, Out), ExecOptions()});
-    ASSERT_TRUE(H.ok());
-    const RequestResult &Res = H->wait();
-    ASSERT_TRUE(Res.St.ok()) << Res.St.str();
-    // The run did real work and its deltas are in the report...
-    EXPECT_GT(Res.Report.Counters.SparseReads, 0u);
-    // ...and in the service aggregate.
-    EXPECT_EQ(Svc.stats().Counters.SparseReads,
-              Res.Report.Counters.SparseReads);
-  }
-  // ...but not in the process-global counters.
-  const CounterSnapshot After = counters().snapshot();
-  EXPECT_EQ(After.SparseReads, Before.SparseReads);
-  EXPECT_EQ(After.Reductions, Before.Reductions);
+  ServiceOptions SO;
+  SO.Workers = 1;
+  KernelService Svc(SO);
+  auto H = Svc.submit({"req", W.E, bindings(W, Out), ExecOptions()});
+  ASSERT_TRUE(H.ok());
+  const RequestResult &Res = H->wait();
+  ASSERT_TRUE(Res.St.ok()) << Res.St.str();
+  // The run did real work and its deltas are in the report...
+  EXPECT_GT(Res.Report.Counters.SparseReads, 0u);
+  // ...and in the service aggregate.
+  EXPECT_EQ(Svc.stats().Counters.SparseReads,
+            Res.Report.Counters.SparseReads);
 }
 
 TEST(KernelService, PreCancelledRequestAbortsCleanly) {

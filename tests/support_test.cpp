@@ -85,16 +85,6 @@ TEST(Random, DoubleInRange) {
   }
 }
 
-TEST(Counters, ResetClearsAll) {
-  counters().SparseReads = 5;
-  counters().Reductions = 7;
-  counters().reset();
-  EXPECT_EQ(counters().SparseReads, 0u);
-  EXPECT_EQ(counters().Reductions, 0u);
-  EXPECT_EQ(counters().ScalarOps, 0u);
-  EXPECT_EQ(counters().OutputWrites, 0u);
-}
-
 TEST(Counters, EnableDisable) {
   setCountersEnabled(false);
   EXPECT_FALSE(countersEnabled());
