@@ -599,7 +599,7 @@ private:
   const ExecCtx &Ctx;
   std::string KernelName;
 
-  std::vector<Tensor *> Args;
+  std::vector<unsigned> Args; // access ids, one per distinct tensor
   std::map<const Tensor *, unsigned> ArgIdx;
   std::vector<std::string> LutDefs;
   unsigned TmpCount = 0;
@@ -614,27 +614,44 @@ private:
 
   static std::string num(uint64_t V) { return std::to_string(V); }
   static std::string snum(int64_t V) { return std::to_string(V); }
-  std::string newTmp() { return "t" + num(TmpCount++); }
+  /// \p Prefix followed by \p N, built by appending: `"t" + num(N)`
+  /// trips GCC 12's -Wrestrict false positive in
+  /// operator+(const char *, std::string &&).
+  static std::string tag(char Prefix, uint64_t N) {
+    std::string S(1, Prefix);
+    S += num(N);
+    return S;
+  }
+  std::string newTmp() { return tag('t', TmpCount++); }
   unsigned newScope() { return ScopeCount++; }
 
-  unsigned argOf(Tensor *T) {
+  /// The argument number of \p AccessId's tensor: arguments are
+  /// numbered by distinct tensor in first-use order, and each records
+  /// the first access that reached it.
+  unsigned argOf(unsigned AccessId) {
+    const Tensor *T = Ctx.Accesses[AccessId].T;
     auto It = ArgIdx.find(T);
     if (It != ArgIdx.end())
       return It->second;
     unsigned Id = static_cast<unsigned>(Args.size());
-    Args.push_back(T);
+    Args.push_back(AccessId);
     ArgIdx.emplace(T, Id);
     return Id;
   }
 
-  std::string tens(Tensor *T) { return "T[" + num(argOf(T)) + "]"; }
-  std::string lev(Tensor *T, unsigned L) {
-    return tens(T) + ".levels[" + num(L) + "]";
+  std::string tens(unsigned AccessId) {
+    return "T[" + num(argOf(AccessId)) + "]";
   }
-  static std::string ivar(unsigned Slot) { return "i" + num(Slot); }
-  static std::string svar(unsigned Slot) { return "s" + num(Slot); }
+  std::string lev(unsigned AccessId, unsigned L) {
+    return tens(AccessId) + ".levels[" + num(L) + "]";
+  }
+  static std::string ivar(unsigned Slot) { return tag('i', Slot); }
+  static std::string svar(unsigned Slot) { return tag('s', Slot); }
   static std::string pvar(unsigned AccessId, unsigned Level) {
-    return "p" + num(AccessId) + "_" + num(Level);
+    std::string S = tag('p', AccessId);
+    S += '_';
+    S += num(Level);
+    return S;
   }
 
   /// evalOp fold step with the interpreter's operand order; the min/max
@@ -681,14 +698,13 @@ private:
   /// emitted). Returns the name of the temp holding the value.
   std::string emitSparseLoad(const VInstr &I, std::ostringstream &OS,
                              const std::string &Pad) {
-    const AccessState &A = Ctx.Accesses[I.Id];
-    Tensor *T = A.T;
+    const Tensor *T = Ctx.Accesses[I.Id].T;
     std::string Tmp = newTmp();
     OS << Pad << "const double " << Tmp << " = [&]() -> double {\n";
     OS << Pad << "  int64_t pos = 0;\n";
     for (unsigned L = 0; L < T->order(); ++L) {
       const std::string C = ivar(I.LevelSlots[L]);
-      const std::string LV = lev(T, L);
+      const std::string LV = lev(I.Id, L);
       switch (T->level(L).Kind) {
       case LevelKind::Dense:
         OS << Pad << "  pos = pos * " << LV << ".dim + " << C << ";\n";
@@ -699,7 +715,7 @@ private:
            << Pad << "    const int64_t q = systec_lb(" << LV << ".crd, "
            << LV << ".ptr[pos], e, " << C << ");\n"
            << Pad << "    if (q == e || " << LV << ".crd[q] != " << C
-           << ") return " << tens(T) << ".fill;\n"
+           << ") return " << tens(I.Id) << ".fill;\n"
            << Pad << "    pos = q;\n"
            << Pad << "  }\n";
         break;
@@ -708,19 +724,19 @@ private:
            << Pad << "    const int64_t e = " << LV << ".ptr[pos + 1];\n"
            << Pad << "    const int64_t q = systec_ub(" << LV
            << ".run_end, " << LV << ".ptr[pos], e, " << C << ");\n"
-           << Pad << "    if (q == e) return " << tens(T) << ".fill;\n"
+           << Pad << "    if (q == e) return " << tens(I.Id) << ".fill;\n"
            << Pad << "    pos = q;\n"
            << Pad << "  }\n";
         break;
       case LevelKind::Banded:
         OS << Pad << "  if (" << C << " < " << LV << ".lo[pos] || " << C
-           << " >= " << LV << ".hi[pos]) return " << tens(T) << ".fill;\n"
+           << " >= " << LV << ".hi[pos]) return " << tens(I.Id) << ".fill;\n"
            << Pad << "  pos = " << LV << ".off[pos] + (" << C << " - "
            << LV << ".lo[pos]);\n";
         break;
       }
     }
-    OS << Pad << "  return " << tens(T) << ".vals[pos];\n";
+    OS << Pad << "  return " << tens(I.Id) << ".vals[pos];\n";
     OS << Pad << "}();\n";
     return Tmp;
   }
@@ -744,13 +760,12 @@ private:
         Stack.push_back(svar(I.Id));
         break;
       case VKind::Walked: {
-        const AccessState &A = Ctx.Accesses[I.Id];
-        Stack.push_back(tens(A.T) + ".vals[" +
-                        pvar(I.Id, A.T->order()) + "]");
+        Stack.push_back(tens(I.Id) + ".vals[" +
+                        pvar(I.Id, Ctx.Accesses[I.Id].T->order()) + "]");
         break;
       }
       case VKind::DenseLoad:
-        Stack.push_back(tens(I.T) + ".vals[" +
+        Stack.push_back(tens(I.Id) + ".vals[" +
                         slotStrideSum(I.SlotStride) + "]");
         break;
       case VKind::SparseLoad:
@@ -805,11 +820,12 @@ private:
 
   /// Tensor::locate for one co-walker level, by the statically known
   /// level kind; assigns -1 to \p Dst on a miss (Dense never misses).
-  void emitLocate(Tensor *T, unsigned Level, const std::string &Parent,
-                  const std::string &Coord, const std::string &Dst,
-                  std::ostringstream &OS, const std::string &Pad) {
-    const std::string LV = lev(T, Level);
-    switch (T->level(Level).Kind) {
+  void emitLocate(unsigned AccessId, unsigned Level,
+                  const std::string &Parent, const std::string &Coord,
+                  const std::string &Dst, std::ostringstream &OS,
+                  const std::string &Pad) {
+    const std::string LV = lev(AccessId, Level);
+    switch (Ctx.Accesses[AccessId].T->level(Level).Kind) {
     case LevelKind::Dense:
       OS << Pad << "const int64_t " << Dst << " = " << Parent << " * "
          << LV << ".dim + " << Coord << ";\n";
@@ -875,7 +891,7 @@ private:
            << pvar(W.AccessId, W.Level) << ") {\n";
         OS << Pad << "  " << Dst << " = " << Child << ";\n";
         OS << Pad << "} else {\n";
-        emitLocate(OA.T, O.Level, OPar, Coord, Dst + "_f", OS,
+        emitLocate(O.AccessId, O.Level, OPar, Coord, Dst + "_f", OS,
                    Pad + "  ");
         OS << Pad << "  " << Dst << " = " << Dst << "_f;\n";
         OS << Pad << "}\n";
@@ -884,7 +900,7 @@ private:
            << ";\n";
       } else {
         std::string Dst = "oc" + num(newScope());
-        emitLocate(OA.T, O.Level, OPar, Coord, Dst, OS, Pad);
+        emitLocate(O.AccessId, O.Level, OPar, Coord, Dst, OS, Pad);
         if (OA.T->level(O.Level).Kind != LevelKind::Dense)
           OS << Pad << "if (" << Dst << " < 0) continue;\n";
         OS << Pad << pvar(O.AccessId, O.Level + 1) << " = " << Dst
@@ -929,7 +945,7 @@ private:
       const PlanLoop::WalkerRef &W = L.Walkers[0];
       const AccessState &A = Ctx.Accesses[W.AccessId];
       const std::string Par = "par" + num(N);
-      const std::string LV = lev(A.T, W.Level);
+      const std::string LV = lev(W.AccessId, W.Level);
       OS << P2 << "const int64_t " << Par << " = "
          << pvar(W.AccessId, W.Level) << ";\n";
       switch (A.T->level(W.Level).Kind) {

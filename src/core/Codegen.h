@@ -53,11 +53,11 @@ struct NativeEmitResult {
   /// independent of the library version (the content hash covers any
   /// ABI change, which necessarily changes the emitted structs).
   std::string Source;
-  /// The distinct operand tensors of the plan in the emitter's
-  /// discovery order: the runtime passes one systec_ntensor per entry,
-  /// in this order, on every call. Pointers are the plan's current
-  /// bindings; jit::PlanNative repatches them on Executor::rebind.
-  std::vector<Tensor *> Args;
+  /// The plan's operands as access ids, one per distinct tensor in the
+  /// emitter's discovery order: the runtime passes one systec_ntensor
+  /// per entry, in this order, marshalled from the execution context's
+  /// access table on every call.
+  std::vector<unsigned> Args;
 };
 
 /// Emits the compiled execution plan \p Body as a self-contained C++

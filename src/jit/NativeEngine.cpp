@@ -29,16 +29,14 @@ void PlanNative::exec(detail::ExecCtx &C) {
   if (C.Ctrl && C.Ctrl->stopped())
     return;
 
-  if (Tensors.empty()) {
-    size_t NLevels = 0;
-    for (const Tensor *T : Args)
-      NLevels += T->order();
-    Levels.resize(NLevels);
-    Tensors.resize(Args.size());
-  }
+  size_t NLevels = 0;
+  for (unsigned Id : Args)
+    NLevels += C.Accesses[Id].T->order();
+  std::vector<NativeLevel> Levels(NLevels);
+  std::vector<NativeTensor> Tensors(Args.size());
   size_t LevelAt = 0;
   for (size_t I = 0; I < Args.size(); ++I) {
-    const Tensor *T = Args[I];
+    const Tensor *T = C.Accesses[Args[I]].T;
     NativeTensor &NT = Tensors[I];
     NT.Order = T->order();
     NT.Levels = Levels.data() + LevelAt;
@@ -65,14 +63,6 @@ void PlanNative::exec(detail::ExecCtx &C) {
     C.Local.Reductions += static_cast<uint64_t>(NC.Reductions);
     C.Local.ScalarOps += static_cast<uint64_t>(NC.ScalarOps);
     C.Local.OutputWrites += static_cast<uint64_t>(NC.OutputWrites);
-  }
-}
-
-void PlanNative::rebind(const detail::RebindCtx &R) {
-  for (Tensor *&T : Args) {
-    auto It = R.Map.find(T);
-    if (It != R.Map.end())
-      T = It->second;
   }
 }
 

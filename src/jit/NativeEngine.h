@@ -15,9 +15,9 @@
 ///    ScalarOps / OutputWrites deltas, accounted at the interpreter's
 ///    exact charge points; they fold into ExecCtx::Local under the
 ///    standard once-per-run flush discipline.
-///  - Rebind: operand pointers are re-read from the bound tensors on
-///    every call and the argument table repatches through the standard
-///    RebindCtx map, so plan-cache hits work unchanged.
+///  - Rebind: arguments are access ids; every call marshals them from
+///    the execution context's access table, so a plan-cache hit, which
+///    only refills that table, reaches the native body unchanged.
 ///  - Cancellation: polled at body entry only — a native body is one
 ///    cancellation region (documented in docs/CODEGEN.md); runs that
 ///    need per-iteration responsiveness use the interpreted engines.
@@ -42,19 +42,12 @@ public:
   /// mapping alive for the life of this node.
   NativeKernelFn Fn = nullptr;
   std::shared_ptr<void> Handle;
-  /// Operand tensors in the emitter's discovery order (one
-  /// systec_ntensor each, marshalled per call from the tensors'
-  /// current level arrays — which is what makes rebind work).
-  std::vector<Tensor *> Args;
+  /// Operands as access ids, one per distinct tensor in the emitter's
+  /// discovery order (one systec_ntensor each, marshalled per call
+  /// from the access table's current tensors).
+  std::vector<unsigned> Args;
 
   void exec(detail::ExecCtx &C) override;
-  void rebind(const detail::RebindCtx &R) override;
-
-private:
-  /// Marshalling scratch, sized on first exec and reused (orders and
-  /// level counts are fixed for a compiled plan).
-  std::vector<NativeLevel> Levels;
-  std::vector<NativeTensor> Tensors;
 };
 
 } // namespace jit

@@ -2,14 +2,17 @@
 
 #include "jit/NativeKernelCache.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include <dlfcn.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace systec {
@@ -62,6 +65,39 @@ std::string defaultCacheDir() {
   return Base + "/systec-jit-cache-" + std::to_string(getuid());
 }
 
+/// Requires that the effective user owns \p Path: both the path as given
+/// (lstat, so a planted symlink is refused) and what it resolves to
+/// (stat). The default cache directory has a predictable name and
+/// cached objects are named by a reproducible hash, so anything another
+/// user created there could hand dlopen an object they wrote.
+Status requireOwned(const std::string &Path, const char *What) {
+  struct stat L, S;
+  const uid_t Me = ::geteuid();
+  if (::lstat(Path.c_str(), &L) == 0 && ::stat(Path.c_str(), &S) == 0 &&
+      L.st_uid == Me && S.st_uid == Me)
+    return Status::success();
+  return Status::error(ErrCode::ResourceExhausted,
+                       std::string("refusing ") + What + " '" + Path +
+                           "': not owned by the effective user (uid " +
+                           std::to_string(Me) + ")");
+}
+
+/// Creates \p Dir (mode 0700; missing parents with default modes) and
+/// requires that the effective user owns it — checked before anything
+/// is written to or loaded from it.
+Status prepareCacheDir(const std::string &Dir) {
+  fs::path P(Dir);
+  if (!P.has_filename())
+    P = P.parent_path(); // "dir/" names "dir"
+  std::error_code EC;
+  fs::create_directories(P.parent_path(), EC);
+  if (::mkdir(P.c_str(), 0700) != 0 && errno != EEXIST)
+    return Status::error(ErrCode::ResourceExhausted,
+                         "cannot create cache dir '" + Dir +
+                             "': " + std::strerror(errno));
+  return requireOwned(Dir, "cache directory");
+}
+
 std::string readFirstLine(const std::string &Path) {
   std::ifstream In(Path);
   std::string Line;
@@ -94,10 +130,13 @@ const ToolchainProbe &probeToolchain() {
   static const ToolchainProbe P = [] {
     ToolchainProbe T;
     T.Command = compilerCommand();
-    std::string Out =
-        defaultCacheDir() + "/probe-" + std::to_string(getpid()) + ".txt";
+    const std::string Dir = defaultCacheDir();
+    if (Status S = prepareCacheDir(Dir); !S.ok()) {
+      T.Reason = "toolchain probe: " + S.str();
+      return T;
+    }
+    std::string Out = Dir + "/probe-" + std::to_string(getpid()) + ".txt";
     std::error_code EC;
-    fs::create_directories(fs::path(Out).parent_path(), EC);
     std::string Cmd =
         "\"" + T.Command + "\" --version > \"" + Out + "\" 2>&1";
     int Rc = std::system(Cmd.c_str());
@@ -160,6 +199,15 @@ NativeKernelCache::load(const std::string &Source,
     return Status::error(ErrCode::ResourceExhausted, Reason)
         .withContext("native kernel cache");
 
+  std::string Dir = CacheDir;
+  if (Dir.empty())
+    if (const char *Env = std::getenv("SYSTEC_JIT_CACHE_DIR"); Env && *Env)
+      Dir = Env;
+  if (Dir.empty())
+    Dir = defaultCacheDir();
+  if (Status S = prepareCacheDir(Dir); !S.ok())
+    return std::move(S).withContext("native kernel cache");
+
   const ToolchainProbe &P = probeToolchain();
   const std::string Hash =
       fnv1aHex(Source + '\0' + P.Id + '\0' + compileFlags());
@@ -171,19 +219,7 @@ NativeKernelCache::load(const std::string &Source,
     return L;
   }
 
-  std::string Dir = CacheDir;
-  if (Dir.empty())
-    if (const char *Env = std::getenv("SYSTEC_JIT_CACHE_DIR"); Env && *Env)
-      Dir = Env;
-  if (Dir.empty())
-    Dir = defaultCacheDir();
   std::error_code EC;
-  fs::create_directories(Dir, EC);
-  if (EC)
-    return Status::error(ErrCode::ResourceExhausted,
-                         "cannot create cache dir '" + Dir +
-                             "': " + EC.message())
-        .withContext("native kernel cache");
 
   const std::string Base = Dir + "/" + Hash;
   const std::string So = Base + ".so";
@@ -238,6 +274,8 @@ NativeKernelCache::load(const std::string &Source,
           .withContext("native kernel cache");
   }
 
+  if (Status S = requireOwned(So, "cached object"); !S.ok())
+    return std::move(S).withContext("native kernel cache");
   void *Handle = dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle) {
     const char *E = dlerror();

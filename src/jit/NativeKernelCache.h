@@ -18,9 +18,15 @@
 /// dlopened handles are shared process-wide through an internal
 /// registry, so N executors of one kernel hold one mapping.
 ///
+/// Ownership: the cache directory (created with mode 0700 when missing)
+/// and every `.so` must belong to the effective user — the path itself
+/// and its symlink target alike — before anything is written to or
+/// dlopened from it; the default path is predictable and the names are
+/// reproducible hashes, so another user's directory or file is refused.
+///
 /// Fallback contract: every failure path — no host compiler on PATH,
-/// compilation error, dlopen/dlsym failure — returns a typed Status
-/// (never aborts). `SYSTEC_JIT_DISABLE=1` forces the unavailable path
+/// a cache directory or object another user owns, compilation error,
+/// dlopen/dlsym failure — returns a typed Status (never aborts). `SYSTEC_JIT_DISABLE=1` forces the unavailable path
 /// (for testing degraded environments); `SYSTEC_JIT_CXX` overrides the
 /// compiler (default: the compiler that built the library, then `c++`).
 ///

@@ -45,10 +45,10 @@ public:
     E.Ctx->IndexVal.assign(IndexSlots.size(), 0);
     E.Ctx->ScalarVal.assign(ScalarSlots.size(), 0.0);
     E.Ctx->Accesses = AccessStates;
+    E.Ctx->Outputs.resize(OutTensors.size());
     E.Ctx->OutPtr.resize(OutTensors.size());
-    for (size_t Id = 0; Id < OutTensors.size(); ++Id)
-      E.Ctx->OutPtr[Id] = OutTensors[Id]->vals().data();
-    E.Outputs = OutTensors;
+    E.AccessNames = std::move(AccessNames);
+    E.OutputNames = std::move(OutputNames);
     E.Ctx->LoopCalls.assign(NextTraceId, 0);
     E.Ctx->LoopNs.assign(NextTraceId, 0);
     E.MKStats = Stats;
@@ -63,10 +63,12 @@ private:
   std::map<std::string, int64_t> Extents;
   std::map<std::string, unsigned> AccessIds; // key: printed access
   std::vector<AccessState> AccessStates;
+  std::vector<std::string> AccessNames; // per access id: tensor name
   std::vector<unsigned> Driven; // per access id, along current DFS path
   std::set<std::string> BoundVars;
   std::map<Tensor *, unsigned> OutIds; // written tensors -> OutPtr slot
   std::vector<Tensor *> OutTensors;
+  std::vector<std::string> OutputNames; // per output id: tensor name
   bool InParallel = false; // compiling inside an activated parallel loop
   MicroKernelStats Stats;
   unsigned NextTraceId = 0; // plan-loop observability ids, in-order
@@ -85,10 +87,13 @@ private:
     return It->second;
   }
 
-  unsigned outId(Tensor *T) {
+  unsigned outId(const std::string &Name) {
+    Tensor *T = tensorFor(Name);
     auto [It, New] = OutIds.insert({T, OutIds.size()});
-    if (New)
+    if (New) {
       OutTensors.push_back(T);
+      OutputNames.push_back(Name);
+    }
     return It->second;
   }
 
@@ -114,6 +119,7 @@ private:
     S.LocParent.assign(S.T->order(), -1);
     S.LocIdx.assign(S.T->order(), 0);
     AccessStates.push_back(std::move(S));
+    AccessNames.push_back(Access->tensorName());
     Driven.push_back(0);
     return Id;
   }
@@ -192,11 +198,10 @@ private:
         I.Id = Id;
       } else if (S.T->format().isAllDense()) {
         I.Kind = VKind::DenseLoad;
-        I.T = S.T;
+        I.Id = Id;
         I.SlotStride = denseStrides(S.T, Ex->indices());
       } else {
         I.Kind = VKind::SparseLoad;
-        I.T = S.T;
         I.Id = Id;
         // Per level (top first), the slot providing that level's
         // coordinate, so the locator descends without a scratch
@@ -308,16 +313,16 @@ private:
         if (!T->format().isAllDense())
           fatalError("output tensor " + Lhs->tensorName() +
                      " must be dense for writes");
-        As->OutId = outId(T);
+        As->OutId = outId(Lhs->tensorName());
         As->SlotStride = denseStrides(T, Lhs->indices());
       }
       return As;
     }
     case StmtKind::Replicate: {
       auto Rep = std::make_unique<PlanReplicate>();
-      Rep->T = tensorFor(S->tensorName());
-      if (!Rep->T->format().isAllDense())
+      if (!tensorFor(S->tensorName())->format().isAllDense())
         fatalError("replicate requires a dense output");
+      Rep->OutId = outId(S->tensorName());
       Rep->Sym = S->outputSymmetry();
       Rep->Threads = E.Options.Threads;
       return Rep;
@@ -375,7 +380,7 @@ private:
     for (const auto &[Name, Op] : LP.TensorMergeOps) {
       Tensor *T = tensorFor(Name);
       PrivT.push_back(PlanLoop::PrivTensor{
-          outId(T), T->vals().size(), Op, opInfo(Op).Identity});
+          outId(Name), T->vals().size(), Op, opInfo(Op).Identity});
       PrivElems += T->vals().size();
     }
     if (PrivElems * TaskCount * sizeof(double) >
@@ -901,10 +906,13 @@ Status Executor::tryPrepare() {
   if (Options.Threads > 1)
     ThreadPool::ensureGlobalThreads(Options.Threads);
   const uint64_t M0 = obs::nowNs();
-  UserBound = Bound;
   UserSig.clear();
-  for (const auto &[Name, T] : UserBound)
-    UserSig[Name] = BindingSig{T->format(), T->dims(), T->fill()};
+  std::map<const Tensor *, std::string> FirstName;
+  for (const auto &[Name, T] : Bound) {
+    auto [It, New] = FirstName.insert({T, Name});
+    UserSig[Name] = BindingSig{T->format(), T->dims(), T->fill(),
+                               New ? std::string() : It->second};
+  }
   if (Status S = materializeAliases(Bound, Owned); !S.ok())
     return S;
   const uint64_t M1 = obs::nowNs();
@@ -913,6 +921,7 @@ Status Executor::tryPrepare() {
   if (Status S = validateKernel(); !S.ok())
     return S;
   PlanCompiler(*this).compileAll();
+  bindSlots();
   const uint64_t M2 = obs::nowNs();
   MaterializeNs = M1 - M0;
   PlanCompileNs = M2 - M1;
@@ -1006,6 +1015,22 @@ Status Executor::materializeAliases(std::map<std::string, Tensor *> &B,
   return Status::success();
 }
 
+void Executor::bindSlots() {
+  for (size_t I = 0; I < Ctx->Accesses.size(); ++I) {
+    AccessState &A = Ctx->Accesses[I];
+    A.T = Bound.at(AccessNames[I]);
+    // Run-scoped cursor state starts exactly as plan compilation
+    // initialized it.
+    std::fill(A.Pos.begin(), A.Pos.end(), int64_t(0));
+    std::fill(A.LocParent.begin(), A.LocParent.end(), int64_t(-1));
+    std::fill(A.LocIdx.begin(), A.LocIdx.end(), int64_t(0));
+  }
+  for (size_t I = 0; I < Ctx->Outputs.size(); ++I) {
+    Ctx->Outputs[I] = Bound.at(OutputNames[I]);
+    Ctx->OutPtr[I] = Ctx->Outputs[I]->valsData();
+  }
+}
+
 Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
                         const ExecOptions &RunOptions) {
   if (!Prepared)
@@ -1058,7 +1083,7 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
   uint64_t NewValidateNs = 0;
   if (RunOptions.ValidateInputs != ValidationLevel::None) {
     const uint64_t V0 = obs::nowNs();
-    for (const auto &[Name, Old] : UserBound) {
+    for (const auto &[Name, Sig] : UserSig) {
       Tensor *New = NewBindings.at(Name);
       if (Status S = New->validate(RunOptions.ValidateInputs); !S.ok())
         return std::move(S)
@@ -1067,35 +1092,29 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
     }
     NewValidateNs = obs::nowNs() - V0;
   }
-  const uint64_t R0 = obs::nowNs();
-  // Rebuild the name map and materialized aliases over the new
-  // tensors; the kernel's split/transpose requests are deterministic,
-  // so the alias name set matches the compiled one exactly.
-  std::map<std::string, Tensor *> NewUserBound;
-  for (const auto &[Name, Old] : UserBound)
-    NewUserBound[Name] = NewBindings.at(Name);
-  std::map<std::string, Tensor *> NewBound = NewUserBound;
-  std::vector<std::unique_ptr<Tensor>> NewOwned;
-  if (Status S = materializeAliases(NewBound, NewOwned); !S.ok())
-    return S;
-  // Old-pointer -> new-pointer map over every name the plan may have
-  // baked (user bindings and materialized aliases alike).
-  std::map<Tensor *, Tensor *> Map;
-  for (const auto &[Name, Old] : Bound) {
-    auto NewIt = NewBound.find(Name);
-    if (NewIt == NewBound.end())
-      return Status::error(ErrCode::Internal,
-                           "alias " + Name + " vanished on rebind")
-          .withContext("kernel '" + K.Name + "'");
-    auto [MIt, Inserted] = Map.insert({Old, NewIt->second});
-    if (!Inserted && MIt->second != NewIt->second)
+  // Names that shared one tensor at prepare were compiled as one
+  // operand (one native argument, aliased co-walker fibers), so their
+  // replacements must share one tensor too.
+  for (const auto &[Name, Sig] : UserSig)
+    if (!Sig.SharedWith.empty() &&
+        NewBindings.at(Name) != NewBindings.at(Sig.SharedWith))
       return Status::error(ErrCode::InvalidArgument,
                            "ambiguous rebind: one tensor was bound under "
                            "multiple names with different replacements")
           .withContext("kernel '" + K.Name + "'");
-  }
+  const uint64_t R0 = obs::nowNs();
+  // Rebuild the name map and materialized aliases over the new
+  // tensors; the kernel's split/transpose requests are deterministic,
+  // so the alias name set matches the compiled one exactly.
+  std::map<std::string, Tensor *> NewBound;
+  for (const auto &[Name, Sig] : UserSig)
+    NewBound[Name] = NewBindings.at(Name);
+  std::vector<std::unique_ptr<Tensor>> NewOwned;
+  if (Status S = materializeAliases(NewBound, NewOwned); !S.ok())
+    return S;
   // Point of no return: adopt the per-request knobs (every structural
-  // option is key-identical by the caller's contract) and repatch.
+  // option is key-identical by the caller's contract) and fill the
+  // operand table.
   Options.Cancel = RunOptions.Cancel;
   Options.DeadlineMs = RunOptions.DeadlineMs;
   Options.Tracing = RunOptions.Tracing;
@@ -1103,35 +1122,13 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
   if (Options.Tracing)
     obs::setTracingEnabled(true);
   Bound = std::move(NewBound);
-  UserBound = std::move(NewUserBound);
-  for (AccessState &A : Ctx->Accesses) {
-    auto It = Map.find(A.T);
-    if (It != Map.end())
-      A.T = It->second;
-    // Reset run-scoped cursor state exactly as plan compilation
-    // initialized it.
-    std::fill(A.Pos.begin(), A.Pos.end(), int64_t(0));
-    std::fill(A.LocParent.begin(), A.LocParent.end(), int64_t(-1));
-    std::fill(A.LocIdx.begin(), A.LocIdx.end(), int64_t(0));
-  }
-  for (size_t I = 0; I < Outputs.size(); ++I) {
-    auto It = Map.find(Outputs[I]);
-    if (It != Map.end())
-      Outputs[I] = It->second;
-    Ctx->OutPtr[I] = Outputs[I]->vals().data();
-  }
-  RebindCtx RC{Map, Ctx->Accesses};
-  BodyPlan->rebind(RC);
-  if (EpiloguePlan)
-    EpiloguePlan->rebind(RC);
-  if (NativePlan)
-    NativePlan->rebind(RC);
+  bindSlots();
   Owned = std::move(NewOwned);
-  // The repatch is this "run"'s materialization work; plan compilation
-  // and specialization were skipped outright — which is the whole
-  // point, and what the phase timers pin in reports of rebound runs.
-  // The staged native body is reused as-is (it marshals operand
-  // pointers per call), so a rebound run compiled nothing either.
+  // The table fill is this "run"'s materialization work; plan
+  // compilation and specialization were skipped outright — which is the
+  // whole point, and what the phase timers pin in reports of rebound
+  // runs. The staged native body is reused as-is (it marshals operands
+  // from the table per call), so a rebound run compiled nothing either.
   ValidateNs = NewValidateNs;
   MaterializeNs = obs::nowNs() - R0;
   PlanCompileNs = 0;
@@ -1206,8 +1203,8 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
     Ctl->check();
     Ctx->Ctrl = Ctl.get();
     Ctx->PollTick = 0;
-    Snapshots.reserve(Outputs.size());
-    for (Tensor *T : Outputs)
+    Snapshots.reserve(Ctx->Outputs.size());
+    for (Tensor *T : Ctx->Outputs)
       Snapshots.push_back(T->vals());
   } else {
     Ctx->Ctrl = nullptr;
@@ -1281,8 +1278,8 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
     // buffers, so copy element-wise rather than swapping storage) and
     // discard this run's counter deltas — an aborted run contributes
     // nothing.
-    for (size_t I = 0; I < Outputs.size(); ++I) {
-      std::vector<double> &V = Outputs[I]->vals();
+    for (size_t I = 0; I < Ctx->Outputs.size(); ++I) {
+      std::vector<double> &V = Ctx->Outputs[I]->vals();
       std::copy(Snapshots[I].begin(), Snapshots[I].end(), V.begin());
     }
     Ctx->Local = CounterSnapshot{};

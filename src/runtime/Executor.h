@@ -246,22 +246,25 @@ public:
   [[nodiscard]] Status tryRunBody() { return tryRunBody(nullptr); }
   [[nodiscard]] Status tryRunEpilogue() { return tryRunEpilogue(nullptr); }
 
-  /// Repatches this prepared executor onto fresh tensors of identical
+  /// Points this prepared executor at fresh tensors of identical
   /// structure — the plan-cache hit path, skipping einsum parsing,
   /// lowering, plan compilation, and specialization entirely (the
   /// rebound run's report shows plan-compile and specialize phases at
-  /// 0). Every originally-bound name must appear in \p NewBindings
-  /// with the same format descriptor, dims, and fill value as the
-  /// tensor the plan was compiled against; \p RunOptions must agree
-  /// with the compiled options on every structural knob (threads,
-  /// schedule, engines — the plan-cache key guarantees this) and
-  /// supplies the per-request knobs the plan adopts: Cancel,
-  /// DeadlineMs, Tracing, ValidateInputs.
-  /// Materialized aliases (diagonal splits, transposes) are rebuilt
-  /// from the new tensors. On error the executor keeps its previous
-  /// bindings and stays runnable. Fails with InvalidArgument when two
-  /// originally-distinct names were bound to one tensor and the new
-  /// bindings disagree (the rebind would be ambiguous; compile fresh).
+  /// 0). The compiled plan names tensors only by slot, so rebinding
+  /// checks the structure, materializes aliases, and fills the operand
+  /// table; nothing in the plan itself changes. Every originally-bound
+  /// name must appear in \p NewBindings with the same format
+  /// descriptor, dims, and fill value as the tensor the plan was
+  /// compiled against; \p RunOptions must agree with the compiled
+  /// options on every structural knob (threads, schedule, engines —
+  /// the plan-cache key guarantees this) and supplies the per-request
+  /// knobs the plan adopts: Cancel, DeadlineMs, Tracing,
+  /// ValidateInputs. Materialized aliases (diagonal splits,
+  /// transposes) are rebuilt from the new tensors. On error the
+  /// executor keeps its previous bindings and stays runnable. Fails
+  /// with InvalidArgument when two originally-distinct names were bound
+  /// to one tensor and the new bindings disagree (the rebind would be
+  /// ambiguous; compile fresh).
   [[nodiscard]] Status rebind(const std::map<std::string, Tensor *> &NewBindings,
                               const ExecOptions &RunOptions);
 
@@ -316,20 +319,22 @@ private:
   Kernel K;
   ExecOptions Options;
   std::map<std::string, Tensor *> Bound;
-  /// The caller's bindings as of tryPrepare() entry, before alias
-  /// materialization replaced split/transposed names in Bound. The
-  /// pointer values feed rebind()'s old->new repatch map; they are
-  /// never dereferenced after the run (bound tensors only have to
-  /// outlive their own run, not the executor's stay in a plan cache).
-  std::map<std::string, Tensor *> UserBound;
-  /// Structural signature of one user binding, captured while the
-  /// tensor was alive — what rebind() checks replacements against.
+  /// Structural signature of one user binding, captured at tryPrepare()
+  /// entry while the tensor was alive — what rebind() checks
+  /// replacements against (bound tensors only have to outlive their own
+  /// run, not the executor's stay in a plan cache).
   struct BindingSig {
     TensorFormat Format;
     std::vector<int64_t> Dims;
     double Fill = 0.0;
+    /// The first (in name order) user name bound to the same tensor, or
+    /// empty: rebind() requires the replacements to keep the sharing.
+    std::string SharedWith;
   };
   std::map<std::string, BindingSig> UserSig;
+  /// Per access id and per output id, the binding name the plan slot
+  /// resolves (recorded once, at plan compilation).
+  std::vector<std::string> AccessNames, OutputNames;
   std::vector<std::unique_ptr<Tensor>> Owned;
 
   std::unique_ptr<detail::PlanNode> BodyPlan;
@@ -357,10 +362,6 @@ private:
 
   /// Option values tryPrepare() clamped (see optionClamps()).
   std::vector<std::string> Clamps;
-  /// Output tensors in OutPtr-slot order (from plan compilation);
-  /// snapshotted/restored around controlled runs so an aborted run
-  /// leaves no partial writes behind.
-  std::vector<Tensor *> Outputs;
   /// Shared stop state for controlled runs (cancel token + deadline),
   /// lazily created; the plan's execution contexts point at it.
   std::unique_ptr<detail::RunControl> Ctl;
@@ -373,6 +374,12 @@ private:
   /// rebind() so both paths build aliases identically.
   [[nodiscard]] Status materializeAliases(std::map<std::string, Tensor *> &B,
                                           std::vector<std::unique_ptr<Tensor>> &O);
+  /// Fills the execution context's operand table from Bound: every
+  /// access's and output's tensor, the OutPtr bases, and fresh cursors
+  /// (Pos, LocParent, LocIdx). The one place a plan meets its tensors:
+  /// tryPrepare() calls it after plan compilation, rebind() after
+  /// materializing aliases.
+  void bindSlots();
 
   /// Report of the most recent run (see lastReport()).
   obs::ExecReport Report;

@@ -154,7 +154,7 @@ RequestResult KernelService::process(KernelRequest &R) {
     if (Status S = Ex->rebind(R.Bindings, R.Options); S.ok()) {
       Out.CacheHit = true;
     } else {
-      // A colliding key whose structure check refused the repatch;
+      // A colliding key whose structure check refused the rebind;
       // drop the entry and compile fresh (correctness never depends on
       // the cache).
       std::lock_guard<std::mutex> SLock(StatMu);

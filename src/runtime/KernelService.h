@@ -87,7 +87,7 @@ struct RequestResult {
   obs::ExecReport Report;
   bool CacheHit = false;   ///< plan came from the cache (rebind path)
   uint64_t FrontendNs = 0; ///< lowering + plan compile + prepare on a
-                           ///< miss; the rebind repatch on a hit
+                           ///< miss; the rebind table fill on a hit
 };
 
 /// Future-like handle to one submitted request. Copyable; all copies

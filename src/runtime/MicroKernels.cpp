@@ -113,19 +113,10 @@ bool buildDriver(MatchState &M) {
   D.Level = Ws[0].Level;
   D.Bottom = Ws[0].Bottom;
   D.CountReads = Ws[0].Bottom && A.SparseFormat;
-  D.Ptr = Lev.Ptr.data();
-  D.Crd = Lev.Crd.data();
-  D.RunEnd = Lev.RunEnd.data();
-  D.BLo = Lev.Lo.data();
-  D.BHi = Lev.Hi.data();
-  D.BOff = Lev.Off.data();
-  D.Vals = A.T->valsData();
-  D.Dim = Lev.Dim;
   for (size_t W = 1; W < Ws.size(); ++W) {
     const AccessState &B = M.Accesses[Ws[W].AccessId];
-    const Level &CoLev = B.T->level(Ws[W].Level);
     MKCoWalker Co;
-    Co.Kind = CoLev.Kind;
+    Co.Kind = B.T->level(Ws[W].Level).Kind;
     // Mirrors the interpreter's per-element aliasing test against the
     // *driving* walker (co-walkers never alias each other there
     // either); parent equality resolves at bind time.
@@ -134,14 +125,6 @@ bool buildDriver(MatchState &M) {
     Co.Level = Ws[W].Level;
     Co.Bottom = Ws[W].Bottom;
     Co.CountReads = Ws[W].Bottom && B.SparseFormat;
-    Co.Ptr = CoLev.Ptr.data();
-    Co.Crd = CoLev.Crd.data();
-    Co.RunEnd = CoLev.RunEnd.data();
-    Co.BLo = CoLev.Lo.data();
-    Co.BHi = CoLev.Hi.data();
-    Co.BOff = CoLev.Off.data();
-    Co.Vals = B.T->valsData();
-    Co.Dim = CoLev.Dim;
     D.Cos.push_back(std::move(Co));
   }
   return true;
@@ -202,8 +185,7 @@ operandFor(const VInstr &I, MatchState &M,
   }
   case VKind::DenseLoad: {
     Op.K = MKOperand::Kind::Dense;
-    Op.Arr = I.T->valsData();
-    Op.ArrT = I.T;
+    Op.Slot = I.Id;
     for (const auto &[Slot, Stride] : I.SlotStride) {
       if (Slot == M.L.Slot)
         Op.VStride += Stride;
@@ -421,6 +403,7 @@ bool gatherItems(PlanNode *N, std::optional<CCond> Guard, MatchState &M,
 /// on the generic dispatch — both paths are bit-identical to the
 /// interpreter, so this is purely a performance decision.
 void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
+                       const std::vector<AccessState> &Accesses,
                        const MKSpecializeOptions &Opts) {
   if (MK.Innermost)
     return;
@@ -509,7 +492,9 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
     }
     if (PS <= 0 || S.DstVStride < 0)
       return;
-    if (S.DstVStride > 0 && S.DstVStride * (CMK.D.Dim - 1) >= PS)
+    const int64_t FiberDim =
+        Accesses[CMK.D.AccessId].T->level(CMK.D.Level).Dim;
+    if (S.DstVStride > 0 && S.DstVStride * (FiberDim - 1) >= PS)
       return;
     B->Mode = S.DstVStride == 0 ? MKBlockedEngine::BMode::Accum
                                 : MKBlockedEngine::BMode::Stream;
@@ -537,7 +522,7 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
       // pipeline produces, but decline rather than assume.
       if (Opts.OutputTensors)
         for (Tensor *T : *Opts.OutputTensors)
-          if (T->valsData() == Op.Arr)
+          if (T == Accesses[Op.Slot].T)
             return;
       if (Op.VStride != 0)
         FC = MKBlockedEngine::FClass::LaneDense;
@@ -668,7 +653,7 @@ bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
   MK->Items = std::move(Items);
   L.Fused = std::move(MK);
   if (Opts.UseBlocked)
-    tryInstallBlocked(L, *L.Fused, Opts);
+    tryInstallBlocked(L, *L.Fused, Accesses, Opts);
   return true;
 }
 
@@ -678,20 +663,42 @@ bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
 
 namespace {
 
-/// Per-run co-walker state: parent position, the per-execution alias
-/// decision, and the forward finger for compressed kinds. Plain
-/// aggregate with no default initialization — binding runs once per
-/// *row* of a nest, and bindDriver writes exactly the entries the
-/// driver's co-walker list uses (unused slots are never read).
-struct CoBind {
+/// One walked level's raw arrays plus its tensor's value array, read
+/// from the access table at bind: Ptr/Crd for Sparse, Ptr/RunEnd for
+/// RunLength, BLo/BHi/BOff for Banded, Dim for Dense.
+struct LevelBind {
+  const int64_t *Ptr, *Crd, *RunEnd, *BLo, *BHi, *BOff;
+  const double *Vals;
+  int64_t Dim;
+};
+
+void bindLevel(LevelBind &LB, const AccessState &A, unsigned L) {
+  const Level &Lev = A.T->level(L);
+  LB.Ptr = Lev.Ptr.data();
+  LB.Crd = Lev.Crd.data();
+  LB.RunEnd = Lev.RunEnd.data();
+  LB.BLo = Lev.Lo.data();
+  LB.BHi = Lev.Hi.data();
+  LB.BOff = Lev.Off.data();
+  LB.Vals = A.T->valsData();
+  LB.Dim = Lev.Dim;
+}
+
+/// Per-run co-walker state: level arrays, parent position, the
+/// per-execution alias decision, and the forward finger for compressed
+/// kinds. Plain aggregate with no default initialization — binding
+/// runs once per *row* of a nest, and bindDriver writes exactly the
+/// entries the driver's co-walker list uses (unused slots are never
+/// read).
+struct CoBind : LevelBind {
   int64_t Parent;
   bool Aliased;
   int64_t K, E;
 };
 
-/// Per-run driver state (the level arrays themselves are cached in the
-/// MKDriver at specialization; only positions resolve per run).
-struct DriverBind {
+/// Per-run driver state: the driver's level arrays and parent position
+/// (unwritten for Range drivers, which read neither).
+struct DriverBind : LevelBind {
   int64_t Parent = 0;
   CoBind Co[MKDriver::MaxCoWalkers];
 };
@@ -700,23 +707,37 @@ DriverBind bindDriver(ExecCtx &C, const MKDriver &D) {
   DriverBind B;
   if (D.K == MKDriver::Kind::Range)
     return B;
-  B.Parent = C.Accesses[D.AccessId].Pos[D.Level];
+  const AccessState &A = C.Accesses[D.AccessId];
+  bindLevel(B, A, D.Level);
+  B.Parent = A.Pos[D.Level];
   for (size_t I = 0; I < D.Cos.size(); ++I) {
     const MKCoWalker &Co = D.Cos[I];
+    const AccessState &CA = C.Accesses[Co.AccessId];
     CoBind &CB = B.Co[I];
-    CB.Parent = C.Accesses[Co.AccessId].Pos[Co.Level];
+    bindLevel(CB, CA, Co.Level);
+    CB.Parent = CA.Pos[Co.Level];
     // Mirror the interpreter's per-execution aliasing test: the same
     // fiber walked twice advances in lockstep instead of re-locating.
     CB.Aliased = Co.SameFiber && CB.Parent == B.Parent;
     if (!CB.Aliased && (Co.Kind == LevelKind::Sparse ||
                         Co.Kind == LevelKind::RunLength)) {
-      CB.K = Co.Ptr[CB.Parent];
-      CB.E = Co.Ptr[CB.Parent + 1];
+      CB.K = CB.Ptr[CB.Parent];
+      CB.E = CB.Ptr[CB.Parent + 1];
     } else {
       CB.K = CB.E = 0;
     }
   }
   return B;
+}
+
+/// Reads the value array of every Dense operand in \p Ops from the
+/// access table into \p Vals, indexed like \p Ops (null for the rest).
+void bindDenseVals(const ExecCtx &C, const std::vector<MKOperand> &Ops,
+                   const double **Vals) {
+  for (size_t I = 0; I < Ops.size(); ++I)
+    Vals[I] = Ops[I].K == MKOperand::Kind::Dense
+                  ? C.Accesses[Ops[I].Slot].T->valsData()
+                  : nullptr;
 }
 
 /// Per-execution iteration tallies, flushed into the context counters
@@ -761,11 +782,11 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
       } else {
         switch (Co.Kind) {
         case LevelKind::Dense:
-          P = CB.Parent * Co.Dim + V;
+          P = CB.Parent * CB.Dim + V;
           break;
         case LevelKind::Sparse: {
           int64_t K = CB.K;
-          const int64_t *Crd = Co.Crd;
+          const int64_t *Crd = CB.Crd;
           if (K < CB.E && Crd[K] < V) {
             int64_t Step = 1;
             while (K + Step < CB.E && Crd[K + Step] < V)
@@ -781,7 +802,7 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
         }
         case LevelKind::RunLength: {
           int64_t K = CB.K;
-          const int64_t *RunEnd = Co.RunEnd;
+          const int64_t *RunEnd = CB.RunEnd;
           while (K < CB.E && RunEnd[K] <= V)
             ++K;
           CB.K = K;
@@ -791,10 +812,10 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
           break;
         }
         case LevelKind::Banded: {
-          const int64_t BLo = Co.BLo[CB.Parent];
-          if (V < BLo || V >= Co.BHi[CB.Parent])
+          const int64_t BLo = CB.BLo[CB.Parent];
+          if (V < BLo || V >= CB.BHi[CB.Parent])
             return false;
-          P = Co.BOff[CB.Parent] + (V - BLo);
+          P = CB.BOff[CB.Parent] + (V - BLo);
           break;
         }
         }
@@ -834,14 +855,14 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
     }
     return;
   case MKDriver::Kind::DenseWalk: {
-    const int64_t Base = B.Parent * D.Dim;
+    const int64_t Base = B.Parent * B.Dim;
     for (int64_t V = Lo; V <= Hi; ++V)
       Emit(V, Base + V);
     return;
   }
   case MKDriver::Kind::SparseWalk: {
-    int64_t K = D.Ptr[B.Parent], E = D.Ptr[B.Parent + 1];
-    const int64_t *Crd = D.Crd;
+    int64_t K = B.Ptr[B.Parent], E = B.Ptr[B.Parent + 1];
+    const int64_t *Crd = B.Crd;
     if (Lo > 0)
       K = std::lower_bound(Crd + K, Crd + E, Lo) - Crd;
     for (; K < E; ++K) {
@@ -857,9 +878,9 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
     // the run index as position — the same expansion order as the
     // generic interpreter.
     int64_t Start = 0;
-    const int64_t KE = D.Ptr[B.Parent + 1];
-    for (int64_t K = D.Ptr[B.Parent]; K < KE; ++K) {
-      const int64_t End = D.RunEnd[K];
+    const int64_t KE = B.Ptr[B.Parent + 1];
+    for (int64_t K = B.Ptr[B.Parent]; K < KE; ++K) {
+      const int64_t End = B.RunEnd[K];
       for (int64_t V = std::max(Start, Lo); V < End; ++V) {
         if (V > Hi)
           return;
@@ -872,10 +893,10 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
     return;
   }
   case MKDriver::Kind::BandedWalk: {
-    const int64_t BB = std::max(Lo, D.BLo[B.Parent]);
-    const int64_t BE = std::min(Hi, D.BHi[B.Parent] - 1);
+    const int64_t BB = std::max(Lo, B.BLo[B.Parent]);
+    const int64_t BE = std::min(Hi, B.BHi[B.Parent] - 1);
     for (int64_t V = BB; V <= BE; ++V)
-      Emit(V, D.BOff[B.Parent] + (V - D.BLo[B.Parent]));
+      Emit(V, B.BOff[B.Parent] + (V - B.BLo[B.Parent]));
     return;
   }
   }
@@ -910,9 +931,11 @@ inline void flushIterReads(ExecCtx &C, const MKDriver &D,
 // Execution: operand evaluation (nest items and contextual statements)
 //===----------------------------------------------------------------------===//
 
-inline double evalOperand(ExecCtx &C, const MKDriver &D,
-                          const MKOperand &Op, int64_t V, int64_t K1,
-                          const int64_t *CoPos, const int64_t *PreBase) {
+/// \p Vals is the operand's bound value array (Dense operands only).
+inline double evalOperand(ExecCtx &C, const DriverBind &B,
+                          const MKOperand &Op, const double *Vals,
+                          int64_t V, int64_t K1, const int64_t *CoPos,
+                          const int64_t *PreBase) {
   switch (Op.K) {
   case MKOperand::Kind::Const:
     return Op.Lit;
@@ -926,12 +949,12 @@ inline double evalOperand(ExecCtx &C, const MKDriver &D,
     int64_t Pos = Op.VStride * V;
     for (const auto &[Slot, Stride] : Op.BaseTerms)
       Pos += C.IndexVal[Slot] * Stride;
-    return Op.Arr[Pos];
+    return Vals[Pos];
   }
   case MKOperand::Kind::Driver:
-    return D.Vals[K1];
+    return B.Vals[K1];
   case MKOperand::Kind::CoDriver:
-    return D.Cos[Op.Slot].Vals[CoPos[Op.Slot]];
+    return B.Co[Op.Slot].Vals[CoPos[Op.Slot]];
   case MKOperand::Kind::SparseLoad:
     // Same counter and cursor discipline as the expression VM's
     // SparseLoad instruction: one SparseRead per evaluation, locator
@@ -961,13 +984,16 @@ inline double evalOperand(ExecCtx &C, const MKDriver &D,
   return 0;
 }
 
-inline double foldFactors(ExecCtx &C, const MKDriver &D, const MKStmt &S,
-                          int64_t V, int64_t K1, const int64_t *CoPos,
-                          const int64_t *PreBase) {
-  double Acc = evalOperand(C, D, S.Factors[0], V, K1, CoPos, PreBase);
+/// \p Vals holds the dense factors' bound value arrays, per factor.
+inline double foldFactors(ExecCtx &C, const DriverBind &B, const MKStmt &S,
+                          const double *const *Vals, int64_t V, int64_t K1,
+                          const int64_t *CoPos, const int64_t *PreBase) {
+  double Acc =
+      evalOperand(C, B, S.Factors[0], Vals[0], V, K1, CoPos, PreBase);
   for (size_t I = 1; I < S.Factors.size(); ++I)
     Acc = evalOp(S.Combine, Acc,
-                 evalOperand(C, D, S.Factors[I], V, K1, CoPos, PreBase));
+                 evalOperand(C, B, S.Factors[I], Vals[I], V, K1, CoPos,
+                             PreBase));
   return Acc;
 }
 
@@ -979,6 +1005,9 @@ inline double foldFactors(ExecCtx &C, const MKDriver &D, const MKStmt &S,
 
 void MicroKernel::runNest(ExecCtx &C, int64_t Lo, int64_t Hi) {
   DriverBind B = bindDriver(C, D);
+  const double *DenseVals[MaxItems][MaxFactors];
+  for (size_t I = 0; I < Items.size(); ++I)
+    bindDenseVals(C, Items[I].S.Factors, DenseVals[I]);
   IterCounts N;
   iterateDriver(
       C, D, Slot, B, Lo, Hi, /*UpdateState=*/true, N,
@@ -988,19 +1017,21 @@ void MicroKernel::runNest(ExecCtx &C, int64_t Lo, int64_t Hi) {
         // by the executor, so skipping is safe.
         if (checkpointStop(C))
           return;
-        for (MKItem &Item : Items) {
+        for (size_t I = 0; I < Items.size(); ++I) {
+          MKItem &Item = Items[I];
           if (Item.HasGuard && !Item.Guard.eval(C))
             continue;
           switch (Item.K) {
           case MKItem::Kind::Def:
-            C.ScalarVal[Item.S.ScalarSlot] =
-                foldFactors(C, D, Item.S, V, K1, CoPos, nullptr);
+            C.ScalarVal[Item.S.ScalarSlot] = foldFactors(
+                C, B, Item.S, DenseVals[I], V, K1, CoPos, nullptr);
             if (C.CountersOn)
               C.Local.ScalarOps += Item.S.Factors.size() - 1;
             break;
           case MKItem::Kind::Stmt: {
             const MKStmt &S = Item.S;
-            const double Val = foldFactors(C, D, S, V, K1, CoPos, nullptr);
+            const double Val =
+                foldFactors(C, B, S, DenseVals[I], V, K1, CoPos, nullptr);
             if (S.ScalarDst) {
               double &Dst = C.ScalarVal[S.ScalarSlot];
               Dst = S.Reduce ? evalOp(*S.Reduce, Dst, Val) : Val;
@@ -1069,6 +1100,9 @@ struct BoundStmt {
   const MKStmt *Src;      // contextual: the statement's operand list
   uint64_t Execs;
   unsigned Ops; // ScalarOps contributed per execution
+  // Contextual: the dense factors' value arrays (last, off the
+  // per-element fields' cache lines).
+  const double *Vals[MicroKernel::MaxFactors];
 };
 
 inline double loadBound(const BoundVal &F, int64_t V, int64_t K1,
@@ -1103,7 +1137,7 @@ inline double foldBound(const BoundStmt &S, int64_t V, int64_t K1,
 /// the slim pre-PR4 codegen — the extra operand machinery only costs
 /// where a contextual statement actually exists.
 template <bool WithCtx>
-inline void execBound(ExecCtx &C, const MKDriver &D, BoundStmt &S,
+inline void execBound(ExecCtx &C, const DriverBind &B, BoundStmt &S,
                       int64_t V, int64_t K1, int64_t K2,
                       const int64_t *Co, const int64_t *PreBase) {
   switch (S.Kind) {
@@ -1126,7 +1160,7 @@ inline void execBound(ExecCtx &C, const MKDriver &D, BoundStmt &S,
       if (S.Guard && !S.Guard->eval(C))
         return;
       const MKStmt &Src = *S.Src;
-      double Acc = foldFactors(C, D, Src, V, K1, Co, PreBase);
+      double Acc = foldFactors(C, B, Src, S.Vals, V, K1, Co, PreBase);
       if (S.Mode == 0) {
         *S.Dst = Acc;
         ++S.Execs;
@@ -1203,6 +1237,7 @@ void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
       Contextual |= contextualOperand(Op) ||
                     (Op.K == MKOperand::Kind::CoDriver && Op.Slot > 0);
     if (Contextual) {
+      bindDenseVals(C, Src.Factors, S.Vals);
       // Per-row prebinding: resolve each SparseLoad's row-invariant
       // level prefix once for this execution. -1 marks an absent
       // prefix (the whole row reads as fill). Uses plain locate — the
@@ -1240,18 +1275,18 @@ void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
         int64_t Base = 0;
         for (const auto &[TSlot, Stride] : Op.BaseTerms)
           Base += C.IndexVal[TSlot] * Stride;
-        F.P = Op.Arr + Base;
+        F.P = C.Accesses[Op.Slot].T->valsData() + Base;
         F.SV = Op.VStride;
         break;
       }
       case MKOperand::Kind::Driver:
-        F.P = D.Vals;
+        F.P = B.Vals;
         F.SK1 = 1;
         break;
       case MKOperand::Kind::CoDriver:
         // Only the first co-walker binds (Slot > 0 forced contextual
         // above); its position is the K2 every bound load receives.
-        F.P = D.Cos[0].Vals;
+        F.P = B.Co[0].Vals;
         F.SK2 = 1;
         break;
       case MKOperand::Kind::Lut: {
@@ -1331,10 +1366,10 @@ void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
     }
     if (TailInvariant && F0.SV == 0 && F0.SK1 == 1 && F0.SK2 == 0 &&
         F1.SK1 == 0 && F1.SK2 == 0) {
-      const double *DV = D.Vals, *P1 = F1.P;
+      const double *DV = B.Vals, *P1 = F1.P;
       const int64_t S1 = F1.SV;
-      const int64_t *Crd = D.Crd;
-      int64_t K0 = D.Ptr[B.Parent], E = D.Ptr[B.Parent + 1];
+      const int64_t *Crd = B.Crd;
+      int64_t K0 = B.Ptr[B.Parent], E = B.Ptr[B.Parent + 1];
       if (Lo > 0)
         K0 = std::lower_bound(Crd + K0, Crd + E, Lo) - Crd;
       uint64_t Cnt = 0;
@@ -1403,7 +1438,7 @@ void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
                     if (AnyDynamic)
                       C.IndexVal[Slot] = V;
                     for (unsigned I = 0; I < NS; ++I)
-                      execBound<false>(C, D, BS[I], V, K1, K2, CoPos,
+                      execBound<false>(C, B, BS[I], V, K1, K2, CoPos,
                                        PreBase);
                   });
   else
@@ -1413,7 +1448,7 @@ void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
                     if (AnyDynamic)
                       C.IndexVal[Slot] = V;
                     for (unsigned I = 0; I < NS; ++I)
-                      execBound<true>(C, D, BS[I], V, K1, K2, CoPos,
+                      execBound<true>(C, B, BS[I], V, K1, K2, CoPos,
                                       PreBase);
                   });
 
@@ -1447,7 +1482,8 @@ namespace {
 /// here: the engine charges one SparseRead per element-lane execution,
 /// exactly like the interpreter's per-element evaluation of the same
 /// row-invariant access.
-double bindLaneOperand(ExecCtx &C, const MKOperand &Op) {
+/// \p Vals is the operand's bound value array (Dense operands only).
+double bindLaneOperand(ExecCtx &C, const MKOperand &Op, const double *Vals) {
   switch (Op.K) {
   case MKOperand::Kind::Const:
     return Op.Lit;
@@ -1461,7 +1497,7 @@ double bindLaneOperand(ExecCtx &C, const MKOperand &Op) {
     int64_t Pos = 0;
     for (const auto &[Slot, Stride] : Op.BaseTerms)
       Pos += C.IndexVal[Slot] * Stride;
-    return Op.Arr[Pos];
+    return Vals[Pos];
   }
   case MKOperand::Kind::SparseLoad: {
     const AccessState &A = C.Accesses[Op.Slot];
@@ -1490,10 +1526,14 @@ double bindLaneOperand(ExecCtx &C, const MKOperand &Op) {
 
 void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   const unsigned NF = static_cast<unsigned>(Factors.size());
-  const int64_t Parent = C.Accesses[D.AccessId].Pos[D.Level];
-  const int64_t KB = D.Ptr[Parent], KE = D.Ptr[Parent + 1];
-  const int64_t *Crd = D.Crd;
-  const double *DV = D.Vals;
+  const AccessState &DA = C.Accesses[D.AccessId];
+  const Level &DLev = DA.T->level(D.Level);
+  const int64_t Parent = DA.Pos[D.Level];
+  const int64_t KB = DLev.Ptr[Parent], KE = DLev.Ptr[Parent + 1];
+  const int64_t *Crd = DLev.Crd.data();
+  const double *DV = DA.T->valsData();
+  const double *FVals[MicroKernel::MaxFactors];
+  bindDenseVals(C, Factors, FVals);
   int64_t DstBase = 0;
   for (const auto &[Slot, Stride] : DstInvTerms)
     DstBase += C.IndexVal[Slot] * Stride;
@@ -1537,13 +1577,13 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
     for (unsigned F = 0; F < NF; ++F) {
       switch (Classes[F]) {
       case FClass::LaneImm:
-        LaneVal[F][Wi] = bindLaneOperand(C, Factors[F]);
+        LaneVal[F][Wi] = bindLaneOperand(C, Factors[F], FVals[F]);
         break;
       case FClass::LaneDense: {
         int64_t Base = 0;
         for (const auto &[Slot, Stride] : Factors[F].BaseTerms)
           Base += C.IndexVal[Slot] * Stride;
-        LanePtr[F][Wi] = Factors[F].Arr + Base;
+        LanePtr[F][Wi] = FVals[F] + Base;
         break;
       }
       case FClass::Driver:
@@ -1745,10 +1785,11 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
     // read the lane's fiber value — the state the generic nest
     // maintains per candidate.
     AccessState &NA = C.Accesses[Nest.AccessId];
+    const Level &NLev = NA.T->level(Nest.Level);
     const int64_t NParent = NA.Pos[Nest.Level];
-    int64_t NK = Nest.Ptr[NParent];
-    const int64_t NE = Nest.Ptr[NParent + 1];
-    const int64_t *NCrd = Nest.Crd;
+    int64_t NK = NLev.Ptr[NParent];
+    const int64_t NE = NLev.Ptr[NParent + 1];
+    const int64_t *NCrd = NLev.Crd.data();
     if (Lo > 0)
       NK = std::lower_bound(NCrd + NK, NCrd + NE, Lo) - NCrd;
     while (NK < NE && NCrd[NK] <= Hi) {
@@ -1807,81 +1848,6 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
     runInner(C, Lo, Hi);
   else
     runNest(C, Lo, Hi);
-}
-
-//===----------------------------------------------------------------------===//
-// Rebind (plan-cache hit path)
-//===----------------------------------------------------------------------===//
-// Mirrors the baking code above: every raw pointer a kernel cached at
-// specialization is re-derived from the repatched access table, so a
-// rebound plan reads the replacement tensors' level arrays. Re-derivation
-// is idempotent — structure was validated identical before repatching.
-
-namespace {
-
-void rebindCoWalker(MKCoWalker &Co, const std::vector<AccessState> &Accesses) {
-  const AccessState &A = Accesses[Co.AccessId];
-  const Level &Lev = A.T->level(Co.Level);
-  Co.Ptr = Lev.Ptr.data();
-  Co.Crd = Lev.Crd.data();
-  Co.RunEnd = Lev.RunEnd.data();
-  Co.BLo = Lev.Lo.data();
-  Co.BHi = Lev.Hi.data();
-  Co.BOff = Lev.Off.data();
-  Co.Vals = A.T->valsData();
-  Co.Dim = Lev.Dim;
-}
-
-void rebindDriver(MKDriver &D, const std::vector<AccessState> &Accesses) {
-  if (D.K != MKDriver::Kind::Range) {
-    const AccessState &A = Accesses[D.AccessId];
-    const Level &Lev = A.T->level(D.Level);
-    D.Ptr = Lev.Ptr.data();
-    D.Crd = Lev.Crd.data();
-    D.RunEnd = Lev.RunEnd.data();
-    D.BLo = Lev.Lo.data();
-    D.BHi = Lev.Hi.data();
-    D.BOff = Lev.Off.data();
-    D.Vals = A.T->valsData();
-    D.Dim = Lev.Dim;
-  }
-  for (MKCoWalker &Co : D.Cos)
-    rebindCoWalker(Co, Accesses);
-}
-
-void rebindOperand(MKOperand &Op, const RebindCtx &R) {
-  if (Op.K != MKOperand::Kind::Dense || !Op.ArrT)
-    return;
-  auto It = R.Map.find(Op.ArrT);
-  if (It == R.Map.end())
-    return;
-  Op.ArrT = It->second;
-  Op.Arr = Op.ArrT->valsData();
-}
-
-} // namespace
-
-void MicroKernel::rebind(const RebindCtx &R) {
-  rebindDriver(D, R.Accesses);
-  for (MKItem &I : Items) {
-    if (I.K == MKItem::Kind::Loop)
-      continue; // owned by the enclosing Body tree, which rebinds it
-    for (MKOperand &Op : I.S.Factors)
-      rebindOperand(Op, R);
-  }
-  if (Blocked) {
-    rebindDriver(Blocked->Nest, R.Accesses);
-    rebindDriver(Blocked->D, R.Accesses);
-    for (MKOperand &Op : Blocked->Factors)
-      rebindOperand(Op, R);
-  }
-}
-
-void PlanLoop::rebind(const RebindCtx &R) {
-  if (Body)
-    Body->rebind(R);
-  if (Fused)
-    Fused->rebind(R);
 }
 
 } // namespace detail

@@ -7,7 +7,10 @@
 /// dense-over-sparse nests produced by the ssymv/ssyrk/syprd/ttm/mttkrp
 /// lowerings — into fused loop bodies that read `Level::Ptr/Crd` and
 /// `Tensor::vals()` directly instead of dispatching a virtual plan node
-/// and a switch-driven expression VM per element. Covered shapes:
+/// and a switch-driven expression VM per element. Kernels hold only
+/// structure (access ids, levels, strides); the raw arrays are read
+/// from the execution context's access table once per loop execution,
+/// at the bind each engine performs anyway. Covered shapes:
 ///
 ///  - sparse-row dot / axpy (one sparse walker, invariant cofactors),
 ///  - dense axpy / scale-accumulate with strided output (dense range),
@@ -53,11 +56,12 @@
 /// are invoked from `PlanLoop::execRange` with a task's `[Lo, Hi]`
 /// coordinate sub-range and the task context's (possibly repointed)
 /// `OutPtr` bases, so privatization and chunk scheduling work
-/// unchanged. All bind-time state — including co-walker fingers and
-/// per-row prebound locator positions — lives on the stack: one
-/// MicroKernel may run concurrently from many task contexts, and a
-/// task range re-derives its prebound state at its own bind, keeping
-/// split execution bit-reproducible.
+/// unchanged. All bind-time state — level arrays and value bases read
+/// from the task context's access table, co-walker fingers, per-row
+/// prebound locator positions — lives on the stack: one MicroKernel
+/// may run concurrently from many task contexts, and a task range
+/// re-derives its bound state at its own bind, keeping split execution
+/// bit-reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +83,7 @@ struct MKOperand {
     Const,      ///< literal
     Scalar,     ///< ScalarVal slot (prebound unless Live)
     Walked,     ///< fully-driven access: T->val(Pos[order])
-    Dense,      ///< Arr[sum(IndexVal[Slot] * Stride) + VStride * v]
+    Dense,      ///< vals[sum(IndexVal[Slot] * Stride) + VStride * v]
     Driver,     ///< driving walker's value at the current position
     CoDriver,   ///< co-walker Slot's value at its matched position
     SparseLoad, ///< random access chaining the stateful locator
@@ -90,20 +94,14 @@ struct MKOperand {
   };
   Kind K = Kind::Const;
   double Lit = 0;
-  unsigned Slot = 0;           ///< Scalar slot, access id
-                               ///< (Walked / SparseLoad), or co-walker
+  unsigned Slot = 0;           ///< Scalar slot, access id (Walked /
+                               ///< Dense / SparseLoad), or co-walker
                                ///< index (CoDriver)
   /// Scalar only: the slot is written by an item of the same loop, so
   /// the read must observe the current ScalarVal per element (exactly
   /// like the interpreter) instead of prebinding at loop entry. Forces
   /// the owning statement through the contextual engine.
   bool Live = false;
-  const double *Arr = nullptr; ///< Dense: cached valsData() of the
-                               ///< accessed tensor (stable for a live
-                               ///< tensor)
-  Tensor *ArrT = nullptr;      ///< Dense: the tensor Arr was cached
-                               ///< from, so rebind can re-derive Arr
-                               ///< for a replacement tensor
   std::vector<std::pair<unsigned, int64_t>> BaseTerms; ///< Dense
   int64_t VStride = 0;                                 ///< Dense
   /// SparseLoad: per level (top first), the index slot providing that
@@ -174,12 +172,6 @@ struct MKCoWalker {
   unsigned AccessId = 0, Level = 0;
   bool Bottom = false;
   bool CountReads = false; ///< bottom level of a sparse-format tensor
-  const int64_t *Ptr = nullptr, *Crd = nullptr;  ///< Sparse / RunLength
-  const int64_t *RunEnd = nullptr;               ///< RunLength
-  const int64_t *BLo = nullptr, *BHi = nullptr,  ///< Banded
-      *BOff = nullptr;
-  const double *Vals = nullptr;
-  int64_t Dim = 0;
 };
 
 /// Iteration source of a fused loop.
@@ -198,14 +190,6 @@ struct MKDriver {
   unsigned AccessId = 0, Level = 0;
   bool Bottom = false;
   bool CountReads = false; ///< bottom level of a sparse-format tensor
-  /// Raw level arrays, cached at specialization (stable for a live
-  /// tensor; only the parent position is resolved per run). Ptr/Crd
-  /// for Sparse, Ptr/RunEnd for RunLength, BLo/BHi/BOff for Banded.
-  const int64_t *Ptr = nullptr, *Crd = nullptr;
-  const int64_t *RunEnd = nullptr;
-  const int64_t *BLo = nullptr, *BHi = nullptr, *BOff = nullptr;
-  const double *Vals = nullptr;
-  int64_t Dim = 0;
 
   /// Cap on co-walkers so bind-time finger state fits fixed stack
   /// arrays (the interpreter handles any count; wider intersections
@@ -332,13 +316,6 @@ public:
   std::unique_ptr<MKBlockedEngine> Blocked;
 
   void run(ExecCtx &C, int64_t Lo, int64_t Hi);
-
-  /// Re-derives every raw pointer this kernel baked at specialization
-  /// (driver/co-walker level arrays, dense operand bases, blocked-engine
-  /// state) from the repatched access table and tensor map in \p R.
-  /// Does NOT recurse into Loop items' children: those PlanLoops are
-  /// owned by the enclosing Body tree, which rebinds them itself.
-  void rebind(const RebindCtx &R);
 
   /// Caps enforced by the specializer so the innermost engine can bind
   /// into fixed-size stack arrays.

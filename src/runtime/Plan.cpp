@@ -35,16 +35,6 @@ void VProgram::finalize() {
   MaxDepth = static_cast<unsigned>(Max);
 }
 
-void VProgram::rebind(const std::map<Tensor *, Tensor *> &Map) {
-  for (VInstr &I : Code) {
-    if (!I.T)
-      continue;
-    auto It = Map.find(I.T);
-    if (It != Map.end())
-      I.T = It->second;
-  }
-}
-
 /// Random access through the fibertree with a movable per-level cursor
 /// (the SparseLoad locator). Equivalent to Tensor::at but exploits the
 /// sorted iteration order of the surrounding loops: repeated lookups
@@ -107,7 +97,7 @@ double VProgram::eval(ExecCtx &C) const {
       int64_t Pos = 0;
       for (const auto &[Slot, Stride] : I.SlotStride)
         Pos += C.IndexVal[Slot] * Stride;
-      St[++Top] = I.T->val(Pos);
+      St[++Top] = C.Accesses[I.Id].T->val(Pos);
       break;
     }
     case VKind::SparseLoad: {
@@ -180,7 +170,7 @@ void PlanAssign::exec(ExecCtx &C) {
 }
 
 void PlanReplicate::exec(ExecCtx &C) {
-  uint64_t Copies = replicateSymmetric(*T, Sym, Threads);
+  uint64_t Copies = replicateSymmetric(*C.Outputs[OutId], Sym, Threads);
   if (C.CountersOn)
     C.Local.OutputWrites += Copies;
 }

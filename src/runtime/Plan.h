@@ -8,6 +8,14 @@
 /// only by the runtime's own translation units and tests that need to
 /// poke at plan internals.
 ///
+/// Slot binding: a compiled plan names every tensor by slot — an access
+/// id into ExecCtx::Accesses or an output id into ExecCtx::Outputs —
+/// and holds no tensor address itself. Those two tables are the only
+/// place a bound tensor lives; engines resolve level arrays and value
+/// bases from them at each loop execution's bind, so pointing a plan at
+/// new tensors of identical structure (a plan-cache hit) only refills
+/// the tables.
+///
 /// Counter discipline: each ExecCtx carries a plain-integer delta block
 /// (`Local`) guarded by a per-run copy of the counters-enabled flag
 /// (`CountersOn`); the Executor moves the deltas into the run's report
@@ -31,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -112,6 +119,9 @@ struct ExecCtx {
   std::vector<int64_t> IndexVal;
   std::vector<double> ScalarVal;
   std::vector<AccessState> Accesses;
+  /// Per output id, the bound output tensor (the epilogue replicates
+  /// it; controlled runs snapshot it).
+  std::vector<Tensor *> Outputs;
   /// Per output id, the value-array base assignments write through.
   /// The main context points at the bound tensors; task contexts of a
   /// parallel loop repoint privatized outputs at per-task accumulators.
@@ -144,18 +154,6 @@ struct ExecCtx {
   RunControl *Ctrl = nullptr;
   /// Per-context decimation tick for checkpointStop's clock reads.
   uint32_t PollTick = 0;
-};
-
-/// Context for PlanNode::rebind — repatching a compiled plan onto new
-/// tensors of identical structure (Executor::rebind, the plan-cache
-/// hit path). Map sends every tensor pointer the plan may have baked
-/// (user bindings and materialized aliases alike) to its replacement;
-/// Accesses is the execution context's access-state table *after* its
-/// own tensors were repatched, so fused engines can re-derive raw
-/// level-array pointers from it.
-struct RebindCtx {
-  const std::map<Tensor *, Tensor *> &Map;      ///< old -> new
-  const std::vector<AccessState> &Accesses;     ///< already repatched
 };
 
 /// Cancellation checkpoint for per-iteration polling: free when the
@@ -209,10 +207,9 @@ enum class VKind { Lit, Scalar, Walked, DenseLoad, SparseLoad, Op, Lut };
 struct VInstr {
   VKind Kind;
   double Lit = 0;
-  unsigned Id = 0; // scalar slot or access id (Walked and SparseLoad)
+  unsigned Id = 0; // scalar slot, or access id (Walked and both loads)
   OpKind Op = OpKind::Add;
   unsigned NArgs = 0;
-  Tensor *T = nullptr;
   std::vector<std::pair<unsigned, int64_t>> SlotStride; // DenseLoad
   /// SparseLoad: per level (top first), the index slot providing that
   /// level's coordinate.
@@ -251,10 +248,6 @@ struct VProgram {
   /// Recomputes MaxDepth from Code (call after appending instructions).
   void finalize();
 
-  /// Repatches baked Tensor pointers (DenseLoad/SparseLoad) through
-  /// \p Map; instructions whose tensor is not in the map are untouched.
-  void rebind(const std::map<Tensor *, Tensor *> &Map);
-
   double eval(ExecCtx &C) const;
 };
 
@@ -266,11 +259,6 @@ class PlanNode {
 public:
   virtual ~PlanNode() = default;
   virtual void exec(ExecCtx &C) = 0;
-  /// Repatches any Tensor pointers this node (or its children) baked at
-  /// plan compilation onto the replacement tensors in \p R — the
-  /// plan-cache hit path. Structure (slots, bounds, conditions, fused
-  /// engines) is untouched; only data pointers move.
-  virtual void rebind(const RebindCtx &R) { (void)R; }
 };
 
 using PlanPtr = std::unique_ptr<PlanNode>;
@@ -282,10 +270,6 @@ public:
     for (PlanPtr &Child : Children)
       Child->exec(C);
   }
-  void rebind(const RebindCtx &R) override {
-    for (PlanPtr &Child : Children)
-      Child->rebind(R);
-  }
 };
 
 class PlanIf final : public PlanNode {
@@ -296,7 +280,6 @@ public:
     if (Cond.eval(C))
       Body->exec(C);
   }
-  void rebind(const RebindCtx &R) override { Body->rebind(R); }
 };
 
 class PlanDef final : public PlanNode {
@@ -304,7 +287,6 @@ public:
   unsigned Slot = 0;
   VProgram Init;
   void exec(ExecCtx &C) override { C.ScalarVal[Slot] = Init.eval(C); }
-  void rebind(const RebindCtx &R) override { Init.rebind(R.Map); }
 };
 
 class PlanAssign final : public PlanNode {
@@ -318,21 +300,15 @@ public:
   std::vector<std::pair<unsigned, int64_t>> SlotStride;
 
   void exec(ExecCtx &C) override;
-  void rebind(const RebindCtx &R) override { Rhs.rebind(R.Map); }
 };
 
 class PlanReplicate final : public PlanNode {
 public:
-  Tensor *T = nullptr;
+  unsigned OutId = 0; ///< index into ExecCtx::Outputs
   Partition Sym;
   unsigned Threads = 1;
 
   void exec(ExecCtx &C) override;
-  void rebind(const RebindCtx &R) override {
-    auto It = R.Map.find(T);
-    if (It != R.Map.end())
-      T = It->second;
-  }
 };
 
 class PlanLoop final : public PlanNode {
@@ -412,10 +388,6 @@ public:
   const char *DriverName = nullptr;
 
   void exec(ExecCtx &C) override;
-  /// Forwards to Body, then re-derives the fused engine's baked raw
-  /// pointers (implemented in MicroKernels.cpp next to the baking
-  /// code it mirrors).
-  void rebind(const RebindCtx &R) override;
   void execParallel(ExecCtx &C, int64_t Lo, int64_t Hi);
   /// Dispatch for one contiguous range: forwards to rangeBody, via
   /// tracedRange (span + aggregate accounting) when C.TraceOn.

@@ -21,7 +21,9 @@
 /// oracle. Checks assert bit-identical values and exactly equal
 /// counters across {interpreter, micro-kernels} x {Threads 1, 4}
 /// against the oracle (integer-quantized data makes every reduction
-/// exact, so results are decomposition-independent).
+/// exact, so results are decomposition-independent), plus a rebind
+/// cell: a plan prepared over decoy inputs, rebound onto the case's
+/// inputs after the decoys are destroyed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -285,6 +287,26 @@ inline FuzzCase makeCase(uint64_t Seed) {
   return F;
 }
 
+/// A stand-in for the case input \p T: same format, dims and fill, its
+/// own values and sparsity (fuzz inputs are square, extent dim(0)).
+inline Tensor decoyLike(const Tensor &T, Rng &R, bool Boolean) {
+  Tensor D;
+  if (T.format().isAllDense()) {
+    D = Tensor::dense(T.dims(), T.fill());
+    for (double &V : D.vals())
+      V = R.nextDouble();
+  } else if (T.order() >= 2) {
+    const int64_t Dim = T.dim(0);
+    D = generateSymmetricTensor(T.order(), Dim,
+                                (1 + R.nextIndex(3)) * Dim, R, T.format(),
+                                T.fill());
+  } else {
+    D = randomSparseVector(T.dim(0), R, T.format(), T.fill());
+  }
+  quantize(D, Boolean);
+  return D;
+}
+
 inline std::string caseTrace(const FuzzCase &F) {
   std::string Out = F.E.str() + "  loops: " + joinAny(F.E.LoopOrder, ",") +
                     "  semiring: " + F.Spec.Name +
@@ -428,6 +450,52 @@ inline bool nativeCellEnabled() {
   return Enabled;
 }
 
+/// The rebind cell of checkCellMatrix (see there).
+inline void checkRebindCell(const Kernel &K, FuzzCase &F, const Tensor &Ref,
+                            const CounterSnapshot &Interp1, uint64_t Seed,
+                            bool NativeCell) {
+  Rng RR(Seed ^ 0x5EB1D0DEC0Dull);
+  const bool Boolean = F.Spec.S == Semiring::Boolean;
+  std::map<std::string, Tensor> Decoys;
+  for (const auto &[Name, T] : F.Inputs)
+    Decoys.emplace(Name, decoyLike(T, RR, Boolean));
+  ExecOptions O;
+  O.Engines = fuzzEngines(RR.nextBool(0.5), RR.nextBool(0.5));
+  const unsigned Threads[] = {1, 2, 4};
+  O.Threads = Threads[RR.nextIndex(3)];
+  if (NativeCell && nativeCellEnabled())
+    O.Engines = {Engine::Native, Engine::Fused, Engine::Interp};
+  O.ValidateInputs = envValidationLevel();
+  SCOPED_TRACE("rebind engines " + enginesSummary(O.Engines) +
+               " threads " + std::to_string(O.Threads));
+  setCountersEnabled(true);
+
+  Executor E(K, O);
+  {
+    Tensor DecoyOut = Tensor::dense(F.OutDims, 0.0);
+    DecoyOut.setAllValues(F.OutInit);
+    for (auto &[Name, T] : Decoys)
+      E.bind(Name, &T);
+    E.bind("O", &DecoyOut);
+    ASSERT_TRUE(E.tryPrepare().ok());
+    ASSERT_TRUE(E.tryRun().ok());
+    Decoys.clear(); // a pointer the rebind missed now dangles
+  }
+  Tensor Out = Tensor::dense(F.OutDims, 0.0);
+  Out.setAllValues(F.OutInit);
+  std::map<std::string, Tensor *> Bindings{{"O", &Out}};
+  for (auto &[Name, T] : F.Inputs)
+    Bindings[Name] = &T;
+  const Status S = E.rebind(Bindings, O);
+  ASSERT_TRUE(S.ok()) << S.str();
+  obs::ExecReport Rep;
+  ASSERT_TRUE(E.tryRun(&Rep).ok());
+  ASSERT_EQ(Out.vals().size(), Ref.vals().size());
+  for (size_t I = 0; I < Out.vals().size(); ++I)
+    EXPECT_EQ(Out.vals()[I], Ref.vals()[I]) << "element " << I;
+  expectCountersEqual(Rep.Counters, Interp1);
+}
+
 /// Runs \p K across the {interpreter, micro-kernels} x {Threads 1, 4}
 /// cell matrix: every cell must match \p Ref element for element
 /// (which also makes the cells bit-identical to each other) and the
@@ -442,6 +510,13 @@ inline bool nativeCellEnabled() {
 /// falls back to fused per the engine contract, which must still match
 /// the oracle). Callers subsample this cell — every fresh case is a
 /// distinct TU, so each native cell costs one host-compiler invocation.
+///
+/// The rebind cell prepares and runs over decoy inputs (decoyLike),
+/// destroys them, rebinds onto the case's inputs and runs again: the
+/// values must match \p Ref and the counters interp-1's. Its decoys,
+/// engine list and thread count come from their own seed-derived
+/// stream (native-first on the \p NativeCell subsample), so the draws
+/// of the cells above are unchanged.
 inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
                             const Tensor &Ref, uint64_t BlockSeed = 0,
                             bool NativeCell = false) {
@@ -502,6 +577,7 @@ inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
       expectCountersEqual(Snap, FirstSnap);
     }
   }
+  checkRebindCell(K, F, Ref, FirstSnap, BlockSeed, NativeCell);
 }
 
 inline void checkMicroKernelsBitIdentical(uint64_t Seed) {

@@ -10,7 +10,8 @@
 ///    the in-memory handle registry) over a warm cache directory
 ///    compiles nothing (native-compile phase pinned at 0).
 ///  - Graceful typed fallback when no host compiler is available
-///    (forced via SYSTEC_JIT_DISABLE).
+///    (forced via SYSTEC_JIT_DISABLE) and when the cache directory
+///    belongs to another user (nothing is written there).
 ///  - PlanCache keying on the resolved engine list, and rebind's
 ///    engine-agreement check.
 ///
@@ -34,6 +35,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <set>
 
 #include <unistd.h>
 
@@ -337,6 +340,49 @@ TEST(NativeFallback, DisabledJitFallsBackTyped) {
   EXPECT_EQ(Tensor::maxAbsDiff(RN.Out, RI.Out), 0.0);
 }
 
+TEST(NativeFallback, ForeignCacheDirIsRefused) {
+  SKIP_WITHOUT_COMPILER();
+  // A cache directory this process does not own: as root, a fresh one
+  // handed to uid 65534; as anyone else, "/".
+  std::string Dir = "/";
+  std::unique_ptr<ScratchCacheDir> Foreign;
+  if (::geteuid() == 0) {
+    Foreign = std::make_unique<ScratchCacheDir>("foreign");
+    std::filesystem::create_directory(Foreign->Path);
+    ASSERT_EQ(::chown(Foreign->Path.c_str(), 65534, 65534), 0);
+    Dir = Foreign->Path;
+  }
+  auto Listing = [&Dir] {
+    std::set<std::string> Names;
+    for (const auto &Ent : std::filesystem::directory_iterator(Dir))
+      Names.insert(Ent.path().filename().string());
+    return Names;
+  };
+  const std::set<std::string> Before = Listing();
+
+  Workload WI = makeWorkload("ssymv", 29, 1);
+  Workload WN = makeWorkload("ssymv", 29, 1);
+  CompileResult C = compileEinsum(WI.E);
+  ExecOptions Interp;
+  Interp.Engines = {Engine::Interp};
+  RunResult RI = runKernel(C.Optimized, WI, Interp);
+  ExecOptions Opt;
+  Opt.Engines = nativeFirst();
+  Opt.NativeCacheDir = Dir;
+  RunResult RN = runKernel(C.Optimized, WN, Opt);
+
+  // Refused before anything is written or loaded — even though this
+  // kernel's object is already in the process-wide handle registry.
+  EXPECT_FALSE(RN.Native);
+  EXPECT_EQ(RN.NativeStatus.code(), ErrCode::ResourceExhausted)
+      << RN.NativeStatus.str();
+  EXPECT_NE(RN.NativeStatus.str().find("not owned by the effective user"),
+            std::string::npos)
+      << RN.NativeStatus.str();
+  EXPECT_EQ(Tensor::maxAbsDiff(RN.Out, RI.Out), 0.0);
+  EXPECT_EQ(Listing(), Before);
+}
+
 //===----------------------------------------------------------------------===//
 // PlanCache keys on the resolved engine list
 //===----------------------------------------------------------------------===//
@@ -384,7 +430,8 @@ TEST(EngineKeys, ResolvedListKeysPlans) {
 }
 
 //===----------------------------------------------------------------------===//
-// Rebind: engine agreement plus native repatching
+// Rebind: engine agreement (rebound native runs are covered by
+// service_test's RebindSweep native rows)
 //===----------------------------------------------------------------------===//
 
 TEST(NativeRebind, EngineMismatchIsTyped) {
@@ -409,54 +456,6 @@ TEST(NativeRebind, EngineMismatchIsTyped) {
   Status S = E.rebind(Same, Different);
   EXPECT_EQ(S.code(), ErrCode::InvalidArgument);
   EXPECT_NE(S.str().find("engine mismatch"), std::string::npos) << S.str();
-}
-
-TEST(NativeRebind, ReboundTensorsRunNatively) {
-  SKIP_WITHOUT_COMPILER();
-  Workload W1 = makeWorkload("ssymv", 17, 1);
-  CompileResult C = compileEinsum(W1.E);
-
-  ExecOptions Opt;
-  Opt.Engines = nativeFirst();
-  Tensor Out = Tensor::dense(W1.OutDims, 0.0);
-  Executor E(C.Optimized, Opt);
-  for (auto &[Name, T] : W1.Inputs)
-    E.bind(Name, &T);
-  E.bind(W1.E.Output->tensorName(), &Out);
-  ASSERT_TRUE(E.tryPrepare().ok());
-  ASSERT_TRUE(E.usesNativeEngine()) << E.nativeStatus().str();
-  ASSERT_TRUE(E.tryRun().ok());
-
-  // Rebind to a same-structure copy of the inputs with fresh values
-  // (same seed, fresh generation) and a zeroed output: the native body
-  // marshals operand pointers per call, so the rebound run must see the
-  // new tensors.
-  Workload W1b = makeWorkload("ssymv", 17, 1);
-  for (auto &[Name, T] : W1b.Inputs)
-    for (double &V : T.vals())
-      V *= 2.0;
-  Tensor Out2 = Tensor::dense(W1.OutDims, 0.0);
-  std::map<std::string, Tensor *> NewB;
-  for (auto &[Name, T] : W1b.Inputs)
-    NewB[Name] = &T;
-  NewB[W1.E.Output->tensorName()] = &Out2;
-  obs::ExecReport Rep;
-  Status S = E.rebind(NewB, Opt);
-  ASSERT_TRUE(S.ok()) << S.str();
-  ASSERT_TRUE(E.tryRun(&Rep).ok());
-  bool Found = false;
-  EXPECT_EQ(phaseNs(Rep, "native-compile", &Found), 0u);
-  EXPECT_TRUE(Found);
-
-  // Reference: interpreter over the same doubled inputs.
-  ExecOptions Interp;
-  Interp.Engines = {Engine::Interp};
-  Workload WRef = makeWorkload("ssymv", 17, 1);
-  for (auto &[Name, T] : WRef.Inputs)
-    for (double &V : T.vals())
-      V *= 2.0;
-  RunResult RI = runKernel(C.Optimized, WRef, Interp);
-  EXPECT_EQ(Tensor::maxAbsDiff(Out2, RI.Out), 0.0);
 }
 
 //===----------------------------------------------------------------------===//

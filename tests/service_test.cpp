@@ -2,7 +2,9 @@
 ///
 /// The serving layer: PlanCache key/LRU/checkout semantics, the
 /// Executor rebind fast path (cache hits skip plan compilation and
-/// specialization, pinned by phase timers), KernelService request
+/// specialization, pinned by phase timers, over every paper kernel and
+/// engine stack with the prepare-time tensors destroyed before the
+/// rebind), KernelService request
 /// lifecycle (hit/miss counters, admission control, per-request
 /// cancellation), and a multi-executor concurrency stress suite
 /// asserting per-request results bit-identical to solo runs under a
@@ -13,6 +15,7 @@
 
 #include "core/Compiler.h"
 #include "data/Generators.h"
+#include "jit/NativeKernelCache.h"
 #include "kernels/Kernels.h"
 #include "parallel/ThreadPool.h"
 #include "runtime/KernelService.h"
@@ -73,11 +76,20 @@ Workload makeWorkload(const std::string &Kernel, uint64_t Seed,
     W.Inputs.emplace("A", generateSparseMatrix(N, N, 5 * N, R,
                                                TensorFormat::csf(2)));
     W.OutDims = {N, N};
-  } else if (Kernel == "mttkrp3") {
-    W.E = makeMttkrp(3);
-    int64_t N = 7 + 2 * Scale, Rank = 4;
-    W.Inputs.emplace("A", generateSymmetricTensor(3, N, 8 * N, R,
+  } else if (Kernel == "ttm") {
+    W.E = makeTtm();
+    int64_t N = 8 * Scale, Rank = 5;
+    W.Inputs.emplace("A", generateSymmetricTensor(3, N, 6 * N, R,
                                                   TensorFormat::csf(3)));
+    W.Inputs.emplace("B", generateDenseMatrix(N, Rank, R));
+    W.OutDims = {Rank, N, N};
+  } else if (Kernel == "mttkrp3" || Kernel == "mttkrp4" ||
+             Kernel == "mttkrp5") {
+    const unsigned Order = Kernel.back() - '0';
+    W.E = makeMttkrp(Order);
+    int64_t N = (Order == 5 ? 5 : 7) + 2 * Scale, Rank = 4;
+    W.Inputs.emplace("A", generateSymmetricTensor(
+                              Order, N, 8 * N, R, TensorFormat::csf(Order)));
     W.Inputs.emplace("B", generateDenseMatrix(N, Rank, R));
     W.OutDims = {N, Rank};
   } else {
@@ -199,48 +211,78 @@ TEST(PlanCache, CheckoutIsExclusiveAndLruEvicts) {
 // Executor::rebind — the cache-hit fast path
 //===----------------------------------------------------------------------===//
 
+/// One sweep row: a paper kernel on one engine stack at one thread
+/// count.
 struct RebindParam {
   std::string Kernel;
+  std::string Stack; ///< "default", "fused", "interp" or "native"
   unsigned Threads;
 };
+
+std::vector<Engine> stackEngines(const std::string &Stack) {
+  if (Stack == "fused")
+    return {Engine::Fused, Engine::Interp};
+  if (Stack == "interp")
+    return {Engine::Interp};
+  if (Stack == "native")
+    return {Engine::Native, Engine::Fused, Engine::Interp};
+  return ExecOptions().Engines;
+}
 
 class RebindSweep : public ::testing::TestWithParam<RebindParam> {};
 
 TEST_P(RebindSweep, ReboundRunIsBitIdenticalAndSkipsCompilation) {
   const RebindParam &P = GetParam();
+  const bool Native = P.Stack == "native";
+  std::string Reason;
+  if (Native && !jit::NativeKernelCache::compilerAvailable(&Reason))
+    GTEST_SKIP() << "no JIT toolchain: " << Reason;
   ExecOptions Options;
   Options.Threads = P.Threads;
+  Options.Engines = stackEngines(P.Stack);
 
-  Workload W1 = makeWorkload(P.Kernel, 1);
-  Workload W2 = makeWorkload(P.Kernel, 2); // same structure, new values
-
-  CompileResult R = compileEinsum(W1.E);
-  Tensor Out1 = freshOutput(W1);
+  // Prepare and run over the first workload, then destroy it before
+  // the rebind: a tensor pointer the plan kept would now dangle, which
+  // ASan reports as a heap-use-after-free instead of a silent read of
+  // the old values.
+  CompileResult R = compileEinsum(makeWorkload(P.Kernel, 1).E);
   Executor E(R.Optimized, Options);
-  for (auto &[Name, T] : W1.Inputs)
-    E.bind(Name, &T);
-  E.bind(W1.E.Output->tensorName(), &Out1);
-  ASSERT_TRUE(E.tryPrepare().ok());
-  obs::ExecReport First;
-  ASSERT_TRUE(E.tryRun(&First).ok());
-  EXPECT_GT(First.phaseNs("plan-compile"), 0u);
+  {
+    Workload W1 = makeWorkload(P.Kernel, 1);
+    Tensor Out1 = freshOutput(W1);
+    for (auto &[Name, T] : W1.Inputs)
+      E.bind(Name, &T);
+    E.bind(W1.E.Output->tensorName(), &Out1);
+    ASSERT_TRUE(E.tryPrepare().ok());
+    if (Native)
+      ASSERT_TRUE(E.usesNativeEngine()) << E.nativeStatus().str();
+    obs::ExecReport First;
+    ASSERT_TRUE(E.tryRun(&First).ok());
+    EXPECT_GT(First.phaseNs("plan-compile"), 0u);
+  }
 
-  // Rebind onto the second workload's tensors and re-run.
+  // Rebind onto the second workload's tensors (same structure, new
+  // values and sparsity) and re-run.
+  Workload W2 = makeWorkload(P.Kernel, 2);
   Tensor Out2 = freshOutput(W2);
   ASSERT_TRUE(E.rebind(bindings(W2, Out2), Options).ok());
   obs::ExecReport Second;
   ASSERT_TRUE(E.tryRun(&Second).ok());
 
   // The hit path must skip plan compilation and specialization
-  // outright — pinned at exactly zero, not "small".
+  // outright — pinned at exactly zero, not "small" — and the native
+  // body is reused without invoking the compiler.
   EXPECT_EQ(Second.phaseNs("plan-compile"), 0u);
   EXPECT_EQ(Second.phaseNs("specialize"), 0u);
+  if (Native) {
+    ASSERT_NE(Second.structureKey().find("native-compile,"),
+              std::string::npos);
+    EXPECT_EQ(Second.phaseNs("native-compile"), 0u);
+  }
 
   // Results and counters are bit-identical to a fresh solo run over
   // the same tensors, and the structure key matches (same phases, same
   // loops, same counter deltas).
-  Tensor Solo = soloRun(W2, Options);
-  expectBitIdentical(Out2, Solo, P.Kernel + " rebound vs solo");
   CompileResult R2 = compileEinsum(W2.E);
   Tensor SoloOut = freshOutput(W2);
   Executor SoloE(R2.Optimized, Options);
@@ -250,17 +292,26 @@ TEST_P(RebindSweep, ReboundRunIsBitIdenticalAndSkipsCompilation) {
   ASSERT_TRUE(SoloE.tryPrepare().ok());
   obs::ExecReport SoloReport;
   ASSERT_TRUE(SoloE.tryRun(&SoloReport).ok());
+  expectBitIdentical(Out2, SoloOut, P.Kernel + " rebound vs solo");
   EXPECT_EQ(Second.structureKey(), SoloReport.structureKey());
 }
 
+std::vector<RebindParam> rebindRows() {
+  std::vector<RebindParam> Rows;
+  for (const char *K : {"ssymv", "bellmanford", "syprd", "ssyrk", "ttm",
+                        "mttkrp3", "mttkrp4", "mttkrp5"}) {
+    for (const char *Stack : {"default", "fused", "interp", "native"})
+      Rows.push_back({K, Stack, 1});
+    Rows.push_back({K, "default", 4});
+  }
+  return Rows;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Kernels, RebindSweep,
-    ::testing::Values(RebindParam{"ssymv", 1}, RebindParam{"ssymv", 4},
-                      RebindParam{"bellmanford", 1},
-                      RebindParam{"syprd", 4}, RebindParam{"ssyrk", 1},
-                      RebindParam{"ssyrk", 4}, RebindParam{"mttkrp3", 4}),
+    Kernels, RebindSweep, ::testing::ValuesIn(rebindRows()),
     [](const ::testing::TestParamInfo<RebindParam> &I) {
-      return I.param.Kernel + "_t" + std::to_string(I.param.Threads);
+      return I.param.Kernel + "_" + I.param.Stack + "_t" +
+             std::to_string(I.param.Threads);
     });
 
 TEST(Rebind, RejectsStructureMismatch) {
