@@ -185,6 +185,15 @@ struct BenchRecord {
   std::string PhasesJson;
 };
 
+/// Aborts the bench binary with \p S's message unless it is ok: bench
+/// workloads are generated in-process, so an error here is a bug.
+inline void checkOk(const Status &S) {
+  if (S.ok())
+    return;
+  std::fprintf(stderr, "bench: %s\n", S.str().c_str());
+  std::abort();
+}
+
 /// Runs \p E once outside the timed region (counters on) and attaches
 /// its ExecReport to \p R: counter deltas say *what* the configuration
 /// executed, the phase summary says *where* its time goes — next to
@@ -196,9 +205,9 @@ inline void annotateRecord(BenchRecord &R, Executor &E,
   const bool Was = countersEnabled();
   setCountersEnabled(true);
   Reset();
-  E.run();
+  obs::ExecReport Rep;
+  checkOk(E.tryRun(&Rep));
   setCountersEnabled(Was);
-  const obs::ExecReport &Rep = E.lastReport();
   R.CountersJson = obs::counterJson(Rep.Counters);
   R.PhasesJson = Rep.phasesJson();
 }

@@ -146,20 +146,20 @@ int main(int argc, char **argv) {
     Executor &N = HS->addExecutor(C.Naive);
     N.bind("A", &HS->tensor("A")).bind("x", &HS->tensor("x"))
         .bind("y", &HS->tensor("y"));
-    N.prepare();
+    checkOk(N.tryPrepare());
     Tensor *Y = &HS->tensor("y");
     registerRun("ablation/ssymv/naive", [Y] { Y->setAllValues(0); },
-                [&N] { N.runBody(); });
+                [&N] { checkOk(N.tryRunBody()); });
   }
   {
     CompileResult C = compileEinsum(MttkrpE);
     Executor &N = HM->addExecutor(C.Naive);
     N.bind("A", &HM->tensor("A")).bind("B", &HM->tensor("B"))
         .bind("C", &HM->tensor("C"));
-    N.prepare();
+    checkOk(N.tryPrepare());
     Tensor *Out = &HM->tensor("C");
     registerRun("ablation/mttkrp3/naive", [Out] { Out->setAllValues(0); },
-                [&N] { N.runBody(); });
+                [&N] { checkOk(N.tryRunBody()); });
   }
 
   for (const Variant &V : variants()) {
@@ -172,12 +172,12 @@ int main(int argc, char **argv) {
       Executor &E = *H.Executors.back();
       E.bind("A", &HS->tensor("A")).bind("x", &HS->tensor("x"))
           .bind("y", &HS->tensor("y"));
-      E.prepare();
+      checkOk(E.tryPrepare());
       printSpecialization("ssymv", V.Name, E);
       Tensor *Y = &HS->tensor("y");
       std::string Name = std::string("ablation/ssymv/") + V.Name;
       registerRun(Name, [Y] { Y->setAllValues(0); },
-                  [&E] { E.runBody(); });
+                  [&E] { checkOk(E.tryRunBody()); });
       Row RowEntry;
       RowEntry.Label = std::string("ssymv ") + V.Name;
       RowEntry.Entries.push_back({"naive", "ablation/ssymv/naive"});
@@ -193,12 +193,12 @@ int main(int argc, char **argv) {
       Executor &E = *H.Executors.back();
       E.bind("A", &HM->tensor("A")).bind("B", &HM->tensor("B"))
           .bind("C", &HM->tensor("C"));
-      E.prepare();
+      checkOk(E.tryPrepare());
       printSpecialization("mttkrp3", V.Name, E);
       Tensor *Out = &HM->tensor("C");
       std::string Name = std::string("ablation/mttkrp3/") + V.Name;
       registerRun(Name, [Out] { Out->setAllValues(0); },
-                  [&E] { E.runBody(); });
+                  [&E] { checkOk(E.tryRunBody()); });
       Row RowEntry;
       RowEntry.Label = std::string("mttkrp3 ") + V.Name;
       RowEntry.Entries.push_back({"naive", "ablation/mttkrp3/naive"});

@@ -42,15 +42,16 @@ int main(int argc, char **argv) {
 
     Executor &Naive = H->addExecutor(C.Naive);
     Naive.bind("A", A).bind("d", D).bind("y", Y);
-    Naive.prepare();
+    checkOk(Naive.tryPrepare());
     Executor &Opt = H->addExecutor(C.Optimized);
     Opt.bind("A", A).bind("d", D).bind("y", Y);
-    Opt.prepare();
+    checkOk(Opt.tryPrepare());
 
     std::string Base = "bellmanford/" + Spec.Name;
     auto Reset = [Y, Inf] { Y->setAllValues(Inf); };
-    registerRun(Base + "/naive", Reset, [&Naive] { Naive.runBody(); });
-    registerRun(Base + "/systec", Reset, [&Opt] { Opt.runBody(); });
+    registerRun(Base + "/naive", Reset,
+                [&Naive] { checkOk(Naive.tryRunBody()); });
+    registerRun(Base + "/systec", Reset, [&Opt] { checkOk(Opt.tryRunBody()); });
     registerRun(Base + "/taco", Reset,
                 [A, D, Y] { tacoBellmanFord(*A, *D, *Y); });
 

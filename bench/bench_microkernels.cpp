@@ -165,7 +165,7 @@ int main(int argc, char **argv) {
       for (auto &[Name, T] : C.Inputs)
         E.bind(Name, &T);
       E.bind(C.OutName, Out);
-      E.prepare();
+      checkOk(E.tryPrepare());
       if (Impl == "native" && !E.usesNativeEngine()) {
         std::printf("%-8s native build fell back (%s)\n", C.Name.c_str(),
                     E.nativeStatus().str().c_str());
@@ -175,7 +175,7 @@ int main(int argc, char **argv) {
       CaseImpls.back().push_back(Impl);
       registerRun("microkernels/" + C.Name + "/" + Impl,
                   [Out] { Out->setAllValues(0.0); },
-                  [&E] { E.runBody(); });
+                  [&E] { checkOk(E.tryRunBody()); });
     }
     const MicroKernelStats &S = H->Executors.back()->microKernelStats();
     std::printf("%-8s specialized=%llu (innermost %llu), generic=%llu, "
@@ -243,6 +243,7 @@ int main(int argc, char **argv) {
   // so BENCH_microkernels.json stays a tracing-off measurement.
   if (const char *TraceEnv = std::getenv("SYSTEC_TRACE")) {
     obs::setThreadName("main");
+    obs::setTracingEnabled(true);
     for (size_t CI = 0; CI < Cases.size(); ++CI) {
       MicroCase &C = Cases[CI];
       CompileResult Compiled = compileEinsum(C.E);
@@ -251,15 +252,14 @@ int main(int argc, char **argv) {
         ExecOptions O = implOptions(Idx ? "fused" : "interp");
         O.Threads = 2;
         O.Schedule = SchedulePolicy::Dynamic;
-        O.Tracing = true;
         Executor E(Compiled.Optimized, O);
         for (auto &[Name, T] : C.Inputs)
           E.bind(Name, &T);
         E.bind(C.OutName, Out);
-        E.prepare();
+        checkOk(E.tryPrepare());
         for (int Run = 0; Run < 3; ++Run) {
           Out->setAllValues(0.0);
-          E.run();
+          checkOk(E.tryRun());
         }
       }
     }

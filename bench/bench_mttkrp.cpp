@@ -57,10 +57,10 @@ int main(int argc, char **argv) {
 
     Executor &Naive = H->addExecutor(C.Naive);
     Naive.bind("A", A).bind("B", B).bind("C", Out);
-    Naive.prepare();
+    checkOk(Naive.tryPrepare());
     Executor &Opt = H->addExecutor(C.Optimized);
     Opt.bind("A", A).bind("B", B).bind("C", Out);
-    Opt.prepare();
+    checkOk(Opt.tryPrepare());
 
     char LabelBuf[96];
     std::snprintf(LabelBuf, sizeof(LabelBuf), "%ud_nnz%lld_r%lld",
@@ -70,14 +70,16 @@ int main(int argc, char **argv) {
     std::string Base = "mttkrp/" + Label;
 
     // Measure the canonical-read saving once (paper: 1/n! of A).
-    Naive.runBody();
-    Opt.runBody();
-    ReadCounts[Label] = {Naive.lastReport().Counters.SparseReads,
-                         Opt.lastReport().Counters.SparseReads};
+    obs::ExecReport NaiveRep, OptRep;
+    checkOk(Naive.tryRunBody(&NaiveRep));
+    checkOk(Opt.tryRunBody(&OptRep));
+    ReadCounts[Label] = {NaiveRep.Counters.SparseReads,
+                         OptRep.Counters.SparseReads};
 
     auto Reset = [Out] { Out->setAllValues(0.0); };
-    registerRun(Base + "/naive", Reset, [&Naive] { Naive.runBody(); });
-    registerRun(Base + "/systec", Reset, [&Opt] { Opt.runBody(); });
+    registerRun(Base + "/naive", Reset,
+                [&Naive] { checkOk(Naive.tryRunBody()); });
+    registerRun(Base + "/systec", Reset, [&Opt] { checkOk(Opt.tryRunBody()); });
     if (Cfg.Order == 3) {
       registerRun(Base + "/taco", Reset,
                   [A, B, Out] { tacoMttkrp3(*A, *B, *Out); });

@@ -47,23 +47,22 @@ int main(int argc, char **argv) {
 
     Executor &Naive = H->addExecutor(C.Naive);
     Naive.bind("A", A).bind("C", Out);
-    Naive.prepare();
+    checkOk(Naive.tryPrepare());
     Executor &Opt = H->addExecutor(C.Optimized);
     Opt.bind("A", A).bind("C", Out);
-    Opt.prepare();
+    checkOk(Opt.tryPrepare());
 
     std::string Label = "n" + std::to_string(Cfg.N) + "_c" +
                         std::to_string(Cfg.NnzPerCol);
     std::string Base = "ssyrk/" + Label;
     auto Reset = [Out] { Out->setAllValues(0.0); };
-    registerRun(Base + "/naive", Reset, [&Naive] { Naive.runBody(); });
+    registerRun(Base + "/naive", Reset,
+                [&Naive] { checkOk(Naive.tryRunBody()); });
     // Paper methodology: replication of the canonical triangle is a
     // post-processing step excluded from kernel timing.
-    registerRun(Base + "/systec", Reset, [&Opt] { Opt.runBody(); });
-    registerRun(Base + "/systec_repl", Reset, [&Opt] {
-      Opt.runBody();
-      Opt.runEpilogue();
-    });
+    registerRun(Base + "/systec", Reset, [&Opt] { checkOk(Opt.tryRunBody()); });
+    registerRun(Base + "/systec_repl", Reset,
+                [&Opt] { checkOk(Opt.tryRun()); });
     registerRun(Base + "/taco", Reset, [A, Out] { tacoSsyrk(*A, *Out); });
 
     Row RowEntry;

@@ -35,15 +35,16 @@ int main(int argc, char **argv) {
 
     Executor &Naive = H->addExecutor(C.Naive);
     Naive.bind("A", A).bind("x", X).bind("y", Y);
-    Naive.prepare();
+    checkOk(Naive.tryPrepare());
     Executor &Opt = H->addExecutor(C.Optimized);
     Opt.bind("A", A).bind("x", X).bind("y", Y);
-    Opt.prepare();
+    checkOk(Opt.tryPrepare());
 
     std::string Base = "syprd/" + Spec.Name;
     auto Reset = [Y] { Y->setAllValues(0.0); };
-    registerRun(Base + "/naive", Reset, [&Naive] { Naive.runBody(); });
-    registerRun(Base + "/systec", Reset, [&Opt] { Opt.runBody(); });
+    registerRun(Base + "/naive", Reset,
+                [&Naive] { checkOk(Naive.tryRunBody()); });
+    registerRun(Base + "/systec", Reset, [&Opt] { checkOk(Opt.tryRunBody()); });
     registerRun(Base + "/taco", Reset, [A, X, Y] {
       Y->vals()[0] += tacoSyprd(*A, *X);
       benchmark::DoNotOptimize(Y->vals()[0]);

@@ -59,10 +59,10 @@ bool checkKernel(const char *What, const Einsum &E,
   for (auto &[N, T] : Inputs)
     Exec.bind(N, &T);
   Exec.bind(E.Output->tensorName(), &Out);
-  Exec.prepare();
-  Exec.run();
-  bool Ok = Tensor::maxAbsDiff(Out, Ref) < 1e-8;
-  const CounterSnapshot &C = Exec.lastReport().Counters;
+  obs::ExecReport Rep;
+  const bool Ok = Exec.tryPrepare().ok() && Exec.tryRun(&Rep).ok() &&
+                  Tensor::maxAbsDiff(Out, Ref) < 1e-8;
+  const CounterSnapshot &C = Rep.Counters;
   std::printf("  [%s] %-34s %s (%llu sparse reads, %llu scalar ops)\n",
               Ok ? "ok" : "FAIL", What, E.str().c_str(),
               static_cast<unsigned long long>(C.SparseReads),
@@ -147,9 +147,9 @@ int main() {
       Y.setAllValues(0.0);
       Executor Exec(K);
       Exec.bind("A", &A).bind("x", &X).bind("y", &Y);
-      Exec.prepare();
-      Exec.run();
-      return Exec.lastReport().Counters;
+      obs::ExecReport Rep;
+      AllOk &= Exec.tryPrepare().ok() && Exec.tryRun(&Rep).ok();
+      return Rep.Counters;
     };
     CounterSnapshot N = Measure(C.Naive);
     CounterSnapshot O = Measure(C.Optimized);

@@ -112,20 +112,21 @@ int main(int argc, char **argv) {
                          .get();
       for (auto &[Name, T] : W.H->Tensors)
         E.bind(Name, &T);
-      E.prepare();
+      checkOk(E.tryPrepare());
       if (W.Flops == 0) {
         // Count useful work once (any variant performs the same ops).
         setCountersEnabled(true);
         W.Out->setAllValues(0.0);
-        E.runBody();
-        const CounterSnapshot &C = E.lastReport().Counters;
+        obs::ExecReport Rep;
+        checkOk(E.tryRunBody(&Rep));
+        const CounterSnapshot &C = Rep.Counters;
         W.Flops = static_cast<double>(C.ScalarOps + C.Reductions);
       }
       Tensor *Out = W.Out;
       registerRun("threads/" + W.Kernel + "/" + W.Label + "/" +
                       variantName(V),
                   [Out] { Out->setAllValues(0.0); },
-                  [&E] { E.runBody(); });
+                  [&E] { checkOk(E.tryRunBody()); });
     }
   }
 

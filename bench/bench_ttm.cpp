@@ -46,10 +46,10 @@ int main(int argc, char **argv) {
 
       Executor &Naive = H->addExecutor(C.Naive);
       Naive.bind("A", A).bind("B", B).bind("C", Out);
-      Naive.prepare();
+      checkOk(Naive.tryPrepare());
       Executor &Opt = H->addExecutor(C.Optimized);
       Opt.bind("A", A).bind("B", B).bind("C", Out);
-      Opt.prepare();
+      checkOk(Opt.tryPrepare());
 
       char LabelBuf[64];
       std::snprintf(LabelBuf, sizeof(LabelBuf), "d%.2f_r%lld", Density,
@@ -57,8 +57,10 @@ int main(int argc, char **argv) {
       std::string Label = LabelBuf;
       std::string Base = "ttm/" + Label;
       auto Reset = [Out] { Out->setAllValues(0.0); };
-      registerRun(Base + "/naive", Reset, [&Naive] { Naive.runBody(); });
-      registerRun(Base + "/systec", Reset, [&Opt] { Opt.runBody(); });
+      registerRun(Base + "/naive", Reset,
+                  [&Naive] { checkOk(Naive.tryRunBody()); });
+      registerRun(Base + "/systec", Reset,
+                  [&Opt] { checkOk(Opt.tryRunBody()); });
       registerRun(Base + "/taco", Reset,
                   [A, B, Out] { tacoTtm(*A, *B, *Out); });
 

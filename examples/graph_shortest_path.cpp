@@ -51,7 +51,10 @@ int main() {
 
   Executor Exec(R.Optimized);
   Exec.bind("A", &Weights).bind("d", &Dist).bind("y", &Next);
-  Exec.prepare();
+  if (Status S = Exec.tryPrepare(); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.str().c_str());
+    return 1;
+  }
 
   // 4. Relax until fixpoint (at most |V|-1 rounds).
   uint64_t Reads = 0;
@@ -59,8 +62,12 @@ int main() {
   for (; Rounds < NumNodes - 1; ++Rounds) {
     // y starts from the current distances (self-paths).
     Next.vals() = Dist.vals();
-    Exec.run();
-    Reads += Exec.lastReport().Counters.SparseReads;
+    obs::ExecReport Report;
+    if (Status S = Exec.tryRun(&Report); !S.ok()) {
+      std::fprintf(stderr, "%s\n", S.str().c_str());
+      return 1;
+    }
+    Reads += Report.Counters.SparseReads;
     if (Next.vals() == Dist.vals())
       break;
     Dist.vals() = Next.vals();

@@ -52,12 +52,18 @@ int main(int Argc, char **Argv) {
       O.Schedule = P;
       Executor E(C.Optimized, O);
       E.bind("A", &A).bind("x", &X).bind("y", &Y);
-      E.prepare();
       // Warm once (materializes splits, allocates accumulators).
-      E.runBody();
+      Status S = E.tryPrepare();
+      if (S.ok())
+        S = E.tryRunBody();
       Y.setAllValues(0.0);
       auto T0 = std::chrono::steady_clock::now();
-      E.run();
+      if (S.ok())
+        S = E.tryRun();
+      if (!S.ok()) {
+        std::fprintf(stderr, "%s\n", S.str().c_str());
+        return 1;
+      }
       double Ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - T0)
                       .count();

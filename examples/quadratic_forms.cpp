@@ -47,7 +47,10 @@ int main() {
   Tensor Scalar = Tensor::dense({1});
   Executor Quad(Syprd.Optimized);
   Quad.bind("A", &Sigma).bind("x", &X).bind("y", &Scalar);
-  Quad.prepare();
+  if (Status S = Quad.tryPrepare(); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.str().c_str());
+    return 1;
+  }
 
   // Batch of quadratic forms: x is rewritten in place between runs;
   // the compiled kernel and its canonical-triangle splits are reused.
@@ -59,8 +62,12 @@ int main() {
     for (double &V : X.vals())
       V = Random.nextDouble(-1.0, 1.0);
     Scalar.setAllValues(0.0);
-    Quad.run();
-    Reads += Quad.lastReport().Counters.SparseReads;
+    obs::ExecReport Report;
+    if (Status S = Quad.tryRun(&Report); !S.ok()) {
+      std::fprintf(stderr, "%s\n", S.str().c_str());
+      return 1;
+    }
+    Reads += Report.Counters.SparseReads;
     std::printf("  x_%u' A x_%u = %12.4f\n", Trial, Trial,
                 Scalar.at({0}));
   }
@@ -73,11 +80,17 @@ int main() {
   Tensor W = Tensor::dense({Dim});
   Executor Mv(Ssymv.Optimized);
   Mv.bind("A", &Sigma).bind("x", &V).bind("y", &W);
-  Mv.prepare();
+  if (Status S = Mv.tryPrepare(); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.str().c_str());
+    return 1;
+  }
   double Rayleigh = 0;
   for (unsigned It = 0; It < 30; ++It) {
     W.setAllValues(0.0);
-    Mv.run();
+    if (Status S = Mv.tryRun(); !S.ok()) {
+      std::fprintf(stderr, "%s\n", S.str().c_str());
+      return 1;
+    }
     double Norm = 0;
     for (double Val : W.vals())
       Norm += Val * Val;
@@ -87,9 +100,14 @@ int main() {
     // Rayleigh quotient via the SYPRD kernel on the current vector.
     Executor Rq(Syprd.Optimized);
     Rq.bind("A", &Sigma).bind("x", &V).bind("y", &Scalar);
-    Rq.prepare();
     Scalar.setAllValues(0.0);
-    Rq.run();
+    Status S = Rq.tryPrepare();
+    if (S.ok())
+      S = Rq.tryRun();
+    if (!S.ok()) {
+      std::fprintf(stderr, "%s\n", S.str().c_str());
+      return 1;
+    }
     Rayleigh = Scalar.at({0});
   }
   std::printf("dominant eigenvalue estimate (Rayleigh quotient): %.6f\n",

@@ -39,20 +39,37 @@ int main() {
   Tensor YNaive = Tensor::dense({2000});
   Tensor YOpt = Tensor::dense({2000});
 
-  // 4. Run the naive kernel; each run's counts are in its report.
+  // 4. Run the naive kernel. Every executor entry point returns a
+  //    Status: a kernel that does not fit its bindings is an error the
+  //    client checks, never an abort. Each run's counts come back by
+  //    value in its report.
   Executor Naive(R.Naive);
   Naive.bind("A", &A).bind("x", &X).bind("y", &YNaive);
-  Naive.prepare();
-  Naive.run();
-  uint64_t NaiveReads = Naive.lastReport().Counters.SparseReads;
+  obs::ExecReport NaiveReport;
+  if (Status S = Naive.tryPrepare(); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.str().c_str());
+    return 1;
+  }
+  if (Status S = Naive.tryRun(&NaiveReport); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.str().c_str());
+    return 1;
+  }
+  uint64_t NaiveReads = NaiveReport.Counters.SparseReads;
 
   // 5. Run the optimized kernel (reads only the upper triangle and
   //    performs both updates per read).
   Executor Opt(R.Optimized);
   Opt.bind("A", &A).bind("x", &X).bind("y", &YOpt);
-  Opt.prepare();
-  Opt.run();
-  uint64_t OptReads = Opt.lastReport().Counters.SparseReads;
+  obs::ExecReport OptReport;
+  if (Status S = Opt.tryPrepare(); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.str().c_str());
+    return 1;
+  }
+  if (Status S = Opt.tryRun(&OptReport); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.str().c_str());
+    return 1;
+  }
+  uint64_t OptReads = OptReport.Counters.SparseReads;
 
   double Diff = Tensor::maxAbsDiff(YNaive, YOpt);
   std::printf("naive reads of A:     %llu\n",
@@ -80,11 +97,12 @@ int main() {
   Tensor YCancelled = Tensor::dense({2000});
   Executor Cancelled(R.Optimized, Opts);
   Cancelled.bind("A", &A).bind("x", &X).bind("y", &YCancelled);
+  obs::ExecReport CancelledReport;
   Status Prep = Cancelled.tryPrepare();
-  Status Run = Prep.ok() ? Cancelled.tryRun() : Status::success();
+  Status Run =
+      Prep.ok() ? Cancelled.tryRun(&CancelledReport) : Status::success();
   std::printf("cancelled run  -> %s (abort reason: %s)\n",
-              Run.str().c_str(),
-              Cancelled.lastReport().AbortReason.c_str());
+              Run.str().c_str(), CancelledReport.AbortReason.c_str());
 
   const bool RobustnessOk = !Rejected.ok() &&
                             Rejected.status().code() ==

@@ -60,8 +60,13 @@ int main() {
     Tensor Y = Tensor::dense({Dim});
     Executor Exec(R.Optimized);
     Exec.bind("A", &A).bind("x", &X).bind("y", &Y);
-    Exec.prepare();
-    Exec.run();
+    Status S = Exec.tryPrepare();
+    if (S.ok())
+      S = Exec.tryRun();
+    if (!S.ok()) {
+      std::fprintf(stderr, "%s: %s\n", V.Name, S.str().c_str());
+      return 1;
+    }
 
     double Checksum = 0;
     for (double Val : Y.vals())

@@ -62,9 +62,14 @@ int main() {
   for (unsigned Sweep = 0; Sweep < 12; ++Sweep) {
     Executor Step(R.Optimized);
     Step.bind("A", &A).bind("B", &B).bind("C", &C);
-    Step.prepare();
     C.setAllValues(0.0);
-    Step.run();
+    Status S = Step.tryPrepare();
+    if (S.ok())
+      S = Step.tryRun();
+    if (!S.ok()) {
+      std::fprintf(stderr, "sweep %u: %s\n", Sweep, S.str().c_str());
+      return 1;
+    }
     // Normalize each column; the norms approximate component weights.
     Lambda = 0;
     for (int64_t Col = 0; Col < Rank; ++Col) {

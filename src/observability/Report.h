@@ -2,16 +2,17 @@
 ///
 /// \file
 /// The structured counterpart of the Chrome trace: one ExecReport per
-/// Executor run (Executor::lastReport()), carrying the pipeline phase
-/// timings, per-plan-loop engine/driver attribution, per-worker
-/// wait/execute activity, and the run's exact counter deltas. Benches
-/// embed the report in BENCH_*.json so tools/bench_check.py can show
-/// *where* a ratio delta came from, and the cross-thread invariance
-/// tests compare reports through structureKey(), which strips every
-/// timing- and scheduling-dependent field.
+/// Executor run, copied out by value through tryRun*(&Report), carrying
+/// the pipeline phase timings, per-plan-loop engine/driver attribution,
+/// per-worker wait/execute activity, and the run's exact counter
+/// deltas. Benches embed the report in BENCH_*.json so
+/// tools/bench_check.py can show *where* a ratio delta came from, and
+/// the cross-thread invariance tests compare reports through
+/// structureKey(), which strips every timing- and scheduling-dependent
+/// field.
 ///
 /// Phase semantics (ns, monotonic clock): materialize, plan-compile
-/// and specialize are measured at prepare() and repeated verbatim in
+/// and specialize are measured at tryPrepare() and repeated verbatim in
 /// every run's report; execute and merge are per-run. Two containment
 /// relations matter when summing: specialize is a subset of
 /// plan-compile, and merge (privatized-accumulator merging after

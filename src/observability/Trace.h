@@ -40,9 +40,9 @@
 namespace systec {
 namespace obs {
 
-/// Master switch. Off by default; ExecOptions::Tracing turns it on for
-/// the process at Executor::prepare (tracing is process-wide because
-/// the shared ThreadPool's workers cannot belong to one executor).
+/// Master switch, off by default and the one way to turn tracing on.
+/// It is process-wide because the shared ThreadPool's workers cannot
+/// belong to one executor.
 bool tracingEnabled();
 void setTracingEnabled(bool Enabled);
 

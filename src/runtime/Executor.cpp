@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <set>
 #include <thread>
 
@@ -29,19 +28,26 @@ using namespace detail;
 //===----------------------------------------------------------------------===//
 
 /// Compiles a Kernel's statement tree into plan nodes against bound
-/// tensors. Friend of Executor.
+/// tensors. Friend of Executor. The one checker of a kernel against its
+/// bindings: a malformed kernel comes back from compileAll() as a typed
+/// Status (the first violation found); every fatalError here guards an
+/// internal invariant.
 class PlanCompiler {
 public:
   PlanCompiler(Executor &E) : E(E) {}
 
-  void compileAll() {
+  /// Compiles body and epilogue into E; on error E gets no plan.
+  Status compileAll() {
     collectExtents(E.K.Body);
     if (E.K.Epilogue)
       collectExtents(E.K.Epilogue);
+    PlanPtr Body = compile(E.K.Body);
+    PlanPtr Epilogue = E.K.Epilogue ? compile(E.K.Epilogue) : nullptr;
+    if (!Err.ok())
+      return std::move(Err);
     E.Ctx = std::make_unique<ExecCtx>();
-    E.BodyPlan = compile(E.K.Body);
-    if (E.K.Epilogue)
-      E.EpiloguePlan = compile(E.K.Epilogue);
+    E.BodyPlan = std::move(Body);
+    E.EpiloguePlan = std::move(Epilogue);
     E.Ctx->IndexVal.assign(IndexSlots.size(), 0);
     E.Ctx->ScalarVal.assign(ScalarSlots.size(), 0.0);
     E.Ctx->Accesses = AccessStates;
@@ -54,10 +60,12 @@ public:
     E.MKStats = Stats;
     E.SpecializeNs = SpecializeNs;
     E.LoopMeta = std::move(LoopMeta);
+    return Status::success();
   }
 
 private:
   Executor &E;
+  Status Err; // first malformed-kernel error; compile() stops emitting
   std::map<std::string, unsigned> IndexSlots;
   std::map<std::string, unsigned> ScalarSlots;
   std::map<std::string, int64_t> Extents;
@@ -124,6 +132,15 @@ private:
     return Id;
   }
 
+  void fail(ErrCode C, std::string Message) {
+    if (Err.ok())
+      Err = Status::error(C, std::move(Message));
+  }
+
+  /// Records every index extent and checks each access and target
+  /// against its binding: bound, arity equal to the tensor's order,
+  /// extents consistent across accesses, writes and replications into
+  /// dense tensors.
   void collectExtents(const StmtPtr &S) {
     Stmt::walk(S, [this](const StmtPtr &Node) {
       std::vector<ExprPtr> Accesses;
@@ -133,20 +150,52 @@ private:
           Accesses.push_back(Node->lhs());
       } else if (Node->kind() == StmtKind::DefScalar) {
         Expr::collectAccesses(Node->rhs(), Accesses);
+      } else if (Node->kind() == StmtKind::Replicate) {
+        const Tensor *T = E.lookup(Node->tensorName());
+        if (!T)
+          fail(ErrCode::UnboundTensor, "kernel '" + E.K.Name +
+                                           "' replicates unbound tensor " +
+                                           Node->tensorName());
+        else if (!T->format().isAllDense())
+          fail(ErrCode::InvalidArgument,
+               "replicate requires a dense output (tensor " +
+                   Node->tensorName() + " is " + T->format().str() + ")");
       }
       for (const ExprPtr &A : Accesses) {
-        Tensor *T = tensorFor(A->tensorName());
+        const Tensor *T = E.lookup(A->tensorName());
+        if (!T) {
+          fail(ErrCode::UnboundTensor, "kernel '" + E.K.Name +
+                                           "' uses unbound tensor " +
+                                           A->tensorName());
+          continue;
+        }
         // A 0-d access ("y[]") binds to a one-element dense tensor.
         if (A->indices().empty())
           continue;
-        if (T->order() != A->indices().size())
-          fatalError("access " + A->str() + " arity mismatch");
+        if (T->order() != A->indices().size()) {
+          fail(ErrCode::InvalidArgument,
+               "access " + A->str() + " arity mismatch (tensor " +
+                   A->tensorName() + " has order " +
+                   std::to_string(T->order()) + ")");
+          continue;
+        }
         for (unsigned M = 0; M < A->indices().size(); ++M) {
           const std::string &Idx = A->indices()[M];
           auto [It, New] = Extents.insert({Idx, T->dim(M)});
           if (!New && It->second != T->dim(M))
-            fatalError("index " + Idx + " has inconsistent extents");
+            fail(ErrCode::InvalidArgument,
+                 "index " + Idx + " has inconsistent extents (" +
+                     std::to_string(It->second) + " vs " +
+                     std::to_string(T->dim(M)) + " at " + A->str() + ")");
         }
+      }
+      if (Node->kind() == StmtKind::Assign &&
+          Node->lhs()->kind() == ExprKind::Access) {
+        const Tensor *T = E.lookup(Node->lhs()->tensorName());
+        if (T && !T->format().isAllDense())
+          fail(ErrCode::InvalidArgument, "output tensor " +
+                                             Node->lhs()->tensorName() +
+                                             " must be dense for writes");
       }
     });
   }
@@ -253,6 +302,8 @@ private:
   }
 
   PlanPtr compile(const StmtPtr &S) {
+    if (!Err.ok())
+      return nullptr;
     switch (S->kind()) {
     case StmtKind::Block: {
       auto Seq = std::make_unique<PlanSeq>();
@@ -309,19 +360,14 @@ private:
         As->ScalarTarget = true;
         As->ScalarSlot = scalarSlot(Lhs->scalarName());
       } else {
-        Tensor *T = tensorFor(Lhs->tensorName());
-        if (!T->format().isAllDense())
-          fatalError("output tensor " + Lhs->tensorName() +
-                     " must be dense for writes");
         As->OutId = outId(Lhs->tensorName());
-        As->SlotStride = denseStrides(T, Lhs->indices());
+        As->SlotStride =
+            denseStrides(tensorFor(Lhs->tensorName()), Lhs->indices());
       }
       return As;
     }
     case StmtKind::Replicate: {
       auto Rep = std::make_unique<PlanReplicate>();
-      if (!tensorFor(S->tensorName())->format().isAllDense())
-        fatalError("replicate requires a dense output");
       Rep->OutId = outId(S->tensorName());
       Rep->Sym = S->outputSymmetry();
       Rep->Threads = E.Options.Threads;
@@ -340,7 +386,8 @@ private:
   }
 
   /// Pushes a condition with unbound references inside loops until its
-  /// variables are bound: If(c, Loop(x, B)) => Loop(x, If(c, B)).
+  /// variables are bound: If(c, Loop(x, B)) => Loop(x, If(c, B)). A
+  /// condition that reaches a leaf still unbound cannot be placed.
   StmtPtr sinkCondition(const Cond &C, const StmtPtr &Body) {
     if (Body->kind() == StmtKind::Loop)
       return Stmt::loop(Body->loopIndex(),
@@ -354,7 +401,9 @@ private:
         Guarded.push_back(Stmt::ifThen(C, Child));
       return Stmt::block(std::move(Guarded));
     }
-    fatalError("condition references indices that are never bound");
+    fail(ErrCode::InvalidArgument,
+         "condition references indices that are never bound");
+    return nullptr;
   }
 
   /// Activates parallel execution for \p S if it is the outermost
@@ -402,11 +451,14 @@ private:
 
   PlanPtr compileLoop(const StmtPtr &S) {
     const std::string &Var = S->loopIndex();
+    auto ExtIt = Extents.find(Var);
+    if (ExtIt == Extents.end()) {
+      fail(ErrCode::InvalidArgument,
+           "loop index " + Var + " has no known extent");
+      return nullptr;
+    }
     auto Loop = std::make_unique<PlanLoop>();
     Loop->Slot = indexSlot(Var);
-    auto ExtIt = Extents.find(Var);
-    if (ExtIt == Extents.end())
-      fatalError("loop index " + Var + " has no known extent");
     Loop->Extent = ExtIt->second;
     BoundVars.insert(Var);
     const bool Activated = setUpParallel(S, *Loop);
@@ -508,6 +560,8 @@ private:
     }
 
     Loop->Body = compile(Body);
+    if (!Err.ok())
+      return nullptr;
 
     // The PlanSpecializer pass: inner loops were specialized by the
     // recursive compile above, so matching proceeds bottom-up and a
@@ -678,7 +732,6 @@ std::string execOptionsSummary(const ExecOptions &O) {
     Out += " deadline_ms=" + std::to_string(O.DeadlineMs);
   if (O.Cancel)
     Out += " cancel=on";
-  Out += std::string(" tracing=") + (O.Tracing ? "on" : "off");
   return Out;
 }
 
@@ -689,7 +742,6 @@ Executor::~Executor() = default;
 Executor::Executor(Executor &&) = default;
 
 Executor &Executor::bind(const std::string &Name, Tensor *T) {
-  assert(T && "binding null tensor");
   Bound[Name] = T;
   return *this;
 }
@@ -697,11 +749,6 @@ Executor &Executor::bind(const std::string &Name, Tensor *T) {
 Tensor *Executor::lookup(const std::string &Name) const {
   auto It = Bound.find(Name);
   return It == Bound.end() ? nullptr : It->second;
-}
-
-void Executor::prepare() {
-  if (Status S = tryPrepare(); !S.ok())
-    fatalError(S.str());
 }
 
 Status Executor::sanitizeOptions() {
@@ -741,154 +788,16 @@ Status Executor::sanitizeOptions() {
   return Status::success();
 }
 
-Status Executor::validateKernel() const {
-  // Mirrors every malformed-input abort of plan compilation as a
-  // Status-returning pre-pass ("validate then trust"): once this pass
-  // accepts, the compiler's remaining fatalError sites are genuine
-  // internal invariants.
-  std::map<std::string, int64_t> Extents;
-  Status Err = Status::success();
-  auto Fail = [&Err](ErrCode C, const std::string &M) {
-    if (Err.ok())
-      Err = Status::error(C, M);
-  };
-
-  auto CheckAccesses = [&](const StmtPtr &Root) {
-    Stmt::walk(Root, [&](const StmtPtr &Node) {
-      std::vector<ExprPtr> Accesses;
-      if (Node->kind() == StmtKind::Assign) {
-        Expr::collectAccesses(Node->rhs(), Accesses);
-        if (Node->lhs()->kind() == ExprKind::Access)
-          Accesses.push_back(Node->lhs());
-      } else if (Node->kind() == StmtKind::DefScalar) {
-        Expr::collectAccesses(Node->rhs(), Accesses);
-      } else if (Node->kind() == StmtKind::Replicate) {
-        Tensor *T = lookup(Node->tensorName());
-        if (!T)
-          Fail(ErrCode::UnboundTensor, "kernel '" + K.Name +
-                                           "' replicates unbound tensor " +
-                                           Node->tensorName());
-        else if (!T->format().isAllDense())
-          Fail(ErrCode::InvalidArgument,
-               "replicate requires a dense output (tensor " +
-                   Node->tensorName() + " is " + T->format().str() + ")");
-      }
-      for (const ExprPtr &A : Accesses) {
-        Tensor *T = lookup(A->tensorName());
-        if (!T) {
-          Fail(ErrCode::UnboundTensor, "kernel '" + K.Name +
-                                           "' uses unbound tensor " +
-                                           A->tensorName());
-          continue;
-        }
-        if (A->indices().empty())
-          continue; // 0-d access: one-element dense tensor
-        if (T->order() != A->indices().size()) {
-          Fail(ErrCode::InvalidArgument,
-               "access " + A->str() + " arity mismatch (tensor " +
-                   A->tensorName() + " has order " +
-                   std::to_string(T->order()) + ")");
-          continue;
-        }
-        for (unsigned M = 0; M < A->indices().size(); ++M) {
-          const std::string &Idx = A->indices()[M];
-          auto [It, New] = Extents.insert({Idx, T->dim(M)});
-          if (!New && It->second != T->dim(M))
-            Fail(ErrCode::InvalidArgument,
-                 "index " + Idx + " has inconsistent extents (" +
-                     std::to_string(It->second) + " vs " +
-                     std::to_string(T->dim(M)) + " at " + A->str() + ")");
-        }
-      }
-      if (Node->kind() == StmtKind::Assign &&
-          Node->lhs()->kind() == ExprKind::Access) {
-        Tensor *T = lookup(Node->lhs()->tensorName());
-        if (T && !T->format().isAllDense())
-          Fail(ErrCode::InvalidArgument,
-               "output tensor " + Node->lhs()->tensorName() +
-                   " must be dense for writes");
-      }
-    });
-  };
-  CheckAccesses(K.Body);
-  if (K.Epilogue)
-    CheckAccesses(K.Epilogue);
-  if (!Err.ok())
-    return Err;
-
-  // Scoped checks: loop extents and condition bindability (a condition
-  // referencing indices no enclosing or inner loop ever binds cannot
-  // be placed anywhere).
-  auto AllBoundIn = [](const Cond &C, const std::set<std::string> &B) {
-    for (const Conj &D : C.disjuncts())
-      for (const CmpAtom &A : D.Atoms)
-        if (!B.count(A.Lhs) || !B.count(A.Rhs))
-          return false;
-    return true;
-  };
-  std::function<bool(const Cond &, const StmtPtr &, std::set<std::string> &)>
-      CondBindable = [&](const Cond &C, const StmtPtr &Body,
-                         std::set<std::string> &B) -> bool {
-    if (AllBoundIn(C, B))
-      return true;
-    switch (Body->kind()) {
-    case StmtKind::Loop: {
-      const bool New = B.insert(Body->loopIndex()).second;
-      const bool Ok = CondBindable(C, Body->body(), B);
-      if (New)
-        B.erase(Body->loopIndex());
-      return Ok;
-    }
-    case StmtKind::If:
-      return CondBindable(C, Body->body(), B);
-    case StmtKind::Block:
-      for (const StmtPtr &Child : Body->stmts())
-        if (!CondBindable(C, Child, B))
-          return false;
-      return true;
-    default:
-      return false;
-    }
-  };
-  std::function<void(const StmtPtr &, std::set<std::string> &)>
-      CheckStructure = [&](const StmtPtr &S, std::set<std::string> &B) {
-        switch (S->kind()) {
-        case StmtKind::Block:
-          for (const StmtPtr &Child : S->stmts())
-            CheckStructure(Child, B);
-          return;
-        case StmtKind::If:
-          if (!CondBindable(S->condition(), S->body(), B))
-            Fail(ErrCode::InvalidArgument,
-                 "condition references indices that are never bound");
-          CheckStructure(S->body(), B);
-          return;
-        case StmtKind::Loop: {
-          if (!Extents.count(S->loopIndex()))
-            Fail(ErrCode::InvalidArgument, "loop index " + S->loopIndex() +
-                                               " has no known extent");
-          const bool New = B.insert(S->loopIndex()).second;
-          CheckStructure(S->body(), B);
-          if (New)
-            B.erase(S->loopIndex());
-          return;
-        }
-        default:
-          return;
-        }
-      };
-  std::set<std::string> BoundV;
-  CheckStructure(K.Body, BoundV);
-  if (K.Epilogue)
-    CheckStructure(K.Epilogue, BoundV);
-  return Err;
-}
-
 Status Executor::tryPrepare() {
   if (Prepared)
-    return Status::error(ErrCode::InvalidArgument, "prepare called twice");
+    return Status::error(ErrCode::InvalidArgument, "tryPrepare called twice");
   if (Status S = sanitizeOptions(); !S.ok())
     return std::move(S).withContext("kernel '" + K.Name + "'");
+  for (const auto &[Name, T] : Bound)
+    if (!T)
+      return Status::error(ErrCode::InvalidArgument,
+                           "kernel '" + K.Name + "' binds null tensor under " +
+                               Name);
   // Client tensors are validated before anything dereferences their
   // level arrays — in particular before split/transpose
   // materialization walks them.
@@ -901,8 +810,6 @@ Status Executor::tryPrepare() {
             .withContext("kernel '" + K.Name + "'");
     ValidateNs = obs::nowNs() - V0;
   }
-  if (Options.Tracing)
-    obs::setTracingEnabled(true);
   if (Options.Threads > 1)
     ThreadPool::ensureGlobalThreads(Options.Threads);
   const uint64_t M0 = obs::nowNs();
@@ -916,11 +823,10 @@ Status Executor::tryPrepare() {
   if (Status S = materializeAliases(Bound, Owned); !S.ok())
     return S;
   const uint64_t M1 = obs::nowNs();
-  // With aliases materialized every access is resolvable; reject
-  // malformed kernels here so plan compilation can trust its input.
-  if (Status S = validateKernel(); !S.ok())
+  // With aliases materialized every access is resolvable; plan
+  // compilation rejects a kernel malformed against these bindings.
+  if (Status S = PlanCompiler(*this).compileAll(); !S.ok())
     return S;
-  PlanCompiler(*this).compileAll();
   bindSlots();
   const uint64_t M2 = obs::nowNs();
   MaterializeNs = M1 - M0;
@@ -1117,10 +1023,7 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
   // operand table.
   Options.Cancel = RunOptions.Cancel;
   Options.DeadlineMs = RunOptions.DeadlineMs;
-  Options.Tracing = RunOptions.Tracing;
   Options.ValidateInputs = RunOptions.ValidateInputs;
-  if (Options.Tracing)
-    obs::setTracingEnabled(true);
   Bound = std::move(NewBound);
   bindSlots();
   Owned = std::move(NewOwned);
@@ -1156,26 +1059,16 @@ obs::WorkerStat windowWorker(const std::string &Name,
 
 } // namespace
 
-void Executor::run() {
-  runBody();
-  runEpilogue();
-}
-
 Status Executor::tryRun(obs::ExecReport *Out) {
   if (Status S = tryRunBody(Out); !S.ok())
     return S;
   return tryRunEpilogue(Out);
 }
 
-void Executor::runBody() {
-  if (Status S = tryRunBody(); !S.ok())
-    fatalError(S.str());
-}
-
 Status Executor::tryRunBody(obs::ExecReport *Out) {
   if (!Prepared)
     return Status::error(ErrCode::InvalidArgument,
-                         "runBody called before prepare");
+                         "tryRunBody called before tryPrepare");
   Ctx->CountersOn = countersEnabled();
   Ctx->TraceOn = obs::tracingEnabled();
   std::fill(Ctx->LoopCalls.begin(), Ctx->LoopCalls.end(), uint64_t(0));
@@ -1309,38 +1202,33 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
 Status Executor::tryRunEpilogue(obs::ExecReport *Out) {
   if (!Prepared)
     return Status::error(ErrCode::InvalidArgument,
-                         "runEpilogue called before prepare");
-  runEpilogue();
+                         "tryRunEpilogue called before tryPrepare");
+  if (EpiloguePlan) {
+    Ctx->CountersOn = countersEnabled();
+    Ctx->TraceOn = obs::tracingEnabled();
+    const uint64_t T0 = obs::nowNs();
+    EpiloguePlan->exec(*Ctx);
+    const uint64_t T1 = obs::nowNs();
+    if (Ctx->TraceOn)
+      obs::emitSpan("epilogue", "phase", T0, T1 - T0);
+    // Extend the body's report: append the epilogue phase, refresh the
+    // loop aggregates (epilogue loops kept accumulating into the same
+    // vectors), update merge time, and fold in the epilogue's counters.
+    Report.Phases.push_back({"epilogue", T1 - T0});
+    for (obs::PhaseStat &P : Report.Phases)
+      if (P.Name == "merge")
+        P.Ns = Ctx->MergeNs;
+    for (size_t L = 0; L < Report.Loops.size() && L < Ctx->LoopCalls.size();
+         ++L) {
+      Report.Loops[L].Calls = Ctx->LoopCalls[L];
+      Report.Loops[L].Ns = Ctx->LoopNs[L];
+    }
+    obs::addCounters(Report.Counters, Ctx->Local);
+    Ctx->Local = CounterSnapshot{};
+  }
   if (Out)
     *Out = Report;
   return Status::success();
-}
-
-void Executor::runEpilogue() {
-  assert(Prepared && "prepare() must run before run()");
-  if (!EpiloguePlan)
-    return;
-  Ctx->CountersOn = countersEnabled();
-  Ctx->TraceOn = obs::tracingEnabled();
-  const uint64_t T0 = obs::nowNs();
-  EpiloguePlan->exec(*Ctx);
-  const uint64_t T1 = obs::nowNs();
-  if (Ctx->TraceOn)
-    obs::emitSpan("epilogue", "phase", T0, T1 - T0);
-  // Extend the body's report: append the epilogue phase, refresh the
-  // loop aggregates (epilogue loops kept accumulating into the same
-  // vectors), update merge time, and fold in the epilogue's counters.
-  Report.Phases.push_back({"epilogue", T1 - T0});
-  for (obs::PhaseStat &P : Report.Phases)
-    if (P.Name == "merge")
-      P.Ns = Ctx->MergeNs;
-  for (size_t L = 0; L < Report.Loops.size() && L < Ctx->LoopCalls.size();
-       ++L) {
-    Report.Loops[L].Calls = Ctx->LoopCalls[L];
-    Report.Loops[L].Ns = Ctx->LoopNs[L];
-  }
-  obs::addCounters(Report.Counters, Ctx->Local);
-  Ctx->Local = CounterSnapshot{};
 }
 
 } // namespace systec

@@ -89,20 +89,20 @@ struct ExecOptions {
   /// modes); explicit values are clamped to [1, 8]. Results and the
   /// runtime counters are identical for every width.
   unsigned BlockWidth = 0;
-  /// Structural integrity checks run by prepare() on every bound
+  /// Structural integrity checks run by tryPrepare() on every bound
   /// tensor before anything dereferences its level arrays (Shallow:
   /// O(levels) size/endpoint agreement; Deep: O(nnz) fiber scans; see
   /// Tensor::validate). None keeps the hot path untouched — no check,
   /// no extra report phase. A failing tensor surfaces as
   /// ErrCode::InvalidTensor from tryPrepare(), naming the tensor.
   ValidationLevel ValidateInputs = ValidationLevel::None;
-  /// Wall-clock budget for one runBody() in milliseconds; 0 = none.
+  /// Wall-clock budget for one tryRunBody() in milliseconds; 0 = none.
   /// The deadline is polled cooperatively (task-claim boundaries and
   /// every iteration of plan/kernel driver loops, with clock reads
   /// decimated), so overshoot is bounded by one loop-body execution.
   /// An expired run aborts with ErrCode::DeadlineExceeded: outputs are
   /// restored to their pre-run values, the run's counters are
-  /// discarded, and lastReport().AbortReason records the reason.
+  /// discarded, and the run's report records the reason in AbortReason.
   int64_t DeadlineMs = 0;
   /// Optional cooperative cancellation token, polled at the same
   /// checkpoints as the deadline. The caller keeps ownership (the
@@ -110,13 +110,6 @@ struct ExecOptions {
   /// any thread; a cancelled run aborts with ErrCode::Cancelled under
   /// the same discard-partial-results contract as deadlines.
   CancelToken *Cancel = nullptr;
-  /// Emit execution trace spans (observability/Trace.h): prepare()
-  /// turns the process-wide tracing flag on, after which this executor
-  /// (and anything else running) records phase, plan-loop, and pool
-  /// wait/execute spans exportable as Chrome trace JSON. Orthogonal to
-  /// lastReport(), which is populated on every run regardless — with
-  /// tracing off only the per-loop call/time aggregates stay zero.
-  bool Tracing = false;
 };
 
 /// Result of the plan-specialization pass for one prepared executor
@@ -174,17 +167,21 @@ struct MicroKernelStats {
 std::string structuralOptionsSummary(const ExecOptions &O);
 
 /// structuralOptionsSummary plus the per-request fields (validation,
-/// deadline, cancel, tracing), recorded with every run report and with
+/// deadline, cancel), recorded with every run report and with
 /// benchmark JSON so BENCH_* entries are attributable across PRs.
 std::string execOptionsSummary(const ExecOptions &O);
 
-/// Compiles and runs one Kernel over bound tensors.
+/// Compiles and runs one Kernel over bound tensors. Every entry point
+/// returns a Status; client input never aborts the process.
 ///
 /// Usage:
 ///   Executor Exec(Kernel);
 ///   Exec.bind("A", &A).bind("x", &X).bind("y", &Y);
-///   Exec.prepare();            // materializes aliases, compiles plan
-///   Exec.run();                // body + epilogue
+///   obs::ExecReport Report;
+///   if (Status S = Exec.tryPrepare(); !S.ok())  // aliases + plan
+///     return S;
+///   if (Status S = Exec.tryRun(&Report); !S.ok())  // body + epilogue
+///     return S;
 class Executor {
 public:
   explicit Executor(Kernel K, ExecOptions Options = ExecOptions());
@@ -193,58 +190,46 @@ public:
   Executor &operator=(Executor &&) = delete;
 
   /// Binds a tensor by declaration name. The tensor must outlive the
-  /// executor and match the declaration's order.
+  /// executor and match the declaration's order. A null tensor is
+  /// rejected by tryPrepare().
   Executor &bind(const std::string &Name, Tensor *T);
 
   /// Materializes transposes/splits requested by the kernel and compiles
-  /// the execution plan. Call after all binds. Aborts on client-input
-  /// errors (legacy entry point — tool/test call sites where malformed
-  /// input is a bug); use tryPrepare when the kernel or tensors come
-  /// from a client.
-  void prepare();
-
-  /// Runs the main loop nest followed by the epilogue.
-  void run();
-  /// Runs only the main loop nest (what the paper times).
-  void runBody();
-  /// Runs only the replication epilogue.
-  void runEpilogue();
-
-  /// Status-returning variant of prepare(). Sanitizes the options
+  /// the execution plan; call after all binds. Sanitizes the options
   /// (recoverable absurdities — Threads=0, oversubscription beyond
   /// 4x the hardware, BlockWidth>8 — are clamped and recorded in
   /// optionClamps(); a negative deadline is ErrCode::InvalidOptions),
-  /// validates the kernel against the bound tensors (unbound accesses,
-  /// arity mismatches, inconsistent extents, non-dense write targets —
-  /// every malformed-input abort of plan compilation surfaces here as
-  /// a typed Status instead), and, when ValidateInputs != None, runs
-  /// Tensor::validate on every bound tensor before any level array is
-  /// dereferenced. On error the executor stays unprepared.
+  /// rejects a null binding (InvalidArgument), and, when
+  /// ValidateInputs != None, runs Tensor::validate on every bound
+  /// tensor before any level array is dereferenced. Plan compilation
+  /// is the one checker of the kernel against the bound tensors:
+  /// unbound tensors, arity mismatches, inconsistent extents,
+  /// non-dense write or replicate targets, loops without an extent and
+  /// conditions that cannot be placed come back as a typed Status. On
+  /// error the executor stays unprepared.
   [[nodiscard]] Status tryPrepare();
 
-  /// Status-returning variants of run()/runBody(): complete normally,
-  /// or abort with ErrCode::Cancelled / DeadlineExceeded when the
-  /// run's Cancel token fires or DeadlineMs expires. Aborted runs
-  /// restore every output tensor to its pre-run values and discard the
-  /// run's counter deltas; lastReport().AbortReason records the
-  /// reason. With no token and no deadline these never fail and add
-  /// zero per-iteration cost.
+  /// Runs the main loop nest followed by the epilogue. tryRunBody()
+  /// runs only the main loop nest (what the paper times). Both
+  /// complete normally, or abort with ErrCode::Cancelled /
+  /// DeadlineExceeded when the run's Cancel token fires or DeadlineMs
+  /// expires. Aborted runs restore every output tensor to its pre-run
+  /// values and discard the run's counter deltas; the report's
+  /// AbortReason records the reason. With no token and no deadline
+  /// these never fail after a successful tryPrepare() and add zero
+  /// per-iteration cost.
   ///
   /// When \p Out is non-null it receives this run's report by value —
   /// a snapshot the caller owns outright, valid forever (including an
-  /// aborted run's report, with AbortReason set). Concurrent callers
-  /// and anyone holding a report across runs must use these overloads;
-  /// lastReport() below is a reference into executor state the next
-  /// run overwrites.
-  [[nodiscard]] Status tryRun(obs::ExecReport *Out);
-  [[nodiscard]] Status tryRunBody(obs::ExecReport *Out);
-  /// The epilogue (symmetric replication) is not cancellable: it is a
-  /// cheap deterministic copy pass, and interrupting it would leave
-  /// half-replicated outputs. Always returns ok after running.
-  [[nodiscard]] Status tryRunEpilogue(obs::ExecReport *Out);
-  [[nodiscard]] Status tryRun() { return tryRun(nullptr); }
-  [[nodiscard]] Status tryRunBody() { return tryRunBody(nullptr); }
-  [[nodiscard]] Status tryRunEpilogue() { return tryRunEpilogue(nullptr); }
+  /// aborted run's report, with AbortReason set). Reports leave the
+  /// executor only this way.
+  [[nodiscard]] Status tryRun(obs::ExecReport *Out = nullptr);
+  [[nodiscard]] Status tryRunBody(obs::ExecReport *Out = nullptr);
+  /// Runs only the replication epilogue and extends the preceding
+  /// body run's report with it. Not cancellable: it is a cheap
+  /// deterministic copy pass, and interrupting it would leave
+  /// half-replicated outputs. Fails only before tryPrepare().
+  [[nodiscard]] Status tryRunEpilogue(obs::ExecReport *Out = nullptr);
 
   /// Points this prepared executor at fresh tensors of identical
   /// structure — the plan-cache hit path, skipping einsum parsing,
@@ -258,13 +243,12 @@ public:
   /// compiled against; \p RunOptions must agree with the compiled
   /// options on every structural knob (threads, schedule, engines —
   /// the plan-cache key guarantees this) and supplies the per-request
-  /// knobs the plan adopts: Cancel, DeadlineMs, Tracing,
-  /// ValidateInputs. Materialized aliases (diagonal splits,
-  /// transposes) are rebuilt from the new tensors. On error the
-  /// executor keeps its previous bindings and stays runnable. Fails
-  /// with InvalidArgument when two originally-distinct names were bound
-  /// to one tensor and the new bindings disagree (the rebind would be
-  /// ambiguous; compile fresh).
+  /// knobs the plan adopts: Cancel, DeadlineMs, ValidateInputs.
+  /// Materialized aliases (diagonal splits, transposes) are rebuilt
+  /// from the new tensors. On error the executor keeps its previous
+  /// bindings and stays runnable. Fails with InvalidArgument when two
+  /// originally-distinct names were bound to one tensor and the new
+  /// bindings disagree (the rebind would be ambiguous; compile fresh).
   [[nodiscard]] Status rebind(const std::map<std::string, Tensor *> &NewBindings,
                               const ExecOptions &RunOptions);
 
@@ -277,7 +261,7 @@ public:
   /// The tensor bound (or materialized) under \p Name; null if unknown.
   Tensor *lookup(const std::string &Name) const;
 
-  /// Specialization outcome of prepare(): how many plan loops run as
+  /// Specialization outcome of tryPrepare(): how many plan loops run as
   /// fused micro-kernels vs. the generic interpreter.
   const MicroKernelStats &microKernelStats() const { return MKStats; }
 
@@ -294,7 +278,7 @@ public:
   /// was never requested.
   const Status &nativeStatus() const { return NativeStatus; }
 
-  /// True when runBody() dispatches to the JIT-compiled native body.
+  /// True when tryRunBody() dispatches to the JIT-compiled native body.
   bool usesNativeEngine() const { return NativePlan != nullptr; }
 
   /// The C-ABI translation unit emitted for the native engine (empty
@@ -302,16 +286,6 @@ public:
   /// populated even if the subsequent compile/dlopen failed, for
   /// diagnostics and compile-check tests).
   const std::string &nativeSource() const { return NativeSource; }
-
-  /// The structured report of the most recent runBody() (extended by a
-  /// following runEpilogue()): phase timings, per-loop engine/driver
-  /// aggregates, per-worker wait/execute activity, and the run's exact
-  /// counter deltas. Single-caller convenience ONLY: this is a
-  /// reference into executor state the next run overwrites in place —
-  /// holding it across runs (or reading it while another request runs
-  /// this executor) reads torn data. Callers that outlive the next run
-  /// take a by-value snapshot via tryRun(&Report) instead.
-  const obs::ExecReport &lastReport() const { return Report; }
 
 private:
   friend class PlanCompiler;
@@ -346,7 +320,7 @@ private:
   /// Engine preference order resolved by sanitizeOptions().
   EngineResolution Resolved;
   /// JIT-compiled whole-body plan (null unless Native resolved first
-  /// AND the build succeeded); runBody() dispatches to it over
+  /// AND the build succeeded); tryRunBody() dispatches to it over
   /// BodyPlan. Holds the dlopened .so alive via a shared handle.
   std::unique_ptr<detail::PlanNode> NativePlan;
   /// Why NativePlan is null although Native was requested (see
@@ -367,7 +341,6 @@ private:
   std::unique_ptr<detail::RunControl> Ctl;
 
   [[nodiscard]] Status sanitizeOptions();
-  [[nodiscard]] Status validateKernel() const;
   /// Materializes the kernel's diagonal splits and transposes over the
   /// bindings in \p B, replacing split/transposed names and appending
   /// the materialized tensors to \p O. Shared by tryPrepare() and
@@ -381,7 +354,8 @@ private:
   /// materializing aliases.
   void bindSlots();
 
-  /// Report of the most recent run (see lastReport()).
+  /// The current run's report: filled by tryRunBody(), extended by
+  /// tryRunEpilogue(), copied out through their Out parameters.
   obs::ExecReport Report;
   /// Prepare-phase timings, repeated into every run's report.
   uint64_t MaterializeNs = 0;

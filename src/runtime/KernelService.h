@@ -17,7 +17,7 @@
 ///  - miss (or a rebind the structure check rejects): the einsum is
 ///    compiled through the full pipeline and a fresh executor prepared,
 /// then runs with the request's per-request knobs (cancellation token,
-/// deadline, input validation, tracing), and the executor returns to
+/// deadline, input validation), and the executor returns to
 /// the cache. Each request gets its own by-value ExecReport carrying
 /// exactly its counts; the service aggregates those per-request
 /// snapshots itself (stats().Counters).
@@ -68,7 +68,7 @@ struct ServiceOptions {
 /// One execution request: a declared einsum (formats, fills, symmetries
 /// set on the declarations), the tensors to run it over, and the
 /// execution options. The structural options select/key the compiled
-/// plan; Cancel / DeadlineMs / ValidateInputs / Tracing apply to this
+/// plan; Cancel / DeadlineMs / ValidateInputs apply to this
 /// request only. Bound tensors must outlive the request's completion.
 struct KernelRequest {
   std::string Label; ///< for logs/benches; not part of the cache key

@@ -25,7 +25,7 @@ std::string PlanCache::makeKey(const Einsum &E,
     Key += "]:" + std::to_string(T->fill());
   }
   // Structural options only — the per-request knobs (cancel, deadline,
-  // tracing, validation) are adopted at rebind.
+  // validation) are adopted at rebind.
   Key += ";opts " + structuralOptionsSummary(O);
   return Key;
 }

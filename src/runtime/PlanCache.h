@@ -17,7 +17,7 @@
 ///  - the structural ExecOptions (structuralOptionsSummary): threads,
 ///    schedule, privatization budget, block width, sparse walk, bound
 ///    lifting, and the resolved engine list.
-/// Per-request knobs — cancellation token, deadline, tracing, input
+/// Per-request knobs — cancellation token, deadline, input
 /// validation — are deliberately NOT part of the key; Executor::rebind
 /// adopts them per request.
 ///

@@ -350,10 +350,11 @@ inline Tensor run(const Kernel &K, FuzzCase &F,
   for (auto &[Name, T] : F.Inputs)
     E.bind(Name, &T);
   E.bind("O", &Out);
-  E.prepare();
-  E.run();
+  obs::ExecReport Rep;
+  EXPECT_TRUE(E.tryPrepare().ok());
+  EXPECT_TRUE(E.tryRun(&Rep).ok());
   if (Counts)
-    *Counts = E.lastReport().Counters;
+    *Counts = Rep.Counters;
   return Out;
 }
 

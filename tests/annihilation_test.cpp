@@ -204,10 +204,11 @@ RunResult runKernel(const Kernel &K, std::map<std::string, Tensor> &Inputs,
     E.bind(Name, &T);
   E.bind(OutName, &R.Out);
   setCountersEnabled(true);
-  E.prepare();
-  E.run();
+  obs::ExecReport Rep;
+  EXPECT_TRUE(E.tryPrepare().ok());
+  EXPECT_TRUE(E.tryRun(&Rep).ok());
   R.Stats = E.microKernelStats();
-  R.Counters = E.lastReport().Counters;
+  R.Counters = Rep.Counters;
   return R;
 }
 

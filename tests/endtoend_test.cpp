@@ -97,10 +97,11 @@ Tensor runKernel(const Kernel &K, Workload &W,
   for (auto &[Name, T] : W.Inputs)
     E.bind(Name, &T);
   E.bind(W.E.Output->tensorName(), &Out);
-  E.prepare();
-  E.run();
+  obs::ExecReport Rep;
+  EXPECT_TRUE(E.tryPrepare().ok());
+  EXPECT_TRUE(E.tryRun(&Rep).ok());
   if (Counts)
-    *Counts = E.lastReport().Counters;
+    *Counts = Rep.Counters;
   return Out;
 }
 
@@ -417,8 +418,8 @@ TEST(Formats, InvisibleContractionSymmetryEndToEnd) {
 }
 
 TEST(Formats, EpilogueSeparateFromBody) {
-  // runBody leaves the non-canonical triangle untouched; runEpilogue
-  // completes it (the paper times them separately).
+  // tryRunBody leaves the non-canonical triangle untouched;
+  // tryRunEpilogue completes it (the paper times them separately).
   Workload W = makeWorkload("ssyrk", 37, 2);
   CompileResult R = compileEinsum(W.E);
   Tensor Out = Tensor::dense(W.OutDims, 0.0);
@@ -426,8 +427,8 @@ TEST(Formats, EpilogueSeparateFromBody) {
   for (auto &[Name, T] : W.Inputs)
     E.bind(Name, &T);
   E.bind("C", &Out);
-  E.prepare();
-  E.runBody();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRunBody().ok());
   // Lower triangle still zero somewhere nonzero in the reference.
   Tensor Ref = oracle(W);
   bool LowerIncomplete = false;
@@ -436,6 +437,6 @@ TEST(Formats, EpilogueSeparateFromBody) {
       if (Ref.at({I, J}) != 0.0 && Out.at({I, J}) == 0.0)
         LowerIncomplete = true;
   EXPECT_TRUE(LowerIncomplete);
-  E.runEpilogue();
+  ASSERT_TRUE(E.tryRunEpilogue().ok());
   EXPECT_LT(Tensor::maxAbsDiff(Out, Ref), tolFor(W));
 }

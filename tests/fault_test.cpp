@@ -10,7 +10,9 @@
 /// carries the "fault" ctest label and runs under ASan/UBSan in CI).
 /// Also pins the cooperative cancellation/deadline semantics: aborted
 /// runs return Cancelled / DeadlineExceeded, restore their outputs, and
-/// surface the reason in ExecReport::AbortReason.
+/// surface the reason in ExecReport::AbortReason. Every malformed-kernel
+/// rule, and a null binding, comes back from tryPrepare as a typed
+/// Status.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -196,17 +198,18 @@ TEST(HardenedExecution, PreCancelledTokenAbortsAndRestoresOutput) {
       Status S = Ex.tryPrepare();
       ASSERT_TRUE(S.ok()) << S.str();
     }
-    Status S = Ex.tryRunBody();
+    obs::ExecReport Rep;
+    Status S = Ex.tryRunBody(&Rep);
     ASSERT_FALSE(S.ok());
     EXPECT_EQ(S.code(), ErrCode::Cancelled);
-    EXPECT_EQ(Ex.lastReport().AbortReason, "cancelled");
+    EXPECT_EQ(Rep.AbortReason, "cancelled");
     EXPECT_EQ(Out.vals(), Before) << "partial writes not discarded";
 
     // The token is reusable: reset and the same executor completes.
     Tok.reset();
-    Status S2 = Ex.tryRun();
+    Status S2 = Ex.tryRun(&Rep);
     EXPECT_TRUE(S2.ok()) << S2.str();
-    EXPECT_TRUE(Ex.lastReport().AbortReason.empty());
+    EXPECT_TRUE(Rep.AbortReason.empty());
   }
 }
 
@@ -237,13 +240,14 @@ TEST(HardenedExecution, TightDeadlineEitherCompletesOrAbortsCleanly) {
     Ex.bind(Name, &T);
   Ex.bind("O", &Out);
   ASSERT_TRUE(Ex.tryPrepare().ok());
-  Status S = Ex.tryRunBody();
+  obs::ExecReport Rep;
+  Status S = Ex.tryRunBody(&Rep);
   if (!S.ok()) {
     EXPECT_EQ(S.code(), ErrCode::DeadlineExceeded);
-    EXPECT_EQ(Ex.lastReport().AbortReason, "deadline-exceeded");
+    EXPECT_EQ(Rep.AbortReason, "deadline-exceeded");
     EXPECT_EQ(Out.vals(), Before);
   } else {
-    EXPECT_TRUE(Ex.lastReport().AbortReason.empty());
+    EXPECT_TRUE(Rep.AbortReason.empty());
   }
 }
 
@@ -285,4 +289,78 @@ TEST(HardenedExecution, MalformedKernelInputsReturnTypedStatus) {
   Status S = Ex.tryPrepare();
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.code(), ErrCode::UnboundTensor);
+  EXPECT_EQ(Ex.tryRunBody().code(), ErrCode::InvalidArgument)
+      << "a rejected executor must stay unprepared";
+
+  // The other rules plan compilation checks a kernel against its
+  // bindings, one violation per case, over y[i] += A[i,j] * x[j] (8x8
+  // CSC A), plus a null binding: each is a typed Status from tryPrepare
+  // that leaves the executor unprepared.
+  Tensor A = makeMatrix(TensorFormat::csf(2));
+  Tensor X = Tensor::dense({8}), Y = Tensor::dense({8});
+  Tensor X2d = Tensor::dense({8, 8}), X5 = Tensor::dense({5});
+  Coo YCoo({8});
+  YCoo.add({3}, 1.0);
+  Tensor YSparse =
+      Tensor::fromCoo(std::move(YCoo), TensorFormat{{LevelKind::Sparse}});
+  auto Spmv = [](StmtPtr Inner) {
+    return Stmt::loops({"j", "i"}, std::move(Inner));
+  };
+  const StmtPtr Update = Stmt::assign(
+      Expr::access("y", {"i"}), OpKind::Add,
+      Expr::call(OpKind::Mul,
+                 {Expr::access("A", {"i", "j"}), Expr::access("x", {"j"})}));
+  struct Case {
+    const char *Name;
+    StmtPtr Body, Epilogue;
+    std::map<std::string, Tensor *> Bind;
+    ErrCode Code;
+    const char *Message; ///< names the rule, so no case trips another
+  };
+  const Case Cases[] = {
+      {"unbound replicate target", Spmv(Update),
+       Stmt::replicate("C", Partition::full(2)),
+       {{"A", &A}, {"x", &X}, {"y", &Y}}, ErrCode::UnboundTensor,
+       "replicates unbound tensor C"},
+      {"non-dense replicate target", Spmv(Update),
+       Stmt::replicate("C", Partition::full(2)),
+       {{"A", &A}, {"x", &X}, {"y", &Y}, {"C", &A}},
+       ErrCode::InvalidArgument, "replicate requires a dense output"},
+      {"arity mismatch", Spmv(Update), nullptr,
+       {{"A", &A}, {"x", &X2d}, {"y", &Y}}, ErrCode::InvalidArgument,
+       "arity mismatch"},
+      {"inconsistent extents", Spmv(Update), nullptr,
+       {{"A", &A}, {"x", &X5}, {"y", &Y}}, ErrCode::InvalidArgument,
+       "index j has inconsistent extents"},
+      {"non-dense write target", Spmv(Update), nullptr,
+       {{"A", &A}, {"x", &X}, {"y", &YSparse}}, ErrCode::InvalidArgument,
+       "output tensor y must be dense for writes"},
+      {"condition on never-bound indices",
+       Spmv(Stmt::ifThen(Cond::atom(CmpKind::LE, "k", "i"), Update)),
+       nullptr, {{"A", &A}, {"x", &X}, {"y", &Y}},
+       ErrCode::InvalidArgument, "indices that are never bound"},
+      {"loop index with no extent", Spmv(Stmt::loop("k", Update)), nullptr,
+       {{"A", &A}, {"x", &X}, {"y", &Y}}, ErrCode::InvalidArgument,
+       "loop index k has no known extent"},
+      {"null binding", Spmv(Update), nullptr,
+       {{"A", &A}, {"x", &X}, {"y", nullptr}}, ErrCode::InvalidArgument,
+       "null tensor under y"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    Kernel K;
+    K.Name = "malformed";
+    K.OutputName = "y";
+    K.Body = C.Body;
+    K.Epilogue = C.Epilogue;
+    Executor Bad(K, ExecOptions());
+    for (const auto &[Name, T] : C.Bind)
+      Bad.bind(Name, T);
+    Status PS = Bad.tryPrepare();
+    ASSERT_FALSE(PS.ok());
+    EXPECT_EQ(PS.code(), C.Code) << PS.str();
+    EXPECT_NE(PS.message().find(C.Message), std::string::npos) << PS.str();
+    EXPECT_EQ(Bad.tryRunBody().code(), ErrCode::InvalidArgument)
+        << "a rejected executor must stay unprepared";
+  }
 }

@@ -94,10 +94,11 @@ compareEngines(const Kernel &K,
     Executor E(K, O);
     Tensor &Out = Fused ? OutFused : OutGeneric;
     Bind(E, Out);
-    E.prepare();
+    obs::ExecReport Rep;
+    EXPECT_TRUE(E.tryPrepare().ok());
     setCountersEnabled(true);
-    E.run();
-    (Fused ? SnapFused : SnapGeneric) = E.lastReport().Counters;
+    EXPECT_TRUE(E.tryRun(&Rep).ok());
+    (Fused ? SnapFused : SnapGeneric) = Rep.Counters;
     if (Fused)
       Stats = E.microKernelStats();
   }
@@ -286,13 +287,13 @@ TEST(MicroKernels, AblationSwitchReportsStats) {
   Off.Engines = {Engine::Interp};
   Executor EOff(spmvKernel(), Off);
   EOff.bind("A", &A).bind("x", &X).bind("y", &Y);
-  EOff.prepare();
+  ASSERT_TRUE(EOff.tryPrepare().ok());
   EXPECT_EQ(EOff.microKernelStats().SpecializedLoops, 0u);
   EXPECT_EQ(EOff.microKernelStats().GenericLoops, 2u);
 
   Executor EOn(spmvKernel());
   EOn.bind("A", &A).bind("x", &X).bind("y", &Y);
-  EOn.prepare();
+  ASSERT_TRUE(EOn.tryPrepare().ok());
   EXPECT_EQ(EOn.microKernelStats().SpecializedLoops, 2u);
   EXPECT_EQ(EOn.microKernelStats().GenericLoops, 0u);
 }
@@ -322,8 +323,8 @@ TEST(ExpressionVm, DeepExpressionUsesHeapStack) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("b", &B).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   const double Expected = 1.0 + std::pow(2.0, 40) + std::pow(0.5, 40);
   EXPECT_DOUBLE_EQ(Y.at({0}), Expected);
 }
@@ -351,10 +352,11 @@ TEST(ExpressionVm, LocatorMatchesRandomAccess) {
     Executor E(K, O);
     Tensor Y = Tensor::dense({1});
     E.bind("A", &A).bind("y", &Y);
-    E.prepare();
-    E.run();
+    obs::ExecReport Rep;
+    ASSERT_TRUE(E.tryPrepare().ok());
+    ASSERT_TRUE(E.tryRun(&Rep).ok());
     EXPECT_DOUBLE_EQ(Y.at({0}), Sum) << "walk=" << Walk;
-    EXPECT_GT(E.lastReport().Counters.SparseReads, 0u);
+    EXPECT_GT(Rep.Counters.SparseReads, 0u);
   }
 }
 
@@ -678,11 +680,12 @@ TEST(MicroKernels, PrebindDeterministicAcrossTaskRanges) {
       Executor Ex(R.Naive, O);
       Tensor Out = Tensor::dense({N});
       Ex.bind("A", &A).bind("B", &B).bind("O", &Out);
-      Ex.prepare();
+      ASSERT_TRUE(Ex.tryPrepare().ok());
       EXPECT_GT(Ex.microKernelStats().PrebindSlots, 0u);
       setCountersEnabled(true);
-      Ex.run();
-      CounterSnapshot Snap = Ex.lastReport().Counters;
+      obs::ExecReport Rep;
+      ASSERT_TRUE(Ex.tryRun(&Rep).ok());
+      CounterSnapshot Snap = Rep.Counters;
       if (!Have) {
         First = std::move(Out);
         FirstSnap = Snap;
@@ -745,11 +748,12 @@ struct SsyrkFixture {
     Executor E(K, O);
     Tensor Out = Tensor::dense({N, N});
     E.bind("A", &A).bind("C", &Out);
-    E.prepare();
+    obs::ExecReport Rep;
+    EXPECT_TRUE(E.tryPrepare().ok());
     Stats = E.microKernelStats();
     setCountersEnabled(true);
-    E.run();
-    Snap = E.lastReport().Counters;
+    EXPECT_TRUE(E.tryRun(&Rep).ok());
+    Snap = Rep.Counters;
     return Out;
   }
 };
@@ -846,13 +850,14 @@ TEST(BlockedEngine, EmptyColumnsAndEmptyFiber) {
       Tensor OutI = Tensor::dense({4, 4}), OutB = Tensor::dense({4, 4});
       EI.bind("A", &A).bind("C", &OutI);
       EB.bind("A", &A).bind("C", &OutB);
-      EI.prepare();
-      EB.prepare();
+      ASSERT_TRUE(EI.tryPrepare().ok());
+      ASSERT_TRUE(EB.tryPrepare().ok());
       setCountersEnabled(true);
-      EI.run();
-      SI = EI.lastReport().Counters;
-      EB.run();
-      SB = EB.lastReport().Counters;
+      obs::ExecReport RepI, RepB;
+      ASSERT_TRUE(EI.tryRun(&RepI).ok());
+      SI = RepI.Counters;
+      ASSERT_TRUE(EB.tryRun(&RepB).ok());
+      SB = RepB.Counters;
       expectBitIdentical(OutI, OutB, "gappy blocked ssyrk");
       expectCountersEqual(SI, SB, "gappy blocked ssyrk");
     }
@@ -881,11 +886,12 @@ TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
     Executor Ex(R.Optimized, O);
     Tensor Out = Tensor::dense({N, KD});
     Ex.bind("A", &A).bind("B", &B).bind("C", &Out);
-    Ex.prepare();
+    obs::ExecReport Rep;
+    EXPECT_TRUE(Ex.tryPrepare().ok());
     Stats = Ex.microKernelStats();
     setCountersEnabled(true);
-    Ex.run();
-    Snap = Ex.lastReport().Counters;
+    EXPECT_TRUE(Ex.tryRun(&Rep).ok());
+    Snap = Rep.Counters;
     return Out;
   };
   ExecOptions Interp;

@@ -63,12 +63,15 @@ struct SsymvFixture {
     A = generateSymmetricTensor(2, N, 8 * N, R, TensorFormat::csf(2));
     X = generateDenseVector(N, R);
     E.bind("A", &A).bind("x", &X).bind("y", &Y);
-    E.prepare();
+    EXPECT_TRUE(E.tryPrepare().ok());
   }
 
-  void run() {
+  /// Runs once from a zeroed output; returns the run's report.
+  obs::ExecReport run() {
     Y.setAllValues(0.0);
-    E.run();
+    obs::ExecReport Rep;
+    EXPECT_TRUE(E.tryRun(&Rep).ok());
+    return Rep;
   }
 };
 
@@ -342,10 +345,9 @@ TEST(PoolActivity, TracedBatchEmitsPoolSpans) {
 TEST(ExecReport, CarriesPhasesLoopsAndCounters) {
   TracingGuard G(true); // loop aggregates populate only when tracing
   SsymvFixture F(ExecOptions{});
-  F.run();
+  const obs::ExecReport R = F.run();
   obs::setTracingEnabled(false);
 
-  const obs::ExecReport &R = F.E.lastReport();
   for (const char *Phase :
        {"materialize", "plan-compile", "specialize", "execute", "merge"})
     EXPECT_TRUE([&] {
@@ -372,8 +374,8 @@ TEST(ExecReport, CarriesPhasesLoopsAndCounters) {
 
   // The report's counters are exactly this run's deltas.
   EXPECT_GT(R.Counters.SparseReads + R.Counters.ScalarOps, 0u);
-  EXPECT_NE(R.Options.find("tracing=off"), std::string::npos)
-      << "fixture options are default except the process flag";
+  EXPECT_NE(R.Options.find("validate=none"), std::string::npos)
+      << "fixture options are the defaults";
 
   // toJson mentions every section.
   const std::string Json = R.toJson();
@@ -389,18 +391,16 @@ TEST(ExecReport, DisabledTracingZeroEventsAndCounterParity) {
   {
     TracingGuard G(true);
     SsymvFixture F(ExecOptions{}, /*N=*/150, /*Seed=*/3);
-    F.run();
-    TracedCounters = F.E.lastReport().Counters;
+    TracedCounters = F.run().Counters;
   }
   // Identical run with tracing off: no new events, same counters.
   {
     TracingGuard G(false);
     const uint64_t Events = obs::traceEventCount();
     SsymvFixture F(ExecOptions{}, /*N=*/150, /*Seed=*/3);
-    F.run();
+    const obs::ExecReport R = F.run();
     EXPECT_EQ(obs::traceEventCount(), Events)
         << "disabled tracing must not emit events";
-    const obs::ExecReport &R = F.E.lastReport();
     EXPECT_EQ(R.Counters.SparseReads, TracedCounters.SparseReads);
     EXPECT_EQ(R.Counters.Reductions, TracedCounters.Reductions);
     EXPECT_EQ(R.Counters.ScalarOps, TracedCounters.ScalarOps);
@@ -421,8 +421,7 @@ TEST(ExecReport, StructureKeyInvariantAcrossThreads) {
     ExecOptions O;
     O.Threads = Threads;
     SsymvFixture F(O, /*N=*/300, /*Seed=*/11);
-    F.run();
-    const obs::ExecReport &R = F.E.lastReport();
+    const obs::ExecReport R = F.run();
     Keys.push_back(R.structureKey());
     if (Threads > 1) {
       // Pooled runs carry per-worker activity; the run's tasks all
@@ -440,13 +439,10 @@ TEST(ExecReport, StructureKeyInvariantAcrossThreads) {
   EXPECT_EQ(Keys[1], Keys[2]);
 }
 
-TEST(ExecReport, TracingOptionTurnsTheProcessFlagOn) {
-  TracingGuard G(false);
+TEST(ExecReport, TracingFlagRecordsPhaseAndLoopSpans) {
+  TracingGuard G(true);
   obs::clearTrace();
-  ExecOptions O;
-  O.Tracing = true;
-  SsymvFixture F(O, /*N=*/100, /*Seed=*/5);
-  EXPECT_TRUE(obs::tracingEnabled()) << "prepare() flips the flag";
+  SsymvFixture F(ExecOptions{}, /*N=*/100, /*Seed=*/5);
   F.run();
   obs::setTracingEnabled(false);
 
@@ -462,6 +458,4 @@ TEST(ExecReport, TracingOptionTurnsTheProcessFlagOn) {
     }
   EXPECT_TRUE(SawExecute);
   EXPECT_TRUE(SawLoop);
-  EXPECT_NE(F.E.lastReport().Options.find("tracing=on"),
-            std::string::npos);
 }

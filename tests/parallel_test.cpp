@@ -391,10 +391,11 @@ Tensor runKernel(const Kernel &K, DetCase &C, const ExecOptions &O,
   for (auto &[Name, T] : C.Inputs)
     E.bind(Name, &T);
   E.bind(C.E.Output->tensorName(), &Out);
-  E.prepare();
-  E.run();
+  obs::ExecReport Rep;
+  EXPECT_TRUE(E.tryPrepare().ok());
+  EXPECT_TRUE(E.tryRun(&Rep).ok());
   if (Counts)
-    *Counts = E.lastReport().Counters;
+    *Counts = Rep.Counters;
   return Out;
 }
 
@@ -448,8 +449,8 @@ TEST(Determinism, RealValuedWithinTolerance) {
   {
     Executor E(C.Optimized);
     E.bind("A", &A).bind("x", &X).bind("y", &Ref);
-    E.prepare();
-    E.run();
+    ASSERT_TRUE(E.tryPrepare().ok());
+    ASSERT_TRUE(E.tryRun().ok());
   }
   for (unsigned Threads : {2u, 8u}) {
     Tensor Y = Tensor::dense({N});
@@ -457,8 +458,8 @@ TEST(Determinism, RealValuedWithinTolerance) {
     O.Threads = Threads;
     Executor E(C.Optimized, O);
     E.bind("A", &A).bind("x", &X).bind("y", &Y);
-    E.prepare();
-    E.run();
+    ASSERT_TRUE(E.tryPrepare().ok());
+    ASSERT_TRUE(E.tryRun().ok());
     EXPECT_LE(Tensor::maxAbsDiff(Ref, Y), 1e-10);
   }
 }
@@ -522,8 +523,8 @@ TEST(ParallelRuntime, SparseTopLevelWalkerSplits) {
     O.Threads = Threads;
     Executor E(K, O);
     E.bind("r", &Rt).bind("y", &Y);
-    E.prepare();
-    E.run();
+    ASSERT_TRUE(E.tryPrepare().ok());
+    ASSERT_TRUE(E.tryRun().ok());
     EXPECT_EQ(Y.at({0}), Total) << "threads " << Threads;
   }
 }
@@ -588,9 +589,10 @@ TEST(ParallelRuntime, ReplicateEpilogueThreadedViaExecutor) {
   {
     Executor E(C.Optimized);
     E.bind("A", &A).bind("C", &Seq);
-    E.prepare();
-    E.run();
-    SeqSnap = E.lastReport().Counters;
+    obs::ExecReport Rep;
+    ASSERT_TRUE(E.tryPrepare().ok());
+    ASSERT_TRUE(E.tryRun(&Rep).ok());
+    SeqSnap = Rep.Counters;
   }
   for (unsigned Threads : {2u, 4u}) {
     Tensor Par = Tensor::dense({30, 30});
@@ -598,9 +600,10 @@ TEST(ParallelRuntime, ReplicateEpilogueThreadedViaExecutor) {
     O.Threads = Threads;
     Executor E(C.Optimized, O);
     E.bind("A", &A).bind("C", &Par);
-    E.prepare();
-    E.run();
-    ParSnap = E.lastReport().Counters;
+    obs::ExecReport Rep;
+    ASSERT_TRUE(E.tryPrepare().ok());
+    ASSERT_TRUE(E.tryRun(&Rep).ok());
+    ParSnap = Rep.Counters;
     EXPECT_EQ(SeqSnap.OutputWrites, ParSnap.OutputWrites)
         << "threads " << Threads;
     EXPECT_EQ(Tensor::maxAbsDiff(Seq, Par), 0.0) << "threads " << Threads;

@@ -86,9 +86,9 @@ Tensor runOnce(const Kernel &K, SmokeCase &C, bool Fused,
   for (auto &[Name, T] : C.Inputs)
     E.bind(Name, &T);
   E.bind(C.OutName, &Out);
-  E.prepare();
+  EXPECT_TRUE(E.tryPrepare().ok());
   Stats = E.microKernelStats();
-  E.run();
+  EXPECT_TRUE(E.tryRun().ok());
   return Out;
 }
 
@@ -467,7 +467,7 @@ TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
       for (auto &[Name, T] : C.Inputs)
         E.bind(Name, &T);
       E.bind(C.OutName, &Out);
-      E.prepare();
+      ASSERT_TRUE(E.tryPrepare().ok());
       const MicroKernelStats &Stats = E.microKernelStats();
       EXPECT_EQ(Stats.GenericLoops, 0u)
           << "blocking must not cost full fusion";
@@ -479,8 +479,9 @@ TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
         EXPECT_EQ(Stats.BlockedLoops, 0u);
       }
       setCountersEnabled(true);
-      E.run();
-      const CounterSnapshot &Snap = E.lastReport().Counters;
+      obs::ExecReport Rep;
+      ASSERT_TRUE(E.tryRun(&Rep).ok());
+      const CounterSnapshot &Snap = Rep.Counters;
       if (Blocking) {
         EXPECT_GT(Snap.FusedBlockedPanels, 0u)
             << "the blocked engine must actually execute panels";
@@ -509,14 +510,14 @@ TEST(PerfSmoke, TracingOverheadBounded) {
   CompileResult C = compileEinsum(makeSsymv());
   Executor E(C.Optimized);
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
-  E.prepare();
+  ASSERT_TRUE(E.tryPrepare().ok());
 
   auto MedianMs = [&] {
     std::vector<double> Ms;
     for (int I = 0; I < 7; ++I) {
       Y.setAllValues(0.0);
       const uint64_t T0 = obs::nowNs();
-      E.runBody();
+      EXPECT_TRUE(E.tryRunBody().ok());
       Ms.push_back((obs::nowNs() - T0) / 1e6);
     }
     std::sort(Ms.begin(), Ms.end());
@@ -567,18 +568,20 @@ TEST(PerfSmoke, ValidationOffHasZeroHotPathCost) {
     O.ValidateInputs = VL;
     Executor E(C.Optimized, O);
     E.bind("A", &A).bind("x", &X).bind("y", &Y);
-    E.prepare();
-    for (const obs::PhaseStat &P : E.lastReport().Phases)
-      if (VL == ValidationLevel::None)
-        EXPECT_NE(P.Name, "validate")
-            << "hot-path default must not even time a validation phase";
+    ASSERT_TRUE(E.tryPrepare().ok());
     setCountersEnabled(true);
     for (int I = 0; I < 7; ++I) {
       Y.setAllValues(0.0);
+      obs::ExecReport Rep;
       const uint64_t T0 = obs::nowNs();
-      E.runBody();
+      ASSERT_TRUE(E.tryRunBody(&Rep).ok());
       Ms.push_back((obs::nowNs() - T0) / 1e6);
-      obs::addCounters(Snap, E.lastReport().Counters);
+      obs::addCounters(Snap, Rep.Counters);
+      if (VL == ValidationLevel::None) {
+        for (const obs::PhaseStat &P : Rep.Phases)
+          EXPECT_NE(P.Name, "validate")
+              << "hot-path default must not even time a validation phase";
+      }
     }
   };
 

@@ -63,8 +63,8 @@ TEST(Executor, SpmvWithWalker) {
   Tensor Y = Tensor::dense({3});
   Executor E(spmvKernel());
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 1 * 1 + 2 * 3.0);
   EXPECT_EQ(Y.at({1}), 3 * 2.0);
   EXPECT_EQ(Y.at({2}), 4 * 1 + 5 * 3.0);
@@ -76,14 +76,14 @@ TEST(Executor, SpmvOracleModeMatches) {
   Tensor Y1 = Tensor::dense({3}), Y2 = Tensor::dense({3});
   Executor E1(spmvKernel());
   E1.bind("A", &A).bind("x", &X).bind("y", &Y1);
-  E1.prepare();
-  E1.run();
+  ASSERT_TRUE(E1.tryPrepare().ok());
+  ASSERT_TRUE(E1.tryRun().ok());
   ExecOptions NoWalk;
   NoWalk.EnableSparseWalk = false;
   Executor E2(spmvKernel(), NoWalk);
   E2.bind("A", &A).bind("x", &X).bind("y", &Y2);
-  E2.prepare();
-  E2.run();
+  ASSERT_TRUE(E2.tryPrepare().ok());
+  ASSERT_TRUE(E2.tryRun().ok());
   EXPECT_EQ(Tensor::maxAbsDiff(Y1, Y2), 0.0);
 }
 
@@ -94,10 +94,11 @@ TEST(Executor, WalkerCountsSparseReads) {
   setCountersEnabled(true);
   Executor E(spmvKernel());
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
-  E.prepare();
-  E.run();
-  EXPECT_EQ(E.lastReport().Counters.SparseReads, 5u);
-  EXPECT_EQ(E.lastReport().Counters.Reductions, 5u);
+  obs::ExecReport Rep;
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun(&Rep).ok());
+  EXPECT_EQ(Rep.Counters.SparseReads, 5u);
+  EXPECT_EQ(Rep.Counters.Reductions, 5u);
 }
 
 TEST(Executor, CountersCanBeDisabled) {
@@ -107,10 +108,11 @@ TEST(Executor, CountersCanBeDisabled) {
   setCountersEnabled(false);
   Executor E(spmvKernel());
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
-  E.prepare();
-  E.run();
+  obs::ExecReport Rep;
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun(&Rep).ok());
   setCountersEnabled(true);
-  EXPECT_EQ(E.lastReport().Counters.SparseReads, 0u);
+  EXPECT_EQ(Rep.Counters.SparseReads, 0u);
 }
 
 TEST(Executor, BoundLiftingUpperTriangle) {
@@ -130,12 +132,13 @@ TEST(Executor, BoundLiftingUpperTriangle) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  obs::ExecReport Rep;
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun(&Rep).ok());
   // Upper entries: (0,0)=1, (1,1)=3, (0,2)=2, (2,2)=5 -> sum 11.
   EXPECT_EQ(Y.at({0}), 11.0);
   // The walker visited only the four upper-triangle entries.
-  EXPECT_EQ(E.lastReport().Counters.SparseReads, 4u);
+  EXPECT_EQ(Rep.Counters.SparseReads, 4u);
 }
 
 TEST(Executor, BoundLiftingDisabledStillCorrect) {
@@ -156,8 +159,8 @@ TEST(Executor, BoundLiftingDisabledStillCorrect) {
   NoLift.EnableBoundLifting = false;
   Executor E(K, NoLift);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 11.0);
 }
 
@@ -178,8 +181,8 @@ TEST(Executor, EqualityPointLoop) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 1 + 3 + 5.0);
 }
 
@@ -199,8 +202,8 @@ TEST(Executor, ConditionSinkingSafetyNet) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 11.0);
 }
 
@@ -222,8 +225,8 @@ TEST(Executor, ScalarWorkspace) {
   Tensor Y = Tensor::dense({3});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 5.0);
   EXPECT_EQ(Y.at({1}), 3.0);
   EXPECT_EQ(Y.at({2}), 7.0);
@@ -241,8 +244,8 @@ TEST(Executor, MultiplicityAdd) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 3 * 15.0);
 }
 
@@ -271,8 +274,8 @@ TEST(Executor, MultiplicityIdempotentCollapses) {
   Y.setAllValues(std::numeric_limits<double>::infinity());
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 1.0);
 }
 
@@ -293,8 +296,8 @@ TEST(Executor, LutSelectsFactor) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   // Off-diagonal: 4 + 2 = 6; diagonal: 1 + 3 + 5 = 9.
   EXPECT_EQ(Y.at({0}), 10 * 6 + 100 * 9.0);
 }
@@ -313,8 +316,8 @@ TEST(Executor, ReplicateEpilogue) {
   C.denseRef({1, 1}) = 4;
   Executor E(K);
   E.bind("C", &C);
-  E.prepare();
-  E.runEpilogue();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRunEpilogue().ok());
   EXPECT_EQ(C.at({1, 0}), 7.0);
   EXPECT_EQ(C.at({2, 0}), 8.0);
   EXPECT_EQ(C.at({2, 1}), 9.0);
@@ -339,8 +342,8 @@ TEST(Executor, TransposeRequestMaterializes) {
   Tensor Y = Tensor::dense({3});
   Executor E(K);
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 7.0);
   EXPECT_EQ(Y.at({1}), 6.0);
   EXPECT_EQ(Y.at({2}), 19.0);
@@ -369,8 +372,8 @@ TEST(Executor, SplitRequestMaterializes) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 9.0 + 100 * 6.0);
 }
 
@@ -394,8 +397,8 @@ TEST(Executor, TwoWalkersIntersect) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("B", &B).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 1 * 10 + 5 * 2.0);
 }
 
@@ -416,8 +419,8 @@ TEST(Executor, NonConcordantSparseAccessFallsBackToLocate) {
   Tensor Y = Tensor::dense({3});
   Executor E(K);
   E.bind("A", &A).bind("x", &X).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 7.0);
   EXPECT_EQ(Y.at({1}), 6.0);
   EXPECT_EQ(Y.at({2}), 19.0);
@@ -444,8 +447,8 @@ TEST(Executor, MinPlusSemiring) {
   Tensor Y = vec3(Inf, Inf, Inf);
   Executor E(K);
   E.bind("A", &A).bind("d", &D).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), Inf);
   EXPECT_EQ(Y.at({1}), 2.0);
   EXPECT_EQ(Y.at({2}), 11.0);
@@ -468,8 +471,8 @@ TEST(Executor, RleInputDrivesLoop) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("r", &Rle).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 11.0);
 }
 
@@ -493,7 +496,7 @@ TEST(Executor, BandedInputDrivesLoop) {
   Tensor Y = Tensor::dense({1});
   Executor E(K);
   E.bind("A", &A).bind("y", &Y);
-  E.prepare();
-  E.run();
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), Total);
 }

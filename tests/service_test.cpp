@@ -120,8 +120,8 @@ Tensor soloRun(Workload &W, ExecOptions Options = ExecOptions()) {
   for (auto &[Name, T] : W.Inputs)
     E.bind(Name, &T);
   E.bind(W.E.Output->tensorName(), &Out);
-  E.prepare();
-  E.run();
+  EXPECT_TRUE(E.tryPrepare().ok());
+  EXPECT_TRUE(E.tryRun().ok());
   return Out;
 }
 
