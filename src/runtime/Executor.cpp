@@ -139,8 +139,8 @@ private:
 
   /// Records every index extent and checks each access and target
   /// against its binding: bound, arity equal to the tensor's order,
-  /// extents consistent across accesses, writes and replications into
-  /// dense tensors.
+  /// extents consistent across accesses, writes into dense tensors, and
+  /// replication targets that pass checkReplicateTarget.
   void collectExtents(const StmtPtr &S) {
     Stmt::walk(S, [this](const StmtPtr &Node) {
       std::vector<ExprPtr> Accesses;
@@ -156,10 +156,10 @@ private:
           fail(ErrCode::UnboundTensor, "kernel '" + E.K.Name +
                                            "' replicates unbound tensor " +
                                            Node->tensorName());
-        else if (!T->format().isAllDense())
-          fail(ErrCode::InvalidArgument,
-               "replicate requires a dense output (tensor " +
-                   Node->tensorName() + " is " + T->format().str() + ")");
+        else if (Status S = checkReplicateTarget(*T, Node->outputSymmetry());
+                 !S.ok())
+          fail(S.code(), "kernel '" + E.K.Name + "' replicates tensor " +
+                             Node->tensorName() + ": " + S.message());
       }
       for (const ExprPtr &A : Accesses) {
         const Tensor *T = E.lookup(A->tensorName());

@@ -608,47 +608,116 @@ double Tensor::maxAbsDiff(const Tensor &A, const Tensor &B) {
 
 namespace {
 
-/// Replicates the canonical triangle into every non-canonical
-/// coordinate whose outer-mode value lies in [Lo, Hi]. Returns the
-/// number of copies. Writes touch only non-canonical coordinates and
-/// reads touch only canonical ones, so disjoint outer ranges never
-/// conflict.
+/// Replicates the canonical triangle into every non-canonical cell
+/// whose mode-0 coordinate lies in [Lo, Hi] and returns the number of
+/// copies. A row is one tuple of coordinates of modes 1..n-1. Once per
+/// row, every part fixes its canonical check and its term of the source
+/// offset, with mode 0's own part ranking only its other modes (sorted
+/// as W). Those coordinates split the row into |part| segments: in
+/// segment r, mode 0's coordinate c has rank r in its part, so the
+/// canonical source of cell c is Src + c * stride(mode at rank r), one
+/// strided copy. Segment 0 (c <= W[0]) of a canonical row is the
+/// canonical part of the row and is skipped. Writes touch only
+/// non-canonical cells and reads only canonical ones, so disjoint
+/// mode-0 ranges never conflict.
 uint64_t replicateRange(Tensor &T, const Partition &Sym, int64_t Lo,
                         int64_t Hi) {
   const unsigned N = T.order();
+  // Column-major strides, as in Tensor::denseRef: mode 0 is contiguous.
+  std::vector<int64_t> Stride(N);
+  int64_t Cells = 1;
+  for (unsigned M = 0; M < N; ++M) {
+    Stride[M] = Cells;
+    Cells *= T.dim(M);
+  }
+  if (Cells == 0 || Lo > Hi)
+    return 0;
+  const std::vector<std::vector<unsigned>> &Parts = Sym.parts();
+  const unsigned HeadPart = Sym.partOf(0);
+  const std::vector<unsigned> &Head = Parts[HeadPart]; // Head[0] == 0
+  const size_t K = Head.size() - 1;
+  std::vector<int64_t> Coords(N, 0), Sorted(N), W(K);
+  double *V = T.valsData();
   uint64_t Copies = 0;
-  std::vector<int64_t> Coords(N, 0);
-  std::function<void(unsigned)> Walk = [&](unsigned M) {
-    if (M == N) {
-      if (!Sym.isCanonical(Coords)) {
-        T.denseRef(Coords) = T.at(Sym.canonicalize(Coords));
-        ++Copies;
+  for (int64_t Row = 0; Row < Cells; Row += T.dim(0)) {
+    bool Canonical = true;
+    int64_t Src = 0;
+    for (unsigned P = 0; P < Parts.size(); ++P) {
+      // Mode 0's part ranks its other modes into W, at ranks 1..K.
+      const size_t Skip = P == HeadPart ? 1 : 0;
+      const std::vector<unsigned> &Part = Parts[P];
+      int64_t *Out = Skip ? W.data() : Sorted.data();
+      const size_t Len = Part.size() - Skip;
+      for (size_t I = 0; I < Len; ++I) {
+        Out[I] = Coords[Part[I + Skip]];
+        if (I && Out[I - 1] > Out[I])
+          Canonical = false;
       }
-      return;
+      std::sort(Out, Out + Len);
+      for (size_t I = 0; I < Len; ++I)
+        Src += Out[I] * Stride[Part[I + Skip]];
     }
-    for (Coords[M] = 0; Coords[M] < T.dim(M); ++Coords[M])
-      Walk(M + 1);
-  };
-  for (Coords[0] = Lo; Coords[0] <= Hi; ++Coords[0])
-    Walk(1);
+    int64_t Begin = Lo;
+    for (size_t R = 0; R <= K; ++R) {
+      if (R > 0) // W[R-1] moves from rank R down to rank R-1
+        Src += W[R - 1] * (Stride[Head[R - 1]] - Stride[Head[R]]);
+      const int64_t End = R < K ? std::min(Hi, W[R]) : Hi;
+      if (Begin > End)
+        continue;
+      if (R > 0 || !Canonical) {
+        double *Dst = V + Row;
+        const double *From = V + Src;
+        const int64_t S = Stride[Head[R]];
+        for (int64_t C = Begin; C <= End; ++C)
+          Dst[C] = From[C * S];
+        Copies += static_cast<uint64_t>(End - Begin + 1);
+      }
+      Begin = End + 1;
+    }
+    // Odometer over modes 1..n-1, mode 1 fastest (the storage order).
+    for (unsigned M = 1; M < N && ++Coords[M] == T.dim(M); ++M)
+      Coords[M] = 0;
+  }
   return Copies;
 }
 
 } // namespace
 
+Status checkReplicateTarget(const Tensor &T, const Partition &Sym) {
+  if (!T.format().isAllDense())
+    return Status::error(ErrCode::InvalidArgument,
+                         "replicate requires a dense output (the tensor is " +
+                             T.format().str() + ")");
+  if (Sym.order() != T.order())
+    return Status::error(ErrCode::InvalidArgument,
+                         "replicate partition order mismatch (" + Sym.str() +
+                             " has order " + std::to_string(Sym.order()) +
+                             ", the tensor has order " +
+                             std::to_string(T.order()) + ")");
+  for (const std::vector<unsigned> &Part : Sym.parts())
+    for (unsigned M : Part)
+      if (T.dim(M) != T.dim(Part[0]))
+        return Status::error(ErrCode::InvalidArgument,
+                             "replicate partition " + Sym.str() +
+                                 " groups modes of unequal extent (" +
+                                 std::to_string(T.dim(Part[0])) + " vs " +
+                                 std::to_string(T.dim(M)) + ")");
+  return Status::success();
+}
+
 uint64_t replicateSymmetric(Tensor &T, const Partition &Sym,
                             unsigned Threads) {
-  assert(T.format().isAllDense() && "replication needs a dense tensor");
-  assert(Sym.order() == T.order() && "partition order mismatch");
+  if (Status S = checkReplicateTarget(T, Sym); !S.ok())
+    fatalError(S.str());
   if (T.order() == 0)
     return 0;
   const int64_t Dim0 = T.dim(0);
   if (Threads <= 1 || Dim0 < 2)
     return replicateRange(T, Sym, 0, Dim0 - 1);
-  // Outer-mode chunks run on the shared pool. Each non-canonical
-  // coordinate is written by exactly one chunk and sources are
-  // canonical (never written), so the result is independent of the
-  // decomposition; per-chunk copy counts sum to the same total.
+  // Mode-0 chunks run on the shared pool. Each non-canonical cell is
+  // written by exactly one chunk and sources are canonical (never
+  // written), so the result is independent of the decomposition;
+  // per-chunk copy counts sum to the same total.
   std::vector<ChunkRange> Chunks = staticBlocks(0, Dim0 - 1, Threads);
   std::vector<uint64_t> Counts(Chunks.size(), 0);
   ThreadPool::global().parallelFor(

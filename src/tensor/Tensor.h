@@ -176,16 +176,6 @@ public:
   /// One-line summary "2-d 100x100, 512 stored, Dense(Sparse(...))".
   std::string summary() const;
 
-  /// Copies the canonical triangle of an all-dense tensor to every
-  /// non-canonical coordinate under \p Sym (the replication
-  /// post-processing step of paper 4.2.2). Returns the number of
-  /// copies performed. \p Threads > 1 splits the outer mode across the
-  /// shared thread pool; every non-canonical coordinate is written by
-  /// exactly one task and canonical sources are never written, so the
-  /// result is bit-identical for any thread count.
-  friend uint64_t replicateSymmetric(Tensor &T, const Partition &Sym,
-                                     unsigned Threads);
-
 private:
   std::vector<int64_t> Dims; // per access mode
   TensorFormat Format;       // per level, top first
@@ -194,8 +184,33 @@ private:
   std::vector<double> Vals;  // bottom positions
 };
 
+/// Copies the canonical triangle of an all-dense tensor to every
+/// non-canonical coordinate under \p Sym (the replication
+/// post-processing step of paper 4.2.2). Returns the number of copies,
+/// which is the number of non-canonical cells.
+///
+/// Precondition, checked in every build (fatalError on violation):
+/// checkReplicateTarget(T, Sym) holds.
+///
+/// Cost: one pass over the rows (tuples of modes 1..n-1) of the
+/// column-major value array. Each row sorts the coordinates of every
+/// part once, then copies its non-canonical cells, and only those, in
+/// at most |part of mode 0| strided runs. Nothing is allocated per row
+/// or per cell.
+///
+/// \p Threads > 1 splits mode 0 across the shared thread pool; every
+/// non-canonical coordinate is written by exactly one task and
+/// canonical sources are never written, so the result and the count
+/// are the same for any thread count.
 uint64_t replicateSymmetric(Tensor &T, const Partition &Sym,
                             unsigned Threads = 1);
+
+/// Whether \p T can be replicated under \p Sym: \p T is all-dense,
+/// the partition's order equals the tensor's, and the modes of each
+/// part have equal extents. InvalidArgument, naming the broken rule,
+/// otherwise.
+[[nodiscard]] Status checkReplicateTarget(const Tensor &T,
+                                          const Partition &Sym);
 
 } // namespace systec
 

@@ -299,6 +299,7 @@ TEST(HardenedExecution, MalformedKernelInputsReturnTypedStatus) {
   Tensor A = makeMatrix(TensorFormat::csf(2));
   Tensor X = Tensor::dense({8}), Y = Tensor::dense({8});
   Tensor X2d = Tensor::dense({8, 8}), X5 = Tensor::dense({5});
+  Tensor C5x3 = Tensor::dense({5, 3});
   Coo YCoo({8});
   YCoo.add({3}, 1.0);
   Tensor YSparse =
@@ -326,6 +327,14 @@ TEST(HardenedExecution, MalformedKernelInputsReturnTypedStatus) {
        Stmt::replicate("C", Partition::full(2)),
        {{"A", &A}, {"x", &X}, {"y", &Y}, {"C", &A}},
        ErrCode::InvalidArgument, "replicate requires a dense output"},
+      {"replicate partition order mismatch", Spmv(Update),
+       Stmt::replicate("C", Partition::full(2)),
+       {{"A", &A}, {"x", &X}, {"y", &Y}, {"C", &X5}},
+       ErrCode::InvalidArgument, "replicate partition order mismatch"},
+      {"replicate part over unequal extents", Spmv(Update),
+       Stmt::replicate("C", Partition::full(2)),
+       {{"A", &A}, {"x", &X}, {"y", &Y}, {"C", &C5x3}},
+       ErrCode::InvalidArgument, "groups modes of unequal extent"},
       {"arity mismatch", Spmv(Update), nullptr,
        {{"A", &A}, {"x", &X2d}, {"y", &Y}}, ErrCode::InvalidArgument,
        "arity mismatch"},

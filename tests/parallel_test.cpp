@@ -24,6 +24,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <numeric>
 
 using namespace systec;
@@ -545,68 +547,137 @@ TEST(ParallelRuntime, ThreadsOneMatchesAnnotatedPlan) {
 // Parallel replication epilogue
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// Per-cell reference for replicateSymmetric: visits every coordinate
+/// and copies each non-canonical one from its canonicalized tuple
+/// through the level walks of Tensor::at and Tensor::denseRef. Returns
+/// the number of copies.
+uint64_t replicateReference(Tensor &T, const Partition &Sym) {
+  const unsigned N = T.order();
+  uint64_t Copies = 0;
+  std::vector<int64_t> Coords(N, 0);
+  std::function<void(unsigned)> Walk = [&](unsigned M) {
+    if (M == N) {
+      if (!Sym.isCanonical(Coords)) {
+        T.denseRef(Coords) = T.at(Sym.canonicalize(Coords));
+        ++Copies;
+      }
+      return;
+    }
+    for (Coords[M] = 0; Coords[M] < T.dim(M); ++Coords[M])
+      Walk(M + 1);
+  };
+  Walk(0);
+  return Copies;
+}
+} // namespace
+
 TEST(ParallelRuntime, ReplicateSymmetricDeterministicAcrossThreads) {
-  // The replication epilogue splits the outer mode across the pool.
-  // Writes hit only non-canonical coordinates and reads only canonical
-  // ones, so every thread count must produce bit-identical tensors and
-  // the same copy count.
+  // The replication epilogue is a strided copy over the dense value
+  // array, split over mode 0 across the pool. For every partition shape
+  // and thread count it must reproduce the per-cell reference bit for
+  // bit and copy exactly the non-canonical cells.
+  struct Case {
+    const char *Sym;
+    std::vector<int64_t> Dims;
+  };
+  const Case Cases[] = {
+      {"{0,1}", {37, 37}},
+      {"{1,2}", {7, 12, 12}}, // ttm's output: singleton, stride-1 mode 0
+      {"{0,2}", {9, 4, 9}},   // non-adjacent modes
+      {"{0,1,2}", {13, 13, 13}},
+      {"{0,1}{2,3}", {6, 6, 5, 5}},
+      {"{0,2}{1,3}", {6, 5, 6, 5}},
+      {"{1,2,3}", {4, 7, 7, 7}},
+      {"{0,1,2,3,4}", {5, 5, 5, 5, 5}},
+      {"{0}", {9}},         // order 1: every cell is canonical
+      {"{0,1}", {0, 0}},    // zero extent in mode 0
+      {"{1,2}", {3, 0, 0}}, // zero extent past mode 0
+  };
   Rng R(31415);
-  for (unsigned Order : {2u, 3u}) {
-    const int64_t Dim = Order == 2 ? 37 : 13;
-    std::vector<int64_t> Dims(Order, Dim);
-    Tensor Base = Tensor::dense(Dims);
+  for (const Case &C : Cases) {
+    Tensor Base = Tensor::dense(C.Dims);
+    const Partition Sym = Partition::parse(Base.order(), C.Sym);
+    SCOPED_TRACE(Sym.str() + " over " + Base.summary());
     for (double &V : Base.vals())
       V = R.nextDouble();
-    Partition Sym = Partition::full(Order);
-
-    Tensor Seq = Base;
-    const uint64_t SeqCopies = replicateSymmetric(Seq, Sym, 1);
-    EXPECT_GT(SeqCopies, 0u);
-    for (unsigned Threads : {2u, 4u, 8u}) {
-      Tensor Par = Base;
-      const uint64_t ParCopies = replicateSymmetric(Par, Sym, Threads);
-      EXPECT_EQ(SeqCopies, ParCopies) << "threads " << Threads;
-      ASSERT_EQ(Seq.vals().size(), Par.vals().size());
-      for (size_t I = 0; I < Seq.vals().size(); ++I)
-        EXPECT_EQ(Seq.vals()[I], Par.vals()[I])
+    uint64_t NonCanonical = 0;
+    Base.forEach([&](const std::vector<int64_t> &Coords, double) {
+      NonCanonical += !Sym.isCanonical(Coords);
+    });
+    Tensor Ref = Base;
+    EXPECT_EQ(replicateReference(Ref, Sym), NonCanonical);
+    for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+      Tensor Out = Base;
+      EXPECT_EQ(replicateSymmetric(Out, Sym, Threads), NonCanonical)
+          << "threads " << Threads;
+      ASSERT_EQ(Out.vals().size(), Ref.vals().size());
+      for (size_t I = 0; I < Ref.vals().size(); ++I)
+        ASSERT_EQ(Out.vals()[I], Ref.vals()[I])
             << "threads " << Threads << " element " << I;
     }
   }
 }
 
 TEST(ParallelRuntime, ReplicateEpilogueThreadedViaExecutor) {
-  // End to end: ssyrk's replication epilogue runs threaded when the
-  // executor is parallel, with the same result and OutputWrites count.
-  // Integer-valued data keeps the body's privatized sums exact, so the
-  // whole run (body + epilogue) is bit-identical across thread counts.
+  // End to end: the replication epilogues of ssyrk (C is 30x30 under
+  // {0,1}) and ttm (C is R x n x n under {1,2}) run threaded when the
+  // executor is parallel. At every thread count the whole run (body +
+  // epilogue) gives the same result and the same OutputWrites, and the
+  // epilogue's share of OutputWrites is the number of non-canonical
+  // cells. Integer-valued data keeps the body's privatized sums exact,
+  // so the result is bit-identical across thread counts.
   Rng R(2718);
-  CompileResult C = compileEinsum(makeSsyrk());
-  Tensor A = generateSymmetricTensor(2, 30, 120, R, TensorFormat::csf(2));
-  for (double &V : A.vals())
-    V = std::floor(V * 8);
-  Tensor Seq = Tensor::dense({30, 30});
-  CounterSnapshot SeqSnap, ParSnap;
-  {
-    Executor E(C.Optimized);
-    E.bind("A", &A).bind("C", &Seq);
-    obs::ExecReport Rep;
-    ASSERT_TRUE(E.tryPrepare().ok());
-    ASSERT_TRUE(E.tryRun(&Rep).ok());
-    SeqSnap = Rep.Counters;
-  }
-  for (unsigned Threads : {2u, 4u}) {
-    Tensor Par = Tensor::dense({30, 30});
-    ExecOptions O;
-    O.Threads = Threads;
-    Executor E(C.Optimized, O);
-    E.bind("A", &A).bind("C", &Par);
-    obs::ExecReport Rep;
-    ASSERT_TRUE(E.tryPrepare().ok());
-    ASSERT_TRUE(E.tryRun(&Rep).ok());
-    ParSnap = Rep.Counters;
-    EXPECT_EQ(SeqSnap.OutputWrites, ParSnap.OutputWrites)
-        << "threads " << Threads;
-    EXPECT_EQ(Tensor::maxAbsDiff(Seq, Par), 0.0) << "threads " << Threads;
+  struct Case {
+    Einsum E;
+    std::map<std::string, Tensor> Inputs;
+    std::vector<int64_t> OutDims;
+    uint64_t EpilogueWrites;
+  };
+  const int64_t N = 12, Rank = 5;
+  std::vector<Case> Cases;
+  Cases.push_back({makeSsyrk(),
+                   {{"A", generateSymmetricTensor(2, 30, 120, R,
+                                                  TensorFormat::csf(2))}},
+                   {30, 30},
+                   30 * 29 / 2});
+  Cases.push_back(
+      {makeTtm(),
+       {{"A", generateSymmetricTensor(3, N, 6 * N, R, TensorFormat::csf(3))},
+        {"B", generateDenseMatrix(N, Rank, R)}},
+       {Rank, N, N},
+       static_cast<uint64_t>(Rank * N * (N - 1) / 2)});
+  for (Case &K : Cases) {
+    SCOPED_TRACE(K.E.Name);
+    for (auto &[Name, T] : K.Inputs)
+      for (double &V : T.vals())
+        V = std::floor(V * 8);
+    CompileResult C = compileEinsum(K.E);
+    Tensor Seq = Tensor::dense(K.OutDims);
+    uint64_t SeqWrites = 0;
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      Tensor Out = Tensor::dense(K.OutDims);
+      ExecOptions O;
+      O.Threads = Threads;
+      Executor E(C.Optimized, O);
+      for (auto &[Name, T] : K.Inputs)
+        E.bind(Name, &T);
+      E.bind("C", &Out);
+      obs::ExecReport Body, Full;
+      ASSERT_TRUE(E.tryPrepare().ok());
+      ASSERT_TRUE(E.tryRunBody(&Body).ok());
+      ASSERT_TRUE(E.tryRunEpilogue(&Full).ok());
+      EXPECT_EQ(Full.Counters.OutputWrites - Body.Counters.OutputWrites,
+                K.EpilogueWrites)
+          << "threads " << Threads;
+      if (Threads == 1) {
+        Seq = Out;
+        SeqWrites = Full.Counters.OutputWrites;
+      }
+      EXPECT_EQ(Full.Counters.OutputWrites, SeqWrites)
+          << "threads " << Threads;
+      EXPECT_EQ(Tensor::maxAbsDiff(Seq, Out), 0.0) << "threads " << Threads;
+    }
   }
 }
 

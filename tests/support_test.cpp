@@ -216,4 +216,19 @@ TEST(AbortBoundaryDeathTest, ParseEinsumSyntaxErrorDies) {
   EXPECT_DEATH(parseEinsum("bad", "O[i += A[i"), "");
 }
 
+TEST(AbortBoundaryDeathTest, ReplicateIntoMisfitTargetDies) {
+  // Every build checks these (plan compilation rejects the same
+  // targets as a Status before an executor gets here).
+  Tensor Rect = Tensor::dense({5, 3}), Vec = Tensor::dense({5});
+  EXPECT_DEATH(replicateSymmetric(Rect, Partition::full(2)),
+               "groups modes of unequal extent");
+  EXPECT_DEATH(replicateSymmetric(Vec, Partition::full(2)),
+               "order mismatch");
+  Coo C({2, 2});
+  C.add({0, 1}, 1.0);
+  Tensor Csc = Tensor::fromCoo(std::move(C), TensorFormat::csf(2));
+  EXPECT_DEATH(replicateSymmetric(Csc, Partition::full(2)),
+               "requires a dense output");
+}
+
 #endif // GTEST_HAS_DEATH_TEST
