@@ -74,7 +74,7 @@ std::vector<Variant> variants() {
     Out.push_back(V);
   }
   {
-    // Fused nests without the register/cache-blocked output engine
+    // Fused leaves without the register/cache-blocked output engine
     // (per-column fiber walks and rebinds instead of column panels).
     Variant V{"no_blocking", {}, {}};
     V.Exec.Engines = {Engine::Fused, Engine::Interp};
@@ -98,12 +98,11 @@ std::vector<Variant> variants() {
 void printSpecialization(const char *Workload, const char *Variant,
                          const Executor &E) {
   const MicroKernelStats &S = E.microKernelStats();
-  std::printf("  specialization %-10s %-16s fused=%llu (innermost %llu) "
+  std::printf("  specialization %-10s %-16s fused=%llu "
               "generic=%llu walkers=%llu co=%llu (nway %llu) lut=%llu "
               "prebind=%llu blocked=%llu (accum %llu)\n",
               Workload, Variant,
               static_cast<unsigned long long>(S.SpecializedLoops),
-              static_cast<unsigned long long>(S.InnermostFused),
               static_cast<unsigned long long>(S.GenericLoops),
               static_cast<unsigned long long>(S.WalkersRegistered),
               static_cast<unsigned long long>(S.FusedCoWalkers),

@@ -178,12 +178,11 @@ int main(int argc, char **argv) {
                   [&E] { checkOk(E.tryRunBody()); });
     }
     const MicroKernelStats &S = H->Executors.back()->microKernelStats();
-    std::printf("%-8s specialized=%llu (innermost %llu), generic=%llu, "
+    std::printf("%-8s specialized=%llu, generic=%llu, "
                 "co=%llu (nway %llu, rl %llu, banded %llu), lut=%llu, "
                 "prebind=%llu, blocked=%llu (accum %llu)\n",
                 C.Name.c_str(),
                 static_cast<unsigned long long>(S.SpecializedLoops),
-                static_cast<unsigned long long>(S.InnermostFused),
                 static_cast<unsigned long long>(S.GenericLoops),
                 static_cast<unsigned long long>(S.FusedCoWalkers),
                 static_cast<unsigned long long>(S.FusedNWalkerLoops),

@@ -565,10 +565,9 @@ private:
 
     // The PlanSpecializer pass: inner loops were specialized by the
     // recursive compile above, so matching proceeds bottom-up and a
-    // nest can absorb its already-fused children.
+    // blocked nest can take over its already-fused leaf.
     MKSpecializeOptions SpecOpts;
     SpecOpts.UseBlocked = E.Resolved.UseBlocked;
-    SpecOpts.BlockWidth = E.Options.BlockWidth;
     SpecOpts.OutputTensors = &OutTensors;
     bool Specialized = false;
     if (E.Resolved.UseFused) {
@@ -576,10 +575,13 @@ private:
       Specialized = specializeLoop(*Loop, AccessStates, SpecOpts);
       SpecializeNs += obs::nowNs() - S0;
     }
-    if (Specialized) {
+    if (Specialized)
       ++Stats.SpecializedLoops;
-      if (Loop->Fused->Innermost)
-        ++Stats.InnermostFused;
+    if (Loop->Blocked) {
+      ++Stats.BlockedLoops;
+      if (Loop->Blocked->Mode != MKBlockedEngine::BMode::Stream)
+        ++Stats.BlockedAccumLoops;
+    } else if (Loop->Fused) {
       switch (Loop->Fused->D.K) {
       case MKDriver::Kind::Range:
         ++Stats.FusedRangeDrivers;
@@ -596,12 +598,6 @@ private:
       case MKDriver::Kind::BandedWalk:
         ++Stats.FusedBandedDrivers;
         break;
-      }
-      if (Loop->Fused->Blocked) {
-        ++Stats.BlockedLoops;
-        if (Loop->Fused->Blocked->Mode !=
-            MKBlockedEngine::BMode::Stream)
-          ++Stats.BlockedAccumLoops;
       }
       const MKDriver &FD = Loop->Fused->D;
       Stats.FusedCoWalkers += FD.Cos.size();
@@ -623,7 +619,9 @@ private:
             ++Stats.FusedLutFactors;
           }
         }
-    } else {
+    } else if (!containsLoop(Loop->Body.get())) {
+      // A declined leaf. Other nest loops are interpreted by design and
+      // counted in neither total.
       ++Stats.GenericLoops;
     }
 
@@ -635,22 +633,6 @@ private:
       --Driven[Id];
     BoundVars.erase(Var);
     return Loop;
-  }
-
-  static const char *driverKindName(MKDriver::Kind K) {
-    switch (K) {
-    case MKDriver::Kind::Range:
-      return "Range";
-    case MKDriver::Kind::DenseWalk:
-      return "DenseWalk";
-    case MKDriver::Kind::SparseWalk:
-      return "SparseWalk";
-    case MKDriver::Kind::RunLengthWalk:
-      return "RunLengthWalk";
-    case MKDriver::Kind::BandedWalk:
-      return "BandedWalk";
-    }
-    unreachable("unknown driver kind");
   }
 
   static const char *levelKindName(LevelKind K) {
@@ -672,12 +654,12 @@ private:
   /// metadata row. Runs after specialization so the engine is known.
   void assignTraceIdentity(PlanLoop &Loop, const std::string &Var) {
     Loop.TraceId = NextTraceId++;
-    const char *Engine =
-        Loop.Fused ? (Loop.Fused->Blocked ? "Blocked" : "Fused")
-                   : "Interp";
+    const char *Engine = Loop.Blocked ? "Blocked"
+                         : Loop.Fused ? "Fused"
+                                      : "Interp";
+    // Every engine iterates the loop's first walker, or its plain range.
     const char *Driver =
-        Loop.Fused ? driverKindName(Loop.Fused->D.K)
-        : Loop.Walkers.empty()
+        Loop.Walkers.empty()
             ? "Range"
             : levelKindName(AccessStates[Loop.Walkers[0].AccessId]
                                 .T->level(Loop.Walkers[0].Level)
@@ -712,7 +694,6 @@ private:
 std::string structuralOptionsSummary(const ExecOptions &O) {
   std::string Out = "threads=" + std::to_string(O.Threads);
   Out += std::string(" schedule=") + schedulePolicyName(O.Schedule);
-  Out += " blockwidth=" + std::to_string(O.BlockWidth);
   Out += std::string(" walk=") + (O.EnableSparseWalk ? "on" : "off");
   Out += std::string(" lift=") + (O.EnableBoundLifting ? "on" : "off");
   Out += " privbudget_bytes=" + std::to_string(O.PrivatizationBudgetBytes);
@@ -770,14 +751,6 @@ Status Executor::sanitizeOptions() {
                      std::to_string(MaxThreads) +
                      " (4x hardware concurrency)");
     Options.Threads = MaxThreads;
-  }
-  // Widths 1..8 are all supported (the fuzz matrix exercises them);
-  // only out-of-engine values clamp. 0 stays: it means "pick at
-  // specialization".
-  if (Options.BlockWidth > 8) {
-    Clamps.push_back("blockwidth " + std::to_string(Options.BlockWidth) +
-                     " -> 8 (engine maximum)");
-    Options.BlockWidth = 8;
   }
   // Engine resolution: the one place the request becomes the
   // normalized preference order everything else reads.

@@ -84,11 +84,6 @@ struct ExecOptions {
   /// an inner annotated loop (typically with disjoint writes) runs
   /// parallel instead. The default is 2^24 doubles.
   size_t PrivatizationBudgetBytes = size_t(1) << 27;
-  /// Output-panel width for the blocked engine. 0 picks the width at
-  /// specialization from the panel mode's extent (8, or 4 for narrow
-  /// modes); explicit values are clamped to [1, 8]. Results and the
-  /// runtime counters are identical for every width.
-  unsigned BlockWidth = 0;
   /// Structural integrity checks run by tryPrepare() on every bound
   /// tensor before anything dereferences its level arrays (Shallow:
   /// O(levels) size/endpoint agreement; Deep: O(nnz) fiber scans; see
@@ -114,15 +109,22 @@ struct ExecOptions {
 
 /// Result of the plan-specialization pass for one prepared executor
 /// (surfaced by bench_ablation and the perf_smoke/annihilation tests).
+/// A leaf loop's body holds no loop; any other loop is a nest loop.
+/// Nest loops other than blocked ones are interpreted by design and
+/// counted in neither SpecializedLoops nor GenericLoops.
 struct MicroKernelStats {
-  uint64_t SpecializedLoops = 0; ///< loops running fused micro-kernels
-  uint64_t InnermostFused = 0;   ///< of which leaf (tight-engine) loops
-  uint64_t GenericLoops = 0;     ///< loops left to the interpreter
+  /// Loops on a fused engine: leaves with a MicroKernel, plus nests
+  /// with a blocked engine.
+  uint64_t SpecializedLoops = 0;
+  /// Leaf loops the specializer declined (left to the interpreter).
+  uint64_t GenericLoops = 0;
 
   /// Walker registration outcomes (plan compilation).
   uint64_t WalkersRegistered = 0; ///< walkers bound to plan loops
 
-  /// Specialized loops by driver shape (which fused engine iterates).
+  /// Fused leaves by driver shape (which fused engine iterates). These
+  /// and the operand and intersection counters below count fused
+  /// leaves only.
   uint64_t FusedRangeDrivers = 0;
   uint64_t FusedDenseDrivers = 0;
   uint64_t FusedSparseDrivers = 0;
@@ -150,7 +152,7 @@ struct MicroKernelStats {
   /// bind time (per-row prebinding slots installed by the specializer).
   uint64_t PrebindSlots = 0;
 
-  /// Fused nests running the register/cache-blocked output engine
+  /// Nest loops running the register/cache-blocked output engine
   /// (column panels over the dense output mode), and the subset whose
   /// panel accumulators live in registers across the whole sparse walk
   /// (output cell invariant in the inner driver — one writeback per
@@ -197,7 +199,7 @@ public:
   /// Materializes transposes/splits requested by the kernel and compiles
   /// the execution plan; call after all binds. Sanitizes the options
   /// (recoverable absurdities — Threads=0, oversubscription beyond
-  /// 4x the hardware, BlockWidth>8 — are clamped and recorded in
+  /// 4x the hardware — are clamped and recorded in
   /// optionClamps(); a negative deadline is ErrCode::InvalidOptions),
   /// rejects a null binding (InvalidArgument), and, when
   /// ValidateInputs != None, runs Tensor::validate on every bound

@@ -75,11 +75,10 @@ struct MatchState {
   const PlanLoop &L;
   const std::vector<AccessState> &Accesses;
   MKDriver D;
-  bool Nest = false;
-  /// Innermost mode only: scalar slots written by items of this loop.
-  /// Reads of a written slot must substitute a preceding single-factor
-  /// def under a compatible guard; anything else rejects the loop
-  /// (bind-time reads would otherwise observe stale values).
+  /// Scalar slots written by items of this loop. Reads of a written
+  /// slot substitute a preceding single-factor def under a compatible
+  /// guard or become live reads (bind-time reads would otherwise
+  /// observe stale values).
   std::set<unsigned> Written;
   std::map<unsigned, std::pair<MKOperand, std::optional<CCond>>> DefMap;
 };
@@ -131,7 +130,7 @@ bool buildDriver(MatchState &M) {
 }
 
 /// Classifies one load instruction into an operand, applying the
-/// written-scalar substitution rules for innermost loops.
+/// written-scalar substitution rules.
 std::optional<MKOperand>
 operandFor(const VInstr &I, MatchState &M,
            const std::optional<CCond> &Guard) {
@@ -142,7 +141,7 @@ operandFor(const VInstr &I, MatchState &M,
     Op.Lit = I.Lit;
     return Op;
   case VKind::Scalar: {
-    if (!M.Nest && M.Written.count(I.Id)) {
+    if (M.Written.count(I.Id)) {
       // Prefer bind-time substitution of a preceding single-factor def
       // under a compatible guard (keeps the statement on the prebound
       // fast paths); otherwise read the slot live per element through
@@ -199,15 +198,13 @@ operandFor(const VInstr &I, MatchState &M,
     Op.Slot = I.Id;
     Op.LevelSlots = I.LevelSlots;
     Op.Fill = M.Accesses[I.Id].T->fill();
-    if (!M.Nest) {
-      // Per-row prebinding: the leading levels whose coordinate slots
-      // are bound by enclosing loops are invariant across this loop's
-      // execution, so the engine resolves them once at bind time.
-      unsigned P = 0;
-      while (P < Op.LevelSlots.size() && Op.LevelSlots[P] != M.L.Slot)
-        ++P;
-      Op.PrebindLevels = static_cast<uint8_t>(P);
-    }
+    // Per-row prebinding: the leading levels whose coordinate slots are
+    // bound by enclosing loops are invariant across this loop's
+    // execution, so the engine resolves them once at bind time.
+    unsigned P = 0;
+    while (P < Op.LevelSlots.size() && Op.LevelSlots[P] != M.L.Slot)
+      ++P;
+    Op.PrebindLevels = static_cast<uint8_t>(P);
     return Op;
   }
   case VKind::Lut: {
@@ -274,20 +271,6 @@ bool classifyProgram(const VProgram &P, MatchState &M,
   return true;
 }
 
-bool containsLoop(const PlanNode *N) {
-  if (dynamic_cast<const PlanLoop *>(N))
-    return true;
-  if (auto *Seq = dynamic_cast<const PlanSeq *>(N)) {
-    for (const PlanPtr &Child : Seq->Children)
-      if (containsLoop(Child.get()))
-        return true;
-    return false;
-  }
-  if (auto *If = dynamic_cast<const PlanIf *>(N))
-    return containsLoop(If->Body.get());
-  return false;
-}
-
 void attachGuard(MKItem &Item, const std::optional<CCond> &Guard,
                  const MatchState &M) {
   if (!Guard)
@@ -334,21 +317,19 @@ bool gatherItems(PlanNode *N, std::optional<CCond> Guard, MatchState &M,
     Item.S.ScalarDst = true;
     Item.S.ScalarSlot = Def->Slot;
     attachGuard(Item, Guard, M);
-    if (!M.Nest) {
-      // A per-element dynamic guard makes the def's value
-      // data-dependent in a way bind-time substitution cannot express,
-      // and contextual factors (SparseLoad, live scalars, dynamic Luts)
-      // must not be duplicated into readers — re-evaluating a
-      // SparseLoad per use would double its counter and cursor traffic.
-      // Later reads of such defs fall back to live scalar reads.
-      M.Written.insert(Def->Slot);
-      invalidateDefsReading(M, Def->Slot);
-      if (Item.S.Factors.size() == 1 && !Item.GuardDynamic &&
-          !contextualOperand(Item.S.Factors[0]))
-        M.DefMap[Def->Slot] = {Item.S.Factors[0], Guard};
-      else
-        M.DefMap.erase(Def->Slot);
-    }
+    // A per-element dynamic guard makes the def's value data-dependent
+    // in a way bind-time substitution cannot express, and contextual
+    // factors (SparseLoad, live scalars, dynamic Luts) must not be
+    // duplicated into readers — re-evaluating a SparseLoad per use
+    // would double its counter and cursor traffic. Later reads of such
+    // defs fall back to live scalar reads.
+    M.Written.insert(Def->Slot);
+    invalidateDefsReading(M, Def->Slot);
+    if (Item.S.Factors.size() == 1 && !Item.GuardDynamic &&
+        !contextualOperand(Item.S.Factors[0]))
+      M.DefMap[Def->Slot] = {Item.S.Factors[0], Guard};
+    else
+      M.DefMap.erase(Def->Slot);
     Out.push_back(std::move(Item));
     return true;
   }
@@ -364,11 +345,9 @@ bool gatherItems(PlanNode *N, std::optional<CCond> Guard, MatchState &M,
     if (As->ScalarTarget) {
       Item.S.ScalarDst = true;
       Item.S.ScalarSlot = As->ScalarSlot;
-      if (!M.Nest) {
-        M.Written.insert(As->ScalarSlot);
-        M.DefMap.erase(As->ScalarSlot);
-        invalidateDefsReading(M, As->ScalarSlot);
-      }
+      M.Written.insert(As->ScalarSlot);
+      M.DefMap.erase(As->ScalarSlot);
+      invalidateDefsReading(M, As->ScalarSlot);
     } else {
       Item.S.OutId = As->OutId;
       for (const auto &[Slot, Stride] : As->SlotStride) {
@@ -382,14 +361,6 @@ bool gatherItems(PlanNode *N, std::optional<CCond> Guard, MatchState &M,
     Out.push_back(std::move(Item));
     return true;
   }
-  if (auto *Loop = dynamic_cast<PlanLoop *>(N)) {
-    MKItem Item;
-    Item.K = MKItem::Kind::Loop;
-    Item.Child = Loop;
-    attachGuard(Item, Guard, M);
-    Out.push_back(std::move(Item));
-    return true;
-  }
   return false; // PlanReplicate or unknown nodes stay interpreted
 }
 
@@ -397,16 +368,28 @@ bool gatherItems(PlanNode *N, std::optional<CCond> Guard, MatchState &M,
 // Blocked-output-shape matcher
 //===----------------------------------------------------------------------===//
 
+/// Appends \p N's statements to \p Out, looking through PlanSeq
+/// nesting. Returns false on a PlanIf: the panel shapes carry no guard.
+bool flattenUnguarded(PlanNode *N, std::vector<PlanNode *> &Out) {
+  if (auto *Seq = dynamic_cast<PlanSeq *>(N)) {
+    for (PlanPtr &Child : Seq->Children)
+      if (!flattenUnguarded(Child.get(), Out))
+        return false;
+    return true;
+  }
+  if (dynamic_cast<PlanIf *>(N))
+    return false;
+  Out.push_back(N);
+  return true;
+}
+
 /// Attempts to install the register/cache-blocked output engine on the
-/// freshly fused nest \p MK of loop \p L (see MKBlockedEngine in the
-/// header for the shape contract). Any mismatch simply leaves the nest
-/// on the generic dispatch — both paths are bit-identical to the
-/// interpreter, so this is purely a performance decision.
-void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
-                       const std::vector<AccessState> &Accesses,
+/// nest loop \p L (see MKBlockedEngine in the header for the shape
+/// contract). Any mismatch simply leaves the nest to the interpreter —
+/// both paths are bit-identical, so this is purely a performance
+/// decision.
+bool tryInstallBlocked(PlanLoop &L, const std::vector<AccessState> &Accesses,
                        const MKSpecializeOptions &Opts) {
-  if (MK.Innermost)
-    return;
   // The nest driver supplies the panel lanes: a plain Range (ssyrk's
   // dense output columns under bound lifting off) or a single sparse
   // walk with no co-walkers (ssyrk's annihilation-driven column walk —
@@ -415,41 +398,37 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
   // variable must not advance any state the child's bind depends on
   // beyond what the lane bind re-derives (IndexVal + the nest access's
   // own position).
-  if (MK.D.K != MKDriver::Kind::Range &&
-      MK.D.K != MKDriver::Kind::SparseWalk)
-    return;
-  if (!MK.D.Cos.empty())
-    return;
-  // Two accepted item shapes: the direct nest [Loop] and the workspace
-  // triple [Def w = <const>, Loop, dst R= w] the pipeline emits for
-  // sparse-row-times-dense-panel kernels (spmm/ttm-style nests).
-  const bool Ws = MK.Items.size() == 3;
-  if (Ws) {
-    if (MK.Items[0].K != MKItem::Kind::Def ||
-        MK.Items[1].K != MKItem::Kind::Loop ||
-        MK.Items[2].K != MKItem::Kind::Stmt || MK.Items[0].HasGuard ||
-        MK.Items[1].HasGuard || MK.Items[2].HasGuard)
-      return;
-  } else if (MK.Items.size() != 1 ||
-             MK.Items[0].K != MKItem::Kind::Loop ||
-             MK.Items[0].HasGuard) {
-    return;
-  }
-  PlanLoop *Ch = MK.Items[Ws ? 1 : 0].Child;
-  if (!Ch || !Ch->Fused || !Ch->Fused->Innermost || Ch->Par.Enabled)
-    return;
+  if (L.Walkers.size() > 1)
+    return false;
+  MatchState M{L, Accesses, MKDriver{}, {}, {}};
+  buildDriver(M);
+  if (M.D.K != MKDriver::Kind::Range &&
+      M.D.K != MKDriver::Kind::SparseWalk)
+    return false;
+  // Two accepted body shapes: the direct nest [PlanLoop] and the
+  // workspace triple [PlanDef w = <literal>, PlanLoop, dst R= w] the
+  // pipeline emits for sparse-row-times-dense-panel kernels
+  // (spmm/ttm-style nests).
+  std::vector<PlanNode *> Body;
+  if (!flattenUnguarded(L.Body.get(), Body))
+    return false;
+  const bool Ws = Body.size() == 3;
+  if (!Ws && Body.size() != 1)
+    return false;
+  auto *Ch = dynamic_cast<PlanLoop *>(Body[Ws ? 1 : 0]);
+  if (!Ch || !Ch->Fused || Ch->Par.Enabled)
+    return false;
   const MicroKernel &CMK = *Ch->Fused;
   if (CMK.D.K != MKDriver::Kind::SparseWalk || !CMK.D.Cos.empty())
-    return;
+    return false;
   // The child's fiber must be invariant across the panel variable: the
   // nest walking the same access would re-position the child driver's
   // parent per lane.
-  if (MK.D.K == MKDriver::Kind::SparseWalk &&
-      MK.D.AccessId == CMK.D.AccessId)
-    return;
+  if (M.D.K == MKDriver::Kind::SparseWalk && M.D.AccessId == CMK.D.AccessId)
+    return false;
   if (CMK.Items.size() != 1 || CMK.Items[0].K != MKItem::Kind::Stmt ||
       CMK.Items[0].HasGuard)
-    return;
+    return false;
   const MKStmt &S = CMK.Items[0].S;
   auto B = std::make_unique<MKBlockedEngine>();
   int64_t PS = 0;
@@ -457,28 +436,34 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
   if (Ws) {
     // Workspace triple: `w` seeded from a literal, reduced by the
     // child per element, folded into a `u`-strided cell once per lane.
-    const MKStmt &Def = MK.Items[0].S, &Fin = MK.Items[2].S;
-    if (Def.Factors.size() != 1 ||
-        Def.Factors[0].K != MKOperand::Kind::Const)
-      return;
-    if (!S.ScalarDst || S.ScalarSlot != Def.ScalarSlot)
-      return;
-    if (Fin.ScalarDst || Fin.Factors.size() != 1 ||
-        Fin.Factors[0].K != MKOperand::Kind::Scalar ||
-        Fin.Factors[0].Slot != Def.ScalarSlot)
-      return;
-    InvTerms = Fin.DstBaseTerms;
-    PS = Fin.DstVStride; // the final store's loop variable is `u`
+    auto *Def = dynamic_cast<PlanDef *>(Body[0]);
+    auto *Fin = dynamic_cast<PlanAssign *>(Body[2]);
+    if (!Def || Def->Init.Code.size() != 1 ||
+        Def->Init.Code[0].Kind != VKind::Lit)
+      return false;
+    if (!S.ScalarDst || S.ScalarSlot != Def->Slot)
+      return false;
+    if (!Fin || Fin->ScalarTarget || Fin->Mult != 1 ||
+        Fin->Rhs.Code.size() != 1 ||
+        Fin->Rhs.Code[0].Kind != VKind::Scalar ||
+        Fin->Rhs.Code[0].Id != Def->Slot)
+      return false;
+    for (const auto &[Slot, Stride] : Fin->SlotStride) {
+      if (Slot == L.Slot)
+        PS += Stride;
+      else
+        InvTerms.push_back({Slot, Stride});
+    }
     if (PS == 0)
-      return; // lanes must reach distinct cells
+      return false; // lanes must reach distinct cells
     B->Mode = MKBlockedEngine::BMode::Workspace;
-    B->WsSlot = Def.ScalarSlot;
-    B->WsInit = Def.Factors[0].Lit;
-    B->FinalReduce = Fin.Reduce;
-    B->OutId = Fin.OutId;
+    B->WsSlot = Def->Slot;
+    B->WsInit = Def->Init.Code[0].Lit;
+    B->FinalReduce = Fin->Reduce;
+    B->OutId = Fin->OutId;
   } else {
     if (S.ScalarDst)
-      return;
+      return false;
     // Destination: the nest variable `u` must stride a dense output
     // mode (the panel stride), and lanes must write provably disjoint
     // cells — the child driver's span under one lane may not reach the
@@ -491,11 +476,11 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
         InvTerms.push_back({Slot, Stride});
     }
     if (PS <= 0 || S.DstVStride < 0)
-      return;
+      return false;
     const int64_t FiberDim =
         Accesses[CMK.D.AccessId].T->level(CMK.D.Level).Dim;
     if (S.DstVStride > 0 && S.DstVStride * (FiberDim - 1) >= PS)
-      return;
+      return false;
     B->Mode = S.DstVStride == 0 ? MKBlockedEngine::BMode::Accum
                                 : MKBlockedEngine::BMode::Stream;
     B->OutId = S.OutId;
@@ -508,13 +493,13 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
       break; // invariant in the child driver: binds once per lane
     case MKOperand::Kind::Scalar:
       if (Op.Live)
-        return; // unreachable with one statement; stay conservative
+        return false; // unreachable with one statement; stay conservative
       break;
     case MKOperand::Kind::Driver:
       FC = MKBlockedEngine::FClass::Driver;
       break;
     case MKOperand::Kind::CoDriver:
-      return; // the accepted driver has no co-walkers
+      return false; // the accepted driver has no co-walkers
     case MKOperand::Kind::Dense:
       // A dense factor reading an output array would observe the
       // loop's own stores, and the panel visit order could then change
@@ -523,7 +508,7 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
       if (Opts.OutputTensors)
         for (Tensor *T : *Opts.OutputTensors)
           if (T == Accesses[Op.Slot].T)
-            return;
+            return false;
       if (Op.VStride != 0)
         FC = MKBlockedEngine::FClass::LaneDense;
       break;
@@ -535,12 +520,12 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
       // re-evaluates for every stored element of every column.
       for (unsigned LvSlot : Op.LevelSlots)
         if (LvSlot == CMK.Slot)
-          return;
+          return false;
       ++B->SparseLoadFactors;
       break;
     case MKOperand::Kind::Lut:
       if (Op.LutDynamic)
-        return; // bits mention the child variable
+        return false; // bits mention the child variable
       break;
     }
     B->Classes.push_back(FC);
@@ -548,7 +533,7 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
   B->USlot = L.Slot;
   B->Child = Ch;
   B->ChildSlot = CMK.Slot;
-  B->Nest = MK.D;
+  B->Nest = M.D;
   B->D = CMK.D;
   B->Combine = S.Combine;
   B->ElemReduce = S.Reduce;
@@ -558,14 +543,10 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
                       : 0;
   B->DstInvTerms = std::move(InvTerms);
   B->Factors = S.Factors;
-  // Width: explicit option clamped to the engine's lane arrays, or
-  // chosen from the panel mode's extent (narrow modes take 4-wide
-  // panels; everything else 8). Values and counters are width-independent.
-  const unsigned W =
-      Opts.BlockWidth
-          ? std::min(Opts.BlockWidth, MKBlockedEngine::MaxWidth)
-          : (L.Extent >= 8 ? 8u : 4u);
-  B->Width = std::max(1u, W);
+  // Width from the panel mode's extent: narrow modes take 4-wide
+  // panels, everything else 8. Values and counters are
+  // width-independent.
+  B->Width = L.Extent >= 8 ? 8u : 4u;
   const bool MulAdd =
       (S.Factors.size() == 1 || S.Combine == OpKind::Mul) &&
       S.Reduce == OpKind::Add;
@@ -580,80 +561,76 @@ void tryInstallBlocked(PlanLoop &L, MicroKernel &MK,
   }
   // Task-boundary panel alignment only means something when lanes are
   // coordinates (Range nests); a sparse nest's lanes are fiber entries.
-  if (MK.D.K == MKDriver::Kind::Range)
+  if (M.D.K == MKDriver::Kind::Range)
     L.BlockAlign = B->Width;
-  MK.Blocked = std::move(B);
+  L.Blocked = std::move(B);
+  return true;
 }
 
 } // namespace
 
+bool containsLoop(const PlanNode *N) {
+  if (dynamic_cast<const PlanLoop *>(N))
+    return true;
+  if (auto *Seq = dynamic_cast<const PlanSeq *>(N)) {
+    for (const PlanPtr &Child : Seq->Children)
+      if (containsLoop(Child.get()))
+        return true;
+    return false;
+  }
+  if (auto *If = dynamic_cast<const PlanIf *>(N))
+    return containsLoop(If->Body.get());
+  return false;
+}
+
 bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
                     const MKSpecializeOptions &Opts) {
-  MatchState M{L, Accesses, MKDriver{}, false, {}, {}};
+  // Nest loops stay interpreted unless the blocked engine takes them:
+  // how the outer loops step adds nothing to the fused leaves' savings.
+  if (containsLoop(L.Body.get()))
+    return Opts.UseBlocked && tryInstallBlocked(L, Accesses, Opts);
+  MatchState M{L, Accesses, MKDriver{}, {}, {}};
   if (!buildDriver(M))
     return false;
-  M.Nest = containsLoop(L.Body.get());
   std::vector<MKItem> Items;
   if (!gatherItems(L.Body.get(), std::nullopt, M, Items))
     return false;
   if (Items.empty() || Items.size() > MicroKernel::MaxItems)
     return false;
-  // Innermost loops prebind Scalar factors once per execution, so no
+  // The engine prebinds Scalar factors once per execution, so no
   // prebound Scalar factor may name a slot any item of this loop
   // writes. Reads *after* a write were resolved during gathering
   // (substituted or marked live); this final pass catches reads that
   // precede a later write, where the interpreter observes the previous
   // iteration's value (loop-carried scalar dependence) — those become
   // live reads too, which is exactly the interpreter's semantics.
-  if (!M.Nest)
-    for (MKItem &I : Items)
-      for (MKOperand &Op : I.S.Factors)
-        if (Op.K == MKOperand::Kind::Scalar && M.Written.count(Op.Slot))
-          Op.Live = true;
-  bool HasStmt = false, HasFusedChild = false, HasLoop = false;
-  for (const MKItem &I : Items) {
+  for (MKItem &I : Items)
+    for (MKOperand &Op : I.S.Factors)
+      if (Op.K == MKOperand::Kind::Scalar && M.Written.count(Op.Slot))
+        Op.Live = true;
+  // Only fuse where it pays: the loop must do real assignments.
+  bool HasStmt = false;
+  for (const MKItem &I : Items)
     HasStmt |= I.K == MKItem::Kind::Stmt;
-    if (I.K == MKItem::Kind::Loop) {
-      HasLoop = true;
-      HasFusedChild |= I.Child->Fused != nullptr;
-    }
-  }
-  // Only fuse where it pays: a leaf loop must do real assignments, and
-  // a nest must contain at least one already-fused core (otherwise the
-  // generic dispatch is just as good and the specialization counter
-  // would overstate coverage).
-  if (!HasLoop && !HasStmt)
+  if (!HasStmt)
     return false;
-  if (HasLoop && !HasFusedChild && !HasStmt)
-    return false;
-  // Hand out prebind slots for the innermost engine's bind-time array;
-  // operands past the cap simply resolve every level per element (same
-  // values, same counters).
-  if (!HasLoop) {
-    unsigned NPre = 0;
-    for (MKItem &I : Items)
-      for (MKOperand &Op : I.S.Factors)
-        if (Op.K == MKOperand::Kind::SparseLoad && Op.PrebindLevels) {
-          if (NPre < MicroKernel::MaxPrebinds)
-            Op.PrebindIdx = NPre++;
-          else
-            Op.PrebindLevels = 0;
-        }
-  } else {
-    // The nest engine evaluates operands fresh per element; prebinding
-    // is the innermost engine's contract only.
-    for (MKItem &I : Items)
-      for (MKOperand &Op : I.S.Factors)
-        Op.PrebindLevels = 0;
-  }
+  // Hand out prebind slots for the engine's bind-time array; operands
+  // past the cap simply resolve every level per element (same values,
+  // same counters).
+  unsigned NPre = 0;
+  for (MKItem &I : Items)
+    for (MKOperand &Op : I.S.Factors)
+      if (Op.K == MKOperand::Kind::SparseLoad && Op.PrebindLevels) {
+        if (NPre < MicroKernel::MaxPrebinds)
+          Op.PrebindIdx = NPre++;
+        else
+          Op.PrebindLevels = 0;
+      }
   auto MK = std::make_unique<MicroKernel>();
   MK->Slot = L.Slot;
-  MK->Innermost = !HasLoop;
   MK->D = M.D;
   MK->Items = std::move(Items);
   L.Fused = std::move(MK);
-  if (Opts.UseBlocked)
-    tryInstallBlocked(L, *L.Fused, Accesses, Opts);
   return true;
 }
 
@@ -749,19 +726,14 @@ struct IterCounts {
   uint64_t CoMatched[MKDriver::MaxCoWalkers] = {};
 };
 
-/// Iterates the fused loop's elements, invoking Body(v, k1, coPos) for
-/// every intersection element, in exactly the interpreter's order.
-/// UpdateState additionally maintains IndexVal and walker positions for
-/// nested consumers (positions are written as each walker resolves —
-/// including for candidates a later co-walker rejects — mirroring the
-/// interpreter's Step). Instantiated separately for loops without
-/// co-walkers (WithCos = false) so the plain driver walks keep the
-/// tight pre-intersection codegen — the resolution machinery folds
-/// away entirely.
+/// Iterates the fused loop's elements, invoking Body(v, k1, k2, coPos)
+/// for every intersection element, in exactly the interpreter's order.
+/// Instantiated separately for loops without co-walkers (WithCos =
+/// false) so the plain driver walks keep the tight pre-intersection
+/// codegen — the resolution machinery folds away entirely.
 template <bool WithCos, typename Fn>
-void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
-                       DriverBind &B, int64_t Lo, int64_t Hi,
-                       bool UpdateState, IterCounts &N, Fn &&Body) {
+void iterateDriverImpl(const MKDriver &D, DriverBind &B, int64_t Lo,
+                       int64_t Hi, IterCounts &N, Fn &&Body) {
   const size_t NCo = WithCos ? D.Cos.size() : 0;
   int64_t CoPos[MKDriver::MaxCoWalkers];
   CoPos[0] = 0; // factors without a co stride index slot 0
@@ -821,8 +793,6 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
         }
       }
       CoPos[I] = P;
-      if (UpdateState)
-        C.Accesses[Co.AccessId].Pos[Co.Level + 1] = P;
       ++N.CoMatched[I];
     }
     return true;
@@ -830,14 +800,10 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
 
   auto Emit = [&](int64_t V, int64_t K1) {
     ++N.Visited;
-    if (UpdateState)
-      C.Accesses[D.AccessId].Pos[D.Level + 1] = K1;
     if constexpr (WithCos) {
       if (NCo && !ResolveCos(V, K1))
         return;
     }
-    if (UpdateState)
-      C.IndexVal[Slot] = V;
     // The first co position travels as a scalar so bound loads keep
     // register addressing; without co-walkers it is a literal 0 the
     // compiler folds out of the strides entirely.
@@ -849,8 +815,6 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
   case MKDriver::Kind::Range:
     for (int64_t V = Lo; V <= Hi; ++V) {
       ++N.Visited;
-      if (UpdateState)
-        C.IndexVal[Slot] = V;
       Body(V, 0, 0, static_cast<const int64_t *>(CoPos));
     }
     return;
@@ -904,15 +868,12 @@ void iterateDriverImpl(ExecCtx &C, const MKDriver &D, unsigned Slot,
 
 /// Dispatches to the co-walker-free or intersecting instantiation.
 template <typename Fn>
-inline void iterateDriver(ExecCtx &C, const MKDriver &D, unsigned Slot,
-                          DriverBind &B, int64_t Lo, int64_t Hi,
-                          bool UpdateState, IterCounts &N, Fn &&Body) {
+inline void iterateDriver(const MKDriver &D, DriverBind &B, int64_t Lo,
+                          int64_t Hi, IterCounts &N, Fn &&Body) {
   if (D.Cos.empty())
-    iterateDriverImpl<false>(C, D, Slot, B, Lo, Hi, UpdateState, N,
-                             std::forward<Fn>(Body));
+    iterateDriverImpl<false>(D, B, Lo, Hi, N, std::forward<Fn>(Body));
   else
-    iterateDriverImpl<true>(C, D, Slot, B, Lo, Hi, UpdateState, N,
-                            std::forward<Fn>(Body));
+    iterateDriverImpl<true>(D, B, Lo, Hi, N, std::forward<Fn>(Body));
 }
 
 /// Flushes the iteration's SparseRead tallies: the driver charges per
@@ -928,7 +889,7 @@ inline void flushIterReads(ExecCtx &C, const MKDriver &D,
 }
 
 //===----------------------------------------------------------------------===//
-// Execution: operand evaluation (nest items and contextual statements)
+// Execution: operand evaluation (contextual statements)
 //===----------------------------------------------------------------------===//
 
 /// \p Vals is the operand's bound value array (Dense operands only).
@@ -963,7 +924,7 @@ inline double evalOperand(ExecCtx &C, const DriverBind &B,
     // outright when the prefix is absent) — same value, same counter.
     if (C.CountersOn)
       ++C.Local.SparseReads;
-    if (PreBase && Op.PrebindLevels) {
+    if (Op.PrebindLevels) {
       const int64_t Base = PreBase[Op.PrebindIdx];
       if (Base < 0)
         return Op.Fill;
@@ -997,74 +958,9 @@ inline double foldFactors(ExecCtx &C, const DriverBind &B, const MKStmt &S,
   return Acc;
 }
 
-} // namespace
-
 //===----------------------------------------------------------------------===//
-// Execution: nest engine
+// Execution: fused leaf engine (prebound)
 //===----------------------------------------------------------------------===//
-
-void MicroKernel::runNest(ExecCtx &C, int64_t Lo, int64_t Hi) {
-  DriverBind B = bindDriver(C, D);
-  const double *DenseVals[MaxItems][MaxFactors];
-  for (size_t I = 0; I < Items.size(); ++I)
-    bindDenseVals(C, Items[I].S.Factors, DenseVals[I]);
-  IterCounts N;
-  iterateDriver(
-      C, D, Slot, B, Lo, Hi, /*UpdateState=*/true, N,
-      [&](int64_t V, int64_t K1, int64_t, const int64_t *CoPos) {
-        // Cancellation drains the remaining driver elements without
-        // executing them; the aborted run's partial output is discarded
-        // by the executor, so skipping is safe.
-        if (checkpointStop(C))
-          return;
-        for (size_t I = 0; I < Items.size(); ++I) {
-          MKItem &Item = Items[I];
-          if (Item.HasGuard && !Item.Guard.eval(C))
-            continue;
-          switch (Item.K) {
-          case MKItem::Kind::Def:
-            C.ScalarVal[Item.S.ScalarSlot] = foldFactors(
-                C, B, Item.S, DenseVals[I], V, K1, CoPos, nullptr);
-            if (C.CountersOn)
-              C.Local.ScalarOps += Item.S.Factors.size() - 1;
-            break;
-          case MKItem::Kind::Stmt: {
-            const MKStmt &S = Item.S;
-            const double Val =
-                foldFactors(C, B, S, DenseVals[I], V, K1, CoPos, nullptr);
-            if (S.ScalarDst) {
-              double &Dst = C.ScalarVal[S.ScalarSlot];
-              Dst = S.Reduce ? evalOp(*S.Reduce, Dst, Val) : Val;
-            } else {
-              int64_t Pos = S.DstVStride * V;
-              for (const auto &[TSlot, Stride] : S.DstBaseTerms)
-                Pos += C.IndexVal[TSlot] * Stride;
-              double &Dst = C.OutPtr[S.OutId][Pos];
-              Dst = S.Reduce ? evalOp(*S.Reduce, Dst, Val) : Val;
-            }
-            if (C.CountersOn) {
-              C.Local.ScalarOps += S.Factors.size() - 1;
-              ++C.Local.Reductions;
-              if (!S.ScalarDst)
-                ++C.Local.OutputWrites;
-            }
-            break;
-          }
-          case MKItem::Kind::Loop:
-            Item.Child->exec(C);
-            break;
-          }
-        }
-      });
-  if (C.CountersOn)
-    flushIterReads(C, D, N);
-}
-
-//===----------------------------------------------------------------------===//
-// Execution: innermost engine (prebound)
-//===----------------------------------------------------------------------===//
-
-namespace {
 
 /// One prebound value source, loaded branchlessly as
 /// P[SV * v + SK1 * k1 + SK2 * k2]: dense-affine factors set SV,
@@ -1198,7 +1094,9 @@ inline void execBound(ExecCtx &C, const DriverBind &B, BoundStmt &S,
 
 } // namespace
 
-void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
+void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
+  if (C.Ctrl && C.Ctrl->stopped())
+    return;
   DriverBind B = bindDriver(C, D);
 
   // Bind: resolve invariant guards and operand bases against the
@@ -1432,7 +1330,7 @@ void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
   for (unsigned I = 0; I < NS; ++I)
     AnyContextual |= BS[I].Kind == 4;
   if (!AnyContextual)
-    iterateDriver(C, D, Slot, B, Lo, Hi, /*UpdateState=*/false, N,
+    iterateDriver(D, B, Lo, Hi, N,
                   [&](int64_t V, int64_t K1, int64_t K2,
                       const int64_t *CoPos) {
                     if (AnyDynamic)
@@ -1442,7 +1340,7 @@ void MicroKernel::runInner(ExecCtx &C, int64_t Lo, int64_t Hi) {
                                        PreBase);
                   });
   else
-    iterateDriver(C, D, Slot, B, Lo, Hi, /*UpdateState=*/false, N,
+    iterateDriver(D, B, Lo, Hi, N,
                   [&](int64_t V, int64_t K1, int64_t K2,
                       const int64_t *CoPos) {
                     if (AnyDynamic)
@@ -1835,19 +1733,6 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
       C.Local.OutputWrites += Execs;
     }
   }
-}
-
-void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
-  if (C.Ctrl && C.Ctrl->stopped())
-    return;
-  if (Blocked) {
-    Blocked->run(C, Lo, Hi);
-    return;
-  }
-  if (Innermost)
-    runInner(C, Lo, Hi);
-  else
-    runNest(C, Lo, Hi);
 }
 
 } // namespace detail

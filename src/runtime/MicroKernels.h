@@ -2,15 +2,18 @@
 ///
 /// \file
 /// Runtime specialization layer for the plan interpreter. The
-/// PlanSpecializer pass (specializeLoop) pattern-matches compiled loop
-/// subtrees — innermost `PlanLoop` + `PlanAssign` bodies and the
-/// dense-over-sparse nests produced by the ssymv/ssyrk/syprd/ttm/mttkrp
-/// lowerings — into fused loop bodies that read `Level::Ptr/Crd` and
-/// `Tensor::vals()` directly instead of dispatching a virtual plan node
-/// and a switch-driven expression VM per element. Kernels hold only
-/// structure (access ids, levels, strides); the raw arrays are read
-/// from the execution context's access table once per loop execution,
-/// at the bind each engine performs anyway. Covered shapes:
+/// PlanSpecializer pass (specializeLoop) pattern-matches compiled leaf
+/// loops — plan loops whose body holds no loop — into fused loop
+/// bodies that read `Level::Ptr/Crd` and `Tensor::vals()` directly
+/// instead of dispatching a virtual plan node and a switch-driven
+/// expression VM per element. Kernels hold only structure (access ids,
+/// levels, strides); the raw arrays are read from the execution
+/// context's access table once per loop execution, at the bind each
+/// engine performs anyway. Nest loops run in the interpreter
+/// (PlanLoop::rangeBody): the savings are in the leaves, where each
+/// canonical entry is read once and feeds every equivalent update. The
+/// one nest-level engine is the blocked panel engine below. Covered
+/// leaf shapes:
 ///
 ///  - sparse-row dot / axpy (one sparse walker, invariant cofactors),
 ///  - dense axpy / scale-accumulate with strided output (dense range),
@@ -33,17 +36,12 @@
 ///  - scalar reads of slots written in the same loop, observed live per
 ///    element via the contextual statement path (what the interpreter
 ///    does), instead of rejecting the loop,
-///  - multi-level nest fusion: an outer walker loop whose body is
-///    scalar defs, once-per-iteration assigns, and already-fused (or
-///    generic) child loops, executed without per-iteration virtual
-///    dispatch,
-///  - register/cache-blocked output panels (MKBlockedEngine below):
-///    fused nests whose variable strides a dense output mode while the
-///    inner sparse walk is invariant in it tile that mode into
-///    fixed-width column panels — one fiber walk per panel, per-lane
-///    bound operands, and register-resident accumulators for the
-///    workspace/accumulator forms (Engine::Blocked /
-///    ExecOptions::BlockWidth).
+///  - register/cache-blocked output panels (MKBlockedEngine below): a
+///    nest over one fused leaf, whose variable strides a dense output
+///    mode while the leaf's sparse walk is invariant in it, tiles that
+///    mode into fixed-width column panels — one fiber walk per panel,
+///    per-lane bound operands, and register-resident accumulators for
+///    the workspace/accumulator forms (Engine::Blocked).
 ///
 /// Correctness contract: a fused loop is *bit-identical* to the generic
 /// interpreted path (same factor fold order, same reduction order, same
@@ -52,16 +50,16 @@
 /// generic path remains both the fallback — any unmatched shape, level
 /// kind, or operand — and the testing oracle.
 ///
-/// Parallel integration: micro-kernels hang off `PlanLoop::Fused` and
-/// are invoked from `PlanLoop::execRange` with a task's `[Lo, Hi]`
-/// coordinate sub-range and the task context's (possibly repointed)
-/// `OutPtr` bases, so privatization and chunk scheduling work
-/// unchanged. All bind-time state — level arrays and value bases read
-/// from the task context's access table, co-walker fingers, per-row
-/// prebound locator positions — lives on the stack: one MicroKernel
-/// may run concurrently from many task contexts, and a task range
-/// re-derives its bound state at its own bind, keeping split execution
-/// bit-reproducible.
+/// Parallel integration: micro-kernels hang off `PlanLoop::Fused` (the
+/// blocked engine off `PlanLoop::Blocked`) and are invoked from
+/// `PlanLoop::execRange` with a task's `[Lo, Hi]` coordinate sub-range
+/// and the task context's (possibly repointed) `OutPtr` bases, so
+/// privatization and chunk scheduling work unchanged. All bind-time
+/// state — level arrays and value bases read from the task context's
+/// access table, co-walker fingers, per-row prebound locator positions
+/// — lives on the stack: one MicroKernel may run concurrently from many
+/// task contexts, and a task range re-derives its bound state at its
+/// own bind, keeping split execution bit-reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,12 +105,12 @@ struct MKOperand {
   /// SparseLoad: per level (top first), the index slot providing that
   /// level's coordinate (mirrors VInstr::LevelSlots).
   std::vector<unsigned> LevelSlots;
-  /// SparseLoad (innermost loops only): number of leading levels whose
-  /// coordinate slots do not mention the loop variable. These are
-  /// row-invariant, so the engine resolves them once at bind time
-  /// (per-row prebinding) and per-element evaluation continues from the
-  /// cached position — or returns Fill outright when the prefix is
-  /// absent. 0 disables prebinding for this operand.
+  /// SparseLoad: number of leading levels whose coordinate slots do not
+  /// mention the loop variable. These are row-invariant, so the engine
+  /// resolves them once at bind time (per-row prebinding) and
+  /// per-element evaluation continues from the cached position — or
+  /// returns Fill outright when the prefix is absent. 0 disables
+  /// prebinding for this operand.
   uint8_t PrebindLevels = 0;
   unsigned PrebindIdx = 0; ///< slot in the engine's prebind array
   double Fill = 0;         ///< the accessed tensor's fill value
@@ -144,17 +142,15 @@ struct MKItem {
   enum class Kind : uint8_t {
     Def,  ///< scalar definition (no counter contribution, plain store)
     Stmt, ///< assignment (counts Reductions / OutputWrites / ScalarOps)
-    Loop, ///< nested plan loop, dispatched once per iteration
   };
   Kind K = Kind::Stmt;
   /// Residual guard (conjunction of the PlanIf conditions wrapping this
   /// item). Evaluated per iteration; guards that do not mention the
-  /// loop variable are hoisted to bind time in the innermost engine.
+  /// loop variable are hoisted to bind time.
   bool HasGuard = false;
   CCond Guard;
   bool GuardDynamic = false; ///< guard mentions the loop variable
-  MKStmt S;                  ///< Def / Stmt payload
-  PlanLoop *Child = nullptr; ///< Loop payload
+  MKStmt S;
 };
 
 /// One non-driving walker of an intersection loop. The driver emits
@@ -201,13 +197,14 @@ struct MKDriver {
 };
 
 /// The register/cache-blocked output engine (paper's ssyrk/syprd/ttm
-/// memory-wall shape). Installed on a fused *nest* loop when
+/// memory-wall shape). Installed on a nest loop, as PlanLoop::Blocked,
+/// when
 ///
 ///  - the nest's driver is a plain Range (no walkers, so every access
 ///    position — in particular the inner fiber — is invariant across
-///    the nest variable `u`),
-///  - its body is one unguarded child loop, innermost-fused, driven by
-///    a sparse walk with no co-walkers — either alone (the *direct*
+///    the nest variable `u`) or a sparse walk of another access,
+///  - its body is one unguarded fused leaf loop driven by a sparse
+///    walk with no co-walkers — either alone (the *direct*
 ///    form: the child assignment writes a tensor destination striding
 ///    `u` by a nonzero PanelStride, lanes provably disjoint via
 ///    DstVStride * (fiber dim - 1) < PanelStride) or in the workspace
@@ -226,12 +223,12 @@ struct MKDriver {
 /// bounds from the child's Lo/Hi terms, per-lane operand values /
 /// dense bases, per-lane destination pointers), then walks the shared
 /// fiber ONCE, updating every active lane per element — instead of
-/// re-binding and re-walking the fiber once per `u` and re-resolving
-/// row-invariant SparseLoads once per *element* as the unblocked nest
-/// does. When the destination does not depend on the child driver
-/// (DstVStride == 0, the `C[i,k] += A_row(j) * B[j,k]` accumulator
-/// shape), the panel's cells live in registers across the whole walk
-/// and are written back once per panel.
+/// re-binding and re-walking the fiber once per `u`, as the
+/// interpreted nest over the fused child does. When the destination
+/// does not depend on the child driver (DstVStride == 0, the
+/// `C[i,k] += A_row(j) * B[j,k]` accumulator shape), the panel's cells
+/// live in registers across the whole walk and are written back once
+/// per panel.
 ///
 /// Bit-identity: panel lanes write disjoint cells, and within a cell
 /// the contribution order is the fiber order — exactly the
@@ -288,7 +285,9 @@ public:
   BMode Mode = BMode::Stream;
   unsigned WsSlot = 0; ///< workspace scalar slot (Workspace mode)
   double WsInit = 0;   ///< the def's constant (Workspace mode)
-  unsigned Width = 4;  ///< panel width, resolved at install
+  /// Panel width, from the panel mode's extent at install: 8, or 4
+  /// for modes narrower than 8.
+  unsigned Width = 4;
 
   /// Dedicated panel walks for the two-factor Mul-fold / Add-reduce
   /// cores (ssyrk's driver * per-column-scalar and the SpMM-style
@@ -302,49 +301,46 @@ public:
   void run(ExecCtx &C, int64_t Lo, int64_t Hi);
 };
 
-/// A fused loop. Attached to PlanLoop::Fused by the specializer and run
-/// from PlanLoop::execRange in place of the generic walker dispatch.
+/// A fused leaf loop. Attached to PlanLoop::Fused by the specializer
+/// and run from PlanLoop::execRange in place of the generic walker
+/// dispatch.
 class MicroKernel {
 public:
-  unsigned Slot = 0;      ///< loop variable slot
-  bool Innermost = false; ///< no Loop items: tight prebound engine
+  unsigned Slot = 0; ///< loop variable slot
   MKDriver D;
   std::vector<MKItem> Items;
-  /// Blocked output engine replacing the generic nest dispatch (null
-  /// when the shape does not match or blocking is disabled; the nest
-  /// path below then runs — both are bit-identical to the interpreter).
-  std::unique_ptr<MKBlockedEngine> Blocked;
 
   void run(ExecCtx &C, int64_t Lo, int64_t Hi);
 
-  /// Caps enforced by the specializer so the innermost engine can bind
-  /// into fixed-size stack arrays.
+  /// Caps enforced by the specializer so the engine can bind into
+  /// fixed-size stack arrays.
   static constexpr unsigned MaxFactors = 8;
   static constexpr unsigned MaxItems = 12;
   /// Cap on per-row prebound SparseLoad operands per loop (excess
   /// operands simply skip prebinding; values are identical either way).
   static constexpr unsigned MaxPrebinds = 8;
-
-private:
-  void runInner(ExecCtx &C, int64_t Lo, int64_t Hi);
-  void runNest(ExecCtx &C, int64_t Lo, int64_t Hi);
 };
 
 /// Specialization-time knobs threaded from ExecOptions, plus the
 /// compile context the blocked-shape matcher needs.
 struct MKSpecializeOptions {
   bool UseBlocked = true;
-  unsigned BlockWidth = 0; ///< 0 = auto from the panel mode's extent
   /// Output tensors registered so far; a dense factor reading an output
   /// array declines blocking (reordering element visits across lanes
   /// could otherwise observe the loop's own stores differently).
   const std::vector<Tensor *> *OutputTensors = nullptr;
 };
 
-/// The PlanSpecializer pass: attempts to fuse \p L (whose body has
-/// already been compiled, with inner loops specialized bottom-up). On
-/// success installs L.Fused and returns true; on any unmatched shape
-/// leaves L untouched (the interpreted path stays authoritative).
+/// Whether the plan subtree \p N holds a PlanLoop: a loop whose body
+/// does not is a leaf loop, any other a nest loop.
+bool containsLoop(const PlanNode *N);
+
+/// The PlanSpecializer pass over \p L, whose body has already been
+/// compiled (inner loops specialized bottom-up). A leaf loop gets
+/// L.Fused; a nest loop only ever gets L.Blocked, when it has the panel
+/// shape and Opts.UseBlocked is set. Returns whether either was
+/// installed; otherwise L is untouched and the interpreted path stays
+/// authoritative.
 bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
                     const MKSpecializeOptions &Opts = MKSpecializeOptions());
 

@@ -2,6 +2,7 @@
 
 #include "runtime/Plan.h"
 
+#include "observability/Report.h"
 #include "observability/Trace.h"
 #include "parallel/ThreadPool.h"
 #include "runtime/MicroKernels.h"
@@ -324,14 +325,8 @@ void PlanLoop::execParallel(ExecCtx &C, int64_t Lo, int64_t Hi) {
   // identity in the same sweep, restoring the between-runs invariant
   // without a separate fill pass.
   const uint64_t MergeStart = obs::nowNs();
-  for (unsigned T = 0; T < NT; ++T) {
-    C.Local.SparseReads += Par.TaskCtx[T].Local.SparseReads;
-    C.Local.Reductions += Par.TaskCtx[T].Local.Reductions;
-    C.Local.ScalarOps += Par.TaskCtx[T].Local.ScalarOps;
-    C.Local.OutputWrites += Par.TaskCtx[T].Local.OutputWrites;
-    C.Local.FusedBlockedPanels += Par.TaskCtx[T].Local.FusedBlockedPanels;
-    C.Local.FusedBlockedStores += Par.TaskCtx[T].Local.FusedBlockedStores;
-  }
+  for (unsigned T = 0; T < NT; ++T)
+    obs::addCounters(C.Local, Par.TaskCtx[T].Local);
   if (C.TraceOn)
     for (unsigned T = 0; T < NT; ++T) {
       const ExecCtx &TC = Par.TaskCtx[T];
@@ -405,6 +400,10 @@ void PlanLoop::tracedRange(ExecCtx &C, int64_t Lo, int64_t Hi) {
 }
 
 void PlanLoop::rangeBody(ExecCtx &C, int64_t Lo, int64_t Hi) {
+  if (Blocked) {
+    Blocked->run(C, Lo, Hi);
+    return;
+  }
   if (Fused) {
     Fused->run(C, Lo, Hi);
     return;

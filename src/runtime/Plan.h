@@ -52,6 +52,7 @@ class ThreadPool;
 namespace detail {
 
 class MicroKernel;
+class MKBlockedEngine;
 
 /// Shared cooperative-stop state of one controlled run (cancellation
 /// token and/or absolute deadline). One instance per Executor, armed
@@ -330,10 +331,15 @@ public:
   std::vector<std::pair<unsigned, int64_t>> LoTerms, HiTerms;
   PlanPtr Body;
 
-  /// Fused micro-kernel replacing the generic walker/body dispatch for
-  /// this loop (null when the specializer declined; the interpreted
-  /// path below is then both the implementation and the oracle).
+  /// Fused micro-kernel replacing the generic walker/body dispatch of
+  /// this leaf loop (null for nest loops, and for leaves the specializer
+  /// declined; the interpreted path is then both the implementation and
+  /// the oracle).
   std::unique_ptr<MicroKernel> Fused;
+  /// Blocked panel engine running this nest loop over its fused child
+  /// leaf (null unless the nest has the panel shape and Engine::Blocked
+  /// is enabled). Tried before Fused, which it never coexists with.
+  std::unique_ptr<MKBlockedEngine> Blocked;
 
   /// Block metadata: the output-panel width when this loop runs the
   /// blocked engine (0 otherwise). Panels anchor at absolute multiples
@@ -393,8 +399,8 @@ public:
   /// tracedRange (span + aggregate accounting) when C.TraceOn.
   void execRange(ExecCtx &C, int64_t Lo, int64_t Hi);
   void tracedRange(ExecCtx &C, int64_t Lo, int64_t Hi);
-  /// The actual engine dispatch (fused micro-kernel or walker-driven
-  /// interpretation), free of instrumentation.
+  /// The actual engine dispatch (blocked panels, fused micro-kernel or
+  /// walker-driven interpretation), free of instrumentation.
   void rangeBody(ExecCtx &C, int64_t Lo, int64_t Hi);
   std::vector<ChunkRange> makeChunks(int64_t Lo, int64_t Hi) const;
 };

@@ -61,13 +61,6 @@ namespace fuzzharness {
 
 constexpr double Inf = std::numeric_limits<double>::infinity();
 
-/// Panel widths the blocking differentials draw from (0 = auto-select
-/// at specialization). One definition so every harness entry point
-/// samples the same policy space.
-constexpr unsigned BlockWidthSamples[] = {0, 1, 2, 3, 5, 8};
-constexpr size_t NumBlockWidthSamples =
-    sizeof(BlockWidthSamples) / sizeof(BlockWidthSamples[0]);
-
 /// The semiring axis of the differential matrix.
 enum class Semiring { Arith, MinPlus, MaxTimes, Boolean };
 
@@ -385,7 +378,6 @@ inline ExecOptions parallelOptions(uint64_t Seed) {
   const bool Fused = R.nextBool(0.5);
   const bool Blocking = R.nextBool(0.5);
   O.Engines = fuzzEngines(Fused, Blocking);
-  O.BlockWidth = BlockWidthSamples[R.nextIndex(NumBlockWidthSamples)];
   return O;
 }
 
@@ -501,8 +493,8 @@ inline void checkRebindCell(const Kernel &K, FuzzCase &F, const Tensor &Ref,
 /// cell matrix: every cell must match \p Ref element for element
 /// (which also makes the cells bit-identical to each other) and the
 /// first cell counter for counter. \p BlockSeed randomizes the blocked
-/// output engine across the fused cells — a seed-derived toggle and
-/// panel width, plus one extra Threads=1 cell with the toggle flipped —
+/// output engine across the fused cells — a seed-derived toggle, plus
+/// one extra Threads=1 cell with the toggle flipped —
 /// so every case differentially pins that blocking changes neither a
 /// value bit nor a runtime counter.
 ///
@@ -523,32 +515,25 @@ inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
                             bool NativeCell = false) {
   Rng BR(BlockSeed ^ 0xB10C6ED5EEDull);
   const bool Blk = BR.nextBool(0.5);
-  const unsigned Wd = BlockWidthSamples[BR.nextIndex(NumBlockWidthSamples)];
-  const unsigned WdAlt =
-      BlockWidthSamples[BR.nextIndex(NumBlockWidthSamples)];
   struct Cell {
     const char *Name;
     bool Fused;
     unsigned Threads;
     bool Blocking;
-    unsigned Width;
   };
-  const Cell Cells[] = {{"interp-1", false, 1, true, 0},
-                        {"fused-1", true, 1, Blk, Wd},
-                        {"interp-4", false, 4, true, 0},
-                        {"fused-4", true, 4, Blk, Wd},
-                        {"fused-1-altblock", true, 1, !Blk, WdAlt}};
+  const Cell Cells[] = {{"interp-1", false, 1, true},
+                        {"fused-1", true, 1, Blk},
+                        {"interp-4", false, 4, true},
+                        {"fused-4", true, 4, Blk},
+                        {"fused-1-altblock", true, 1, !Blk}};
   CounterSnapshot FirstSnap;
   for (const Cell &C : Cells) {
     SCOPED_TRACE(std::string(C.Name) +
-                 (C.Fused ? (C.Blocking ? " blocking width=" +
-                                              std::to_string(C.Width)
-                                        : std::string(" noblocking"))
-                          : std::string()));
+                 (C.Fused ? (C.Blocking ? " blocking" : " noblocking")
+                          : ""));
     ExecOptions O;
     O.Engines = fuzzEngines(C.Fused, C.Blocking);
     O.Threads = C.Threads;
-    O.BlockWidth = C.Width;
     CounterSnapshot Snap;
     Tensor Out = runCounted(K, F, O, Snap);
     ASSERT_EQ(Out.vals().size(), Ref.vals().size());
@@ -591,11 +576,9 @@ inline void checkMicroKernelsBitIdentical(uint64_t Seed) {
   ExecOptions Interp, Fused;
   Interp.Engines = {Engine::Interp};
   // Blocking must be invisible to this differential too: randomize the
-  // toggle and panel width from the seed.
+  // toggle from the seed.
   Rng BR(Seed ^ 0xB10C6ED5EEDull);
   Fused.Engines = fuzzEngines(true, BR.nextBool(0.5));
-  Fused.BlockWidth =
-      BlockWidthSamples[BR.nextIndex(NumBlockWidthSamples)];
   for (const Kernel *K : {&R.Naive, &R.Optimized}) {
     SCOPED_TRACE(K == &R.Naive ? "naive" : "optimized");
     CounterSnapshot SI, SF;

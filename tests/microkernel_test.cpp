@@ -2,11 +2,12 @@
 ///
 /// Unit tests for the runtime specialization layer
 /// (runtime/MicroKernels.h): each fused shape — sparse axpy/dot, dense
-/// scale-accumulate, sparse-sparse two-finger merge, nest fusion — is
-/// checked bit-identical to the generic interpreted path with exact
-/// counter parity, including empty rows, non-zero fill (min-plus),
-/// multiplicity handling, and the deliberate fallbacks. Also covers the
-/// expression-VM deep-stack fix and the stateful SparseLoad locator.
+/// scale-accumulate, sparse-sparse two-finger merge, blocked panel
+/// nests — is checked bit-identical to the generic interpreted path
+/// with exact counter parity, including empty rows, non-zero fill
+/// (min-plus), multiplicity handling, and the deliberate fallbacks.
+/// Also covers the expression-VM deep-stack fix and the stateful
+/// SparseLoad locator.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,7 +138,6 @@ TEST(MicroKernels, SparseAxpyBitIdentical) {
       },
       Tensor::dense({4}), "sparse axpy");
   EXPECT_GT(S.SpecializedLoops, 0u);
-  EXPECT_GT(S.InnermostFused, 0u);
   EXPECT_EQ(S.GenericLoops, 0u);
 }
 
@@ -166,8 +166,7 @@ TEST(MicroKernels, SparseDotScalarWorkspace) {
         E.bind("A", &A).bind("x", &X).bind("y", &Out);
       },
       Tensor::dense({4}), "sparse dot");
-  EXPECT_EQ(S.SpecializedLoops, 2u); // fused nest over fused inner loop
-  EXPECT_EQ(S.InnermostFused, 1u);
+  EXPECT_EQ(S.SpecializedLoops, 1u); // fused leaf; the nest is interpreted
 }
 
 TEST(MicroKernels, MinPlusFillRespected) {
@@ -211,13 +210,12 @@ TEST(MicroKernels, SparseSparseMergeIntersects) {
       },
       Tensor::dense({4}), "sparse-sparse merge");
   EXPECT_GT(S.SpecializedLoops, 0u);
-  EXPECT_GT(S.InnermostFused, 0u);
 }
 
 TEST(MicroKernels, DenseScaleAccumulateStrided) {
   // ttm-style innermost dense loop with strided output and several
-  // statements per iteration, via the real ttm pipeline (covers nest
-  // fusion over a dense range driver and invariant guards in the
+  // statements per iteration, via the real ttm pipeline (covers fused
+  // leaves under interpreted nests and invariant guards in the
   // diagonal kernel).
   Rng R(11);
   CompileResult C = compileEinsum(makeTtm());
@@ -229,7 +227,7 @@ TEST(MicroKernels, DenseScaleAccumulateStrided) {
         E.bind("A", &A).bind("B", &B).bind("C", &Out);
       },
       Tensor::dense({5, 12, 12}), "ttm scale-accumulate");
-  EXPECT_GT(S.InnermostFused, 0u);
+  EXPECT_GT(S.SpecializedLoops, 0u);
 }
 
 TEST(MicroKernels, MultiplicityFoldsIntoFusedPath) {
@@ -276,7 +274,7 @@ TEST(MicroKernels, GeneralMultiplicityFallsBack) {
       [&](Executor &E, Tensor &O) { E.bind("A", &A).bind("y", &O); },
       std::move(Out), "multiplicity 3 fallback");
   EXPECT_GT(S.GenericLoops, 0u);
-  EXPECT_EQ(S.InnermostFused, 0u);
+  EXPECT_EQ(S.SpecializedLoops, 0u);
 }
 
 TEST(MicroKernels, AblationSwitchReportsStats) {
@@ -289,12 +287,12 @@ TEST(MicroKernels, AblationSwitchReportsStats) {
   EOff.bind("A", &A).bind("x", &X).bind("y", &Y);
   ASSERT_TRUE(EOff.tryPrepare().ok());
   EXPECT_EQ(EOff.microKernelStats().SpecializedLoops, 0u);
-  EXPECT_EQ(EOff.microKernelStats().GenericLoops, 2u);
+  EXPECT_EQ(EOff.microKernelStats().GenericLoops, 1u); // the leaf
 
   Executor EOn(spmvKernel());
   EOn.bind("A", &A).bind("x", &X).bind("y", &Y);
   ASSERT_TRUE(EOn.tryPrepare().ok());
-  EXPECT_EQ(EOn.microKernelStats().SpecializedLoops, 2u);
+  EXPECT_EQ(EOn.microKernelStats().SpecializedLoops, 1u);
   EXPECT_EQ(EOn.microKernelStats().GenericLoops, 0u);
 }
 
@@ -385,7 +383,7 @@ TEST(ExpressionVm, LocatorRandomizedAgainstAt) {
 
 TEST(MicroKernels, SsymvPipelineBitIdentical) {
   // The full ssymv pipeline: diagonal split, workspace def, fused
-  // dense-over-sparse nests, and the replication-free epilogue.
+  // sparse leaves under dense nests, and the replication-free epilogue.
   Rng R(5);
   CompileResult C = compileEinsum(makeSsymv());
   Tensor A = generateSymmetricTensor(2, 30, 120, R, TensorFormat::csf(2));
@@ -397,7 +395,6 @@ TEST(MicroKernels, SsymvPipelineBitIdentical) {
       },
       Tensor::dense({30}), "ssymv pipeline");
   EXPECT_GT(S.SpecializedLoops, 0u);
-  EXPECT_GT(S.InnermostFused, 0u);
 }
 
 TEST(MicroKernels, SsyrkTriangleNestBitIdentical) {
@@ -427,7 +424,7 @@ TEST(MicroKernels, MttkrpInlinedDefsBitIdentical) {
         E.bind("A", &A).bind("B", &B).bind("C", &Out);
       },
       Tensor::dense({14, 6}), "mttkrp3 defs");
-  EXPECT_GT(S.InnermostFused, 0u);
+  EXPECT_GT(S.SpecializedLoops, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -761,40 +758,39 @@ struct SsyrkFixture {
 } // namespace
 
 TEST(BlockedEngine, SsyrkBitIdenticalAcrossPanelWidths) {
-  // The ssyrk triangle nest blocks into column panels; every width —
-  // including 1, widths that do not divide the extent, and the
-  // auto-selected width — must reproduce the interpreter bit for bit
-  // with exactly equal counters. Random (non-integer) data on purpose:
-  // bit-identity must hold because the per-cell fold order is
+  // The ssyrk triangle nest blocks into column panels whose width the
+  // engine derives from the panel mode's extent (4 below 8, else 8).
+  // Sweeping the extent over 4..17 covers both widths and every ragged
+  // last panel of 1..7 lanes; each must reproduce the interpreter bit
+  // for bit with exactly equal counters. Random (non-integer) data on
+  // purpose: bit-identity must hold because the per-cell fold order is
   // preserved, not because the sums happen to be exact.
-  SsyrkFixture F(37, 99, /*Quantize=*/false);
-  for (const Kernel *K : {&F.R.Naive, &F.R.Optimized}) {
-    SCOPED_TRACE(K == &F.R.Naive ? "naive" : "optimized");
-    ExecOptions Interp;
-    Interp.Engines = {Engine::Interp};
-    CounterSnapshot SI, SB;
-    MicroKernelStats StI, StB;
-    Tensor Ref = F.run(*K, Interp, SI, StI);
-    for (unsigned W : {0u, 1u, 2u, 3u, 5u, 8u}) {
-      SCOPED_TRACE("width " + std::to_string(W));
-      ExecOptions O;
-      O.BlockWidth = W;
-      Tensor Out = F.run(*K, O, SB, StB);
+  for (int64_t N = 4; N <= 17; ++N) {
+    SCOPED_TRACE("extent " + std::to_string(N));
+    SsyrkFixture F(N, 99, /*Quantize=*/false);
+    for (const Kernel *K : {&F.R.Naive, &F.R.Optimized}) {
+      SCOPED_TRACE(K == &F.R.Naive ? "naive" : "optimized");
+      ExecOptions Interp;
+      Interp.Engines = {Engine::Interp};
+      CounterSnapshot SI, SB;
+      MicroKernelStats StI, StB;
+      Tensor Ref = F.run(*K, Interp, SI, StI);
+      Tensor Out = F.run(*K, ExecOptions(), SB, StB);
       EXPECT_GT(StB.BlockedLoops, 0u);
       EXPECT_GT(SB.FusedBlockedPanels, 0u);
       expectBitIdentical(Ref, Out, "blocked ssyrk");
       expectCountersEqual(SI, SB, "blocked ssyrk");
+      // Ablation: without Engine::Blocked the engine is not installed
+      // (and the unblocked nest is still bit-identical — the original
+      // contract).
+      ExecOptions Off;
+      Off.Engines = {Engine::Fused, Engine::Interp};
+      Out = F.run(*K, Off, SB, StB);
+      EXPECT_EQ(StB.BlockedLoops, 0u);
+      EXPECT_EQ(SB.FusedBlockedPanels, 0u);
+      expectBitIdentical(Ref, Out, "unblocked ssyrk");
+      expectCountersEqual(SI, SB, "unblocked ssyrk");
     }
-    // Ablation: without Engine::Blocked the engine is not installed
-    // (and the unblocked nest is still bit-identical — the original
-    // contract).
-    ExecOptions Off;
-    Off.Engines = {Engine::Fused, Engine::Interp};
-    Tensor Out = F.run(*K, Off, SB, StB);
-    EXPECT_EQ(StB.BlockedLoops, 0u);
-    EXPECT_EQ(SB.FusedBlockedPanels, 0u);
-    expectBitIdentical(Ref, Out, "unblocked ssyrk");
-    expectCountersEqual(SI, SB, "unblocked ssyrk");
   }
 }
 
@@ -838,29 +834,24 @@ TEST(BlockedEngine, EmptyColumnsAndEmptyFiber) {
   // skips them; the engine must still match the interpreter exactly.
   Tensor A = gappyCsc();
   CompileResult R = compileEinsum(makeSsyrk());
-  for (unsigned W : {0u, 2u, 8u}) {
-    SCOPED_TRACE("width " + std::to_string(W));
-    ExecOptions Interp, Blk;
-    Interp.Engines = {Engine::Interp};
-    Blk.BlockWidth = W;
-    for (const Kernel *K : {&R.Naive, &R.Optimized}) {
-      CounterSnapshot SI, SB;
-      MicroKernelStats StI, StB;
-      Executor EI(*K, Interp), EB(*K, Blk);
-      Tensor OutI = Tensor::dense({4, 4}), OutB = Tensor::dense({4, 4});
-      EI.bind("A", &A).bind("C", &OutI);
-      EB.bind("A", &A).bind("C", &OutB);
-      ASSERT_TRUE(EI.tryPrepare().ok());
-      ASSERT_TRUE(EB.tryPrepare().ok());
-      setCountersEnabled(true);
-      obs::ExecReport RepI, RepB;
-      ASSERT_TRUE(EI.tryRun(&RepI).ok());
-      SI = RepI.Counters;
-      ASSERT_TRUE(EB.tryRun(&RepB).ok());
-      SB = RepB.Counters;
-      expectBitIdentical(OutI, OutB, "gappy blocked ssyrk");
-      expectCountersEqual(SI, SB, "gappy blocked ssyrk");
-    }
+  ExecOptions Interp;
+  Interp.Engines = {Engine::Interp};
+  for (const Kernel *K : {&R.Naive, &R.Optimized}) {
+    CounterSnapshot SI, SB;
+    Executor EI(*K, Interp), EB(*K);
+    Tensor OutI = Tensor::dense({4, 4}), OutB = Tensor::dense({4, 4});
+    EI.bind("A", &A).bind("C", &OutI);
+    EB.bind("A", &A).bind("C", &OutB);
+    ASSERT_TRUE(EI.tryPrepare().ok());
+    ASSERT_TRUE(EB.tryPrepare().ok());
+    setCountersEnabled(true);
+    obs::ExecReport RepI, RepB;
+    ASSERT_TRUE(EI.tryRun(&RepI).ok());
+    SI = RepI.Counters;
+    ASSERT_TRUE(EB.tryRun(&RepB).ok());
+    SB = RepB.Counters;
+    expectBitIdentical(OutI, OutB, "gappy blocked ssyrk");
+    expectCountersEqual(SI, SB, "gappy blocked ssyrk");
   }
 }
 
@@ -871,7 +862,7 @@ TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
   // across the sparse walk and writes each lane back once — the
   // FusedBlockedStores telemetry equals the per-column writes instead
   // of the per-element traffic. Bit-identical with exact counters, at
-  // every width, including an extent (13) the widths do not divide.
+  // the derived width (8) over an extent (13) it does not divide.
   Rng Rand(5);
   Einsum E = parseEinsum("spmm", "C[i,k] += A[i,j] * B[j,k]");
   E.LoopOrder = {"i", "k", "j"};
@@ -899,18 +890,13 @@ TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
   CounterSnapshot SI, SB;
   MicroKernelStats StI, StB;
   Tensor Ref = RunIt(Interp, SI, StI);
-  for (unsigned W : {0u, 1u, 3u, 8u}) {
-    SCOPED_TRACE("width " + std::to_string(W));
-    ExecOptions O;
-    O.BlockWidth = W;
-    Tensor Out = RunIt(O, SB, StB);
-    EXPECT_GT(StB.BlockedLoops, 0u);
-    EXPECT_GT(StB.BlockedAccumLoops, 0u)
-        << "the workspace triple must take the register-accumulator form";
-    EXPECT_GT(SB.FusedBlockedPanels, 0u);
-    // One writeback per lane (column), not one per element.
-    EXPECT_EQ(SB.FusedBlockedStores, SB.OutputWrites);
-    expectBitIdentical(Ref, Out, "blocked spmm");
-    expectCountersEqual(SI, SB, "blocked spmm");
-  }
+  Tensor Out = RunIt(ExecOptions(), SB, StB);
+  EXPECT_GT(StB.BlockedLoops, 0u);
+  EXPECT_GT(StB.BlockedAccumLoops, 0u)
+      << "the workspace triple must take the register-accumulator form";
+  EXPECT_GT(SB.FusedBlockedPanels, 0u);
+  // One writeback per lane (column), not one per element.
+  EXPECT_EQ(SB.FusedBlockedStores, SB.OutputWrites);
+  expectBitIdentical(Ref, Out, "blocked spmm");
+  expectCountersEqual(SI, SB, "blocked spmm");
 }

@@ -729,25 +729,12 @@ TEST(ExecOptionsSanitize, AbsurdThreadCountClampsToHardwareMultiple) {
   EXPECT_TRUE(E.tryRun().ok());
 }
 
-TEST(ExecOptionsSanitize, OversizedBlockWidthClampsToEngineMaximum) {
-  SanitizeSetup S;
-  ExecOptions O;
-  O.BlockWidth = 4096;
-  Executor E(S.C.Optimized, O);
-  S.bindInto(E);
-  ASSERT_TRUE(E.tryPrepare().ok());
-  EXPECT_TRUE(anyClampContains(E, "blockwidth 4096 -> 8"));
-  EXPECT_TRUE(E.tryRun().ok());
-}
-
 TEST(ExecOptionsSanitize, SupportedValuesRecordNoClamps) {
-  // Widths 1..8 and any Threads up to 4x hardware concurrency are part
-  // of the supported contract (the fuzz matrix samples them); none may
-  // produce a note.
+  // Any Threads up to 4x hardware concurrency is part of the supported
+  // contract (the fuzz matrix samples it); it may not produce a note.
   SanitizeSetup S;
   ExecOptions O;
   O.Threads = 4;
-  O.BlockWidth = 8;
   Executor E(S.C.Optimized, O);
   S.bindInto(E);
   ASSERT_TRUE(E.tryPrepare().ok());
