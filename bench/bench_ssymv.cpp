@@ -3,9 +3,11 @@
 /// \file
 /// SSYMV (y[i] += A[i,j]*x[j], A symmetric CSC) over the Table 2 suite:
 /// naive engine vs SySTeC engine (the paper's red-line normalization),
-/// plus native taco-like SpMV and mkl-like symmetric SpMV comparators.
-/// Expected speedup approaches 2x (bandwidth bound; paper measured
-/// 1.45x average vs naive Finch).
+/// the same two kernels on the native engine (C++ emitted from the
+/// compiled plan and built by the host compiler, the Finch-JIT
+/// analogue), plus native taco-like SpMV and mkl-like symmetric SpMV
+/// comparators. Expected speedup approaches 2x (bandwidth bound; paper
+/// measured 1.45x average vs naive Finch).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,67 +15,78 @@
 
 #include "baselines/Baselines.h"
 #include "core/Compiler.h"
+#include "jit/NativeKernelCache.h"
 #include "kernels/Kernels.h"
 
 using namespace systec;
 using namespace systec::bench;
-
-// Ahead-of-time compiled compiler output (bench/gen_ssymv.cpp, emitted
-// by tools/systec_gen at build time). The generated symmetric kernel
-// takes the prepared diagonal splits as parameters.
-void ssymv_naive(const Tensor &A, const Tensor &X, Tensor &Y);
-void ssymv_systec(const Tensor &A, const Tensor &ADiag,
-                  const Tensor &ANondiag, const Tensor &X, Tensor &Y);
 
 int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
   Rng R(20260611);
   CompileResult C = compileEinsum(makeSsymv());
 
+  // The *_native rows ride along whenever a host compiler is available;
+  // otherwise they are skipped with a visible note.
+  ExecOptions NativeOpt;
+  NativeOpt.Engines = {Engine::Native, Engine::Fused, Engine::Interp};
+  std::string NoCompiler;
+  const bool WithNative =
+      jit::NativeKernelCache::compilerAvailable(&NoCompiler);
+  if (!WithNative)
+    std::printf("native rows skipped: %s\n", NoCompiler.c_str());
+
   std::vector<std::unique_ptr<Holder>> Holders;
   std::vector<Row> Rows;
+  // Per row, the executor behind each engine impl (for the records).
+  std::vector<std::map<std::string, Executor *>> RowExecs;
   for (const MatrixSpec &Spec : suiteForBench()) {
     auto H = std::make_unique<Holder>();
     H->Tensors.emplace("A", buildSuiteMatrix(Spec, R));
     H->Tensors.emplace("AU", upperTriangle(H->tensor("A")));
     H->Tensors.emplace("x", generateDenseVector(Spec.Dimension, R));
     H->Tensors.emplace("y", Tensor::dense({Spec.Dimension}));
-    auto Split = H->tensor("A").splitDiagonal(Partition::full(2));
-    H->Tensors.emplace("A_nondiag", std::move(Split.first));
-    H->Tensors.emplace("A_diag", std::move(Split.second));
     Tensor *A = &H->tensor("A");
     Tensor *AU = &H->tensor("AU");
-    Tensor *AOff = &H->tensor("A_nondiag");
-    Tensor *ADiag = &H->tensor("A_diag");
     Tensor *X = &H->tensor("x");
     Tensor *Y = &H->tensor("y");
 
-    Executor &Naive = H->addExecutor(C.Naive);
-    Naive.bind("A", A).bind("x", X).bind("y", Y);
-    checkOk(Naive.tryPrepare());
-    Executor &Opt = H->addExecutor(C.Optimized);
-    Opt.bind("A", A).bind("x", X).bind("y", Y);
-    checkOk(Opt.tryPrepare());
-
     std::string Base = "ssymv/" + Spec.Name;
     auto Reset = [Y] { Y->setAllValues(0.0); };
-    registerRun(Base + "/naive", Reset,
-                [&Naive] { checkOk(Naive.tryRunBody()); });
-    registerRun(Base + "/systec", Reset, [&Opt] { checkOk(Opt.tryRunBody()); });
+    std::map<std::string, Executor *> &Execs = RowExecs.emplace_back();
+    // Prepares \p K under \p O and registers its body as row \p Impl; a
+    // native build that falls back is reported and left out, so a fused
+    // run is never labelled native.
+    auto AddEngineRun = [&](const std::string &Impl, const Kernel &K,
+                            const ExecOptions &O) {
+      H->Executors.push_back(std::make_unique<Executor>(K, O));
+      Executor &E = *H->Executors.back();
+      E.bind("A", A).bind("x", X).bind("y", Y);
+      checkOk(E.tryPrepare());
+      if (O.Engines.front() == Engine::Native && !E.usesNativeEngine()) {
+        std::printf("%s/%s: native build fell back (%s)\n",
+                    Spec.Name.c_str(), Impl.c_str(),
+                    E.nativeStatus().str().c_str());
+        H->Executors.pop_back();
+        return;
+      }
+      Execs[Impl] = &E;
+      registerRun(Base + "/" + Impl, Reset, [&E] { checkOk(E.tryRunBody()); });
+    };
+    AddEngineRun("naive", C.Naive, ExecOptions());
+    AddEngineRun("systec", C.Optimized, ExecOptions());
+    if (WithNative) {
+      AddEngineRun("naive_native", C.Naive, NativeOpt);
+      AddEngineRun("systec_native", C.Optimized, NativeOpt);
+    }
     registerRun(Base + "/taco", Reset, [A, X, Y] { tacoSpmv(*A, *X, *Y); });
     registerRun(Base + "/mkl", Reset,
                 [AU, X, Y] { mklSymv(*AU, *X, *Y); });
-    // AOT-compiled compiler output (the Finch-JIT analogue).
-    registerRun(Base + "/naive_gen", Reset,
-                [A, X, Y] { ssymv_naive(*A, *X, *Y); });
-    registerRun(Base + "/systec_gen", Reset, [A, ADiag, AOff, X, Y] {
-      ssymv_systec(*A, *ADiag, *AOff, *X, *Y);
-    });
 
     Row RowEntry;
     RowEntry.Label = Spec.Name;
-    for (const char *Impl :
-         {"naive", "systec", "naive_gen", "systec_gen", "taco", "mkl"})
+    for (const char *Impl : {"naive", "systec", "naive_native",
+                             "systec_native", "taco", "mkl"})
       RowEntry.Entries.push_back({Impl, Base + "/" + Impl});
     Rows.push_back(RowEntry);
     Holders.push_back(std::move(H));
@@ -82,19 +95,19 @@ int main(int argc, char **argv) {
   CaptureReporter Rep;
   benchmark::RunSpecifiedBenchmarks(&Rep);
   printSpeedups(Rep, "Figure 6: SSYMV speedup over naive (engine rows; "
-                     "see *_gen columns for AOT-compiled output)",
-                {"naive", "systec", "naive_gen", "systec_gen", "taco",
+                     "see *_native columns for compiled output)",
+                {"naive", "systec", "naive_native", "systec_native", "taco",
                  "mkl"},
                 Rows,
                 /*ExpectedSpeedup=*/2.0);
   // Native shape: speedup of compiled compiler output.
-  std::printf("\nAOT-generated-code speedups (systec_gen vs naive_gen, "
-              "the paper's bandwidth-bound comparison):\n");
+  std::printf("\nNative generated-code speedups (systec_native vs "
+              "naive_native, the paper's bandwidth-bound comparison):\n");
   double Geo = 0;
   unsigned N = 0;
   for (const Row &RowEntry : Rows) {
-    double TN = Rep.millis("ssymv/" + RowEntry.Label + "/naive_gen");
-    double TO = Rep.millis("ssymv/" + RowEntry.Label + "/systec_gen");
+    double TN = Rep.millis("ssymv/" + RowEntry.Label + "/naive_native");
+    double TO = Rep.millis("ssymv/" + RowEntry.Label + "/systec_native");
     if (TN > 0 && TO > 0) {
       std::printf("  %-16s %.2fx\n", RowEntry.Label.c_str(), TN / TO);
       Geo += std::log(TN / TO);
@@ -107,24 +120,23 @@ int main(int argc, char **argv) {
   // Machine-readable trajectory log (single-threaded reference rows;
   // bench_threads records the thread-scaling rows).
   std::vector<BenchRecord> Records;
-  // The naive/systec rows run through the Executor with its default
-  // options; the *_gen/taco/mkl rows are native code with no
-  // ExecOptions (empty options field).
-  const std::string EngineOpts = execOptionsSummary(ExecOptions());
+  // The engine rows carry their ExecOptions; the taco/mkl rows are
+  // native code with no ExecOptions (empty options field).
   for (size_t RI = 0; RI < Rows.size(); ++RI) {
     const Row &RowEntry = Rows[RI];
     for (const auto &[Impl, BenchName] : RowEntry.Entries) {
       double Ms = Rep.millis(BenchName);
-      const bool Engine = Impl == "naive" || Impl == "systec";
       if (Ms <= 0)
         continue;
+      auto It = RowExecs[RI].find(Impl);
+      Executor *E = It == RowExecs[RI].end() ? nullptr : It->second;
+      const ExecOptions &O =
+          Impl.ends_with("_native") ? NativeOpt : ExecOptions();
       BenchRecord Rec{"ssymv", RowEntry.Label, Impl, 1, "none", Ms, 0,
-                      Engine ? EngineOpts : "", "", ""};
-      if (Engine) {
-        // addExecutor order per holder: naive first, then systec.
-        Executor &E = *Holders[RI]->Executors[Impl == "naive" ? 0 : 1];
+                      E ? execOptionsSummary(O) : "", "", ""};
+      if (E) {
         Tensor *Y = &Holders[RI]->tensor("y");
-        annotateRecord(Rec, E, [Y] { Y->setAllValues(0.0); });
+        annotateRecord(Rec, *E, [Y] { Y->setAllValues(0.0); });
       }
       Records.push_back(std::move(Rec));
     }

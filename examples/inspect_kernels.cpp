@@ -3,8 +3,9 @@
 /// \file
 /// The analogue of the artifact's `julia run_SySTeC.jl`: compiles every
 /// kernel from the paper's evaluation and prints the full compiler
-/// report (analysis, symmetrized blocks, naive and optimized kernels).
-/// Pass an einsum on the command line to compile something else, e.g.:
+/// report (analysis, symmetrized blocks, naive and optimized kernels as
+/// IR listings, transposes and splits). Pass an einsum on the command
+/// line to compile something else, e.g.:
 ///
 ///   inspect_kernels "C[i,j] += A[i,k] * A[j,k]"
 ///   inspect_kernels "y[i] min= A[i,j] + d[j]" --sym A
@@ -13,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Codegen.h"
 #include "core/Compiler.h"
 #include "kernels/Kernels.h"
 
@@ -28,11 +28,8 @@ int main(int Argc, char **Argv) {
   if (Argc > 1 && Argv[1][0] != '-') {
     Einsum E = parseEinsum("cli", Argv[1]);
     PipelineOptions Options;
-    bool EmitCppSource = false;
     for (int I = 2; I < Argc; ++I) {
-      if (std::strcmp(Argv[I], "--emit-cpp") == 0) {
-        EmitCppSource = true;
-      } else if (std::strcmp(Argv[I], "--sym") == 0 && I + 1 < Argc) {
+      if (std::strcmp(Argv[I], "--sym") == 0 && I + 1 < Argc) {
         const std::string Tensor = Argv[++I];
         TensorDecl &D = E.Decls.at(Tensor);
         D.Format = TensorFormat::csf(D.Order);
@@ -50,9 +47,6 @@ int main(int Argc, char **Argv) {
     }
     CompileResult R = compileEinsum(E, Options);
     std::printf("%s\n", R.report().c_str());
-    if (EmitCppSource)
-      std::printf("=== generated C++ ===\n%s\n",
-                  emitCpp(R.Optimized).c_str());
     return 0;
   }
 

@@ -1,10 +1,12 @@
 //===- examples/parallel_scaling.cpp - Parallel runtime demo --*- C++ -*-===//
 ///
 /// \file
-/// Demonstrates the parallel execution runtime: compiles SSYMV, shows
-/// the parallelism analysis decision (the `// parallel` markers in the
-/// generated C++), then runs the optimized kernel across thread counts
-/// and schedule policies and reports timings and result agreement.
+/// Demonstrates the parallel execution runtime: compiles SSYMV, prints
+/// the optimized kernel's IR and the loops the parallelism analysis
+/// marked (with their triangle depth, which drives the
+/// triangle-balanced schedule), then runs the optimized kernel across
+/// thread counts and schedule policies and reports timings and result
+/// agreement.
 ///
 /// Build and run:
 ///   cmake -B build && cmake --build build --target example_parallel_scaling
@@ -12,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Codegen.h"
 #include "core/Compiler.h"
 #include "data/Generators.h"
 #include "kernels/Kernels.h"
@@ -32,8 +33,15 @@ int main(int Argc, char **Argv) {
   Tensor X = generateDenseVector(N, R);
 
   CompileResult C = compileEinsum(makeSsymv());
-  std::printf("=== generated kernel (note the // parallel markers) ===\n%s\n",
-              emitCpp(C.Optimized).c_str());
+  std::printf("=== optimized kernel ===\n%s\n", C.Optimized.str().c_str());
+  std::printf("=== loops marked parallel ===\n");
+  Stmt::walk(C.Optimized.Body, [](const StmtPtr &S) {
+    if (S->kind() != StmtKind::Loop || !S->parallelInfo().IsParallel)
+      return;
+    std::printf("  for %s: parallel, triangle depth %d\n",
+                S->loopIndex().c_str(), S->parallelInfo().TriangleDepth);
+  });
+  std::printf("\n");
 
   Tensor Ref;
   double BaseMs = 0;

@@ -3,540 +3,14 @@
 #include "core/Codegen.h"
 
 #include "runtime/Plan.h"
-#include "support/Error.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <sstream>
 
 namespace systec {
-
-namespace {
-
-/// Emits one kernel as C++ source. The structure mirrors the plan
-/// compiler in runtime/Executor.cpp: loops are driven by the first
-/// concordant sparse access, single-conjunction conditions peel into
-/// loop bounds, everything else evaluates as residual predicates or
-/// random-access reads.
-class CppEmitter {
-public:
-  CppEmitter(const Kernel &K, bool InlinePreparation)
-      : K(K), InlinePreparation(InlinePreparation) {}
-
-  std::string emit() {
-    collectExtents();
-    std::ostringstream Body;
-    emitStmt(K.Body, Body, 1);
-    if (K.Epilogue) {
-      Body << "\n  // epilogue: replicate the canonical triangle\n";
-      emitStmt(K.Epilogue, Body, 1);
-    }
-    return assemble(Body.str());
-  }
-
-private:
-  const Kernel &K;
-  bool InlinePreparation = true;
-  std::map<std::string, std::string> ExtentExpr; // index -> dim expr
-  std::set<std::string> LevelRefs;               // "T_lN" declarations
-  std::vector<std::pair<std::vector<CmpAtom>, std::vector<double>>> Luts;
-  std::set<std::string> BoundVars;
-  // Per distinct access: how many levels are driven on the current
-  // path, and the position variable of the last driven level.
-  std::map<std::string, unsigned> Driven;
-  std::map<std::string, std::string> PosVar;
-  // Lexical scopes of declared scalar temporaries (guarded definitions
-  // are predeclared in the enclosing scope and assigned in-branch).
-  std::vector<std::set<std::string>> Scopes{{}};
-
-  bool scalarDeclared(const std::string &Name) const {
-    for (const std::set<std::string> &S : Scopes)
-      if (S.count(Name))
-        return true;
-    return false;
-  }
-
-  void collectDefNames(const StmtPtr &S, std::vector<std::string> &Out) {
-    if (S->kind() == StmtKind::DefScalar) {
-      Out.push_back(S->scalarName());
-    } else if (S->kind() == StmtKind::Block) {
-      for (const StmtPtr &C : S->stmts())
-        collectDefNames(C, Out);
-    } else if (S->kind() == StmtKind::If) {
-      collectDefNames(S->body(), Out);
-    }
-  }
-
-  const TensorDecl &declOf(const std::string &Name) const {
-    auto It = K.Decls.find(Name);
-    if (It == K.Decls.end())
-      fatalError("codegen: unknown tensor " + Name);
-    return It->second;
-  }
-
-  bool isAlias(const std::string &Name) const {
-    for (const TransposeRequest &T : K.Transposes)
-      if (T.Alias == Name)
-        return true;
-    for (const SplitRequest &S : K.Splits)
-      if (S.Alias == Name)
-        return true;
-    return false;
-  }
-
-  void collectExtents() {
-    auto FromStmt = [this](const StmtPtr &Root) {
-      Stmt::walk(Root, [this](const StmtPtr &S) {
-        std::vector<ExprPtr> Accesses;
-        if (S->kind() == StmtKind::Assign) {
-          Expr::collectAccesses(S->rhs(), Accesses);
-          if (S->lhs()->kind() == ExprKind::Access)
-            Accesses.push_back(S->lhs());
-        } else if (S->kind() == StmtKind::DefScalar) {
-          Expr::collectAccesses(S->rhs(), Accesses);
-        }
-        for (const ExprPtr &A : Accesses)
-          for (unsigned M = 0; M < A->indices().size(); ++M)
-            ExtentExpr.insert({A->indices()[M],
-                               A->tensorName() + ".dim(" +
-                                   std::to_string(M) + ")"});
-      });
-    };
-    FromStmt(K.Body);
-    if (K.Epilogue)
-      FromStmt(K.Epilogue);
-  }
-
-  std::string cmpExpr(const CmpAtom &A) {
-    return A.Lhs + " " + cmpKindName(A.Kind) + " " + A.Rhs;
-  }
-
-  std::string condExpr(const Cond &C) {
-    std::vector<std::string> Disj;
-    for (const Conj &D : C.disjuncts()) {
-      std::vector<std::string> Atoms;
-      for (const CmpAtom &A : D.Atoms)
-        Atoms.push_back(cmpExpr(A));
-      Disj.push_back(Atoms.empty() ? "true" : join(Atoms, " && "));
-    }
-    if (Disj.size() == 1)
-      return Disj[0];
-    for (std::string &S : Disj)
-      S = "(" + S + ")";
-    return join(Disj, " || ");
-  }
-
-  /// Column-major dense position: i0 + d0*(i1 + d1*(i2 ...)).
-  std::string densePos(const std::string &Tensor,
-                       const std::vector<std::string> &Indices) {
-    std::string Out;
-    for (unsigned M = static_cast<unsigned>(Indices.size()); M-- > 0;) {
-      if (Out.empty())
-        Out = Indices[M];
-      else
-        Out = Indices[M] + " + " + Tensor + ".dim(" + std::to_string(M) +
-              ") * (" + Out + ")";
-    }
-    return Out.empty() ? "0" : Out;
-  }
-
-  std::string valueExpr(const ExprPtr &E) {
-    switch (E->kind()) {
-    case ExprKind::Literal: {
-      double V = E->literalValue();
-      if (std::isinf(V))
-        return V > 0 ? "std::numeric_limits<double>::infinity()"
-                     : "-std::numeric_limits<double>::infinity()";
-      return formatDouble(V);
-    }
-    case ExprKind::Scalar:
-      return E->scalarName();
-    case ExprKind::Access: {
-      const std::string Key = E->str();
-      const TensorDecl &D = declOf(E->tensorName());
-      auto It = Driven.find(Key);
-      if (It != Driven.end() && It->second == D.Order && D.Order > 0)
-        return E->tensorName() + ".val(" + PosVar[Key] + ")";
-      if (D.Format.isAllDense())
-        return E->tensorName() + ".vals()[" +
-               densePos(E->tensorName(), E->indices()) + "]";
-      // Random access fallback (non-concordant sparse read).
-      return E->tensorName() + ".at({" + join(E->indices(), ", ") + "})";
-    }
-    case ExprKind::Call: {
-      const OpInfo &Info = opInfo(E->op());
-      std::vector<std::string> Args;
-      for (const ExprPtr &A : E->args())
-        Args.push_back(valueExpr(A));
-      if (E->op() == OpKind::Add || E->op() == OpKind::Mul ||
-          E->op() == OpKind::Sub || E->op() == OpKind::Div) {
-        for (std::string &A : Args)
-          A = "(" + A + ")";
-        return join(Args, std::string(" ") + Info.Name + " ");
-      }
-      // min/max fold left.
-      std::string Out = Args[0];
-      for (size_t I = 1; I < Args.size(); ++I)
-        Out = std::string("std::") + Info.Ident + "(" + Out + ", " +
-              Args[I] + ")";
-      return Out;
-    }
-    case ExprKind::Lut: {
-      unsigned Id = static_cast<unsigned>(Luts.size());
-      Luts.push_back({E->lutBits(), E->lutTable()});
-      std::string Idx;
-      for (size_t B = 0; B < E->lutBits().size(); ++B) {
-        if (B)
-          Idx += " + ";
-        Idx += "((" + cmpExpr(E->lutBits()[B]) + ") ? " +
-               std::to_string(1u << B) + " : 0)";
-      }
-      return "lut" + std::to_string(Id) + "[" + Idx + "]";
-    }
-    }
-    unreachable("unknown expression kind");
-  }
-
-  std::string reduceStmt(const ExprPtr &Lhs, std::optional<OpKind> Op,
-                         const std::string &Val, unsigned Mult) {
-    std::string Target;
-    if (Lhs->kind() == ExprKind::Scalar) {
-      Target = Lhs->scalarName();
-    } else {
-      Target = Lhs->tensorName() + ".vals()[" +
-               densePos(Lhs->tensorName(), Lhs->indices()) + "]";
-    }
-    std::string V = Val;
-    if (Mult > 1)
-      V = std::to_string(Mult) + " * (" + V + ")";
-    if (!Op)
-      return Target + " = " + V + ";";
-    switch (*Op) {
-    case OpKind::Add:
-      return Target + " += " + V + ";";
-    case OpKind::Mul:
-      return Target + " *= " + V + ";";
-    default:
-      return Target + " = " + std::string("std::") + opInfo(*Op).Ident +
-             "(" + Target + ", " + V + ");";
-    }
-  }
-
-  void emitStmt(const StmtPtr &S, std::ostringstream &OS,
-                unsigned Indent) {
-    std::string Pad(2 * Indent, ' ');
-    switch (S->kind()) {
-    case StmtKind::Block:
-      for (const StmtPtr &C : S->stmts())
-        emitStmt(C, OS, Indent);
-      return;
-    case StmtKind::If: {
-      // Temporaries defined under the condition must survive it in C++
-      // scoping: predeclare them here, assign inside the branch.
-      std::vector<std::string> Defs;
-      collectDefNames(S->body(), Defs);
-      for (const std::string &Name : Defs)
-        if (!scalarDeclared(Name)) {
-          OS << Pad << "double " << Name << " = 0;\n";
-          Scopes.back().insert(Name);
-        }
-      OS << Pad << "if (" << condExpr(S->condition()) << ") {\n";
-      Scopes.push_back({});
-      emitStmt(S->body(), OS, Indent + 1);
-      Scopes.pop_back();
-      OS << Pad << "}\n";
-      return;
-    }
-    case StmtKind::DefScalar:
-      // Mutable: workspace scalars accumulate after their definition.
-      if (scalarDeclared(S->scalarName())) {
-        OS << Pad << S->scalarName() << " = " << valueExpr(S->rhs())
-           << ";\n";
-      } else {
-        OS << Pad << "double " << S->scalarName() << " = "
-           << valueExpr(S->rhs()) << ";\n";
-        Scopes.back().insert(S->scalarName());
-      }
-      return;
-    case StmtKind::Assign:
-      OS << Pad
-         << reduceStmt(S->lhs(), S->reduceOp(), valueExpr(S->rhs()),
-                       S->multiplicity())
-         << "\n";
-      return;
-    case StmtKind::Loop:
-      emitLoop(S, OS, Indent);
-      return;
-    case StmtKind::Replicate:
-      OS << Pad << "replicateSymmetric(" << S->tensorName()
-         << ", Partition::parse(" << S->outputSymmetry().order() << ", \""
-         << S->outputSymmetry().str() << "\"));\n";
-      return;
-    }
-    unreachable("unknown statement kind");
-  }
-
-  /// Marker comment showing the ParallelAnalysis decision in golden
-  /// reports; the AOT output itself stays sequential C++ (the engine's
-  /// thread pool is the parallel path).
-  std::string parallelMarker(const StmtPtr &S) {
-    const ParallelAnnotation &P = S->parallelInfo();
-    if (!P.IsParallel)
-      return "";
-    if (P.TriangleDepth != 0)
-      return "  // parallel (triangle-balanced, depth " +
-             std::to_string(P.TriangleDepth) + ")";
-    return "  // parallel";
-  }
-
-  void emitLoop(const StmtPtr &S, std::ostringstream &OS,
-                unsigned Indent) {
-    const std::string &Var = S->loopIndex();
-    std::string Pad(2 * Indent, ' ');
-    const std::string ParMark = parallelMarker(S);
-    BoundVars.insert(Var);
-
-    // Peel single-conjunction bounds exactly like the executor.
-    StmtPtr Body = S->body();
-    std::vector<std::string> LoTerms, HiTerms;
-    while (true) {
-      if (Body->kind() == StmtKind::Block && Body->stmts().size() == 1) {
-        Body = Body->stmts()[0];
-        continue;
-      }
-      if (Body->kind() != StmtKind::If ||
-          Body->condition().disjuncts().size() != 1)
-        break;
-      std::vector<CmpAtom> Residual;
-      for (CmpAtom A : Body->condition().disjuncts()[0].Atoms) {
-        if (A.Rhs == Var && A.Lhs != Var) {
-          std::swap(A.Lhs, A.Rhs);
-          A.Kind = swapCmp(A.Kind);
-        }
-        if (A.Lhs == Var && A.Rhs != Var && BoundVars.count(A.Rhs)) {
-          switch (A.Kind) {
-          case CmpKind::LE:
-            HiTerms.push_back(A.Rhs);
-            continue;
-          case CmpKind::LT:
-            HiTerms.push_back(A.Rhs + " - 1");
-            continue;
-          case CmpKind::GE:
-            LoTerms.push_back(A.Rhs);
-            continue;
-          case CmpKind::GT:
-            LoTerms.push_back(A.Rhs + " + 1");
-            continue;
-          case CmpKind::EQ:
-            LoTerms.push_back(A.Rhs);
-            HiTerms.push_back(A.Rhs);
-            continue;
-          case CmpKind::NE:
-            break;
-          }
-        }
-        Residual.push_back(A);
-      }
-      StmtPtr Inner = Body->body();
-      Body = Residual.empty()
-                 ? Inner
-                 : Stmt::ifThen(Cond::conj(std::move(Residual)), Inner);
-      if (!Residual.empty())
-        break;
-    }
-
-    // Pick a driving access for a sparse tensor, if any (dense levels
-    // of CSF tensors also advance the position path).
-    std::string WalkKey;
-    unsigned WalkLevel = 0;
-    LevelKind WalkKind = LevelKind::Dense;
-    std::vector<ExprPtr> Accesses;
-    collectSubtreeAccesses(Body, Accesses);
-    std::set<std::string> Seen;
-    for (const ExprPtr &A : Accesses) {
-      if (!Seen.insert(A->str()).second)
-        continue;
-      const TensorDecl &D = declOf(A->tensorName());
-      if (D.Format.isAllDense())
-        continue;
-      unsigned Dr = Driven.count(A->str()) ? Driven[A->str()] : 0;
-      if (Dr < D.Order && A->indices()[D.Order - 1 - Dr] == Var &&
-          (D.Format.Levels[Dr] == LevelKind::Sparse ||
-           D.Format.Levels[Dr] == LevelKind::Dense)) {
-        WalkKey = A->str();
-        WalkLevel = Dr;
-        WalkKind = D.Format.Levels[Dr];
-        break;
-      }
-    }
-
-    std::string Lo = "(int64_t)0";
-    for (const std::string &T : LoTerms)
-      Lo = "std::max<int64_t>(" + Lo + ", " + T + ")";
-    auto ExtIt = ExtentExpr.find(Var);
-    std::string Hi = ExtIt == ExtentExpr.end()
-                         ? std::string("0")
-                         : ExtIt->second + " - 1";
-    for (const std::string &T : HiTerms)
-      Hi = "std::min<int64_t>(" + Hi + ", " + T + ")";
-
-    if (WalkKey.empty()) {
-      OS << Pad << "for (int64_t " << Var << " = " << Lo << "; " << Var
-         << " <= " << Hi << "; ++" << Var << ") {" << ParMark << "\n";
-      Scopes.push_back({});
-      emitStmt(Body, OS, Indent + 1);
-      Scopes.pop_back();
-      OS << Pad << "}\n";
-    } else if (WalkKind == LevelKind::Dense) {
-      // Dense level of a sparse tensor: positions are computed, the
-      // loop itself is a plain range.
-      size_t Bracket = WalkKey.find('[');
-      std::string Tensor = WalkKey.substr(0, Bracket);
-      const TensorDecl &D = declOf(Tensor);
-      unsigned Mode = D.Order - 1 - WalkLevel;
-      std::string Parent =
-          WalkLevel == 0 ? std::string("0") : PosVar[WalkKey];
-      std::string P = "p_" + Tensor + std::to_string(WalkLevel);
-      OS << Pad << "for (int64_t " << Var << " = " << Lo << "; " << Var
-         << " <= " << Hi << "; ++" << Var << ") {" << ParMark << "\n";
-      OS << Pad << "  const int64_t " << P << " = " << Parent << " * "
-         << Tensor << ".dim(" << Mode << ") + " << Var << ";\n";
-      unsigned OldDriven = Driven.count(WalkKey) ? Driven[WalkKey] : 0;
-      std::string OldPos = PosVar.count(WalkKey) ? PosVar[WalkKey] : "";
-      Driven[WalkKey] = WalkLevel + 1;
-      PosVar[WalkKey] = P;
-      Scopes.push_back({});
-      emitStmt(Body, OS, Indent + 1);
-      Scopes.pop_back();
-      Driven[WalkKey] = OldDriven;
-      PosVar[WalkKey] = OldPos;
-      OS << Pad << "}\n";
-    } else {
-      // Sparse walker over the access's next level.
-      size_t Bracket = WalkKey.find('[');
-      std::string Tensor = WalkKey.substr(0, Bracket);
-      std::string Lev = Tensor + "_l" + std::to_string(WalkLevel);
-      LevelRefs.insert(Tensor + ":" + std::to_string(WalkLevel));
-      std::string Parent =
-          WalkLevel == 0 ? std::string("0") : PosVar[WalkKey];
-      std::string Q = "q_" + Tensor + std::to_string(WalkLevel);
-      OS << Pad << "for (int64_t " << Q << " = " << Lev << ".Ptr["
-         << Parent << "]; " << Q << " < " << Lev << ".Ptr[" << Parent
-         << " + 1]; ++" << Q << ") {" << ParMark << "\n";
-      OS << Pad << "  const int64_t " << Var << " = " << Lev << ".Crd["
-         << Q << "];\n";
-      OS << Pad << "  if (" << Var << " > " << Hi
-         << ") break;  // lifted upper bound\n";
-      if (!LoTerms.empty())
-        OS << Pad << "  if (" << Var << " < " << Lo
-           << ") continue;  // lifted lower bound (executor gallops)\n";
-      unsigned OldDriven = Driven.count(WalkKey) ? Driven[WalkKey] : 0;
-      std::string OldPos = PosVar.count(WalkKey) ? PosVar[WalkKey] : "";
-      Driven[WalkKey] = WalkLevel + 1;
-      PosVar[WalkKey] = Q;
-      Scopes.push_back({});
-      emitStmt(Body, OS, Indent + 1);
-      Scopes.pop_back();
-      Driven[WalkKey] = OldDriven;
-      PosVar[WalkKey] = OldPos;
-      OS << Pad << "}\n";
-    }
-    BoundVars.erase(Var);
-  }
-
-  void collectSubtreeAccesses(const StmtPtr &S,
-                              std::vector<ExprPtr> &Out) {
-    Stmt::walk(S, [&Out](const StmtPtr &Node) {
-      if (Node->kind() == StmtKind::Assign ||
-          Node->kind() == StmtKind::DefScalar)
-        Expr::collectAccesses(Node->rhs(), Out);
-    });
-  }
-
-  std::string formatCtor(const TensorFormat &F) {
-    if (F.isAllDense())
-      return "TensorFormat::dense(" + std::to_string(F.order()) + ")";
-    if (F == TensorFormat::csf(F.order()))
-      return "TensorFormat::csf(" + std::to_string(F.order()) + ")";
-    return "TensorFormat::csf(" + std::to_string(F.order()) +
-           ") /* adjust for custom levels */";
-  }
-
-  std::string assemble(const std::string &Body) {
-    std::ostringstream OS;
-    OS << "// Generated by SySTeC-cpp from kernel '" << K.Name << "'.\n";
-    OS << "#include \"tensor/Tensor.h\"\n#include <algorithm>\n#include <cmath>\n#include <limits>\n\n";
-    OS << "using namespace systec;\n\n";
-    // Signature: sources and the output; aliases are locals when the
-    // function prepares them itself, parameters otherwise.
-    std::vector<std::string> Params;
-    for (const auto &[Name, D] : K.Decls) {
-      if (isAlias(Name)) {
-        if (!InlinePreparation)
-          Params.push_back("const Tensor &" + Name);
-        continue;
-      }
-      if (D.IsOutput || Name == K.OutputName)
-        Params.push_back("Tensor &" + Name);
-      else
-        Params.push_back("const Tensor &" + Name);
-    }
-    OS << "void " << K.Name << "(" << join(Params, ", ") << ") {\n";
-    if (InlinePreparation) {
-      // Alias materialization (untimed data preparation in the paper's
-      // methodology; hoist it by emitting with InlinePreparation off).
-      std::set<std::string> SplitDone;
-      for (const SplitRequest &S : K.Splits) {
-        if (SplitDone.insert(S.Source).second) {
-          const TensorDecl &D = declOf(S.Source);
-          OS << "  auto " << S.Source << "_split = " << S.Source
-             << ".splitDiagonal(Partition::parse(" << D.Order << ", \""
-             << D.Symmetry.str() << "\"));\n";
-        }
-        OS << "  const Tensor &" << S.Alias << " = " << S.Source
-           << "_split." << (S.DiagonalPart ? "second" : "first")
-           << ";\n";
-      }
-      for (const TransposeRequest &T : K.Transposes) {
-        std::vector<std::string> Perm;
-        for (unsigned M : T.ModePerm)
-          Perm.push_back(std::to_string(M));
-        OS << "  Tensor " << T.Alias << " = " << T.Source
-           << ".transposed({" << join(Perm, ", ") << "}, "
-           << formatCtor(declOf(T.Alias).Format) << ");\n";
-      }
-    }
-    // Lookup tables.
-    for (size_t I = 0; I < Luts.size(); ++I) {
-      std::vector<std::string> Vals;
-      for (double V : Luts[I].second)
-        Vals.push_back(formatDouble(V));
-      OS << "  static const double lut" << I << "[] = {"
-         << join(Vals, ", ") << "};\n";
-    }
-    // Level references for walked tensors.
-    for (const std::string &Ref : LevelRefs) {
-      size_t Colon = Ref.find(':');
-      std::string Tensor = Ref.substr(0, Colon);
-      std::string Level = Ref.substr(Colon + 1);
-      OS << "  const Level &" << Tensor << "_l" << Level << " = "
-         << Tensor << ".level(" << Level << ");\n";
-    }
-    OS << "\n" << Body << "}\n";
-    return OS.str();
-  }
-};
-
-} // namespace
-
-std::string emitCpp(const Kernel &K, bool InlinePreparation) {
-  return CppEmitter(K, InlinePreparation).emit();
-}
 
 //===----------------------------------------------------------------------===//
 // Native TU emission (the JIT engine's source backend)

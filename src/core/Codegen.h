@@ -1,25 +1,21 @@
 //===- core/Codegen.h - C++ source backend --------------------*- C++ -*-===//
 ///
 /// \file
-/// Emits a compiled kernel as standalone C++ source over the library's
-/// Tensor API. Where the original SySTeC emits Finch IR that Finch
-/// lowers to Julia, this backend prints the loop nests the plan
-/// executor would run — sparse level walkers with lifted triangle
-/// bounds, residual conditions, hoisted temporaries, workspaces, lookup
-/// tables, and the replication epilogue — as human-readable C++. The
-/// output is used for inspection and golden tests; execution in-process
-/// goes through runtime/Executor.
+/// The C++ backend: emits a compiled execution plan (runtime/Plan.h) as
+/// a self-contained C-ABI translation unit, which the native engine
+/// (jit/) builds into a cached shared object. Where the original
+/// SySTeC emits Finch IR that Finch lowers to Julia, this backend
+/// lowers the same plan the interpreter runs, so every walker, bound
+/// and annihilation decision is made once, by the plan compiler.
 ///
-/// Supported formats: Dense and Sparse levels (the kernels of the
-/// paper's evaluation). Structured levels execute through the
-/// interpreter but are not printed by this backend.
+/// The readable form of a kernel is its IR listing: Kernel::str(), or
+/// CompileResult::report() for the whole pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYSTEC_CORE_CODEGEN_H
 #define SYSTEC_CORE_CODEGEN_H
 
-#include "ir/Kernel.h"
 #include "support/Status.h"
 
 #include <string>
@@ -27,21 +23,10 @@
 
 namespace systec {
 
-class Tensor;
 namespace detail {
 class PlanNode;
 struct ExecCtx;
 } // namespace detail
-
-/// Renders \p K as a C++ function `void <name>(...)` taking the input
-/// tensors by const reference and the dense output by reference.
-///
-/// With \p InlinePreparation (the default) the function materializes
-/// its own transposed/split aliases on entry; with it off, the aliases
-/// become extra const parameters so callers can prepare once and time
-/// only the kernel (the paper excludes data rearrangement from
-/// timings).
-std::string emitCpp(const Kernel &K, bool InlinePreparation = true);
 
 /// One emitted native translation unit (see emitNativeTU).
 struct NativeEmitResult {

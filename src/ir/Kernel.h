@@ -3,8 +3,9 @@
 /// \file
 /// A compiled kernel: the loop-nest IR plus the tensor environment it
 /// expects. The compiler (core/) produces Kernels from Einsums; the
-/// runtime lowers Kernels into execution plans; the C++ backend prints
-/// them as source.
+/// runtime lowers Kernels into execution plans, which the C++ backend
+/// (core/Codegen.h) emits for the native engine. Kernel::str() is the
+/// readable listing.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -137,11 +137,6 @@ unsigned Stmt::multiplicity() const {
   return Multiplicity;
 }
 
-StmtPtr Stmt::withMultiplicity(unsigned NewMult) const {
-  assert(Kind == StmtKind::Assign && "not an assignment");
-  return assign(Lhs, ReduceOp, Rhs, NewMult);
-}
-
 const std::string &Stmt::scalarName() const {
   assert(Kind == StmtKind::DefScalar && "not a scalar definition");
   return Index;

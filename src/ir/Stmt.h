@@ -37,9 +37,8 @@ enum class StmtKind {
 
 /// Parallel-execution annotation for Loop statements, attached by
 /// ParallelAnalysis after lowering. Metadata only: ignored by
-/// structural equality and by the surface-syntax printer (the C++
-/// backend prints it as a `// parallel` marker, and the executor turns
-/// it into a multi-threaded plan).
+/// structural equality and by the surface-syntax printer; the executor
+/// turns it into a multi-threaded plan.
 struct ParallelAnnotation {
   /// The loop's iterations may run concurrently (possibly with
   /// privatized accumulators; the runtime re-derives the privatization
@@ -87,8 +86,6 @@ public:
   std::optional<OpKind> reduceOp() const;
   const ExprPtr &rhs() const;
   unsigned multiplicity() const;
-  /// Copy of this assignment with a different multiplicity.
-  StmtPtr withMultiplicity(unsigned NewMult) const;
   // DefScalar.
   const std::string &scalarName() const;
   const ExprPtr &init() const;

@@ -108,15 +108,6 @@ bool Partition::isFull() const {
   return Parts.size() == 1 && Parts[0].size() == Order;
 }
 
-std::vector<unsigned> Partition::permutableModes() const {
-  std::vector<unsigned> Modes;
-  for (const auto &Part : Parts)
-    if (Part.size() >= 2)
-      Modes.insert(Modes.end(), Part.begin(), Part.end());
-  std::sort(Modes.begin(), Modes.end());
-  return Modes;
-}
-
 uint64_t Partition::symmetryOrder() const {
   uint64_t Result = 1;
   for (const auto &Part : Parts)

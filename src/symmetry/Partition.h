@@ -53,11 +53,6 @@ public:
   /// True if there is exactly one part covering every mode.
   bool isFull() const;
 
-  /// The modes that belong to parts of size >= 2, in ascending order.
-  /// This is the tensor's contribution to the permutable set P
-  /// (Section 4.1 stage 1).
-  std::vector<unsigned> permutableModes() const;
-
   /// Number of permutations that fix the tensor: prod over parts of
   /// |part|!.
   uint64_t symmetryOrder() const;

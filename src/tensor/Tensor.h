@@ -92,8 +92,6 @@ public:
   const TensorFormat &format() const { return Format; }
   double fill() const { return Fill; }
 
-  /// Level index holding access mode \p Mode.
-  unsigned levelOfMode(unsigned Mode) const { return order() - 1 - Mode; }
   /// Access mode held by level \p L.
   unsigned modeOfLevel(unsigned L) const { return order() - 1 - L; }
   const Level &level(unsigned L) const { return Levels[L]; }
@@ -117,7 +115,6 @@ public:
   /// Number of stored values (explicit entries / positions at bottom).
   size_t storedCount() const { return Vals.size(); }
   double val(int64_t Pos) const { return Vals[Pos]; }
-  void setVal(int64_t Pos, double V) { Vals[Pos] = V; }
   const std::vector<double> &vals() const { return Vals; }
   std::vector<double> &vals() { return Vals; }
 

@@ -112,11 +112,13 @@ Workload makeWorkload(const std::string &Kernel, uint64_t Seed,
                                                   TensorFormat::csf(3)));
     W.Inputs.emplace("B", generateDenseMatrix(N, Rank, R));
     W.OutDims = {Rank, N, N};
-  } else if (Kernel == "mttkrp3") {
-    W.E = makeMttkrp(3);
+  } else if (Kernel == "mttkrp3" || Kernel == "mttkrp4" ||
+             Kernel == "mttkrp5") {
+    unsigned Order = Kernel.back() - '0';
+    W.E = makeMttkrp(Order);
     int64_t N = 7 + 2 * Scale, Rank = 4;
-    W.Inputs.emplace("A", generateSymmetricTensor(3, N, 8 * N, R,
-                                                  TensorFormat::csf(3)));
+    W.Inputs.emplace("A", generateSymmetricTensor(Order, N, 8 * N, R,
+                                                  TensorFormat::csf(Order)));
     W.Inputs.emplace("B", generateDenseMatrix(N, Rank, R));
     W.OutDims = {N, Rank};
   } else {
@@ -264,7 +266,8 @@ TEST_P(NativeKernelSweep, BitIdenticalWithCounterParity) {
 
 INSTANTIATE_TEST_SUITE_P(PaperKernels, NativeKernelSweep,
                          ::testing::Values("ssymv", "bellmanford", "syprd",
-                                           "ssyrk", "ttm", "mttkrp3"),
+                                           "ssyrk", "ttm", "mttkrp3",
+                                           "mttkrp4", "mttkrp5"),
                          [](const ::testing::TestParamInfo<const char *> &I) {
                            return std::string(I.param);
                          });
