@@ -39,7 +39,7 @@ std::string ExecReport::structureKey() const {
     (Out += P.Name) += ',';
   Out += ";loops:";
   for (const LoopStat &L : Loops)
-    Out += L.Label + "/" + L.Engine + "/" + L.Driver + ",";
+    Out += L.Label + "/" + L.Engine + "/" + L.Driver + "/" + L.Form + ",";
   Out += ";counters:" + counterJson(Counters);
   return Out;
 }
@@ -63,7 +63,7 @@ std::string ExecReport::toJson() const {
   for (size_t I = 0; I < Loops.size(); ++I) {
     const LoopStat &L = Loops[I];
     Out += "{\"label\":\"" + L.Label + "\",\"engine\":\"" + L.Engine +
-           "\",\"driver\":\"" + L.Driver +
+           "\",\"driver\":\"" + L.Driver + "\",\"form\":\"" + L.Form +
            "\",\"calls\":" + std::to_string(L.Calls) +
            ",\"ns\":" + std::to_string(L.Ns) + "}";
     if (I + 1 < Loops.size())

@@ -48,6 +48,10 @@ struct LoopStat {
   std::string Label;  ///< e.g. "loop i [Fused/SparseWalk]"
   std::string Engine; ///< "Interp", "Fused", or "Blocked"
   std::string Driver; ///< "Range", "DenseWalk", "SparseWalk", ...
+  /// Fused leaves only: "line" when the leaf runs a straight-line loop
+  /// (one compile-time-shaped walk, runtime/MicroKernels.h), "generic"
+  /// when it runs the per-statement path; empty for other loops.
+  std::string Form;
   uint64_t Calls = 0;
   uint64_t Ns = 0;
 };

@@ -673,6 +673,8 @@ private:
     Meta.Label = Label;
     Meta.Engine = Engine;
     Meta.Driver = Driver;
+    if (Loop.Fused)
+      Meta.Form = Loop.Fused->Line.Run ? "line" : "generic";
     LoopMeta.push_back(std::move(Meta));
   }
 
@@ -981,6 +983,23 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
                            "ambiguous rebind: one tensor was bound under "
                            "multiple names with different replacements")
           .withContext("kernel '" + K.Name + "'");
+  // An output keeps a tensor of its own: the fused engines read inputs
+  // that were separate from the outputs at prepare once per call (a
+  // folded prefix, a register tail, a blocked panel's lane values), so
+  // an input sharing an output's tensor would go stale mid-run. Inputs
+  // that become one tensor only lose an aliasing shortcut.
+  auto Group = [&](const std::string &Name) -> const std::string & {
+    const std::string &Shared = UserSig.at(Name).SharedWith;
+    return Shared.empty() ? Name : Shared;
+  };
+  for (const std::string &Out : OutputNames)
+    for (const auto &[Name, Sig] : UserSig)
+      if (NewBindings.at(Name) == NewBindings.at(Out) &&
+          Group(Name) != Group(Out))
+        return Status::error(ErrCode::InvalidArgument,
+                             "rebind aliases output " + Out + " with " +
+                                 Name + ", which were distinct at prepare")
+            .withContext("kernel '" + K.Name + "'");
   const uint64_t R0 = obs::nowNs();
   // Rebuild the name map and materialized aliases over the new
   // tensors; the kernel's split/transpose requests are deterministic,

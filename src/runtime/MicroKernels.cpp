@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 namespace systec {
@@ -567,6 +568,11 @@ bool tryInstallBlocked(PlanLoop &L, const std::vector<AccessState> &Accesses,
   return true;
 }
 
+/// Gives \p MK a straight-line loop when its shape is in the
+/// instantiated set (defined with the loops, below).
+void planLine(MicroKernel &MK, const std::vector<AccessState> &Accesses,
+              const MKSpecializeOptions &Opts);
+
 } // namespace
 
 bool containsLoop(const PlanNode *N) {
@@ -630,6 +636,7 @@ bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
   MK->Slot = L.Slot;
   MK->D = M.D;
   MK->Items = std::move(Items);
+  planLine(*MK, Accesses, Opts);
   L.Fused = std::move(MK);
   return true;
 }
@@ -1097,6 +1104,10 @@ inline void execBound(ExecCtx &C, const DriverBind &B, BoundStmt &S,
 void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   if (C.Ctrl && C.Ctrl->stopped())
     return;
+  if (Line.Run) {
+    Line.Run(*this, C, Lo, Hi);
+    return;
+  }
   DriverBind B = bindDriver(C, D);
 
   // Bind: resolve invariant guards and operand bases against the
@@ -1244,88 +1255,6 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   }
 
   IterCounts N;
-
-  // Dedicated loops for the single-statement sparse axpy / dot shapes:
-  // the driver value times one coordinate-indexed or invariant factor,
-  // optionally followed by up to two loop-invariant factors (ssyrk's
-  // triangle kernel, plain SpMV rows, and syprd's
-  // `w += (A.val * x[i]) * x[j] * 2` chain). Same fold and iteration
-  // order as the generic path below — the invariant tails still load
-  // per element, in chain position — just with the per-stmt dispatch
-  // peeled away.
-  if (NS == 1 && !AnyDynamic && D.K == MKDriver::Kind::SparseWalk &&
-      D.Cos.empty() && BS[0].NF >= 2 && BS[0].NF <= 4 &&
-      (BS[0].Kind == 0 || BS[0].Kind == 1)) {
-    const BoundVal &F0 = BS[0].F[0], &F1 = BS[0].F[1];
-    bool TailInvariant = true;
-    for (unsigned I = 2; I < BS[0].NF; ++I) {
-      const BoundVal &FI = BS[0].F[I];
-      TailInvariant &= FI.SV == 0 && FI.SK1 == 0 && FI.SK2 == 0;
-    }
-    if (TailInvariant && F0.SV == 0 && F0.SK1 == 1 && F0.SK2 == 0 &&
-        F1.SK1 == 0 && F1.SK2 == 0) {
-      const double *DV = B.Vals, *P1 = F1.P;
-      const int64_t S1 = F1.SV;
-      const int64_t *Crd = B.Crd;
-      int64_t K0 = B.Ptr[B.Parent], E = B.Ptr[B.Parent + 1];
-      if (Lo > 0)
-        K0 = std::lower_bound(Crd + K0, Crd + E, Lo) - Crd;
-      uint64_t Cnt = 0;
-      auto Drive = [&](auto &&Term) {
-        if (BS[0].Kind == 0) {
-          double *Dst = BS[0].Dst;
-          const int64_t DS = BS[0].DstS;
-          for (int64_t K = K0; K < E; ++K) {
-            const int64_t V = Crd[K];
-            if (V > Hi)
-              break;
-            Dst[DS * V] += Term(V, K);
-            ++Cnt;
-          }
-        } else {
-          double Acc = *BS[0].Dst;
-          for (int64_t K = K0; K < E; ++K) {
-            const int64_t V = Crd[K];
-            if (V > Hi)
-              break;
-            Acc += Term(V, K);
-            ++Cnt;
-          }
-          *BS[0].Dst = Acc;
-        }
-      };
-      switch (BS[0].NF) {
-      case 2:
-        Drive([&](int64_t V, int64_t K) { return DV[K] * P1[S1 * V]; });
-        break;
-      case 3: {
-        const double *P2 = BS[0].F[2].P;
-        Drive([&](int64_t V, int64_t K) {
-          return (DV[K] * P1[S1 * V]) * *P2;
-        });
-        break;
-      }
-      default: {
-        const double *P2 = BS[0].F[2].P, *P3 = BS[0].F[3].P;
-        Drive([&](int64_t V, int64_t K) {
-          return ((DV[K] * P1[S1 * V]) * *P2) * *P3;
-        });
-        break;
-      }
-      }
-      BS[0].Execs = Cnt;
-      if (C.CountersOn) {
-        if (D.CountReads)
-          C.Local.SparseReads += Cnt;
-        C.Local.ScalarOps += Cnt * BS[0].Ops;
-        C.Local.Reductions += Cnt;
-        if (BS[0].Kind == 0)
-          C.Local.OutputWrites += Cnt;
-      }
-      return;
-    }
-  }
-
   bool AnyContextual = false;
   for (unsigned I = 0; I < NS; ++I)
     AnyContextual |= BS[I].Kind == 4;
@@ -1734,6 +1663,417 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Execution: straight-line leaves
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs Body.template operator()<I>() for I = 0 .. N-1 in order, so the
+/// per-statement and per-factor code of a shape unrolls at compile time
+/// and its bound state lives in registers.
+template <unsigned N, typename Fn> inline void unroll(Fn &&Body) {
+  [&]<unsigned... I>(std::integer_sequence<unsigned, I...>) {
+    (Body.template operator()<I>(), ...);
+  }(std::make_integer_sequence<unsigned, N>());
+}
+
+/// The two semirings of the paper kernels, combining and reducing
+/// exactly as evalOp does. Identity stands in for the prefix of a
+/// statement that has none: 1 * x and -0 + x are x bit for bit.
+struct MulAdd {
+  static constexpr double Identity = 1.0;
+  static double comb(double A, double B) { return A * B; }
+  static double red(double D, double X) { return D + X; }
+};
+struct AddMin {
+  static constexpr double Identity = -0.0;
+  static double comb(double A, double B) { return A + B; }
+  static double red(double D, double X) { return std::min(D, X); }
+};
+
+/// Whether \p Op has one value for a whole straight-line call (it is
+/// then folded into the prefix or held in a register).
+bool lineInvariant(const MKOperand &Op) {
+  return Op.K == MKOperand::Kind::Dense ? Op.VStride == 0
+                                        : Op.K != MKOperand::Kind::Driver;
+}
+
+/// \p Op's value array offset by its bound (non-loop) index terms.
+const double *denseBase(const ExecCtx &C, const MKOperand &Op) {
+  int64_t Base = 0;
+  for (const auto &[Slot, Stride] : Op.BaseTerms)
+    Base += C.IndexVal[Slot] * Stride;
+  return C.Accesses[Op.Slot].T->valsData() + Base;
+}
+
+/// The value of \p Op, which lineInvariant accepts.
+double invariantValue(ExecCtx &C, const MKOperand &Op) {
+  return Op.K == MKOperand::Kind::Dense ? *denseBase(C, Op)
+                                        : bindLaneOperand(C, Op, nullptr);
+}
+
+/// The part of a straight-line call its shape does not decide, run
+/// after a walk over \p N > 0 elements: every def stores its value at
+/// the last element (V, K) — no statement reads a def slot, so that
+/// value is all the interpreter leaves observable — and the counters
+/// are charged once.
+void finishLine(const MicroKernel &MK, ExecCtx &C, const double *DV,
+                int64_t V, int64_t K, uint64_t N) {
+  for (unsigned I : MK.Line.Defs) {
+    const MKStmt &Def = MK.Items[I].S;
+    auto Value = [&](const MKOperand &Op) {
+      if (Op.K == MKOperand::Kind::Driver)
+        return DV[K];
+      if (Op.K == MKOperand::Kind::Dense)
+        return denseBase(C, Op)[Op.VStride * V];
+      return invariantValue(C, Op);
+    };
+    double Acc = Value(Def.Factors[0]);
+    for (size_t F = 1; F < Def.Factors.size(); ++F)
+      Acc = evalOp(Def.Combine, Acc, Value(Def.Factors[F]));
+    C.ScalarVal[Def.ScalarSlot] = Acc;
+  }
+  if (C.CountersOn) {
+    if (MK.D.CountReads)
+      C.Local.SparseReads += N;
+    C.Local.ScalarOps += N * MK.Line.Ops;
+    C.Local.Reductions += N * MK.Line.Reductions;
+    C.Local.OutputWrites += N * MK.Line.Writes;
+  }
+}
+
+/// The straight-line loop of one shape: S statements in program order
+/// per element of one driver walk (a sparse walk when Sparse, else the
+/// coordinate range). On a range each statement starts from its
+/// invariant prefix, folded at bind (the identity when it has none); on
+/// a sparse walk statements have none. Then come E per-element factors
+/// read as P[stride * v] — on a sparse walk the one at DrvAt is the
+/// driver value, read once per element for every statement; on a range
+/// every factor and destination shares the plan's two strides — and T
+/// invariant tail factors held in registers. Bit s of ScalarMask makes
+/// statement s reduce into a register stored once after the walk; the
+/// others reduce into their tensor cells in place, so statements that
+/// share a cell see each other's updates in program order.
+template <typename SR, bool Sparse, unsigned S, unsigned E, unsigned T,
+          unsigned DrvAt, unsigned ScalarMask>
+void runLine(const MicroKernel &MK, ExecCtx &C, int64_t Lo, int64_t Hi) {
+  // The walk first: an empty one (most calls of a diagonal split's
+  // leaves) returns before binding anything, as nothing it would run is
+  // observable.
+  const int64_t *Crd = nullptr;
+  const double *DV = nullptr;
+  int64_t K0 = 0, KE = 0;
+  if constexpr (Sparse) {
+    const AccessState &DA = C.Accesses[MK.D.AccessId];
+    const Level &Lev = DA.T->level(MK.D.Level);
+    const int64_t Parent = DA.Pos[MK.D.Level];
+    Crd = Lev.Crd.data();
+    DV = DA.T->valsData();
+    K0 = Lev.Ptr[Parent];
+    KE = Lev.Ptr[Parent + 1];
+    if (Lo > 0)
+      K0 = std::lower_bound(Crd + K0, Crd + KE, Lo) - Crd;
+    if (K0 == KE || Crd[K0] > Hi)
+      return;
+  } else if (Lo > Hi) {
+    return;
+  }
+
+  const MKLine &LP = MK.Line;
+  const double *Base[S * E] = {};
+  for (size_t L = 0; L < LP.Loads.size(); ++L)
+    Base[L] = denseBase(C, LP.Loads[L]);
+  double Pf[S] = {}, Tl[S][T ? T : 1] = {}, Imm[S][E] = {}, Acc[S] = {};
+  const double *P[S][E] = {};
+  int64_t St[S][E] = {}, DS[S] = {}; // sparse walks only
+  double *Dst[S] = {};
+  unroll<S>([&]<unsigned I>() {
+    const MKStmt &Sm = MK.Items[LP.Stmts[I]].S;
+    const unsigned NP = static_cast<unsigned>(Sm.Factors.size()) - E - T;
+    // The prefix folds left to right, as the interpreter's fold starts.
+    if constexpr (!Sparse) {
+      Pf[I] = SR::Identity;
+      for (unsigned F = 0; F < NP; ++F) {
+        const double X = invariantValue(C, Sm.Factors[F]);
+        Pf[I] = F ? SR::comb(Pf[I], X) : X;
+      }
+    }
+    unroll<E>([&]<unsigned F>() {
+      const MKOperand &Op = Sm.Factors[NP + F];
+      if (Sparse && F == DrvAt)
+        return;
+      if (Op.K == MKOperand::Kind::Dense) {
+        P[I][F] = Base[LP.LoadOf[I * E + F]];
+        St[I][F] = Op.VStride;
+      } else { // an invariant factor amid a sparse statement's strided ones
+        Imm[I][F] = invariantValue(C, Op);
+        P[I][F] = &Imm[I][F];
+      }
+    });
+    unroll<T>([&]<unsigned F>() {
+      Tl[I][F] = invariantValue(C, Sm.Factors[NP + E + F]);
+    });
+    if constexpr ((ScalarMask >> I) & 1u) {
+      Dst[I] = &C.ScalarVal[Sm.ScalarSlot];
+      Acc[I] = *Dst[I];
+    } else {
+      int64_t Base = 0;
+      for (const auto &[Slot, Stride] : Sm.DstBaseTerms)
+        Base += C.IndexVal[Slot] * Stride;
+      Dst[I] = C.OutPtr[Sm.OutId] + Base;
+      DS[I] = Sm.DstVStride;
+    }
+  });
+
+  const int64_t SF = LP.FactorStride, SD = LP.DstStride;
+  auto Elem = [&](int64_t V, double Dv) {
+    const int64_t OF = SF * V, OD = SD * V;
+    unroll<S>([&]<unsigned I>() {
+      double A = Pf[I];
+      unroll<E>([&]<unsigned F>() {
+        double X;
+        if constexpr (Sparse && F == DrvAt)
+          X = Dv;
+        else if constexpr (Sparse)
+          X = P[I][F][St[I][F] * V];
+        else
+          X = P[I][F][OF];
+        if constexpr (Sparse && F == 0)
+          A = X;
+        else
+          A = SR::comb(A, X);
+      });
+      unroll<T>([&]<unsigned F>() { A = SR::comb(A, Tl[I][F]); });
+      if constexpr ((ScalarMask >> I) & 1u) {
+        Acc[I] = SR::red(Acc[I], A);
+      } else {
+        double &D = Dst[I][Sparse ? DS[I] * V : OD];
+        D = SR::red(D, A);
+      }
+    });
+  };
+
+  int64_t LastV = Hi, LastK = 0;
+  if constexpr (Sparse) {
+    int64_t K = K0;
+    for (; K < KE; ++K) {
+      const int64_t V = Crd[K];
+      if (V > Hi)
+        break;
+      Elem(V, DV[K]);
+    }
+    LastK = K - 1;
+    LastV = Crd[LastK];
+  } else {
+    for (int64_t V = Lo; V <= Hi; ++V)
+      Elem(V, 0.0);
+  }
+  unroll<S>([&]<unsigned I>() {
+    if constexpr ((ScalarMask >> I) & 1u)
+      *Dst[I] = Acc[I];
+  });
+  finishLine(MK, C, DV, LastV, LastK,
+             static_cast<uint64_t>(Sparse ? LastK + 1 - K0 : Hi - Lo + 1));
+}
+
+/// One instantiated straight-line shape (the runLine parameters).
+struct LineShape {
+  bool Sparse, MinPlus;
+  unsigned S, E, T, DrvAt, ScalarMask;
+  MKLine::Fn Run;
+};
+
+template <typename SR, bool Sparse, unsigned S, unsigned E, unsigned T,
+          unsigned DrvAt = 0, unsigned ScalarMask = 0>
+constexpr LineShape line() {
+  return {Sparse, std::is_same_v<SR, AddMin>, S, E, T, DrvAt, ScalarMask,
+          &runLine<SR, Sparse, S, E, T, DrvAt, ScalarMask>};
+}
+
+/// The instantiated set: the leaf shapes of the eight paper kernels
+/// (naive and optimized) plus every shape the single-statement sparse
+/// loop this family replaced covered. Every other leaf takes the
+/// generic path. The first match wins, so a shape with a longer
+/// register tail is listed before the one that loads that factor.
+constexpr LineShape LineShapes[] = {
+    // Sparse walks, (*, +), driver first. One statement into a tensor
+    // cell (ssymv's naive and diagonal rows, ssyrk's column) or into a
+    // scalar (row dots; syprd's diagonal and strict rows), with one or
+    // two invariant tail factors (syprd's x[j] and 2)...
+    line<MulAdd, true, 1, 1, 1>(),
+    line<MulAdd, true, 1, 1, 1, 0, 1>(),
+    line<MulAdd, true, 1, 2, 2>(),
+    line<MulAdd, true, 1, 2, 2, 0, 1>(),
+    line<MulAdd, true, 1, 2, 1>(),
+    line<MulAdd, true, 1, 2, 1, 0, 1>(),
+    line<MulAdd, true, 1, 2, 0>(),
+    line<MulAdd, true, 1, 2, 0, 0, 1>(),
+    // ...syprd's naive row x[i] * A * x[j] (driver second)...
+    line<MulAdd, true, 1, 2, 1, 1, 1>(),
+    // ...and ssymv's read-once pair: y[i] += t * x[j]; w += t * x[i],
+    // or two tensor updates.
+    line<MulAdd, true, 2, 2, 0, 0, 2>(),
+    line<MulAdd, true, 2, 2, 0>(),
+    // Sparse walks, (+, min): bellmanford's rows and its pair.
+    line<AddMin, true, 1, 1, 1>(),
+    line<AddMin, true, 2, 2, 0, 0, 2>(),
+    // Ranges over dense operands, (*, +), after an invariant prefix:
+    // ttm's naive row and read-once triple, the naive mttkrp3-5 rows,
+    // and the strict mttkrp3-5 blocks (one statement per mode, each
+    // ending in its constant multiplicity).
+    line<MulAdd, false, 1, 1, 0>(),
+    line<MulAdd, false, 3, 1, 0>(),
+    line<MulAdd, false, 1, 2, 0>(),
+    line<MulAdd, false, 1, 3, 0>(),
+    line<MulAdd, false, 1, 4, 0>(),
+    line<MulAdd, false, 3, 2, 1>(),
+    line<MulAdd, false, 4, 3, 1>(),
+    line<MulAdd, false, 5, 4, 1>(),
+};
+
+void planLine(MicroKernel &MK, const std::vector<AccessState> &Accesses,
+              const MKSpecializeOptions &Opts) {
+  const bool Sparse = MK.D.K == MKDriver::Kind::SparseWalk;
+  if ((!Sparse && MK.D.K != MKDriver::Kind::Range) || !MK.D.Cos.empty())
+    return;
+  // A dense factor of an output array could observe the leaf's own
+  // stores, which a folded prefix or a register tail would not.
+  auto ReadsOutput = [&](const MKOperand &Op) {
+    if (!Opts.OutputTensors)
+      return true;
+    for (Tensor *T : *Opts.OutputTensors)
+      if (T == Accesses[Op.Slot].T)
+        return true;
+    return false;
+  };
+  MKLine LP;
+  std::optional<OpKind> Combine, Reduce;
+  std::set<unsigned> DefSlots, ScalarDsts;
+  unsigned Mask = 0, Strided = 0, MinTail = ~0u, DrvAt = 0;
+  bool AnyPrefix = false;
+  for (unsigned I = 0; I < MK.Items.size(); ++I) {
+    const MKItem &It = MK.Items[I];
+    const std::vector<MKOperand> &Fs = It.S.Factors;
+    if (It.HasGuard)
+      return;
+    for (const MKOperand &Op : Fs)
+      if (contextualOperand(Op) || Op.K == MKOperand::Kind::CoDriver ||
+          (Op.K == MKOperand::Kind::Dense && ReadsOutput(Op)))
+        return;
+    LP.Ops += Fs.size() - 1;
+    if (It.K == MKItem::Kind::Def) {
+      DefSlots.insert(It.S.ScalarSlot);
+      LP.Defs.push_back(I);
+      continue;
+    }
+    // One (combine, reduce) pair for the whole leaf.
+    if (!It.S.Reduce || (Reduce && *Reduce != *It.S.Reduce))
+      return;
+    Reduce = It.S.Reduce;
+    if (Fs.size() > 1) {
+      if (Combine && *Combine != It.S.Combine)
+        return;
+      Combine = It.S.Combine;
+    }
+    if (It.S.ScalarDst) {
+      if (!ScalarDsts.insert(It.S.ScalarSlot).second)
+        return;
+      Mask |= 1u << LP.Stmts.size();
+    } else {
+      ++LP.Writes;
+    }
+    // Layout: an invariant prefix, then the factors from the first
+    // per-element one on, ending in an invariant tail. On a sparse walk
+    // exactly one factor is the driver value.
+    unsigned Pre = 0, Tail = 0, Drv = ~0u;
+    while (Pre < Fs.size() && lineInvariant(Fs[Pre]))
+      ++Pre;
+    if (Pre == Fs.size())
+      return; // nothing varies per element
+    while (lineInvariant(Fs[Fs.size() - 1 - Tail]))
+      ++Tail;
+    for (unsigned F = Pre; F < Fs.size(); ++F)
+      if (Fs[F].K == MKOperand::Kind::Driver) {
+        if (Drv != ~0u)
+          return;
+        Drv = F - Pre;
+      }
+    if (Sparse && Drv == ~0u)
+      return;
+    const unsigned Rest = static_cast<unsigned>(Fs.size()) - Pre;
+    if (LP.Stmts.empty()) {
+      Strided = Rest;
+      DrvAt = Drv;
+    } else if (Rest != Strided || Drv != DrvAt) {
+      return;
+    }
+    if (!Sparse) {
+      // On a range every factor between the prefix and the tail is a
+      // dense load, all with one stride, and all tensor destinations
+      // share one stride too.
+      for (unsigned F = Pre; F + Tail < Fs.size(); ++F)
+        if (Fs[F].K != MKOperand::Kind::Dense ||
+            Fs[F].VStride != Fs[Pre].VStride)
+          return;
+      if (LP.Stmts.empty())
+        LP.FactorStride = Fs[Pre].VStride;
+      else if (Fs[Pre].VStride != LP.FactorStride || Tail != MinTail)
+        return;
+      if (!It.S.ScalarDst) {
+        if (LP.Writes == 1) // the first tensor destination
+          LP.DstStride = It.S.DstVStride;
+        else if (It.S.DstVStride != LP.DstStride)
+          return;
+      }
+    }
+    MinTail = std::min(MinTail, Tail);
+    AnyPrefix |= Pre > 0;
+    LP.Stmts.push_back(I);
+  }
+  if (LP.Stmts.empty() || (Sparse && AnyPrefix))
+    return;
+  for (unsigned Slot : ScalarDsts)
+    if (DefSlots.count(Slot))
+      return;
+  bool MinPlus;
+  if (*Reduce == OpKind::Add && Combine.value_or(OpKind::Mul) == OpKind::Mul)
+    MinPlus = false;
+  else if (*Reduce == OpKind::Min &&
+           Combine.value_or(OpKind::Add) == OpKind::Add)
+    MinPlus = true;
+  else
+    return;
+  LP.Reductions = LP.Stmts.size();
+  for (const LineShape &Sh : LineShapes) {
+    if (Sh.Sparse != Sparse || Sh.MinPlus != MinPlus ||
+        Sh.S != LP.Stmts.size() || Sh.ScalarMask != Mask ||
+        Sh.E + Sh.T != Strided || Sh.T > MinTail ||
+        (!Sparse && Sh.T != MinTail) || (Sparse && Sh.DrvAt != DrvAt))
+      continue;
+    // Number the distinct dense operands of the per-element factors.
+    for (unsigned Stmt : LP.Stmts) {
+      const std::vector<MKOperand> &Fs = MK.Items[Stmt].S.Factors;
+      for (size_t F = Fs.size() - Sh.E - Sh.T; F + Sh.T < Fs.size(); ++F) {
+        const MKOperand &Op = Fs[F];
+        size_t L = 0;
+        while (Op.K == MKOperand::Kind::Dense && L < LP.Loads.size() &&
+               (LP.Loads[L].Slot != Op.Slot ||
+                LP.Loads[L].BaseTerms != Op.BaseTerms))
+          ++L;
+        if (Op.K == MKOperand::Kind::Dense && L == LP.Loads.size())
+          LP.Loads.push_back(Op);
+        LP.LoadOf.push_back(static_cast<uint8_t>(L));
+      }
+    }
+    LP.Run = Sh.Run;
+    MK.Line = std::move(LP);
+    return;
+  }
+}
+
+} // namespace
 
 } // namespace detail
 } // namespace systec

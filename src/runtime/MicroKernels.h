@@ -43,6 +43,34 @@
 ///    per-lane bound operands, and register-resident accumulators for
 ///    the workspace/accumulator forms (Engine::Blocked).
 ///
+/// A fused leaf runs in one of two forms (LoopStat::Form reports which).
+/// The *straight-line loop* (MKLine) takes unguarded leaves of 1-5
+/// statements over a coordinate range or a sparse walk without
+/// co-walkers, whose operands all bind once per call and whose
+/// statements all reduce in one semiring, (*, +) or (+, min). Its
+/// shape — driver, semiring, statement count, per-element factor count,
+/// register-tail length and which statements reduce into a scalar — is
+/// a set of template parameters chosen once at specialization, so each
+/// element reads the driver value once and runs every statement in
+/// program order with no dispatch: SySTeC's one read of a canonical
+/// entry feeding every equivalent update. Per call it folds each range
+/// statement's invariant factor prefix, binds each distinct dense
+/// operand once, and keeps invariant tail factors and scalar
+/// accumulators in registers; defs store their last element's value
+/// after the walk, since after substitution no statement reads one.
+/// The instantiated set (LineShapes in MicroKernels.cpp) is bounded and
+/// named: the leaves of the eight paper kernels, naive and optimized —
+/// on sparse walks single statements into a tensor cell or a scalar
+/// with up to two register-tail factors, and ssymv's and bellmanford's
+/// read-once pairs; on ranges one statement of 1-4 dense factors, and
+/// ttm's and mttkrp3-5's strict blocks of 3-5 statements — which also
+/// covers every shape of the single-statement sparse loop it replaced.
+/// Every other leaf — guarded (the diagonal leaves of ttm and
+/// mttkrp3-5), contextual, intersecting, other-semiring, or of another
+/// shape — runs the *generic* per-statement path: a switch per
+/// statement per element over bound operands, with the contextual
+/// engine for SparseLoad, live-scalar and dynamic-Lut operands.
+///
 /// Correctness contract: a fused loop is *bit-identical* to the generic
 /// interpreted path (same factor fold order, same reduction order, same
 /// iteration order) and produces *exactly* the same execution counters
@@ -301,6 +329,33 @@ public:
   void run(ExecCtx &C, int64_t Lo, int64_t Hi);
 };
 
+class MicroKernel;
+
+/// The straight-line plan of a fused leaf (see the file comment),
+/// decided once at specialization. Run is the instantiation of the
+/// leaf's shape; null leaves the leaf on the generic per-statement
+/// path.
+struct MKLine {
+  using Fn = void (*)(const MicroKernel &, ExecCtx &, int64_t, int64_t);
+  Fn Run = nullptr;
+  /// Item indices of the statements and of the defs, in program order.
+  std::vector<unsigned> Stmts, Defs;
+  /// Counter charges per element, summed over the leaf's items: the
+  /// folds' scalar ops, the statements (reductions) and the tensor
+  /// statements (output writes).
+  uint64_t Ops = 0, Reductions = 0, Writes = 0;
+  /// Range drivers only: the one v stride of every per-element factor
+  /// and of every destination, so an element computes two offsets, not
+  /// one product per factor.
+  int64_t FactorStride = 0, DstStride = 0;
+  /// The distinct dense operands among the statements' per-element
+  /// factors (same access, same bound terms), each bound once per call
+  /// however many statements read it; LoadOf[s * E + f] indexes the
+  /// operand of statement s's per-element factor f (E from the shape).
+  std::vector<MKOperand> Loads;
+  std::vector<uint8_t> LoadOf;
+};
+
 /// A fused leaf loop. Attached to PlanLoop::Fused by the specializer
 /// and run from PlanLoop::execRange in place of the generic walker
 /// dispatch.
@@ -309,6 +364,7 @@ public:
   unsigned Slot = 0; ///< loop variable slot
   MKDriver D;
   std::vector<MKItem> Items;
+  MKLine Line;
 
   void run(ExecCtx &C, int64_t Lo, int64_t Hi);
 

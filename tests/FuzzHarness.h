@@ -23,7 +23,9 @@
 /// against the oracle (integer-quantized data makes every reduction
 /// exact, so results are decomposition-independent), plus a rebind
 /// cell: a plan prepared over decoy inputs, rebound onto the case's
-/// inputs after the decoys are destroyed.
+/// inputs after the decoys are destroyed. The micro-kernels-vs-
+/// interpreter check compares no oracle, so it keeps the data
+/// real-valued: there a reordered reduction changes the bits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,7 +156,11 @@ struct FuzzCase {
 /// time — a third operand C, so products of three-plus sparse operands
 /// (N-way walker intersections) and structured co-walker placements
 /// appear; random output indices, random loop order, random semiring.
-inline FuzzCase makeCase(uint64_t Seed) {
+/// \p Quantize rounds the data to small integers (0/1 for the boolean
+/// semiring), which every check against the dense oracle needs; without
+/// it the values stay real, so a reduction evaluated in another order
+/// shows in the bits.
+inline FuzzCase makeCase(uint64_t Seed, bool Quantize = true) {
   Rng R(Seed);
   const int64_t Dim = 5 + R.nextIndex(3);
   const std::vector<std::string> Pool{"a", "b", "c", "d"};
@@ -246,7 +252,8 @@ inline FuzzCase makeCase(uint64_t Seed) {
   F.E.declare("B", FmtB, FillB);
 
   Tensor A = generateSymmetricTensor(OrderA, Dim, 3 * Dim, R, FmtA, FillA);
-  quantize(A, Boolean);
+  if (Quantize)
+    quantize(A, Boolean);
   F.Inputs.emplace("A", std::move(A));
   auto makeOperand = [&](unsigned N, const TensorFormat &Fmt,
                          double Fill) {
@@ -260,7 +267,8 @@ inline FuzzCase makeCase(uint64_t Seed) {
       for (double &V : T.vals())
         V = R.nextDouble();
     }
-    quantize(T, Boolean);
+    if (Quantize)
+      quantize(T, Boolean);
     return T;
   };
   F.Inputs.emplace("B", makeOperand(NB, FmtB, FillB));
@@ -569,8 +577,11 @@ inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
 inline void checkMicroKernelsBitIdentical(uint64_t Seed) {
   // The specialization-layer oracle: with micro-kernels on vs. off, the
   // same plan must produce bit-identical outputs and exactly equal
-  // execution counters on both compiled kernels.
-  FuzzCase F = makeCase(Seed);
+  // execution counters on both compiled kernels. Neither side is the
+  // dense oracle, so the data stays real-valued: a fused loop that
+  // reorders any reduction shows here, where integer data would hide
+  // it.
+  FuzzCase F = makeCase(Seed, /*Quantize=*/false);
   SCOPED_TRACE(caseTrace(F));
   CompileResult R = compileEinsum(F.E);
   ExecOptions Interp, Fused;

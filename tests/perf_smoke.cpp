@@ -1,10 +1,12 @@
 //===- tests/perf_smoke.cpp -----------------------------------*- C++ -*-===//
 ///
 /// CI smoke test for the runtime specialization layer: asserts — by
-/// counter, not by time, so it is stable on loaded CI machines — that
-/// the PlanSpecializer fires on all five paper kernels (ssymv, syprd,
-/// ssyrk, ttm, mttkrp) in both naive and optimized form, and that the
-/// fused engines reproduce the interpreted engines bit for bit on each.
+/// counter and by per-loop report, not by time, so it is stable on
+/// loaded CI machines — that the PlanSpecializer fires on the eight
+/// paper kernels (ssymv, bellmanford, syprd, ssyrk, ttm, mttkrp3-5) in
+/// both naive and optimized form, which leaves run the straight-line
+/// loop, and that the fused engines reproduce the interpreted engines
+/// bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -503,13 +505,9 @@ unsigned leafLoops(const StmtPtr &S) {
   return Leaves;
 }
 
-} // namespace
-
-TEST(PerfSmoke, NestsInterpretedLeavesFused) {
-  // The engine split on default engines, read from one run's per-loop
-  // report for the eight paper kernels: every leaf loop runs fused,
-  // the nests the blocked panel engine takes report Blocked, and every
-  // other nest runs in the interpreter.
+/// The eight paper kernels: makeCases() plus bellmanford and
+/// mttkrp4/5.
+std::vector<SmokeCase> paperCases() {
   std::vector<SmokeCase> Cases = makeCases();
   Rng R(20260801);
   const int64_t N = 40, Dim = 8, Rank = 4;
@@ -529,20 +527,38 @@ TEST(PerfSmoke, NestsInterpretedLeavesFused) {
     C.Inputs.emplace("B", generateDenseMatrix(Dim, Rank, R));
     Cases.push_back(std::move(C));
   }
-  for (SmokeCase &C : Cases) {
+  return Cases;
+}
+
+/// Binds \p C's inputs and \p Out to \p E, prepares it and runs it
+/// once, returning the run's report.
+obs::ExecReport runReported(SmokeCase &C, Executor &E, Tensor &Out) {
+  Out = Tensor::dense(C.OutDims, 0.0);
+  Out.setAllValues(C.OutInit);
+  for (auto &[Name, T] : C.Inputs)
+    E.bind(Name, &T);
+  E.bind(C.OutName, &Out);
+  obs::ExecReport Rep;
+  EXPECT_TRUE(E.tryPrepare().ok());
+  EXPECT_TRUE(E.tryRun(&Rep).ok());
+  return Rep;
+}
+
+} // namespace
+
+TEST(PerfSmoke, NestsInterpretedLeavesFused) {
+  // The engine split on default engines, read from one run's per-loop
+  // report for the eight paper kernels: every leaf loop runs fused,
+  // the nests the blocked panel engine takes report Blocked, and every
+  // other nest runs in the interpreter.
+  for (SmokeCase &C : paperCases()) {
     SCOPED_TRACE(C.Name);
     CompileResult R2 = compileEinsum(C.E);
     for (const Kernel *K : {&R2.Naive, &R2.Optimized}) {
       SCOPED_TRACE(K == &R2.Naive ? "naive" : "optimized");
+      Tensor Out;
       Executor E(*K);
-      Tensor Out = Tensor::dense(C.OutDims, 0.0);
-      Out.setAllValues(C.OutInit);
-      for (auto &[Name, T] : C.Inputs)
-        E.bind(Name, &T);
-      E.bind(C.OutName, &Out);
-      ASSERT_TRUE(E.tryPrepare().ok());
-      obs::ExecReport Rep;
-      ASSERT_TRUE(E.tryRun(&Rep).ok());
+      const obs::ExecReport Rep = runReported(C, E, Out);
       const MicroKernelStats &Stats = E.microKernelStats();
       unsigned Fused = 0, Blocked = 0;
       for (const obs::LoopStat &L : Rep.Loops) {
@@ -556,6 +572,37 @@ TEST(PerfSmoke, NestsInterpretedLeavesFused) {
       EXPECT_EQ(Fused, leafLoops(K->Body) + leafLoops(K->Epilogue));
       EXPECT_EQ(Blocked, Stats.BlockedLoops);
       EXPECT_EQ(Stats.GenericLoops, 0u);
+    }
+  }
+}
+
+TEST(PerfSmoke, StraightLineLeaves) {
+  // Which fused leaves run the straight-line loop, read from one run's
+  // per-loop report (LoopStat::Form, fused leaves in plan order): every
+  // single-statement leaf of the eight kernels and the strict-block
+  // leaves, where one read of a canonical entry feeds every equivalent
+  // update, take it ("line"); the diagonal leaves of ttm and
+  // mttkrp3-5, whose statements carry residual guards, stay on the
+  // generic per-statement path. ssyrk's leaves report their plan
+  // although the blocked engine runs them on default engines.
+  const std::map<std::string, std::vector<std::string>> Optimized = {
+      {"ssymv", {"line", "line"}},       {"bellmanford", {"line", "line"}},
+      {"syprd", {"line", "line"}},       {"ssyrk", {"line", "line"}},
+      {"ttm", {"line", "generic"}},      {"mttkrp3", {"line", "generic"}},
+      {"mttkrp4", {"line", "generic"}},  {"mttkrp5", {"line", "generic"}}};
+  for (SmokeCase &C : paperCases()) {
+    SCOPED_TRACE(C.Name);
+    CompileResult R2 = compileEinsum(C.E);
+    for (const Kernel *K : {&R2.Naive, &R2.Optimized}) {
+      SCOPED_TRACE(K == &R2.Naive ? "naive" : "optimized");
+      Tensor Out;
+      Executor E(*K);
+      std::vector<std::string> Forms;
+      for (const obs::LoopStat &L : runReported(C, E, Out).Loops)
+        if (L.Engine == "Fused")
+          Forms.push_back(L.Form);
+      EXPECT_EQ(Forms, K == &R2.Naive ? std::vector<std::string>{"line"}
+                                      : Optimized.at(C.Name));
     }
   }
 }

@@ -336,6 +336,15 @@ TEST(Rebind, RejectsStructureMismatch) {
   EXPECT_EQ(E.rebind(Partial, ExecOptions()).code(),
             ErrCode::UnboundTensor);
 
+  // An input sharing the output's tensor, where prepare saw two: the
+  // fused leaves read x once per call, which updates of y would make
+  // stale.
+  Tensor XY = W.Inputs.at("x");
+  std::map<std::string, Tensor *> Aliased = bindings(W, XY);
+  Aliased["x"] = &XY;
+  EXPECT_EQ(E.rebind(Aliased, ExecOptions()).code(),
+            ErrCode::InvalidArgument);
+
   // The executor stays runnable on its previous bindings after a
   // refused rebind.
   EXPECT_TRUE(E.tryRun().ok());
