@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <string_view>
 #include <thread>
 
 namespace systec {
@@ -649,14 +650,30 @@ private:
     unreachable("unknown level kind");
   }
 
-  /// Stamps \p Loop's observability identity (trace id, interned span
-  /// label, engine and driver names) and records the report-side
-  /// metadata row. Runs after specialization so the engine is known.
+  /// Gives \p Loop its trace id and observability identity. Runs after
+  /// specialization so the engine is known. A blocked nest runs its
+  /// child leaf's elements itself (MicroKernel::run is never called for
+  /// the child), so the child, stamped Fused when it was compiled, is
+  /// restamped Blocked here.
   void assignTraceIdentity(PlanLoop &Loop, const std::string &Var) {
     Loop.TraceId = NextTraceId++;
-    const char *Engine = Loop.Blocked ? "Blocked"
-                         : Loop.Fused ? "Fused"
-                                      : "Interp";
+    LoopMeta.emplace_back();
+    stampTraceIdentity(Loop, Var,
+                       Loop.Blocked ? "Blocked"
+                       : Loop.Fused ? "Fused"
+                                    : "Interp");
+    if (Loop.Blocked) {
+      PlanLoop &Child = *Loop.Blocked->Child;
+      for (const auto &[Name, Slot] : IndexSlots)
+        if (Slot == Child.Slot)
+          stampTraceIdentity(Child, Name, "Blocked");
+    }
+  }
+
+  /// Stamps \p Loop's interned span label, engine and driver names, and
+  /// its report-side metadata row, as run by \p Engine.
+  void stampTraceIdentity(PlanLoop &Loop, const std::string &Var,
+                          const char *Engine) {
     // Every engine iterates the loop's first walker, or its plain range.
     const char *Driver =
         Loop.Walkers.empty()
@@ -673,9 +690,9 @@ private:
     Meta.Label = Label;
     Meta.Engine = Engine;
     Meta.Driver = Driver;
-    if (Loop.Fused)
+    if (Loop.Fused && std::string_view(Engine) == "Fused")
       Meta.Form = Loop.Fused->Line.Run ? "line" : "generic";
-    LoopMeta.push_back(std::move(Meta));
+    LoopMeta[Loop.TraceId] = std::move(Meta);
   }
 
   void collectSubtreeAccesses(const StmtPtr &S, std::vector<ExprPtr> &Out) {

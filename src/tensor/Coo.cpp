@@ -2,11 +2,9 @@
 
 #include "tensor/Coo.h"
 
-#include "support/Error.h"
+#include "tensor/LevelBuilder.h"
 
-#include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace systec {
 
@@ -30,41 +28,28 @@ void Coo::add(const std::vector<int64_t> &CoordsIn, double Val) {
 
 void Coo::sortAndCombine(OpKind Combine) {
   const unsigned N = order();
-  std::vector<size_t> Perm(size());
-  std::iota(Perm.begin(), Perm.end(), 0);
-  auto Less = [&](size_t A, size_t B) {
-    for (unsigned M = N; M-- > 0;) {
-      int64_t CA = Coords[A * N + M], CB = Coords[B * N + M];
-      if (CA != CB)
-        return CA < CB;
+  std::vector<int64_t> NewCoords(Coords.size());
+  std::vector<double> NewVals(Vals.size());
+  size_t Kept = 0;
+  for (size_t I : fibertreeOrder(Coords.data(), size(), Dims)) {
+    const int64_t *C = coords(I);
+    int64_t *Next = NewCoords.data() + Kept * N;
+    if (Kept > 0) {
+      const int64_t *Last = Next - N;
+      unsigned M = 0;
+      while (M < N && C[M] == Last[M])
+        ++M;
+      if (M == N) {
+        NewVals[Kept - 1] = evalOp(Combine, NewVals[Kept - 1], Vals[I]);
+        continue;
+      }
     }
-    return false;
-  };
-  std::sort(Perm.begin(), Perm.end(), Less);
-
-  std::vector<int64_t> NewCoords;
-  std::vector<double> NewVals;
-  NewCoords.reserve(Coords.size());
-  NewVals.reserve(Vals.size());
-  for (size_t K = 0; K < Perm.size(); ++K) {
-    size_t I = Perm[K];
-    bool SameAsPrev = !NewVals.empty();
-    if (SameAsPrev) {
-      size_t Prev = NewVals.size() - 1;
-      for (unsigned M = 0; M < N; ++M)
-        if (NewCoords[Prev * N + M] != Coords[I * N + M]) {
-          SameAsPrev = false;
-          break;
-        }
-    }
-    if (SameAsPrev) {
-      NewVals.back() = evalOp(Combine, NewVals.back(), Vals[I]);
-    } else {
-      for (unsigned M = 0; M < N; ++M)
-        NewCoords.push_back(Coords[I * N + M]);
-      NewVals.push_back(Vals[I]);
-    }
+    for (unsigned M = 0; M < N; ++M)
+      Next[M] = C[M];
+    NewVals[Kept++] = Vals[I];
   }
+  NewCoords.resize(Kept * N);
+  NewVals.resize(Kept);
   Coords = std::move(NewCoords);
   Vals = std::move(NewVals);
 }
@@ -73,22 +58,6 @@ void Coo::append(const Coo &Other) {
   assert(Dims == Other.Dims && "appending mismatched tensors");
   Coords.insert(Coords.end(), Other.Coords.begin(), Other.Coords.end());
   Vals.insert(Vals.end(), Other.Vals.begin(), Other.Vals.end());
-}
-
-Coo Coo::transposed(const std::vector<unsigned> &ModePerm) const {
-  const unsigned N = order();
-  assert(ModePerm.size() == N && "mode permutation arity mismatch");
-  std::vector<int64_t> NewDims(N);
-  for (unsigned M = 0; M < N; ++M)
-    NewDims[M] = Dims[ModePerm[M]];
-  Coo Out(std::move(NewDims));
-  std::vector<int64_t> Tmp(N);
-  for (size_t I = 0; I < size(); ++I) {
-    for (unsigned M = 0; M < N; ++M)
-      Tmp[M] = Coords[I * N + ModePerm[M]];
-    Out.addRaw(Tmp.data(), Vals[I]);
-  }
-  return Out;
 }
 
 } // namespace systec

@@ -2,8 +2,10 @@
 ///
 /// \file
 /// A flat coordinate-list (COO) staging buffer used to build the level
-/// formats. Coordinates are stored structure-of-arrays to keep million-
-/// entry 5-dimensional tensors cheap to sort.
+/// formats: Tensor::fromCoo sorts it with sortAndCombine and feeds the
+/// one level builder (tensor/LevelBuilder.h) in that order. Each
+/// entry's coordinates are stored contiguously, so million-entry
+/// 5-dimensional tensors stay cheap to sort.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,20 +38,30 @@ public:
   int64_t coord(size_t I, unsigned Mode) const {
     return Coords[I * order() + Mode];
   }
+  /// The order() coordinates of entry \p I, mode 0 first.
+  const int64_t *coords(size_t I) const { return Coords.data() + I * order(); }
   double value(size_t I) const { return Vals[I]; }
   void setValue(size_t I, double Val) { Vals[I] = Val; }
 
   /// Sorts entries lexicographically with the *last* mode most
   /// significant (column-major / fibertree order) and combines
   /// duplicate coordinates with \p Combine.
+  ///
+  /// Duplicate rule: the sort is stable, so duplicates combine in
+  /// insertion order, left to right: entries added as a, b, c at one
+  /// coordinate store Combine(Combine(a, b), c). For Add that is the
+  /// floating-point sum in that order (1e16, 1.0, -1e16 gives 0.0).
+  ///
+  /// Cost: a stable LSD radix sort (fibertreeOrder in
+  /// tensor/LevelBuilder.h), O(size() * sum over modes of
+  /// ceil(bit width of the extent / 16)), plus O(size()) extra memory
+  /// and a counting table of at most 2^16 + 1 slots whatever the
+  /// extents. Coordinates must lie inside dims(): add() asserts it and
+  /// Tensor::tryFromCoo checks it before sorting.
   void sortAndCombine(OpKind Combine = OpKind::Add);
 
   /// Appends all entries of \p Other (dims must match).
   void append(const Coo &Other);
-
-  /// Returns a new Coo with modes permuted: result mode m holds source
-  /// mode ModePerm[m].
-  Coo transposed(const std::vector<unsigned> &ModePerm) const;
 
 private:
   std::vector<int64_t> Dims;

@@ -6,51 +6,39 @@
 #include "parallel/ThreadPool.h"
 #include "support/Error.h"
 #include "support/StringUtils.h"
+#include "tensor/LevelBuilder.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 namespace systec {
 
 namespace {
 
-/// A contiguous range of sorted COO entries sharing all coordinates
-/// above the current level, tagged with the parent position it belongs
-/// to.
-struct Segment {
-  int64_t ParentPos;
-  size_t Begin, End;
-};
-
-} // namespace
-
-Tensor Tensor::fromCoo(Coo Entries, TensorFormat Format, double Fill,
-                       OpKind Combine) {
-  Expected<Tensor> T =
-      tryFromCoo(std::move(Entries), std::move(Format), Fill, Combine);
+/// The tensor, or fatalError with the build's status.
+Tensor builtOrDie(Expected<Tensor> T) {
   if (!T)
     fatalError(T.status().str());
   return std::move(*T);
 }
 
+} // namespace
+
+Tensor Tensor::fromCoo(Coo Entries, TensorFormat Format, double Fill,
+                       OpKind Combine) {
+  return builtOrDie(
+      tryFromCoo(std::move(Entries), std::move(Format), Fill, Combine));
+}
+
 Expected<Tensor> Tensor::tryFromCoo(Coo Entries, TensorFormat Format,
                                     double Fill, OpKind Combine) {
   const unsigned N = Entries.order();
-  if (Format.order() != N)
-    return Status::error(ErrCode::InvalidArgument,
-                         "format order " + std::to_string(Format.order()) +
-                             " does not match coordinate order " +
-                             std::to_string(N));
-  for (unsigned L = 0; L + 1 < N; ++L)
-    if (Format.Levels[L] == LevelKind::RunLength)
-      return Status::error(ErrCode::InvalidArgument,
-                           "RunLength levels are only supported at the "
-                           "bottom");
-  // Entries outside the declared box would silently corrupt the level
-  // build (positions computed from coordinates index past the arrays).
+  if (Status S = checkBuildFormat(N, Format); !S.ok())
+    return S;
+  // Entries outside the declared box would index the level arrays out of
+  // bounds, and the sort keys only the bits the extents need.
   for (size_t I = 0; I < Entries.size(); ++I)
     for (unsigned M = 0; M < N; ++M) {
       const int64_t C = Entries.coord(I, M);
@@ -62,156 +50,10 @@ Expected<Tensor> Tensor::tryFromCoo(Coo Entries, TensorFormat Format,
                 " extent " + std::to_string(Entries.dims()[M]));
     }
   Entries.sortAndCombine(Combine);
-
-  Tensor T;
-  T.Dims = Entries.dims();
-  T.Format = Format;
-  T.Fill = Fill;
-  T.Levels.resize(N);
-
-  // No root segment for an empty tensor: every level then builds its
-  // all-empty structure (the Banded branch in particular reads a
-  // segment's last entry, which an empty segment does not have).
-  std::vector<Segment> Segments;
-  if (Entries.size() > 0)
-    Segments.push_back({0, 0, Entries.size()});
-  int64_t PosCount = 1;
-
-  for (unsigned L = 0; L < N; ++L) {
-    const unsigned Mode = N - 1 - L;
-    const int64_t Dim = T.Dims[Mode];
-    Level &Lev = T.Levels[L];
-    Lev.Kind = Format.Levels[L];
-    Lev.Dim = Dim;
-    const bool Bottom = (L == N - 1);
-    std::vector<Segment> NewSegments;
-
-    // Groups a segment's entries by this level's coordinate and invokes
-    // \p Fn(coord, begin, end) in ascending coordinate order.
-    auto ForEachGroup = [&](const Segment &Seg, auto &&Fn) {
-      size_t I = Seg.Begin;
-      while (I < Seg.End) {
-        int64_t C = Entries.coord(I, Mode);
-        size_t J = I;
-        while (J < Seg.End && Entries.coord(J, Mode) == C)
-          ++J;
-        Fn(C, I, J);
-        I = J;
-      }
-    };
-
-    switch (Lev.Kind) {
-    case LevelKind::Dense: {
-      for (const Segment &Seg : Segments)
-        ForEachGroup(Seg, [&](int64_t C, size_t B, size_t E) {
-          NewSegments.push_back({Seg.ParentPos * Dim + C, B, E});
-        });
-      PosCount *= Dim;
-      if (Bottom) {
-        T.Vals.assign(static_cast<size_t>(PosCount), Fill);
-        for (const Segment &Seg : NewSegments) {
-          assert(Seg.End - Seg.Begin == 1 && "uncombined duplicate entry");
-          T.Vals[Seg.ParentPos] = Entries.value(Seg.Begin);
-        }
-      }
-      break;
-    }
-    case LevelKind::Sparse: {
-      Lev.Ptr.assign(static_cast<size_t>(PosCount) + 1, 0);
-      size_t SegIdx = 0;
-      for (int64_t P = 0; P < PosCount; ++P) {
-        Lev.Ptr[P] = static_cast<int64_t>(Lev.Crd.size());
-        if (SegIdx < Segments.size() && Segments[SegIdx].ParentPos == P) {
-          ForEachGroup(Segments[SegIdx], [&](int64_t C, size_t B, size_t E) {
-            NewSegments.push_back(
-                {static_cast<int64_t>(Lev.Crd.size()), B, E});
-            Lev.Crd.push_back(C);
-          });
-          ++SegIdx;
-        }
-      }
-      Lev.Ptr[PosCount] = static_cast<int64_t>(Lev.Crd.size());
-      PosCount = static_cast<int64_t>(Lev.Crd.size());
-      if (Bottom) {
-        T.Vals.resize(static_cast<size_t>(PosCount));
-        for (const Segment &Seg : NewSegments)
-          T.Vals[Seg.ParentPos] = Entries.value(Seg.Begin);
-      }
-      break;
-    }
-    case LevelKind::RunLength: {
-      assert(Bottom && "non-bottom RunLength rejected above");
-      Lev.Ptr.assign(static_cast<size_t>(PosCount) + 1, 0);
-      size_t SegIdx = 0;
-      for (int64_t P = 0; P < PosCount; ++P) {
-        Lev.Ptr[P] = static_cast<int64_t>(Lev.RunEnd.size());
-        auto PushRun = [&](int64_t EndC, double V) {
-          // Merge with the previous run of this parent when values match.
-          if (static_cast<int64_t>(Lev.RunEnd.size()) > Lev.Ptr[P] &&
-              T.Vals.back() == V) {
-            Lev.RunEnd.back() = EndC;
-            return;
-          }
-          Lev.RunEnd.push_back(EndC);
-          T.Vals.push_back(V);
-        };
-        int64_t NextC = 0;
-        if (SegIdx < Segments.size() && Segments[SegIdx].ParentPos == P) {
-          ForEachGroup(Segments[SegIdx], [&](int64_t C, size_t B, size_t E) {
-            (void)E; // asserted only; optimized builds define NDEBUG
-            assert(E - B == 1 && "uncombined duplicate entry");
-            if (C > NextC)
-              PushRun(C, Fill);
-            PushRun(C + 1, Entries.value(B));
-            NextC = C + 1;
-          });
-          ++SegIdx;
-        }
-        if (NextC < Dim)
-          PushRun(Dim, Fill);
-      }
-      Lev.Ptr[PosCount] = static_cast<int64_t>(Lev.RunEnd.size());
-      PosCount = static_cast<int64_t>(Lev.RunEnd.size());
-      break;
-    }
-    case LevelKind::Banded: {
-      Lev.Lo.assign(static_cast<size_t>(PosCount), 0);
-      Lev.Hi.assign(static_cast<size_t>(PosCount), 0);
-      Lev.Off.assign(static_cast<size_t>(PosCount) + 1, 0);
-      size_t SegIdx = 0;
-      int64_t Total = 0;
-      for (int64_t P = 0; P < PosCount; ++P) {
-        Lev.Off[P] = Total;
-        if (SegIdx < Segments.size() && Segments[SegIdx].ParentPos == P) {
-          const Segment &Seg = Segments[SegIdx];
-          int64_t LoC = Entries.coord(Seg.Begin, Mode);
-          int64_t HiC = Entries.coord(Seg.End - 1, Mode) + 1;
-          Lev.Lo[P] = LoC;
-          Lev.Hi[P] = HiC;
-          ForEachGroup(Seg, [&](int64_t C, size_t B, size_t E) {
-            NewSegments.push_back({Total + (C - LoC), B, E});
-          });
-          Total += HiC - LoC;
-          ++SegIdx;
-        }
-      }
-      Lev.Off[PosCount] = Total;
-      PosCount = Total;
-      if (Bottom) {
-        T.Vals.assign(static_cast<size_t>(PosCount), Fill);
-        for (const Segment &Seg : NewSegments)
-          T.Vals[Seg.ParentPos] = Entries.value(Seg.Begin);
-      }
-      break;
-    }
-    }
-    Segments = std::move(NewSegments);
-  }
-  // Self-check: a shallow failure here is a builder bug, but surfacing
-  // it as a status keeps the recoverable entry point abort-free.
-  if (Status S = T.validate(ValidationLevel::Shallow); !S.ok())
-    return std::move(S).withContext("fromCoo self-check");
-  return T;
+  LevelBuilder B(Entries.dims(), std::move(Format), Fill);
+  for (size_t I = 0; I < Entries.size(); ++I)
+    B.append(Entries.coords(I), Entries.value(I));
+  return std::move(B).finish();
 }
 
 Tensor Tensor::dense(std::vector<int64_t> Dims, double Fill) {
@@ -524,74 +366,154 @@ void Tensor::setAllValues(double V) {
   std::fill(Vals.begin(), Vals.end(), V);
 }
 
+namespace {
+
+/// Calls \p Fn(Coords, Val) for every stored entry of \p T in
+/// fibertree order (last mode most significant), with RunLength runs
+/// expanded per coordinate. Coords holds the access-mode coordinates in
+/// one buffer that lives for the whole walk. Iterative, with one cursor
+/// per level: O(levels) memory and O(1) work per visited coordinate.
+template <typename FnT> void walkEntries(const Tensor &T, FnT &&Fn) {
+  const unsigned N = T.order();
+  if (N == 0)
+    return;
+  struct Cursor {
+    int64_t K = 0;     ///< Sparse: Crd index; RunLength: run index
+    int64_t End = 0;   ///< the fiber's end in K (Sparse, RunLength) or
+                       ///< in coordinates (Dense, Banded)
+    int64_t Base = 0;  ///< Dense, Banded: position minus coordinate
+    int64_t Child = 0; ///< position of the current coordinate
+  };
+  std::vector<Cursor> Cur(N);
+  std::vector<int64_t> Coords(N);
+  // Positions level L's cursor on the first coordinate of the fiber
+  // under parent position P (Next: on the following one); false when
+  // the fiber has none left.
+  auto Open = [&](unsigned L, int64_t P) {
+    const Level &Lev = T.level(L);
+    Cursor &Q = Cur[L];
+    int64_t &C = Coords[N - 1 - L];
+    switch (Lev.Kind) {
+    case LevelKind::Dense:
+      Q.Base = P * Lev.Dim;
+      Q.End = Lev.Dim;
+      C = 0;
+      break;
+    case LevelKind::Sparse:
+      Q.K = Lev.Ptr[P];
+      Q.End = Lev.Ptr[P + 1];
+      if (Q.K >= Q.End)
+        return false;
+      C = Lev.Crd[Q.K];
+      Q.Child = Q.K;
+      return true;
+    case LevelKind::RunLength:
+      Q.K = Lev.Ptr[P];
+      Q.End = Lev.Ptr[P + 1];
+      C = 0;
+      while (Q.K < Q.End && Lev.RunEnd[Q.K] <= C)
+        ++Q.K;
+      Q.Child = Q.K;
+      return Q.K < Q.End;
+    case LevelKind::Banded:
+      Q.Base = Lev.Off[P] - Lev.Lo[P];
+      Q.End = Lev.Hi[P];
+      C = Lev.Lo[P];
+      break;
+    }
+    Q.Child = Q.Base + C;
+    return C < Q.End;
+  };
+  auto Next = [&](unsigned L) {
+    const Level &Lev = T.level(L);
+    Cursor &Q = Cur[L];
+    int64_t &C = Coords[N - 1 - L];
+    switch (Lev.Kind) {
+    case LevelKind::Sparse:
+      if (++Q.K >= Q.End)
+        return false;
+      C = Lev.Crd[Q.K];
+      Q.Child = Q.K;
+      return true;
+    case LevelKind::RunLength:
+      ++C;
+      while (Q.K < Q.End && Lev.RunEnd[Q.K] <= C)
+        ++Q.K;
+      Q.Child = Q.K;
+      return Q.K < Q.End;
+    case LevelKind::Dense:
+    case LevelKind::Banded:
+      break;
+    }
+    Q.Child = Q.Base + ++C;
+    return C < Q.End;
+  };
+  const double *Vals = T.valsData();
+  unsigned L = 0;
+  bool Ok = Open(0, 0);
+  for (;;) {
+    if (!Ok) {
+      if (L == 0)
+        return;
+      Ok = Next(--L);
+    } else if (L + 1 < N) {
+      Ok = Open(L + 1, Cur[L].Child);
+      ++L;
+    } else {
+      Fn(Coords, Vals[Cur[L].Child]);
+      Ok = Next(L);
+    }
+  }
+}
+
+} // namespace
+
 void Tensor::forEach(
     const std::function<void(const std::vector<int64_t> &, double)> &Fn)
     const {
-  std::vector<int64_t> Coords(order());
-  // Recursive descent over levels.
-  std::function<void(unsigned, int64_t)> Walk = [&](unsigned L,
-                                                    int64_t Pos) {
-    const Level &Lev = Levels[L];
-    const unsigned Mode = modeOfLevel(L);
-    auto Visit = [&](int64_t C, int64_t Child) {
-      Coords[Mode] = C;
-      if (L + 1 == order())
-        Fn(Coords, Vals[Child]);
-      else
-        Walk(L + 1, Child);
-    };
-    switch (Lev.Kind) {
-    case LevelKind::Dense:
-      for (int64_t C = 0; C < Lev.Dim; ++C)
-        Visit(C, Pos * Lev.Dim + C);
-      return;
-    case LevelKind::Sparse:
-      for (int64_t K = Lev.Ptr[Pos]; K < Lev.Ptr[Pos + 1]; ++K)
-        Visit(Lev.Crd[K], K);
-      return;
-    case LevelKind::RunLength: {
-      int64_t Start = 0;
-      for (int64_t K = Lev.Ptr[Pos]; K < Lev.Ptr[Pos + 1]; ++K) {
-        for (int64_t C = Start; C < Lev.RunEnd[K]; ++C)
-          Visit(C, K);
-        Start = Lev.RunEnd[K];
-      }
-      return;
-    }
-    case LevelKind::Banded:
-      for (int64_t C = Lev.Lo[Pos]; C < Lev.Hi[Pos]; ++C)
-        Visit(C, Lev.Off[Pos] + (C - Lev.Lo[Pos]));
-      return;
-    }
-    unreachable("unknown level kind");
-  };
-  Walk(0, 0);
+  walkEntries(*this, Fn);
 }
 
 Coo Tensor::toCoo() const {
   Coo Out(Dims);
-  forEach([&Out](const std::vector<int64_t> &Coords, double V) {
-    Out.add(Coords, V);
+  walkEntries(*this, [&Out](const std::vector<int64_t> &Coords, double V) {
+    Out.addRaw(Coords.data(), V);
   });
   return Out;
 }
 
 Tensor Tensor::transposed(const std::vector<unsigned> &ModePerm,
                           const TensorFormat &NewFormat) const {
-  return fromCoo(toCoo().transposed(ModePerm), NewFormat, Fill);
+  const unsigned N = order();
+  assert(ModePerm.size() == N && "mode permutation arity mismatch");
+  if (Status S = checkBuildFormat(N, NewFormat); !S.ok())
+    fatalError(S.str());
+  std::vector<int64_t> NewDims(N);
+  for (unsigned M = 0; M < N; ++M)
+    NewDims[M] = Dims[ModePerm[M]];
+  std::vector<int64_t> Coords;
+  std::vector<double> Values;
+  Coords.reserve(Vals.size() * N);
+  Values.reserve(Vals.size());
+  walkEntries(*this, [&](const std::vector<int64_t> &C, double V) {
+    for (unsigned M = 0; M < N; ++M)
+      Coords.push_back(C[ModePerm[M]]);
+    Values.push_back(V);
+  });
+  LevelBuilder B(NewDims, NewFormat, Fill);
+  for (size_t I : fibertreeOrder(Coords.data(), Values.size(), NewDims))
+    B.append(&Coords[I * N], Values[I]);
+  return builtOrDie(std::move(B).finish());
 }
 
 std::pair<Tensor, Tensor> Tensor::splitDiagonal(const Partition &Sym) const {
   assert(Sym.order() == order() && "partition order mismatch");
-  Coo OffDiag(Dims), Diag(Dims);
-  forEach([&](const std::vector<int64_t> &Coords, double V) {
-    if (Sym.isOnDiagonal(Coords))
-      Diag.add(Coords, V);
-    else
-      OffDiag.add(Coords, V);
+  LevelBuilder OffDiag(Dims, Format, Fill), Diag(Dims, Format, Fill);
+  walkEntries(*this, [&](const std::vector<int64_t> &Coords, double V) {
+    (Sym.isOnDiagonal(Coords) ? Diag : OffDiag).append(Coords.data(), V);
   });
-  return {fromCoo(std::move(OffDiag), Format, Fill),
-          fromCoo(std::move(Diag), Format, Fill)};
+  return {builtOrDie(std::move(OffDiag).finish()),
+          builtOrDie(std::move(Diag).finish())};
 }
 
 double Tensor::maxAbsDiff(const Tensor &A, const Tensor &B) {

@@ -15,6 +15,10 @@
 ///  - Banded:    one contiguous coordinate interval per parent position
 ///               (covers banded and triangular structure).
 ///
+/// Every tensor built from entries (fromCoo, splitDiagonal, transposed)
+/// comes out of one streaming level builder (tensor/LevelBuilder.h),
+/// which appends to each level as entries arrive in fibertree order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYSTEC_TENSOR_TENSOR_H
@@ -67,17 +71,19 @@ public:
   Tensor() = default;
 
   /// Builds from coordinate data (sorted/combined internally).
-  /// \p Combine resolves duplicate coordinates. Aborts on malformed
-  /// input (format/order mismatch, out-of-range coordinates); use
-  /// tryFromCoo for the recoverable path.
+  /// \p Combine resolves duplicate coordinates, in insertion order (see
+  /// Coo::sortAndCombine). Aborts on malformed input (format/order
+  /// mismatch, out-of-range coordinates); use tryFromCoo for the
+  /// recoverable path.
   static Tensor fromCoo(Coo Entries, TensorFormat Format, double Fill = 0.0,
                         OpKind Combine = OpKind::Add);
 
   /// Status-returning construction: rejects a format whose order does
   /// not match the coordinate order, RunLength levels above the bottom,
   /// and entries with coordinates outside the declared dims — with
-  /// ErrCode::InvalidArgument — instead of aborting, then self-checks
-  /// the built structure with validate(Shallow).
+  /// ErrCode::InvalidArgument — instead of aborting, then sorts the
+  /// entries with Coo::sortAndCombine, streams them through the level
+  /// builder and self-checks the result with validate(Shallow).
   static Expected<Tensor> tryFromCoo(Coo Entries, TensorFormat Format,
                                      double Fill = 0.0,
                                      OpKind Combine = OpKind::Add);
@@ -148,22 +154,39 @@ public:
   int64_t locateHinted(unsigned L, int64_t Pos, int64_t C,
                        int64_t &CachedParent, int64_t &CachedIdx) const;
 
-  /// Iterates stored entries in coordinate order (RunLength levels are
-  /// expanded per coordinate).
+  /// Iterates stored entries in fibertree order (last mode most
+  /// significant): every coordinate of a Dense level and of a Banded
+  /// interval, each stored Sparse coordinate, and each coordinate of a
+  /// RunLength run. \p Fn receives access-mode coordinates. One
+  /// iterative walk, O(1) per visited coordinate; toCoo, transposed and
+  /// splitDiagonal use the same walk.
   void forEach(
       const std::function<void(const std::vector<int64_t> &, double)> &Fn)
       const;
 
-  /// Explicit entries as COO (access-mode coordinate order).
+  /// Explicit entries as COO, in forEach order.
   Coo toCoo() const;
 
   /// Tensor with modes permuted (result mode m = source mode
-  /// ModePerm[m]), in format \p NewFormat.
+  /// ModePerm[m]), in format \p NewFormat. Walks this tensor into the
+  /// permuted coordinates, orders them with one stable counting-sort
+  /// pass per level of the new format (bottom level first, 16-bit
+  /// digits; a pass whose keys already ascend is skipped) and streams
+  /// them through the level builder: O(visited coordinates * levels)
+  /// time, O(visited coordinates) extra memory. Aborts on a format
+  /// with RunLength above the bottom, and on a tensor whose fibers are
+  /// out of order or out of range (which validate(Deep) rejects). Safe
+  /// to call concurrently on one tensor: it shares no scratch.
   Tensor transposed(const std::vector<unsigned> &ModePerm,
                     const TensorFormat &NewFormat) const;
 
   /// Splits into (off-diagonal, diagonal) parts relative to \p Sym
-  /// (paper 4.2.9 / Listing 7's A_nondiag and A_diag).
+  /// (paper 4.2.9 / Listing 7's A_nondiag and A_diag), both in this
+  /// tensor's format. One walk feeds two level builders, with no sort:
+  /// O(visited coordinates * levels) time and no memory beyond the two
+  /// results. Aborts on a tensor whose fibers are out of order or out
+  /// of range (which validate(Deep) rejects). Safe to call concurrently
+  /// on one tensor.
   std::pair<Tensor, Tensor> splitDiagonal(const Partition &Sym) const;
 
   /// Maximum absolute difference over the union of explicit entries of
@@ -174,6 +197,8 @@ public:
   std::string summary() const;
 
 private:
+  friend class LevelBuilder;
+
   std::vector<int64_t> Dims; // per access mode
   TensorFormat Format;       // per level, top first
   double Fill = 0.0;
