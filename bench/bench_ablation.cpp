@@ -100,7 +100,7 @@ void printSpecialization(const char *Workload, const char *Variant,
   const MicroKernelStats &S = E.microKernelStats();
   std::printf("  specialization %-10s %-16s fused=%llu "
               "generic=%llu walkers=%llu co=%llu (nway %llu) lut=%llu "
-              "prebind=%llu blocked=%llu (accum %llu)\n",
+              "blocked=%llu (accum %llu)\n",
               Workload, Variant,
               static_cast<unsigned long long>(S.SpecializedLoops),
               static_cast<unsigned long long>(S.GenericLoops),
@@ -108,7 +108,6 @@ void printSpecialization(const char *Workload, const char *Variant,
               static_cast<unsigned long long>(S.FusedCoWalkers),
               static_cast<unsigned long long>(S.FusedNWalkerLoops),
               static_cast<unsigned long long>(S.FusedLutFactors),
-              static_cast<unsigned long long>(S.PrebindSlots),
               static_cast<unsigned long long>(S.BlockedLoops),
               static_cast<unsigned long long>(S.BlockedAccumLoops));
 }

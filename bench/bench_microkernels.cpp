@@ -180,7 +180,7 @@ int main(int argc, char **argv) {
     const MicroKernelStats &S = H->Executors.back()->microKernelStats();
     std::printf("%-8s specialized=%llu, generic=%llu, "
                 "co=%llu (nway %llu, rl %llu, banded %llu), lut=%llu, "
-                "prebind=%llu, blocked=%llu (accum %llu)\n",
+                "blocked=%llu (accum %llu)\n",
                 C.Name.c_str(),
                 static_cast<unsigned long long>(S.SpecializedLoops),
                 static_cast<unsigned long long>(S.GenericLoops),
@@ -189,7 +189,6 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(S.FusedRunLengthCoWalkers),
                 static_cast<unsigned long long>(S.FusedBandedCoWalkers),
                 static_cast<unsigned long long>(S.FusedLutFactors),
-                static_cast<unsigned long long>(S.PrebindSlots),
                 static_cast<unsigned long long>(S.BlockedLoops),
                 static_cast<unsigned long long>(S.BlockedAccumLoops));
     Holders.push_back(std::move(H));

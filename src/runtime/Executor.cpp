@@ -611,15 +611,8 @@ private:
           ++Stats.FusedBandedCoWalkers;
       }
       for (const MKItem &Item : Loop->Fused->Items)
-        for (const MKOperand &Op : Item.S.Factors) {
-          if (Op.K == MKOperand::Kind::SparseLoad) {
-            ++Stats.FusedSparseLoadFactors;
-            if (Op.PrebindLevels > 0)
-              ++Stats.PrebindSlots;
-          } else if (Op.K == MKOperand::Kind::Lut) {
-            ++Stats.FusedLutFactors;
-          }
-        }
+        for (const MKOperand &Op : Item.S.Factors)
+          Stats.FusedLutFactors += Op.K == MKOperand::Kind::Lut;
     } else if (!containsLoop(Loop->Body.get())) {
       // A declined leaf. Other nest loops are interpreted by design and
       // counted in neither total.

@@ -130,9 +130,6 @@ struct MicroKernelStats {
   uint64_t FusedSparseDrivers = 0;
   uint64_t FusedRunLengthDrivers = 0;
   uint64_t FusedBandedDrivers = 0;
-  /// SparseLoad operands bound inside fused bodies (chained stateful
-  /// locator instead of falling back to the interpreter).
-  uint64_t FusedSparseLoadFactors = 0;
 
   /// Intersection shapes (per-shape coverage of the formerly-declined
   /// specializer gaps; each is assertable in tests/perf_smoke.cpp).
@@ -145,12 +142,8 @@ struct MicroKernelStats {
   /// containment / interval containment instead of a crd merge).
   uint64_t FusedRunLengthCoWalkers = 0;
   uint64_t FusedBandedCoWalkers = 0;
-  /// Lut operands bound inside fused bodies (bind-time constants or
-  /// per-element contextual evaluation).
+  /// Lut operands bound inside fused bodies (one table entry per call).
   uint64_t FusedLutFactors = 0;
-  /// SparseLoad operands with a row-invariant level prefix hoisted to
-  /// bind time (per-row prebinding slots installed by the specializer).
-  uint64_t PrebindSlots = 0;
 
   /// Nest loops running the register/cache-blocked output engine
   /// (column panels over the dense output mode), and the subset whose

@@ -76,10 +76,10 @@ struct MatchState {
   const PlanLoop &L;
   const std::vector<AccessState> &Accesses;
   MKDriver D;
-  /// Scalar slots written by items of this loop. Reads of a written
-  /// slot substitute a preceding single-factor def under a compatible
-  /// guard or become live reads (bind-time reads would otherwise
-  /// observe stale values).
+  /// Scalar slots written by items of this loop. A read of a written
+  /// slot substitutes a preceding single-factor def under a compatible
+  /// guard or declines the loop (a bind-time read would observe a stale
+  /// value).
   std::set<unsigned> Written;
   std::map<unsigned, std::pair<MKOperand, std::optional<CCond>>> DefMap;
 };
@@ -130,8 +130,9 @@ bool buildDriver(MatchState &M) {
   return true;
 }
 
-/// Classifies one load instruction into an operand, applying the
-/// written-scalar substitution rules.
+/// Classifies one load instruction into an operand that binds once per
+/// call, applying the written-scalar substitution rules. Returns nullopt
+/// for an operand the interpreter must evaluate per element.
 std::optional<MKOperand>
 operandFor(const VInstr &I, MatchState &M,
            const std::optional<CCond> &Guard) {
@@ -143,21 +144,16 @@ operandFor(const VInstr &I, MatchState &M,
     return Op;
   case VKind::Scalar: {
     if (M.Written.count(I.Id)) {
-      // Prefer bind-time substitution of a preceding single-factor def
-      // under a compatible guard (keeps the statement on the prebound
-      // fast paths); otherwise read the slot live per element through
-      // the contextual engine — exactly what the interpreter observes,
-      // since the writing item runs earlier in the same iteration.
+      // Substitute a preceding single-factor def under a compatible
+      // guard; any other read of a written slot sees a value that
+      // changes within the call.
       auto It = M.DefMap.find(I.Id);
-      if (It != M.DefMap.end()) {
-        const std::optional<CCond> &DefGuard = It->second.second;
-        if (!DefGuard || (Guard && condEq(*DefGuard, *Guard)))
-          return It->second.first;
-      }
-      Op.K = MKOperand::Kind::Scalar;
-      Op.Slot = I.Id;
-      Op.Live = true;
-      return Op;
+      if (It == M.DefMap.end())
+        return std::nullopt;
+      const std::optional<CCond> &DefGuard = It->second.second;
+      if (DefGuard && !(Guard && condEq(*DefGuard, *Guard)))
+        return std::nullopt;
+      return It->second.first;
     }
     Op.K = MKOperand::Kind::Scalar;
     Op.Slot = I.Id;
@@ -194,40 +190,20 @@ operandFor(const VInstr &I, MatchState &M,
     }
     return Op;
   }
-  case VKind::SparseLoad: {
-    Op.K = MKOperand::Kind::SparseLoad;
-    Op.Slot = I.Id;
-    Op.LevelSlots = I.LevelSlots;
-    Op.Fill = M.Accesses[I.Id].T->fill();
-    // Per-row prebinding: the leading levels whose coordinate slots are
-    // bound by enclosing loops are invariant across this loop's
-    // execution, so the engine resolves them once at bind time.
-    unsigned P = 0;
-    while (P < Op.LevelSlots.size() && Op.LevelSlots[P] != M.L.Slot)
-      ++P;
-    Op.PrebindLevels = static_cast<uint8_t>(P);
-    return Op;
-  }
-  case VKind::Lut: {
+  case VKind::SparseLoad:
+    return std::nullopt; // a locate per element: the interpreter's case
+  case VKind::Lut:
+    for (const CAtom &A : I.LutBits)
+      if (A.A == M.L.Slot || A.B == M.L.Slot)
+        return std::nullopt; // the table entry changes per element
     Op.K = MKOperand::Kind::Lut;
     Op.LutBits = I.LutBits;
     Op.LutTable = I.LutTable;
-    for (const CAtom &A : I.LutBits)
-      Op.LutDynamic |= A.A == M.L.Slot || A.B == M.L.Slot;
     return Op;
-  }
   case VKind::Op:
     return std::nullopt; // Op is handled by the program classifier
   }
   return std::nullopt;
-}
-
-/// Whether \p Op must be evaluated through the execution context per
-/// element (cannot prebind into a BoundVal).
-bool contextualOperand(const MKOperand &Op) {
-  return Op.K == MKOperand::Kind::SparseLoad ||
-         (Op.K == MKOperand::Kind::Scalar && Op.Live) ||
-         (Op.K == MKOperand::Kind::Lut && Op.LutDynamic);
 }
 
 /// Classifies a whole program into a factor list folded left-to-right
@@ -284,8 +260,7 @@ void attachGuard(MKItem &Item, const std::optional<CCond> &Guard,
 /// A write to \p Slot invalidates bind-time substitutions that read it:
 /// a def like `t = s` substituted into readers after `s` changes would
 /// observe a different value than the interpreter's `t` (computed at
-/// def time). Readers of such defs fall back to live reads of the def's
-/// own slot, which is always current.
+/// def time). A later read of such a def's slot declines the loop.
 void invalidateDefsReading(MatchState &M, unsigned Slot) {
   for (auto It = M.DefMap.begin(); It != M.DefMap.end();) {
     const MKOperand &F = It->second.first;
@@ -319,15 +294,11 @@ bool gatherItems(PlanNode *N, std::optional<CCond> Guard, MatchState &M,
     Item.S.ScalarSlot = Def->Slot;
     attachGuard(Item, Guard, M);
     // A per-element dynamic guard makes the def's value data-dependent
-    // in a way bind-time substitution cannot express, and contextual
-    // factors (SparseLoad, live scalars, dynamic Luts) must not be
-    // duplicated into readers — re-evaluating a SparseLoad per use
-    // would double its counter and cursor traffic. Later reads of such
-    // defs fall back to live scalar reads.
+    // in a way bind-time substitution cannot express; a later read of
+    // such a def declines the loop.
     M.Written.insert(Def->Slot);
     invalidateDefsReading(M, Def->Slot);
-    if (Item.S.Factors.size() == 1 && !Item.GuardDynamic &&
-        !contextualOperand(Item.S.Factors[0]))
+    if (Item.S.Factors.size() == 1 && !Item.GuardDynamic)
       M.DefMap[Def->Slot] = {Item.S.Factors[0], Guard};
     else
       M.DefMap.erase(Def->Slot);
@@ -490,12 +461,10 @@ bool tryInstallBlocked(PlanLoop &L, const std::vector<AccessState> &Accesses,
     MKBlockedEngine::FClass FC = MKBlockedEngine::FClass::LaneImm;
     switch (Op.K) {
     case MKOperand::Kind::Const:
-    case MKOperand::Kind::Walked:
-      break; // invariant in the child driver: binds once per lane
     case MKOperand::Kind::Scalar:
-      if (Op.Live)
-        return false; // unreachable with one statement; stay conservative
-      break;
+    case MKOperand::Kind::Walked:
+    case MKOperand::Kind::Lut:
+      break; // invariant in the child driver: binds once per lane
     case MKOperand::Kind::Driver:
       FC = MKBlockedEngine::FClass::Driver;
       break;
@@ -512,21 +481,6 @@ bool tryInstallBlocked(PlanLoop &L, const std::vector<AccessState> &Accesses,
             return false;
       if (Op.VStride != 0)
         FC = MKBlockedEngine::FClass::LaneDense;
-      break;
-    case MKOperand::Kind::SparseLoad:
-      // The access must be row-invariant (no level slot names the
-      // child variable): it then resolves once per panel lane instead
-      // of once per element — the blocked engine's main arithmetic
-      // saving on ssyrk, whose A[j,k] factor the unblocked engine
-      // re-evaluates for every stored element of every column.
-      for (unsigned LvSlot : Op.LevelSlots)
-        if (LvSlot == CMK.Slot)
-          return false;
-      ++B->SparseLoadFactors;
-      break;
-    case MKOperand::Kind::Lut:
-      if (Op.LutDynamic)
-        return false; // bits mention the child variable
       break;
     }
     B->Classes.push_back(FC);
@@ -603,35 +557,21 @@ bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
     return false;
   if (Items.empty() || Items.size() > MicroKernel::MaxItems)
     return false;
-  // The engine prebinds Scalar factors once per execution, so no
-  // prebound Scalar factor may name a slot any item of this loop
-  // writes. Reads *after* a write were resolved during gathering
-  // (substituted or marked live); this final pass catches reads that
-  // precede a later write, where the interpreter observes the previous
-  // iteration's value (loop-carried scalar dependence) — those become
-  // live reads too, which is exactly the interpreter's semantics.
-  for (MKItem &I : Items)
-    for (MKOperand &Op : I.S.Factors)
+  // Scalar factors bind once per call, so none may name a slot any item
+  // of this loop writes. Reads *after* a write were resolved during
+  // gathering (substituted or declined); this final pass catches reads
+  // that precede a later write, where the interpreter observes the
+  // previous iteration's value (loop-carried scalar dependence).
+  for (const MKItem &I : Items)
+    for (const MKOperand &Op : I.S.Factors)
       if (Op.K == MKOperand::Kind::Scalar && M.Written.count(Op.Slot))
-        Op.Live = true;
+        return false;
   // Only fuse where it pays: the loop must do real assignments.
   bool HasStmt = false;
   for (const MKItem &I : Items)
     HasStmt |= I.K == MKItem::Kind::Stmt;
   if (!HasStmt)
     return false;
-  // Hand out prebind slots for the engine's bind-time array; operands
-  // past the cap simply resolve every level per element (same values,
-  // same counters).
-  unsigned NPre = 0;
-  for (MKItem &I : Items)
-    for (MKOperand &Op : I.S.Factors)
-      if (Op.K == MKOperand::Kind::SparseLoad && Op.PrebindLevels) {
-        if (NPre < MicroKernel::MaxPrebinds)
-          Op.PrebindIdx = NPre++;
-        else
-          Op.PrebindLevels = 0;
-      }
   auto MK = std::make_unique<MicroKernel>();
   MK->Slot = L.Slot;
   MK->D = M.D;
@@ -896,89 +836,19 @@ inline void flushIterReads(ExecCtx &C, const MKDriver &D,
 }
 
 //===----------------------------------------------------------------------===//
-// Execution: operand evaluation (contextual statements)
-//===----------------------------------------------------------------------===//
-
-/// \p Vals is the operand's bound value array (Dense operands only).
-inline double evalOperand(ExecCtx &C, const DriverBind &B,
-                          const MKOperand &Op, const double *Vals,
-                          int64_t V, int64_t K1, const int64_t *CoPos,
-                          const int64_t *PreBase) {
-  switch (Op.K) {
-  case MKOperand::Kind::Const:
-    return Op.Lit;
-  case MKOperand::Kind::Scalar:
-    return C.ScalarVal[Op.Slot];
-  case MKOperand::Kind::Walked: {
-    const AccessState &A = C.Accesses[Op.Slot];
-    return A.T->val(A.Pos[A.T->order()]);
-  }
-  case MKOperand::Kind::Dense: {
-    int64_t Pos = Op.VStride * V;
-    for (const auto &[Slot, Stride] : Op.BaseTerms)
-      Pos += C.IndexVal[Slot] * Stride;
-    return Vals[Pos];
-  }
-  case MKOperand::Kind::Driver:
-    return B.Vals[K1];
-  case MKOperand::Kind::CoDriver:
-    return B.Co[Op.Slot].Vals[CoPos[Op.Slot]];
-  case MKOperand::Kind::SparseLoad:
-    // Same counter and cursor discipline as the expression VM's
-    // SparseLoad instruction: one SparseRead per evaluation, locator
-    // state chained through the context. A prebound row-invariant
-    // prefix resumes from its cached position (or yields the fill
-    // outright when the prefix is absent) — same value, same counter.
-    if (C.CountersOn)
-      ++C.Local.SparseReads;
-    if (Op.PrebindLevels) {
-      const int64_t Base = PreBase[Op.PrebindIdx];
-      if (Base < 0)
-        return Op.Fill;
-      return sparseLoadValueFrom(C, Op.Slot, Op.LevelSlots,
-                                 Op.PrebindLevels, Base);
-    }
-    return sparseLoadValue(C, Op.Slot, Op.LevelSlots);
-  case MKOperand::Kind::Lut: {
-    // Same mask evaluation as the expression VM's Lut instruction (no
-    // counter contribution there either).
-    unsigned Mask = 0;
-    for (size_t Bit = 0; Bit < Op.LutBits.size(); ++Bit)
-      if (Op.LutBits[Bit].eval(C))
-        Mask |= 1u << Bit;
-    return Op.LutTable[Mask];
-  }
-  }
-  return 0;
-}
-
-/// \p Vals holds the dense factors' bound value arrays, per factor.
-inline double foldFactors(ExecCtx &C, const DriverBind &B, const MKStmt &S,
-                          const double *const *Vals, int64_t V, int64_t K1,
-                          const int64_t *CoPos, const int64_t *PreBase) {
-  double Acc =
-      evalOperand(C, B, S.Factors[0], Vals[0], V, K1, CoPos, PreBase);
-  for (size_t I = 1; I < S.Factors.size(); ++I)
-    Acc = evalOp(S.Combine, Acc,
-                 evalOperand(C, B, S.Factors[I], Vals[I], V, K1, CoPos,
-                             PreBase));
-  return Acc;
-}
-
-//===----------------------------------------------------------------------===//
 // Execution: fused leaf engine (prebound)
 //===----------------------------------------------------------------------===//
 
 /// One prebound value source, loaded branchlessly as
 /// P[SV * v + SK1 * k1 + SK2 * k2]: dense-affine factors set SV,
-/// driver/first-co factors set SK1/SK2 with P at the value array, and
+/// driver/co-walker factors set SK1/SK2 with P at the value array, and
 /// immediates (literals, bind-time scalar/walked/lut reads) point P at
-/// their own Imm slot with all strides zero. k2 is the *first*
-/// co-walker's matched position — statements reading a later
-/// co-walker's value run through the contextual engine instead, so the
-/// hot bound loads keep their three-term register addressing. Plain
-/// aggregate with no default initialization: binding runs once per
-/// loop execution, often once per *row* of a nest, so constructing
+/// their own Imm slot with all strides zero. k2 is the first
+/// co-walker's matched position, passed as a scalar so the hot bound
+/// loads keep their three-term register addressing; only statements
+/// that read a later co-walker look their k2 up (BoundStmt::CoOf).
+/// Plain aggregate with no default initialization: binding runs once
+/// per loop execution, often once per *row* of a nest, so constructing
 /// this state must cost nothing beyond the fields actually written.
 struct BoundVal {
   const double *P;
@@ -990,22 +860,21 @@ struct BoundStmt {
   BoundVal F[MicroKernel::MaxFactors];
   unsigned NF;
   /// 0: fast tensor (Mul-fold, Add-reduce), 1: fast scalar accumulate
-  /// (Mul-fold, Add-reduce), 2: def store, 3: general (any ops, guard),
-  /// 4: contextual (factors evaluated through the execution context:
-  /// SparseLoad operands, live scalar reads, dynamic Luts).
+  /// (Mul-fold, Add-reduce), 2: def store, 3: general (any ops, guard,
+  /// reads of a later co-walker), 4: kind 0 reading a later co-walker
+  /// (the N-way intersection product).
   uint8_t Kind;
   OpKind Combine;
   int8_t Reduce; // -1: overwrite
   uint8_t Mode;  // 0: def store; 1: scalar dst; 2: tensor dst
   double *Dst;
   int64_t DstS;
-  const CCond *Guard;     // dynamic guard, evaluated per element
-  const MKStmt *Src;      // contextual: the statement's operand list
+  const CCond *Guard; // dynamic guard, evaluated per element
   uint64_t Execs;
   unsigned Ops; // ScalarOps contributed per execution
-  // Contextual: the dense factors' value arrays (last, off the
-  // per-element fields' cache lines).
-  const double *Vals[MicroKernel::MaxFactors];
+  /// Kinds 3 and 4: per factor, the co-walker whose matched position is
+  /// its k2 (0 for every factor that reads no co-walker).
+  uint8_t CoOf[MicroKernel::MaxFactors];
 };
 
 inline double loadBound(const BoundVal &F, int64_t V, int64_t K1,
@@ -1034,15 +903,19 @@ inline double foldBound(const BoundStmt &S, int64_t V, int64_t K1,
   return Acc;
 }
 
-/// Executes one bound statement for one element. Instantiated twice:
-/// WithCtx = false omits the contextual engine entirely (no statement
-/// of the loop is Kind 4), keeping the common all-prebound loops on
-/// the slim pre-PR4 codegen — the extra operand machinery only costs
-/// where a contextual statement actually exists.
-template <bool WithCtx>
-inline void execBound(ExecCtx &C, const DriverBind &B, BoundStmt &S,
-                      int64_t V, int64_t K1, int64_t K2,
-                      const int64_t *Co, const int64_t *PreBase) {
+/// foldBound with factor I's k2 read from Co[S.CoOf[I]].
+inline double foldBoundCo(const BoundStmt &S, int64_t V, int64_t K1,
+                          const int64_t *Co) {
+  double Acc = loadBound(S.F[0], V, K1, Co[S.CoOf[0]]);
+  for (unsigned I = 1; I < S.NF; ++I)
+    Acc *= loadBound(S.F[I], V, K1, Co[S.CoOf[I]]);
+  return Acc;
+}
+
+/// Executes one bound statement for one element; \p Co holds every
+/// co-walker's matched position (Co[0] == K2).
+inline void execBound(ExecCtx &C, BoundStmt &S, int64_t V, int64_t K1,
+                      int64_t K2, const int64_t *Co) {
   switch (S.Kind) {
   case 0: // tensor dst, Mul-fold, Add-reduce (the sparse axpy core)
     S.Dst[S.DstS * V] += foldBound(S, V, K1, K2);
@@ -1053,36 +926,15 @@ inline void execBound(ExecCtx &C, const DriverBind &B, BoundStmt &S,
   case 2: // scalar def store
     *S.Dst = foldBound(S, V, K1, K2);
     break;
-  case 4: {
-    // Contextual: operands evaluated through the context per element
-    // (SparseLoad chains the locator from its prebound row prefix;
-    // live scalars read current ScalarVal; dynamic Luts test the
-    // current IndexVal; CoDriver reads of later co-walkers index the
-    // full position array), in the exact factor order of the VM.
-    if constexpr (WithCtx) {
-      if (S.Guard && !S.Guard->eval(C))
-        return;
-      const MKStmt &Src = *S.Src;
-      double Acc = foldFactors(C, B, Src, S.Vals, V, K1, Co, PreBase);
-      if (S.Mode == 0) {
-        *S.Dst = Acc;
-        ++S.Execs;
-        return;
-      }
-      double &Dst = S.Mode == 1 ? *S.Dst : S.Dst[S.DstS * V];
-      Dst = S.Reduce < 0
-                ? Acc
-                : evalOp(static_cast<OpKind>(S.Reduce), Dst, Acc);
-      ++S.Execs;
-    }
-    return;
-  }
+  case 4: // kind 0 over several co-walkers
+    S.Dst[S.DstS * V] += foldBoundCo(S, V, K1, Co);
+    break;
   default: {
     if (S.Guard && !S.Guard->eval(C))
       return;
-    double Acc = loadBound(S.F[0], V, K1, K2);
+    double Acc = loadBound(S.F[0], V, K1, Co[S.CoOf[0]]);
     for (unsigned I = 1; I < S.NF; ++I)
-      Acc = evalOp(S.Combine, Acc, loadBound(S.F[I], V, K1, K2));
+      Acc = evalOp(S.Combine, Acc, loadBound(S.F[I], V, K1, Co[S.CoOf[I]]));
     if (S.Mode == 0) {
       *S.Dst = Acc;
       ++S.Execs;
@@ -1114,12 +966,8 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   // current context. All bind state is on the stack so one MicroKernel
   // can run from many task contexts concurrently; the array is left
   // uninitialized and every used field written explicitly, because a
-  // nest re-binds its inner loop once per row. Row-invariant SparseLoad
-  // prefixes resolve here too (per-row prebinding): each task range
-  // re-derives them from its own context, so parallel splits stay
-  // bit-reproducible.
+  // nest re-binds its inner loop once per row.
   BoundStmt BS[MaxItems];
-  int64_t PreBase[MaxPrebinds];
   unsigned NS = 0;
   bool AnyDynamic = false;
   for (MKItem &Item : Items) {
@@ -1132,39 +980,14 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
     S.Combine = Src.Combine;
     S.Execs = 0;
     S.Guard = nullptr;
-    S.Src = &Item.S;
     S.DstS = 0;
     bool MulFold = S.NF == 1 || Src.Combine == OpKind::Mul;
-    // Statements with operands that cannot prebind (SparseLoad, live
-    // scalar reads, dynamic Luts) run through the contextual engine,
-    // which evaluates factors from the execution context per element.
-    // Reads of a co-walker past the first go contextual too: the bound
-    // loads keep a single scalar co position (register addressing on
-    // the hot paths), and multi-co statements are rare.
-    bool Contextual = false;
-    for (const MKOperand &Op : Src.Factors)
-      Contextual |= contextualOperand(Op) ||
-                    (Op.K == MKOperand::Kind::CoDriver && Op.Slot > 0);
-    if (Contextual) {
-      bindDenseVals(C, Src.Factors, S.Vals);
-      // Per-row prebinding: resolve each SparseLoad's row-invariant
-      // level prefix once for this execution. -1 marks an absent
-      // prefix (the whole row reads as fill). Uses plain locate — the
-      // hinted cursors are a per-element performance device and never
-      // change results.
-      for (const MKOperand &Op : Src.Factors)
-        if (Op.K == MKOperand::Kind::SparseLoad && Op.PrebindLevels) {
-          const AccessState &A = C.Accesses[Op.Slot];
-          int64_t Pos = 0;
-          for (unsigned L = 0; L < Op.PrebindLevels && Pos >= 0; ++L)
-            Pos = A.T->locate(L, Pos, C.IndexVal[Op.LevelSlots[L]]);
-          PreBase[Op.PrebindIdx] = Pos;
-        }
-    }
-    for (unsigned I = 0; !Contextual && I < S.NF; ++I) {
+    bool LaterCo = false; // reads a co-walker past the first
+    for (unsigned I = 0; I < S.NF; ++I) {
       const MKOperand &Op = Src.Factors[I];
       BoundVal &F = S.F[I];
       F.SV = F.SK1 = F.SK2 = 0;
+      S.CoOf[I] = 0;
       switch (Op.K) {
       case MKOperand::Kind::Const:
         F.Imm = Op.Lit;
@@ -1193,14 +1016,14 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
         F.SK1 = 1;
         break;
       case MKOperand::Kind::CoDriver:
-        // Only the first co-walker binds (Slot > 0 forced contextual
-        // above); its position is the K2 every bound load receives.
-        F.P = B.Co[0].Vals;
+        F.P = B.Co[Op.Slot].Vals;
         F.SK2 = 1;
+        S.CoOf[I] = static_cast<uint8_t>(Op.Slot);
+        LaterCo |= Op.Slot > 0;
         break;
       case MKOperand::Kind::Lut: {
-        // Bits never mention the loop variable here (dynamic Luts are
-        // contextual), so the table entry is a bind-time constant.
+        // The matcher declines Luts whose bits mention the loop
+        // variable, so the table entry is a bind-time constant.
         unsigned Mask = 0;
         for (size_t Bit = 0; Bit < Op.LutBits.size(); ++Bit)
           if (Op.LutBits[Bit].eval(C))
@@ -1209,8 +1032,6 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
         F.P = &F.Imm;
         break;
       }
-      case MKOperand::Kind::SparseLoad:
-        break; // unreachable: Contextual statements skip prebinding
       }
     }
     if (Item.K == MKItem::Kind::Def) {
@@ -1235,19 +1056,15 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
       AnyDynamic = true;
     }
     // Fast-path selection: the Mul-fold / Add-reduce cores the paper
-    // kernels hit; everything else takes the general switch, and
-    // context-dependent operands take the contextual engine (which also
-    // needs IndexVal maintained for its level-slot and lut-bit
-    // lookups).
+    // kernels and the N-way intersection hit; everything else takes the
+    // general switch.
+    const bool Fast = !S.Guard && MulFold;
     const bool AddReduce = S.Reduce == static_cast<int8_t>(OpKind::Add);
-    if (Contextual) {
-      S.Kind = 4;
-      AnyDynamic = true;
-    } else if (!S.Guard && MulFold && AddReduce && S.Mode == 2)
-      S.Kind = 0;
-    else if (!S.Guard && MulFold && AddReduce && S.Mode == 1)
+    if (Fast && AddReduce && S.Mode == 2)
+      S.Kind = LaterCo ? 4 : 0;
+    else if (Fast && !LaterCo && AddReduce && S.Mode == 1)
       S.Kind = 1;
-    else if (!S.Guard && MulFold && S.Mode == 0)
+    else if (Fast && !LaterCo && S.Mode == 0)
       S.Kind = 2;
     else
       S.Kind = 3;
@@ -1255,29 +1072,13 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   }
 
   IterCounts N;
-  bool AnyContextual = false;
-  for (unsigned I = 0; I < NS; ++I)
-    AnyContextual |= BS[I].Kind == 4;
-  if (!AnyContextual)
-    iterateDriver(D, B, Lo, Hi, N,
-                  [&](int64_t V, int64_t K1, int64_t K2,
-                      const int64_t *CoPos) {
-                    if (AnyDynamic)
-                      C.IndexVal[Slot] = V;
-                    for (unsigned I = 0; I < NS; ++I)
-                      execBound<false>(C, B, BS[I], V, K1, K2, CoPos,
-                                       PreBase);
-                  });
-  else
-    iterateDriver(D, B, Lo, Hi, N,
-                  [&](int64_t V, int64_t K1, int64_t K2,
-                      const int64_t *CoPos) {
-                    if (AnyDynamic)
-                      C.IndexVal[Slot] = V;
-                    for (unsigned I = 0; I < NS; ++I)
-                      execBound<true>(C, B, BS[I], V, K1, K2, CoPos,
-                                      PreBase);
-                  });
+  iterateDriver(D, B, Lo, Hi, N,
+                [&](int64_t V, int64_t K1, int64_t K2, const int64_t *CoPos) {
+                  if (AnyDynamic)
+                    C.IndexVal[Slot] = V;
+                  for (unsigned I = 0; I < NS; ++I)
+                    execBound(C, BS[I], V, K1, K2, CoPos);
+                });
 
   // Flush counter deltas once per loop execution (the whole point: no
   // per-element flag checks or atomic traffic in the loops above).
@@ -1303,13 +1104,8 @@ namespace {
 
 /// Resolves one child-driver-invariant operand against the current
 /// context (the caller sets IndexVal[USlot] to the lane's coordinate
-/// first). SparseLoad resolution uses plain locate — cursorless, so
-/// lane binds cannot disturb the shared hinted-locator state and the
-/// result is independent of any cursor history — and charges nothing
-/// here: the engine charges one SparseRead per element-lane execution,
-/// exactly like the interpreter's per-element evaluation of the same
-/// row-invariant access.
-/// \p Vals is the operand's bound value array (Dense operands only).
+/// first). \p Vals is the operand's bound value array (Dense operands
+/// only).
 double bindLaneOperand(ExecCtx &C, const MKOperand &Op, const double *Vals) {
   switch (Op.K) {
   case MKOperand::Kind::Const:
@@ -1325,17 +1121,6 @@ double bindLaneOperand(ExecCtx &C, const MKOperand &Op, const double *Vals) {
     for (const auto &[Slot, Stride] : Op.BaseTerms)
       Pos += C.IndexVal[Slot] * Stride;
     return Vals[Pos];
-  }
-  case MKOperand::Kind::SparseLoad: {
-    const AccessState &A = C.Accesses[Op.Slot];
-    const unsigned Order = A.T->order();
-    int64_t Pos = 0;
-    for (unsigned Lv = 0; Lv < Order; ++Lv) {
-      Pos = A.T->locate(Lv, Pos, C.IndexVal[Op.LevelSlots[Lv]]);
-      if (Pos < 0)
-        return Op.Fill;
-    }
-    return A.T->val(Pos);
   }
   case MKOperand::Kind::Lut: {
     unsigned Mask = 0;
@@ -1381,8 +1166,7 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   // child's Lo/Hi terms may reference the panel variable — ssyrk's
   // triangle bounds do), the destination pointer, and every
   // child-invariant operand value. This replaces one full child
-  // re-bind per column with one per panel, and per-element SparseLoad
-  // evaluation with one locate per lane. Mirrors the generic nest's
+  // re-bind per column with one per panel. Mirrors the generic nest's
   // per-iteration state updates (IndexVal; the caller updates the nest
   // access's position for sparse nests before calling) so walked
   // factors of the nest access read the lane's fiber value.
@@ -1639,16 +1423,16 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   }
 
   // Flush once per run: per element-lane charges are exactly the
-  // interpreter's (driver read, row-invariant SparseLoad reads, the
-  // fold's scalar ops, one reduction and one output write), plus the
-  // nest driver's per-candidate read for sparse nests; the panel and
-  // store tallies are the blocked engine's own telemetry.
+  // interpreter's (driver read, the fold's scalar ops, one reduction
+  // and one output write), plus the nest driver's per-candidate read
+  // for sparse nests; the panel and store tallies are the blocked
+  // engine's own telemetry.
   if (C.CountersOn) {
     C.Local.FusedBlockedPanels += Panels;
     C.Local.FusedBlockedStores +=
         Mode == BMode::Stream ? Execs : Stores;
-    C.Local.SparseReads +=
-        Execs * ((D.CountReads ? 1 : 0) + SparseLoadFactors);
+    if (D.CountReads)
+      C.Local.SparseReads += Execs;
     if (Nest.CountReads)
       C.Local.SparseReads += Lanes;
     C.Local.ScalarOps += Execs * (NF - 1);
@@ -1959,8 +1743,7 @@ void planLine(MicroKernel &MK, const std::vector<AccessState> &Accesses,
     if (It.HasGuard)
       return;
     for (const MKOperand &Op : Fs)
-      if (contextualOperand(Op) || Op.K == MKOperand::Kind::CoDriver ||
-          (Op.K == MKOperand::Kind::Dense && ReadsOutput(Op)))
+      if (Op.K == MKOperand::Kind::Dense && ReadsOutput(Op))
         return;
     LP.Ops += Fs.size() - 1;
     if (It.K == MKItem::Kind::Def) {

@@ -25,17 +25,9 @@
 ///    interpreter's per-element locate positionally,
 ///  - run-aware RunLength and interval-aware Banded driver loops over
 ///    raw Ptr/RunEnd and Lo/Hi/Off arrays (format-general drivers),
-///  - SparseLoad operands inside fused bodies, chaining the stateful
-///    per-access locator (Tensor::locateHinted) through the context;
-///    row-invariant level prefixes are prebound once per loop execution
-///    (per row of a nest, per task range under parallel splits) so the
-///    inner loop only resolves the levels that actually vary,
 ///  - Lut operands (lookup tables over index-equality bits, paper
-///    4.2.5): bind-time constants when their bits do not mention the
-///    loop variable, per-element contextual evaluation when they do,
-///  - scalar reads of slots written in the same loop, observed live per
-///    element via the contextual statement path (what the interpreter
-///    does), instead of rejecting the loop,
+///    4.2.5) whose bits do not mention the loop variable: one table
+///    entry per call,
 ///  - register/cache-blocked output panels (MKBlockedEngine below): a
 ///    nest over one fused leaf, whose variable strides a dense output
 ///    mode while the leaf's sparse walk is invariant in it, tiles that
@@ -43,21 +35,30 @@
 ///    per-lane bound operands, and register-resident accumulators for
 ///    the workspace/accumulator forms (Engine::Blocked).
 ///
+/// Every operand of a fused leaf binds once per call: a value, or a
+/// base pointer plus strides over the loop position and the matched
+/// walker positions. The specializer declines a leaf with an operand
+/// that would have to consult the execution context per element — a
+/// SparseLoad (random access into a sparse tensor, emitted where the
+/// annihilation analysis vetoes walking it), a read of a scalar an item
+/// of the leaf writes that no preceding def substitutes, or a Lut whose
+/// bits name the loop variable — and the leaf runs in the interpreter.
+///
 /// A fused leaf runs in one of two forms (LoopStat::Form reports which).
 /// The *straight-line loop* (MKLine) takes unguarded leaves of 1-5
 /// statements over a coordinate range or a sparse walk without
-/// co-walkers, whose operands all bind once per call and whose
-/// statements all reduce in one semiring, (*, +) or (+, min). Its
-/// shape — driver, semiring, statement count, per-element factor count,
-/// register-tail length and which statements reduce into a scalar — is
-/// a set of template parameters chosen once at specialization, so each
-/// element reads the driver value once and runs every statement in
-/// program order with no dispatch: SySTeC's one read of a canonical
-/// entry feeding every equivalent update. Per call it folds each range
-/// statement's invariant factor prefix, binds each distinct dense
-/// operand once, and keeps invariant tail factors and scalar
-/// accumulators in registers; defs store their last element's value
-/// after the walk, since after substitution no statement reads one.
+/// co-walkers, whose statements all reduce in one semiring, (*, +) or
+/// (+, min). Its shape — driver, semiring, statement count, per-element
+/// factor count, register-tail length and which statements reduce into
+/// a scalar — is a set of template parameters chosen once at
+/// specialization, so each element reads the driver value once and runs
+/// every statement in program order with no dispatch: SySTeC's one read
+/// of a canonical entry feeding every equivalent update. Per call it
+/// folds each range statement's invariant factor prefix, binds each
+/// distinct dense operand once, and keeps invariant tail factors and
+/// scalar accumulators in registers; defs store their last element's
+/// value after the walk, since after substitution no statement reads
+/// one.
 /// The instantiated set (LineShapes in MicroKernels.cpp) is bounded and
 /// named: the leaves of the eight paper kernels, naive and optimized —
 /// on sparse walks single statements into a tensor cell or a scalar
@@ -66,10 +67,9 @@
 /// ttm's and mttkrp3-5's strict blocks of 3-5 statements — which also
 /// covers every shape of the single-statement sparse loop it replaced.
 /// Every other leaf — guarded (the diagonal leaves of ttm and
-/// mttkrp3-5), contextual, intersecting, other-semiring, or of another
-/// shape — runs the *generic* per-statement path: a switch per
-/// statement per element over bound operands, with the contextual
-/// engine for SparseLoad, live-scalar and dynamic-Lut operands.
+/// mttkrp3-5), intersecting, other-semiring, or of another shape — runs
+/// the *generic* per-statement path: a switch per statement per element
+/// over the same bound operands.
 ///
 /// Correctness contract: a fused loop is *bit-identical* to the generic
 /// interpreted path (same factor fold order, same reduction order, same
@@ -84,10 +84,10 @@
 /// and the task context's (possibly repointed) `OutPtr` bases, so
 /// privatization and chunk scheduling work unchanged. All bind-time
 /// state — level arrays and value bases read from the task context's
-/// access table, co-walker fingers, per-row prebound locator positions
-/// — lives on the stack: one MicroKernel may run concurrently from many
-/// task contexts, and a task range re-derives its bound state at its
-/// own bind, keeping split execution bit-reproducible.
+/// access table, co-walker fingers — lives on the stack: one
+/// MicroKernel may run concurrently from many task contexts, and a
+/// task range re-derives its bound state at its own bind, keeping split
+/// execution bit-reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,48 +106,24 @@ namespace detail {
 /// Compile-time description of one value source in a fused statement.
 struct MKOperand {
   enum class Kind : uint8_t {
-    Const,      ///< literal
-    Scalar,     ///< ScalarVal slot (prebound unless Live)
-    Walked,     ///< fully-driven access: T->val(Pos[order])
-    Dense,      ///< vals[sum(IndexVal[Slot] * Stride) + VStride * v]
-    Driver,     ///< driving walker's value at the current position
-    CoDriver,   ///< co-walker Slot's value at its matched position
-    SparseLoad, ///< random access chaining the stateful locator
-                ///< (runtime/Plan.h sparseLoadValue), evaluated per
-                ///< element through the execution context
-    Lut,        ///< lookup table over index-comparison bits; bind-time
-                ///< constant unless the bits mention the loop variable
+    Const,    ///< literal
+    Scalar,   ///< ScalarVal slot no item of the loop writes
+    Walked,   ///< fully-driven access: T->val(Pos[order])
+    Dense,    ///< vals[sum(IndexVal[Slot] * Stride) + VStride * v]
+    Driver,   ///< driving walker's value at the current position
+    CoDriver, ///< co-walker Slot's value at its matched position
+    Lut,      ///< lookup table over index-comparison bits that do not
+              ///< mention the loop variable
   };
   Kind K = Kind::Const;
   double Lit = 0;
-  unsigned Slot = 0;           ///< Scalar slot, access id (Walked /
-                               ///< Dense / SparseLoad), or co-walker
-                               ///< index (CoDriver)
-  /// Scalar only: the slot is written by an item of the same loop, so
-  /// the read must observe the current ScalarVal per element (exactly
-  /// like the interpreter) instead of prebinding at loop entry. Forces
-  /// the owning statement through the contextual engine.
-  bool Live = false;
+  unsigned Slot = 0; ///< Scalar slot, access id (Walked / Dense), or
+                     ///< co-walker index (CoDriver)
   std::vector<std::pair<unsigned, int64_t>> BaseTerms; ///< Dense
   int64_t VStride = 0;                                 ///< Dense
-  /// SparseLoad: per level (top first), the index slot providing that
-  /// level's coordinate (mirrors VInstr::LevelSlots).
-  std::vector<unsigned> LevelSlots;
-  /// SparseLoad: number of leading levels whose coordinate slots do not
-  /// mention the loop variable. These are row-invariant, so the engine
-  /// resolves them once at bind time (per-row prebinding) and
-  /// per-element evaluation continues from the cached position — or
-  /// returns Fill outright when the prefix is absent. 0 disables
-  /// prebinding for this operand.
-  uint8_t PrebindLevels = 0;
-  unsigned PrebindIdx = 0; ///< slot in the engine's prebind array
-  double Fill = 0;         ///< the accessed tensor's fill value
-  /// Lut: compiled equality bits and table (mirrors VInstr). LutDynamic
-  /// is true when some bit mentions the loop variable, forcing
-  /// per-element contextual evaluation.
+  /// Lut: compiled equality bits and table (mirrors VInstr).
   std::vector<CAtom> LutBits;
   std::vector<double> LutTable;
-  bool LutDynamic = false;
 };
 
 /// One fused statement: Dst Reduce= fold(Combine, Factors...), folded
@@ -243,8 +219,7 @@ struct MKDriver {
 ///  - every factor is either per-element in the child driver in a
 ///    prebindable way (the driver's value, dense loads with a value
 ///    stride) or invariant in it (resolvable once per panel lane:
-///    constants, scalars, walked values, SparseLoads and Luts whose
-///    slots avoid the child variable).
+///    constants, scalars, walked values and Luts).
 ///
 /// Execution tiles `u` into Width-wide panels anchored at absolute
 /// multiples of Width: each panel binds its lanes once (per-lane child
@@ -300,7 +275,6 @@ public:
   std::vector<std::pair<unsigned, int64_t>> DstInvTerms;
   std::vector<MKOperand> Factors; ///< child factor list, order kept
   std::vector<FClass> Classes;    ///< per factor
-  unsigned SparseLoadFactors = 0; ///< factors charging a SparseRead
 
   /// How panel lanes reach memory. Stream: the child destination
   /// depends on the child driver — per-element lane stores. Accum: the
@@ -372,9 +346,6 @@ public:
   /// fixed-size stack arrays.
   static constexpr unsigned MaxFactors = 8;
   static constexpr unsigned MaxItems = 12;
-  /// Cap on per-row prebound SparseLoad operands per loop (excess
-  /// operands simply skip prebinding; values are identical either way).
-  static constexpr unsigned MaxPrebinds = 8;
 };
 
 /// Specialization-time knobs threaded from ExecOptions, plus the

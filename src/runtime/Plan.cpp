@@ -44,16 +44,10 @@ void VProgram::finalize() {
 /// Dense and Banded locates are O(1) already).
 double sparseLoadValue(ExecCtx &C, unsigned AccessId,
                        const std::vector<unsigned> &LevelSlots) {
-  return sparseLoadValueFrom(C, AccessId, LevelSlots, 0, 0);
-}
-
-double sparseLoadValueFrom(ExecCtx &C, unsigned AccessId,
-                           const std::vector<unsigned> &LevelSlots,
-                           unsigned FromLevel, int64_t FromPos) {
   AccessState &A = C.Accesses[AccessId];
   const Tensor &T = *A.T;
-  int64_t Pos = FromPos;
-  for (unsigned L = FromLevel; L < T.order(); ++L) {
+  int64_t Pos = 0;
+  for (unsigned L = 0; L < T.order(); ++L) {
     const int64_t Coord = C.IndexVal[LevelSlots[L]];
     const Level &Lev = T.level(L);
     if (Lev.Kind == LevelKind::Sparse || Lev.Kind == LevelKind::RunLength)

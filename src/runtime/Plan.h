@@ -221,23 +221,11 @@ struct VInstr {
 
 /// Random access through \p AccessId's fibertree at the coordinates in
 /// IndexVal[LevelSlots[level]], using the per-context stateful locator
-/// (galloping cursors on Sparse and RunLength levels). Shared by the
-/// expression VM's SparseLoad instruction and the fused micro-kernels'
-/// SparseLoad operands so both paths chain the exact same cursor state
-/// and return bit-identical values. Does not touch counters; callers
-/// count one SparseRead per evaluation.
+/// (galloping cursors on Sparse and RunLength levels) — the expression
+/// VM's SparseLoad instruction. Does not touch counters; the caller
+/// counts one SparseRead per evaluation.
 double sparseLoadValue(ExecCtx &C, unsigned AccessId,
                        const std::vector<unsigned> &LevelSlots);
-
-/// sparseLoadValue resuming the descent at \p FromLevel with parent
-/// position \p FromPos — the per-row prebinding entry point: the fused
-/// innermost engine resolves the row-invariant level prefix once per
-/// loop execution and evaluates only the remaining levels per element.
-/// Values are identical to a full descent (locate results do not depend
-/// on cursor state); FromLevel == order returns the value at FromPos.
-double sparseLoadValueFrom(ExecCtx &C, unsigned AccessId,
-                           const std::vector<unsigned> &LevelSlots,
-                           unsigned FromLevel, int64_t FromPos);
 
 struct VProgram {
   std::vector<VInstr> Code;

@@ -14,9 +14,10 @@
 ///  - every bound operand's name, storage format, dimensions, and fill
 ///    value (the compiled walkers, strides, and fused engines are
 ///    specialized to this structure — values are free to differ),
-///  - the structural ExecOptions (structuralOptionsSummary): threads,
-///    schedule, privatization budget, block width, sparse walk, bound
-///    lifting, and the resolved engine list.
+///  - the structural ExecOptions, as structuralOptionsSummary renders
+///    them: threads, schedule, walk (sparse walk), lift (bound
+///    lifting), privbudget_bytes (privatization budget) and engines
+///    (the resolved engine list).
 /// Per-request knobs — cancellation token, deadline, input
 /// validation — are deliberately NOT part of the key; Executor::rebind
 /// adopts them per request.

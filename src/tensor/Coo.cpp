@@ -54,10 +54,4 @@ void Coo::sortAndCombine(OpKind Combine) {
   Vals = std::move(NewVals);
 }
 
-void Coo::append(const Coo &Other) {
-  assert(Dims == Other.Dims && "appending mismatched tensors");
-  Coords.insert(Coords.end(), Other.Coords.begin(), Other.Coords.end());
-  Vals.insert(Vals.end(), Other.Vals.begin(), Other.Vals.end());
-}
-
 } // namespace systec

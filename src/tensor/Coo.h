@@ -60,9 +60,6 @@ public:
   /// Tensor::tryFromCoo checks it before sorting.
   void sortAndCombine(OpKind Combine = OpKind::Add);
 
-  /// Appends all entries of \p Other (dims must match).
-  void append(const Coo &Other);
-
 private:
   std::vector<int64_t> Dims;
   std::vector<int64_t> Coords; // order() coordinates per entry

@@ -508,9 +508,20 @@ Tensor Tensor::transposed(const std::vector<unsigned> &ModePerm,
 
 std::pair<Tensor, Tensor> Tensor::splitDiagonal(const Partition &Sym) const {
   assert(Sym.order() == order() && "partition order mismatch");
+  // The mode pairs Partition::isOnDiagonal compares, flattened once so
+  // each walked entry costs a few inline compares.
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
+  for (const std::vector<unsigned> &Part : Sym.parts())
+    for (size_t I = 0; I < Part.size(); ++I)
+      for (size_t J = I + 1; J < Part.size(); ++J)
+        Pairs.push_back({Part[I], Part[J]});
   LevelBuilder OffDiag(Dims, Format, Fill), Diag(Dims, Format, Fill);
   walkEntries(*this, [&](const std::vector<int64_t> &Coords, double V) {
-    (Sym.isOnDiagonal(Coords) ? Diag : OffDiag).append(Coords.data(), V);
+    const int64_t *C = Coords.data();
+    bool OnDiag = false;
+    for (const auto &[A, B] : Pairs)
+      OnDiag |= C[A] == C[B];
+    (OnDiag ? Diag : OffDiag).append(C, V);
   });
   return {builtOrDie(std::move(OffDiag).finish()),
           builtOrDie(std::move(Diag).finish())};

@@ -668,8 +668,8 @@ inline StmtPtr mapAssigns(
 /// (combined with the semiring's combine operator, so the program stays
 /// a left-deep chain the specializer can fold). Each assignment's bits
 /// compare only the loop indices bound at its position — bits over the
-/// innermost index become per-element contextual Lut operands, bits
-/// over outer indices bind-time constants. The table holds small
+/// innermost index leave the leaf to the interpreter, bits over outer
+/// indices bind as constants in a fused leaf. The table holds small
 /// integers, keeping reductions exact.
 inline Kernel injectLut(const Kernel &K, const SemiringSpec &Spec,
                         Rng &R) {

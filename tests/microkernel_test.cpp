@@ -81,11 +81,13 @@ void expectCountersEqual(const CounterSnapshot &G,
 
 /// Runs \p K twice — micro-kernels off and on — over the same bindings
 /// produced by \p Bind, asserting bit-identical outputs and exact
-/// counter parity. Returns the fused executor's specialization stats.
+/// counter parity. Returns the fused executor's specialization stats
+/// and, through \p FusedRep, its run's report.
 MicroKernelStats
 compareEngines(const Kernel &K,
                const std::function<void(Executor &, Tensor &)> &Bind,
-               Tensor OutTemplate, const char *What) {
+               Tensor OutTemplate, const char *What,
+               obs::ExecReport *FusedRep = nullptr) {
   MicroKernelStats Stats;
   Tensor OutGeneric = OutTemplate, OutFused = std::move(OutTemplate);
   CounterSnapshot SnapGeneric, SnapFused;
@@ -101,8 +103,11 @@ compareEngines(const Kernel &K,
     setCountersEnabled(true);
     EXPECT_TRUE(E.tryRun(&Rep).ok());
     (Fused ? SnapFused : SnapGeneric) = Rep.Counters;
-    if (Fused)
+    if (Fused) {
       Stats = E.microKernelStats();
+      if (FusedRep)
+        *FusedRep = std::move(Rep);
+    }
   }
   expectBitIdentical(OutGeneric, OutFused, What);
   expectCountersEqual(SnapGeneric, SnapFused, What);
@@ -123,6 +128,21 @@ unsigned lineLeaves(const Kernel &K,
   for (const obs::LoopStat &L : Rep.Loops)
     Line += L.Form == "line";
   return Line;
+}
+
+/// Asserts that the specializer declined the leaf loop over \p Var: a
+/// leaf whose operand cannot bind once per call runs in the
+/// interpreter.
+void expectLeafDeclined(const MicroKernelStats &S, const obs::ExecReport &Rep,
+                        const std::string &Var) {
+  EXPECT_GT(S.GenericLoops, 0u);
+  bool Seen = false;
+  for (const obs::LoopStat &L : Rep.Loops)
+    if (L.Label.rfind("loop " + Var + " [", 0) == 0) {
+      Seen = true;
+      EXPECT_EQ(L.Engine, "Interp") << L.Label;
+    }
+  EXPECT_TRUE(Seen) << "no loop over " << Var << " in the report";
 }
 
 Kernel spmvKernel(std::optional<OpKind> Reduce = OpKind::Add,
@@ -578,7 +598,7 @@ TEST(MicroKernels, SparseSingleStatementShapesRunStraightLine) {
 }
 
 //===----------------------------------------------------------------------===//
-// Format-general drivers and contextual operands (PR 3)
+// Format-general drivers and operands that decline a leaf
 //===----------------------------------------------------------------------===//
 
 TEST(MicroKernels, RunLengthDriverBitIdentical) {
@@ -616,12 +636,13 @@ TEST(MicroKernels, BandedDriverBitIdentical) {
   EXPECT_EQ(S.GenericLoops, 0u);
 }
 
-TEST(MicroKernels, SparseLoadOperandFusesWithExactCounters) {
+TEST(MicroKernels, SparseLoadOperandDeclinesWithExactCounters) {
   // y[j] += A[i,j] + s[i]: an additive body over fill-0 operands, so
   // the walker algebra vetoes every coordinate-skipping walker and both
-  // sparse accesses compile to SparseLoad. The loops must still fuse —
-  // the contextual engine chains the stateful locator — with exact
-  // SparseReads parity against the interpreter.
+  // sparse accesses compile to SparseLoad — a locate per element, which
+  // cannot bind once per call. The leaf declines and runs in the
+  // interpreter, with values and SparseReads identical to an all-
+  // interpreted run.
   Kernel K;
   K.Name = "sload";
   K.LoopOrder = {"j", "i"};
@@ -639,14 +660,14 @@ TEST(MicroKernels, SparseLoadOperandFusesWithExactCounters) {
   SC.add({2}, -1.5);
   Tensor S = Tensor::fromCoo(std::move(SC),
                              TensorFormat{{LevelKind::Sparse}});
+  obs::ExecReport Rep;
   MicroKernelStats St = compareEngines(
       K,
       [&](Executor &E, Tensor &Out) {
         E.bind("A", &A).bind("s", &S).bind("y", &Out);
       },
-      Tensor::dense({4}), "sparse-load operand");
-  EXPECT_GT(St.FusedSparseLoadFactors, 0u);
-  EXPECT_EQ(St.GenericLoops, 0u);
+      Tensor::dense({4}), "sparse-load operand", &Rep);
+  expectLeafDeclined(St, Rep, "i");
   EXPECT_EQ(St.WalkersRegistered, 1u)
       << "only A's dense level walks: an additive fill-0 body must not "
          "skip coordinates";
@@ -659,37 +680,44 @@ TEST(MicroKernels, ThreeWalkerIntersectionBitIdentical) {
   // generic interpreter resolves the co-walkers with per-element
   // locate; positions, values, and SparseReads must match exactly —
   // including candidates where the first co-walker matches and the
-  // second does not (its read is charged, the body is skipped).
-  Einsum E = parseEinsum("merge3", "O[j] += A[i,j] * B[i,j] * C[i,j]");
-  E.LoopOrder = {"j", "i"};
-  E.declare("A", TensorFormat::csf(2));
-  E.declare("B", TensorFormat::csf(2));
-  E.declare("C", TensorFormat::csf(2));
-  CompileResult R = compileEinsum(E);
+  // second does not (its read is charged, the body is skipped). The
+  // (min, +) form over fill-inf operands takes the general statement
+  // kind, which reads the second co-walker's position per factor.
+  for (bool MinPlus : {false, true}) {
+    SCOPED_TRACE(MinPlus ? "(min, +)" : "(+, *)");
+    const double Fill = MinPlus ? Inf : 0.0;
+    const char *Text = MinPlus ? "O[j] min= A[i,j] + B[i,j] + C[i,j]"
+                               : "O[j] += A[i,j] * B[i,j] * C[i,j]";
+    Einsum E = parseEinsum("merge3", Text);
+    E.LoopOrder = {"j", "i"};
+    for (const char *T : {"A", "B", "C"})
+      E.declare(T, TensorFormat::csf(2), Fill);
+    CompileResult R = compileEinsum(E);
 
-  Tensor A = gappyCsc();
-  Coo BC({4, 4});
-  BC.add({0, 0}, 2);  // in A and C
-  BC.add({2, 0}, 5);  // in A, not in C
-  BC.add({1, 0}, 7);  // not in A
-  BC.add({3, 2}, -1); // in A and C
-  BC.add({3, 3}, 2);  // in A, not in C
-  Tensor B = Tensor::fromCoo(std::move(BC), TensorFormat::csf(2));
-  Coo CC({4, 4});
-  CC.add({0, 0}, 3);
-  CC.add({3, 2}, 4);
-  CC.add({1, 1}, 9); // only in C
-  Tensor C = Tensor::fromCoo(std::move(CC), TensorFormat::csf(2));
+    Tensor A = gappyCsc(Fill);
+    Coo BC({4, 4});
+    BC.add({0, 0}, 2);  // in A and C
+    BC.add({2, 0}, 5);  // in A, not in C
+    BC.add({1, 0}, 7);  // not in A
+    BC.add({3, 2}, -1); // in A and C
+    BC.add({3, 3}, 2);  // in A, not in C
+    Tensor B = Tensor::fromCoo(std::move(BC), TensorFormat::csf(2), Fill);
+    Coo CC({4, 4});
+    CC.add({0, 0}, 3);
+    CC.add({3, 2}, 4);
+    CC.add({1, 1}, 9); // only in C
+    Tensor C = Tensor::fromCoo(std::move(CC), TensorFormat::csf(2), Fill);
 
-  MicroKernelStats S = compareEngines(
-      R.Naive,
-      [&](Executor &Ex, Tensor &Out) {
-        Ex.bind("A", &A).bind("B", &B).bind("C", &C).bind("O", &Out);
-      },
-      Tensor::dense({4}), "three-walker merge");
-  EXPECT_GT(S.FusedNWalkerLoops, 0u);
-  EXPECT_GE(S.FusedCoWalkers, 2u);
-  EXPECT_EQ(S.GenericLoops, 0u);
+    MicroKernelStats S = compareEngines(
+        R.Naive,
+        [&](Executor &Ex, Tensor &Out) {
+          Ex.bind("A", &A).bind("B", &B).bind("C", &C).bind("O", &Out);
+        },
+        Tensor::dense({4}, Fill), "three-walker merge");
+    EXPECT_GT(S.FusedNWalkerLoops, 0u);
+    EXPECT_GE(S.FusedCoWalkers, 2u);
+    EXPECT_EQ(S.GenericLoops, 0u);
+  }
 }
 
 TEST(MicroKernels, RunLengthAndBandedCoWalkersBitIdentical) {
@@ -724,14 +752,15 @@ TEST(MicroKernels, RunLengthAndBandedCoWalkersBitIdentical) {
   }
 }
 
-TEST(MicroKernels, LutOperandsBindTimeAndContextual) {
-  // y[] += lut(...) * A[i,j] twice: a lut whose bits mention the inner
-  // loop variable must be re-evaluated per element (contextual engine),
-  // one over outer indices only binds once per row. Both fuse with
-  // values and counters identical to the interpreter (the VM charges no
-  // counters for Lut evaluation, so neither may the fused engines).
+TEST(MicroKernels, LutOperandsFuseAtBindTimeDeclinePerElement) {
+  // y[] += lut(...) * A[i,j] twice: a lut over outer indices only binds
+  // once per row and fuses; one whose bits mention the inner loop
+  // variable changes per element, so its leaf declines to the
+  // interpreter. Both match the interpreter's values and counters (the
+  // VM charges no counters for Lut evaluation, so neither may the fused
+  // engines).
   for (bool InnerBits : {true, false}) {
-    SCOPED_TRACE(InnerBits ? "contextual lut" : "bind-time lut");
+    SCOPED_TRACE(InnerBits ? "per-element lut" : "bind-time lut");
     Kernel K;
     K.Name = "lut";
     K.LoopOrder = {"j", "i"};
@@ -747,28 +776,33 @@ TEST(MicroKernels, LutOperandsBindTimeAndContextual) {
                                 {std::move(Lut),
                                  Expr::access("A", {"i", "j"})})));
     Tensor A = gappyCsc();
+    obs::ExecReport Rep;
     MicroKernelStats S = compareEngines(
         K,
         [&](Executor &E, Tensor &Out) { E.bind("A", &A).bind("y", &Out); },
-        Tensor::dense({1}), "lut operand");
-    EXPECT_GT(S.FusedLutFactors, 0u);
-    EXPECT_EQ(S.GenericLoops, 0u);
+        Tensor::dense({1}), "lut operand", &Rep);
+    if (InnerBits) {
+      expectLeafDeclined(S, Rep, "i");
+      EXPECT_EQ(S.FusedLutFactors, 0u);
+    } else {
+      EXPECT_GT(S.FusedLutFactors, 0u);
+      EXPECT_EQ(S.GenericLoops, 0u);
+    }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Per-row prebinding (row-invariant SparseLoad prefixes)
+// SparseLoad leaves over an outer index
 //===----------------------------------------------------------------------===//
 
-TEST(MicroKernels, PrebindSparseLoadPrefixBitIdentical) {
+TEST(MicroKernels, SparseLoadOverOuterIndexDeclinesBitIdentical) {
   // O[b] += A[b,a] + B[a]: the additive fill-0 body vetoes every
   // coordinate-skipping walker, so both operands evaluate as SparseLoad
-  // inside the fused inner loop over b. A's top level is indexed by the
-  // outer variable a — a row-invariant prefix the engine resolves once
-  // per row (PrebindSlots) — and B prebinds entirely. Rows whose prefix
-  // is absent (empty fibers) must read as fill with the same per-element
-  // SparseReads as the interpreter.
-  Einsum E = parseEinsum("prebind", "O[b] += A[b,a] + B[a]");
+  // in the inner loop over b, and that leaf declines to the
+  // interpreter. A's top level is indexed by the outer variable a, and
+  // rows whose fiber is absent must read as fill with the same
+  // per-element SparseReads as an all-interpreted run.
+  Einsum E = parseEinsum("outerload", "O[b] += A[b,a] + B[a]");
   E.LoopOrder = {"a", "b"};
   E.declare("A", TensorFormat::csf(2));
   E.declare("B", TensorFormat{{LevelKind::Sparse}});
@@ -779,28 +813,26 @@ TEST(MicroKernels, PrebindSparseLoadPrefixBitIdentical) {
   BC.add({0}, 2.0);
   BC.add({3}, -1.0);
   Tensor B = Tensor::fromCoo(std::move(BC), TensorFormat{{LevelKind::Sparse}});
+  obs::ExecReport Rep;
   MicroKernelStats S = compareEngines(
       R.Naive,
       [&](Executor &Ex, Tensor &Out) {
         Ex.bind("A", &A).bind("B", &B).bind("O", &Out);
       },
-      Tensor::dense({4}), "prebound sparse loads");
-  EXPECT_GT(S.PrebindSlots, 0u);
-  EXPECT_GT(S.FusedSparseLoadFactors, 0u);
-  EXPECT_EQ(S.GenericLoops, 0u);
+      Tensor::dense({4}), "outer-index sparse loads", &Rep);
+  expectLeafDeclined(S, Rep, "b");
 }
 
-TEST(MicroKernels, PrebindDeterministicAcrossTaskRanges) {
-  // Per-row prebinding under parallel splits: each task context
-  // re-derives the prebound locator state at its own bind, so outputs
-  // and counters are bit-identical for Threads in {1, 2, 4} under the
-  // triangle-balanced schedule — both when the parallel runtime
-  // activates the outer loop (prebinding per row inside each task) and
-  // when a tiny privatization budget pushes activation down to the
-  // inner disjoint-write loop, splitting the fused loop's own [Lo, Hi]
-  // range mid-row.
+TEST(MicroKernels, SparseLoadLeafDeterministicAcrossTaskRanges) {
+  // The declined SparseLoad leaf under parallel splits: each task
+  // context chains its own locator state, so outputs and counters are
+  // bit-identical for Threads in {1, 2, 4} under the triangle-balanced
+  // schedule — both when the parallel runtime activates the outer loop
+  // and when a tiny privatization budget pushes activation down to the
+  // inner disjoint-write loop, splitting the leaf's own [Lo, Hi] range
+  // mid-row.
   Rng Rand(77);
-  Einsum E = parseEinsum("prebindpar", "O[b] += A[b,a] + B[a]");
+  Einsum E = parseEinsum("outerloadpar", "O[b] += A[b,a] + B[a]");
   E.LoopOrder = {"a", "b"};
   E.declare("A", TensorFormat::csf(2));
   E.declare("B", TensorFormat{{LevelKind::Sparse}});
@@ -828,10 +860,10 @@ TEST(MicroKernels, PrebindDeterministicAcrossTaskRanges) {
       Tensor Out = Tensor::dense({N});
       Ex.bind("A", &A).bind("B", &B).bind("O", &Out);
       ASSERT_TRUE(Ex.tryPrepare().ok());
-      EXPECT_GT(Ex.microKernelStats().PrebindSlots, 0u);
       setCountersEnabled(true);
       obs::ExecReport Rep;
       ASSERT_TRUE(Ex.tryRun(&Rep).ok());
+      expectLeafDeclined(Ex.microKernelStats(), Rep, "b");
       CounterSnapshot Snap = Rep.Counters;
       if (!Have) {
         First = std::move(Out);
@@ -839,17 +871,17 @@ TEST(MicroKernels, PrebindDeterministicAcrossTaskRanges) {
         Have = true;
         continue;
       }
-      expectBitIdentical(First, Out, "prebind determinism");
-      expectCountersEqual(FirstSnap, Snap, "prebind determinism");
+      expectBitIdentical(First, Out, "sparse-load determinism");
+      expectCountersEqual(FirstSnap, Snap, "sparse-load determinism");
     }
   }
 }
 
 TEST(MicroKernels, LiveScalarReadAfterGuardedWrite) {
   // A scalar accumulated under a dynamic guard and read by a later
-  // statement in the same loop: bind-time substitution is impossible,
-  // so the reader must observe the slot live, per element, like the
-  // interpreter.
+  // statement in the same loop: bind-time substitution is impossible
+  // and the value changes per element, so the leaf declines and the
+  // interpreter's per-element read stays the only one.
   Kernel K;
   K.Name = "live";
   K.LoopOrder = {"i", "j"};
@@ -863,11 +895,12 @@ TEST(MicroKernels, LiveScalarReadAfterGuardedWrite) {
            Stmt::assign(Expr::access("y", {"j"}), OpKind::Add,
                         Expr::scalar("acc"))}));
   Tensor X = denseVec({1, 2, 3, 4});
+  obs::ExecReport Rep;
   MicroKernelStats St = compareEngines(
       K,
       [&](Executor &E, Tensor &Out) { E.bind("x", &X).bind("y", &Out); },
-      Tensor::dense({4}), "live scalar");
-  EXPECT_GT(St.SpecializedLoops, 0u);
+      Tensor::dense({4}), "live scalar", &Rep);
+  expectLeafDeclined(St, Rep, "j");
 }
 
 //===----------------------------------------------------------------------===//

@@ -78,7 +78,7 @@ std::vector<SmokeCase> makeCases() {
 }
 
 Tensor runOnce(const Kernel &K, SmokeCase &C, bool Fused,
-               MicroKernelStats &Stats) {
+               MicroKernelStats &Stats, obs::ExecReport *Rep = nullptr) {
   ExecOptions O;
   if (!Fused)
     O.Engines = {Engine::Interp};
@@ -90,7 +90,7 @@ Tensor runOnce(const Kernel &K, SmokeCase &C, bool Fused,
   E.bind(C.OutName, &Out);
   EXPECT_TRUE(E.tryPrepare().ok());
   Stats = E.microKernelStats();
-  EXPECT_TRUE(E.tryRun().ok());
+  EXPECT_TRUE(E.tryRun(Rep).ok());
   return Out;
 }
 
@@ -199,20 +199,23 @@ TEST(PerfSmoke, FullCoverageAcrossDriverFormatVariants) {
   }
 }
 
-TEST(PerfSmoke, CoWalkerVariantsFullyFused) {
+TEST(PerfSmoke, CoWalkerVariantsFuseOrDecline) {
   // Structured and sparse vectors as the *second* operand of ssymv: in
   // the naive nest the vector walks alongside A's top level, a Sparse /
   // RunLength / Banded co-walker of the outer loop, which the
-  // interpreter runs like every nest loop. Both kernels keep every leaf
-  // fused and stay bit-identical; leaf co-walkers are pinned by the
-  // MicroKernels intersection tests.
+  // interpreter runs like every nest loop, and every leaf fuses. The
+  // optimized strict leaf reads x[i] by random access (SparseLoad) when
+  // x is Sparse or Banded, and that one leaf declines to the
+  // interpreter. Both kernels stay bit-identical; leaf co-walkers are
+  // pinned by the MicroKernels intersection tests.
   struct Variant {
     const char *Name;
     LevelKind Kind;
+    unsigned OptimizedDeclined;
   };
-  const Variant Variants[] = {{"x-sparse", LevelKind::Sparse},
-                              {"x-runlength", LevelKind::RunLength},
-                              {"x-banded", LevelKind::Banded}};
+  const Variant Variants[] = {{"x-sparse", LevelKind::Sparse, 1},
+                              {"x-runlength", LevelKind::RunLength, 0},
+                              {"x-banded", LevelKind::Banded, 1}};
   Rng R(20260801);
   const int64_t N = 40;
   for (const Variant &V : Variants) {
@@ -234,7 +237,8 @@ TEST(PerfSmoke, CoWalkerVariantsFullyFused) {
       MicroKernelStats FusedStats, GenericStats;
       Tensor Generic = runOnce(*K, C, /*Fused=*/false, GenericStats);
       Tensor Fused = runOnce(*K, C, /*Fused=*/true, FusedStats);
-      EXPECT_EQ(FusedStats.GenericLoops, 0u);
+      EXPECT_EQ(FusedStats.GenericLoops,
+                K == &R2.Naive ? 0u : V.OptimizedDeclined);
       ASSERT_EQ(Generic.vals().size(), Fused.vals().size());
       for (size_t I = 0; I < Generic.vals().size(); ++I)
         EXPECT_EQ(Generic.vals()[I], Fused.vals()[I]) << "element " << I;
@@ -362,10 +366,10 @@ TEST(PerfSmoke, SpecializerFiresOnRunLengthAndBandedDrivers) {
 TEST(PerfSmoke, WalkersRegisteredOnGroupedTwoSparseOperandKernels) {
   // Grouped symmetric kernels over two sparse operands, with A in a
   // sparse-topped (DCSR) format: the workspace flush must not cost the
-  // outer walker (exact WalkersRegistered), the mismatched accesses of
-  // the second sparse operand must bind as SparseLoad factors inside
-  // the fused bodies, and the plans stay fully fused and bit-identical
-  // to the interpreter.
+  // outer walker (exact WalkersRegistered), the strict leaf, which
+  // reads the second sparse operand by SparseLoad, declines to the
+  // interpreter while the other leaves fuse, and every plan stays
+  // bit-identical to the interpreter.
   Rng R(20260801);
   const int64_t N = 48;
   TensorFormat Dcsr{{LevelKind::Sparse, LevelKind::Sparse}};
@@ -385,24 +389,28 @@ TEST(PerfSmoke, WalkersRegisteredOnGroupedTwoSparseOperandKernels) {
   for (const Kernel *K : {&R2.Naive, &R2.Optimized}) {
     SCOPED_TRACE(K == &R2.Naive ? "naive" : "optimized");
     MicroKernelStats FusedStats, GenericStats;
+    obs::ExecReport Rep;
     Tensor Generic = runOnce(*K, C, /*Fused=*/false, GenericStats);
-    Tensor Fused = runOnce(*K, C, /*Fused=*/true, FusedStats);
+    Tensor Fused = runOnce(*K, C, /*Fused=*/true, FusedStats, &Rep);
+    unsigned InterpLeaves = 0;
+    for (const obs::LoopStat &L : Rep.Loops)
+      InterpLeaves += L.Label.rfind("loop i [", 0) == 0 && L.Engine == "Interp";
     if (K == &R2.Naive) {
       EXPECT_EQ(FusedStats.WalkersRegistered, 3u);
+      EXPECT_EQ(FusedStats.GenericLoops, 0u);
+      EXPECT_EQ(InterpLeaves, 0u);
     } else {
       // Only the grouped symmetric lowering has the workspace flush
-      // and the mismatched second-operand accesses (x[j] vs x[i]) that
-      // must bind as SparseLoad factors; the naive nest walks both
-      // operands directly.
+      // and the mismatched second-operand access (x[i] in the leaf over
+      // i, while the outer loop walks x[j]) that compiles to SparseLoad;
+      // the naive nest walks both operands directly.
       EXPECT_EQ(FusedStats.WalkersRegistered, 5u)
           << "the workspace flush must not cost the sparse-topped walker";
-      EXPECT_GT(FusedStats.FusedSparseLoadFactors, 0u)
-          << "second sparse operand must fuse via the chained locator";
-      EXPECT_GT(FusedStats.PrebindSlots, 0u)
-          << "row-invariant SparseLoad prefixes must prebind per row";
+      EXPECT_EQ(FusedStats.GenericLoops, 1u);
+      EXPECT_EQ(InterpLeaves, 1u)
+          << "the strict leaf reads x[i] by SparseLoad and must decline";
     }
     EXPECT_GT(FusedStats.SpecializedLoops, 0u);
-    EXPECT_EQ(FusedStats.GenericLoops, 0u);
     ASSERT_EQ(Generic.vals().size(), Fused.vals().size());
     for (size_t I = 0; I < Generic.vals().size(); ++I)
       EXPECT_EQ(Generic.vals()[I], Fused.vals()[I]) << "element " << I;

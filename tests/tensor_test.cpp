@@ -64,14 +64,6 @@ TEST(Coo, CombineDuplicatesWithMin) {
   EXPECT_EQ(C.value(0), 2.0);
 }
 
-TEST(Coo, Append) {
-  Coo A({3}), B({3});
-  A.add({0}, 1);
-  B.add({2}, 2);
-  A.append(B);
-  EXPECT_EQ(A.size(), 2u);
-}
-
 TEST(Coo, DuplicatesCombineInInsertionOrder) {
   // Interleaved with other entries, so the sort has to move them. In
   // insertion order (1e16 + 1.0) + -1e16 absorbs the 1.0 and gives 0.0;
