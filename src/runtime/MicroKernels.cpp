@@ -72,9 +72,22 @@ bool condMentions(const CCond &C, unsigned Slot) {
 // Matcher
 //===----------------------------------------------------------------------===//
 
+/// Whether dense operand \p Op reads an output array (assumed when the
+/// outputs are unknown): it could then observe the leaf's own stores.
+bool readsOutput(const MKOperand &Op, const std::vector<AccessState> &Accesses,
+                 const MKSpecializeOptions &Opts) {
+  if (!Opts.OutputTensors)
+    return true;
+  for (Tensor *T : *Opts.OutputTensors)
+    if (T == Accesses[Op.Slot].T)
+      return true;
+  return false;
+}
+
 struct MatchState {
   const PlanLoop &L;
   const std::vector<AccessState> &Accesses;
+  const MKSpecializeOptions &Opts;
   MKDriver D;
   /// Scalar slots written by items of this loop. A read of a written
   /// slot substitutes a preceding single-factor def under a compatible
@@ -293,13 +306,18 @@ bool gatherItems(PlanNode *N, std::optional<CCond> Guard, MatchState &M,
     Item.S.ScalarDst = true;
     Item.S.ScalarSlot = Def->Slot;
     attachGuard(Item, Guard, M);
-    // A per-element dynamic guard makes the def's value data-dependent
-    // in a way bind-time substitution cannot express; a later read of
-    // such a def declines the loop.
+    // A reader substitutes the def only under an equal guard (or none on
+    // the def). Guards test index values alone, so under a per-element
+    // dynamic guard the def ran at the reader's own element: ssymv's and
+    // bellmanford's leaves without bound lifting read `t = A[i,j]`
+    // under `i < j` that way. A factor over an output array could see a
+    // store between the def and the reader, so it never substitutes.
     M.Written.insert(Def->Slot);
     invalidateDefsReading(M, Def->Slot);
-    if (Item.S.Factors.size() == 1 && !Item.GuardDynamic)
-      M.DefMap[Def->Slot] = {Item.S.Factors[0], Guard};
+    const MKOperand &F = Item.S.Factors[0];
+    if (Item.S.Factors.size() == 1 &&
+        !(F.K == MKOperand::Kind::Dense && readsOutput(F, M.Accesses, M.Opts)))
+      M.DefMap[Def->Slot] = {F, Guard};
     else
       M.DefMap.erase(Def->Slot);
     Out.push_back(std::move(Item));
@@ -372,7 +390,7 @@ bool tryInstallBlocked(PlanLoop &L, const std::vector<AccessState> &Accesses,
   // own position).
   if (L.Walkers.size() > 1)
     return false;
-  MatchState M{L, Accesses, MKDriver{}, {}, {}};
+  MatchState M{L, Accesses, Opts, MKDriver{}, {}, {}};
   buildDriver(M);
   if (M.D.K != MKDriver::Kind::Range &&
       M.D.K != MKDriver::Kind::SparseWalk)
@@ -549,7 +567,7 @@ bool specializeLoop(PlanLoop &L, const std::vector<AccessState> &Accesses,
   // how the outer loops step adds nothing to the fused leaves' savings.
   if (containsLoop(L.Body.get()))
     return Opts.UseBlocked && tryInstallBlocked(L, Accesses, Opts);
-  MatchState M{L, Accesses, MKDriver{}, {}, {}};
+  MatchState M{L, Accesses, Opts, MKDriver{}, {}, {}};
   if (!buildDriver(M))
     return false;
   std::vector<MKItem> Items;
@@ -861,8 +879,7 @@ struct BoundStmt {
   unsigned NF;
   /// 0: fast tensor (Mul-fold, Add-reduce), 1: fast scalar accumulate
   /// (Mul-fold, Add-reduce), 2: def store, 3: general (any ops, guard,
-  /// reads of a later co-walker), 4: kind 0 reading a later co-walker
-  /// (the N-way intersection product).
+  /// reads of a later co-walker).
   uint8_t Kind;
   OpKind Combine;
   int8_t Reduce; // -1: overwrite
@@ -872,8 +889,8 @@ struct BoundStmt {
   const CCond *Guard; // dynamic guard, evaluated per element
   uint64_t Execs;
   unsigned Ops; // ScalarOps contributed per execution
-  /// Kinds 3 and 4: per factor, the co-walker whose matched position is
-  /// its k2 (0 for every factor that reads no co-walker).
+  /// Kind 3: per factor, the co-walker whose matched position is its k2
+  /// (0 for every factor that reads no co-walker).
   uint8_t CoOf[MicroKernel::MaxFactors];
 };
 
@@ -903,15 +920,6 @@ inline double foldBound(const BoundStmt &S, int64_t V, int64_t K1,
   return Acc;
 }
 
-/// foldBound with factor I's k2 read from Co[S.CoOf[I]].
-inline double foldBoundCo(const BoundStmt &S, int64_t V, int64_t K1,
-                          const int64_t *Co) {
-  double Acc = loadBound(S.F[0], V, K1, Co[S.CoOf[0]]);
-  for (unsigned I = 1; I < S.NF; ++I)
-    Acc *= loadBound(S.F[I], V, K1, Co[S.CoOf[I]]);
-  return Acc;
-}
-
 /// Executes one bound statement for one element; \p Co holds every
 /// co-walker's matched position (Co[0] == K2).
 inline void execBound(ExecCtx &C, BoundStmt &S, int64_t V, int64_t K1,
@@ -925,9 +933,6 @@ inline void execBound(ExecCtx &C, BoundStmt &S, int64_t V, int64_t K1,
     break;
   case 2: // scalar def store
     *S.Dst = foldBound(S, V, K1, K2);
-    break;
-  case 4: // kind 0 over several co-walkers
-    S.Dst[S.DstS * V] += foldBoundCo(S, V, K1, Co);
     break;
   default: {
     if (S.Guard && !S.Guard->eval(C))
@@ -1056,15 +1061,14 @@ void MicroKernel::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
       AnyDynamic = true;
     }
     // Fast-path selection: the Mul-fold / Add-reduce cores the paper
-    // kernels and the N-way intersection hit; everything else takes the
-    // general switch.
-    const bool Fast = !S.Guard && MulFold;
+    // kernels hit; everything else takes the general switch.
+    const bool Fast = !S.Guard && MulFold && !LaterCo;
     const bool AddReduce = S.Reduce == static_cast<int8_t>(OpKind::Add);
     if (Fast && AddReduce && S.Mode == 2)
-      S.Kind = LaterCo ? 4 : 0;
-    else if (Fast && !LaterCo && AddReduce && S.Mode == 1)
+      S.Kind = 0;
+    else if (Fast && AddReduce && S.Mode == 1)
       S.Kind = 1;
-    else if (Fast && !LaterCo && S.Mode == 0)
+    else if (Fast && S.Mode == 0)
       S.Kind = 2;
     else
       S.Kind = 3;
@@ -1722,16 +1726,6 @@ void planLine(MicroKernel &MK, const std::vector<AccessState> &Accesses,
   const bool Sparse = MK.D.K == MKDriver::Kind::SparseWalk;
   if ((!Sparse && MK.D.K != MKDriver::Kind::Range) || !MK.D.Cos.empty())
     return;
-  // A dense factor of an output array could observe the leaf's own
-  // stores, which a folded prefix or a register tail would not.
-  auto ReadsOutput = [&](const MKOperand &Op) {
-    if (!Opts.OutputTensors)
-      return true;
-    for (Tensor *T : *Opts.OutputTensors)
-      if (T == Accesses[Op.Slot].T)
-        return true;
-    return false;
-  };
   MKLine LP;
   std::optional<OpKind> Combine, Reduce;
   std::set<unsigned> DefSlots, ScalarDsts;
@@ -1742,8 +1736,10 @@ void planLine(MicroKernel &MK, const std::vector<AccessState> &Accesses,
     const std::vector<MKOperand> &Fs = It.S.Factors;
     if (It.HasGuard)
       return;
+    // A dense factor of an output array could observe the leaf's own
+    // stores, which a folded prefix or a register tail would not.
     for (const MKOperand &Op : Fs)
-      if (Op.K == MKOperand::Kind::Dense && ReadsOutput(Op))
+      if (Op.K == MKOperand::Kind::Dense && readsOutput(Op, Accesses, Opts))
         return;
     LP.Ops += Fs.size() - 1;
     if (It.K == MKItem::Kind::Def) {

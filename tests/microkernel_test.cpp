@@ -82,17 +82,19 @@ void expectCountersEqual(const CounterSnapshot &G,
 /// Runs \p K twice — micro-kernels off and on — over the same bindings
 /// produced by \p Bind, asserting bit-identical outputs and exact
 /// counter parity. Returns the fused executor's specialization stats
-/// and, through \p FusedRep, its run's report.
+/// and, through \p FusedRep, its run's report. Both runs take \p Base's
+/// options apart from the engine list.
 MicroKernelStats
 compareEngines(const Kernel &K,
                const std::function<void(Executor &, Tensor &)> &Bind,
                Tensor OutTemplate, const char *What,
-               obs::ExecReport *FusedRep = nullptr) {
+               obs::ExecReport *FusedRep = nullptr,
+               const ExecOptions &Base = {}) {
   MicroKernelStats Stats;
   Tensor OutGeneric = OutTemplate, OutFused = std::move(OutTemplate);
   CounterSnapshot SnapGeneric, SnapFused;
   for (bool Fused : {false, true}) {
-    ExecOptions O;
+    ExecOptions O = Base;
     if (!Fused)
       O.Engines = {Engine::Interp};
     Executor E(K, O);
@@ -680,9 +682,10 @@ TEST(MicroKernels, ThreeWalkerIntersectionBitIdentical) {
   // generic interpreter resolves the co-walkers with per-element
   // locate; positions, values, and SparseReads must match exactly —
   // including candidates where the first co-walker matches and the
-  // second does not (its read is charged, the body is skipped). The
-  // (min, +) form over fill-inf operands takes the general statement
-  // kind, which reads the second co-walker's position per factor.
+  // second does not (its read is charged, the body is skipped). Both
+  // forms take the general statement kind, which reads the second
+  // co-walker's position per factor; the (min, +) form over fill-inf
+  // operands also runs its non-Mul fold and reduction.
   for (bool MinPlus : {false, true}) {
     SCOPED_TRACE(MinPlus ? "(min, +)" : "(+, *)");
     const double Fill = MinPlus ? Inf : 0.0;
@@ -901,6 +904,54 @@ TEST(MicroKernels, LiveScalarReadAfterGuardedWrite) {
       [&](Executor &E, Tensor &Out) { E.bind("x", &X).bind("y", &Out); },
       Tensor::dense({4}), "live scalar", &Rep);
   expectLeafDeclined(St, Rep, "j");
+}
+
+TEST(MicroKernels, DefUnderDynamicGuardSubstitutesIntoEqualGuard) {
+  // Without bound lifting, ssymv's and bellmanford's off-diagonal leaves
+  // keep `if i < j` as a per-element guard over `t = A[i,j]` and the
+  // two updates that read t. The readers share the def's guard, so the
+  // def ran at their own element: t substitutes and the leaf fuses.
+  Rng R(8);
+  ExecOptions NoLift;
+  NoLift.EnableBoundLifting = false;
+  for (bool BF : {false, true}) {
+    SCOPED_TRACE(BF ? "bellmanford" : "ssymv");
+    const double Fill = BF ? Inf : 0.0;
+    CompileResult C = compileEinsum(BF ? makeBellmanFord() : makeSsymv());
+    Tensor A = generateSymmetricTensor(2, 30, 120, R, TensorFormat::csf(2),
+                                       Fill);
+    Tensor X = generateDenseVector(30, R);
+    MicroKernelStats S = compareEngines(
+        C.Optimized,
+        [&](Executor &E, Tensor &Out) {
+          E.bind("A", &A).bind(BF ? "d" : "x", &X).bind("y", &Out);
+        },
+        Tensor::dense({30}, Fill), "guarded def", nullptr, NoLift);
+    EXPECT_EQ(S.GenericLoops, 0u);
+    EXPECT_GT(S.SpecializedLoops, 0u);
+  }
+}
+
+TEST(MicroKernels, DefOverOutputCellDoesNotSubstitute) {
+  // t = y[i] reads the output cell the next statement updates; the
+  // interpreter's later read of t sees the def-time value, which a
+  // substituted y[i] would not, so the leaf declines.
+  Kernel K;
+  K.Name = "outdef";
+  K.LoopOrder = {"i"};
+  K.OutputName = "y";
+  K.Body = Stmt::loop(
+      "i", Stmt::block({Stmt::defScalar("t", Expr::access("y", {"i"})),
+                        Stmt::assign(Expr::access("y", {"i"}), OpKind::Add,
+                                     Expr::access("x", {"i"})),
+                        Stmt::assign(Expr::access("y", {"i"}), OpKind::Add,
+                                     Expr::scalar("t"))}));
+  Tensor X = denseVec({10, 11, 12, 13});
+  obs::ExecReport Rep;
+  MicroKernelStats St = compareEngines(
+      K, [&](Executor &E, Tensor &Out) { E.bind("x", &X).bind("y", &Out); },
+      denseVec({1, 2, 3, 4}), "def over an output cell", &Rep);
+  expectLeafDeclined(St, Rep, "i");
 }
 
 //===----------------------------------------------------------------------===//
