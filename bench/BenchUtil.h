@@ -172,7 +172,6 @@ struct BenchRecord {
   std::string Workload; ///< matrix / config label
   std::string Impl;     ///< "naive", "systec", "taco", ...
   unsigned Threads = 1;
-  std::string Schedule = "none";
   double Millis = -1;
   double GFlops = 0;   ///< 0 when the flop count is unknown
   std::string Options; ///< execOptionsSummary() of the run's
@@ -252,7 +251,7 @@ inline std::string jsonEscape(const std::string &S) {
 }
 
 /// Writes records as a JSON array to \p Path (e.g. "BENCH_ssymv.json")
-/// so CI can track kernel / threads / schedule / GFLOP-s over time.
+/// so CI can track kernel / threads / GFLOP-s over time.
 /// Every record carries the build's git SHA and the ExecOptions used,
 /// so entries from different PRs (or ablation configs) stay
 /// attributable when the files are concatenated or diffed.
@@ -272,10 +271,8 @@ inline void writeBenchJson(const std::string &Path,
                        "\", \"workload\": \"" + jsonEscape(R.Workload) +
                        "\", \"impl\": \"" + jsonEscape(R.Impl) + "\"";
     std::snprintf(Num, sizeof(Num),
-                  ", \"threads\": %u, \"schedule\": \"%s\", "
-                  "\"ms\": %.6f, \"gflops\": %.6f",
-                  R.Threads, jsonEscape(R.Schedule).c_str(), R.Millis,
-                  R.GFlops);
+                  ", \"threads\": %u, \"ms\": %.6f, \"gflops\": %.6f",
+                  R.Threads, R.Millis, R.GFlops);
     Line += Num;
     Line += ", \"options\": \"" + jsonEscape(R.Options) + "\"";
     // Observability attachments are already JSON objects; embed them

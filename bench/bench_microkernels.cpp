@@ -224,7 +224,7 @@ int main(int argc, char **argv) {
       double Ms = Rep.millis("microkernels/" + C.Name + "/" + Impl);
       if (Ms <= 0)
         continue;
-      BenchRecord Rec{C.Name, C.Workload, Impl, 1, "none", Ms, 0,
+      BenchRecord Rec{C.Name, C.Workload, Impl, 1, Ms, 0,
                       execOptionsSummary(implOptions(Impl)),
                       "", ""};
       Tensor *Out = &Holders[CI]->tensor("out");
@@ -236,9 +236,15 @@ int main(int argc, char **argv) {
   writeBenchJson("BENCH_microkernels.json", Records);
 
   // SYSTEC_TRACE=<path>: rerun every case through fresh executors with
-  // tracing on at Threads=2/Dynamic and export one Chrome trace. The
-  // traced pass is separate from (and after) the gate records above,
-  // so BENCH_microkernels.json stays a tracing-off measurement.
+  // tracing on at Threads=8 and export one Chrome trace. The traced
+  // pass is separate from (and after) the gate records above, so
+  // BENCH_microkernels.json stays a tracing-off measurement. Why 8:
+  // eight per-task copies of ssyrk's output exceed
+  // PrivatizationBudgetBytes, so the parallel runtime activates its
+  // inner loops instead of the outer one. A thread emits raw spans
+  // only for the outermost loop it runs, so the worker chunks of those
+  // inner loops are what put engine labels other than Interp
+  // ([Fused/...], [Blocked/...]) into the trace CI checks.
   if (const char *TraceEnv = std::getenv("SYSTEC_TRACE")) {
     obs::setThreadName("main");
     obs::setTracingEnabled(true);
@@ -248,8 +254,7 @@ int main(int argc, char **argv) {
       Tensor *Out = &Holders[CI]->tensor("out");
       for (unsigned Idx = 0; Idx < 2; ++Idx) {
         ExecOptions O = implOptions(Idx ? "fused" : "interp");
-        O.Threads = 2;
-        O.Schedule = SchedulePolicy::Dynamic;
+        O.Threads = 8;
         Executor E(Compiled.Optimized, O);
         for (auto &[Name, T] : C.Inputs)
           E.bind(Name, &T);

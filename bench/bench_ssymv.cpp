@@ -132,7 +132,7 @@ int main(int argc, char **argv) {
       Executor *E = It == RowExecs[RI].end() ? nullptr : It->second;
       const ExecOptions &O =
           Impl.ends_with("_native") ? NativeOpt : ExecOptions();
-      BenchRecord Rec{"ssymv", RowEntry.Label, Impl, 1, "none", Ms, 0,
+      BenchRecord Rec{"ssymv", RowEntry.Label, Impl, 1, Ms, 0,
                       E ? execOptionsSummary(O) : "", "", ""};
       if (E) {
         Tensor *Y = &Holders[RI]->tensor("y");

@@ -3,11 +3,10 @@
 /// \file
 /// Scaling of the parallel runtime on the symmetric kernels: SSYMV on
 /// the largest suite matrix and SSYRK at the largest seed config, for
-/// Threads in {1, 2, 4, 8} under every schedule policy. Prints a
-/// speedup-vs-one-thread table (the acceptance trajectory: >= 3x at 8
-/// threads on multicore hardware, with triangle-balanced beating
-/// static blocks on the triangular nests) and appends machine-readable
-/// BENCH_threads.json with kernel / threads / schedule / GFLOP/s.
+/// Threads in {1, 2, 4, 8}. Prints a speedup-vs-one-thread table (the
+/// acceptance trajectory: >= 3x at 8 threads on multicore hardware)
+/// and appends machine-readable BENCH_threads.json with kernel /
+/// threads / GFLOP/s.
 ///
 /// The GFLOP/s figures use the runtime's own operation counters
 /// (ScalarOps + Reductions of one instrumented run), so they measure
@@ -26,32 +25,17 @@ using namespace systec::bench;
 
 namespace {
 
-struct Variant {
-  unsigned Threads;
-  SchedulePolicy Policy;
-};
+const unsigned ThreadCounts[] = {1, 2, 4, 8};
 
-std::vector<Variant> variants() {
-  std::vector<Variant> Out{{1, SchedulePolicy::Auto}};
-  for (unsigned T : {2u, 4u, 8u})
-    for (SchedulePolicy P :
-         {SchedulePolicy::Static, SchedulePolicy::Dynamic,
-          SchedulePolicy::TriangleBalanced})
-      Out.push_back({T, P});
-  return Out;
-}
-
-std::string variantName(const Variant &V) {
-  return "t" + std::to_string(V.Threads) + "_" +
-         schedulePolicyName(V.Policy);
+std::string variantName(unsigned Threads) {
+  return "t" + std::to_string(Threads);
 }
 
 /// The single source of truth for a variant's execution options: used
 /// to build the Executor *and* to attribute its BENCH_* record.
-ExecOptions variantOptions(const Variant &V) {
+ExecOptions variantOptions(unsigned Threads) {
   ExecOptions O;
-  O.Threads = V.Threads;
-  O.Schedule = V.Policy;
+  O.Threads = Threads;
   return O;
 }
 
@@ -104,7 +88,7 @@ int main(int argc, char **argv) {
   }
 
   for (Workload &W : Workloads) {
-    for (const Variant &V : variants()) {
+    for (unsigned V : ThreadCounts) {
       ExecOptions O = variantOptions(V);
       Executor &E = *W.H->Executors
                          .emplace_back(std::make_unique<Executor>(
@@ -136,35 +120,27 @@ int main(int argc, char **argv) {
   std::vector<BenchRecord> Records;
   for (Workload &W : Workloads) {
     std::string Base = "threads/" + W.Kernel + "/" + W.Label + "/";
-    double T1 = Rep.millis(Base + variantName({1, SchedulePolicy::Auto}));
+    double T1 = Rep.millis(Base + variantName(1));
     std::printf("\n=== %s/%s thread scaling (one-thread: %.3f ms) ===\n",
                 W.Kernel.c_str(), W.Label.c_str(), T1);
     std::printf("%-10s %12s %12s %12s\n", "threads", "ms", "speedup",
                 "GFLOP/s");
-    const std::vector<Variant> Vars = variants();
-    for (size_t VI = 0; VI < Vars.size(); ++VI) {
-      const Variant &V = Vars[VI];
+    for (size_t VI = 0; VI < std::size(ThreadCounts); ++VI) {
+      const unsigned V = ThreadCounts[VI];
       double Ms = Rep.millis(Base + variantName(V));
       if (Ms <= 0)
         continue;
       double GFlops = W.Flops / (Ms * 1e6);
       std::printf("%-10s %12.3f %12.2f %12.3f\n", variantName(V).c_str(),
                   Ms, T1 / Ms, GFlops);
-      BenchRecord Rec{W.Kernel, W.Label, "systec", V.Threads,
-                      schedulePolicyName(V.Policy), Ms, GFlops,
+      BenchRecord Rec{W.Kernel, W.Label, "systec", V, Ms, GFlops,
                       execOptionsSummary(variantOptions(V)), "", ""};
-      // Executors were appended in variants() order per workload.
+      // Executors were appended in ThreadCounts order per workload.
       Tensor *Out = W.Out;
       annotateRecord(Rec, *W.H->Executors[VI],
                      [Out] { Out->setAllValues(0.0); });
       Records.push_back(std::move(Rec));
     }
-    // The acceptance comparison: triangle-balanced vs static blocks.
-    double Tri = Rep.millis(
-        Base + variantName({8, SchedulePolicy::TriangleBalanced}));
-    double Sta = Rep.millis(Base + variantName({8, SchedulePolicy::Static}));
-    if (Tri > 0 && Sta > 0)
-      std::printf("triangle vs static at 8 threads: %.2fx\n", Sta / Tri);
   }
   writeBenchJson("BENCH_threads.json", Records);
   return 0;

@@ -3,10 +3,9 @@
 /// \file
 /// Demonstrates the parallel execution runtime: compiles SSYMV, prints
 /// the optimized kernel's IR and the loops the parallelism analysis
-/// marked (with their triangle depth, which drives the
-/// triangle-balanced schedule), then runs the optimized kernel across
-/// thread counts and schedule policies and reports timings and result
-/// agreement.
+/// marked (with their triangle depth, which balances their chunks),
+/// then runs the optimized kernel across thread counts and reports
+/// timings and result agreement.
 ///
 /// Build and run:
 ///   cmake -B build && cmake --build build --target example_parallel_scaling
@@ -47,42 +46,35 @@ int main(int Argc, char **Argv) {
   double BaseMs = 0;
   std::printf("=== thread scaling on a %lld-dim symmetric matrix ===\n",
               static_cast<long long>(N));
-  std::printf("%-8s %-10s %12s %10s %12s\n", "threads", "schedule", "ms",
-              "speedup", "maxAbsDiff");
+  std::printf("%-8s %12s %10s %12s\n", "threads", "ms", "speedup",
+              "maxAbsDiff");
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    for (SchedulePolicy P : {SchedulePolicy::Static,
-                             SchedulePolicy::TriangleBalanced}) {
-      if (Threads == 1 && P != SchedulePolicy::Static)
-        continue; // one lane: schedule is irrelevant
-      Tensor Y = Tensor::dense({N});
-      ExecOptions O;
-      O.Threads = Threads;
-      O.Schedule = P;
-      Executor E(C.Optimized, O);
-      E.bind("A", &A).bind("x", &X).bind("y", &Y);
-      // Warm once (materializes splits, allocates accumulators).
-      Status S = E.tryPrepare();
-      if (S.ok())
-        S = E.tryRunBody();
-      Y.setAllValues(0.0);
-      auto T0 = std::chrono::steady_clock::now();
-      if (S.ok())
-        S = E.tryRun();
-      if (!S.ok()) {
-        std::fprintf(stderr, "%s\n", S.str().c_str());
-        return 1;
-      }
-      double Ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
-      if (Threads == 1) {
-        BaseMs = Ms;
-        Ref = Y;
-      }
-      std::printf("%-8u %-10s %12.3f %10.2f %12.3g\n", Threads,
-                  schedulePolicyName(P), Ms, BaseMs / Ms,
-                  Tensor::maxAbsDiff(Ref, Y));
+    Tensor Y = Tensor::dense({N});
+    ExecOptions O;
+    O.Threads = Threads;
+    Executor E(C.Optimized, O);
+    E.bind("A", &A).bind("x", &X).bind("y", &Y);
+    // Warm once (materializes splits, allocates accumulators).
+    Status S = E.tryPrepare();
+    if (S.ok())
+      S = E.tryRunBody();
+    Y.setAllValues(0.0);
+    auto T0 = std::chrono::steady_clock::now();
+    if (S.ok())
+      S = E.tryRun();
+    if (!S.ok()) {
+      std::fprintf(stderr, "%s\n", S.str().c_str());
+      return 1;
     }
+    double Ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - T0)
+                    .count();
+    if (Threads == 1) {
+      BaseMs = Ms;
+      Ref = Y;
+    }
+    std::printf("%-8u %12.3f %10.2f %12.3g\n", Threads, Ms, BaseMs / Ms,
+                Tensor::maxAbsDiff(Ref, Y));
   }
   std::printf("\nReduction privatization keeps every configuration "
               "within rounding of the sequential result; speedups "

@@ -82,7 +82,7 @@ struct ExecReport {
   /// ("cancelled", "deadline-exceeded") when the run was aborted.
   /// Deliberately excluded from structureKey(): whether a deadline
   /// fired is timing-dependent, and the key must stay invariant across
-  /// Threads/Schedule for a fixed plan.
+  /// Threads for a fixed plan.
   std::string AbortReason;
 
   /// Ns of the named phase; 0 when absent.
@@ -90,7 +90,7 @@ struct ExecReport {
 
   /// A timing-free fingerprint: phase names, loop labels/engines/
   /// drivers, and the counter deltas — everything that must be
-  /// invariant across Threads/Schedule for a fixed plan. Excludes all
+  /// invariant across Threads for a fixed plan. Excludes all
   /// Ns fields, loop call counts (chunking-dependent), and worker
   /// activity (pool-size-dependent).
   std::string structureKey() const;

@@ -8,20 +8,6 @@
 
 namespace systec {
 
-const char *schedulePolicyName(SchedulePolicy P) {
-  switch (P) {
-  case SchedulePolicy::Auto:
-    return "auto";
-  case SchedulePolicy::Static:
-    return "static";
-  case SchedulePolicy::Dynamic:
-    return "dynamic";
-  case SchedulePolicy::TriangleBalanced:
-    return "triangle";
-  }
-  return "?";
-}
-
 std::vector<ChunkRange> staticBlocks(int64_t Lo, int64_t Hi,
                                      unsigned Chunks) {
   std::vector<ChunkRange> Out;
@@ -37,13 +23,6 @@ std::vector<ChunkRange> staticBlocks(int64_t Lo, int64_t Hi,
     Out.push_back({B, E});
   }
   return Out;
-}
-
-std::vector<ChunkRange> dynamicChunks(int64_t Lo, int64_t Hi,
-                                      unsigned Threads,
-                                      unsigned Oversubscribe) {
-  return staticBlocks(Lo, Hi,
-                      std::max(1u, Threads) * std::max(1u, Oversubscribe));
 }
 
 double triangleWeight(const ChunkRange &C, int64_t Lo, int64_t Hi,

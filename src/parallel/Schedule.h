@@ -1,23 +1,25 @@
 //===- parallel/Schedule.h - Iteration-space partitioning -----*- C++ -*-===//
 ///
 /// \file
-/// Chunking policies for parallel loops. A parallel loop's coordinate
-/// range [Lo, Hi] is split into contiguous chunks; the thread pool then
-/// assigns chunk indices to threads dynamically. Three partitioners:
+/// Chunking of parallel loops. A parallel loop's coordinate range
+/// [Lo, Hi] is split into one contiguous chunk per thread; the thread
+/// pool then assigns chunk indices to threads dynamically. The split is
+/// a function of the loop alone (PlanLoop::makeChunks):
 ///
-///  - Static block: equal coordinate counts, one chunk per thread.
-///  - Dynamic chunk: oversubscribed equal blocks (several per thread)
-///    so stragglers rebalance through the pool's shared task counter.
 ///  - Triangle-balanced: equal *work* for triangular nests. The
 ///    symmetry passes restrict iteration to the canonical triangle
 ///    (i1 <= i2 <= ... <= x), so the inner work under outer coordinate
-///    x grows like x^d where d is the chain depth; equal coordinate
-///    blocks would give the last thread ~d+1 times the mean load.
-///    Chunk bounds equalize the cumulative weight sum instead.
+///    x grows like x^d where d is the chain depth the parallelism
+///    analysis records; equal coordinate blocks would give the last
+///    thread ~d+1 times the mean load. Chunk bounds equalize the
+///    cumulative weight sum instead.
+///  - Static blocks: equal coordinate counts, which is what the
+///    triangle-balanced split degenerates to at depth 0 (loops that are
+///    not triangular).
 ///
-/// All partitioners are pure functions of (range, chunk count, shape):
-/// results never depend on measured time or thread identity, which
-/// keeps parallel execution reproducible run to run.
+/// Both are pure functions of (range, chunk count, depth): results
+/// never depend on measured time or thread identity, which keeps
+/// parallel execution reproducible run to run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,21 +27,9 @@
 #define SYSTEC_PARALLEL_SCHEDULE_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace systec {
-
-/// Loop scheduling policy (ExecOptions ablation switch).
-enum class SchedulePolicy {
-  Auto,    ///< triangle-balanced when the loop is annotated triangular,
-           ///< static blocks otherwise
-  Static,  ///< equal coordinate blocks, one per thread
-  Dynamic, ///< oversubscribed blocks, pool rebalances
-  TriangleBalanced, ///< equal-work blocks for triangular nests
-};
-
-const char *schedulePolicyName(SchedulePolicy P);
 
 /// One contiguous coordinate chunk (inclusive bounds).
 struct ChunkRange {
@@ -50,12 +40,6 @@ struct ChunkRange {
 /// Splits [Lo, Hi] into at most \p Chunks non-empty equal blocks.
 std::vector<ChunkRange> staticBlocks(int64_t Lo, int64_t Hi,
                                      unsigned Chunks);
-
-/// Splits [Lo, Hi] into at most \p Threads * \p Oversubscribe equal
-/// blocks for dynamic assignment.
-std::vector<ChunkRange> dynamicChunks(int64_t Lo, int64_t Hi,
-                                      unsigned Threads,
-                                      unsigned Oversubscribe = 4);
 
 /// Splits [Lo, Hi] into at most \p Chunks blocks with equal cumulative
 /// weight, where coordinate v weighs (v - Lo + 1)^d for \p TriDepth

@@ -418,13 +418,6 @@ private:
     LoopParallelism LP = analyzeLoopParallelism(S);
     if (!LP.Safe)
       return false;
-    SchedulePolicy Policy = E.Options.Schedule;
-    if (Policy == SchedulePolicy::Auto)
-      Policy = LP.TriangleDepth != 0 ? SchedulePolicy::TriangleBalanced
-                                     : SchedulePolicy::Static;
-    const unsigned TaskCount = Policy == SchedulePolicy::Dynamic
-                                   ? E.Options.Threads * 4
-                                   : E.Options.Threads;
     size_t PrivElems = 0;
     std::vector<PlanLoop::PrivTensor> PrivT;
     for (const auto &[Name, Op] : LP.TensorMergeOps) {
@@ -433,7 +426,7 @@ private:
           outId(Name), T->vals().size(), Op, opInfo(Op).Identity});
       PrivElems += T->vals().size();
     }
-    if (PrivElems * TaskCount * sizeof(double) >
+    if (PrivElems * E.Options.Threads * sizeof(double) >
         E.Options.PrivatizationBudgetBytes)
       return false; // too much accumulator memory; try an inner loop
     std::vector<PlanLoop::PrivScalar> PrivS;
@@ -441,7 +434,6 @@ private:
       PrivS.push_back(PlanLoop::PrivScalar{scalarSlot(Name), Op,
                                            opInfo(Op).Identity});
     Loop.Par.Enabled = true;
-    Loop.Par.Policy = Policy;
     Loop.Par.TriDepth = LP.TriangleDepth;
     Loop.Par.Threads = E.Options.Threads;
     Loop.Par.Pool = &ThreadPool::global();
@@ -705,7 +697,6 @@ private:
 
 std::string structuralOptionsSummary(const ExecOptions &O) {
   std::string Out = "threads=" + std::to_string(O.Threads);
-  Out += std::string(" schedule=") + schedulePolicyName(O.Schedule);
   Out += std::string(" walk=") + (O.EnableSparseWalk ? "on" : "off");
   Out += std::string(" lift=") + (O.EnableBoundLifting ? "on" : "off");
   Out += " privbudget_bytes=" + std::to_string(O.PrivatizationBudgetBytes);

@@ -22,7 +22,6 @@
 
 #include "ir/Kernel.h"
 #include "observability/Report.h"
-#include "parallel/Schedule.h"
 #include "runtime/EngineRegistry.h"
 #include "support/Status.h"
 #include "tensor/Tensor.h"
@@ -68,16 +67,13 @@ struct ExecOptions {
   /// residual predicates.
   bool EnableBoundLifting = true;
   /// Parallel lanes for loops the parallelism analysis marked safe.
-  /// 1 keeps the plan fully sequential. N > 1 decomposes each parallel
-  /// loop into tasks run on the shared thread pool; outputs not indexed
-  /// by the loop variable get per-task privatized accumulators merged
-  /// in task order, so results are reproducible for a fixed (Threads,
-  /// Schedule) pair.
+  /// 1 keeps the plan fully sequential. N > 1 splits each parallel
+  /// loop into N tasks run on the shared thread pool: triangle-balanced
+  /// chunks on loops the analysis marks triangular, static blocks
+  /// otherwise (parallel/Schedule.h). Outputs not indexed by the loop
+  /// variable get per-task privatized accumulators merged in task
+  /// order, so results are reproducible for a fixed Threads.
   unsigned Threads = 1;
-  /// Chunking policy for parallel loops (see parallel/Schedule.h).
-  /// Auto resolves to triangle-balanced for loops the analysis marked
-  /// triangular and static blocks otherwise.
-  SchedulePolicy Schedule = SchedulePolicy::Auto;
   /// Ceiling, in bytes, on privatized accumulator storage summed over
   /// all tasks of one parallel loop. A loop whose privatization would
   /// exceed it is left sequential at that level and never allocates;
@@ -146,17 +142,18 @@ struct MicroKernelStats {
   uint64_t FusedLutFactors = 0;
 
   /// Nest loops running the register/cache-blocked output engine
-  /// (column panels over the dense output mode), and the subset whose
-  /// panel accumulators live in registers across the whole sparse walk
-  /// (output cell invariant in the inner driver — one writeback per
-  /// panel lane per row). The runtime panel/store counts are the
-  /// FusedBlockedPanels / FusedBlockedStores report counters.
+  /// (column panels over the dense output mode), and the subset in the
+  /// Accum or Workspace mode, whose panel accumulators live in
+  /// registers across the whole sparse walk (output cell invariant in
+  /// the inner driver — one writeback per panel lane per row). The
+  /// runtime panel/store counts are the FusedBlockedPanels /
+  /// FusedBlockedStores report counters.
   uint64_t BlockedLoops = 0;
   uint64_t BlockedAccumLoops = 0;
 };
 
 /// One-line rendering of the structural options of \p O — the ones a
-/// compiled plan embodies ("threads=4 schedule=auto ... engines=...").
+/// compiled plan embodies ("threads=4 walk=on ... engines=...").
 /// The PlanCache key's options part; NativeCacheDir is absent because
 /// the .so cache is content-hash keyed.
 std::string structuralOptionsSummary(const ExecOptions &O);
@@ -236,7 +233,7 @@ public:
   /// name must appear in \p NewBindings with the same format
   /// descriptor, dims, and fill value as the tensor the plan was
   /// compiled against; \p RunOptions must agree with the compiled
-  /// options on every structural knob (threads, schedule, engines —
+  /// options on every structural knob (threads, engines —
   /// the plan-cache key guarantees this) and supplies the per-request
   /// knobs the plan adopts: Cancel, DeadlineMs, ValidateInputs.
   /// Materialized aliases (diagonal splits, transposes) are rebuilt

@@ -419,16 +419,35 @@ bool tryInstallBlocked(PlanLoop &L, const std::vector<AccessState> &Accesses,
   if (CMK.Items.size() != 1 || CMK.Items[0].K != MKItem::Kind::Stmt ||
       CMK.Items[0].HasGuard)
     return false;
+  // The one accepted statement: A·f under (*, +), the child driver's
+  // value first. Whether f strides the child walk picks the mode below.
   const MKStmt &S = CMK.Items[0].S;
+  if (S.Factors.size() != 2 || S.Combine != OpKind::Mul ||
+      S.Reduce != OpKind::Add ||
+      S.Factors[0].K != MKOperand::Kind::Driver)
+    return false;
+  const MKOperand &F = S.Factors[1];
+  // A dense f reading an output array would observe the loop's own
+  // stores, and the panel visit order could then change what it reads.
+  if (F.K == MKOperand::Kind::Dense && readsOutput(F, Accesses, Opts))
+    return false;
+  // Strided: a dense load whose position moves with the child driver.
+  // Invariant: anything else but the driver (constants, scalars, walked
+  // values, Luts and unstrided dense loads bind once per lane; the
+  // child has no co-walkers).
+  if (F.K == MKOperand::Kind::Driver)
+    return false;
+  const bool Strided = F.K == MKOperand::Kind::Dense && F.VStride != 0;
   auto B = std::make_unique<MKBlockedEngine>();
   int64_t PS = 0;
   std::vector<std::pair<unsigned, int64_t>> InvTerms;
   if (Ws) {
-    // Workspace triple: `w` seeded from a literal, reduced by the
-    // child per element, folded into a `u`-strided cell once per lane.
+    // Workspace triple: `w` seeded from a literal, accumulating f's
+    // strided loads per element, folded into a `u`-strided cell once
+    // per lane.
     auto *Def = dynamic_cast<PlanDef *>(Body[0]);
     auto *Fin = dynamic_cast<PlanAssign *>(Body[2]);
-    if (!Def || Def->Init.Code.size() != 1 ||
+    if (!Strided || !Def || Def->Init.Code.size() != 1 ||
         Def->Init.Code[0].Kind != VKind::Lit)
       return false;
     if (!S.ScalarDst || S.ScalarSlot != Def->Slot)
@@ -455,87 +474,45 @@ bool tryInstallBlocked(PlanLoop &L, const std::vector<AccessState> &Accesses,
     if (S.ScalarDst)
       return false;
     // Destination: the nest variable `u` must stride a dense output
-    // mode (the panel stride), and lanes must write provably disjoint
-    // cells — the child driver's span under one lane may not reach the
-    // next lane — so visiting elements panel-by-panel cannot reorder
-    // any per-cell reduction.
+    // mode (the panel stride). Accum: a strided f into one cell per
+    // lane. Stream: an invariant f into cells striding the child
+    // variable, where lanes must write provably disjoint cells — the
+    // child driver's span under one lane may not reach the next lane —
+    // so visiting elements panel-by-panel cannot reorder any per-cell
+    // reduction.
     for (const auto &[Slot, Stride] : S.DstBaseTerms) {
       if (Slot == L.Slot)
         PS += Stride;
       else
         InvTerms.push_back({Slot, Stride});
     }
-    if (PS <= 0 || S.DstVStride < 0)
+    if (PS <= 0)
       return false;
-    const int64_t FiberDim =
-        Accesses[CMK.D.AccessId].T->level(CMK.D.Level).Dim;
-    if (S.DstVStride > 0 && S.DstVStride * (FiberDim - 1) >= PS)
-      return false;
-    B->Mode = S.DstVStride == 0 ? MKBlockedEngine::BMode::Accum
-                                : MKBlockedEngine::BMode::Stream;
-    B->OutId = S.OutId;
-  }
-  for (const MKOperand &Op : S.Factors) {
-    MKBlockedEngine::FClass FC = MKBlockedEngine::FClass::LaneImm;
-    switch (Op.K) {
-    case MKOperand::Kind::Const:
-    case MKOperand::Kind::Scalar:
-    case MKOperand::Kind::Walked:
-    case MKOperand::Kind::Lut:
-      break; // invariant in the child driver: binds once per lane
-    case MKOperand::Kind::Driver:
-      FC = MKBlockedEngine::FClass::Driver;
-      break;
-    case MKOperand::Kind::CoDriver:
-      return false; // the accepted driver has no co-walkers
-    case MKOperand::Kind::Dense:
-      // A dense factor reading an output array would observe the
-      // loop's own stores, and the panel visit order could then change
-      // what it reads. Outputs are never inputs in the einsums the
-      // pipeline produces, but decline rather than assume.
-      if (Opts.OutputTensors)
-        for (Tensor *T : *Opts.OutputTensors)
-          if (T == Accesses[Op.Slot].T)
-            return false;
-      if (Op.VStride != 0)
-        FC = MKBlockedEngine::FClass::LaneDense;
-      break;
+    if (Strided) {
+      if (S.DstVStride != 0)
+        return false;
+      B->Mode = MKBlockedEngine::BMode::Accum;
+    } else {
+      const int64_t FiberDim =
+          Accesses[CMK.D.AccessId].T->level(CMK.D.Level).Dim;
+      if (S.DstVStride <= 0 || S.DstVStride * (FiberDim - 1) >= PS)
+        return false;
+      B->Mode = MKBlockedEngine::BMode::Stream;
+      B->DstVStride = S.DstVStride;
     }
-    B->Classes.push_back(FC);
+    B->OutId = S.OutId;
   }
   B->USlot = L.Slot;
   B->Child = Ch;
-  B->ChildSlot = CMK.Slot;
   B->Nest = M.D;
   B->D = CMK.D;
-  B->Combine = S.Combine;
-  B->ElemReduce = S.Reduce;
   B->PanelStride = PS;
-  B->DstVStride = B->Mode == MKBlockedEngine::BMode::Stream
-                      ? S.DstVStride
-                      : 0;
   B->DstInvTerms = std::move(InvTerms);
-  B->Factors = S.Factors;
+  B->Lane = F;
   // Width from the panel mode's extent: narrow modes take 4-wide
   // panels, everything else 8. Values and counters are
   // width-independent.
   B->Width = L.Extent >= 8 ? 8u : 4u;
-  const bool MulAdd =
-      (S.Factors.size() == 1 || S.Combine == OpKind::Mul) &&
-      S.Reduce == OpKind::Add;
-  if (MulAdd && S.Factors.size() == 2 &&
-      B->Classes[0] == MKBlockedEngine::FClass::Driver) {
-    if (B->Mode == MKBlockedEngine::BMode::Stream &&
-        B->Classes[1] == MKBlockedEngine::FClass::LaneImm)
-      B->FastPath = MKBlockedEngine::Fast::Axpy2;
-    else if (B->Mode != MKBlockedEngine::BMode::Stream &&
-             B->Classes[1] == MKBlockedEngine::FClass::LaneDense)
-      B->FastPath = MKBlockedEngine::Fast::Accum2;
-  }
-  // Task-boundary panel alignment only means something when lanes are
-  // coordinates (Range nests); a sparse nest's lanes are fiber entries.
-  if (M.D.K == MKDriver::Kind::Range)
-    L.BlockAlign = B->Width;
   L.Blocked = std::move(B);
   return true;
 }
@@ -670,16 +647,6 @@ DriverBind bindDriver(ExecCtx &C, const MKDriver &D) {
     }
   }
   return B;
-}
-
-/// Reads the value array of every Dense operand in \p Ops from the
-/// access table into \p Vals, indexed like \p Ops (null for the rest).
-void bindDenseVals(const ExecCtx &C, const std::vector<MKOperand> &Ops,
-                   const double **Vals) {
-  for (size_t I = 0; I < Ops.size(); ++I)
-    Vals[I] = Ops[I].K == MKOperand::Kind::Dense
-                  ? C.Accesses[Ops[I].Slot].T->valsData()
-                  : nullptr;
 }
 
 /// Per-execution iteration tallies, flushed into the context counters
@@ -1141,15 +1108,15 @@ double bindLaneOperand(ExecCtx &C, const MKOperand &Op, const double *Vals) {
 } // namespace
 
 void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
-  const unsigned NF = static_cast<unsigned>(Factors.size());
   const AccessState &DA = C.Accesses[D.AccessId];
   const Level &DLev = DA.T->level(D.Level);
   const int64_t Parent = DA.Pos[D.Level];
   const int64_t KB = DLev.Ptr[Parent], KE = DLev.Ptr[Parent + 1];
   const int64_t *Crd = DLev.Crd.data();
   const double *DV = DA.T->valsData();
-  const double *FVals[MicroKernel::MaxFactors];
-  bindDenseVals(C, Factors, FVals);
+  const double *FVals = Lane.K == MKOperand::Kind::Dense
+                            ? C.Accesses[Lane.Slot].T->valsData()
+                            : nullptr;
   int64_t DstBase = 0;
   for (const auto &[Slot, Stride] : DstInvTerms)
     DstBase += C.IndexVal[Slot] * Stride;
@@ -1160,20 +1127,20 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
   // task range derives its own panels.
   int64_t LaneLo[MaxWidth], LaneHi[MaxWidth];
   double *LaneDst[MaxWidth];
-  double LaneVal[MicroKernel::MaxFactors][MaxWidth];
-  const double *LanePtr[MicroKernel::MaxFactors][MaxWidth];
+  double LaneVal[MaxWidth];        // Stream: f per lane
+  const double *LanePtr[MaxWidth]; // Accum / Workspace: f's lane base
   int64_t UnionLo = 0, UnionHi = -1;
 
   uint64_t Panels = 0, Stores = 0, Execs = 0, Lanes = 0;
 
   // Binds lane Wi at panel coordinate U: per-lane child bounds (the
   // child's Lo/Hi terms may reference the panel variable — ssyrk's
-  // triangle bounds do), the destination pointer, and every
-  // child-invariant operand value. This replaces one full child
-  // re-bind per column with one per panel. Mirrors the generic nest's
-  // per-iteration state updates (IndexVal; the caller updates the nest
-  // access's position for sparse nests before calling) so walked
-  // factors of the nest access read the lane's fiber value.
+  // triangle bounds do), the destination pointer, and f. This replaces
+  // one full child re-bind per column with one per panel. Mirrors the
+  // generic nest's per-iteration state updates (IndexVal; the caller
+  // updates the nest access's position for sparse nests before
+  // calling) so a walked f of the nest access reads the lane's fiber
+  // value.
   auto BindLane = [&](unsigned Wi, int64_t U) {
     C.IndexVal[USlot] = U;
     ++Lanes;
@@ -1189,21 +1156,13 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
       UnionHi = std::max(UnionHi, CHi);
     }
     LaneDst[Wi] = OutArr + PanelStride * U;
-    for (unsigned F = 0; F < NF; ++F) {
-      switch (Classes[F]) {
-      case FClass::LaneImm:
-        LaneVal[F][Wi] = bindLaneOperand(C, Factors[F], FVals[F]);
-        break;
-      case FClass::LaneDense: {
-        int64_t Base = 0;
-        for (const auto &[Slot, Stride] : Factors[F].BaseTerms)
-          Base += C.IndexVal[Slot] * Stride;
-        LanePtr[F][Wi] = FVals[F] + Base;
-        break;
-      }
-      case FClass::Driver:
-        break;
-      }
+    if (Mode == BMode::Stream) {
+      LaneVal[Wi] = bindLaneOperand(C, Lane, FVals);
+    } else {
+      int64_t Base = 0;
+      for (const auto &[Slot, Stride] : Lane.BaseTerms)
+        Base += C.IndexVal[Slot] * Stride;
+      LanePtr[Wi] = FVals + Base;
     }
   };
 
@@ -1236,9 +1195,8 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
       MonoHi &= LaneHi[Wi] >= LaneHi[Wi - 1];
     }
 
-    if (FastPath == Fast::Axpy2) {
-      // dst[lane][DS * V] += driver * per-lane-value: the ssyrk panel.
-      const double *L1 = LaneVal[1];
+    if (Mode == BMode::Stream) {
+      // Axpy2: dst[lane][DS * V] += driver * f[lane], the ssyrk panel.
       const int64_t DS = DstVStride;
       if (SharedLo && MonoHi) {
         unsigned WLo = 0;
@@ -1252,7 +1210,7 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
             break;
           const double T = DV[K];
           for (unsigned Wi = WLo; Wi < W; ++Wi)
-            LaneDst[Wi][DS * V] += T * L1[Wi];
+            LaneDst[Wi][DS * V] += T * LaneVal[Wi];
           Execs += W - WLo;
         }
       } else {
@@ -1264,114 +1222,59 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
           for (unsigned Wi = 0; Wi < W; ++Wi) {
             if (V < LaneLo[Wi] || V > LaneHi[Wi])
               continue;
-            LaneDst[Wi][DS * V] += T * L1[Wi];
+            LaneDst[Wi][DS * V] += T * LaneVal[Wi];
             ++Execs;
           }
         }
       }
-    } else if (FastPath == Fast::Accum2) {
-      // acc[lane] += driver * dense[lane][V]: the SpMM-style panel.
-      // The accumulators live in registers across the whole walk and
-      // write back once per lane — the "streaming panel store".
-      double Acc[MaxWidth];
-      for (unsigned Wi = 0; Wi < W; ++Wi)
-        Acc[Wi] = Mode == BMode::Workspace ? WsInit : LaneDst[Wi][0];
-      const double *const *P1 = LanePtr[1];
-      const int64_t S1 = Factors[1].VStride;
-      if (Empty) {
-        // no elements: fall through to the per-lane writeback
-      } else if (SharedLo && SharedHi) {
-        for (; K < KE; ++K) {
-          const int64_t V = Crd[K];
-          if (V > UnionHi)
-            break;
-          const double T = DV[K];
-          for (unsigned Wi = 0; Wi < W; ++Wi)
-            Acc[Wi] += T * P1[Wi][S1 * V];
-          Execs += W;
-        }
-      } else {
-        for (; K < KE; ++K) {
-          const int64_t V = Crd[K];
-          if (V > UnionHi)
-            break;
-          const double T = DV[K];
-          for (unsigned Wi = 0; Wi < W; ++Wi) {
-            if (V < LaneLo[Wi] || V > LaneHi[Wi])
-              continue;
-            Acc[Wi] += T * P1[Wi][S1 * V];
-            ++Execs;
-          }
-        }
-      }
-      if (Mode == BMode::Workspace) {
-        for (unsigned Wi = 0; Wi < W; ++Wi) {
-          double &Ds = *LaneDst[Wi];
-          Ds = FinalReduce ? evalOp(*FinalReduce, Ds, Acc[Wi]) : Acc[Wi];
-          // Leave the workspace slot exactly as the interpreter would
-          // (its last column's accumulated value).
-          C.ScalarVal[WsSlot] = Acc[Wi];
-        }
-      } else {
+      return;
+    }
+    // Accum2: acc[lane] += driver * f[lane][S1 * V], the SpMM-style
+    // panel. The accumulators live in registers across the whole walk
+    // and write back once per lane — the "streaming panel store".
+    double Acc[MaxWidth];
+    for (unsigned Wi = 0; Wi < W; ++Wi)
+      Acc[Wi] = Mode == BMode::Workspace ? WsInit : LaneDst[Wi][0];
+    const int64_t S1 = Lane.VStride;
+    if (Empty) {
+      // no elements: fall through to the per-lane writeback
+    } else if (SharedLo && SharedHi) {
+      for (; K < KE; ++K) {
+        const int64_t V = Crd[K];
+        if (V > UnionHi)
+          break;
+        const double T = DV[K];
         for (unsigned Wi = 0; Wi < W; ++Wi)
-          LaneDst[Wi][0] = Acc[Wi];
+          Acc[Wi] += T * LanePtr[Wi][S1 * V];
+        Execs += W;
       }
-      Stores += W;
     } else {
-      // Generic panel: any accepted factor mix / combine / reduce, in
-      // the exact VM fold order per element-lane. Accumulating shapes
-      // still keep their lanes in registers across the walk.
-      const bool Reg = Mode != BMode::Stream;
-      double Acc[MaxWidth];
-      if (Reg)
-        for (unsigned Wi = 0; Wi < W; ++Wi)
-          Acc[Wi] = Mode == BMode::Workspace ? WsInit : LaneDst[Wi][0];
-      if (!Empty) {
-        for (; K < KE; ++K) {
-          const int64_t V = Crd[K];
-          if (V > UnionHi)
-            break;
-          for (unsigned Wi = 0; Wi < W; ++Wi) {
-            if (V < LaneLo[Wi] || V > LaneHi[Wi])
-              continue;
-            auto Eval = [&](unsigned F) -> double {
-              switch (Classes[F]) {
-              case FClass::Driver:
-                return DV[K];
-              case FClass::LaneDense:
-                return LanePtr[F][Wi][Factors[F].VStride * V];
-              case FClass::LaneImm:
-                return LaneVal[F][Wi];
-              }
-              return 0;
-            };
-            double Val = Eval(0);
-            for (unsigned F = 1; F < NF; ++F)
-              Val = evalOp(Combine, Val, Eval(F));
-            if (Reg) {
-              Acc[Wi] =
-                  ElemReduce ? evalOp(*ElemReduce, Acc[Wi], Val) : Val;
-            } else {
-              double &Dst = LaneDst[Wi][DstVStride * V];
-              Dst = ElemReduce ? evalOp(*ElemReduce, Dst, Val) : Val;
-            }
-            ++Execs;
-          }
-        }
-      }
-      if (Mode == BMode::Workspace) {
+      for (; K < KE; ++K) {
+        const int64_t V = Crd[K];
+        if (V > UnionHi)
+          break;
+        const double T = DV[K];
         for (unsigned Wi = 0; Wi < W; ++Wi) {
-          double &Ds = *LaneDst[Wi];
-          Ds = FinalReduce ? evalOp(*FinalReduce, Ds, Acc[Wi]) : Acc[Wi];
-          C.ScalarVal[WsSlot] = Acc[Wi];
+          if (V < LaneLo[Wi] || V > LaneHi[Wi])
+            continue;
+          Acc[Wi] += T * LanePtr[Wi][S1 * V];
+          ++Execs;
         }
-        Stores += W;
-      } else if (Reg) {
-        for (unsigned Wi = 0; Wi < W; ++Wi)
-          LaneDst[Wi][0] = Acc[Wi];
-        Stores += W;
       }
     }
+    if (Mode == BMode::Workspace) {
+      for (unsigned Wi = 0; Wi < W; ++Wi) {
+        double &Ds = *LaneDst[Wi];
+        Ds = FinalReduce ? evalOp(*FinalReduce, Ds, Acc[Wi]) : Acc[Wi];
+        // Leave the workspace slot exactly as the interpreter would
+        // (its last column's accumulated value).
+        C.ScalarVal[WsSlot] = Acc[Wi];
+      }
+    } else {
+      for (unsigned Wi = 0; Wi < W; ++Wi)
+        LaneDst[Wi][0] = Acc[Wi];
+    }
+    Stores += W;
   };
 
   if (Nest.K == MKDriver::Kind::Range) {
@@ -1439,7 +1342,7 @@ void MKBlockedEngine::run(ExecCtx &C, int64_t Lo, int64_t Hi) {
       C.Local.SparseReads += Execs;
     if (Nest.CountReads)
       C.Local.SparseReads += Lanes;
-    C.Local.ScalarOps += Execs * (NF - 1);
+    C.Local.ScalarOps += Execs; // the one Mul of A·f
     if (Mode == BMode::Workspace) {
       // Child reductions per element plus the final store per lane —
       // exactly the interpreter's def / loop / store accounting.

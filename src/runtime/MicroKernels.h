@@ -29,11 +29,11 @@
 ///    4.2.5) whose bits do not mention the loop variable: one table
 ///    entry per call,
 ///  - register/cache-blocked output panels (MKBlockedEngine below): a
-///    nest over one fused leaf, whose variable strides a dense output
-///    mode while the leaf's sparse walk is invariant in it, tiles that
-///    mode into fixed-width column panels — one fiber walk per panel,
-///    per-lane bound operands, and register-resident accumulators for
-///    the workspace/accumulator forms (Engine::Blocked).
+///    nest over one fused leaf `A·f`, whose variable strides a dense
+///    output mode while the leaf's sparse walk is invariant in it,
+///    tiles that mode into fixed-width column panels — one fiber walk
+///    per panel, per-lane bound f, and register-resident accumulators
+///    for the workspace/accumulator forms (Engine::Blocked).
 ///
 /// Every operand of a fused leaf binds once per call: a value, or a
 /// base pointer plus strides over the loop position and the matched
@@ -208,30 +208,36 @@ struct MKDriver {
 ///    position — in particular the inner fiber — is invariant across
 ///    the nest variable `u`) or a sparse walk of another access,
 ///  - its body is one unguarded fused leaf loop driven by a sparse
-///    walk with no co-walkers — either alone (the *direct*
-///    form: the child assignment writes a tensor destination striding
-///    `u` by a nonzero PanelStride, lanes provably disjoint via
-///    DstVStride * (fiber dim - 1) < PanelStride) or in the workspace
-///    triple the pipeline emits for `C[i,u] += A_row(j) * B[j,u]`
-///    (`w = <const>; for j: w R= ...; C[i,u] R= w` — the *workspace*
-///    form: the panel's workspace cells live in registers and the
-///    final store strides `u`), and
-///  - every factor is either per-element in the child driver in a
-///    prebindable way (the driver's value, dense loads with a value
-///    stride) or invariant in it (resolvable once per panel lane:
-///    constants, scalars, walked values and Luts).
+///    walk with no co-walkers, whose one statement is `A·f` under
+///    (*, +): the child driver's value A times one factor f, added
+///    into the destination, and
+///  - whether f strides the child walk and whether the destination
+///    does select one of three modes:
+///    - Stream (ssyrk): f is invariant in the child walk (a constant,
+///      scalar, walked value, Lut or unstrided dense load: one value
+///      per lane) and the destination strides `u` by a positive
+///      PanelStride and the child variable by DstVStride > 0, lanes
+///      provably disjoint via DstVStride * (fiber dim - 1) <
+///      PanelStride. Runs the Axpy2 walk.
+///    - Accum: f is a dense load striding the child walk and the
+///      destination is one cell per lane (DstVStride == 0). Runs the
+///      Accum2 walk.
+///    - Workspace (spmm): like Accum, through the workspace triple the
+///      pipeline emits for `C[i,u] += A_row(j) * B[j,u]`
+///      (`w = <const>; for j: w += ...; C[i,u] R= w`). Runs the Accum2
+///      walk.
+///
+/// Every other nest stays interpreted over its fused leaf.
 ///
 /// Execution tiles `u` into Width-wide panels anchored at absolute
 /// multiples of Width: each panel binds its lanes once (per-lane child
-/// bounds from the child's Lo/Hi terms, per-lane operand values /
-/// dense bases, per-lane destination pointers), then walks the shared
-/// fiber ONCE, updating every active lane per element — instead of
+/// bounds from the child's Lo/Hi terms, f's per-lane value or dense
+/// base, per-lane destination pointers), then walks the shared fiber
+/// ONCE, updating every active lane per element — instead of
 /// re-binding and re-walking the fiber once per `u`, as the
-/// interpreted nest over the fused child does. When the destination
-/// does not depend on the child driver (DstVStride == 0, the
-/// `C[i,k] += A_row(j) * B[j,k]` accumulator shape), the panel's cells
-/// live in registers across the whole walk and are written back once
-/// per panel.
+/// interpreted nest over the fused child does. In the Accum and
+/// Workspace modes the panel's cells live in registers across the whole
+/// walk and are written back once per panel.
 ///
 /// Bit-identity: panel lanes write disjoint cells, and within a cell
 /// the contribution order is the fiber order — exactly the
@@ -243,46 +249,30 @@ struct MKDriver {
 /// counters are additive telemetry on top.
 class MKBlockedEngine {
 public:
-  /// Per-factor binding class, precomputed at specialization.
-  enum class FClass : uint8_t {
-    LaneImm,  ///< invariant in the child driver: one value per lane
-    Driver,   ///< the child driver's value at the current position
-    LaneDense ///< dense load: per-lane base pointer, per-element stride
-  };
-
   unsigned USlot = 0;        ///< nest (panel) variable slot
   PlanLoop *Child = nullptr; ///< child loop: Lo/Hi terms and extent
-  unsigned ChildSlot = 0;
   /// Nest driver supplying the panel lanes: Range (lanes are
   /// consecutive coordinates, anchored at absolute Width multiples) or
   /// SparseWalk (lanes are consecutive stored coordinates of the nest
-  /// fiber; the lane bind updates the nest access's position so walked
-  /// factors read the lane's value, and charges the driver's
+  /// fiber; the lane bind updates the nest access's position so a
+  /// walked f reads the lane's value, and charges the driver's
   /// SparseReads per lane exactly like the generic nest).
   MKDriver Nest;
-  MKDriver D; ///< child driver (SparseWalk, no co-walkers)
-  OpKind Combine = OpKind::Mul;
-  /// Per-element reduction of the child assignment (into the tensor
-  /// cell directly for the direct form, into the workspace scalar for
-  /// the workspace form). nullopt overwrites.
-  std::optional<OpKind> ElemReduce;
-  /// Workspace form only: the final `dst R= w` store's reduction.
+  MKDriver D;     ///< child driver (SparseWalk, no co-walkers)
+  MKOperand Lane; ///< f, the statement's second factor
+  /// Workspace mode only: the final `dst R= w` store's reduction.
   std::optional<OpKind> FinalReduce;
   unsigned OutId = 0;
   int64_t PanelStride = 0; ///< dst stride of `u` (nonzero)
-  int64_t DstVStride = 0;  ///< dst stride of the child variable (>= 0)
+  int64_t DstVStride = 0;  ///< dst stride of the child variable (Stream)
   /// Destination base terms with `u` removed (invariant across a run).
   std::vector<std::pair<unsigned, int64_t>> DstInvTerms;
-  std::vector<MKOperand> Factors; ///< child factor list, order kept
-  std::vector<FClass> Classes;    ///< per factor
 
-  /// How panel lanes reach memory. Stream: the child destination
-  /// depends on the child driver — per-element lane stores. Accum: the
-  /// destination cell is invariant across the walk — lanes accumulate
-  /// in registers and store once per panel. Workspace: like Accum, but
-  /// through the pipeline's explicit workspace scalar (register-seeded
-  /// from the def's constant, folded into the tensor cell once per
-  /// lane by the final store).
+  /// How panel lanes reach memory (see the modes above). Stream:
+  /// per-element lane stores. Accum: one register accumulator per lane,
+  /// stored once per panel. Workspace: like Accum, register-seeded from
+  /// the def's constant and folded into the tensor cell once per lane
+  /// by the final store.
   enum class BMode : uint8_t { Stream, Accum, Workspace };
   BMode Mode = BMode::Stream;
   unsigned WsSlot = 0; ///< workspace scalar slot (Workspace mode)
@@ -290,13 +280,6 @@ public:
   /// Panel width, from the panel mode's extent at install: 8, or 4
   /// for modes narrower than 8.
   unsigned Width = 4;
-
-  /// Dedicated panel walks for the two-factor Mul-fold / Add-reduce
-  /// cores (ssyrk's driver * per-column-scalar and the SpMM-style
-  /// driver * dense-row accumulation); every other accepted shape runs
-  /// the generic per-lane fold, still one fiber walk per panel.
-  enum class Fast : uint8_t { None, Axpy2, Accum2 };
-  Fast FastPath = Fast::None;
 
   static constexpr unsigned MaxWidth = 8;
 

@@ -191,53 +191,8 @@ void PlanLoop::exec(ExecCtx &C) {
     execRange(C, Lo, Hi);
 }
 
-namespace {
-
-/// Snaps interior chunk boundaries to multiples of \p W — the blocked
-/// engine's absolute panel anchors — so parallel tasks split on whole
-/// panels instead of cutting boundary panels ragged. A boundary that
-/// cannot move without emptying its chunk is dropped (the two chunks
-/// merge); coverage of the full range is preserved exactly. Purely a
-/// performance device: the blocked engine is bit-identical for any
-/// task decomposition.
-void alignChunksToPanels(std::vector<ChunkRange> &Chunks, int64_t W) {
-  if (Chunks.size() <= 1)
-    return;
-  const int64_t Lo = Chunks.front().Lo, Hi = Chunks.back().Hi;
-  std::vector<ChunkRange> Out;
-  int64_t Prev = Lo;
-  for (size_t I = 1; I < Chunks.size(); ++I) {
-    int64_t B = Chunks[I].Lo / W * W; // snap down to a panel start
-    if (B <= Prev)
-      B = (Chunks[I].Lo + W - 1) / W * W; // snap up instead
-    if (B <= Prev || B > Hi)
-      continue; // boundary vanished: merge into the previous chunk
-    Out.push_back({Prev, B - 1});
-    Prev = B;
-  }
-  Out.push_back({Prev, Hi});
-  Chunks = std::move(Out);
-}
-
-} // namespace
-
 std::vector<ChunkRange> PlanLoop::makeChunks(int64_t Lo, int64_t Hi) const {
-  std::vector<ChunkRange> Chunks;
-  switch (Par.Policy) {
-  case SchedulePolicy::Static:
-  case SchedulePolicy::Auto: // resolved at plan compilation
-    Chunks = staticBlocks(Lo, Hi, Par.Threads);
-    break;
-  case SchedulePolicy::Dynamic:
-    Chunks = dynamicChunks(Lo, Hi, Par.Threads);
-    break;
-  case SchedulePolicy::TriangleBalanced:
-    Chunks = triangleBalanced(Lo, Hi, Par.Threads, Par.TriDepth);
-    break;
-  }
-  if (BlockAlign > 1)
-    alignChunksToPanels(Chunks, BlockAlign);
-  return Chunks;
+  return triangleBalanced(Lo, Hi, Par.Threads, Par.TriDepth);
 }
 
 void PlanLoop::execParallel(ExecCtx &C, int64_t Lo, int64_t Hi) {

@@ -329,14 +329,6 @@ public:
   /// is enabled). Tried before Fused, which it never coexists with.
   std::unique_ptr<MKBlockedEngine> Blocked;
 
-  /// Block metadata: the output-panel width when this loop runs the
-  /// blocked engine (0 otherwise). Panels anchor at absolute multiples
-  /// of this width, so makeChunks aligns parallel task boundaries to it
-  /// — tasks then split on whole panels instead of cutting boundary
-  /// panels ragged. Purely a performance device: results and counters
-  /// are identical for any task decomposition.
-  unsigned BlockAlign = 0;
-
   /// One privatized output: tasks accumulate into per-task buffers that
   /// merge into the shared array, in task order, after the loop.
   struct PrivTensor {
@@ -355,7 +347,8 @@ public:
   /// activated loop of each nest).
   struct ParPlan {
     bool Enabled = false;
-    SchedulePolicy Policy = SchedulePolicy::Static;
+    /// Triangle depth from the parallelism analysis (0: not
+    /// triangular); makeChunks balances the loop's chunks by it.
     int TriDepth = 0;
     unsigned Threads = 1;
     ThreadPool *Pool = nullptr;
@@ -390,6 +383,8 @@ public:
   /// The actual engine dispatch (blocked panels, fused micro-kernel or
   /// walker-driven interpretation), free of instrumentation.
   void rangeBody(ExecCtx &C, int64_t Lo, int64_t Hi);
+  /// One chunk per thread, balanced by the loop's triangle depth
+  /// (static blocks at depth 0).
   std::vector<ChunkRange> makeChunks(int64_t Lo, int64_t Hi) const;
 };
 

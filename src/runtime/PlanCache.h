@@ -15,9 +15,9 @@
 ///    value (the compiled walkers, strides, and fused engines are
 ///    specialized to this structure — values are free to differ),
 ///  - the structural ExecOptions, as structuralOptionsSummary renders
-///    them: threads, schedule, walk (sparse walk), lift (bound
-///    lifting), privbudget_bytes (privatization budget) and engines
-///    (the resolved engine list).
+///    them: threads (which also fixes every parallel loop's chunks),
+///    walk (sparse walk), lift (bound lifting), privbudget_bytes
+///    (privatization budget) and engines (the resolved engine list).
 /// Per-request knobs — cancellation token, deadline, input
 /// validation — are deliberately NOT part of the key; Executor::rebind
 /// adopts them per request.

@@ -26,6 +26,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 
 using namespace systec;
@@ -132,19 +133,26 @@ unsigned lineLeaves(const Kernel &K,
   return Line;
 }
 
+/// Asserts that every loop over \p Var in \p Rep ran on \p Engine, and
+/// that there is one.
+void expectLoopEngine(const obs::ExecReport &Rep, const std::string &Var,
+                      const char *Engine) {
+  bool Seen = false;
+  for (const obs::LoopStat &L : Rep.Loops)
+    if (L.Label.rfind("loop " + Var + " [", 0) == 0) {
+      Seen = true;
+      EXPECT_EQ(L.Engine, Engine) << L.Label;
+    }
+  EXPECT_TRUE(Seen) << "no loop over " << Var << " in the report";
+}
+
 /// Asserts that the specializer declined the leaf loop over \p Var: a
 /// leaf whose operand cannot bind once per call runs in the
 /// interpreter.
 void expectLeafDeclined(const MicroKernelStats &S, const obs::ExecReport &Rep,
                         const std::string &Var) {
   EXPECT_GT(S.GenericLoops, 0u);
-  bool Seen = false;
-  for (const obs::LoopStat &L : Rep.Loops)
-    if (L.Label.rfind("loop " + Var + " [", 0) == 0) {
-      Seen = true;
-      EXPECT_EQ(L.Engine, "Interp") << L.Label;
-    }
-  EXPECT_TRUE(Seen) << "no loop over " << Var << " in the report";
+  expectLoopEngine(Rep, Var, "Interp");
 }
 
 Kernel spmvKernel(std::optional<OpKind> Reduce = OpKind::Add,
@@ -829,11 +837,10 @@ TEST(MicroKernels, SparseLoadOverOuterIndexDeclinesBitIdentical) {
 TEST(MicroKernels, SparseLoadLeafDeterministicAcrossTaskRanges) {
   // The declined SparseLoad leaf under parallel splits: each task
   // context chains its own locator state, so outputs and counters are
-  // bit-identical for Threads in {1, 2, 4} under the triangle-balanced
-  // schedule — both when the parallel runtime activates the outer loop
-  // and when a tiny privatization budget pushes activation down to the
-  // inner disjoint-write loop, splitting the leaf's own [Lo, Hi] range
-  // mid-row.
+  // bit-identical for Threads in {1, 2, 4} — both when the parallel
+  // runtime activates the outer loop and when a tiny privatization
+  // budget pushes activation down to the inner disjoint-write loop,
+  // splitting the leaf's own [Lo, Hi] range mid-row.
   Rng Rand(77);
   Einsum E = parseEinsum("outerloadpar", "O[b] += A[b,a] + B[a]");
   E.LoopOrder = {"a", "b"};
@@ -857,7 +864,6 @@ TEST(MicroKernels, SparseLoadLeafDeterministicAcrossTaskRanges) {
       SCOPED_TRACE("threads " + std::to_string(Threads));
       ExecOptions O;
       O.Threads = Threads;
-      O.Schedule = SchedulePolicy::TriangleBalanced;
       O.PrivatizationBudgetBytes = Budget;
       Executor Ex(R.Naive, O);
       Tensor Out = Tensor::dense({N});
@@ -1028,37 +1034,31 @@ TEST(BlockedEngine, SsyrkBitIdenticalAcrossPanelWidths) {
   }
 }
 
-TEST(BlockedEngine, SsyrkDeterministicAcrossThreadsAndSchedules) {
-  // Panel-aligned task splitting: with integer-exact data the blocked
-  // ssyrk must be bit-identical and counter-identical for Threads in
-  // {1, 2, 4} under both the triangle-balanced and dynamic schedules —
-  // each task derives its own panels, and panel boundaries never
-  // change per-cell fold order.
+TEST(BlockedEngine, SsyrkDeterministicAcrossThreads) {
+  // Task splitting: with integer-exact data the blocked ssyrk must be
+  // bit-identical and counter-identical for Threads in {1, 2, 3, 4} —
+  // each task derives its own panels, and panel boundaries never change
+  // per-cell fold order.
   SsyrkFixture F(41, 7, /*Quantize=*/true);
-  for (SchedulePolicy Policy :
-       {SchedulePolicy::TriangleBalanced, SchedulePolicy::Dynamic}) {
-    SCOPED_TRACE(schedulePolicyName(Policy));
-    Tensor First;
-    CounterSnapshot FirstSnap;
-    bool Have = false;
-    for (unsigned Threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE("threads " + std::to_string(Threads));
-      ExecOptions O;
-      O.Threads = Threads;
-      O.Schedule = Policy;
-      CounterSnapshot Snap;
-      MicroKernelStats Stats;
-      Tensor Out = F.run(F.R.Optimized, O, Snap, Stats);
-      EXPECT_GT(Stats.BlockedLoops, 0u);
-      if (!Have) {
-        First = std::move(Out);
-        FirstSnap = Snap;
-        Have = true;
-        continue;
-      }
-      expectBitIdentical(First, Out, "blocked thread determinism");
-      expectCountersEqual(FirstSnap, Snap, "blocked thread determinism");
+  Tensor First;
+  CounterSnapshot FirstSnap;
+  bool Have = false;
+  for (unsigned Threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    ExecOptions O;
+    O.Threads = Threads;
+    CounterSnapshot Snap;
+    MicroKernelStats Stats;
+    Tensor Out = F.run(F.R.Optimized, O, Snap, Stats);
+    EXPECT_GT(Stats.BlockedLoops, 0u);
+    if (!Have) {
+      First = std::move(Out);
+      FirstSnap = Snap;
+      Have = true;
+      continue;
     }
+    expectBitIdentical(First, Out, "blocked thread determinism");
+    expectCountersEqual(FirstSnap, Snap, "blocked thread determinism");
   }
 }
 
@@ -1089,25 +1089,31 @@ TEST(BlockedEngine, EmptyColumnsAndEmptyFiber) {
   }
 }
 
-TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
-  // The SpMM-style shape `C[i,k] += A_row(j) * B[j,k]`: the pipeline
-  // emits the workspace triple (w = 0; w += ...; C[i,k] += w), whose
-  // blocked form keeps the whole panel of workspace cells in registers
-  // across the sparse walk and writes each lane back once — the
-  // FusedBlockedStores telemetry equals the per-column writes instead
-  // of the per-element traffic. Bit-identical with exact counters, at
-  // the derived width (8) over an extent (13) it does not divide.
-  Rng Rand(5);
-  Einsum E = parseEinsum("spmm", "C[i,k] += A[i,j] * B[j,k]");
-  E.LoopOrder = {"i", "k", "j"};
-  E.declare("A", TensorFormat::csf(2));
-  CompileResult R = compileEinsum(E);
-  const int64_t N = 29, KD = 13;
-  Tensor A = generateSymmetricTensor(2, N, 5 * N, Rand,
-                                     TensorFormat::csf(2));
-  Tensor B = generateDenseMatrix(N, KD, Rand);
-  auto RunIt = [&](const ExecOptions &O, CounterSnapshot &Snap,
-                   MicroKernelStats &Stats) {
+namespace {
+
+/// spmm `C[i,k] += A[i,j] * B[j,k]` (loops i, k, j) over a sparse A of
+/// dimension N and a dense B of KD columns. With the workspace
+/// transform the pipeline emits the workspace triple (`w = 0;
+/// w += ...; C[i,k] += w`), which blocks in the Workspace mode; without
+/// it the leaf accumulates into C[i,k] directly, the Accum mode.
+struct SpmmFixture {
+  CompileResult R;
+  Tensor A, B;
+  int64_t N, KD;
+  SpmmFixture(int64_t Dim, int64_t Cols, bool Workspace, uint64_t Seed)
+      : N(Dim), KD(Cols) {
+    Rng Rand(Seed);
+    Einsum E = parseEinsum("spmm", "C[i,k] += A[i,j] * B[j,k]");
+    E.LoopOrder = {"i", "k", "j"};
+    E.declare("A", TensorFormat::csf(2));
+    PipelineOptions P;
+    P.Workspace = Workspace;
+    R = compileEinsum(E, P);
+    A = generateSymmetricTensor(2, N, 5 * N, Rand, TensorFormat::csf(2));
+    B = generateDenseMatrix(N, KD, Rand);
+  }
+  Tensor run(const ExecOptions &O, CounterSnapshot &Snap,
+             MicroKernelStats &Stats) {
     Executor Ex(R.Optimized, O);
     Tensor Out = Tensor::dense({N, KD});
     Ex.bind("A", &A).bind("B", &B).bind("C", &Out);
@@ -1118,19 +1124,140 @@ TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
     EXPECT_TRUE(Ex.tryRun(&Rep).ok());
     Snap = Rep.Counters;
     return Out;
-  };
-  ExecOptions Interp;
-  Interp.Engines = {Engine::Interp};
-  CounterSnapshot SI, SB;
-  MicroKernelStats StI, StB;
-  Tensor Ref = RunIt(Interp, SI, StI);
-  Tensor Out = RunIt(ExecOptions(), SB, StB);
-  EXPECT_GT(StB.BlockedLoops, 0u);
-  EXPECT_GT(StB.BlockedAccumLoops, 0u)
-      << "the workspace triple must take the register-accumulator form";
-  EXPECT_GT(SB.FusedBlockedPanels, 0u);
+  }
+
+  /// Runs the blocked spmm at Threads 1, 2 and 4. Each run must install
+  /// an accumulating blocked nest and match the interpreter at the same
+  /// Threads bit for bit with exact counters, and the runs must agree
+  /// with each other. Returns the Threads=1 run's counters.
+  CounterSnapshot checkAcrossThreads(const char *What) {
+    Tensor First;
+    CounterSnapshot FirstSnap;
+    bool Have = false;
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads));
+      ExecOptions Interp;
+      Interp.Engines = {Engine::Interp};
+      Interp.Threads = Threads;
+      ExecOptions Blocked;
+      Blocked.Threads = Threads;
+      CounterSnapshot SI, SB;
+      MicroKernelStats StI, StB;
+      Tensor Ref = run(Interp, SI, StI);
+      Tensor Out = run(Blocked, SB, StB);
+      EXPECT_GT(StB.BlockedLoops, 0u);
+      EXPECT_GT(StB.BlockedAccumLoops, 0u)
+          << "spmm must take a register-accumulator form";
+      EXPECT_GT(SB.FusedBlockedPanels, 0u);
+      expectBitIdentical(Ref, Out, What);
+      expectCountersEqual(SI, SB, What);
+      if (!Have) {
+        First = std::move(Out);
+        FirstSnap = SB;
+        Have = true;
+        continue;
+      }
+      expectBitIdentical(First, Out, What);
+      expectCountersEqual(FirstSnap, SB, What);
+    }
+    return FirstSnap;
+  }
+};
+
+} // namespace
+
+TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
+  // The workspace triple's blocked form keeps the whole panel of
+  // workspace cells in registers across the sparse walk and writes each
+  // lane back once — the FusedBlockedStores telemetry equals the
+  // per-column writes instead of the per-element traffic. Bit-identical
+  // with exact counters, at the derived width (8) over an extent (13)
+  // it does not divide.
+  SpmmFixture F(29, 13, /*Workspace=*/true, 5);
+  CounterSnapshot Snap = F.checkAcrossThreads("blocked spmm");
   // One writeback per lane (column), not one per element.
-  EXPECT_EQ(SB.FusedBlockedStores, SB.OutputWrites);
-  expectBitIdentical(Ref, Out, "blocked spmm");
-  expectCountersEqual(SI, SB, "blocked spmm");
+  EXPECT_EQ(Snap.FusedBlockedStores, Snap.OutputWrites);
+}
+
+TEST(BlockedEngine, AccumFormMatchesInterpreter) {
+  // Without the workspace transform the leaf adds into C[i,k] itself:
+  // the destination is one cell per lane, so the panel keeps it in a
+  // register and stores it once per lane (the Accum mode). Ragged
+  // extents cover both widths (4 below 8 columns, else 8) and partial
+  // last panels.
+  for (int64_t N : {5, 23, 100})
+    for (int64_t KD : {3, 7, 13}) {
+      SCOPED_TRACE("N " + std::to_string(N) + " columns " +
+                   std::to_string(KD));
+      SpmmFixture F(N, KD, /*Workspace=*/false, 11);
+      F.checkAcrossThreads("accum spmm");
+    }
+}
+
+TEST(BlockedEngine, PanelsWithoutADedicatedWalkStayInterpreted) {
+  // Panel nests whose leaf is not `A·f` under (*, +) in one of the
+  // dedicated walks decline blocking: the nest runs in the interpreter
+  // over its fused leaf, bit-identical to an all-interpreted run with
+  // exact counters. The last shape is replay seed 381's. Small ragged
+  // extents on both panel widths: the panel variable spans KD, every
+  // other index N.
+  struct Shape {
+    const char *Text;
+    std::vector<std::string> Loops;
+    std::string Nest, Leaf;
+  };
+  const Shape Shapes[] = {
+      {"C[i,k] += A[i,j] * B[j,k] * D[i,k]", {"i", "k", "j"}, "k", "j"},
+      {"C[i,k] += A[i,j] * B[j,k] * x[j]", {"i", "k", "j"}, "k", "j"},
+      {"C[i,k] min= A[i,j] + B[j,k]", {"i", "k", "j"}, "k", "j"},
+      {"O[d] += A[a,c] * B[c] * C[d]", {"a", "d", "c"}, "d", "c"},
+  };
+  for (const Shape &Sh : Shapes)
+    for (int64_t N : {6, 19})
+      for (int64_t KD : {5, 11}) {
+        SCOPED_TRACE(std::string(Sh.Text) + " N " + std::to_string(N) +
+                     " columns " + std::to_string(KD));
+        Rng Rand(3 + N + KD);
+        Einsum E = parseEinsum("panel", Sh.Text);
+        E.LoopOrder = Sh.Loops;
+        const bool MinPlus = E.ReduceOp == OpKind::Min;
+        const double Fill = MinPlus ? Inf : 0.0;
+        E.declare("A", TensorFormat::csf(2), Fill);
+        CompileResult R = compileEinsum(E);
+        auto Dims = [&](const ExprPtr &Acc) {
+          std::vector<int64_t> Out;
+          for (const std::string &I : Acc->indices())
+            Out.push_back(I == Sh.Nest ? KD : N);
+          return Out;
+        };
+        std::map<std::string, Tensor> In;
+        In.emplace("A", generateSymmetricTensor(2, N, 4 * N, Rand,
+                                                TensorFormat::csf(2), Fill));
+        std::vector<ExprPtr> Accs;
+        Expr::collectAccesses(E.Rhs, Accs);
+        for (const ExprPtr &Acc : Accs) {
+          if (In.count(Acc->tensorName()))
+            continue;
+          Tensor T = Tensor::dense(Dims(Acc));
+          for (double &V : T.vals())
+            V = Rand.nextDouble(-1.0, 1.0);
+          In.emplace(Acc->tensorName(), std::move(T));
+        }
+        Tensor Out = Tensor::dense(Dims(E.Output));
+        if (MinPlus)
+          Out.setAllValues(Inf);
+        obs::ExecReport Rep;
+        MicroKernelStats St = compareEngines(
+            R.Optimized,
+            [&](Executor &Ex, Tensor &O) {
+              for (auto &[Name, T] : In)
+                Ex.bind(Name, &T);
+              Ex.bind(E.Output->tensorName(), &O);
+            },
+            std::move(Out), Sh.Text, &Rep);
+        EXPECT_EQ(St.BlockedLoops, 0u);
+        EXPECT_EQ(Rep.Counters.FusedBlockedPanels, 0u);
+        expectLoopEngine(Rep, Sh.Nest, "Interp");
+        expectLoopEngine(Rep, Sh.Leaf, "Fused");
+      }
 }

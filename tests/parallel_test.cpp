@@ -1,11 +1,11 @@
 //===- tests/parallel_test.cpp --------------------------------*- C++ -*-===//
 ///
 /// Tests for the parallel execution runtime: the thread pool, the
-/// schedule partitioners (static / dynamic / triangle-balanced), the
-/// parallelism analysis (disjoint writes, reduction privatization,
-/// triangle detection), and a determinism suite asserting bit-identical
-/// outputs across Threads in {1, 2, 4, 8} for the paper kernels on
-/// exact-sum (integer-valued) data.
+/// chunk partitioners (static and triangle-balanced), the parallelism
+/// analysis (disjoint writes, reduction privatization, triangle
+/// detection), and a determinism suite asserting bit-identical outputs
+/// across Threads in {1, 2, 3, 4, 8} for the paper kernels on exact-sum
+/// (integer-valued) data.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,10 +125,31 @@ TEST(Schedule, StaticBlocksClampToRangeSize) {
   expectTiles(Chunks, 5, 7);
 }
 
-TEST(Schedule, DynamicChunksOversubscribe) {
-  auto Chunks = dynamicChunks(0, 999, 4, 4);
-  EXPECT_EQ(Chunks.size(), 16u);
-  expectTiles(Chunks, 0, 999);
+TEST(Schedule, DepthZeroIsStatic) {
+  // makeChunks calls triangleBalanced on every parallel loop, so a loop
+  // the analysis did not mark triangular (depth 0) gets exactly the
+  // static blocks.
+  auto Same = [](int64_t Lo, int64_t Hi, unsigned C) {
+    auto Tri = triangleBalanced(Lo, Hi, C, 0);
+    auto Sta = staticBlocks(Lo, Hi, C);
+    ASSERT_EQ(Tri.size(), Sta.size())
+        << "[" << Lo << ", " << Hi << "] in " << C;
+    for (size_t K = 0; K < Tri.size(); ++K) {
+      EXPECT_EQ(Tri[K].Lo, Sta[K].Lo) << "chunk " << K;
+      EXPECT_EQ(Tri[K].Hi, Sta[K].Hi) << "chunk " << K;
+    }
+  };
+  Same(3, 2, 4);   // empty range
+  Same(0, -5, 1);  // empty range
+  Same(7, 7, 1);   // a single coordinate
+  Same(7, 7, 8);   // a single coordinate, more chunks than coordinates
+  Same(5, 7, 8);   // C > N
+  Same(0, 99, 4);  // even split
+  Same(0, 9, 3);   // ragged
+  Same(11, 47, 5); // ragged, offset
+  Same(0, 999, 7); // ragged
+  EXPECT_TRUE(triangleBalanced(3, 2, 4, 0).empty());
+  EXPECT_EQ(triangleBalanced(5, 7, 8, 0).size(), 3u);
 }
 
 TEST(Schedule, TriangleBalancedEqualizesAscendingWork) {
@@ -409,31 +430,25 @@ TEST(Determinism, BitIdenticalAcrossThreadCounts) {
     for (const Kernel *K : {&R.Naive, &R.Optimized}) {
       ExecOptions Base;
       Tensor Ref = runKernel(*K, C, Base);
-      for (unsigned Threads : {2u, 4u, 8u})
-        for (SchedulePolicy P :
-             {SchedulePolicy::Auto, SchedulePolicy::Static,
-              SchedulePolicy::Dynamic, SchedulePolicy::TriangleBalanced}) {
-          ExecOptions O;
-          O.Threads = Threads;
-          O.Schedule = P;
-          Tensor Out = runKernel(*K, C, O);
-          EXPECT_EQ(Tensor::maxAbsDiff(Ref, Out), 0.0)
-              << C.Name << " kernel " << K->Name << " threads " << Threads
-              << " schedule " << schedulePolicyName(P);
-        }
+      for (unsigned Threads : {2u, 3u, 4u, 8u}) {
+        ExecOptions O;
+        O.Threads = Threads;
+        Tensor Out = runKernel(*K, C, O);
+        EXPECT_EQ(Tensor::maxAbsDiff(Ref, Out), 0.0)
+            << C.Name << " kernel " << K->Name << " threads " << Threads;
+      }
     }
   }
 }
 
 TEST(Determinism, RepeatedRunsAreStable) {
-  // Same (Threads, Schedule) twice on one executor: identical results
-  // even under dynamic scheduling (accumulators are task-indexed, not
-  // thread-indexed).
+  // Same Threads twice: identical results, although the pool hands
+  // chunks to whichever thread is free (accumulators are task-indexed,
+  // not thread-indexed).
   DetCase C = std::move(determinismCases()[0]);
   CompileResult R = compileEinsum(C.E);
   ExecOptions O;
   O.Threads = 4;
-  O.Schedule = SchedulePolicy::Dynamic;
   Tensor A = runKernel(R.Optimized, C, O);
   Tensor B = runKernel(R.Optimized, C, O);
   EXPECT_EQ(Tensor::maxAbsDiff(A, B), 0.0);
@@ -537,7 +552,6 @@ TEST(ParallelRuntime, ThreadsOneMatchesAnnotatedPlan) {
   CompileResult R = compileEinsum(C.E);
   ExecOptions O;
   O.Threads = 1;
-  O.Schedule = SchedulePolicy::TriangleBalanced;
   Tensor A = runKernel(R.Optimized, C, O);
   Tensor B = runKernel(R.Optimized, C, ExecOptions());
   EXPECT_EQ(Tensor::maxAbsDiff(A, B), 0.0);
