@@ -98,23 +98,17 @@ SymmetryAnalysis analyzeSymmetry(const Einsum &E) {
   // Rhs-invariance chains: index pairs under which the normalized rhs
   // is unchanged (visible output symmetry like SSYRK, and invisible
   // contraction symmetry with asymmetric inputs).
-  Normalizer Pre(E, {});
-  const std::string RhsKey = Pre.sortKey(Pre.normalizeExpr(E.Rhs));
+  FormTable Pre(E, {});
+  const FormTable::Id Rhs = Pre.intern(E.Rhs);
+  const FormTable::Id RhsNorm = Pre.normalize(Rhs);
   std::vector<std::string> All = E.allIndices();
   for (size_t I = 0; I < All.size(); ++I) {
     for (size_t J = I + 1; J < All.size(); ++J) {
       const std::string &A = All[I], &B = All[J];
       if (FromInputs.count(A) || FromInputs.count(B))
         continue; // already covered by an input symmetry chain
-      auto Swap = [&](const std::string &N) {
-        if (N == A)
-          return B;
-        if (N == B)
-          return A;
-        return N;
-      };
-      ExprPtr Swapped = Expr::renameIndices(E.Rhs, Swap);
-      if (Pre.sortKey(Pre.normalizeExpr(Swapped)) == RhsKey)
+      if (Pre.normalize(Pre.rename(Rhs, Pre.substitution({{A, B}, {B, A}}))) ==
+          RhsNorm)
         Union.unite(A, B);
     }
   }
@@ -157,8 +151,9 @@ SymmetryAnalysis analyzeSymmetry(const Einsum &E) {
   // A's chain, but swapping b with c changes B's operand, so only the
   // first two output positions are symmetric.
   const std::vector<std::string> &Outs = E.outputIndices();
-  Normalizer Post(E, Result.IndexRank);
-  const std::string PostRhsKey = Post.sortKey(Post.normalizeExpr(E.Rhs));
+  FormTable Post(E, Result.IndexRank);
+  const FormTable::Id PostRhs = Post.intern(E.Rhs);
+  const FormTable::Id PostRhsNorm = Post.normalize(PostRhs);
   std::vector<unsigned> PartOf(Outs.size());
   for (unsigned P = 0; P < Outs.size(); ++P)
     PartOf[P] = P;
@@ -169,15 +164,8 @@ SymmetryAnalysis analyzeSymmetry(const Einsum &E) {
       if (CA == Result.ChainOf.end() || CB == Result.ChainOf.end() ||
           CA->second != CB->second)
         continue;
-      auto Swap = [&](const std::string &N) {
-        if (N == A)
-          return B;
-        if (N == B)
-          return A;
-        return N;
-      };
-      ExprPtr Swapped = Expr::renameIndices(E.Rhs, Swap);
-      if (Post.sortKey(Post.normalizeExpr(Swapped)) != PostRhsKey)
+      if (Post.normalize(Post.rename(
+              PostRhs, Post.substitution({{A, B}, {B, A}}))) != PostRhsNorm)
         continue;
       // Union the two positions' groups.
       unsigned Root = PartOf[P];

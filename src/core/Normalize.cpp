@@ -3,101 +3,353 @@
 #include "core/Normalize.h"
 
 #include "support/Error.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
-#include <sstream>
+#include <cassert>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace systec {
 
-Normalizer::Normalizer(const Einsum &EIn,
-                       std::map<std::string, int> IndexRankIn)
-    : E(EIn), IndexRank(std::move(IndexRankIn)) {}
+namespace {
 
-int Normalizer::rankOf(const std::string &Index) const {
+/// First word of a node's structural key.
+enum KeyTag : uint32_t { TagLit, TagScalar, TagAccess, TagCall, TagLut };
+
+void pushDouble(std::vector<uint32_t> &Key, double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  Key.push_back(static_cast<uint32_t>(Bits));
+  Key.push_back(static_cast<uint32_t>(Bits >> 32));
+}
+
+uint64_t hashKey(const uint32_t *Key, size_t Len) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t I = 0; I < Len; ++I) {
+    H ^= Key[I];
+    H *= 0x100000001b3ull;
+  }
+  return H ^ (H >> 29);
+}
+
+/// \p Shown when it reads back as exactly \p V, else V's round-trip
+/// digits: keys of literals that print alike stay distinct.
+std::string exactText(double V, std::string Shown) {
+  const double Back = std::strtod(Shown.c_str(), nullptr);
+  if (std::isnan(V) || std::memcmp(&Back, &V, sizeof(V)) == 0)
+    return Shown;
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  return Buf;
+}
+
+} // namespace
+
+FormTable::FormTable(const Einsum &E, std::map<std::string, int> IndexRankIn)
+    : IndexRank(std::move(IndexRankIn)), Slots(64, None) {
+  for (const auto &[Tensor, D] : E.Decls) {
+    std::vector<std::vector<unsigned>> Parts;
+    for (const std::vector<unsigned> &Part : D.Symmetry.parts())
+      if (Part.size() >= 2)
+        Parts.push_back(Part);
+    if (!Parts.empty())
+      SymParts.emplace(name(Tensor), std::move(Parts));
+  }
+}
+
+int FormTable::rankOf(const std::string &Index) const {
   auto It = IndexRank.find(Index);
   return It == IndexRank.end() ? 1 << 20 : It->second;
 }
 
-ExprPtr Normalizer::normalizeAccess(const ExprPtr &Access) const {
-  auto DeclIt = E.Decls.find(Access->tensorName());
-  if (DeclIt == E.Decls.end() || !DeclIt->second.Symmetry.hasSymmetry())
-    return Access;
-  const Partition &Sym = DeclIt->second.Symmetry;
-  std::vector<std::string> Indices = Access->indices();
-  for (const std::vector<unsigned> &Part : Sym.parts()) {
-    if (Part.size() < 2)
-      continue;
-    std::vector<std::string> Names;
-    for (unsigned M : Part)
-      Names.push_back(Indices[M]);
-    std::sort(Names.begin(), Names.end(),
-              [this](const std::string &A, const std::string &B) {
-                if (rankOf(A) != rankOf(B))
-                  return rankOf(A) < rankOf(B);
-                return A < B;
-              });
-    for (size_t I = 0; I < Part.size(); ++I)
-      Indices[Part[I]] = Names[I];
+FormTable::Id FormTable::name(const std::string &N) {
+  auto [It, New] = NameIds.try_emplace(N, static_cast<Id>(Names.size()));
+  if (New) {
+    Names.push_back(N);
+    NameRank.push_back(rankOf(N));
   }
-  return Expr::access(Access->tensorName(), std::move(Indices));
+  return It->second;
 }
 
-ExprPtr Normalizer::normalizeExpr(const ExprPtr &Ex) const {
+template <typename MakeFn>
+FormTable::Id FormTable::lookup(const std::vector<uint32_t> &Key,
+                                MakeFn Make) {
+  const uint64_t Hash = hashKey(Key.data(), Key.size());
+  const size_t Mask = Slots.size() - 1;
+  for (size_t S = Hash & Mask;; S = (S + 1) & Mask) {
+    const Id Cand = Slots[S];
+    if (Cand == None)
+      break;
+    const Node &N = Nodes[Cand];
+    if (N.KeyLen == Key.size() &&
+        std::equal(Key.begin(), Key.end(), Keys.begin() + N.KeyBegin))
+      return Cand;
+  }
+  return add(Key, Hash, Make());
+}
+
+FormTable::Id FormTable::add(const std::vector<uint32_t> &Key,
+                             uint64_t Hash, ExprPtr Ex) {
+  const Id I = static_cast<Id>(Nodes.size());
+  Node N;
+  N.KeyBegin = static_cast<uint32_t>(Keys.size());
+  N.KeyLen = static_cast<uint32_t>(Key.size());
+  ByPtr.emplace(Ex.get(), I);
+  N.Ex = std::move(Ex);
+  Nodes.push_back(std::move(N));
+  Keys.insert(Keys.end(), Key.begin(), Key.end());
+  if (2 * Nodes.size() > Slots.size())
+    grow();
+  else
+    for (size_t S = Hash & (Slots.size() - 1);;
+         S = (S + 1) & (Slots.size() - 1))
+      if (Slots[S] == None) {
+        Slots[S] = I;
+        break;
+      }
+  return I;
+}
+
+void FormTable::grow() {
+  Slots.assign(Slots.size() * 2, None);
+  const size_t Mask = Slots.size() - 1;
+  for (Id I = 0; I < Nodes.size(); ++I) {
+    const Node &N = Nodes[I];
+    size_t S = hashKey(Keys.data() + N.KeyBegin, N.KeyLen) & Mask;
+    while (Slots[S] != None)
+      S = (S + 1) & Mask;
+    Slots[S] = I;
+  }
+}
+
+FormTable::Id FormTable::intern(const ExprPtr &Ex) {
+  if (auto It = ByPtr.find(Ex.get()); It != ByPtr.end())
+    return It->second;
+  std::vector<uint32_t> Key;
   switch (Ex->kind()) {
   case ExprKind::Literal:
+    Key.push_back(TagLit);
+    pushDouble(Key, Ex->literalValue());
+    break;
   case ExprKind::Scalar:
-  case ExprKind::Lut:
-    return Ex;
+    Key = {TagScalar, name(Ex->scalarName())};
+    break;
   case ExprKind::Access:
-    return normalizeAccess(Ex);
-  case ExprKind::Call: {
-    std::vector<ExprPtr> Args;
-    Args.reserve(Ex->args().size());
-    for (const ExprPtr &A : Ex->args())
-      Args.push_back(normalizeExpr(A));
-    if (opInfo(Ex->op()).Commutative) {
-      std::stable_sort(Args.begin(), Args.end(),
-                       [this](const ExprPtr &A, const ExprPtr &B) {
-                         return sortKey(A) < sortKey(B);
-                       });
-    }
-    return Expr::call(Ex->op(), std::move(Args));
-  }
-  }
-  unreachable("unknown expression kind");
-}
-
-std::string Normalizer::sortKey(const ExprPtr &Ex) const {
-  std::ostringstream OS;
-  switch (Ex->kind()) {
-  case ExprKind::Literal:
-    OS << "0:" << Ex->literalValue();
-    break;
-  case ExprKind::Scalar:
-    OS << "1:" << Ex->scalarName();
-    break;
-  case ExprKind::Access: {
-    OS << "2:" << Ex->tensorName();
+    Key = {TagAccess, name(Ex->tensorName())};
     for (const std::string &I : Ex->indices())
-      OS << ":" << rankOf(I) << "." << I;
+      Key.push_back(name(I));
     break;
-  }
-  case ExprKind::Call: {
-    OS << "3:" << opInfo(Ex->op()).Ident;
+  case ExprKind::Call:
+    Key = {TagCall, static_cast<uint32_t>(Ex->op())};
     for (const ExprPtr &A : Ex->args())
-      OS << "(" << sortKey(A) << ")";
+      Key.push_back(intern(A));
     break;
-  }
   case ExprKind::Lut:
-    OS << "4:" << Ex->str();
+    Key = {TagLut, static_cast<uint32_t>(Ex->lutBits().size())};
+    for (const CmpAtom &B : Ex->lutBits()) {
+      Key.push_back(static_cast<uint32_t>(B.Kind));
+      Key.push_back(name(B.Lhs));
+      Key.push_back(name(B.Rhs));
+    }
+    for (double V : Ex->lutTable())
+      pushDouble(Key, V);
     break;
   }
-  return OS.str();
+  const Id I = lookup(Key, [&] { return Ex; });
+  // Another tree with this structure was interned first: remember this
+  // one too, keeping it alive so its address cannot be reused.
+  if (Nodes[I].Ex != Ex) {
+    ByPtr.emplace(Ex.get(), I);
+    Aliases.push_back(Ex);
+  }
+  return I;
 }
 
-std::string Normalizer::assignKey(const ExprPtr &Output,
-                                  const ExprPtr &Rhs) const {
-  return Output->str() + " <- " + Rhs->str();
+FormTable::Id FormTable::internAccess(Id Tensor,
+                                      const std::vector<Id> &Indices) {
+  std::vector<uint32_t> Key{TagAccess, Tensor};
+  Key.insert(Key.end(), Indices.begin(), Indices.end());
+  return lookup(Key, [&] {
+    std::vector<std::string> Idx;
+    Idx.reserve(Indices.size());
+    for (Id N : Indices)
+      Idx.push_back(Names[N]);
+    return Expr::access(Names[Tensor], std::move(Idx));
+  });
+}
+
+FormTable::Id FormTable::internCall(OpKind Op, const std::vector<Id> &Args) {
+  std::vector<uint32_t> Key{TagCall, static_cast<uint32_t>(Op)};
+  Key.insert(Key.end(), Args.begin(), Args.end());
+  return lookup(Key, [&] {
+    std::vector<ExprPtr> Trees;
+    Trees.reserve(Args.size());
+    for (Id A : Args)
+      Trees.push_back(Nodes[A].Ex);
+    ExprPtr Call = Expr::call(Op, std::move(Trees));
+    // Renaming and normalizing keep a call's arity and its operands'
+    // kinds, so Expr::call has nothing to flatten.
+    assert(Call->kind() == ExprKind::Call &&
+           Call->args().size() == Args.size() && "call reshaped");
+    return Call;
+  });
+}
+
+unsigned FormTable::substitution(
+    const std::vector<std::pair<std::string, std::string>> &Pairs) {
+  std::vector<std::pair<Id, Id>> Ids;
+  Ids.reserve(Pairs.size());
+  for (const auto &[From, To] : Pairs)
+    Ids.emplace_back(name(From), name(To));
+  std::vector<Id> Map(Names.size());
+  for (Id N = 0; N < Map.size(); ++N)
+    Map[N] = N;
+  for (const auto &[From, To] : Ids)
+    Map[From] = To;
+  Substs.push_back(std::move(Map));
+  return static_cast<unsigned>(Substs.size() - 1);
+}
+
+FormTable::Id FormTable::rename(Id I, unsigned S) {
+  const uint64_t Memo = (static_cast<uint64_t>(S) << 32) | I;
+  if (auto It = Renamed.find(Memo); It != Renamed.end())
+    return It->second;
+  auto Sub = [this, S](Id N) {
+    return N < Substs[S].size() ? Substs[S][N] : N;
+  };
+  const Node &N = Nodes[I];
+  std::vector<uint32_t> Key(Keys.begin() + N.KeyBegin,
+                            Keys.begin() + N.KeyBegin + N.KeyLen);
+  Id R = I;
+  switch (Key[0]) {
+  case TagAccess: {
+    std::vector<Id> Idx;
+    for (size_t K = 2; K < Key.size(); ++K)
+      Idx.push_back(Sub(Key[K]));
+    R = internAccess(Key[1], Idx);
+    break;
+  }
+  case TagCall: {
+    std::vector<Id> Args;
+    for (size_t K = 2; K < Key.size(); ++K)
+      Args.push_back(rename(Key[K], S));
+    R = internCall(static_cast<OpKind>(Key[1]), Args);
+    break;
+  }
+  case TagLut: {
+    const size_t NBits = Key[1];
+    for (size_t B = 0; B < NBits; ++B) {
+      Key[3 + 3 * B] = Sub(Key[3 + 3 * B]);
+      Key[4 + 3 * B] = Sub(Key[4 + 3 * B]);
+    }
+    R = lookup(Key, [&] {
+      std::vector<CmpAtom> Bits;
+      for (size_t B = 0; B < NBits; ++B)
+        Bits.push_back(CmpAtom{static_cast<CmpKind>(Key[2 + 3 * B]),
+                               Names[Key[3 + 3 * B]],
+                               Names[Key[4 + 3 * B]]});
+      return Expr::lut(std::move(Bits), Nodes[I].Ex->lutTable());
+    });
+    break;
+  }
+  default: // literals and scalars carry no indices
+    break;
+  }
+  Renamed.emplace(Memo, R);
+  return R;
+}
+
+FormTable::Id FormTable::normalize(Id I) {
+  if (Nodes[I].Norm != None)
+    return Nodes[I].Norm;
+  const Node &N = Nodes[I];
+  std::vector<uint32_t> Key(Keys.begin() + N.KeyBegin,
+                            Keys.begin() + N.KeyBegin + N.KeyLen);
+  Id R = I;
+  if (Key[0] == TagAccess) {
+    auto It = SymParts.find(Key[1]);
+    if (It != SymParts.end()) {
+      std::vector<Id> Idx(Key.begin() + 2, Key.end());
+      for (const std::vector<unsigned> &Part : It->second) {
+        std::vector<Id> Sorted;
+        for (unsigned M : Part)
+          Sorted.push_back(Idx[M]);
+        std::sort(Sorted.begin(), Sorted.end(), [this](Id A, Id B) {
+          if (NameRank[A] != NameRank[B])
+            return NameRank[A] < NameRank[B];
+          return Names[A] < Names[B];
+        });
+        for (size_t P = 0; P < Part.size(); ++P)
+          Idx[Part[P]] = Sorted[P];
+      }
+      R = internAccess(Key[1], Idx);
+    }
+  } else if (Key[0] == TagCall) {
+    const OpKind Op = static_cast<OpKind>(Key[1]);
+    std::vector<Id> Args;
+    for (size_t K = 2; K < Key.size(); ++K)
+      Args.push_back(normalize(Key[K]));
+    if (opInfo(Op).Commutative) {
+      for (Id A : Args)
+        sortKey(A);
+      std::stable_sort(Args.begin(), Args.end(), [this](Id A, Id B) {
+        return Nodes[A].SortKey < Nodes[B].SortKey;
+      });
+    }
+    R = internCall(Op, Args);
+  }
+  Nodes[I].Norm = R;
+  Nodes[R].Norm = R;
+  return R;
+}
+
+const std::string &FormTable::sortKey(Id I) {
+  if (!Nodes[I].SortKey.empty())
+    return Nodes[I].SortKey;
+  const ExprPtr Ex = Nodes[I].Ex;
+  std::string K;
+  switch (Ex->kind()) {
+  case ExprKind::Literal: {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%g", Ex->literalValue());
+    K.append("0:").append(exactText(Ex->literalValue(), Buf));
+    break;
+  }
+  case ExprKind::Scalar:
+    K.append("1:").append(Ex->scalarName());
+    break;
+  case ExprKind::Access:
+    K.append("2:").append(Ex->tensorName());
+    for (const std::string &Idx : Ex->indices())
+      K.append(":").append(std::to_string(rankOf(Idx))).append(".").append(
+          Idx);
+    break;
+  case ExprKind::Call: {
+    K.append("3:").append(opInfo(Ex->op()).Ident);
+    const Node &N = Nodes[I];
+    for (uint32_t A = N.KeyBegin + 2; A < N.KeyBegin + N.KeyLen; ++A)
+      K.append("(").append(sortKey(Keys[A])).append(")");
+    break;
+  }
+  case ExprKind::Lut: {
+    K.append("4:lut[");
+    const std::vector<CmpAtom> &Bits = Ex->lutBits();
+    for (size_t B = 0; B < Bits.size(); ++B)
+      K.append(B ? ", " : "").append(Bits[B].str());
+    K.append("](");
+    const std::vector<double> &Table = Ex->lutTable();
+    for (size_t V = 0; V < Table.size(); ++V)
+      K.append(V ? ", " : "")
+          .append(exactText(Table[V], formatDouble(Table[V])));
+    K.append(")");
+    break;
+  }
+  }
+  Nodes[I].SortKey = std::move(K);
+  return Nodes[I].SortKey;
 }
 
 } // namespace systec

@@ -1,4 +1,4 @@
-//===- core/Normalize.h - Assignment normal forms -------------*- C++ -*-===//
+//===- core/Normalize.h - Interned assignment normal forms ----*- C++ -*-===//
 ///
 /// \file
 /// Normalization of tensor assignments (paper Section 4.1 stage 4):
@@ -9,6 +9,14 @@
 /// when their normal forms coincide, which is what the optimization
 /// passes key on.
 ///
+/// The normalizer is a table of interned (hash-consed) expressions: each
+/// structurally distinct expression gets an id, so a normal form is an
+/// id, a form is a pair of ids and every signature the front end buckets
+/// on is a tuple of ids. A literal is interned by its value's bits. Each
+/// id's sort key, normal form and renamings are computed once. One table
+/// serves one compilation (the SymKernel it builds owns it); it is not
+/// shared between threads.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYSTEC_CORE_NORMALIZE_H
@@ -16,40 +24,94 @@
 
 #include "ir/Einsum.h"
 
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace systec {
 
-/// Normalizes expressions and assignments relative to an einsum's
-/// declarations and an index ranking (lower rank = earlier in the
+/// Interns expressions relative to an einsum's declarations and
+/// normalizes them under an index ranking (lower rank = earlier in the
 /// canonical chain, i.e. provably smaller value inside the restricted
 /// iteration space).
-class Normalizer {
+class FormTable {
 public:
-  Normalizer(const Einsum &E, std::map<std::string, int> IndexRank);
+  using Id = uint32_t;
+  /// Stands for "no expression" inside id tuples (e.g. a missing
+  /// factor).
+  static constexpr Id None = UINT32_MAX;
+
+  FormTable(const Einsum &E, std::map<std::string, int> IndexRank);
 
   /// Rank used for sorting; indices without an explicit rank sort after
   /// ranked ones, alphabetically.
   int rankOf(const std::string &Index) const;
 
-  /// Normalizes one expression: sorts symmetric tensor mode tuples and
-  /// commutative operands.
-  ExprPtr normalizeExpr(const ExprPtr &E) const;
+  /// The id of \p Ex's structure: equal ids mean structurally equal
+  /// expressions.
+  Id intern(const ExprPtr &Ex);
+  /// The interned name (tensor, scalar or index).
+  Id name(const std::string &Name);
+  /// The table's node for \p I.
+  const ExprPtr &expr(Id I) const { return Nodes[I].Ex; }
 
-  /// Normalizes an access against its tensor's symmetry.
-  ExprPtr normalizeAccess(const ExprPtr &Access) const;
+  /// Normal form of \p I: symmetric tensor mode tuples and commutative
+  /// operands sorted.
+  Id normalize(Id I);
 
-  /// Deterministic sort key for normalized expressions.
-  std::string sortKey(const ExprPtr &E) const;
+  /// Registers the simultaneous index substitution \p Pairs (names not
+  /// listed map to themselves) and returns its handle for rename().
+  unsigned substitution(
+      const std::vector<std::pair<std::string, std::string>> &Pairs);
+  /// \p I with substitution \p S applied to access indices and lookup
+  /// bits.
+  Id rename(Id I, unsigned S);
 
-  /// Key identifying a normalized (output, rhs) pair.
-  std::string assignKey(const ExprPtr &Output, const ExprPtr &Rhs) const;
+  /// Deterministic sort key of \p I's structure; distinct structures
+  /// have distinct keys (a literal's key renders it exactly).
+  const std::string &sortKey(Id I);
+
+  /// Convenience for callers holding trees: the normal form of \p Ex.
+  ExprPtr normalizeExpr(const ExprPtr &Ex) {
+    return expr(normalize(intern(Ex)));
+  }
 
 private:
-  const Einsum &E;
+  struct Node {
+    ExprPtr Ex;
+    uint32_t KeyBegin = 0, KeyLen = 0; ///< structural key in Keys
+    Id Norm = None;
+    std::string SortKey; ///< empty until first asked for
+  };
+
+  /// Finds or adds the node with structural key \p Key; \p Make builds
+  /// its expression on a miss.
+  template <typename MakeFn>
+  Id lookup(const std::vector<uint32_t> &Key, MakeFn Make);
+  Id add(const std::vector<uint32_t> &Key, uint64_t Hash, ExprPtr Ex);
+  Id internAccess(Id Tensor, const std::vector<Id> &Indices);
+  Id internCall(OpKind Op, const std::vector<Id> &Args);
+  void grow();
+
+  /// Symmetric parts (size >= 2) per tensor name id.
+  std::unordered_map<Id, std::vector<std::vector<unsigned>>> SymParts;
   std::map<std::string, int> IndexRank;
+
+  std::vector<Node> Nodes;
+  std::vector<uint32_t> Keys;   ///< all nodes' structural keys
+  std::vector<Id> Slots;        ///< open-addressing table over Nodes
+  /// Every tree interned so far, by address. Trees that are not a
+  /// node's own are kept alive in Aliases so no address is reused.
+  std::unordered_map<const Expr *, Id> ByPtr;
+  std::vector<ExprPtr> Aliases;
+  std::unordered_map<std::string, Id> NameIds;
+  std::vector<std::string> Names;
+  std::vector<int> NameRank; ///< rankOf per name id
+  std::vector<std::vector<Id>> Substs; ///< dense name maps
+  std::unordered_map<uint64_t, Id> Renamed; ///< (subst, id) -> id
 };
 
 } // namespace systec

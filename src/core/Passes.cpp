@@ -8,35 +8,77 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <set>
-#include <sstream>
+#include <unordered_map>
 
 namespace systec {
 
 namespace {
 
-/// Signature of a block's contents (temporaries + assignments).
-std::string blockSignature(const SymBlock &B) {
-  std::ostringstream OS;
-  OS << (B.OffDiag ? "off;" : "diag;");
-  for (const StmtPtr &D : B.Defs)
-    OS << D->str(0) << ";";
-  for (const FormStmt &F : B.Forms) {
-    OS << F.key() << " x" << F.Mult;
-    if (F.Factor)
-      OS << " f:" << F.Factor->str();
-    OS << ";";
+using Id = FormTable::Id;
+/// A signature: a tuple of interned ids, multiplicities and counts.
+using IdTuple = std::vector<Id>;
+
+struct IdTupleHash {
+  size_t operator()(const IdTuple &K) const {
+    uint64_t H = 0xcbf29ce484222325ull;
+    for (Id V : K) {
+      H ^= V;
+      H *= 0x100000001b3ull;
+    }
+    return static_cast<size_t>(H ^ (H >> 29));
   }
-  return OS.str();
+};
+
+/// Buckets keyed by signature, numbered in first-seen order.
+class Buckets {
+public:
+  /// The bucket of \p Sig and whether this call created it.
+  std::pair<size_t, bool> insert(IdTuple Sig) {
+    auto [It, New] = Index.try_emplace(std::move(Sig), Index.size());
+    return {It->second, New};
+  }
+
+private:
+  std::unordered_map<IdTuple, size_t, IdTupleHash> Index;
+};
+
+/// A form's identity as one word: its output and right-hand side.
+uint64_t formKey(FormTable &T, const FormStmt &F) {
+  return (static_cast<uint64_t>(T.intern(F.Out)) << 32) | T.intern(F.Rhs);
 }
 
-std::string formSignature(const FormStmt &F) {
-  std::ostringstream OS;
-  OS << F.key() << " x" << F.Mult;
-  if (F.Factor)
-    OS << " f:" << F.Factor->str();
-  return OS.str();
+/// Appends a temporary's identity: its name and initializer.
+void pushDef(FormTable &T, IdTuple &Sig, const StmtPtr &D) {
+  Sig.push_back(T.name(D->scalarName()));
+  Sig.push_back(T.intern(D->init()));
+}
+
+/// Appends a form's identity: output, right-hand side, multiplicity and
+/// factor.
+void pushForm(FormTable &T, IdTuple &Sig, const FormStmt &F) {
+  Sig.push_back(T.intern(F.Out));
+  Sig.push_back(T.intern(F.Rhs));
+  Sig.push_back(F.Mult);
+  Sig.push_back(F.Factor ? T.intern(F.Factor) : FormTable::None);
+}
+
+/// Stably orders new blocks by their signature's display text, the
+/// order these passes have always emitted them in. Text is rendered
+/// only when there are at least two blocks to order.
+template <typename TextFn>
+void orderByText(std::vector<size_t> &Order, TextFn Text) {
+  if (Order.size() < 2)
+    return;
+  std::vector<std::pair<std::string, size_t>> Keyed;
+  for (size_t I : Order)
+    Keyed.emplace_back(Text(I), I);
+  std::stable_sort(Keyed.begin(), Keyed.end(),
+                   [](const auto &A, const auto &B) {
+                     return A.first < B.first;
+                   });
+  for (size_t I = 0; I < Order.size(); ++I)
+    Order[I] = Keyed[I].second;
 }
 
 /// Whether two chained names are provably equal inside a block (same
@@ -137,38 +179,38 @@ void passVisibleOutputRestriction(SymKernel &SK) {
 }
 
 void passDistributiveGrouping(SymKernel &SK) {
+  FormTable &T = SK.forms();
   for (SymBlock &B : SK.Blocks) {
     std::vector<FormStmt> Merged;
-    std::map<std::string, size_t> Index;
+    std::unordered_map<uint64_t, size_t> Index;
     for (const FormStmt &F : B.Forms) {
-      std::string Key = F.key();
-      auto It = Index.find(Key);
-      if (It == Index.end()) {
-        Index[Key] = Merged.size();
+      auto [It, New] = Index.try_emplace(formKey(T, F), Merged.size());
+      if (New)
         Merged.push_back(F);
-      } else {
+      else
         Merged[It->second].Mult += F.Mult;
-      }
     }
     B.Forms = std::move(Merged);
   }
 }
 
 void passCommonAccessElimination(SymKernel &SK) {
+  FormTable &T = SK.forms();
   for (SymBlock &B : SK.Blocks) {
     // Count access occurrences across the block's assignments.
-    std::vector<ExprPtr> Order;
-    std::map<std::string, unsigned> Counts;
+    std::vector<std::pair<ExprPtr, Id>> Order;
+    std::unordered_map<Id, unsigned> Counts;
     for (const FormStmt &F : B.Forms) {
       std::vector<ExprPtr> Accesses;
       Expr::collectAccesses(F.Rhs, Accesses);
       for (const ExprPtr &A : Accesses) {
-        if (++Counts[A->str()] == 1)
-          Order.push_back(A);
+        const Id AI = T.intern(A);
+        if (++Counts[AI] == 1)
+          Order.emplace_back(A, AI);
       }
     }
-    for (const ExprPtr &A : Order) {
-      if (Counts[A->str()] < 2)
+    for (const auto &[A, AI] : Order) {
+      if (Counts[AI] < 2)
         continue;
       std::string Temp = "t_" + A->tensorName();
       for (const std::string &I : A->indices())
@@ -216,21 +258,11 @@ void passSimplicialLut(SymKernel &SK) {
     return Mask;
   };
 
-  // Group diagonal blocks by (defs, form-key support) signature.
-  auto SupportSig = [](const SymBlock &B) {
-    std::ostringstream OS;
-    for (const StmtPtr &D : B.Defs)
-      OS << D->str(0) << ";";
-    std::vector<std::string> Keys;
-    for (const FormStmt &F : B.Forms)
-      Keys.push_back(F.key());
-    std::sort(Keys.begin(), Keys.end());
-    for (const std::string &K : Keys)
-      OS << K << ";";
-    return OS.str();
-  };
-
-  std::map<std::string, std::vector<size_t>> Groups;
+  // Group diagonal blocks by their temporaries and the multiset of
+  // their forms (the support; multiplicities may differ).
+  FormTable &T = SK.forms();
+  Buckets Support;
+  std::vector<std::vector<size_t>> Groups;
   for (size_t I = 0; I < SK.Blocks.size(); ++I) {
     const SymBlock &B = SK.Blocks[I];
     if (B.OffDiag || B.Runs.empty())
@@ -240,21 +272,54 @@ void passSimplicialLut(SymKernel &SK) {
       HasFactor |= F.Factor != nullptr;
     if (HasFactor)
       continue;
-    Groups[SupportSig(B)].push_back(I);
+    IdTuple Sig{static_cast<Id>(B.Defs.size())};
+    for (const StmtPtr &D : B.Defs)
+      pushDef(T, Sig, D);
+    std::vector<uint64_t> Forms;
+    for (const FormStmt &F : B.Forms)
+      Forms.push_back(formKey(T, F));
+    std::sort(Forms.begin(), Forms.end());
+    for (uint64_t F : Forms) {
+      Sig.push_back(static_cast<Id>(F >> 32));
+      Sig.push_back(static_cast<Id>(F));
+    }
+    auto [G, New] = Support.insert(std::move(Sig));
+    if (New)
+      Groups.emplace_back();
+    Groups[G].push_back(I);
   }
+
+  std::vector<size_t> Merging;
+  for (size_t G = 0; G < Groups.size(); ++G)
+    if (Groups[G].size() >= 2)
+      Merging.push_back(G);
+  orderByText(Merging, [&](size_t G) {
+    const SymBlock &B = SK.Blocks[Groups[G][0]];
+    std::string Text;
+    for (const StmtPtr &D : B.Defs)
+      Text += D->str(0) + ";";
+    std::vector<std::string> Keys;
+    for (const FormStmt &F : B.Forms)
+      Keys.push_back(F.key());
+    std::sort(Keys.begin(), Keys.end());
+    for (const std::string &K : Keys)
+      Text += K + ";";
+    return Text;
+  });
 
   std::set<size_t> Remove;
   std::vector<SymBlock> NewBlocks;
-  for (const auto &[Sig, Members] : Groups) {
-    (void)Sig;
-    if (Members.size() < 2)
-      continue;
+  for (size_t G : Merging) {
+    const std::vector<size_t> &Members = Groups[G];
     SymBlock Merged;
     Merged.OffDiag = false;
     Merged.Defs = SK.Blocks[Members[0]].Defs;
     Merged.Exact = Cond::never();
-    // Per-form factor tables.
+    // Per-form factor tables; a form listed twice keeps its first slot.
     std::vector<FormStmt> Forms = SK.Blocks[Members[0]].Forms;
+    std::unordered_map<uint64_t, size_t> Slot;
+    for (size_t FI = 0; FI < Forms.size(); ++FI)
+      Slot.try_emplace(formKey(T, Forms[FI]), FI);
     std::vector<std::vector<double>> Tables(
         Forms.size(), std::vector<double>(1ull << Bits.size(), 0.0));
     bool AllEqual = true;
@@ -262,21 +327,14 @@ void passSimplicialLut(SymKernel &SK) {
     for (size_t MI : Members) {
       const SymBlock &B = SK.Blocks[MI];
       unsigned Mask = BlockMask(B);
-      Merged.Exact = Cond::unionOf(Merged.Exact, B.Exact);
+      Merged.Exact = Cond::unionOf(std::move(Merged.Exact), B.Exact);
       for (const FormStmt &F : B.Forms) {
-        bool Found = false;
-        for (size_t FI = 0; FI < Forms.size(); ++FI) {
-          if (Forms[FI].key() == F.key()) {
-            Tables[FI][Mask] = F.Mult;
-            if (FirstVal < 0)
-              FirstVal = F.Mult;
-            AllEqual &= F.Mult == FirstVal;
-            Found = true;
-            break;
-          }
-        }
-        assert(Found && "support signature mismatch");
-        (void)Found;
+        auto It = Slot.find(formKey(T, F));
+        assert(It != Slot.end() && "support signature mismatch");
+        Tables[It->second][Mask] = F.Mult;
+        if (FirstVal < 0)
+          FirstVal = F.Mult;
+        AllEqual &= F.Mult == FirstVal;
       }
     }
     Merged.Exact = simplifyCond(Merged.Exact);
@@ -303,17 +361,22 @@ void passSimplicialLut(SymKernel &SK) {
 }
 
 void passConsolidateBlocks(SymKernel &SK) {
+  FormTable &T = SK.forms();
   std::vector<SymBlock> Result;
-  std::map<std::string, size_t> Index;
+  Buckets Contents;
   for (SymBlock &B : SK.Blocks) {
-    std::string Sig = blockSignature(B);
-    auto It = Index.find(Sig);
-    if (It == Index.end()) {
-      Index[Sig] = Result.size();
+    IdTuple Sig{B.OffDiag, static_cast<Id>(B.Defs.size())};
+    for (const StmtPtr &D : B.Defs)
+      pushDef(T, Sig, D);
+    for (const FormStmt &F : B.Forms)
+      pushForm(T, Sig, F);
+    auto [Slot, New] = Contents.insert(std::move(Sig));
+    if (New) {
       Result.push_back(std::move(B));
     } else {
-      SymBlock &Target = Result[It->second];
-      Target.Exact = simplifyCond(Cond::unionOf(Target.Exact, B.Exact));
+      SymBlock &Target = Result[Slot];
+      Target.Exact =
+          simplifyCond(Cond::unionOf(std::move(Target.Exact), B.Exact));
       if (!(Target.Runs == B.Runs))
         Target.Runs.clear();
     }
@@ -322,77 +385,80 @@ void passConsolidateBlocks(SymKernel &SK) {
 }
 
 void passGroupAcrossBranches(SymKernel &SK, bool AcrossDiagonal) {
-  // Count (form signature, defs needed) across blocks.
+  // Bucket forms by (side, form, the temporaries they reference): forms
+  // reading block temporaries merge only in identical contexts.
   struct Occurrence {
     std::vector<size_t> BlockIdx;
     FormStmt Form;
     bool OffDiag;
+    std::vector<StmtPtr> Defs; ///< the first block's referenced defs
   };
-  auto SideTag = [&](const SymBlock &B) {
-    if (AcrossDiagonal)
-      return std::string("any;");
-    return std::string(B.OffDiag ? "off;" : "diag;");
-  };
-  std::map<std::string, Occurrence> Shared;
+  FormTable &T = SK.forms();
+  Buckets Shared;
+  std::vector<Occurrence> Occs;
+  std::vector<std::vector<size_t>> BucketOf(SK.Blocks.size());
   for (size_t BI = 0; BI < SK.Blocks.size(); ++BI) {
     const SymBlock &B = SK.Blocks[BI];
     for (const FormStmt &F : B.Forms) {
-      // Forms referencing block temporaries carry the defining
-      // statements in the signature so only identical contexts merge.
       std::set<std::string> Refs;
       collectScalarRefs(F.Rhs, Refs);
-      std::ostringstream Sig;
-      Sig << SideTag(B) << formSignature(F) << ";";
+      std::vector<StmtPtr> Defs;
       for (const StmtPtr &D : B.Defs)
         if (Refs.count(D->scalarName()))
-          Sig << D->str(0) << ";";
-      auto &Occ = Shared[Sig.str()];
-      if (Occ.BlockIdx.empty()) {
-        Occ.Form = F;
-        Occ.OffDiag = B.OffDiag;
-      }
-      Occ.BlockIdx.push_back(BI);
+          Defs.push_back(D);
+      IdTuple Sig{AcrossDiagonal ? 2u : static_cast<Id>(B.OffDiag)};
+      pushForm(T, Sig, F);
+      for (const StmtPtr &D : Defs)
+        pushDef(T, Sig, D);
+      auto [Slot, New] = Shared.insert(std::move(Sig));
+      if (New)
+        Occs.push_back(Occurrence{{}, F, B.OffDiag, std::move(Defs)});
+      Occs[Slot].BlockIdx.push_back(BI);
+      BucketOf[BI].push_back(Slot);
     }
   }
 
+  std::vector<size_t> Extract;
+  for (size_t S = 0; S < Occs.size(); ++S)
+    if (Occs[S].BlockIdx.size() >= 2)
+      Extract.push_back(S);
+  if (Extract.empty())
+    return;
+  orderByText(Extract, [&](size_t S) {
+    const Occurrence &O = Occs[S];
+    std::string Text = AcrossDiagonal ? "any;" : O.OffDiag ? "off;" : "diag;";
+    Text += O.Form.key() + " x" + std::to_string(O.Form.Mult);
+    if (O.Form.Factor)
+      Text += " f:" + O.Form.Factor->str();
+    Text += ";";
+    for (const StmtPtr &D : O.Defs)
+      Text += D->str(0) + ";";
+    return Text;
+  });
+
   std::vector<SymBlock> NewBlocks;
-  std::set<std::string> Extracted;
-  for (const auto &[Sig, Occ] : Shared) {
-    if (Occ.BlockIdx.size() < 2)
-      continue;
-    Extracted.insert(Sig);
+  std::vector<bool> Extracted(Occs.size(), false);
+  for (size_t S : Extract) {
+    Occurrence &O = Occs[S];
+    Extracted[S] = true;
     SymBlock NB;
-    NB.OffDiag = Occ.OffDiag;
+    NB.OffDiag = O.OffDiag;
     NB.Exact = Cond::never();
-    for (size_t BI : Occ.BlockIdx)
-      NB.Exact = Cond::unionOf(NB.Exact, SK.Blocks[BI].Exact);
+    for (size_t BI : O.BlockIdx)
+      NB.Exact = Cond::unionOf(std::move(NB.Exact), SK.Blocks[BI].Exact);
     NB.Exact = simplifyCond(NB.Exact);
-    std::set<std::string> Refs;
-    collectScalarRefs(Occ.Form.Rhs, Refs);
-    for (const StmtPtr &D : SK.Blocks[Occ.BlockIdx[0]].Defs)
-      if (Refs.count(D->scalarName()))
-        NB.Defs.push_back(D);
-    NB.Forms.push_back(Occ.Form);
+    NB.Defs = std::move(O.Defs);
+    NB.Forms.push_back(O.Form);
     NewBlocks.push_back(std::move(NB));
   }
-  if (NewBlocks.empty())
-    return;
 
   // Remove extracted forms from their original blocks.
   for (size_t BI = 0; BI < SK.Blocks.size(); ++BI) {
     SymBlock &B = SK.Blocks[BI];
     std::vector<FormStmt> Kept;
-    for (const FormStmt &F : B.Forms) {
-      std::set<std::string> Refs;
-      collectScalarRefs(F.Rhs, Refs);
-      std::ostringstream Sig;
-      Sig << SideTag(B) << formSignature(F) << ";";
-      for (const StmtPtr &D : B.Defs)
-        if (Refs.count(D->scalarName()))
-          Sig << D->str(0) << ";";
-      if (!Extracted.count(Sig.str()))
-        Kept.push_back(F);
-    }
+    for (size_t FI = 0; FI < B.Forms.size(); ++FI)
+      if (!Extracted[BucketOf[BI][FI]])
+        Kept.push_back(B.Forms[FI]);
     B.Forms = std::move(Kept);
     pruneUnusedDefs(B);
   }

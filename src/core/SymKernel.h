@@ -9,6 +9,12 @@
 /// chain conditions at their binding loops and emitting the replication
 /// epilogue, workspaces, transposes and diagonal splits.
 ///
+/// Forms hold trees for lowering and display, but the front end
+/// compares them by id: the kernel owns the FormTable (core/Normalize.h)
+/// that symmetrize interned its forms in, and every pass buckets forms,
+/// blocks and temporaries by tuples of that table's ids. A pass run on
+/// a hand-built kernel gets a fresh table on first use.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYSTEC_CORE_SYMKERNEL_H
@@ -17,11 +23,14 @@
 #include "core/Analysis.h"
 #include "ir/Kernel.h"
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace systec {
+
+class FormTable;
 
 /// One triangular assignment inside a block.
 struct FormStmt {
@@ -30,6 +39,7 @@ struct FormStmt {
   unsigned Mult = 1;    ///< duplicate count (invisible symmetry)
   ExprPtr Factor;       ///< optional runtime factor (lookup table)
 
+  /// Display text for tests; passes compare forms by interned ids.
   std::string key() const { return Out->str() + " <- " + Rhs->str(); }
 };
 
@@ -81,6 +91,13 @@ struct SymKernel {
   /// Parallelism analysis (runtime extension): annotate loops the
   /// parallel executor may distribute across threads.
   bool Parallelize = false;
+
+  /// The compilation's interned forms. Copies of the kernel share it;
+  /// it is not thread-safe, so a kernel and its copies stay on one
+  /// thread while passes run.
+  std::shared_ptr<FormTable> Table;
+  /// The table, created over Source and Analysis on first use.
+  FormTable &forms();
 
   std::string str() const;
 };

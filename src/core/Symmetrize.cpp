@@ -7,10 +7,8 @@
 #include "symmetry/EquivalenceGroup.h"
 #include "symmetry/Permutation.h"
 
-#include <cassert>
-#include <map>
-#include <numeric>
 #include <sstream>
+#include <unordered_map>
 
 namespace systec {
 
@@ -21,7 +19,6 @@ class ProductCounter {
 public:
   explicit ProductCounter(std::vector<size_t> Sizes)
       : Sizes(std::move(Sizes)), Digits(this->Sizes.size(), 0) {
-    Done = this->Sizes.empty() ? false : false;
     for (size_t S : this->Sizes)
       if (S == 0)
         Done = true;
@@ -47,8 +44,8 @@ private:
 
 /// A raw normalized form with its permutation count.
 struct RawForm {
-  ExprPtr Out;
-  ExprPtr Rhs;
+  FormTable::Id Out;
+  FormTable::Id Rhs;
   unsigned Count = 0;
 };
 
@@ -86,31 +83,43 @@ std::string SymKernel::str() const {
   return OS.str();
 }
 
+FormTable &SymKernel::forms() {
+  if (!Table)
+    Table = std::make_shared<FormTable>(Source, Analysis.IndexRank);
+  return *Table;
+}
+
 SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
   SymKernel SK;
   SK.Source = E;
   SK.Analysis = Analysis;
-  Normalizer Norm(E, Analysis.IndexRank);
-
-  auto Normalize = [&Norm](const ExprPtr &Ex) {
-    return Norm.normalizeExpr(Ex);
-  };
+  FormTable &T = SK.forms();
+  const FormTable::Id Out0 = T.intern(E.Output), Rhs0 = T.intern(E.Rhs);
 
   // Canonical chain conditions p1 <= ... <= pn.
   for (const Chain &C : Analysis.Chains)
-    for (size_t T = 0; T + 1 < C.Names.size(); ++T)
+    for (size_t P = 0; P + 1 < C.Names.size(); ++P)
       SK.ChainAtoms.push_back(
-          CmpAtom{CmpKind::LE, C.Names[T], C.Names[T + 1]});
+          CmpAtom{CmpKind::LE, C.Names[P], C.Names[P + 1]});
 
   if (Analysis.Chains.empty()) {
     SymBlock B;
     B.Exact = Cond::always();
     B.OffDiag = true;
-    B.Forms.push_back(FormStmt{Normalize(E.Output), Normalize(E.Rhs), 1,
-                               nullptr});
+    B.Forms.push_back(FormStmt{T.expr(T.normalize(Out0)),
+                               T.expr(T.normalize(Rhs0)), 1, nullptr});
     SK.Blocks.push_back(std::move(B));
     return SK;
   }
+
+  // The normal form of (Out0, Rhs0) under substitution S, as one key.
+  auto FormKey = [&T](FormTable::Id Out, FormTable::Id Rhs, unsigned S) {
+    return std::make_pair(T.normalize(T.rename(Out, S)),
+                          T.normalize(T.rename(Rhs, S)));
+  };
+  auto Packed = [](std::pair<FormTable::Id, FormTable::Id> F) {
+    return (static_cast<uint64_t>(F.first) << 32) | F.second;
+  };
 
   // Enumerate all products of chain permutations, apply them to the
   // assignment, and bucket the normal forms with counts.
@@ -123,32 +132,24 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
   }
 
   std::vector<RawForm> Raw;
-  std::map<std::string, size_t> RawIdx;
+  std::unordered_map<uint64_t, size_t> RawIdx;
   for (ProductCounter PC(PermCounts); !PC.done(); PC.advance()) {
-    std::map<std::string, std::string> Rename;
+    std::vector<std::pair<std::string, std::string>> Rename;
     for (size_t CI = 0; CI < Analysis.Chains.size(); ++CI) {
       const Chain &C = Analysis.Chains[CI];
       const Permutation &Sigma = ChainPerms[CI][PC.digits()[CI]];
       // Paper Figure 5: the loop tuple becomes sigma applied to the
-      // names; index at chain position T is renamed to the name at
-      // position Sigma[T].
-      for (unsigned T = 0; T < C.Names.size(); ++T)
-        Rename[C.Names[T]] = C.Names[Sigma[T]];
+      // names; index at chain position P is renamed to the name at
+      // position Sigma[P].
+      for (unsigned P = 0; P < C.Names.size(); ++P)
+        Rename.emplace_back(C.Names[P], C.Names[Sigma[P]]);
     }
-    auto Map = [&Rename](const std::string &N) {
-      auto It = Rename.find(N);
-      return It == Rename.end() ? N : It->second;
-    };
-    ExprPtr Out = Normalize(Expr::renameIndices(E.Output, Map));
-    ExprPtr Rhs = Normalize(Expr::renameIndices(E.Rhs, Map));
-    std::string Key = Norm.assignKey(Out, Rhs);
-    auto It = RawIdx.find(Key);
-    if (It == RawIdx.end()) {
-      RawIdx[Key] = Raw.size();
+    const auto [Out, Rhs] = FormKey(Out0, Rhs0, T.substitution(Rename));
+    auto [It, New] = RawIdx.try_emplace(Packed({Out, Rhs}), Raw.size());
+    if (New)
       Raw.push_back(RawForm{Out, Rhs, 1});
-    } else {
+    else
       ++Raw[It->second].Count;
-    }
   }
 
   // One block per combination of per-chain equivalence groups.
@@ -174,45 +175,38 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
 
     // Equality-collapse rename: each run's names map to the run's first
     // (representative) name.
-    std::map<std::string, std::string> Collapse;
+    std::vector<std::pair<std::string, std::string>> Collapse;
     for (size_t CI = 0; CI < Analysis.Chains.size(); ++CI) {
       const Chain &C = Analysis.Chains[CI];
       const EquivalenceGroup *G = Groups[CI];
       for (unsigned R = 0; R < G->runs().size(); ++R) {
         auto [B, End] = G->runRange(R);
         for (unsigned P = B; P < End; ++P)
-          Collapse[C.Names[P]] = C.Names[B];
+          Collapse.emplace_back(C.Names[P], C.Names[B]);
       }
     }
-    auto CollapseMap = [&Collapse](const std::string &N) {
-      auto It = Collapse.find(N);
-      return It == Collapse.end() ? N : It->second;
-    };
+    const unsigned CollapseS = T.substitution(Collapse);
 
     // Group raw forms into equality classes under the collapse.
-    std::map<std::string, size_t> ClassIdx;
+    std::unordered_map<uint64_t, size_t> ClassIdx;
     struct EqClass {
       std::vector<size_t> Members; // raw indices, in order
       uint64_t Total = 0;
     };
     std::vector<EqClass> Classes;
     for (size_t RI = 0; RI < Raw.size(); ++RI) {
-      ExprPtr Out = Normalize(Expr::renameIndices(Raw[RI].Out, CollapseMap));
-      ExprPtr Rhs = Normalize(Expr::renameIndices(Raw[RI].Rhs, CollapseMap));
-      std::string Key = Norm.assignKey(Out, Rhs);
-      auto It = ClassIdx.find(Key);
-      if (It == ClassIdx.end()) {
-        ClassIdx[Key] = Classes.size();
-        Classes.push_back(EqClass());
-        It = ClassIdx.find(Key);
-      }
+      auto [It, New] = ClassIdx.try_emplace(
+          Packed(FormKey(Raw[RI].Out, Raw[RI].Rhs, CollapseS)),
+          Classes.size());
+      if (New)
+        Classes.emplace_back();
       Classes[It->second].Members.push_back(RI);
       Classes[It->second].Total += Raw[RI].Count;
     }
 
     // Each class contributes Total / Stab assignments, distributed
     // round-robin over its distinct members (diversification).
-    std::map<size_t, unsigned> Emit;
+    std::vector<unsigned> Emit(Raw.size(), 0);
     for (const EqClass &Cls : Classes) {
       if (Cls.Total % Stab != 0)
         fatalError("symmetrization: class count " +
@@ -236,20 +230,18 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
     for (size_t CI = 0; CI < Analysis.Chains.size(); ++CI) {
       const Chain &C = Analysis.Chains[CI];
       const EquivalenceGroup *G = Groups[CI];
-      for (unsigned T = 0; T + 1 < C.Names.size(); ++T)
-        Atoms.push_back(CmpAtom{G->sameRun(T, T + 1) ? CmpKind::EQ
+      for (unsigned P = 0; P + 1 < C.Names.size(); ++P)
+        Atoms.push_back(CmpAtom{G->sameRun(P, P + 1) ? CmpKind::EQ
                                                      : CmpKind::LT,
-                                C.Names[T], C.Names[T + 1]});
+                                C.Names[P], C.Names[P + 1]});
     }
     Block.Exact = Atoms.empty() ? Cond::always() : Cond::conj(Atoms);
 
-    for (size_t RI = 0; RI < Raw.size(); ++RI) {
-      auto It = Emit.find(RI);
-      if (It == Emit.end())
-        continue;
-      Block.Forms.push_back(
-          FormStmt{Raw[RI].Out, Raw[RI].Rhs, It->second, nullptr});
-    }
+    for (size_t RI = 0; RI < Raw.size(); ++RI)
+      if (Emit[RI])
+        Block.Forms.push_back(FormStmt{T.expr(Raw[RI].Out),
+                                       T.expr(Raw[RI].Rhs), Emit[RI],
+                                       nullptr});
     SK.Blocks.push_back(std::move(Block));
   }
   return SK;

@@ -132,14 +132,13 @@ Cond Cond::withAtom(CmpKind Kind, const std::string &Lhs,
   return C;
 }
 
-Cond Cond::unionOf(const Cond &A, const Cond &B) {
-  Cond C = A;
+Cond Cond::unionOf(Cond A, const Cond &B) {
   for (const Conj &D : B.Disjuncts) {
-    if (std::find(C.Disjuncts.begin(), C.Disjuncts.end(), D) ==
-        C.Disjuncts.end())
-      C.Disjuncts.push_back(D);
+    if (std::find(A.Disjuncts.begin(), A.Disjuncts.end(), D) ==
+        A.Disjuncts.end())
+      A.Disjuncts.push_back(D);
   }
-  return C;
+  return A;
 }
 
 bool Cond::eval(
@@ -171,10 +170,9 @@ Cond Cond::renamed(
 }
 
 Cond simplifyCond(const Cond &C) {
-  // Deduplicate disjuncts.
-  Cond Dedup;
-  for (const Conj &D : C.disjuncts())
-    Dedup = Cond::unionOf(Dedup, Cond::conj(D.Atoms));
+  // Deduplicate disjuncts: the union with `false` keeps each first
+  // occurrence.
+  const Cond Dedup = Cond::unionOf(Cond::never(), C);
   // Merge only when every disjunct is a single atom over one ordered
   // variable pair.
   if (Dedup.disjuncts().size() < 2)

@@ -84,9 +84,10 @@ public:
   Cond withAtom(CmpKind Kind, const std::string &Lhs,
                 const std::string &Rhs) const;
 
-  /// Union of conditions (paper 4.2.4 consolidation): concatenates
-  /// disjunct lists, deduplicating identical conjunctions.
-  static Cond unionOf(const Cond &A, const Cond &B);
+  /// Union of conditions (paper 4.2.4 consolidation): appends B's
+  /// disjuncts that A lacks. Takes A by value so an accumulating caller
+  /// moves it in instead of copying it.
+  static Cond unionOf(Cond A, const Cond &B);
 
   /// Evaluates against an environment resolving index names.
   bool eval(const std::function<int64_t(const std::string &)> &Env) const;

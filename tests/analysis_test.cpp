@@ -158,22 +158,22 @@ TEST(Analysis, StrSummary) {
 TEST(Normalizer, SortsSymmetricModes) {
   Einsum E = makeMttkrp(3);
   SymmetryAnalysis A = analyzeSymmetry(E);
-  Normalizer N(E, A.IndexRank);
+  FormTable N(E, A.IndexRank);
   ExprPtr Acc = Expr::access("A", {"l", "i", "k"});
-  EXPECT_EQ(N.normalizeAccess(Acc)->str(), "A[i, k, l]");
+  EXPECT_EQ(N.normalizeExpr(Acc)->str(), "A[i, k, l]");
 }
 
 TEST(Normalizer, LeavesAsymmetricModesAlone) {
   Einsum E = parseEinsum("s", "C[i,j] += A[i,k] * B[k,j]");
-  Normalizer N(E, {});
+  FormTable N(E, {});
   ExprPtr Acc = Expr::access("A", {"k", "i"});
-  EXPECT_EQ(N.normalizeAccess(Acc)->str(), "A[k, i]");
+  EXPECT_EQ(N.normalizeExpr(Acc)->str(), "A[k, i]");
 }
 
 TEST(Normalizer, SortsCommutativeOperands) {
   Einsum E = makeMttkrp(3);
   SymmetryAnalysis A = analyzeSymmetry(E);
-  Normalizer N(E, A.IndexRank);
+  FormTable N(E, A.IndexRank);
   ExprPtr Ex = Expr::call(OpKind::Mul, {Expr::access("B", {"l", "j"}),
                                         Expr::access("B", {"k", "j"}),
                                         Expr::access("A", {"i", "k", "l"})});
@@ -185,9 +185,9 @@ TEST(Normalizer, OperandSortUsesChainRanks) {
   // B[k,j] sorts before B[l,j] because rank(k) < rank(l).
   Einsum E = makeMttkrp(3);
   SymmetryAnalysis A = analyzeSymmetry(E);
-  Normalizer N(E, A.IndexRank);
-  EXPECT_LT(N.sortKey(Expr::access("B", {"k", "j"})),
-            N.sortKey(Expr::access("B", {"l", "j"})));
+  FormTable N(E, A.IndexRank);
+  EXPECT_LT(N.sortKey(N.intern(Expr::access("B", {"k", "j"}))),
+            N.sortKey(N.intern(Expr::access("B", {"l", "j"}))));
 }
 
 TEST(Normalizer, SwappedFormsCollapse) {
@@ -195,12 +195,40 @@ TEST(Normalizer, SwappedFormsCollapse) {
   // as x[i]*A[i,j]*x[j].
   Einsum E = makeSyprd();
   SymmetryAnalysis A = analyzeSymmetry(E);
-  Normalizer N(E, A.IndexRank);
+  FormTable N(E, A.IndexRank);
   ExprPtr F1 = Expr::call(OpKind::Mul, {Expr::access("x", {"i"}),
                                         Expr::access("A", {"i", "j"}),
                                         Expr::access("x", {"j"})});
   ExprPtr F2 = Expr::call(OpKind::Mul, {Expr::access("x", {"j"}),
                                         Expr::access("A", {"j", "i"}),
                                         Expr::access("x", {"i"})});
+  EXPECT_EQ(N.normalize(N.intern(F1)), N.normalize(N.intern(F2)));
   EXPECT_TRUE(Expr::equal(N.normalizeExpr(F1), N.normalizeExpr(F2)));
+}
+
+TEST(Normalizer, InterningIsStructural) {
+  // Equal structures share an id whatever tree they come from; literals
+  // are told apart by value, also below six significant digits.
+  Einsum E = makeSsymv();
+  FormTable N(E, {});
+  EXPECT_EQ(N.intern(Expr::access("A", {"i", "j"})),
+            N.intern(Expr::access("A", {"i", "j"})));
+  EXPECT_NE(N.intern(Expr::access("A", {"i", "j"})),
+            N.intern(Expr::access("A", {"j", "i"})));
+  const FormTable::Id L1 = N.intern(Expr::lit(1.0000001));
+  const FormTable::Id L2 = N.intern(Expr::lit(1.0000049));
+  EXPECT_NE(L1, L2);
+  EXPECT_NE(N.sortKey(L1), N.sortKey(L2));
+  // A literal that prints exactly keeps its six-digit key.
+  EXPECT_EQ(N.sortKey(N.intern(Expr::lit(0.5))), "0:0.5");
+}
+
+TEST(Normalizer, RenameIsSimultaneous) {
+  Einsum E = makeSsymv();
+  FormTable N(E, {});
+  const FormTable::Id Ex = N.intern(Expr::call(
+      OpKind::Mul, {Expr::access("A", {"i", "j"}), Expr::access("x", {"j"})}));
+  const unsigned Swap = N.substitution({{"i", "j"}, {"j", "i"}});
+  EXPECT_EQ(N.expr(N.rename(Ex, Swap))->str(), "A[j, i] * x[i]");
+  EXPECT_EQ(N.rename(N.rename(Ex, Swap), Swap), Ex);
 }

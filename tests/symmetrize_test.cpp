@@ -8,8 +8,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analysis.h"
+#include "core/Compiler.h"
 #include "core/Symmetrize.h"
+#include "data/Generators.h"
 #include "kernels/Kernels.h"
+#include "kernels/Oracle.h"
+#include "runtime/Executor.h"
 
 #include <gtest/gtest.h>
 
@@ -257,4 +261,42 @@ TEST(Symmetrize, StrRendersBlocks) {
   std::string S = SK.str();
   EXPECT_NE(S.find("block if i < j"), std::string::npos);
   EXPECT_NE(S.find("block if i == j"), std::string::npos);
+}
+
+TEST(Symmetrize, LiteralsEqualToSixDigitsStayDistinct) {
+  // The two permuted forms differ only past a literal's sixth
+  // significant digit, so both print as "... * 1". They are still two
+  // forms: merging them into one with multiplicity 2 computes the wrong
+  // sum, and ordering their operands by printed literals would tie.
+  Einsum E = parseEinsum("lit", "y[k] += A[i,j] * x[j] * B[k] * 1.0000001 + "
+                                "A[i,j] * x[i] * B[k] * 1.0000049");
+  E.LoopOrder = {"k", "j", "i"};
+  E.declare("A", TensorFormat::csf(2));
+  E.setSymmetry("A", Partition::full(2));
+  E.declare("x", TensorFormat::dense(1));
+  E.declare("B", TensorFormat::dense(1));
+  E.declare("y", TensorFormat::dense(1));
+
+  SymKernel SK = symmetrizeKernel(E);
+  const SymBlock *Off = findBlock(SK, "i < j");
+  ASSERT_NE(Off, nullptr);
+  EXPECT_EQ(Off->Forms.size(), 2u);
+
+  Rng R(5);
+  Tensor A = generateSymmetricTensor(2, 30, 200, R, TensorFormat::csf(2));
+  Tensor X = generateDenseVector(30, R);
+  Tensor B = generateDenseVector(30, R);
+  const Tensor Ref = oracleEval(E, {{"A", &A}, {"x", &X}, {"B", &B}});
+  CompileResult C = compileEinsum(E);
+  Tensor Y = Tensor::dense({30}, 0.0);
+  Executor Ex(C.Optimized);
+  Ex.bind("A", &A);
+  Ex.bind("x", &X);
+  Ex.bind("B", &B);
+  Ex.bind("y", &Y);
+  ASSERT_TRUE(Ex.tryPrepare().ok());
+  ASSERT_TRUE(Ex.tryRun().ok());
+  const double Scale = Tensor::maxAbsDiff(Ref, Tensor::dense({30}, 0.0));
+  ASSERT_GT(Scale, 0.0);
+  EXPECT_LE(Tensor::maxAbsDiff(Y, Ref), 1e-12 * Scale);
 }
