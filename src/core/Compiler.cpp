@@ -41,18 +41,31 @@ std::string CompileResult::report() const {
 
 CompileResult compileEinsum(const Einsum &E,
                             const PipelineOptions &Options) {
-  // Trace-only span for the whole front-end lowering (analysis,
-  // symmetrization, passes, both lowerings). Not an ExecReport phase:
-  // lowering happens before any Executor exists.
+  // The whole front end is one trace span, with one child span per
+  // phase. Not an ExecReport phase: lowering happens before any
+  // Executor exists, so the phases land in CompileResult::Phases.
   obs::TraceScope Lower("lower", "compile");
   CompileResult R;
   R.Source = E;
+  uint64_t Start = obs::nowNs();
+  auto EndPhase = [&](const char *Name) {
+    const uint64_t Now = obs::nowNs();
+    R.Phases.push_back({Name, Now - Start});
+    if (Lower.active())
+      obs::emitSpan(Name, "compile", Start, Now - Start);
+    Start = Now;
+  };
   R.Analysis = analyzeSymmetry(E);
+  EndPhase("analyze");
   R.Sym = symmetrize(E, R.Analysis);
+  EndPhase("symmetrize");
   runPasses(R.Sym, Options);
+  EndPhase("passes");
   R.Naive = lowerNaive(E, /*Concordize=*/true, /*Workspace=*/true,
                        Options.Parallelize);
+  EndPhase("lower-naive");
   R.Optimized = lowerSymmetric(R.Sym);
+  EndPhase("lower-optimized");
   return R;
 }
 

@@ -16,8 +16,10 @@
 #include "core/Passes.h"
 #include "core/SymKernel.h"
 #include "core/Symmetrize.h"
+#include "observability/Report.h"
 
 #include <string>
+#include <vector>
 
 namespace systec {
 
@@ -28,6 +30,11 @@ struct CompileResult {
   SymKernel Sym;      ///< after all enabled passes
   Kernel Naive;       ///< baseline loop nest
   Kernel Optimized;   ///< symmetry-exploiting kernel
+
+  /// Wall time of each front-end phase, in order: analyze, symmetrize,
+  /// passes, lower-naive, lower-optimized. Always recorded; report()
+  /// leaves it out so the report stays timing-free.
+  std::vector<obs::PhaseStat> Phases;
 
   /// Multi-section textual report (analysis, symmetrized blocks, final
   /// kernels) for the CLI and golden tests.

@@ -459,3 +459,61 @@ TEST(ExecReport, TracingFlagRecordsPhaseAndLoopSpans) {
   EXPECT_TRUE(SawExecute);
   EXPECT_TRUE(SawLoop);
 }
+
+//===----------------------------------------------------------------------===//
+// Front-end phases
+//===----------------------------------------------------------------------===//
+
+namespace {
+const std::vector<std::string> FrontEndPhases{
+    "analyze", "symmetrize", "passes", "lower-naive", "lower-optimized"};
+} // namespace
+
+TEST(CompilePhases, RecordedInOrderWithoutTracing) {
+  TracingGuard G(false);
+  const uint64_t Events = obs::traceEventCount();
+  const CompileResult A = compileEinsum(makeMttkrp(3));
+  EXPECT_EQ(obs::traceEventCount(), Events);
+  std::vector<std::string> Names;
+  uint64_t Total = 0;
+  for (const obs::PhaseStat &P : A.Phases) {
+    Names.push_back(P.Name);
+    Total += P.Ns;
+  }
+  EXPECT_EQ(Names, FrontEndPhases);
+  EXPECT_GT(Total, 0u);
+  // The report carries no timing: a second compile reads the same.
+  EXPECT_EQ(A.report(), compileEinsum(makeMttkrp(3)).report());
+}
+
+TEST(CompilePhases, TracedSpansNestInLower) {
+  TracingGuard G(true);
+  obs::clearTrace();
+  const CompileResult R = compileEinsum(makeTtm());
+  obs::setTracingEnabled(false);
+
+  const obs::TraceEvent *Lower = nullptr;
+  std::vector<const obs::TraceEvent *> Phases;
+  const std::vector<obs::ThreadEvents> Collected = obs::collectTrace();
+  for (const obs::ThreadEvents &T : Collected)
+    for (const obs::TraceEvent &E : T.Events) {
+      if (std::string(E.Cat) != "compile")
+        continue;
+      if (std::string(E.Name) == "lower")
+        Lower = &E;
+      else
+        Phases.push_back(&E);
+    }
+  ASSERT_NE(Lower, nullptr);
+  ASSERT_EQ(Phases.size(), FrontEndPhases.size());
+  for (size_t I = 0; I < Phases.size(); ++I) {
+    EXPECT_EQ(Phases[I]->Name, FrontEndPhases[I]);
+    EXPECT_EQ(Phases[I]->DurNs, R.Phases[I].Ns);
+    EXPECT_GE(Phases[I]->StartNs, Lower->StartNs);
+    EXPECT_LE(Phases[I]->StartNs + Phases[I]->DurNs,
+              Lower->StartNs + Lower->DurNs);
+    if (I)
+      EXPECT_GE(Phases[I]->StartNs,
+                Phases[I - 1]->StartNs + Phases[I - 1]->DurNs);
+  }
+}
