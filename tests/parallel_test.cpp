@@ -547,14 +547,48 @@ TEST(ParallelRuntime, SparseTopLevelWalkerSplits) {
 }
 
 TEST(ParallelRuntime, ThreadsOneMatchesAnnotatedPlan) {
-  // Threads=1 must not allocate accumulators or touch the pool.
+  // At Threads=1 the parallel-annotated plan runs exactly like the plan
+  // compiled without annotations: the same bits and counters, no pool
+  // task on any worker or caller, and nothing merged.
   DetCase C = std::move(determinismCases()[0]);
-  CompileResult R = compileEinsum(C.E);
+  const CompileResult Annotated = compileEinsum(C.E);
+  PipelineOptions NoParallel;
+  NoParallel.Parallelize = false;
+  const CompileResult Plain = compileEinsum(C.E, NoParallel);
   ExecOptions O;
   O.Threads = 1;
-  Tensor A = runKernel(R.Optimized, C, O);
-  Tensor B = runKernel(R.Optimized, C, ExecOptions());
-  EXPECT_EQ(Tensor::maxAbsDiff(A, B), 0.0);
+
+  Tensor A = Tensor::dense(C.OutDims, 0.0);
+  A.setAllValues(C.OutInit);
+  Executor E(Annotated.Optimized, O);
+  for (auto &[Name, T] : C.Inputs)
+    E.bind(Name, &T);
+  E.bind(C.E.Output->tensorName(), &A);
+  ASSERT_TRUE(E.tryPrepare().ok());
+  const ThreadPool::ActivitySnapshot Before =
+      ThreadPool::global().activitySnapshot();
+  obs::ExecReport Rep;
+  ASSERT_TRUE(E.tryRun(&Rep).ok());
+  const ThreadPool::ActivitySnapshot After =
+      ThreadPool::global().activitySnapshot();
+  auto TasksMoved = [](const std::vector<ThreadPool::ActivityCounters> &B,
+                       const std::vector<ThreadPool::ActivityCounters> &A) {
+    for (size_t I = 0; I < A.size(); ++I)
+      if (A[I].Tasks != (I < B.size() ? B[I].Tasks : 0))
+        return true;
+    return false;
+  };
+  EXPECT_FALSE(TasksMoved(Before.Workers, After.Workers));
+  EXPECT_FALSE(TasksMoved(Before.Callers, After.Callers));
+  EXPECT_EQ(Rep.phaseNs("merge"), 0u);
+
+  CounterSnapshot PlainCounts;
+  Tensor B = runKernel(Plain.Optimized, C, O, &PlainCounts);
+  EXPECT_EQ(A.vals(), B.vals());
+  EXPECT_EQ(Rep.Counters.SparseReads, PlainCounts.SparseReads);
+  EXPECT_EQ(Rep.Counters.Reductions, PlainCounts.Reductions);
+  EXPECT_EQ(Rep.Counters.ScalarOps, PlainCounts.ScalarOps);
+  EXPECT_EQ(Rep.Counters.OutputWrites, PlainCounts.OutputWrites);
 }
 
 //===----------------------------------------------------------------------===//
