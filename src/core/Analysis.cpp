@@ -107,7 +107,8 @@ SymmetryAnalysis analyzeSymmetry(const Einsum &E) {
       const std::string &A = All[I], &B = All[J];
       if (FromInputs.count(A) || FromInputs.count(B))
         continue; // already covered by an input symmetry chain
-      if (Pre.normalize(Pre.rename(Rhs, Pre.substitution({{A, B}, {B, A}}))) ==
+      const FormTable::Id NA = Pre.name(A), NB = Pre.name(B);
+      if (Pre.normalize(Rhs, Pre.substitution({{NA, NB}, {NB, NA}})) ==
           RhsNorm)
         Union.unite(A, B);
     }
@@ -164,8 +165,9 @@ SymmetryAnalysis analyzeSymmetry(const Einsum &E) {
       if (CA == Result.ChainOf.end() || CB == Result.ChainOf.end() ||
           CA->second != CB->second)
         continue;
-      if (Post.normalize(Post.rename(
-              PostRhs, Post.substitution({{A, B}, {B, A}}))) != PostRhsNorm)
+      const FormTable::Id NA = Post.name(A), NB = Post.name(B);
+      if (Post.normalize(PostRhs, Post.substitution({{NA, NB}, {NB, NA}})) !=
+          PostRhsNorm)
         continue;
       // Union the two positions' groups.
       unsigned Root = PartOf[P];

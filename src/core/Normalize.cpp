@@ -49,7 +49,7 @@ std::string exactText(double V, std::string Shown) {
 } // namespace
 
 FormTable::FormTable(const Einsum &E, std::map<std::string, int> IndexRankIn)
-    : IndexRank(std::move(IndexRankIn)), Slots(64, None) {
+    : IndexRank(std::move(IndexRankIn)), Slots(64, None), Substs(1) {
   for (const auto &[Tensor, D] : E.Decls) {
     std::vector<std::vector<unsigned>> Parts;
     for (const std::vector<unsigned> &Part : D.Symmetry.parts())
@@ -79,37 +79,24 @@ FormTable::Id FormTable::lookup(const std::vector<uint32_t> &Key,
                                 MakeFn Make) {
   const uint64_t Hash = hashKey(Key.data(), Key.size());
   const size_t Mask = Slots.size() - 1;
-  for (size_t S = Hash & Mask;; S = (S + 1) & Mask) {
-    const Id Cand = Slots[S];
-    if (Cand == None)
-      break;
-    const Node &N = Nodes[Cand];
+  size_t S = Hash & Mask;
+  for (; Slots[S] != None; S = (S + 1) & Mask) {
+    const Node &N = Nodes[Slots[S]];
     if (N.KeyLen == Key.size() &&
         std::equal(Key.begin(), Key.end(), Keys.begin() + N.KeyBegin))
-      return Cand;
+      return Slots[S];
   }
-  return add(Key, Hash, Make());
-}
-
-FormTable::Id FormTable::add(const std::vector<uint32_t> &Key,
-                             uint64_t Hash, ExprPtr Ex) {
   const Id I = static_cast<Id>(Nodes.size());
   Node N;
   N.KeyBegin = static_cast<uint32_t>(Keys.size());
   N.KeyLen = static_cast<uint32_t>(Key.size());
-  ByPtr.emplace(Ex.get(), I);
-  N.Ex = std::move(Ex);
+  N.Ex = Make();
+  ByPtr.emplace(N.Ex.get(), I);
   Nodes.push_back(std::move(N));
   Keys.insert(Keys.end(), Key.begin(), Key.end());
+  Slots[S] = I;
   if (2 * Nodes.size() > Slots.size())
     grow();
-  else
-    for (size_t S = Hash & (Slots.size() - 1);;
-         S = (S + 1) & (Slots.size() - 1))
-      if (Slots[S] == None) {
-        Slots[S] = I;
-        break;
-      }
   return I;
 }
 
@@ -128,37 +115,40 @@ void FormTable::grow() {
 FormTable::Id FormTable::intern(const ExprPtr &Ex) {
   if (auto It = ByPtr.find(Ex.get()); It != ByPtr.end())
     return It->second;
-  std::vector<uint32_t> Key;
+  std::vector<Id> Args; // operands first: interning them reuses Scratch
+  if (Ex->kind() == ExprKind::Call)
+    for (const ExprPtr &A : Ex->args())
+      Args.push_back(intern(A));
+  Scratch.clear();
   switch (Ex->kind()) {
   case ExprKind::Literal:
-    Key.push_back(TagLit);
-    pushDouble(Key, Ex->literalValue());
+    Scratch.push_back(TagLit);
+    pushDouble(Scratch, Ex->literalValue());
     break;
   case ExprKind::Scalar:
-    Key = {TagScalar, name(Ex->scalarName())};
+    Scratch = {TagScalar, name(Ex->scalarName())};
     break;
   case ExprKind::Access:
-    Key = {TagAccess, name(Ex->tensorName())};
+    Scratch = {TagAccess, name(Ex->tensorName())};
     for (const std::string &I : Ex->indices())
-      Key.push_back(name(I));
+      Scratch.push_back(name(I));
     break;
   case ExprKind::Call:
-    Key = {TagCall, static_cast<uint32_t>(Ex->op())};
-    for (const ExprPtr &A : Ex->args())
-      Key.push_back(intern(A));
+    Scratch = {TagCall, static_cast<uint32_t>(Ex->op())};
+    Scratch.insert(Scratch.end(), Args.begin(), Args.end());
     break;
   case ExprKind::Lut:
-    Key = {TagLut, static_cast<uint32_t>(Ex->lutBits().size())};
+    Scratch = {TagLut, static_cast<uint32_t>(Ex->lutBits().size())};
     for (const CmpAtom &B : Ex->lutBits()) {
-      Key.push_back(static_cast<uint32_t>(B.Kind));
-      Key.push_back(name(B.Lhs));
-      Key.push_back(name(B.Rhs));
+      Scratch.push_back(static_cast<uint32_t>(B.Kind));
+      Scratch.push_back(name(B.Lhs));
+      Scratch.push_back(name(B.Rhs));
     }
     for (double V : Ex->lutTable())
-      pushDouble(Key, V);
+      pushDouble(Scratch, V);
     break;
   }
-  const Id I = lookup(Key, [&] { return Ex; });
+  const Id I = lookup(Scratch, [&] { return Ex; });
   // Another tree with this structure was interned first: remember this
   // one too, keeping it alive so its address cannot be reused.
   if (Nodes[I].Ex != Ex) {
@@ -170,9 +160,9 @@ FormTable::Id FormTable::intern(const ExprPtr &Ex) {
 
 FormTable::Id FormTable::internAccess(Id Tensor,
                                       const std::vector<Id> &Indices) {
-  std::vector<uint32_t> Key{TagAccess, Tensor};
-  Key.insert(Key.end(), Indices.begin(), Indices.end());
-  return lookup(Key, [&] {
+  Scratch = {TagAccess, Tensor};
+  Scratch.insert(Scratch.end(), Indices.begin(), Indices.end());
+  return lookup(Scratch, [&] {
     std::vector<std::string> Idx;
     Idx.reserve(Indices.size());
     for (Id N : Indices)
@@ -182,116 +172,70 @@ FormTable::Id FormTable::internAccess(Id Tensor,
 }
 
 FormTable::Id FormTable::internCall(OpKind Op, const std::vector<Id> &Args) {
-  std::vector<uint32_t> Key{TagCall, static_cast<uint32_t>(Op)};
-  Key.insert(Key.end(), Args.begin(), Args.end());
-  return lookup(Key, [&] {
+  Scratch = {TagCall, static_cast<uint32_t>(Op)};
+  Scratch.insert(Scratch.end(), Args.begin(), Args.end());
+  return lookup(Scratch, [&] {
     std::vector<ExprPtr> Trees;
     Trees.reserve(Args.size());
     for (Id A : Args)
       Trees.push_back(Nodes[A].Ex);
     ExprPtr Call = Expr::call(Op, std::move(Trees));
-    // Renaming and normalizing keep a call's arity and its operands'
-    // kinds, so Expr::call has nothing to flatten.
+    // Normalizing keeps a call's arity and its operands' kinds, so
+    // Expr::call has nothing to flatten.
     assert(Call->kind() == ExprKind::Call &&
            Call->args().size() == Args.size() && "call reshaped");
     return Call;
   });
 }
 
-unsigned FormTable::substitution(
-    const std::vector<std::pair<std::string, std::string>> &Pairs) {
-  std::vector<std::pair<Id, Id>> Ids;
-  Ids.reserve(Pairs.size());
-  for (const auto &[From, To] : Pairs)
-    Ids.emplace_back(name(From), name(To));
+unsigned FormTable::substitution(const std::vector<std::pair<Id, Id>> &Pairs) {
   std::vector<Id> Map(Names.size());
   for (Id N = 0; N < Map.size(); ++N)
     Map[N] = N;
-  for (const auto &[From, To] : Ids)
+  for (const auto &[From, To] : Pairs)
     Map[From] = To;
   Substs.push_back(std::move(Map));
   return static_cast<unsigned>(Substs.size() - 1);
 }
 
-FormTable::Id FormTable::rename(Id I, unsigned S) {
-  const uint64_t Memo = (static_cast<uint64_t>(S) << 32) | I;
-  if (auto It = Renamed.find(Memo); It != Renamed.end())
-    return It->second;
+FormTable::Id FormTable::normalize(Id I, unsigned S) {
+  if (S == 0 && Nodes[I].Norm != None)
+    return Nodes[I].Norm;
   auto Sub = [this, S](Id N) {
     return N < Substs[S].size() ? Substs[S][N] : N;
   };
-  const Node &N = Nodes[I];
-  std::vector<uint32_t> Key(Keys.begin() + N.KeyBegin,
-                            Keys.begin() + N.KeyBegin + N.KeyLen);
+  // Offsets into Keys stay valid while new nodes append to it.
+  const uint32_t Begin = Nodes[I].KeyBegin, Len = Nodes[I].KeyLen;
   Id R = I;
-  switch (Key[0]) {
+  switch (Keys[Begin]) {
   case TagAccess: {
-    std::vector<Id> Idx;
-    for (size_t K = 2; K < Key.size(); ++K)
-      Idx.push_back(Sub(Key[K]));
-    R = internAccess(Key[1], Idx);
-    break;
-  }
-  case TagCall: {
-    std::vector<Id> Args;
-    for (size_t K = 2; K < Key.size(); ++K)
-      Args.push_back(rename(Key[K], S));
-    R = internCall(static_cast<OpKind>(Key[1]), Args);
-    break;
-  }
-  case TagLut: {
-    const size_t NBits = Key[1];
-    for (size_t B = 0; B < NBits; ++B) {
-      Key[3 + 3 * B] = Sub(Key[3 + 3 * B]);
-      Key[4 + 3 * B] = Sub(Key[4 + 3 * B]);
-    }
-    R = lookup(Key, [&] {
-      std::vector<CmpAtom> Bits;
-      for (size_t B = 0; B < NBits; ++B)
-        Bits.push_back(CmpAtom{static_cast<CmpKind>(Key[2 + 3 * B]),
-                               Names[Key[3 + 3 * B]],
-                               Names[Key[4 + 3 * B]]});
-      return Expr::lut(std::move(Bits), Nodes[I].Ex->lutTable());
-    });
-    break;
-  }
-  default: // literals and scalars carry no indices
-    break;
-  }
-  Renamed.emplace(Memo, R);
-  return R;
-}
-
-FormTable::Id FormTable::normalize(Id I) {
-  if (Nodes[I].Norm != None)
-    return Nodes[I].Norm;
-  const Node &N = Nodes[I];
-  std::vector<uint32_t> Key(Keys.begin() + N.KeyBegin,
-                            Keys.begin() + N.KeyBegin + N.KeyLen);
-  Id R = I;
-  if (Key[0] == TagAccess) {
-    auto It = SymParts.find(Key[1]);
-    if (It != SymParts.end()) {
-      std::vector<Id> Idx(Key.begin() + 2, Key.end());
-      for (const std::vector<unsigned> &Part : It->second) {
-        std::vector<Id> Sorted;
-        for (unsigned M : Part)
-          Sorted.push_back(Idx[M]);
-        std::sort(Sorted.begin(), Sorted.end(), [this](Id A, Id B) {
+    const Id Tensor = Keys[Begin + 1];
+    std::vector<Id> Idx(Len - 2);
+    for (uint32_t K = 0; K + 2 < Len; ++K)
+      Idx[K] = Sub(Keys[Begin + 2 + K]);
+    if (auto It = SymParts.find(Tensor); It != SymParts.end()) {
+      std::vector<Id> Part;
+      for (const std::vector<unsigned> &Modes : It->second) {
+        Part.clear();
+        for (unsigned M : Modes)
+          Part.push_back(Idx[M]);
+        std::sort(Part.begin(), Part.end(), [this](Id A, Id B) {
           if (NameRank[A] != NameRank[B])
             return NameRank[A] < NameRank[B];
           return Names[A] < Names[B];
         });
-        for (size_t P = 0; P < Part.size(); ++P)
-          Idx[Part[P]] = Sorted[P];
+        for (size_t P = 0; P < Modes.size(); ++P)
+          Idx[Modes[P]] = Part[P];
       }
-      R = internAccess(Key[1], Idx);
     }
-  } else if (Key[0] == TagCall) {
-    const OpKind Op = static_cast<OpKind>(Key[1]);
-    std::vector<Id> Args;
-    for (size_t K = 2; K < Key.size(); ++K)
-      Args.push_back(normalize(Key[K]));
+    R = internAccess(Tensor, Idx);
+    break;
+  }
+  case TagCall: {
+    const OpKind Op = static_cast<OpKind>(Keys[Begin + 1]);
+    std::vector<Id> Args(Len - 2);
+    for (uint32_t K = 0; K + 2 < Len; ++K)
+      Args[K] = normalize(Keys[Begin + 2 + K], S);
     if (opInfo(Op).Commutative) {
       for (Id A : Args)
         sortKey(A);
@@ -300,8 +244,32 @@ FormTable::Id FormTable::normalize(Id I) {
       });
     }
     R = internCall(Op, Args);
+    break;
   }
-  Nodes[I].Norm = R;
+  case TagLut: {
+    if (S == 0)
+      break;
+    Scratch.assign(Keys.begin() + Begin, Keys.begin() + Begin + Len);
+    const size_t NBits = Scratch[1];
+    for (size_t B = 0; B < NBits; ++B) {
+      Scratch[3 + 3 * B] = Sub(Scratch[3 + 3 * B]);
+      Scratch[4 + 3 * B] = Sub(Scratch[4 + 3 * B]);
+    }
+    R = lookup(Scratch, [&] {
+      std::vector<CmpAtom> Bits;
+      for (size_t B = 0; B < NBits; ++B)
+        Bits.push_back(CmpAtom{static_cast<CmpKind>(Scratch[2 + 3 * B]),
+                               Names[Scratch[3 + 3 * B]],
+                               Names[Scratch[4 + 3 * B]]});
+      return Expr::lut(std::move(Bits), Nodes[I].Ex->lutTable());
+    });
+    break;
+  }
+  default: // literals and scalars carry no indices
+    break;
+  }
+  if (S == 0)
+    Nodes[I].Norm = R;
   Nodes[R].Norm = R;
   return R;
 }

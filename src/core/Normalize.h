@@ -13,7 +13,7 @@
 /// structurally distinct expression gets an id, so a normal form is an
 /// id, a form is a pair of ids and every signature the front end buckets
 /// on is a tuple of ids. A literal is interned by its value's bits. Each
-/// id's sort key, normal form and renamings are computed once. One table
+/// id's sort key and normal form are computed once. One table
 /// serves one compilation (the SymKernel it builds owns it); it is not
 /// shared between threads.
 ///
@@ -58,17 +58,17 @@ public:
   /// The table's node for \p I.
   const ExprPtr &expr(Id I) const { return Nodes[I].Ex; }
 
-  /// Normal form of \p I: symmetric tensor mode tuples and commutative
-  /// operands sorted.
-  Id normalize(Id I);
+  /// Registers the simultaneous index substitution \p Pairs (From ->
+  /// To; names not listed map to themselves) and returns its handle.
+  /// Handle 0 is the identity.
+  unsigned substitution(const std::vector<std::pair<Id, Id>> &Pairs);
 
-  /// Registers the simultaneous index substitution \p Pairs (names not
-  /// listed map to themselves) and returns its handle for rename().
-  unsigned substitution(
-      const std::vector<std::pair<std::string, std::string>> &Pairs);
-  /// \p I with substitution \p S applied to access indices and lookup
-  /// bits.
-  Id rename(Id I, unsigned S);
+  /// Normal form of \p I after substitution \p S renames its access
+  /// indices and lookup bits: symmetric tensor mode tuples and
+  /// commutative operands sorted. Renaming is folded into normalizing,
+  /// so a renamed but unnormalized tree is never built. Each id's plain
+  /// normal form (S = 0) is computed once.
+  Id normalize(Id I, unsigned S = 0);
 
   /// Deterministic sort key of \p I's structure; distinct structures
   /// have distinct keys (a literal's key renders it exactly).
@@ -91,7 +91,6 @@ private:
   /// its expression on a miss.
   template <typename MakeFn>
   Id lookup(const std::vector<uint32_t> &Key, MakeFn Make);
-  Id add(const std::vector<uint32_t> &Key, uint64_t Hash, ExprPtr Ex);
   Id internAccess(Id Tensor, const std::vector<Id> &Indices);
   Id internCall(OpKind Op, const std::vector<Id> &Args);
   void grow();
@@ -111,7 +110,7 @@ private:
   std::vector<std::string> Names;
   std::vector<int> NameRank; ///< rankOf per name id
   std::vector<std::vector<Id>> Substs; ///< dense name maps
-  std::unordered_map<uint64_t, Id> Renamed; ///< (subst, id) -> id
+  std::vector<uint32_t> Scratch;        ///< key under construction
 };
 
 } // namespace systec

@@ -112,14 +112,16 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
     return SK;
   }
 
-  // The normal form of (Out0, Rhs0) under substitution S, as one key.
-  auto FormKey = [&T](FormTable::Id Out, FormTable::Id Rhs, unsigned S) {
-    return std::make_pair(T.normalize(T.rename(Out, S)),
-                          T.normalize(T.rename(Rhs, S)));
+  // A form's normal form under substitution S, packed into one key.
+  auto Packed = [](FormTable::Id Out, FormTable::Id Rhs) {
+    return (static_cast<uint64_t>(Out) << 32) | Rhs;
   };
-  auto Packed = [](std::pair<FormTable::Id, FormTable::Id> F) {
-    return (static_cast<uint64_t>(F.first) << 32) | F.second;
-  };
+  std::vector<std::vector<FormTable::Id>> ChainIds;
+  for (const Chain &C : Analysis.Chains) {
+    ChainIds.emplace_back();
+    for (const std::string &N : C.Names)
+      ChainIds.back().push_back(T.name(N));
+  }
 
   // Enumerate all products of chain permutations, apply them to the
   // assignment, and bucket the normal forms with counts.
@@ -134,18 +136,20 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
   std::vector<RawForm> Raw;
   std::unordered_map<uint64_t, size_t> RawIdx;
   for (ProductCounter PC(PermCounts); !PC.done(); PC.advance()) {
-    std::vector<std::pair<std::string, std::string>> Rename;
-    for (size_t CI = 0; CI < Analysis.Chains.size(); ++CI) {
-      const Chain &C = Analysis.Chains[CI];
+    std::vector<std::pair<FormTable::Id, FormTable::Id>> Rename;
+    for (size_t CI = 0; CI < ChainIds.size(); ++CI) {
+      const std::vector<FormTable::Id> &C = ChainIds[CI];
       const Permutation &Sigma = ChainPerms[CI][PC.digits()[CI]];
       // Paper Figure 5: the loop tuple becomes sigma applied to the
       // names; index at chain position P is renamed to the name at
       // position Sigma[P].
-      for (unsigned P = 0; P < C.Names.size(); ++P)
-        Rename.emplace_back(C.Names[P], C.Names[Sigma[P]]);
+      for (unsigned P = 0; P < C.size(); ++P)
+        Rename.emplace_back(C[P], C[Sigma[P]]);
     }
-    const auto [Out, Rhs] = FormKey(Out0, Rhs0, T.substitution(Rename));
-    auto [It, New] = RawIdx.try_emplace(Packed({Out, Rhs}), Raw.size());
+    const unsigned S = T.substitution(Rename);
+    const FormTable::Id Out = T.normalize(Out0, S);
+    const FormTable::Id Rhs = T.normalize(Rhs0, S);
+    auto [It, New] = RawIdx.try_emplace(Packed(Out, Rhs), Raw.size());
     if (New)
       Raw.push_back(RawForm{Out, Rhs, 1});
     else
@@ -175,17 +179,17 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
 
     // Equality-collapse rename: each run's names map to the run's first
     // (representative) name.
-    std::vector<std::pair<std::string, std::string>> Collapse;
-    for (size_t CI = 0; CI < Analysis.Chains.size(); ++CI) {
-      const Chain &C = Analysis.Chains[CI];
+    std::vector<std::pair<FormTable::Id, FormTable::Id>> Collapse;
+    for (size_t CI = 0; CI < ChainIds.size(); ++CI) {
+      const std::vector<FormTable::Id> &C = ChainIds[CI];
       const EquivalenceGroup *G = Groups[CI];
       for (unsigned R = 0; R < G->runs().size(); ++R) {
         auto [B, End] = G->runRange(R);
         for (unsigned P = B; P < End; ++P)
-          Collapse.emplace_back(C.Names[P], C.Names[B]);
+          Collapse.emplace_back(C[P], C[B]);
       }
     }
-    const unsigned CollapseS = T.substitution(Collapse);
+    const unsigned S = T.substitution(Collapse);
 
     // Group raw forms into equality classes under the collapse.
     std::unordered_map<uint64_t, size_t> ClassIdx;
@@ -196,7 +200,7 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
     std::vector<EqClass> Classes;
     for (size_t RI = 0; RI < Raw.size(); ++RI) {
       auto [It, New] = ClassIdx.try_emplace(
-          Packed(FormKey(Raw[RI].Out, Raw[RI].Rhs, CollapseS)),
+          Packed(T.normalize(Raw[RI].Out, S), T.normalize(Raw[RI].Rhs, S)),
           Classes.size());
       if (New)
         Classes.emplace_back();

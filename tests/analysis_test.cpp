@@ -223,12 +223,15 @@ TEST(Normalizer, InterningIsStructural) {
   EXPECT_EQ(N.sortKey(N.intern(Expr::lit(0.5))), "0:0.5");
 }
 
-TEST(Normalizer, RenameIsSimultaneous) {
-  Einsum E = makeSsymv();
+TEST(Normalizer, SubstitutionIsSimultaneous) {
+  // ssyrk's rhs under the swap i <-> j: A[j,k] * A[i,k], which sorts
+  // back to the original operand order.
+  Einsum E = makeSsyrk();
   FormTable N(E, {});
-  const FormTable::Id Ex = N.intern(Expr::call(
-      OpKind::Mul, {Expr::access("A", {"i", "j"}), Expr::access("x", {"j"})}));
-  const unsigned Swap = N.substitution({{"i", "j"}, {"j", "i"}});
-  EXPECT_EQ(N.expr(N.rename(Ex, Swap))->str(), "A[j, i] * x[i]");
-  EXPECT_EQ(N.rename(N.rename(Ex, Swap), Swap), Ex);
+  const FormTable::Id Rhs = N.intern(E.Rhs);
+  const FormTable::Id I = N.name("i"), J = N.name("j");
+  const unsigned Swap = N.substitution({{I, J}, {J, I}});
+  EXPECT_EQ(N.normalize(Rhs, Swap), N.normalize(Rhs));
+  const unsigned ToJ = N.substitution({{I, J}});
+  EXPECT_EQ(N.expr(N.normalize(Rhs, ToJ))->str(), "A[j, k] * A[j, k]");
 }
