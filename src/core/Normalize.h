@@ -55,8 +55,8 @@ public:
   Id intern(const ExprPtr &Ex);
   /// The interned name (tensor, scalar or index).
   Id name(const std::string &Name);
-  /// The table's node for \p I.
-  const ExprPtr &expr(Id I) const { return Nodes[I].Ex; }
+  /// The table's tree for \p I.
+  ExprPtr expr(Id I) const { return Nodes[I].Ex; }
 
   /// Registers the simultaneous index substitution \p Pairs (From ->
   /// To; names not listed map to themselves) and returns its handle.
@@ -71,7 +71,8 @@ public:
   Id normalize(Id I, unsigned S = 0);
 
   /// Deterministic sort key of \p I's structure; distinct structures
-  /// have distinct keys (a literal's key renders it exactly).
+  /// have distinct keys (a literal's key renders it exactly). The
+  /// reference is valid until the next call that interns.
   const std::string &sortKey(Id I);
 
   /// Convenience for callers holding trees: the normal form of \p Ex.

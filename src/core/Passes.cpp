@@ -3,8 +3,6 @@
 #include "core/Passes.h"
 
 #include "core/Normalize.h"
-#include "support/Error.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cassert>

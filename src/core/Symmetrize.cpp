@@ -112,7 +112,7 @@ SymKernel symmetrize(const Einsum &E, const SymmetryAnalysis &Analysis) {
     return SK;
   }
 
-  // A form's normal form under substitution S, packed into one key.
+  // A form, (output id, rhs id), packed into one hash key.
   auto Packed = [](FormTable::Id Out, FormTable::Id Rhs) {
     return (static_cast<uint64_t>(Out) << 32) | Rhs;
   };

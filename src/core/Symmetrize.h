@@ -17,6 +17,13 @@
 /// Listing 7 ("we may need to swap around a few indices in the blocks
 /// accounting for the diagonals", Section 3.2.2).
 ///
+/// Every form is an (output id, rhs id) pair in the kernel's FormTable
+/// (core/Normalize.h): a permutation or an equality collapse is a
+/// substitution over interned index names, applied while normalizing,
+/// and raw forms and equality classes are bucketed by id pairs in hash
+/// maps. Forms keep their first-seen order, so each block lists its
+/// forms in the order the enumeration first meets them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYSTEC_CORE_SYMMETRIZE_H

@@ -186,8 +186,9 @@ TEST(Normalizer, OperandSortUsesChainRanks) {
   Einsum E = makeMttkrp(3);
   SymmetryAnalysis A = analyzeSymmetry(E);
   FormTable N(E, A.IndexRank);
-  EXPECT_LT(N.sortKey(N.intern(Expr::access("B", {"k", "j"}))),
-            N.sortKey(N.intern(Expr::access("B", {"l", "j"}))));
+  const FormTable::Id K = N.intern(Expr::access("B", {"k", "j"}));
+  const FormTable::Id L = N.intern(Expr::access("B", {"l", "j"}));
+  EXPECT_LT(N.sortKey(K), N.sortKey(L));
 }
 
 TEST(Normalizer, SwappedFormsCollapse) {
