@@ -2,7 +2,6 @@
 
 #include "core/Normalize.h"
 
-#include "support/Error.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -26,15 +25,6 @@ void pushDouble(std::vector<uint32_t> &Key, double V) {
   Key.push_back(static_cast<uint32_t>(Bits >> 32));
 }
 
-uint64_t hashKey(const uint32_t *Key, size_t Len) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= Key[I];
-    H *= 0x100000001b3ull;
-  }
-  return H ^ (H >> 29);
-}
-
 /// \p Shown when it reads back as exactly \p V, else V's round-trip
 /// digits: keys of literals that print alike stay distinct.
 std::string exactText(double V, std::string Shown) {
@@ -48,8 +38,17 @@ std::string exactText(double V, std::string Shown) {
 
 } // namespace
 
+size_t IdTupleHash::operator()(const std::vector<uint32_t> &Ids) const {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint32_t V : Ids) {
+    H ^= V;
+    H *= 0x100000001b3ull;
+  }
+  return static_cast<size_t>(H ^ (H >> 29));
+}
+
 FormTable::FormTable(const Einsum &E, std::map<std::string, int> IndexRankIn)
-    : IndexRank(std::move(IndexRankIn)), Slots(64, None), Substs(1) {
+    : IndexRank(std::move(IndexRankIn)), Substs(1) {
   for (const auto &[Tensor, D] : E.Decls) {
     std::vector<std::vector<unsigned>> Parts;
     for (const std::vector<unsigned> &Part : D.Symmetry.parts())
@@ -77,39 +76,15 @@ FormTable::Id FormTable::name(const std::string &N) {
 template <typename MakeFn>
 FormTable::Id FormTable::lookup(const std::vector<uint32_t> &Key,
                                 MakeFn Make) {
-  const uint64_t Hash = hashKey(Key.data(), Key.size());
-  const size_t Mask = Slots.size() - 1;
-  size_t S = Hash & Mask;
-  for (; Slots[S] != None; S = (S + 1) & Mask) {
-    const Node &N = Nodes[Slots[S]];
-    if (N.KeyLen == Key.size() &&
-        std::equal(Key.begin(), Key.end(), Keys.begin() + N.KeyBegin))
-      return Slots[S];
-  }
+  if (auto It = Index.find(Key); It != Index.end())
+    return It->second;
   const Id I = static_cast<Id>(Nodes.size());
   Node N;
-  N.KeyBegin = static_cast<uint32_t>(Keys.size());
-  N.KeyLen = static_cast<uint32_t>(Key.size());
+  N.Key = &Index.emplace(Key, I).first->first;
   N.Ex = Make();
   ByPtr.emplace(N.Ex.get(), I);
   Nodes.push_back(std::move(N));
-  Keys.insert(Keys.end(), Key.begin(), Key.end());
-  Slots[S] = I;
-  if (2 * Nodes.size() > Slots.size())
-    grow();
   return I;
-}
-
-void FormTable::grow() {
-  Slots.assign(Slots.size() * 2, None);
-  const size_t Mask = Slots.size() - 1;
-  for (Id I = 0; I < Nodes.size(); ++I) {
-    const Node &N = Nodes[I];
-    size_t S = hashKey(Keys.data() + N.KeyBegin, N.KeyLen) & Mask;
-    while (Slots[S] != None)
-      S = (S + 1) & Mask;
-    Slots[S] = I;
-  }
 }
 
 FormTable::Id FormTable::intern(const ExprPtr &Ex) {
@@ -204,15 +179,15 @@ FormTable::Id FormTable::normalize(Id I, unsigned S) {
   auto Sub = [this, S](Id N) {
     return N < Substs[S].size() ? Substs[S][N] : N;
   };
-  // Offsets into Keys stay valid while new nodes append to it.
-  const uint32_t Begin = Nodes[I].KeyBegin, Len = Nodes[I].KeyLen;
+  // Index owns the key and never moves it while nodes are added.
+  const std::vector<uint32_t> &Key = *Nodes[I].Key;
   Id R = I;
-  switch (Keys[Begin]) {
+  switch (Key[0]) {
   case TagAccess: {
-    const Id Tensor = Keys[Begin + 1];
-    std::vector<Id> Idx(Len - 2);
-    for (uint32_t K = 0; K + 2 < Len; ++K)
-      Idx[K] = Sub(Keys[Begin + 2 + K]);
+    const Id Tensor = Key[1];
+    std::vector<Id> Idx(Key.size() - 2);
+    for (size_t K = 2; K < Key.size(); ++K)
+      Idx[K - 2] = Sub(Key[K]);
     if (auto It = SymParts.find(Tensor); It != SymParts.end()) {
       std::vector<Id> Part;
       for (const std::vector<unsigned> &Modes : It->second) {
@@ -232,10 +207,10 @@ FormTable::Id FormTable::normalize(Id I, unsigned S) {
     break;
   }
   case TagCall: {
-    const OpKind Op = static_cast<OpKind>(Keys[Begin + 1]);
-    std::vector<Id> Args(Len - 2);
-    for (uint32_t K = 0; K + 2 < Len; ++K)
-      Args[K] = normalize(Keys[Begin + 2 + K], S);
+    const OpKind Op = static_cast<OpKind>(Key[1]);
+    std::vector<Id> Args(Key.size() - 2);
+    for (size_t K = 2; K < Key.size(); ++K)
+      Args[K - 2] = normalize(Key[K], S);
     if (opInfo(Op).Commutative) {
       for (Id A : Args)
         sortKey(A);
@@ -249,7 +224,7 @@ FormTable::Id FormTable::normalize(Id I, unsigned S) {
   case TagLut: {
     if (S == 0)
       break;
-    Scratch.assign(Keys.begin() + Begin, Keys.begin() + Begin + Len);
+    Scratch = Key;
     const size_t NBits = Scratch[1];
     for (size_t B = 0; B < NBits; ++B) {
       Scratch[3 + 3 * B] = Sub(Scratch[3 + 3 * B]);
@@ -297,9 +272,9 @@ const std::string &FormTable::sortKey(Id I) {
     break;
   case ExprKind::Call: {
     K.append("3:").append(opInfo(Ex->op()).Ident);
-    const Node &N = Nodes[I];
-    for (uint32_t A = N.KeyBegin + 2; A < N.KeyBegin + N.KeyLen; ++A)
-      K.append("(").append(sortKey(Keys[A])).append(")");
+    const std::vector<uint32_t> &Key = *Nodes[I].Key;
+    for (size_t A = 2; A < Key.size(); ++A)
+      K.append("(").append(sortKey(Key[A])).append(")");
     break;
   }
   case ExprKind::Lut: {

@@ -33,6 +33,12 @@
 
 namespace systec {
 
+/// Hash of a tuple of ids (FNV-1a over its words), for maps keyed by
+/// structural keys and signatures.
+struct IdTupleHash {
+  size_t operator()(const std::vector<uint32_t> &Ids) const;
+};
+
 /// Interns expressions relative to an einsum's declarations and
 /// normalizes them under an index ranking (lower rank = earlier in the
 /// canonical chain, i.e. provably smaller value inside the restricted
@@ -83,7 +89,7 @@ public:
 private:
   struct Node {
     ExprPtr Ex;
-    uint32_t KeyBegin = 0, KeyLen = 0; ///< structural key in Keys
+    const std::vector<uint32_t> *Key = nullptr; ///< owned by Index
     Id Norm = None;
     std::string SortKey; ///< empty until first asked for
   };
@@ -94,15 +100,14 @@ private:
   Id lookup(const std::vector<uint32_t> &Key, MakeFn Make);
   Id internAccess(Id Tensor, const std::vector<Id> &Indices);
   Id internCall(OpKind Op, const std::vector<Id> &Args);
-  void grow();
 
   /// Symmetric parts (size >= 2) per tensor name id.
   std::unordered_map<Id, std::vector<std::vector<unsigned>>> SymParts;
   std::map<std::string, int> IndexRank;
 
   std::vector<Node> Nodes;
-  std::vector<uint32_t> Keys;   ///< all nodes' structural keys
-  std::vector<Id> Slots;        ///< open-addressing table over Nodes
+  /// Structural key (kind tag, then names, ids or value bits) -> id.
+  std::unordered_map<std::vector<uint32_t>, Id, IdTupleHash> Index;
   /// Every tree interned so far, by address. Trees that are not a
   /// node's own are kept alive in Aliases so no address is reused.
   std::unordered_map<const Expr *, Id> ByPtr;

@@ -17,29 +17,8 @@ using Id = FormTable::Id;
 /// A signature: a tuple of interned ids, multiplicities and counts.
 using IdTuple = std::vector<Id>;
 
-struct IdTupleHash {
-  size_t operator()(const IdTuple &K) const {
-    uint64_t H = 0xcbf29ce484222325ull;
-    for (Id V : K) {
-      H ^= V;
-      H *= 0x100000001b3ull;
-    }
-    return static_cast<size_t>(H ^ (H >> 29));
-  }
-};
-
-/// Buckets keyed by signature, numbered in first-seen order.
-class Buckets {
-public:
-  /// The bucket of \p Sig and whether this call created it.
-  std::pair<size_t, bool> insert(IdTuple Sig) {
-    auto [It, New] = Index.try_emplace(std::move(Sig), Index.size());
-    return {It->second, New};
-  }
-
-private:
-  std::unordered_map<IdTuple, size_t, IdTupleHash> Index;
-};
+/// Signature -> bucket number, numbered in first-seen order.
+using Buckets = std::unordered_map<IdTuple, size_t, IdTupleHash>;
 
 /// A form's identity as one word: its output and right-hand side.
 uint64_t formKey(FormTable &T, const FormStmt &F) {
@@ -281,10 +260,10 @@ void passSimplicialLut(SymKernel &SK) {
       Sig.push_back(static_cast<Id>(F >> 32));
       Sig.push_back(static_cast<Id>(F));
     }
-    auto [G, New] = Support.insert(std::move(Sig));
+    auto [It, New] = Support.try_emplace(std::move(Sig), Support.size());
     if (New)
       Groups.emplace_back();
-    Groups[G].push_back(I);
+    Groups[It->second].push_back(I);
   }
 
   std::vector<size_t> Merging;
@@ -368,11 +347,11 @@ void passConsolidateBlocks(SymKernel &SK) {
       pushDef(T, Sig, D);
     for (const FormStmt &F : B.Forms)
       pushForm(T, Sig, F);
-    auto [Slot, New] = Contents.insert(std::move(Sig));
+    auto [It, New] = Contents.try_emplace(std::move(Sig), Contents.size());
     if (New) {
       Result.push_back(std::move(B));
     } else {
-      SymBlock &Target = Result[Slot];
+      SymBlock &Target = Result[It->second];
       Target.Exact =
           simplifyCond(Cond::unionOf(std::move(Target.Exact), B.Exact));
       if (!(Target.Runs == B.Runs))
@@ -408,11 +387,11 @@ void passGroupAcrossBranches(SymKernel &SK, bool AcrossDiagonal) {
       pushForm(T, Sig, F);
       for (const StmtPtr &D : Defs)
         pushDef(T, Sig, D);
-      auto [Slot, New] = Shared.insert(std::move(Sig));
+      auto [It, New] = Shared.try_emplace(std::move(Sig), Shared.size());
       if (New)
         Occs.push_back(Occurrence{{}, F, B.OffDiag, std::move(Defs)});
-      Occs[Slot].BlockIdx.push_back(BI);
-      BucketOf[BI].push_back(Slot);
+      Occs[It->second].BlockIdx.push_back(BI);
+      BucketOf[BI].push_back(It->second);
     }
   }
 
