@@ -52,10 +52,6 @@ public:
 
   FormTable(const Einsum &E, std::map<std::string, int> IndexRank);
 
-  /// Rank used for sorting; indices without an explicit rank sort after
-  /// ranked ones, alphabetically.
-  int rankOf(const std::string &Index) const;
-
   /// The id of \p Ex's structure: equal ids mean structurally equal
   /// expressions.
   Id intern(const ExprPtr &Ex);
@@ -81,11 +77,6 @@ public:
   /// reference is valid until the next call that interns.
   const std::string &sortKey(Id I);
 
-  /// Convenience for callers holding trees: the normal form of \p Ex.
-  ExprPtr normalizeExpr(const ExprPtr &Ex) {
-    return expr(normalize(intern(Ex)));
-  }
-
 private:
   struct Node {
     ExprPtr Ex;
@@ -98,6 +89,9 @@ private:
   /// its expression on a miss.
   template <typename MakeFn>
   Id lookup(const std::vector<uint32_t> &Key, MakeFn Make);
+  /// Rank used for sorting; indices without an explicit rank sort after
+  /// ranked ones, alphabetically.
+  int rankOf(const std::string &Index) const;
   Id internAccess(Id Tensor, const std::vector<Id> &Indices);
   Id internCall(OpKind Op, const std::vector<Id> &Args);
 
