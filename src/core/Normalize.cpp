@@ -2,8 +2,6 @@
 
 #include "core/Normalize.h"
 
-#include "support/StringUtils.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -23,17 +21,6 @@ void pushDouble(std::vector<uint32_t> &Key, double V) {
   std::memcpy(&Bits, &V, sizeof(Bits));
   Key.push_back(static_cast<uint32_t>(Bits));
   Key.push_back(static_cast<uint32_t>(Bits >> 32));
-}
-
-/// \p Shown when it reads back as exactly \p V, else V's round-trip
-/// digits: keys of literals that print alike stay distinct.
-std::string exactText(double V, std::string Shown) {
-  const double Back = std::strtod(Shown.c_str(), nullptr);
-  if (std::isnan(V) || std::memcmp(&Back, &V, sizeof(V)) == 0)
-    return Shown;
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
 }
 
 } // namespace
@@ -221,26 +208,10 @@ FormTable::Id FormTable::normalize(Id I, unsigned S) {
     R = internCall(Op, Args);
     break;
   }
-  case TagLut: {
-    if (S == 0)
-      break;
-    Scratch = Key;
-    const size_t NBits = Scratch[1];
-    for (size_t B = 0; B < NBits; ++B) {
-      Scratch[3 + 3 * B] = Sub(Scratch[3 + 3 * B]);
-      Scratch[4 + 3 * B] = Sub(Scratch[4 + 3 * B]);
-    }
-    R = lookup(Scratch, [&] {
-      std::vector<CmpAtom> Bits;
-      for (size_t B = 0; B < NBits; ++B)
-        Bits.push_back(CmpAtom{static_cast<CmpKind>(Scratch[2 + 3 * B]),
-                               Names[Scratch[3 + 3 * B]],
-                               Names[Scratch[4 + 3 * B]]});
-      return Expr::lut(std::move(Bits), Nodes[I].Ex->lutTable());
-    });
-    break;
-  }
-  default: // literals and scalars carry no indices
+  default:
+    // Literals and scalars carry no indices. Lookup tables do, but only
+    // the LUT pass builds them, as factors, which are never renamed.
+    assert((Key[0] != TagLut || S == 0) && "renaming a lookup table");
     break;
   }
   if (S == 0)
@@ -256,9 +227,15 @@ const std::string &FormTable::sortKey(Id I) {
   std::string K;
   switch (Ex->kind()) {
   case ExprKind::Literal: {
+    // Six significant digits, as printed, unless they do not read back
+    // exactly: literals that print alike keep distinct keys.
+    const double V = Ex->literalValue();
     char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%g", Ex->literalValue());
-    K.append("0:").append(exactText(Ex->literalValue(), Buf));
+    std::snprintf(Buf, sizeof(Buf), "%g", V);
+    const double Back = std::strtod(Buf, nullptr);
+    if (std::memcmp(&Back, &V, sizeof(V)) != 0 && !std::isnan(V))
+      std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    K.append("0:").append(Buf);
     break;
   }
   case ExprKind::Scalar:
@@ -277,19 +254,9 @@ const std::string &FormTable::sortKey(Id I) {
       K.append("(").append(sortKey(Key[A])).append(")");
     break;
   }
-  case ExprKind::Lut: {
-    K.append("4:lut[");
-    const std::vector<CmpAtom> &Bits = Ex->lutBits();
-    for (size_t B = 0; B < Bits.size(); ++B)
-      K.append(B ? ", " : "").append(Bits[B].str());
-    K.append("](");
-    const std::vector<double> &Table = Ex->lutTable();
-    for (size_t V = 0; V < Table.size(); ++V)
-      K.append(V ? ", " : "")
-          .append(exactText(Table[V], formatDouble(Table[V])));
-    K.append(")");
+  case ExprKind::Lut: // multiplicities only, which print exactly
+    K.append("4:").append(Ex->str());
     break;
-  }
   }
   Nodes[I].SortKey = std::move(K);
   return Nodes[I].SortKey;

@@ -66,8 +66,8 @@ public:
   unsigned substitution(const std::vector<std::pair<Id, Id>> &Pairs);
 
   /// Normal form of \p I after substitution \p S renames its access
-  /// indices and lookup bits: symmetric tensor mode tuples and
-  /// commutative operands sorted. Renaming is folded into normalizing,
+  /// indices: symmetric tensor mode tuples and commutative operands
+  /// sorted. A lookup table is a leaf; none is ever renamed. Renaming is folded into normalizing,
   /// so a renamed but unnormalized tree is never built. Each id's plain
   /// normal form (S = 0) is computed once.
   Id normalize(Id I, unsigned S = 0);
