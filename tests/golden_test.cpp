@@ -10,19 +10,32 @@
 ///  - an FNV-1a-64 digest of `report()` for the same kernels under
 ///    each of the ten single-switch-off `PipelineOptions`;
 ///  - an FNV-1a-64 digest of `report()` for the fuzz corpus's einsums
-///    `makeCase(S).E`, S = 0-2999.
+///    `makeCase(S).E`, S = 0-2999;
+///  - an FNV-1a-64 digest of every loop's `parallelInfo()` in both
+///    lowerings over the same three sets (`Stmt::str` does not print
+///    the annotation, so `report()` cannot see it).
 ///
-/// A change that means to move the front end regenerates all three:
+/// It also pins what `tryPrepare` builds from the front end's output:
+/// an FNV-1a-64 digest, over the paper kernels at compile-cold sizes
+/// and the fuzz cases `makeCase(S)`, S = 0-2999, of one counted
+/// `tryRunBody`'s `ExecReport::structureKey()` (loop engines, drivers,
+/// forms and exact counters) and every `MicroKernelStats` field, for
+/// both lowerings on the default engines at Threads 1 and 2.
+///
+/// A change that means to move the front end or the prepared plans
+/// regenerates them:
 ///
 ///   SYSTEC_GOLDEN_UPDATE=1 ./golden_test
 ///
-/// rewrites the text file and prints the two digests to paste below.
+/// rewrites the text file and prints the digests to paste below.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "FuzzHarness.h"
 
+#include "data/Generators.h"
 #include "kernels/Kernels.h"
+#include "support/Counters.h"
 
 #include <gtest/gtest.h>
 
@@ -41,6 +54,8 @@ namespace {
 
 const char *const FuzzCorpusDigest = "78895e4184295796";
 const char *const AblationDigest = "c84fb4193c0e9b3b";
+const char *const ParallelDigest = "63e01e4d5c1389e4";
+const char *const PreparedPlanDigest = "a8a60ddd4f6ec203";
 
 std::vector<std::pair<std::string, Einsum>> paperKernels() {
   return {{"ssymv", makeSsymv()},     {"bellmanford", makeBellmanFord()},
@@ -88,6 +103,105 @@ std::vector<PipelineOptions> ablations() {
   return Out;
 }
 
+/// Appends every loop's index and parallel annotation, in preorder.
+uint64_t hashParallelInfo(uint64_t Hash, const Kernel &K) {
+  for (const StmtPtr &Root : {K.Body, K.Epilogue})
+    if (Root)
+      Stmt::walk(Root, [&Hash](const StmtPtr &S) {
+        if (S->kind() != StmtKind::Loop)
+          return;
+        const ParallelAnnotation &P = S->parallelInfo();
+        Hash = fnv1a(Hash, S->loopIndex() + (P.IsParallel ? ":par" : ":seq") +
+                               std::to_string(P.TriangleDepth) + ";");
+      });
+  return Hash;
+}
+
+uint64_t hashParallelInfo(uint64_t Hash, const CompileResult &R) {
+  return hashParallelInfo(hashParallelInfo(Hash, R.Naive), R.Optimized);
+}
+
+/// One kernel's inputs, bound by name, and its output's shape.
+struct PreparedCase {
+  Einsum E;
+  std::map<std::string, Tensor> Inputs;
+  std::vector<int64_t> OutDims;
+  double OutInit = 0.0;
+};
+
+/// The paper kernels at the sizes of perfbench's compile-cold workload.
+std::vector<PreparedCase> coldCases() {
+  const double Inf = std::numeric_limits<double>::infinity();
+  std::vector<PreparedCase> Out;
+  Rng R(11);
+  for (const auto &[Name, E] : paperKernels()) {
+    PreparedCase C;
+    C.E = E;
+    if (Name == "ssymv" || Name == "syprd" || Name == "bellmanford") {
+      const bool MinPlus = Name == "bellmanford";
+      C.Inputs.emplace("A", generateSymmetricTensor(2, 200, 1500, R,
+                                                    TensorFormat::csf(2),
+                                                    MinPlus ? Inf : 0.0));
+      C.Inputs.emplace(MinPlus ? "d" : "x", generateDenseVector(200, R));
+      C.OutDims = {Name == "syprd" ? 1 : 200};
+      C.OutInit = MinPlus ? Inf : 0.0;
+    } else if (Name == "ssyrk") {
+      C.Inputs.emplace("A", generateSparseMatrix(60, 60, 300, R,
+                                                 TensorFormat::csf(2)));
+      C.OutDims = {60, 60};
+    } else {
+      const bool Ttm = Name == "ttm";
+      const unsigned Order = Ttm ? 3 : unsigned(Name.back() - '0');
+      const int64_t N = Ttm ? 20 : Order == 3 ? 24 : Order == 4 ? 14 : 8;
+      const int64_t Nnz = Ttm ? 300 : Order == 3 ? 400 : Order == 4 ? 150 : 40;
+      const int64_t Rank = Order == 3 ? 8 : 4;
+      C.Inputs.emplace("A", generateSymmetricTensor(Order, N, Nnz, R,
+                                                    TensorFormat::csf(Order)));
+      C.Inputs.emplace("B", generateDenseMatrix(N, Rank, R));
+      C.OutDims = Ttm ? std::vector<int64_t>{Rank, N, N}
+                      : std::vector<int64_t>{N, Rank};
+    }
+    Out.push_back(std::move(C));
+  }
+  return Out;
+}
+
+/// Prepares both lowerings of \p C on the default engines at Threads 1
+/// and 2, runs each body once with counters on, and appends the run's
+/// structure key and the plan's MicroKernelStats.
+uint64_t hashPrepared(uint64_t Hash, PreparedCase &C) {
+  const CompileResult R = compileEinsum(C.E);
+  const std::string OutName = C.E.Output->tensorName();
+  for (const Kernel *K : {&R.Naive, &R.Optimized})
+    for (unsigned Threads : {1u, 2u}) {
+      Tensor Out = Tensor::dense(C.OutDims, C.OutInit);
+      ExecOptions O;
+      O.Threads = Threads;
+      Executor Ex(*K, O);
+      for (auto &[Name, T] : C.Inputs)
+        Ex.bind(Name, &T);
+      Ex.bind(OutName, &Out);
+      Status P = Ex.tryPrepare();
+      EXPECT_TRUE(P.ok()) << K->Name << ": " << P.str();
+      if (!P.ok())
+        return fnv1a(Hash, P.str());
+      obs::ExecReport Rep;
+      EXPECT_TRUE(Ex.tryRunBody(&Rep).ok()) << K->Name;
+      const MicroKernelStats &M = Ex.microKernelStats();
+      std::string Row = Rep.structureKey() + ";stats:";
+      for (uint64_t V :
+           {M.SpecializedLoops, M.GenericLoops, M.WalkersRegistered,
+            M.FusedRangeDrivers, M.FusedDenseDrivers, M.FusedSparseDrivers,
+            M.FusedRunLengthDrivers, M.FusedBandedDrivers, M.FusedCoWalkers,
+            M.FusedNWalkerLoops, M.FusedRunLengthCoWalkers,
+            M.FusedBandedCoWalkers, M.FusedLutFactors, M.BlockedLoops,
+            M.BlockedAccumLoops})
+        Row += std::to_string(V) + ",";
+      Hash = fnv1a(Hash, Row + "\n");
+    }
+  return Hash;
+}
+
 } // namespace
 
 TEST(Golden, PaperKernelReportsMatchCheckedInText) {
@@ -129,4 +243,37 @@ TEST(Golden, FuzzCorpusDigest) {
     std::printf("FuzzCorpusDigest = \"%s\"\n", hex(Hash).c_str());
   else
     EXPECT_EQ(hex(Hash), FuzzCorpusDigest);
+}
+
+TEST(Golden, ParallelAnnotationDigest) {
+  uint64_t Hash = FnvBasis;
+  for (const auto &[Name, E] : paperKernels())
+    Hash = hashParallelInfo(Hash, compileEinsum(E));
+  for (const PipelineOptions &O : ablations())
+    for (const auto &[Name, E] : paperKernels())
+      Hash = hashParallelInfo(Hash, compileEinsum(E, O));
+  for (uint64_t S = 0; S < 3000; ++S)
+    Hash = hashParallelInfo(Hash, compileEinsum(fuzzharness::makeCase(S).E));
+  if (updating())
+    std::printf("ParallelDigest = \"%s\"\n", hex(Hash).c_str());
+  else
+    EXPECT_EQ(hex(Hash), ParallelDigest);
+}
+
+TEST(Golden, PreparedPlanDigest) {
+  const bool CountersWereOn = countersEnabled();
+  setCountersEnabled(true);
+  uint64_t Hash = FnvBasis;
+  for (PreparedCase &C : coldCases())
+    Hash = hashPrepared(Hash, C);
+  for (uint64_t S = 0; S < 3000; ++S) {
+    fuzzharness::FuzzCase F = fuzzharness::makeCase(S);
+    PreparedCase C{std::move(F.E), std::move(F.Inputs), F.OutDims, F.OutInit};
+    Hash = hashPrepared(Hash, C);
+  }
+  setCountersEnabled(CountersWereOn);
+  if (updating())
+    std::printf("PreparedPlanDigest = \"%s\"\n", hex(Hash).c_str());
+  else
+    EXPECT_EQ(hex(Hash), PreparedPlanDigest);
 }

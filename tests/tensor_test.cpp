@@ -525,17 +525,26 @@ TensorFormat drawFormat(unsigned N, Rng &R) {
 } // namespace
 
 TEST(LevelBuilder, MatchesSortThenGroupOracle) {
-  // fromCoo, the forEach walk, splitDiagonal under the full, a partial
-  // and the trivial partition, and transposed into random formats, on
-  // every fuzz format of orders 1-5 with fill 0 and inf. The Empty
-  // shape in the order-1 Banded format is the empty third operand of
-  // tests/seeds/empty-banded-operand.seed.
+  // fromCoo, the forEach walk, splitDiagonal under the full and the
+  // trivial partition and under partial ones, and transposed into
+  // random formats, on every fuzz format of orders 1-5 with fill 0 and
+  // inf. The partial partitions cover an adjacent pair, a non-adjacent
+  // pair and two-part partitions: a level-wise split decides a pair at
+  // the level that binds its second mode, so each takes its own path.
+  // The Empty shape in the order-1 Banded format is the empty third
+  // operand of tests/seeds/empty-banded-operand.seed.
   const double Inf = std::numeric_limits<double>::infinity();
   Rng R(20261019);
   for (unsigned N = 1; N <= 5; ++N) {
     std::vector<Partition> Parts = {Partition::full(N), Partition::none(N)};
     if (N >= 2)
       Parts.push_back(Partition::parse(N, "{0,1}"));
+    if (N >= 3)
+      Parts.push_back(Partition::parse(N, "{0,2}"));
+    if (N >= 4) {
+      Parts.push_back(Partition::parse(N, "{0,2}{1,3}"));
+      Parts.push_back(Partition::parse(N, "{0,1}{2,3}"));
+    }
     const std::vector<std::vector<unsigned>> Perms = modePerms(N);
     for (const TensorFormat &F : everyFuzzFormat(N))
       for (double Fill : {0.0, Inf})
