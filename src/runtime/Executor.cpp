@@ -789,20 +789,31 @@ Status Executor::tryPrepare() {
   if (Options.Threads > 1)
     ThreadPool::ensureGlobalThreads(Options.Threads);
   const uint64_t M0 = obs::nowNs();
-  UserSig.clear();
+  std::map<std::string, BindingSig> Sig;
   std::map<const Tensor *, std::string> FirstName;
   for (const auto &[Name, T] : Bound) {
     auto [It, New] = FirstName.insert({T, Name});
-    UserSig[Name] = BindingSig{T->format(), T->dims(), T->fill(),
-                               New ? std::string() : It->second};
+    Sig[Name] = BindingSig{T->format(), T->dims(), T->fill(),
+                           New ? std::string() : It->second};
   }
-  if (Status S = materializeAliases(Bound, Owned); !S.ok())
+  // The aliases, their tensors and the signature are committed only on
+  // success, so a failed prepare leaves the client's bindings as they
+  // were and a retry starts from them.
+  std::map<std::string, Tensor *> ClientBound = Bound;
+  std::vector<std::unique_ptr<Tensor>> NewOwned;
+  if (Status S = materializeAliases(Bound, NewOwned); !S.ok()) {
+    Bound = std::move(ClientBound);
     return S;
+  }
   const uint64_t M1 = obs::nowNs();
   // With aliases materialized every access is resolvable; plan
   // compilation rejects a kernel malformed against these bindings.
-  if (Status S = PlanCompiler(*this).compileAll(); !S.ok())
+  if (Status S = PlanCompiler(*this).compileAll(); !S.ok()) {
+    Bound = std::move(ClientBound);
     return S;
+  }
+  UserSig = std::move(Sig);
+  Owned = std::move(NewOwned);
   bindSlots();
   const uint64_t M2 = obs::nowNs();
   MaterializeNs = M1 - M0;

@@ -7,13 +7,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Compiler.h"
+#include "data/Generators.h"
 #include "ir/Kernel.h"
+#include "kernels/Kernels.h"
 #include "runtime/Executor.h"
 #include "support/Counters.h"
 #include "support/Random.h"
 #include "tensor/Tensor.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace systec;
 
@@ -375,6 +380,53 @@ TEST(Executor, SplitRequestMaterializes) {
   ASSERT_TRUE(E.tryPrepare().ok());
   ASSERT_TRUE(E.tryRun().ok());
   EXPECT_EQ(Y.at({0}), 9.0 + 100 * 6.0);
+}
+
+TEST(Executor, FailedPrepareLeavesTheRetryClientBindingsOnly) {
+  // ssymv's plan compilation fails while x is unbound, after the
+  // diagonal split of A was materialized. The retry must record only
+  // the client's names, so a later rebind of {A, x, y} succeeds and
+  // runs exactly like a fresh executor over the same tensors.
+  const CompileResult R = compileEinsum(makeSsymv());
+  Rng Gen(7);
+  Tensor A = generateSymmetricTensor(2, 12, 30, Gen, TensorFormat::csf(2));
+  Tensor X = generateDenseVector(12, Gen);
+  Tensor A2 = generateSymmetricTensor(2, 12, 40, Gen, TensorFormat::csf(2));
+  Tensor X2 = generateDenseVector(12, Gen);
+  Tensor Y = Tensor::dense({12});
+  Executor E(R.Optimized);
+  E.bind("A", &A).bind("y", &Y);
+  Status First = E.tryPrepare();
+  ASSERT_EQ(First.code(), ErrCode::UnboundTensor) << First.str();
+  E.bind("x", &X);
+  ASSERT_TRUE(E.tryPrepare().ok());
+  ASSERT_TRUE(E.tryRun().ok());
+
+  const bool CountersWereOn = countersEnabled();
+  setCountersEnabled(true);
+  Tensor Y2 = Tensor::dense({12});
+  Status Re = E.rebind({{"A", &A2}, {"x", &X2}, {"y", &Y2}}, ExecOptions());
+  ASSERT_TRUE(Re.ok()) << Re.str();
+  obs::ExecReport Rep;
+  ASSERT_TRUE(E.tryRun(&Rep).ok());
+
+  Tensor Y3 = Tensor::dense({12});
+  Executor Fresh(R.Optimized);
+  Fresh.bind("A", &A2).bind("x", &X2).bind("y", &Y3);
+  ASSERT_TRUE(Fresh.tryPrepare().ok());
+  obs::ExecReport FreshRep;
+  ASSERT_TRUE(Fresh.tryRun(&FreshRep).ok());
+  setCountersEnabled(CountersWereOn);
+
+  ASSERT_EQ(Y2.vals().size(), Y3.vals().size());
+  EXPECT_EQ(std::memcmp(Y2.vals().data(), Y3.vals().data(),
+                        Y2.vals().size() * sizeof(double)),
+            0);
+  EXPECT_EQ(Rep.Counters.SparseReads, FreshRep.Counters.SparseReads);
+  EXPECT_EQ(Rep.Counters.Reductions, FreshRep.Counters.Reductions);
+  EXPECT_EQ(Rep.Counters.ScalarOps, FreshRep.Counters.ScalarOps);
+  EXPECT_EQ(Rep.Counters.OutputWrites, FreshRep.Counters.OutputWrites);
+  EXPECT_GT(Rep.Counters.SparseReads, 0u);
 }
 
 TEST(Executor, TwoWalkersIntersect) {
