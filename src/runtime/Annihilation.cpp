@@ -6,7 +6,6 @@
 #include "support/Error.h"
 
 #include <cmath>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -22,6 +21,16 @@ namespace {
 /// unknown (std::nullopt).
 using AbsVal = std::optional<double>;
 
+/// One scalar's abstract state: undefined until the walk meets its
+/// first definition, then a value.
+struct ScalarState {
+  bool Defined = false;
+  AbsVal V;
+  bool operator==(const ScalarState &O) const {
+    return Defined == O.Defined && V == O.V;
+  }
+};
+
 /// Joins the state after a conditionally-executed region (\p A, which
 /// evolved from \p B) with the fall-through state \p B: scalars whose
 /// value changed across the region become unknown. A scalar first
@@ -29,14 +38,12 @@ using AbsVal = std::optional<double>;
 /// every block temporary before its reads and guards the reads with the
 /// defining block's condition, so a read never observes the
 /// never-defined fall-through path.
-void joinInto(std::map<std::string, AbsVal> &A,
-              const std::map<std::string, AbsVal> &B) {
-  for (auto &[Name, V] : A) {
-    auto It = B.find(Name);
-    if (It == B.end())
+void joinInto(std::vector<ScalarState> &A, const std::vector<ScalarState> &B) {
+  for (size_t I = 0; I < A.size(); ++I) {
+    if (!A[I].Defined || !B[I].Defined)
       continue; // first definition: adopt the defined value
-    if (!V || !It->second || *V != *It->second)
-      V = std::nullopt;
+    if (!A[I].V || !B[I].V || *A[I].V != *B[I].V)
+      A[I].V = std::nullopt;
   }
 }
 
@@ -45,8 +52,8 @@ void joinInto(std::map<std::string, AbsVal> &A,
 /// assignment that is not provably a no-op under the hypothesis.
 class AnnihilationQuery {
 public:
-  AnnihilationQuery(const std::string &Key, double Fill)
-      : Key(Key), Fill(Fill) {}
+  AnnihilationQuery(const TreeIds &Ids, unsigned Key, double Fill)
+      : Ids(Ids), Key(Key), Fill(Fill), Scalars(Ids.scalarCount()) {}
 
   bool run(const StmtPtr &Body) {
     walk(Body);
@@ -54,23 +61,22 @@ public:
   }
 
 private:
-  const std::string &Key;
+  const TreeIds &Ids;
+  unsigned Key;
   double Fill;
   bool Failed = false;
-  std::map<std::string, AbsVal> Scalars;
+  std::vector<ScalarState> Scalars; // by scalar id
 
   AbsVal eval(const ExprPtr &E) {
     switch (E->kind()) {
     case ExprKind::Literal:
       return E->literalValue();
-    case ExprKind::Scalar: {
-      auto It = Scalars.find(E->scalarName());
-      return It == Scalars.end() ? std::nullopt : It->second;
-    }
+    case ExprKind::Scalar:
+      return Scalars[Ids.scalarId(*E)].V;
     case ExprKind::Access:
       // The hypothesis binds exactly this access; any other access —
       // including other accesses of the same tensor — varies freely.
-      return E->str() == Key ? AbsVal(Fill) : std::nullopt;
+      return Ids.accessId(*E) == Key ? AbsVal(Fill) : std::nullopt;
     case ExprKind::Call: {
       std::vector<AbsVal> Args;
       bool AllKnown = true;
@@ -113,6 +119,8 @@ private:
   }
 
   void walk(const StmtPtr &S) {
+    if (Failed)
+      return; // the verdict is sticky; nothing later can clear it
     switch (S->kind()) {
     case StmtKind::Block:
       for (const StmtPtr &Child : S->stmts())
@@ -147,7 +155,7 @@ private:
       // Definitions are iteration-local temporaries (the lowering
       // defines every workspace before its reads): their stores are not
       // observable effects, only the value they feed to later reads.
-      Scalars[S->scalarName()] = eval(S->rhs());
+      Scalars[Ids.scalarId(*S)] = ScalarState{true, eval(S->rhs())};
       return;
     case StmtKind::Assign: {
       AbsVal V = eval(S->rhs());
@@ -156,11 +164,8 @@ private:
       // effect on the destination is unknowable — fails the query.
       const bool NoOp =
           S->reduceOp() && V && *V == opInfo(*S->reduceOp()).Identity;
-      if (!NoOp) {
+      if (!NoOp)
         Failed = true;
-        if (S->lhs()->kind() == ExprKind::Scalar)
-          Scalars[S->lhs()->scalarName()] = std::nullopt;
-      }
       return;
     }
     case StmtKind::Replicate:
@@ -173,9 +178,9 @@ private:
 
 } // namespace
 
-bool accessAnnihilatesSubtree(const StmtPtr &Body,
-                              const std::string &AccessKey, double Fill) {
-  return AnnihilationQuery(AccessKey, Fill).run(Body);
+bool accessAnnihilatesSubtree(const StmtPtr &Body, const TreeIds &Ids,
+                              unsigned AccessId, double Fill) {
+  return AnnihilationQuery(Ids, AccessId, Fill).run(Body);
 }
 
 } // namespace systec

@@ -23,6 +23,13 @@
 /// themselves annihilate, so loop-carried accumulators are handled
 /// soundly.
 ///
+/// The query names its hypothesis by access id and keeps its scalar
+/// state in a flat vector indexed by scalar id, both from the caller's
+/// TreeIds (ir/TreeIds.h): an occurrence is the hypothesised access
+/// exactly when it has the same id, that is, the same tensor and the
+/// same index list. Any other access, including another access of the
+/// same tensor, varies freely.
+///
 /// A check that only asks whether the access appears in every
 /// assignment's transitive operand set is not enough: it cannot see
 /// that a workspace flush (`y[j] += w` where `w` starts at the
@@ -36,18 +43,18 @@
 #define SYSTEC_RUNTIME_ANNIHILATION_H
 
 #include "ir/Stmt.h"
-
-#include <string>
+#include "ir/TreeIds.h"
 
 namespace systec {
 
-/// True when executing \p Body with every occurrence of the access
-/// whose printed form is \p AccessKey evaluating to \p Fill is provably
-/// a no-op — the algebraic soundness condition for registering a
-/// coordinate-skipping walker over that access on a loop with body
-/// \p Body.
-bool accessAnnihilatesSubtree(const StmtPtr &Body,
-                              const std::string &AccessKey, double Fill);
+/// True when executing \p Body with every occurrence of access
+/// \p AccessId evaluating to \p Fill is provably a no-op — the
+/// algebraic soundness condition for registering a coordinate-skipping
+/// walker over that access on a loop with body \p Body. \p Ids must
+/// have interned the tree \p Body's expressions and definitions belong
+/// to.
+bool accessAnnihilatesSubtree(const StmtPtr &Body, const TreeIds &Ids,
+                              unsigned AccessId, double Fill);
 
 } // namespace systec
 

@@ -3,6 +3,7 @@
 #include "runtime/Executor.h"
 
 #include "core/Codegen.h"
+#include "ir/TreeIds.h"
 #include "jit/NativeEngine.h"
 #include "jit/NativeKernelCache.h"
 #include "observability/Trace.h"
@@ -16,7 +17,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <optional>
 #include <string_view>
 #include <thread>
 
@@ -33,12 +34,25 @@ using namespace detail;
 /// bindings: a malformed kernel comes back from compileAll() as a typed
 /// Status (the first violation found); every fatalError here guards an
 /// internal invariant.
+///
+/// One walk (TreeIds) first gives every index, scalar and access of
+/// body and epilogue an id; every table below is indexed by those ids.
+/// Slots and access states are still handed out on first touch, in
+/// compile order, so the numbering does not depend on the id order.
 class PlanCompiler {
 public:
   PlanCompiler(Executor &E) : E(E) {}
 
   /// Compiles body and epilogue into E; on error E gets no plan.
   Status compileAll() {
+    Ids.add(E.K.Body);
+    if (E.K.Epilogue)
+      Ids.add(E.K.Epilogue);
+    IndexSlots.assign(Ids.indexCount(), Unassigned);
+    ScalarSlots.assign(Ids.scalarCount(), Unassigned);
+    AccessStateIds.assign(Ids.accessCount(), Unassigned);
+    Extents.assign(Ids.indexCount(), std::nullopt);
+    BoundVars.assign(Ids.indexCount(), false);
     collectExtents(E.K.Body);
     if (E.K.Epilogue)
       collectExtents(E.K.Epilogue);
@@ -49,8 +63,8 @@ public:
     E.Ctx = std::make_unique<ExecCtx>();
     E.BodyPlan = std::move(Body);
     E.EpiloguePlan = std::move(Epilogue);
-    E.Ctx->IndexVal.assign(IndexSlots.size(), 0);
-    E.Ctx->ScalarVal.assign(ScalarSlots.size(), 0.0);
+    E.Ctx->IndexVal.assign(SlotIndex.size(), 0);
+    E.Ctx->ScalarVal.assign(NextScalarSlot, 0.0);
     E.Ctx->Accesses = AccessStates;
     E.Ctx->Outputs.resize(OutTensors.size());
     E.Ctx->OutPtr.resize(OutTensors.size());
@@ -65,16 +79,21 @@ public:
   }
 
 private:
+  static constexpr unsigned Unassigned = ~0u;
+
   Executor &E;
   Status Err; // first malformed-kernel error; compile() stops emitting
-  std::map<std::string, unsigned> IndexSlots;
-  std::map<std::string, unsigned> ScalarSlots;
-  std::map<std::string, int64_t> Extents;
-  std::map<std::string, unsigned> AccessIds; // key: printed access
+  TreeIds Ids;
+  std::vector<unsigned> IndexSlots;  // per index id
+  std::vector<unsigned> SlotIndex;   // per index slot: its index id
+  std::vector<unsigned> ScalarSlots; // per scalar id
+  unsigned NextScalarSlot = 0;
+  std::vector<std::optional<int64_t>> Extents; // per index id
+  std::vector<unsigned> AccessStateIds; // per TreeIds access id
   std::vector<AccessState> AccessStates;
-  std::vector<std::string> AccessNames; // per access id: tensor name
-  std::vector<unsigned> Driven; // per access id, along current DFS path
-  std::set<std::string> BoundVars;
+  std::vector<std::string> AccessNames; // per access state: tensor name
+  std::vector<unsigned> Driven; // per access state, along current DFS path
+  std::vector<bool> BoundVars;  // per index id
   std::map<Tensor *, unsigned> OutIds; // written tensors -> OutPtr slot
   std::vector<Tensor *> OutTensors;
   std::vector<std::string> OutputNames; // per output id: tensor name
@@ -84,16 +103,28 @@ private:
   uint64_t SpecializeNs = 0; // time inside specializeLoop calls
   std::vector<obs::LoopStat> LoopMeta; // indexed by trace id
 
-  unsigned indexSlot(const std::string &Name) {
-    auto [It, New] = IndexSlots.insert({Name, IndexSlots.size()});
-    (void)New;
-    return It->second;
+  /// Id of an index name the kernel uses.
+  unsigned indexId(const std::string &Name) const {
+    std::optional<unsigned> Id = Ids.findIndex(Name);
+    if (!Id)
+      fatalError("plan compiler: index " + Name + " outside the kernel");
+    return *Id;
   }
 
-  unsigned scalarSlot(const std::string &Name) {
-    auto [It, New] = ScalarSlots.insert({Name, ScalarSlots.size()});
-    (void)New;
-    return It->second;
+  unsigned indexSlot(unsigned Id) {
+    if (IndexSlots[Id] == Unassigned) {
+      IndexSlots[Id] = static_cast<unsigned>(SlotIndex.size());
+      SlotIndex.push_back(Id);
+    }
+    return IndexSlots[Id];
+  }
+
+  unsigned indexSlot(const std::string &Name) { return indexSlot(indexId(Name)); }
+
+  unsigned scalarSlot(unsigned Id) {
+    if (ScalarSlots[Id] == Unassigned)
+      ScalarSlots[Id] = NextScalarSlot++;
+    return ScalarSlots[Id];
   }
 
   unsigned outId(const std::string &Name) {
@@ -113,22 +144,21 @@ private:
     return T;
   }
 
-  unsigned accessId(const ExprPtr &Access) {
-    std::string Key = Access->str();
-    auto It = AccessIds.find(Key);
-    if (It != AccessIds.end())
-      return It->second;
+  /// The access state of TreeIds access \p A, created on first touch.
+  unsigned accessState(unsigned A) {
+    if (AccessStateIds[A] != Unassigned)
+      return AccessStateIds[A];
     unsigned Id = static_cast<unsigned>(AccessStates.size());
-    AccessIds[Key] = Id;
+    AccessStateIds[A] = Id;
+    const std::string &Name = Ids.tensorName(Ids.accessTensor(A));
     AccessState S;
-    S.T = tensorFor(Access->tensorName());
-    S.Indices = Access->indices();
+    S.T = tensorFor(Name);
     S.Pos.assign(S.T->order() + 1, 0);
     S.SparseFormat = !S.T->format().isAllDense();
     S.LocParent.assign(S.T->order(), -1);
     S.LocIdx.assign(S.T->order(), 0);
     AccessStates.push_back(std::move(S));
-    AccessNames.push_back(Access->tensorName());
+    AccessNames.push_back(Name);
     Driven.push_back(0);
     return Id;
   }
@@ -143,62 +173,83 @@ private:
   /// extents consistent across accesses, writes into dense tensors, and
   /// replication targets that pass checkReplicateTarget.
   void collectExtents(const StmtPtr &S) {
-    Stmt::walk(S, [this](const StmtPtr &Node) {
-      std::vector<ExprPtr> Accesses;
-      if (Node->kind() == StmtKind::Assign) {
-        Expr::collectAccesses(Node->rhs(), Accesses);
-        if (Node->lhs()->kind() == ExprKind::Access)
-          Accesses.push_back(Node->lhs());
-      } else if (Node->kind() == StmtKind::DefScalar) {
-        Expr::collectAccesses(Node->rhs(), Accesses);
-      } else if (Node->kind() == StmtKind::Replicate) {
-        const Tensor *T = E.lookup(Node->tensorName());
-        if (!T)
-          fail(ErrCode::UnboundTensor, "kernel '" + E.K.Name +
-                                           "' replicates unbound tensor " +
-                                           Node->tensorName());
-        else if (Status S = checkReplicateTarget(*T, Node->outputSymmetry());
-                 !S.ok())
-          fail(S.code(), "kernel '" + E.K.Name + "' replicates tensor " +
-                             Node->tensorName() + ": " + S.message());
-      }
-      for (const ExprPtr &A : Accesses) {
-        const Tensor *T = E.lookup(A->tensorName());
-        if (!T) {
-          fail(ErrCode::UnboundTensor, "kernel '" + E.K.Name +
-                                           "' uses unbound tensor " +
-                                           A->tensorName());
-          continue;
-        }
-        // A 0-d access ("y[]") binds to a one-element dense tensor.
-        if (A->indices().empty())
-          continue;
-        if (T->order() != A->indices().size()) {
-          fail(ErrCode::InvalidArgument,
-               "access " + A->str() + " arity mismatch (tensor " +
-                   A->tensorName() + " has order " +
-                   std::to_string(T->order()) + ")");
-          continue;
-        }
-        for (unsigned M = 0; M < A->indices().size(); ++M) {
-          const std::string &Idx = A->indices()[M];
-          auto [It, New] = Extents.insert({Idx, T->dim(M)});
-          if (!New && It->second != T->dim(M))
-            fail(ErrCode::InvalidArgument,
-                 "index " + Idx + " has inconsistent extents (" +
-                     std::to_string(It->second) + " vs " +
-                     std::to_string(T->dim(M)) + " at " + A->str() + ")");
-        }
-      }
-      if (Node->kind() == StmtKind::Assign &&
-          Node->lhs()->kind() == ExprKind::Access) {
-        const Tensor *T = E.lookup(Node->lhs()->tensorName());
+    switch (S->kind()) {
+    case StmtKind::Block:
+      for (const StmtPtr &C : S->stmts())
+        collectExtents(C);
+      return;
+    case StmtKind::Loop:
+    case StmtKind::If:
+      collectExtents(S->body());
+      return;
+    case StmtKind::DefScalar:
+      checkAccesses(S->rhs());
+      return;
+    case StmtKind::Assign:
+      checkAccesses(S->rhs());
+      if (S->lhs()->kind() == ExprKind::Access) {
+        checkAccess(S->lhs());
+        const Tensor *T = E.lookup(S->lhs()->tensorName());
         if (T && !T->format().isAllDense())
           fail(ErrCode::InvalidArgument, "output tensor " +
-                                             Node->lhs()->tensorName() +
+                                             S->lhs()->tensorName() +
                                              " must be dense for writes");
       }
-    });
+      return;
+    case StmtKind::Replicate: {
+      const Tensor *T = E.lookup(S->tensorName());
+      if (!T)
+        fail(ErrCode::UnboundTensor, "kernel '" + E.K.Name +
+                                         "' replicates unbound tensor " +
+                                         S->tensorName());
+      else if (Status St = checkReplicateTarget(*T, S->outputSymmetry());
+               !St.ok())
+        fail(St.code(), "kernel '" + E.K.Name + "' replicates tensor " +
+                            S->tensorName() + ": " + St.message());
+      return;
+    }
+    }
+    unreachable("unknown statement kind");
+  }
+
+  /// checkAccess on every access of \p Ex, in preorder.
+  void checkAccesses(const ExprPtr &Ex) {
+    if (Ex->kind() == ExprKind::Access)
+      checkAccess(Ex);
+    else if (Ex->kind() == ExprKind::Call)
+      for (const ExprPtr &A : Ex->args())
+        checkAccesses(A);
+  }
+
+  void checkAccess(const ExprPtr &A) {
+    const Tensor *T = E.lookup(A->tensorName());
+    if (!T) {
+      fail(ErrCode::UnboundTensor, "kernel '" + E.K.Name +
+                                       "' uses unbound tensor " +
+                                       A->tensorName());
+      return;
+    }
+    // A 0-d access ("y[]") binds to a one-element dense tensor.
+    if (A->indices().empty())
+      return;
+    if (T->order() != A->indices().size()) {
+      fail(ErrCode::InvalidArgument,
+           "access " + A->str() + " arity mismatch (tensor " +
+               A->tensorName() + " has order " +
+               std::to_string(T->order()) + ")");
+      return;
+    }
+    const std::vector<unsigned> &Idx = Ids.accessIndices(Ids.accessId(*A));
+    for (unsigned M = 0; M < Idx.size(); ++M) {
+      std::optional<int64_t> &Ext = Extents[Idx[M]];
+      if (!Ext)
+        Ext = T->dim(M);
+      else if (*Ext != T->dim(M))
+        fail(ErrCode::InvalidArgument,
+             "index " + A->indices()[M] + " has inconsistent extents (" +
+                 std::to_string(*Ext) + " vs " + std::to_string(T->dim(M)) +
+                 " at " + A->str() + ")");
+    }
   }
 
   CAtom compileAtom(const CmpAtom &A) {
@@ -235,13 +286,15 @@ private:
     case ExprKind::Scalar: {
       VInstr I;
       I.Kind = VKind::Scalar;
-      I.Id = scalarSlot(Ex->scalarName());
+      I.Id = scalarSlot(Ids.scalarId(*Ex));
       P.Code.push_back(std::move(I));
       return;
     }
     case ExprKind::Access: {
-      unsigned Id = accessId(Ex);
+      const unsigned A = Ids.accessId(*Ex);
+      const unsigned Id = accessState(A);
       const AccessState &S = AccessStates[Id];
+      const std::vector<unsigned> &Idx = Ids.accessIndices(A);
       VInstr I;
       if (Driven[Id] == S.T->order() && S.T->order() > 0) {
         I.Kind = VKind::Walked;
@@ -249,7 +302,7 @@ private:
       } else if (S.T->format().isAllDense()) {
         I.Kind = VKind::DenseLoad;
         I.Id = Id;
-        I.SlotStride = denseStrides(S.T, Ex->indices());
+        I.SlotStride = denseStrides(S.T, Idx);
       } else {
         I.Kind = VKind::SparseLoad;
         I.Id = Id;
@@ -257,8 +310,7 @@ private:
         // coordinate, so the locator descends without a scratch
         // buffer.
         for (unsigned L = 0; L < S.T->order(); ++L)
-          I.LevelSlots.push_back(
-              indexSlot(Ex->indices()[S.T->modeOfLevel(L)]));
+          I.LevelSlots.push_back(indexSlot(Idx[S.T->modeOfLevel(L)]));
       }
       P.Code.push_back(std::move(I));
       return;
@@ -287,7 +339,7 @@ private:
   }
 
   std::vector<std::pair<unsigned, int64_t>>
-  denseStrides(Tensor *T, const std::vector<std::string> &Indices) {
+  denseStrides(Tensor *T, const std::vector<unsigned> &Indices) {
     // Column-major: mode 0 is contiguous. A 0-d access maps to
     // position 0 of a one-element tensor.
     std::vector<std::pair<unsigned, int64_t>> Out;
@@ -328,7 +380,7 @@ private:
     case StmtKind::DefScalar: {
       auto Def = std::make_unique<PlanDef>();
       Def->Init = compileExpr(S->rhs());
-      Def->Slot = scalarSlot(S->scalarName());
+      Def->Slot = scalarSlot(Ids.scalarId(*S));
       return Def;
     }
     case StmtKind::Assign: {
@@ -359,11 +411,11 @@ private:
       const ExprPtr &Lhs = S->lhs();
       if (Lhs->kind() == ExprKind::Scalar) {
         As->ScalarTarget = true;
-        As->ScalarSlot = scalarSlot(Lhs->scalarName());
+        As->ScalarSlot = scalarSlot(Ids.scalarId(*Lhs));
       } else {
         As->OutId = outId(Lhs->tensorName());
-        As->SlotStride =
-            denseStrides(tensorFor(Lhs->tensorName()), Lhs->indices());
+        As->SlotStride = denseStrides(tensorFor(Lhs->tensorName()),
+                                      Ids.accessIndices(Ids.accessId(*Lhs)));
       }
       return As;
     }
@@ -381,7 +433,7 @@ private:
   bool allBound(const Cond &C) {
     for (const Conj &D : C.disjuncts())
       for (const CmpAtom &A : D.Atoms)
-        if (!BoundVars.count(A.Lhs) || !BoundVars.count(A.Rhs))
+        if (!BoundVars[indexId(A.Lhs)] || !BoundVars[indexId(A.Rhs)])
           return false;
     return true;
   }
@@ -431,8 +483,8 @@ private:
       return false; // too much accumulator memory; try an inner loop
     std::vector<PlanLoop::PrivScalar> PrivS;
     for (const auto &[Name, Op] : LP.ScalarMergeOps)
-      PrivS.push_back(PlanLoop::PrivScalar{scalarSlot(Name), Op,
-                                           opInfo(Op).Identity});
+      PrivS.push_back(PlanLoop::PrivScalar{scalarSlot(*Ids.findScalar(Name)),
+                                           Op, opInfo(Op).Identity});
     Loop.Par.Enabled = true;
     Loop.Par.TriDepth = LP.TriangleDepth;
     Loop.Par.Threads = E.Options.Threads;
@@ -444,16 +496,16 @@ private:
 
   PlanPtr compileLoop(const StmtPtr &S) {
     const std::string &Var = S->loopIndex();
-    auto ExtIt = Extents.find(Var);
-    if (ExtIt == Extents.end()) {
+    const unsigned VarId = indexId(Var);
+    if (!Extents[VarId]) {
       fail(ErrCode::InvalidArgument,
            "loop index " + Var + " has no known extent");
       return nullptr;
     }
     auto Loop = std::make_unique<PlanLoop>();
-    Loop->Slot = indexSlot(Var);
-    Loop->Extent = ExtIt->second;
-    BoundVars.insert(Var);
+    Loop->Slot = indexSlot(VarId);
+    Loop->Extent = *Extents[VarId];
+    BoundVars[VarId] = true;
     const bool Activated = setUpParallel(S, *Loop);
     if (Activated)
       InParallel = true;
@@ -476,7 +528,7 @@ private:
           std::swap(Atom.Lhs, Atom.Rhs);
           Atom.Kind = swapCmp(Atom.Kind);
         }
-        if (Atom.Lhs == Var && Atom.Rhs != Var && BoundVars.count(Atom.Rhs)) {
+        if (Atom.Lhs == Var && Atom.Rhs != Var && BoundVars[indexId(Atom.Rhs)]) {
           unsigned Other = indexSlot(Atom.Rhs);
           switch (Atom.Kind) {
           case CmpKind::LE:
@@ -521,25 +573,23 @@ private:
     // operands still reject the second tensor's mismatched accesses
     // (each statement reads a different access, so no single absence
     // annihilates them all); those fall back to SparseLoad.
+    // The candidates are the loop's distinct reads, listed once per
+    // loop by TreeIds; bound lifting peels only conditions, which read
+    // no access, so the peeled body reads the same list.
     std::vector<unsigned> WalkerIds;
     if (E.Options.EnableSparseWalk) {
-      std::vector<ExprPtr> Accesses;
-      collectSubtreeAccesses(Body, Accesses);
-      std::set<std::string> Seen;
-      for (const ExprPtr &A : Accesses) {
-        if (!Seen.insert(A->str()).second)
-          continue;
-        unsigned Id = accessId(A);
+      for (unsigned A : Ids.reads(*S)) {
+        unsigned Id = accessState(A);
         AccessState &St = AccessStates[Id];
         if (!St.SparseFormat)
           continue;
         unsigned D = Driven[Id];
         if (D >= St.T->order() ||
-            St.Indices[St.T->modeOfLevel(D)] != Var)
+            Ids.accessIndices(A)[St.T->modeOfLevel(D)] != VarId)
           continue;
         const LevelKind LK = St.T->level(D).Kind;
         if (LK != LevelKind::Dense && LK != LevelKind::RunLength &&
-            !accessAnnihilatesSubtree(Body, A->str(), St.T->fill()))
+            !accessAnnihilatesSubtree(Body, Ids, A, St.T->fill()))
           continue; // evaluated by SparseLoad instead
         PlanLoop::WalkerRef W;
         W.AccessId = Id;
@@ -617,7 +667,7 @@ private:
       InParallel = false;
     for (unsigned Id : WalkerIds)
       --Driven[Id];
-    BoundVars.erase(Var);
+    BoundVars[VarId] = false;
     return Loop;
   }
 
@@ -649,9 +699,8 @@ private:
                                     : "Interp");
     if (Loop.Blocked) {
       PlanLoop &Child = *Loop.Blocked->Child;
-      for (const auto &[Name, Slot] : IndexSlots)
-        if (Slot == Child.Slot)
-          stampTraceIdentity(Child, Name, "Blocked");
+      stampTraceIdentity(Child, Ids.indexName(SlotIndex[Child.Slot]),
+                         "Blocked");
     }
   }
 
@@ -680,15 +729,6 @@ private:
     LoopMeta[Loop.TraceId] = std::move(Meta);
   }
 
-  void collectSubtreeAccesses(const StmtPtr &S, std::vector<ExprPtr> &Out) {
-    Stmt::walk(S, [&Out](const StmtPtr &Node) {
-      if (Node->kind() == StmtKind::Assign) {
-        Expr::collectAccesses(Node->rhs(), Out);
-      } else if (Node->kind() == StmtKind::DefScalar) {
-        Expr::collectAccesses(Node->rhs(), Out);
-      }
-    });
-  }
 };
 
 //===----------------------------------------------------------------------===//
