@@ -104,7 +104,6 @@ struct RunControl {
 /// level L; Pos[order] is the value position.
 struct AccessState {
   Tensor *T = nullptr;
-  std::vector<std::string> Indices;
   std::vector<int64_t> Pos;
   bool SparseFormat = false;
   /// Stateful locator for random accesses (VKind::SparseLoad): per
