@@ -3,9 +3,10 @@
 /// \file
 /// The one way the tensor library builds level arrays from entries, and
 /// the one sort that puts entries in the order it needs. Private to
-/// src/tensor: Tensor::tryFromCoo, Tensor::splitDiagonal and
-/// Tensor::transposed build through LevelBuilder, and
-/// Coo::sortAndCombine and Tensor::transposed order through
+/// src/tensor: Tensor::tryFromCoo and Tensor::transposed build through
+/// LevelBuilder, and so does Tensor::splitDiagonal for formats with a
+/// RunLength or Banded level (it filters Dense and Sparse levels
+/// directly); Coo::sortAndCombine and Tensor::transposed order through
 /// fibertreeOrder. Entries arrive in fibertree order, so every level is
 /// built by appending (the level-format assembly of Chou et al.,
 /// "Format Abstraction for Sparse Tensor Algebra Compilers").

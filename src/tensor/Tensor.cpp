@@ -506,15 +506,216 @@ Tensor Tensor::transposed(const std::vector<unsigned> &ModePerm,
   return builtOrDie(std::move(B).finish());
 }
 
+namespace {
+
+/// Which halves of a diagonal split hold an entry at or below a
+/// position.
+enum : uint8_t { InOff = 1, InDiag = 2 };
+
+/// The diagonal split of a tensor whose levels are all Dense or Sparse,
+/// as a filter over its level arrays. Positions are counted by depth:
+/// depth 0 is the root (one position) and depth D holds level D-1's
+/// positions, so the bottom depth holds the value positions.
+class DiagonalFilter {
+public:
+  DiagonalFilter(const Tensor &T,
+                 const std::vector<std::pair<unsigned, unsigned>> &Pairs)
+      : T(T), N(T.order()), Count(N + 1, 1), Mask(N + 1) {
+    for (unsigned L = 0; L < N; ++L) {
+      const Level &Lev = T.level(L);
+      Count[L + 1] = Lev.Kind == LevelKind::Dense
+                         ? Count[L] * Lev.Dim
+                         : static_cast<int64_t>(Lev.Crd.size());
+      if (Lev.Kind == LevelKind::Sparse)
+        checkFibers(L);
+    }
+    for (unsigned D = 0; D <= N; ++D)
+      Mask[D].assign(static_cast<size_t>(Count[D]), 0);
+    classify(Pairs);
+  }
+
+  /// Half \p H's levels and values, in arrays of exactly their size.
+  /// Dense positions stay wherever their parent does; a Sparse position
+  /// or a value stays when an entry of the half lies at or below it.
+  void fill(uint8_t H, std::vector<Level> &Levels,
+            std::vector<double> &Vals) const {
+    Levels.resize(N);
+    std::vector<uint8_t> Keep{1}, Next; // by position of the depth above
+    int64_t Kept = 1;
+    for (unsigned L = 0; L < N; ++L) {
+      const Level &Src = T.level(L);
+      Level &Dst = Levels[L];
+      Dst.Kind = Src.Kind;
+      Dst.Dim = Src.Dim;
+      const std::vector<uint8_t> &Below = Mask[L + 1];
+      Next.assign(static_cast<size_t>(Count[L + 1]), 0);
+      if (Src.Kind == LevelKind::Dense) {
+        for (int64_t Q = 0; Q < Count[L]; ++Q)
+          if (Keep[Q])
+            std::fill_n(Next.begin() + Q * Src.Dim, Src.Dim, uint8_t(1));
+        Kept *= Src.Dim;
+      } else {
+        int64_t Crds = 0;
+        for (int64_t K = 0; K < Count[L + 1]; ++K)
+          Crds += (Below[K] & H) != 0;
+        Dst.Ptr.reserve(static_cast<size_t>(Kept) + 1);
+        Dst.Crd.reserve(static_cast<size_t>(Crds));
+        for (int64_t Q = 0; Q < Count[L]; ++Q) {
+          if (!Keep[Q])
+            continue;
+          Dst.Ptr.push_back(static_cast<int64_t>(Dst.Crd.size()));
+          for (int64_t K = Src.Ptr[Q]; K < Src.Ptr[Q + 1]; ++K)
+            if (Below[K] & H) {
+              Dst.Crd.push_back(Src.Crd[K]);
+              Next[K] = 1;
+            }
+        }
+        Dst.Ptr.push_back(Crds);
+        Kept = Crds;
+      }
+      Keep.swap(Next);
+    }
+    const std::vector<uint8_t> &Bottom = Mask[N];
+    const double *Src = T.valsData();
+    Vals.reserve(static_cast<size_t>(Kept));
+    for (int64_t P = 0; P < Count[N]; ++P)
+      if (Keep[P])
+        Vals.push_back(Bottom[P] & H ? Src[P] : T.fill());
+  }
+
+private:
+  const Tensor &T;
+  const unsigned N;
+  std::vector<int64_t> Count;            ///< positions per depth
+  std::vector<std::vector<uint8_t>> Mask; ///< per depth and position
+
+  /// Aborts unless level \p L's fibers ascend strictly inside its
+  /// extent and tile its Crd array in order — the order a walk of the
+  /// tensor must see (validate(Deep) rejects everything else).
+  void checkFibers(unsigned L) const {
+    const Level &Lev = T.level(L);
+    const int64_t Total = Count[L + 1];
+    for (int64_t Q = 0; Q < Count[L]; ++Q) {
+      const int64_t Begin = Lev.Ptr[Q], End = Lev.Ptr[Q + 1];
+      if (Begin < 0 || Begin > End || End > Total)
+        fatalError("diagonal split: level " + std::to_string(L) +
+                   " fibers not in fibertree order");
+      for (int64_t K = Begin; K < End; ++K) {
+        const int64_t C = Lev.Crd[K];
+        if (C < 0 || C >= Lev.Dim)
+          fatalError("diagonal split: coordinate " + std::to_string(C) +
+                     " outside level " + std::to_string(L) + " extent " +
+                     std::to_string(Lev.Dim));
+        if (K > Begin && C <= Lev.Crd[K - 1])
+          fatalError("diagonal split: level " + std::to_string(L) +
+                     " entries not in strictly increasing fibertree "
+                     "order");
+      }
+    }
+  }
+
+  /// Marks each value position InDiag when some pair of its modes has
+  /// equal coordinates (InOff otherwise), then ORs every depth's marks
+  /// into the depth above. One walk over the stored positions decides
+  /// each pair at the level that binds the deeper of its two modes.
+  void classify(const std::vector<std::pair<unsigned, unsigned>> &Pairs) {
+    if (N == 0) {
+      Mask[0][0] = InOff; // one entry, no modes to compare
+      return;
+    }
+    // Per level, the modes paired with the level's mode that a level
+    // above binds.
+    std::vector<std::vector<unsigned>> Partners(N);
+    for (const auto &[A, B] : Pairs)
+      Partners[N - 1 - std::min(A, B)].push_back(std::max(A, B));
+    std::vector<int64_t> Coord(N), Pos(N), End(N), Base(N);
+    std::vector<uint8_t> OnDiag(N);
+    // Positions level L's cursor on the first position of the fiber
+    // under parent position P; false when the fiber is empty.
+    auto Enter = [&](unsigned L, int64_t P) {
+      const Level &Lev = T.level(L);
+      if (Lev.Kind == LevelKind::Dense) {
+        Base[L] = Pos[L] = P * Lev.Dim;
+        End[L] = Pos[L] + Lev.Dim;
+      } else {
+        Pos[L] = Lev.Ptr[P];
+        End[L] = Lev.Ptr[P + 1];
+      }
+      return Pos[L] < End[L];
+    };
+    unsigned L = 0;
+    bool Ok = Enter(0, 0);
+    for (;;) {
+      if (!Ok) {
+        if (L == 0)
+          break;
+        --L;
+        Ok = ++Pos[L] < End[L];
+        continue;
+      }
+      const Level &Lev = T.level(L);
+      const unsigned M = N - 1 - L;
+      Coord[M] = Lev.Kind == LevelKind::Dense ? Pos[L] - Base[L]
+                                              : Lev.Crd[Pos[L]];
+      bool Diag = L > 0 && OnDiag[L - 1];
+      for (unsigned B : Partners[L])
+        Diag |= Coord[M] == Coord[B];
+      OnDiag[L] = Diag;
+      if (L + 1 < N) {
+        Ok = Enter(L + 1, Pos[L]);
+        ++L;
+      } else {
+        Mask[N][Pos[L]] = Diag ? InDiag : InOff;
+        Ok = ++Pos[L] < End[L];
+      }
+    }
+    for (unsigned D = N; D > 0; --D) {
+      const Level &Lev = T.level(D - 1);
+      const std::vector<uint8_t> &Below = Mask[D];
+      std::vector<uint8_t> &Above = Mask[D - 1];
+      for (int64_t Q = 0; Q < Count[D - 1]; ++Q) {
+        const int64_t Begin = Lev.Kind == LevelKind::Dense ? Q * Lev.Dim
+                                                           : Lev.Ptr[Q];
+        const int64_t Stop = Lev.Kind == LevelKind::Dense ? Begin + Lev.Dim
+                                                          : Lev.Ptr[Q + 1];
+        uint8_t Any = 0;
+        for (int64_t K = Begin; K < Stop; ++K)
+          Any |= Below[K];
+        Above[Q] = Any;
+      }
+    }
+  }
+};
+
+} // namespace
+
 std::pair<Tensor, Tensor> Tensor::splitDiagonal(const Partition &Sym) const {
   assert(Sym.order() == order() && "partition order mismatch");
-  // The mode pairs Partition::isOnDiagonal compares, flattened once so
-  // each walked entry costs a few inline compares.
+  // The mode pairs Partition::isOnDiagonal compares.
   std::vector<std::pair<unsigned, unsigned>> Pairs;
   for (const std::vector<unsigned> &Part : Sym.parts())
     for (size_t I = 0; I < Part.size(); ++I)
       for (size_t J = I + 1; J < Part.size(); ++J)
         Pairs.push_back({Part[I], Part[J]});
+  const bool Filterable = std::all_of(
+      Format.Levels.begin(), Format.Levels.end(), [](LevelKind K) {
+        return K == LevelKind::Dense || K == LevelKind::Sparse;
+      });
+  if (Filterable) {
+    const DiagonalFilter F(*this, Pairs);
+    std::pair<Tensor, Tensor> Out;
+    for (Tensor *Half : {&Out.first, &Out.second}) {
+      Half->Dims = Dims;
+      Half->Format = Format;
+      Half->Fill = Fill;
+      F.fill(Half == &Out.first ? InOff : InDiag, Half->Levels, Half->Vals);
+      if (Status S = Half->validate(ValidationLevel::Shallow); !S.ok())
+        fatalError(std::move(S).withContext("diagonal split self-check").str());
+    }
+    return Out;
+  }
+  // RunLength and Banded levels change shape with the entries they hold,
+  // so those formats rebuild each half from its entries.
   LevelBuilder OffDiag(Dims, Format, Fill), Diag(Dims, Format, Fill);
   walkEntries(*this, [&](const std::vector<int64_t> &Coords, double V) {
     const int64_t *C = Coords.data();

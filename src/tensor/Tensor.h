@@ -15,9 +15,11 @@
 ///  - Banded:    one contiguous coordinate interval per parent position
 ///               (covers banded and triangular structure).
 ///
-/// Every tensor built from entries (fromCoo, splitDiagonal, transposed)
-/// comes out of one streaming level builder (tensor/LevelBuilder.h),
-/// which appends to each level as entries arrive in fibertree order.
+/// Every tensor built from entries (fromCoo, transposed) comes out of
+/// one streaming level builder (tensor/LevelBuilder.h), which appends
+/// to each level as entries arrive in fibertree order. splitDiagonal
+/// filters the level arrays of Dense and Sparse levels directly and
+/// uses the builder only for RunLength and Banded formats.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,7 +161,7 @@ public:
   /// interval, each stored Sparse coordinate, and each coordinate of a
   /// RunLength run. \p Fn receives access-mode coordinates. One
   /// iterative walk, O(1) per visited coordinate; toCoo, transposed and
-  /// splitDiagonal use the same walk.
+  /// the RunLength and Banded splitDiagonal use the same walk.
   void forEach(
       const std::function<void(const std::vector<int64_t> &, double)> &Fn)
       const;
@@ -182,11 +184,18 @@ public:
 
   /// Splits into (off-diagonal, diagonal) parts relative to \p Sym
   /// (paper 4.2.9 / Listing 7's A_nondiag and A_diag), both in this
-  /// tensor's format. One walk feeds two level builders, with no sort:
-  /// O(visited coordinates * levels) time and no memory beyond the two
-  /// results. Aborts on a tensor whose fibers are out of order or out
-  /// of range (which validate(Deep) rejects). Safe to call concurrently
-  /// on one tensor.
+  /// tensor's format. When every level is Dense or Sparse, the split is
+  /// a filter over the level arrays (the level-format assembly of Chou
+  /// et al.): one walk marks each stored position with the halves that
+  /// hold an entry at or below it, deciding each pair of modes at the
+  /// level that binds the deeper one, and each half is then copied
+  /// level by level into arrays of exactly its size. O(stored
+  /// positions) time and one byte of scratch per stored position,
+  /// freed on return. RunLength and Banded formats feed one walk into
+  /// two level builders instead. Either way each half passes
+  /// validate(Shallow), and a tensor whose fibers are out of order or
+  /// out of range (which validate(Deep) rejects) aborts. Safe to call
+  /// concurrently on one tensor.
   std::pair<Tensor, Tensor> splitDiagonal(const Partition &Sym) const;
 
   /// Maximum absolute difference over the union of explicit entries of
