@@ -34,10 +34,9 @@ TreeIds::NameTable::find(const std::string &Name) const {
   return It->second;
 }
 
-void TreeIds::add(const StmtPtr &Root) {
-  internStmt(*Root);
-  recordLoopReads(*Root);
-}
+void TreeIds::add(const StmtPtr &Root) { internStmt(*Root); }
+
+void TreeIds::listLoopReads(const StmtPtr &Root) { recordLoopReads(*Root); }
 
 unsigned TreeIds::node(const void *N) const {
   auto It = NodeIds.find(N);

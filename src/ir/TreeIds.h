@@ -32,9 +32,12 @@ namespace systec {
 
 class TreeIds {
 public:
-  /// Interns every name and access of \p Root and records, for each of
-  /// its loops, the accesses its body reads (see reads()).
+  /// Interns every name and access of \p Root.
   void add(const StmtPtr &Root);
+  /// Records, for each loop of \p Root (added before), the accesses its
+  /// body reads, inner loops first, so reads() answers each loop from
+  /// one list.
+  void listLoopReads(const StmtPtr &Root);
 
   unsigned indexCount() const { return unsigned(Indices.Names.size()); }
   unsigned scalarCount() const { return unsigned(Scalars.Names.size()); }
@@ -73,8 +76,8 @@ public:
 
   /// The distinct accesses read on the right-hand sides of assignments
   /// and scalar definitions under \p S, in order of first preorder
-  /// occurrence. A loop that add() saw answers from the list computed
-  /// then, bottom-up; other nodes combine their children's answers.
+  /// occurrence. A loop that listLoopReads() saw answers from the list
+  /// recorded then; other nodes combine their children's answers.
   std::vector<unsigned> reads(const Stmt &S) const;
 
 private:
@@ -102,7 +105,6 @@ private:
   void internStmt(const Stmt &S);
   void internExpr(const Expr &E);
   void internCond(const Cond &C);
-  /// Records reads() of every loop under \p S, inner loops first.
   void recordLoopReads(const Stmt &S);
 };
 

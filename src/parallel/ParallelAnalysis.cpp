@@ -2,225 +2,295 @@
 
 #include "parallel/ParallelAnalysis.h"
 
+#include "ir/TreeIds.h"
+#include "support/Error.h"
+
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <cstdint>
+#include <iterator>
 
 namespace systec {
 
 namespace {
 
-/// Everything the classifier needs about one loop body.
-struct BodyFacts {
-  std::string Var;
-  /// Tensor name -> one record per assignment.
-  struct TensorWrite {
-    bool IndexedByVar;
-    std::optional<OpKind> Reduce;
-  };
-  std::map<std::string, std::vector<TensorWrite>> TensorWrites;
-  std::map<std::string, std::vector<std::optional<OpKind>>> ScalarWrites;
-  std::set<std::string> ScalarDefs;   ///< DefScalar inside the body
-  std::set<std::string> TensorReads;  ///< names read on any RHS
-  std::set<std::string> ScalarReads;  ///< names read on any RHS
-  std::set<std::string> InnerLoopVars;
-  std::vector<CmpAtom> OrderAtoms;    ///< a <= b atoms from conditions
-  bool SawReplicate = false;
+/// A set of dense ids (TreeIds ids of one kind).
+class IdSet {
+public:
+  void insert(unsigned Id) {
+    if (Id / 64 >= Words.size())
+      Words.resize(Id / 64 + 1);
+    Words[Id / 64] |= uint64_t(1) << (Id % 64);
+  }
+  bool contains(unsigned Id) const {
+    return Id / 64 < Words.size() && (Words[Id / 64] >> (Id % 64) & 1);
+  }
+  void unite(const IdSet &O) {
+    if (O.Words.size() > Words.size())
+      Words.resize(O.Words.size());
+    for (size_t I = 0; I < O.Words.size(); ++I)
+      Words[I] |= O.Words[I];
+  }
+  void intersect(const IdSet &O) {
+    Words.resize(std::min(Words.size(), O.Words.size()));
+    for (size_t I = 0; I < Words.size(); ++I)
+      Words[I] &= O.Words[I];
+  }
+
+private:
+  std::vector<uint64_t> Words;
 };
 
-void collectScalarReads(const ExprPtr &E, std::set<std::string> &Out) {
-  switch (E->kind()) {
+/// The reduction operators of every write to one target.
+struct WriteOps {
+  bool AllReduce = true;
+  std::optional<OpKind> Op; ///< the first reduction operator
+  bool Consistent = true;   ///< every reduction uses Op
+
+  void add(std::optional<OpKind> W) {
+    if (!W)
+      AllReduce = false;
+    else if (!Op)
+      Op = W;
+    else if (*Op != *W)
+      Consistent = false;
+  }
+  void merge(const WriteOps &O) {
+    AllReduce &= O.AllReduce;
+    Consistent &= O.Consistent;
+    if (!Op)
+      Op = O.Op;
+    else if (O.Op && *Op != *O.Op)
+      Consistent = false;
+  }
+  /// The one associative operator every write reduces with, if any.
+  std::optional<OpKind> mergeOp() const {
+    if (AllReduce && Consistent && Op && opInfo(*Op).Associative)
+      return Op;
+    return std::nullopt;
+  }
+};
+
+/// Everything the classifier needs about one subtree, keyed by the
+/// subtree's TreeIds ids. Collected once per subtree, bottom-up: a
+/// loop's facts are its body's, merged into the enclosing subtree's
+/// with the loop's own index among the inner loop variables.
+struct BodyFacts {
+  struct TensorWrites {
+    IdSet Indices; ///< indices every write's target carries
+    WriteOps Ops;
+  };
+  std::map<unsigned, TensorWrites> Tensors; ///< by tensor id
+  std::map<unsigned, WriteOps> Scalars;     ///< by scalar id
+  IdSet ScalarDefs;    ///< DefScalar inside the subtree
+  IdSet TensorReads;   ///< tensors read on any right-hand side
+  IdSet ScalarReads;   ///< scalars read on any right-hand side
+  IdSet InnerLoopVars; ///< loop indices inside the subtree
+  /// (a, b) for every a < b or a <= b atom of a condition, sorted and
+  /// without duplicates.
+  std::vector<std::pair<unsigned, unsigned>> OrderAtoms;
+  bool SawReplicate = false;
+
+  void merge(const BodyFacts &O) {
+    for (const auto &[T, W] : O.Tensors) {
+      auto [It, New] = Tensors.emplace(T, W);
+      if (!New) {
+        It->second.Indices.intersect(W.Indices);
+        It->second.Ops.merge(W.Ops);
+      }
+    }
+    for (const auto &[S, W] : O.Scalars) {
+      auto [It, New] = Scalars.emplace(S, W);
+      if (!New)
+        It->second.merge(W);
+    }
+    ScalarDefs.unite(O.ScalarDefs);
+    TensorReads.unite(O.TensorReads);
+    ScalarReads.unite(O.ScalarReads);
+    InnerLoopVars.unite(O.InnerLoopVars);
+    addAtoms(O.OrderAtoms);
+    SawReplicate |= O.SawReplicate;
+  }
+
+  void addAtoms(const std::vector<std::pair<unsigned, unsigned>> &More) {
+    if (More.empty())
+      return;
+    std::vector<std::pair<unsigned, unsigned>> Out;
+    Out.reserve(OrderAtoms.size() + More.size());
+    std::set_union(OrderAtoms.begin(), OrderAtoms.end(), More.begin(),
+                   More.end(), std::back_inserter(Out));
+    OrderAtoms.swap(Out);
+  }
+};
+
+void collectRhs(const TreeIds &Ids, const Expr &E, BodyFacts &F) {
+  switch (E.kind()) {
+  case ExprKind::Access:
+    F.TensorReads.insert(Ids.accessTensor(Ids.accessId(E)));
+    return;
   case ExprKind::Scalar:
-    Out.insert(E->scalarName());
+    F.ScalarReads.insert(Ids.scalarId(E));
     return;
   case ExprKind::Call:
-    for (const ExprPtr &A : E->args())
-      collectScalarReads(A, Out);
+    for (const ExprPtr &A : E.args())
+      collectRhs(Ids, *A, F);
     return;
   default:
     return;
   }
 }
 
-void collectRhs(const ExprPtr &Rhs, BodyFacts &F) {
-  std::vector<ExprPtr> Accesses;
-  Expr::collectAccesses(Rhs, Accesses);
-  for (const ExprPtr &A : Accesses)
-    F.TensorReads.insert(A->tensorName());
-  collectScalarReads(Rhs, F.ScalarReads);
-}
-
-void collectAtoms(const Cond &C, BodyFacts &F) {
+void collectAtoms(const TreeIds &Ids, const Cond &C, BodyFacts &F) {
+  std::vector<std::pair<unsigned, unsigned>> Atoms;
   for (const Conj &D : C.disjuncts())
     for (const CmpAtom &A : D.Atoms) {
-      CmpAtom Norm = A;
-      if (Norm.Kind == CmpKind::GT || Norm.Kind == CmpKind::GE) {
-        std::swap(Norm.Lhs, Norm.Rhs);
-        Norm.Kind = Norm.Kind == CmpKind::GT ? CmpKind::LT : CmpKind::LE;
-      }
-      if (Norm.Kind == CmpKind::LT || Norm.Kind == CmpKind::LE)
-        F.OrderAtoms.push_back(Norm);
+      const unsigned L = *Ids.findIndex(A.Lhs), R = *Ids.findIndex(A.Rhs);
+      if (A.Kind == CmpKind::LT || A.Kind == CmpKind::LE)
+        Atoms.push_back({L, R});
+      else if (A.Kind == CmpKind::GT || A.Kind == CmpKind::GE)
+        Atoms.push_back({R, L});
     }
-}
-
-void collectBody(const StmtPtr &S, BodyFacts &F) {
-  switch (S->kind()) {
-  case StmtKind::Block:
-    for (const StmtPtr &C : S->stmts())
-      collectBody(C, F);
-    return;
-  case StmtKind::Loop:
-    F.InnerLoopVars.insert(S->loopIndex());
-    collectBody(S->body(), F);
-    return;
-  case StmtKind::If:
-    collectAtoms(S->condition(), F);
-    collectBody(S->body(), F);
-    return;
-  case StmtKind::DefScalar:
-    F.ScalarDefs.insert(S->scalarName());
-    collectRhs(S->rhs(), F);
-    return;
-  case StmtKind::Assign: {
-    collectRhs(S->rhs(), F);
-    const ExprPtr &Lhs = S->lhs();
-    if (Lhs->kind() == ExprKind::Scalar) {
-      F.ScalarWrites[Lhs->scalarName()].push_back(S->reduceOp());
-    } else {
-      const std::vector<std::string> &Idx = Lhs->indices();
-      bool Indexed =
-          std::find(Idx.begin(), Idx.end(), F.Var) != Idx.end();
-      F.TensorWrites[Lhs->tensorName()].push_back(
-          BodyFacts::TensorWrite{Indexed, S->reduceOp()});
-    }
-    return;
-  }
-  case StmtKind::Replicate:
-    F.SawReplicate = true;
-    return;
-  }
+  std::sort(Atoms.begin(), Atoms.end());
+  Atoms.erase(std::unique(Atoms.begin(), Atoms.end()), Atoms.end());
+  F.addAtoms(Atoms);
 }
 
 /// Distinct variables transitively ordered below/above \p Var through
 /// the collected a <= b atoms, restricted to \p Allowed.
-unsigned reachCount(const std::vector<CmpAtom> &Atoms,
-                    const std::string &Var,
-                    const std::set<std::string> &Allowed, bool Below) {
-  std::set<std::string> Seen{Var};
-  std::vector<std::string> Work{Var};
+unsigned reachCount(const BodyFacts &F, unsigned Var, unsigned IndexCount,
+                    bool Below) {
+  std::vector<bool> Seen(IndexCount);
+  Seen[Var] = true;
+  std::vector<unsigned> Work{Var};
+  unsigned N = 0;
   while (!Work.empty()) {
-    std::string Cur = Work.back();
+    const unsigned Cur = Work.back();
     Work.pop_back();
-    for (const CmpAtom &A : Atoms) {
-      const std::string &From = Below ? A.Rhs : A.Lhs;
-      const std::string &To = Below ? A.Lhs : A.Rhs;
-      if (From == Cur && Seen.insert(To).second)
+    for (const auto &[Lo, Hi] : F.OrderAtoms) {
+      const unsigned From = Below ? Hi : Lo, To = Below ? Lo : Hi;
+      if (From == Cur && !Seen[To]) {
+        Seen[To] = true;
         Work.push_back(To);
+        N += F.InnerLoopVars.contains(To);
+      }
     }
   }
-  unsigned N = 0;
-  for (const std::string &V : Seen)
-    if (V != Var && Allowed.count(V))
-      ++N;
   return N;
+}
+
+/// The contract of a loop over index \p Var whose body has facts \p F.
+/// An unsafe loop's contract is empty.
+LoopParallelism classify(const TreeIds &Ids, const BodyFacts &F,
+                         unsigned Var) {
+  if (F.SawReplicate)
+    return {}; // replication touches the whole output; keep sequential
+  LoopParallelism LP;
+  // Tensor targets.
+  for (const auto &[T, W] : F.Tensors) {
+    if (F.TensorReads.contains(T))
+      return {}; // cross-iteration read/write dependence possible
+    const std::string &Name = Ids.tensorName(T);
+    if (W.Indices.contains(Var)) {
+      LP.Tensors[Name] = WriteClass::Disjoint;
+    } else if (std::optional<OpKind> Op = W.Ops.mergeOp()) {
+      LP.Tensors[Name] = WriteClass::Reduction;
+      LP.TensorMergeOps[Name] = *Op;
+    } else {
+      return {}; // shared overwrite or mixed-operator reduction
+    }
+  }
+  // Scalar targets not defined in the body.
+  for (const auto &[S, W] : F.Scalars) {
+    if (F.ScalarDefs.contains(S))
+      continue; // iteration-private temporary
+    std::optional<OpKind> Op = W.mergeOp();
+    if (!Op)
+      return {}; // overwrite of a loop-carried scalar, or mixed operators
+    if (F.ScalarReads.contains(S))
+      return {}; // partial sums must not be observed mid-loop
+    LP.ScalarMergeOps[Ids.scalarName(S)] = *Op;
+  }
+  // Workload shape: canonical-triangle chains below/above this loop.
+  const unsigned Below = reachCount(F, Var, Ids.indexCount(), true);
+  const unsigned Above = reachCount(F, Var, Ids.indexCount(), false);
+  if (Below > 0 && Above == 0)
+    LP.TriangleDepth = static_cast<int>(Below);
+  else if (Above > 0 && Below == 0)
+    LP.TriangleDepth = -static_cast<int>(Above);
+  LP.Safe = true;
+  return LP;
+}
+
+/// Rebuilds \p S with every loop annotated and adds \p S's facts to
+/// \p F. Each node is visited once: a loop is classified from the
+/// facts its body returned, which then flow into the enclosing subtree.
+StmtPtr annotate(const TreeIds &Ids, const StmtPtr &S, BodyFacts &F) {
+  switch (S->kind()) {
+  case StmtKind::Block: {
+    std::vector<StmtPtr> Stmts;
+    for (const StmtPtr &C : S->stmts())
+      Stmts.push_back(annotate(Ids, C, F));
+    return Stmt::block(std::move(Stmts));
+  }
+  case StmtKind::If:
+    collectAtoms(Ids, S->condition(), F);
+    return Stmt::ifThen(S->condition(), annotate(Ids, S->body(), F));
+  case StmtKind::Loop: {
+    const unsigned Var = *Ids.findIndex(S->loopIndex());
+    BodyFacts Body;
+    StmtPtr L = Stmt::loop(S->loopIndex(), annotate(Ids, S->body(), Body));
+    const LoopParallelism LP = classify(Ids, Body, Var);
+    if (LP.Safe)
+      L = L->withParallel(ParallelAnnotation{true, LP.TriangleDepth});
+    Body.InnerLoopVars.insert(Var);
+    F.merge(Body);
+    return L;
+  }
+  case StmtKind::DefScalar:
+    F.ScalarDefs.insert(Ids.scalarId(*S));
+    collectRhs(Ids, *S->rhs(), F);
+    return S;
+  case StmtKind::Assign: {
+    collectRhs(Ids, *S->rhs(), F);
+    const Expr &Lhs = *S->lhs();
+    if (Lhs.kind() == ExprKind::Scalar) {
+      F.Scalars[Ids.scalarId(Lhs)].add(S->reduceOp());
+    } else {
+      const unsigned A = Ids.accessId(Lhs);
+      IdSet Indices;
+      for (unsigned I : Ids.accessIndices(A))
+        Indices.insert(I);
+      auto [It, New] = F.Tensors.emplace(
+          Ids.accessTensor(A), BodyFacts::TensorWrites{Indices, WriteOps()});
+      if (!New)
+        It->second.Indices.intersect(Indices);
+      It->second.Ops.add(S->reduceOp());
+    }
+    return S;
+  }
+  case StmtKind::Replicate:
+    F.SawReplicate = true;
+    return S;
+  }
+  unreachable("unknown statement kind");
 }
 
 } // namespace
 
 LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
   assert(Loop->kind() == StmtKind::Loop && "expects a loop");
-  LoopParallelism LP;
+  TreeIds Ids;
+  Ids.add(Loop);
   BodyFacts F;
-  F.Var = Loop->loopIndex();
-  collectBody(Loop->body(), F);
-
-  if (F.SawReplicate)
-    return LP; // replication touches the whole output; keep sequential
-
-  // Tensor targets.
-  for (const auto &[Name, Writes] : F.TensorWrites) {
-    bool AllIndexed = true, AllReduce = true;
-    std::optional<OpKind> Op;
-    bool OpConsistent = true;
-    for (const BodyFacts::TensorWrite &W : Writes) {
-      AllIndexed &= W.IndexedByVar;
-      if (!W.Reduce) {
-        AllReduce = false;
-      } else if (!Op) {
-        Op = W.Reduce;
-      } else if (*Op != *W.Reduce) {
-        OpConsistent = false;
-      }
-    }
-    if (F.TensorReads.count(Name))
-      return LP; // cross-iteration read/write dependence possible
-    if (AllIndexed) {
-      LP.Tensors[Name] = WriteClass::Disjoint;
-    } else if (AllReduce && OpConsistent && Op &&
-               opInfo(*Op).Associative) {
-      LP.Tensors[Name] = WriteClass::Reduction;
-      LP.TensorMergeOps[Name] = *Op;
-    } else {
-      return LP; // shared overwrite or mixed-operator reduction
-    }
-  }
-
-  // Scalar targets not defined in the body.
-  for (const auto &[Name, Writes] : F.ScalarWrites) {
-    if (F.ScalarDefs.count(Name))
-      continue; // iteration-private temporary
-    std::optional<OpKind> Op;
-    for (const std::optional<OpKind> &W : Writes) {
-      if (!W)
-        return LP; // overwrite of a loop-carried scalar
-      if (Op && *Op != *W)
-        return LP;
-      Op = W;
-    }
-    if (!Op || !opInfo(*Op).Associative)
-      return LP;
-    if (F.ScalarReads.count(Name))
-      return LP; // partial sums must not be observed mid-loop
-    LP.ScalarMergeOps[Name] = *Op;
-  }
-
-  // Workload shape: canonical-triangle chains below/above this loop.
-  unsigned Below = reachCount(F.OrderAtoms, F.Var, F.InnerLoopVars,
-                              /*Below=*/true);
-  unsigned Above = reachCount(F.OrderAtoms, F.Var, F.InnerLoopVars,
-                              /*Below=*/false);
-  if (Below > 0 && Above == 0)
-    LP.TriangleDepth = static_cast<int>(Below);
-  else if (Above > 0 && Below == 0)
-    LP.TriangleDepth = -static_cast<int>(Above);
-
-  LP.Safe = true;
-  return LP;
+  annotate(Ids, Loop->body(), F);
+  return classify(Ids, F, *Ids.findIndex(Loop->loopIndex()));
 }
 
 StmtPtr annotateParallelLoops(const StmtPtr &Root) {
-  switch (Root->kind()) {
-  case StmtKind::Block: {
-    std::vector<StmtPtr> Stmts;
-    for (const StmtPtr &C : Root->stmts())
-      Stmts.push_back(annotateParallelLoops(C));
-    return Stmt::block(std::move(Stmts));
-  }
-  case StmtKind::If:
-    return Stmt::ifThen(Root->condition(),
-                        annotateParallelLoops(Root->body()));
-  case StmtKind::Loop: {
-    LoopParallelism LP = analyzeLoopParallelism(Root);
-    StmtPtr L =
-        Stmt::loop(Root->loopIndex(), annotateParallelLoops(Root->body()));
-    if (LP.Safe)
-      L = L->withParallel(
-          ParallelAnnotation{true, LP.TriangleDepth});
-    return L;
-  }
-  default:
-    return Root;
-  }
+  TreeIds Ids;
+  Ids.add(Root);
+  BodyFacts F;
+  return annotate(Ids, Root, F);
 }
 
 } // namespace systec

@@ -64,7 +64,8 @@ struct LoopParallelism {
   }
 };
 
-/// Analyzes one Loop statement (kind must be Loop) in isolation.
+/// Analyzes one Loop statement (kind must be Loop) in isolation. An
+/// unsafe loop's contract is empty apart from Safe == false.
 LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop);
 
 /// Rewrites \p Root, attaching a ParallelAnnotation to every loop that
@@ -73,6 +74,9 @@ LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop);
 /// outermost level whose privatization footprint fits memory; once a
 /// loop with no feasible ancestor requirement is found the walk still
 /// descends, but the executor only ever activates one level per nest.
+/// One bottom-up walk: each loop is classified from the facts its body
+/// returned (keyed by TreeIds ids), which then join the enclosing
+/// loop's, so no subtree is walked twice.
 StmtPtr annotateParallelLoops(const StmtPtr &Root);
 
 } // namespace systec

@@ -45,9 +45,11 @@ public:
 
   /// Compiles body and epilogue into E; on error E gets no plan.
   Status compileAll() {
-    Ids.add(E.K.Body);
-    if (E.K.Epilogue)
-      Ids.add(E.K.Epilogue);
+    for (const StmtPtr &Root : {E.K.Body, E.K.Epilogue})
+      if (Root) {
+        Ids.add(Root);
+        Ids.listLoopReads(Root);
+      }
     IndexSlots.assign(Ids.indexCount(), Unassigned);
     ScalarSlots.assign(Ids.scalarCount(), Unassigned);
     AccessStateIds.assign(Ids.accessCount(), Unassigned);
