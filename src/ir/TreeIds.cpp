@@ -5,6 +5,7 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace systec {
 
@@ -19,19 +20,57 @@ void appendNew(std::vector<unsigned> &Out, const std::vector<unsigned> &More) {
 
 } // namespace
 
-unsigned TreeIds::NameTable::intern(const std::string &Name) {
+unsigned NameIds::intern(const std::string &Name) {
   auto [It, New] = Ids.emplace(Name, unsigned(Names.size()));
   if (New)
     Names.push_back(Name);
   return It->second;
 }
 
-std::optional<unsigned>
-TreeIds::NameTable::find(const std::string &Name) const {
+std::optional<unsigned> NameIds::find(const std::string &Name) const {
   auto It = Ids.find(Name);
   if (It == Ids.end())
     return std::nullopt;
   return It->second;
+}
+
+size_t TreeIds::NodeTable::slotOf(const void *Node) const {
+  // Fibonacci hashing of the address; Slots.size() is a power of two.
+  const uint64_t H =
+      (reinterpret_cast<uintptr_t>(Node) >> 4) * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(H >> 32) & (Slots.size() - 1);
+}
+
+void TreeIds::NodeTable::insert(const void *Node, unsigned Id) {
+  if (2 * (Used + 1) > Slots.size()) {
+    std::vector<std::pair<const void *, unsigned>> Old(
+        std::max<size_t>(64, 2 * Slots.size()));
+    Old.swap(Slots);
+    Used = 0;
+    for (const auto &[N, I] : Old)
+      if (N)
+        insert(N, I);
+  }
+  for (size_t S = slotOf(Node);; S = (S + 1) & (Slots.size() - 1)) {
+    if (Slots[S].first == Node)
+      return; // a shared node: same id
+    if (!Slots[S].first) {
+      Slots[S] = {Node, Id};
+      ++Used;
+      return;
+    }
+  }
+}
+
+const unsigned *TreeIds::NodeTable::find(const void *Node) const {
+  if (Slots.empty())
+    return nullptr;
+  for (size_t S = slotOf(Node);; S = (S + 1) & (Slots.size() - 1)) {
+    if (Slots[S].first == Node)
+      return &Slots[S].second;
+    if (!Slots[S].first)
+      return nullptr;
+  }
 }
 
 void TreeIds::add(const StmtPtr &Root) { internStmt(*Root); }
@@ -39,18 +78,10 @@ void TreeIds::add(const StmtPtr &Root) { internStmt(*Root); }
 void TreeIds::listLoopReads(const StmtPtr &Root) { recordLoopReads(*Root); }
 
 unsigned TreeIds::node(const void *N) const {
-  auto It = NodeIds.find(N);
-  if (It == NodeIds.end())
+  const unsigned *Id = NodeIds.find(N);
+  if (!Id)
     fatalError("tree ids: node outside the interned trees");
-  return It->second;
-}
-
-void TreeIds::internCond(const Cond &C) {
-  for (const Conj &D : C.disjuncts())
-    for (const CmpAtom &A : D.Atoms) {
-      Indices.intern(A.Lhs);
-      Indices.intern(A.Rhs);
-    }
+  return *Id;
 }
 
 void TreeIds::internExpr(const Expr &E) {
@@ -58,17 +89,20 @@ void TreeIds::internExpr(const Expr &E) {
   case ExprKind::Literal:
     return;
   case ExprKind::Scalar:
-    NodeIds.emplace(&E, Scalars.intern(E.scalarName()));
+    NodeIds.insert(&E, Scalars.intern(E.scalarName()));
     return;
   case ExprKind::Access: {
-    std::vector<unsigned> Key{Tensors.intern(E.tensorName())};
+    if (NodeIds.find(&E))
+      return; // a shared node, interned already
+    Key.assign(1, Tensors.intern(E.tensorName()));
     for (const std::string &I : E.indices())
       Key.push_back(Indices.intern(I));
-    auto [It, New] = AccessIndex.emplace(Key, unsigned(Accesses.size()));
-    if (New)
-      Accesses.push_back(
-          AccessKey{Key[0], std::vector<unsigned>(Key.begin() + 1, Key.end())});
-    NodeIds.emplace(&E, It->second);
+    auto It = AccessIndex.find(Key);
+    if (It == AccessIndex.end()) {
+      It = AccessIndex.emplace(Key, unsigned(Accesses.size())).first;
+      Accesses.push_back(Key);
+    }
+    NodeIds.insert(&E, It->second);
     return;
   }
   case ExprKind::Call:
@@ -96,7 +130,6 @@ void TreeIds::internStmt(const Stmt &S) {
     internStmt(*S.body());
     return;
   case StmtKind::If:
-    internCond(S.condition());
     internStmt(*S.body());
     return;
   case StmtKind::Assign:
@@ -104,7 +137,7 @@ void TreeIds::internStmt(const Stmt &S) {
     internExpr(*S.rhs());
     return;
   case StmtKind::DefScalar:
-    NodeIds.emplace(&S, Scalars.intern(S.scalarName()));
+    NodeIds.insert(&S, Scalars.intern(S.scalarName()));
     internExpr(*S.rhs());
     return;
   case StmtKind::Replicate:

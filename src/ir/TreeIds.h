@@ -1,12 +1,14 @@
 //===- ir/TreeIds.h - Dense ids for a kernel's names and accesses -*- C++ -*-===//
 ///
 /// \file
-/// One walk over a kernel's statement trees gives every index, scalar
-/// and tensor name a dense id, and every tensor access an id keyed by
-/// (tensor id, index ids): two accesses share an id exactly when they
-/// name the same tensor with the same index list, that is, when they
-/// print alike. Analyses that run over the trees then key their tables
-/// by these ids instead of by rendered text.
+/// One walk over a kernel's statement trees gives every loop index,
+/// access index, scalar and tensor name a dense id, and every tensor
+/// access an id keyed by (tensor id, index ids): two accesses share an
+/// id exactly when they name the same tensor with the same index list,
+/// that is, when they print alike. Analyses that run over the trees
+/// then key their tables by these ids instead of by rendered text.
+/// Conditions are not interned: a name only a condition uses has no
+/// id, and findIndex() says so.
 ///
 /// Access and Scalar expressions and DefScalar statements are found by
 /// address, so the trees must outlive the table. A node built after
@@ -24,11 +26,26 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace systec {
+
+/// Dense ids for names, in first-intern order.
+class NameIds {
+public:
+  unsigned intern(const std::string &Name);
+  std::optional<unsigned> find(const std::string &Name) const;
+  const std::string &name(unsigned Id) const { return Names[Id]; }
+  unsigned size() const { return unsigned(Names.size()); }
+
+private:
+  std::unordered_map<std::string, unsigned> Ids;
+  std::vector<std::string> Names;
+};
 
 class TreeIds {
 public:
@@ -39,14 +56,12 @@ public:
   /// one list.
   void listLoopReads(const StmtPtr &Root);
 
-  unsigned indexCount() const { return unsigned(Indices.Names.size()); }
-  unsigned scalarCount() const { return unsigned(Scalars.Names.size()); }
-  unsigned tensorCount() const { return unsigned(Tensors.Names.size()); }
+  unsigned indexCount() const { return Indices.size(); }
+  unsigned scalarCount() const { return Scalars.size(); }
   unsigned accessCount() const { return unsigned(Accesses.size()); }
 
-  const std::string &indexName(unsigned Id) const { return Indices.Names[Id]; }
-  const std::string &scalarName(unsigned Id) const { return Scalars.Names[Id]; }
-  const std::string &tensorName(unsigned Id) const { return Tensors.Names[Id]; }
+  const std::string &indexName(unsigned Id) const { return Indices.name(Id); }
+  const std::string &tensorName(unsigned Id) const { return Tensors.name(Id); }
 
   /// Id of a name the trees use; std::nullopt for any other name.
   std::optional<unsigned> findIndex(const std::string &Name) const {
@@ -68,10 +83,10 @@ public:
              const std::vector<std::string> &Indices) const;
 
   /// Tensor id of access \p Id.
-  unsigned accessTensor(unsigned Id) const { return Accesses[Id].Tensor; }
+  unsigned accessTensor(unsigned Id) const { return Accesses[Id].front(); }
   /// Index ids of access \p Id, one per mode.
-  const std::vector<unsigned> &accessIndices(unsigned Id) const {
-    return Accesses[Id].Indices;
+  std::span<const unsigned> accessIndices(unsigned Id) const {
+    return std::span<const unsigned>(Accesses[Id]).subspan(1);
   }
 
   /// The distinct accesses read on the right-hand sides of assignments
@@ -81,30 +96,30 @@ public:
   std::vector<unsigned> reads(const Stmt &S) const;
 
 private:
-  struct NameTable {
-    std::unordered_map<std::string, unsigned> Ids;
-    std::vector<std::string> Names;
-    unsigned intern(const std::string &Name);
-    std::optional<unsigned> find(const std::string &Name) const;
-  };
-  struct AccessKey {
-    unsigned Tensor;
-    std::vector<unsigned> Indices;
+  /// Open-addressing map from a node's address to its id.
+  class NodeTable {
+  public:
+    void insert(const void *Node, unsigned Id);
+    const unsigned *find(const void *Node) const;
+
+  private:
+    std::vector<std::pair<const void *, unsigned>> Slots;
+    size_t Used = 0;
+    size_t slotOf(const void *Node) const;
   };
 
-  NameTable Indices, Scalars, Tensors;
-  std::vector<AccessKey> Accesses;
-  /// (tensor id, index ids...) -> access id.
-  std::map<std::vector<unsigned>, unsigned> AccessIndex;
-  /// Access and Scalar expressions and DefScalar statements -> id.
-  std::unordered_map<const void *, unsigned> NodeIds;
+  NameIds Indices, Scalars, Tensors;
+  /// Per access id: the tensor id, then the index ids.
+  std::vector<std::vector<unsigned>> Accesses;
+  std::map<std::vector<unsigned>, unsigned> AccessIndex; ///< inverse
+  std::vector<unsigned> Key; ///< scratch access key
+  NodeTable NodeIds; ///< Access and Scalar expressions, DefScalar statements
   /// Loop statement -> reads() of its body.
   std::unordered_map<const Stmt *, std::vector<unsigned>> LoopReads;
 
   unsigned node(const void *N) const;
   void internStmt(const Stmt &S);
   void internExpr(const Expr &E);
-  void internCond(const Cond &C);
   void recordLoopReads(const Stmt &S);
 };
 

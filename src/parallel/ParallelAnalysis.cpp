@@ -14,31 +14,40 @@ namespace systec {
 
 namespace {
 
-/// A set of dense ids (TreeIds ids of one kind).
+/// A set of dense ids; ids below 64 live in one inline word.
 class IdSet {
 public:
   void insert(unsigned Id) {
-    if (Id / 64 >= Words.size())
-      Words.resize(Id / 64 + 1);
-    Words[Id / 64] |= uint64_t(1) << (Id % 64);
+    if (Id < 64) {
+      Low |= uint64_t(1) << Id;
+      return;
+    }
+    if (Id / 64 > High.size())
+      High.resize(Id / 64);
+    High[Id / 64 - 1] |= uint64_t(1) << (Id % 64);
   }
   bool contains(unsigned Id) const {
-    return Id / 64 < Words.size() && (Words[Id / 64] >> (Id % 64) & 1);
+    if (Id < 64)
+      return Low >> Id & 1;
+    return Id / 64 <= High.size() && (High[Id / 64 - 1] >> (Id % 64) & 1);
   }
   void unite(const IdSet &O) {
-    if (O.Words.size() > Words.size())
-      Words.resize(O.Words.size());
-    for (size_t I = 0; I < O.Words.size(); ++I)
-      Words[I] |= O.Words[I];
+    Low |= O.Low;
+    if (O.High.size() > High.size())
+      High.resize(O.High.size());
+    for (size_t I = 0; I < O.High.size(); ++I)
+      High[I] |= O.High[I];
   }
   void intersect(const IdSet &O) {
-    Words.resize(std::min(Words.size(), O.Words.size()));
-    for (size_t I = 0; I < Words.size(); ++I)
-      Words[I] &= O.Words[I];
+    Low &= O.Low;
+    High.resize(std::min(High.size(), O.High.size()));
+    for (size_t I = 0; I < High.size(); ++I)
+      High[I] &= O.High[I];
   }
 
 private:
-  std::vector<uint64_t> Words;
+  uint64_t Low = 0;
+  std::vector<uint64_t> High;
 };
 
 /// The reduction operators of every write to one target.
@@ -71,17 +80,19 @@ struct WriteOps {
   }
 };
 
-/// Everything the classifier needs about one subtree, keyed by the
-/// subtree's TreeIds ids. Collected once per subtree, bottom-up: a
-/// loop's facts are its body's, merged into the enclosing subtree's
-/// with the loop's own index among the inner loop variables.
+/// A write target's id and the summary of its writes.
+struct TargetWrites {
+  unsigned Id;
+  IdSet Indices; ///< tensors: the indices every write's target carries
+  WriteOps Ops;
+};
+
+/// Everything the classifier needs about one subtree, keyed by name ids
+/// of the analysis. Collected once per subtree, bottom-up: a loop's
+/// facts are its body's, merged into the enclosing subtree's with the
+/// loop's own index among the inner loop variables.
 struct BodyFacts {
-  struct TensorWrites {
-    IdSet Indices; ///< indices every write's target carries
-    WriteOps Ops;
-  };
-  std::map<unsigned, TensorWrites> Tensors; ///< by tensor id
-  std::map<unsigned, WriteOps> Scalars;     ///< by scalar id
+  std::vector<TargetWrites> Tensors, Scalars;
   IdSet ScalarDefs;    ///< DefScalar inside the subtree
   IdSet TensorReads;   ///< tensors read on any right-hand side
   IdSet ScalarReads;   ///< scalars read on any right-hand side
@@ -91,19 +102,30 @@ struct BodyFacts {
   std::vector<std::pair<unsigned, unsigned>> OrderAtoms;
   bool SawReplicate = false;
 
+  static TargetWrites &target(std::vector<TargetWrites> &Ts, unsigned Id,
+                              bool &New) {
+    for (TargetWrites &T : Ts)
+      if (T.Id == Id) {
+        New = false;
+        return T;
+      }
+    New = true;
+    return Ts.emplace_back(TargetWrites{Id, IdSet(), WriteOps()});
+  }
+
   void merge(const BodyFacts &O) {
-    for (const auto &[T, W] : O.Tensors) {
-      auto [It, New] = Tensors.emplace(T, W);
-      if (!New) {
-        It->second.Indices.intersect(W.Indices);
-        It->second.Ops.merge(W.Ops);
+    bool New;
+    for (const TargetWrites &W : O.Tensors) {
+      TargetWrites &T = target(Tensors, W.Id, New);
+      if (New) {
+        T = W;
+      } else {
+        T.Indices.intersect(W.Indices);
+        T.Ops.merge(W.Ops);
       }
     }
-    for (const auto &[S, W] : O.Scalars) {
-      auto [It, New] = Scalars.emplace(S, W);
-      if (!New)
-        It->second.merge(W);
-    }
+    for (const TargetWrites &W : O.Scalars)
+      target(Scalars, W.Id, New).Ops.merge(W.Ops);
     ScalarDefs.unite(O.ScalarDefs);
     TensorReads.unite(O.TensorReads);
     ScalarReads.unite(O.ScalarReads);
@@ -123,174 +145,198 @@ struct BodyFacts {
   }
 };
 
-void collectRhs(const TreeIds &Ids, const Expr &E, BodyFacts &F) {
-  switch (E.kind()) {
-  case ExprKind::Access:
-    F.TensorReads.insert(Ids.accessTensor(Ids.accessId(E)));
-    return;
-  case ExprKind::Scalar:
-    F.ScalarReads.insert(Ids.scalarId(E));
-    return;
-  case ExprKind::Call:
-    for (const ExprPtr &A : E.args())
-      collectRhs(Ids, *A, F);
-    return;
-  default:
-    return;
-  }
-}
-
-void collectAtoms(const TreeIds &Ids, const Cond &C, BodyFacts &F) {
-  std::vector<std::pair<unsigned, unsigned>> Atoms;
-  for (const Conj &D : C.disjuncts())
-    for (const CmpAtom &A : D.Atoms) {
-      const unsigned L = *Ids.findIndex(A.Lhs), R = *Ids.findIndex(A.Rhs);
-      if (A.Kind == CmpKind::LT || A.Kind == CmpKind::LE)
-        Atoms.push_back({L, R});
-      else if (A.Kind == CmpKind::GT || A.Kind == CmpKind::GE)
-        Atoms.push_back({R, L});
+/// One analysis: the name ids, and the bottom-up walk that collects
+/// facts and annotates loops.
+class Analysis {
+public:
+  /// Rebuilds \p S with every loop annotated (reusing every subtree the
+  /// annotation leaves as it was) and adds \p S's facts to \p F. Each
+  /// node is visited once: a loop is classified from the facts its body
+  /// returned, which then flow into the enclosing subtree's.
+  StmtPtr annotate(const StmtPtr &S, BodyFacts &F) {
+    switch (S->kind()) {
+    case StmtKind::Block: {
+      std::vector<StmtPtr> Stmts;
+      bool Same = true;
+      for (const StmtPtr &C : S->stmts()) {
+        Stmts.push_back(annotate(C, F));
+        Same &= Stmts.back() == C;
+      }
+      return Same ? S : Stmt::block(std::move(Stmts));
     }
-  std::sort(Atoms.begin(), Atoms.end());
-  Atoms.erase(std::unique(Atoms.begin(), Atoms.end()), Atoms.end());
-  F.addAtoms(Atoms);
-}
+    case StmtKind::If: {
+      collectAtoms(S->condition(), F);
+      StmtPtr Body = annotate(S->body(), F);
+      return Body == S->body() ? S : Stmt::ifThen(S->condition(), Body);
+    }
+    case StmtKind::Loop: {
+      const unsigned Var = Indices.intern(S->loopIndex());
+      BodyFacts Inner;
+      StmtPtr Body = annotate(S->body(), Inner);
+      const LoopParallelism LP = classify(Inner, Var);
+      const ParallelAnnotation Want =
+          LP.Safe ? ParallelAnnotation{true, LP.TriangleDepth}
+                  : ParallelAnnotation{};
+      const ParallelAnnotation &Had = S->parallelInfo();
+      StmtPtr L = S;
+      if (Body != S->body() || Had.IsParallel != Want.IsParallel ||
+          Had.TriangleDepth != Want.TriangleDepth) {
+        L = Stmt::loop(S->loopIndex(), std::move(Body));
+        if (LP.Safe)
+          L = L->withParallel(Want);
+      }
+      Inner.InnerLoopVars.insert(Var);
+      F.merge(Inner);
+      return L;
+    }
+    case StmtKind::DefScalar:
+      F.ScalarDefs.insert(Scalars.intern(S->scalarName()));
+      collectRhs(*S->rhs(), F);
+      return S;
+    case StmtKind::Assign: {
+      collectRhs(*S->rhs(), F);
+      const Expr &Lhs = *S->lhs();
+      bool New;
+      if (Lhs.kind() == ExprKind::Scalar) {
+        BodyFacts::target(F.Scalars, Scalars.intern(Lhs.scalarName()), New)
+            .Ops.add(S->reduceOp());
+        return S;
+      }
+      IdSet Idx;
+      for (const std::string &I : Lhs.indices())
+        Idx.insert(Indices.intern(I));
+      TargetWrites &T =
+          BodyFacts::target(F.Tensors, Tensors.intern(Lhs.tensorName()), New);
+      if (New)
+        T.Indices = std::move(Idx);
+      else
+        T.Indices.intersect(Idx);
+      T.Ops.add(S->reduceOp());
+      return S;
+    }
+    case StmtKind::Replicate:
+      F.SawReplicate = true;
+      return S;
+    }
+    unreachable("unknown statement kind");
+  }
 
-/// Distinct variables transitively ordered below/above \p Var through
-/// the collected a <= b atoms, restricted to \p Allowed.
-unsigned reachCount(const BodyFacts &F, unsigned Var, unsigned IndexCount,
-                    bool Below) {
-  std::vector<bool> Seen(IndexCount);
-  Seen[Var] = true;
-  std::vector<unsigned> Work{Var};
-  unsigned N = 0;
-  while (!Work.empty()) {
-    const unsigned Cur = Work.back();
-    Work.pop_back();
-    for (const auto &[Lo, Hi] : F.OrderAtoms) {
-      const unsigned From = Below ? Hi : Lo, To = Below ? Lo : Hi;
-      if (From == Cur && !Seen[To]) {
-        Seen[To] = true;
-        Work.push_back(To);
-        N += F.InnerLoopVars.contains(To);
+  /// The contract of a loop over index \p Var whose body has facts
+  /// \p F. An unsafe loop's contract is empty.
+  LoopParallelism classify(const BodyFacts &F, unsigned Var) const {
+    if (F.SawReplicate)
+      return {}; // replication touches the whole output; keep sequential
+    LoopParallelism LP;
+    // Tensor targets.
+    for (const TargetWrites &W : F.Tensors) {
+      if (F.TensorReads.contains(W.Id))
+        return {}; // cross-iteration read/write dependence possible
+      const std::string &Name = Tensors.name(W.Id);
+      if (W.Indices.contains(Var)) {
+        LP.Tensors[Name] = WriteClass::Disjoint;
+      } else if (std::optional<OpKind> Op = W.Ops.mergeOp()) {
+        LP.Tensors[Name] = WriteClass::Reduction;
+        LP.TensorMergeOps[Name] = *Op;
+      } else {
+        return {}; // shared overwrite or mixed-operator reduction
       }
     }
+    // Scalar targets not defined in the body.
+    for (const TargetWrites &W : F.Scalars) {
+      if (F.ScalarDefs.contains(W.Id))
+        continue; // iteration-private temporary
+      std::optional<OpKind> Op = W.Ops.mergeOp();
+      if (!Op)
+        return {}; // overwrite of a loop-carried scalar, or mixed operators
+      if (F.ScalarReads.contains(W.Id))
+        return {}; // partial sums must not be observed mid-loop
+      LP.ScalarMergeOps[Scalars.name(W.Id)] = *Op;
+    }
+    // Workload shape: canonical-triangle chains below/above this loop.
+    const unsigned Below = reachCount(F, Var, /*Below=*/true);
+    const unsigned Above = reachCount(F, Var, /*Below=*/false);
+    if (Below > 0 && Above == 0)
+      LP.TriangleDepth = static_cast<int>(Below);
+    else if (Above > 0 && Below == 0)
+      LP.TriangleDepth = -static_cast<int>(Above);
+    LP.Safe = true;
+    return LP;
   }
-  return N;
-}
 
-/// The contract of a loop over index \p Var whose body has facts \p F.
-/// An unsafe loop's contract is empty.
-LoopParallelism classify(const TreeIds &Ids, const BodyFacts &F,
-                         unsigned Var) {
-  if (F.SawReplicate)
-    return {}; // replication touches the whole output; keep sequential
-  LoopParallelism LP;
-  // Tensor targets.
-  for (const auto &[T, W] : F.Tensors) {
-    if (F.TensorReads.contains(T))
-      return {}; // cross-iteration read/write dependence possible
-    const std::string &Name = Ids.tensorName(T);
-    if (W.Indices.contains(Var)) {
-      LP.Tensors[Name] = WriteClass::Disjoint;
-    } else if (std::optional<OpKind> Op = W.Ops.mergeOp()) {
-      LP.Tensors[Name] = WriteClass::Reduction;
-      LP.TensorMergeOps[Name] = *Op;
-    } else {
-      return {}; // shared overwrite or mixed-operator reduction
+  NameIds Indices;
+
+private:
+  NameIds Tensors, Scalars;
+
+  void collectRhs(const Expr &E, BodyFacts &F) {
+    switch (E.kind()) {
+    case ExprKind::Access:
+      F.TensorReads.insert(Tensors.intern(E.tensorName()));
+      return;
+    case ExprKind::Scalar:
+      F.ScalarReads.insert(Scalars.intern(E.scalarName()));
+      return;
+    case ExprKind::Call:
+      for (const ExprPtr &A : E.args())
+        collectRhs(*A, F);
+      return;
+    default:
+      return;
     }
   }
-  // Scalar targets not defined in the body.
-  for (const auto &[S, W] : F.Scalars) {
-    if (F.ScalarDefs.contains(S))
-      continue; // iteration-private temporary
-    std::optional<OpKind> Op = W.mergeOp();
-    if (!Op)
-      return {}; // overwrite of a loop-carried scalar, or mixed operators
-    if (F.ScalarReads.contains(S))
-      return {}; // partial sums must not be observed mid-loop
-    LP.ScalarMergeOps[Ids.scalarName(S)] = *Op;
-  }
-  // Workload shape: canonical-triangle chains below/above this loop.
-  const unsigned Below = reachCount(F, Var, Ids.indexCount(), true);
-  const unsigned Above = reachCount(F, Var, Ids.indexCount(), false);
-  if (Below > 0 && Above == 0)
-    LP.TriangleDepth = static_cast<int>(Below);
-  else if (Above > 0 && Below == 0)
-    LP.TriangleDepth = -static_cast<int>(Above);
-  LP.Safe = true;
-  return LP;
-}
 
-/// Rebuilds \p S with every loop annotated and adds \p S's facts to
-/// \p F. Each node is visited once: a loop is classified from the
-/// facts its body returned, which then flow into the enclosing subtree.
-StmtPtr annotate(const TreeIds &Ids, const StmtPtr &S, BodyFacts &F) {
-  switch (S->kind()) {
-  case StmtKind::Block: {
-    std::vector<StmtPtr> Stmts;
-    for (const StmtPtr &C : S->stmts())
-      Stmts.push_back(annotate(Ids, C, F));
-    return Stmt::block(std::move(Stmts));
+  void collectAtoms(const Cond &C, BodyFacts &F) {
+    std::vector<std::pair<unsigned, unsigned>> Atoms;
+    for (const Conj &D : C.disjuncts())
+      for (const CmpAtom &A : D.Atoms) {
+        if (A.Kind == CmpKind::LT || A.Kind == CmpKind::LE)
+          Atoms.push_back({Indices.intern(A.Lhs), Indices.intern(A.Rhs)});
+        else if (A.Kind == CmpKind::GT || A.Kind == CmpKind::GE)
+          Atoms.push_back({Indices.intern(A.Rhs), Indices.intern(A.Lhs)});
+      }
+    std::sort(Atoms.begin(), Atoms.end());
+    Atoms.erase(std::unique(Atoms.begin(), Atoms.end()), Atoms.end());
+    F.addAtoms(Atoms);
   }
-  case StmtKind::If:
-    collectAtoms(Ids, S->condition(), F);
-    return Stmt::ifThen(S->condition(), annotate(Ids, S->body(), F));
-  case StmtKind::Loop: {
-    const unsigned Var = *Ids.findIndex(S->loopIndex());
-    BodyFacts Body;
-    StmtPtr L = Stmt::loop(S->loopIndex(), annotate(Ids, S->body(), Body));
-    const LoopParallelism LP = classify(Ids, Body, Var);
-    if (LP.Safe)
-      L = L->withParallel(ParallelAnnotation{true, LP.TriangleDepth});
-    Body.InnerLoopVars.insert(Var);
-    F.merge(Body);
-    return L;
-  }
-  case StmtKind::DefScalar:
-    F.ScalarDefs.insert(Ids.scalarId(*S));
-    collectRhs(Ids, *S->rhs(), F);
-    return S;
-  case StmtKind::Assign: {
-    collectRhs(Ids, *S->rhs(), F);
-    const Expr &Lhs = *S->lhs();
-    if (Lhs.kind() == ExprKind::Scalar) {
-      F.Scalars[Ids.scalarId(Lhs)].add(S->reduceOp());
-    } else {
-      const unsigned A = Ids.accessId(Lhs);
-      IdSet Indices;
-      for (unsigned I : Ids.accessIndices(A))
-        Indices.insert(I);
-      auto [It, New] = F.Tensors.emplace(
-          Ids.accessTensor(A), BodyFacts::TensorWrites{Indices, WriteOps()});
-      if (!New)
-        It->second.Indices.intersect(Indices);
-      It->second.Ops.add(S->reduceOp());
+
+  /// Distinct inner loop variables transitively ordered below/above
+  /// \p Var through the collected a <= b atoms.
+  unsigned reachCount(const BodyFacts &F, unsigned Var, bool Below) const {
+    std::vector<bool> Seen(Indices.size());
+    Seen[Var] = true;
+    std::vector<unsigned> Work{Var};
+    unsigned N = 0;
+    while (!Work.empty()) {
+      const unsigned Cur = Work.back();
+      Work.pop_back();
+      for (const auto &[Lo, Hi] : F.OrderAtoms) {
+        const unsigned From = Below ? Hi : Lo, To = Below ? Lo : Hi;
+        if (From == Cur && !Seen[To]) {
+          Seen[To] = true;
+          Work.push_back(To);
+          N += F.InnerLoopVars.contains(To);
+        }
+      }
     }
-    return S;
+    return N;
   }
-  case StmtKind::Replicate:
-    F.SawReplicate = true;
-    return S;
-  }
-  unreachable("unknown statement kind");
-}
+};
 
 } // namespace
 
 LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
   assert(Loop->kind() == StmtKind::Loop && "expects a loop");
-  TreeIds Ids;
-  Ids.add(Loop);
+  Analysis A;
+  const unsigned Var = A.Indices.intern(Loop->loopIndex());
   BodyFacts F;
-  annotate(Ids, Loop->body(), F);
-  return classify(Ids, F, *Ids.findIndex(Loop->loopIndex()));
+  A.annotate(Loop->body(), F);
+  return A.classify(F, Var);
 }
 
 StmtPtr annotateParallelLoops(const StmtPtr &Root) {
-  TreeIds Ids;
-  Ids.add(Root);
+  Analysis A;
   BodyFacts F;
-  return annotate(Ids, Root, F);
+  return A.annotate(Root, F);
 }
 
 } // namespace systec

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 
@@ -105,12 +106,19 @@ private:
   uint64_t SpecializeNs = 0; // time inside specializeLoop calls
   std::vector<obs::LoopStat> LoopMeta; // indexed by trace id
 
-  /// Id of an index name the kernel uses.
+  /// Id of an index a loop or an access uses.
   unsigned indexId(const std::string &Name) const {
     std::optional<unsigned> Id = Ids.findIndex(Name);
     if (!Id)
       fatalError("plan compiler: index " + Name + " outside the kernel");
     return *Id;
+  }
+
+  /// Whether a loop around the statement being compiled binds \p Name
+  /// (a name only conditions use has no id and is never bound).
+  bool isBound(const std::string &Name) const {
+    std::optional<unsigned> Id = Ids.findIndex(Name);
+    return Id && BoundVars[*Id];
   }
 
   unsigned indexSlot(unsigned Id) {
@@ -241,7 +249,7 @@ private:
                std::to_string(T->order()) + ")");
       return;
     }
-    const std::vector<unsigned> &Idx = Ids.accessIndices(Ids.accessId(*A));
+    const std::span<const unsigned> Idx = Ids.accessIndices(Ids.accessId(*A));
     for (unsigned M = 0; M < Idx.size(); ++M) {
       std::optional<int64_t> &Ext = Extents[Idx[M]];
       if (!Ext)
@@ -296,7 +304,7 @@ private:
       const unsigned A = Ids.accessId(*Ex);
       const unsigned Id = accessState(A);
       const AccessState &S = AccessStates[Id];
-      const std::vector<unsigned> &Idx = Ids.accessIndices(A);
+      const std::span<const unsigned> Idx = Ids.accessIndices(A);
       VInstr I;
       if (Driven[Id] == S.T->order() && S.T->order() > 0) {
         I.Kind = VKind::Walked;
@@ -341,7 +349,7 @@ private:
   }
 
   std::vector<std::pair<unsigned, int64_t>>
-  denseStrides(Tensor *T, const std::vector<unsigned> &Indices) {
+  denseStrides(Tensor *T, std::span<const unsigned> Indices) {
     // Column-major: mode 0 is contiguous. A 0-d access maps to
     // position 0 of a one-element tensor.
     std::vector<std::pair<unsigned, int64_t>> Out;
@@ -435,7 +443,7 @@ private:
   bool allBound(const Cond &C) {
     for (const Conj &D : C.disjuncts())
       for (const CmpAtom &A : D.Atoms)
-        if (!BoundVars[indexId(A.Lhs)] || !BoundVars[indexId(A.Rhs)])
+        if (!isBound(A.Lhs) || !isBound(A.Rhs))
           return false;
     return true;
   }
@@ -530,7 +538,7 @@ private:
           std::swap(Atom.Lhs, Atom.Rhs);
           Atom.Kind = swapCmp(Atom.Kind);
         }
-        if (Atom.Lhs == Var && Atom.Rhs != Var && BoundVars[indexId(Atom.Rhs)]) {
+        if (Atom.Lhs == Var && Atom.Rhs != Var && isBound(Atom.Rhs)) {
           unsigned Other = indexSlot(Atom.Rhs);
           switch (Atom.Kind) {
           case CmpKind::LE:

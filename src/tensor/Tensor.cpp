@@ -9,6 +9,7 @@
 #include "tensor/LevelBuilder.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <sstream>
@@ -515,93 +516,142 @@ enum : uint8_t { InOff = 1, InDiag = 2 };
 /// The diagonal split of a tensor whose levels are all Dense or Sparse,
 /// as a filter over its level arrays. Positions are counted by depth:
 /// depth 0 is the root (one position) and depth D holds level D-1's
-/// positions, so the bottom depth holds the value positions.
+/// positions, so depth N holds the value positions.
+///
+/// mark() walks the stored positions once: it sets each value
+/// position's half from its coordinates, deciding each pair of modes at
+/// the level that binds the deeper one, and gives every other position
+/// the union of its children's halves. Then each Dense position below
+/// the top takes its parent's halves instead (a Dense level keeps every
+/// coordinate under a kept parent), so every depth above the bottom
+/// says which halves keep each position. fill() copies both halves
+/// level by level into arrays of exactly their size.
 class DiagonalFilter {
 public:
   DiagonalFilter(const Tensor &T,
                  const std::vector<std::pair<unsigned, unsigned>> &Pairs)
-      : T(T), N(T.order()), Count(N + 1, 1), Mask(N + 1) {
+      : T(T), N(T.order()), Count(N + 1, 1), Mask(N + 1), Partners(N),
+        Coord(N), Marked(N + 1, {0, 0}), Kept(N + 1) {
     for (unsigned L = 0; L < N; ++L) {
       const Level &Lev = T.level(L);
       Count[L + 1] = Lev.Kind == LevelKind::Dense
                          ? Count[L] * Lev.Dim
                          : static_cast<int64_t>(Lev.Crd.size());
-      if (Lev.Kind == LevelKind::Sparse)
-        checkFibers(L);
     }
     for (unsigned D = 0; D <= N; ++D)
-      Mask[D].assign(static_cast<size_t>(Count[D]), 0);
-    classify(Pairs);
+      Mask[D].resize(static_cast<size_t>(Count[D]));
+    for (const auto &[A, B] : Pairs)
+      Partners[N - 1 - std::min(A, B)].push_back(std::max(A, B));
+    Kept[0] = {1, 1};
+    if (N == 0) {
+      Mask[0][0] = InOff; // one entry, no modes to compare
+      return;
+    }
+    mark(0, 0, false);
+    Mask[0][0] = InOff | InDiag;
+    for (unsigned L = 0; L < N; ++L) {
+      const Level &Lev = T.level(L);
+      if (Lev.Kind == LevelKind::Sparse) {
+        Kept[L + 1] = Marked[L + 1];
+        continue;
+      }
+      Kept[L + 1] = {Kept[L][0] * Lev.Dim, Kept[L][1] * Lev.Dim};
+      if (L + 1 == N)
+        break; // the bottom keeps its halves; fill() reads its parents
+      uint8_t *Below = Mask[L + 1].data();
+      for (int64_t Q = 0; Q < Count[L]; ++Q)
+        std::fill_n(Below + Q * Lev.Dim, Lev.Dim, Mask[L][Q]);
+    }
   }
 
-  /// Half \p H's levels and values, in arrays of exactly their size.
-  /// Dense positions stay wherever their parent does; a Sparse position
-  /// or a value stays when an entry of the half lies at or below it.
-  void fill(uint8_t H, std::vector<Level> &Levels,
-            std::vector<double> &Vals) const {
-    Levels.resize(N);
-    std::vector<uint8_t> Keep{1}, Next; // by position of the depth above
-    int64_t Kept = 1;
+  /// Both halves' levels and values.
+  void fill(std::vector<Level> (&Levels)[2], std::vector<double> (&Vals)[2])
+      const {
+    for (unsigned H = 0; H < 2; ++H)
+      Levels[H].resize(N);
     for (unsigned L = 0; L < N; ++L) {
       const Level &Src = T.level(L);
-      Level &Dst = Levels[L];
-      Dst.Kind = Src.Kind;
-      Dst.Dim = Src.Dim;
-      const std::vector<uint8_t> &Below = Mask[L + 1];
-      Next.assign(static_cast<size_t>(Count[L + 1]), 0);
-      if (Src.Kind == LevelKind::Dense) {
-        for (int64_t Q = 0; Q < Count[L]; ++Q)
-          if (Keep[Q])
-            std::fill_n(Next.begin() + Q * Src.Dim, Src.Dim, uint8_t(1));
-        Kept *= Src.Dim;
-      } else {
-        int64_t Crds = 0;
-        for (int64_t K = 0; K < Count[L + 1]; ++K)
-          Crds += (Below[K] & H) != 0;
-        Dst.Ptr.reserve(static_cast<size_t>(Kept) + 1);
-        Dst.Crd.reserve(static_cast<size_t>(Crds));
-        for (int64_t Q = 0; Q < Count[L]; ++Q) {
-          if (!Keep[Q])
-            continue;
-          Dst.Ptr.push_back(static_cast<int64_t>(Dst.Crd.size()));
-          for (int64_t K = Src.Ptr[Q]; K < Src.Ptr[Q + 1]; ++K)
-            if (Below[K] & H) {
-              Dst.Crd.push_back(Src.Crd[K]);
-              Next[K] = 1;
-            }
-        }
-        Dst.Ptr.push_back(Crds);
-        Kept = Crds;
+      for (unsigned H = 0; H < 2; ++H) {
+        Levels[H][L].Kind = Src.Kind;
+        Levels[H][L].Dim = Src.Dim;
       }
-      Keep.swap(Next);
+      if (Src.Kind == LevelKind::Dense)
+        continue;
+      Level &Off = Levels[0][L], &Diag = Levels[1][L];
+      Off.Ptr.reserve(static_cast<size_t>(Kept[L][0]) + 1);
+      Diag.Ptr.reserve(static_cast<size_t>(Kept[L][1]) + 1);
+      Off.Crd.reserve(static_cast<size_t>(Kept[L + 1][0]));
+      Diag.Crd.reserve(static_cast<size_t>(Kept[L + 1][1]));
+      const uint8_t *Above = Mask[L].data(), *Below = Mask[L + 1].data();
+      for (int64_t Q = 0; Q < Count[L]; ++Q) {
+        if (Above[Q] & InOff)
+          Off.Ptr.push_back(static_cast<int64_t>(Off.Crd.size()));
+        if (Above[Q] & InDiag)
+          Diag.Ptr.push_back(static_cast<int64_t>(Diag.Crd.size()));
+        for (int64_t K = Src.Ptr[Q]; K < Src.Ptr[Q + 1]; ++K) {
+          if (Below[K] & InOff)
+            Off.Crd.push_back(Src.Crd[K]);
+          if (Below[K] & InDiag)
+            Diag.Crd.push_back(Src.Crd[K]);
+        }
+      }
+      Off.Ptr.push_back(static_cast<int64_t>(Off.Crd.size()));
+      Diag.Ptr.push_back(static_cast<int64_t>(Diag.Crd.size()));
     }
-    const std::vector<uint8_t> &Bottom = Mask[N];
-    const double *Src = T.valsData();
-    Vals.reserve(static_cast<size_t>(Kept));
+    const double *V = T.valsData();
+    const double F = T.fill();
+    const uint8_t *Bottom = Mask[N].data();
+    for (unsigned H = 0; H < 2; ++H)
+      Vals[H].reserve(static_cast<size_t>(Kept[N][H]));
+    if (N > 0 && T.level(N - 1).Kind == LevelKind::Dense) {
+      // Every value position under a kept parent stays, holding the
+      // fill value where its entry went to the other half.
+      const int64_t Dim = T.level(N - 1).Dim;
+      for (int64_t Q = 0; Q < Count[N - 1]; ++Q)
+        for (int64_t P = Q * Dim; P < (Q + 1) * Dim; ++P)
+          for (unsigned H = 0; H < 2; ++H)
+            if (Mask[N - 1][Q] & (1u << H))
+              Vals[H].push_back(Bottom[P] & (1u << H) ? V[P] : F);
+      return;
+    }
     for (int64_t P = 0; P < Count[N]; ++P)
-      if (Keep[P])
-        Vals.push_back(Bottom[P] & H ? Src[P] : T.fill());
+      Vals[Bottom[P] & InOff ? 0 : 1].push_back(V[P]);
   }
 
 private:
   const Tensor &T;
   const unsigned N;
-  std::vector<int64_t> Count;            ///< positions per depth
-  std::vector<std::vector<uint8_t>> Mask; ///< per depth and position
+  std::vector<int64_t> Count;             ///< positions per depth
+  std::vector<std::vector<uint8_t>> Mask; ///< halves per depth and position
+  /// Per level, the modes paired with the level's mode that a level
+  /// above binds.
+  std::vector<std::vector<unsigned>> Partners;
+  std::vector<int64_t> Coord; ///< the walk's coordinate of each mode
+  /// Per depth, the positions marked with each half, and the positions
+  /// each half keeps.
+  std::vector<std::array<int64_t, 2>> Marked, Kept;
 
-  /// Aborts unless level \p L's fibers ascend strictly inside its
-  /// extent and tile its Crd array in order — the order a walk of the
-  /// tensor must see (validate(Deep) rejects everything else).
-  void checkFibers(unsigned L) const {
+  /// Marks the positions of level \p L under parent position \p P and
+  /// returns the union of their halves; \p Diag says whether a pair
+  /// decided above is on the diagonal. Aborts on a Sparse fiber that
+  /// does not ascend strictly inside the level's extent or does not
+  /// follow its predecessor in the Crd array: the order a walk of the
+  /// tensor must see, which validate(Deep) checks.
+  uint8_t mark(unsigned L, int64_t P, bool Diag) {
     const Level &Lev = T.level(L);
-    const int64_t Total = Count[L + 1];
-    for (int64_t Q = 0; Q < Count[L]; ++Q) {
-      const int64_t Begin = Lev.Ptr[Q], End = Lev.Ptr[Q + 1];
-      if (Begin < 0 || Begin > End || End > Total)
-        fatalError("diagonal split: level " + std::to_string(L) +
-                   " fibers not in fibertree order");
-      for (int64_t K = Begin; K < End; ++K) {
-        const int64_t C = Lev.Crd[K];
+    const unsigned M = N - 1 - L;
+    const bool Dense = Lev.Kind == LevelKind::Dense;
+    const int64_t Begin = Dense ? P * Lev.Dim : Lev.Ptr[P];
+    const int64_t End = Dense ? Begin + Lev.Dim : Lev.Ptr[P + 1];
+    if (!Dense && (Begin < 0 || Begin > End || End > Count[L + 1]))
+      fatalError("diagonal split: level " + std::to_string(L) +
+                 " fibers not in fibertree order");
+    uint8_t *Out = Mask[L + 1].data();
+    std::array<int64_t, 2> &Marks = Marked[L + 1];
+    uint8_t Any = 0;
+    for (int64_t K = Begin; K < End; ++K) {
+      const int64_t C = Dense ? K - Begin : Lev.Crd[K];
+      if (!Dense) {
         if (C < 0 || C >= Lev.Dim)
           fatalError("diagonal split: coordinate " + std::to_string(C) +
                      " outside level " + std::to_string(L) + " extent " +
@@ -611,79 +661,22 @@ private:
                      " entries not in strictly increasing fibertree "
                      "order");
       }
-    }
-  }
-
-  /// Marks each value position InDiag when some pair of its modes has
-  /// equal coordinates (InOff otherwise), then ORs every depth's marks
-  /// into the depth above. One walk over the stored positions decides
-  /// each pair at the level that binds the deeper of its two modes.
-  void classify(const std::vector<std::pair<unsigned, unsigned>> &Pairs) {
-    if (N == 0) {
-      Mask[0][0] = InOff; // one entry, no modes to compare
-      return;
-    }
-    // Per level, the modes paired with the level's mode that a level
-    // above binds.
-    std::vector<std::vector<unsigned>> Partners(N);
-    for (const auto &[A, B] : Pairs)
-      Partners[N - 1 - std::min(A, B)].push_back(std::max(A, B));
-    std::vector<int64_t> Coord(N), Pos(N), End(N), Base(N);
-    std::vector<uint8_t> OnDiag(N);
-    // Positions level L's cursor on the first position of the fiber
-    // under parent position P; false when the fiber is empty.
-    auto Enter = [&](unsigned L, int64_t P) {
-      const Level &Lev = T.level(L);
-      if (Lev.Kind == LevelKind::Dense) {
-        Base[L] = Pos[L] = P * Lev.Dim;
-        End[L] = Pos[L] + Lev.Dim;
-      } else {
-        Pos[L] = Lev.Ptr[P];
-        End[L] = Lev.Ptr[P + 1];
-      }
-      return Pos[L] < End[L];
-    };
-    unsigned L = 0;
-    bool Ok = Enter(0, 0);
-    for (;;) {
-      if (!Ok) {
-        if (L == 0)
-          break;
-        --L;
-        Ok = ++Pos[L] < End[L];
-        continue;
-      }
-      const Level &Lev = T.level(L);
-      const unsigned M = N - 1 - L;
-      Coord[M] = Lev.Kind == LevelKind::Dense ? Pos[L] - Base[L]
-                                              : Lev.Crd[Pos[L]];
-      bool Diag = L > 0 && OnDiag[L - 1];
+      bool D = Diag;
       for (unsigned B : Partners[L])
-        Diag |= Coord[M] == Coord[B];
-      OnDiag[L] = Diag;
-      if (L + 1 < N) {
-        Ok = Enter(L + 1, Pos[L]);
-        ++L;
+        D |= C == Coord[B];
+      uint8_t Halves;
+      if (L + 1 == N) {
+        Halves = D ? InDiag : InOff;
       } else {
-        Mask[N][Pos[L]] = Diag ? InDiag : InOff;
-        Ok = ++Pos[L] < End[L];
+        Coord[M] = C;
+        Halves = mark(L + 1, K, D);
       }
+      Out[K] = Halves;
+      Marks[0] += Halves & InOff;
+      Marks[1] += Halves >> 1;
+      Any |= Halves;
     }
-    for (unsigned D = N; D > 0; --D) {
-      const Level &Lev = T.level(D - 1);
-      const std::vector<uint8_t> &Below = Mask[D];
-      std::vector<uint8_t> &Above = Mask[D - 1];
-      for (int64_t Q = 0; Q < Count[D - 1]; ++Q) {
-        const int64_t Begin = Lev.Kind == LevelKind::Dense ? Q * Lev.Dim
-                                                           : Lev.Ptr[Q];
-        const int64_t Stop = Lev.Kind == LevelKind::Dense ? Begin + Lev.Dim
-                                                          : Lev.Ptr[Q + 1];
-        uint8_t Any = 0;
-        for (int64_t K = Begin; K < Stop; ++K)
-          Any |= Below[K];
-        Above[Q] = Any;
-      }
-    }
+    return Any;
   }
 };
 
@@ -702,14 +695,18 @@ std::pair<Tensor, Tensor> Tensor::splitDiagonal(const Partition &Sym) const {
         return K == LevelKind::Dense || K == LevelKind::Sparse;
       });
   if (Filterable) {
-    const DiagonalFilter F(*this, Pairs);
+    std::vector<Level> Levels[2];
+    std::vector<double> Values[2];
+    DiagonalFilter(*this, Pairs).fill(Levels, Values);
     std::pair<Tensor, Tensor> Out;
-    for (Tensor *Half : {&Out.first, &Out.second}) {
-      Half->Dims = Dims;
-      Half->Format = Format;
-      Half->Fill = Fill;
-      F.fill(Half == &Out.first ? InOff : InDiag, Half->Levels, Half->Vals);
-      if (Status S = Half->validate(ValidationLevel::Shallow); !S.ok())
+    for (unsigned H = 0; H < 2; ++H) {
+      Tensor &Half = H ? Out.second : Out.first;
+      Half.Dims = Dims;
+      Half.Format = Format;
+      Half.Fill = Fill;
+      Half.Levels = std::move(Levels[H]);
+      Half.Vals = std::move(Values[H]);
+      if (Status S = Half.validate(ValidationLevel::Shallow); !S.ok())
         fatalError(std::move(S).withContext("diagonal split self-check").str());
     }
     return Out;
