@@ -146,25 +146,6 @@ void TreeIds::internStmt(const Stmt &S) {
   unreachable("unknown statement kind");
 }
 
-std::optional<unsigned>
-TreeIds::findAccess(const std::string &Tensor,
-                    const std::vector<std::string> &Idx) const {
-  std::optional<unsigned> T = Tensors.find(Tensor);
-  if (!T)
-    return std::nullopt;
-  std::vector<unsigned> Key{*T};
-  for (const std::string &I : Idx) {
-    std::optional<unsigned> Id = Indices.find(I);
-    if (!Id)
-      return std::nullopt;
-    Key.push_back(*Id);
-  }
-  auto It = AccessIndex.find(Key);
-  if (It == AccessIndex.end())
-    return std::nullopt;
-  return It->second;
-}
-
 namespace {
 
 /// Appends the accesses of \p E not in \p Out yet, in preorder.

@@ -77,10 +77,6 @@ public:
   unsigned scalarId(const Stmt &Def) const { return node(&Def); }
   /// Id of an Access expression.
   unsigned accessId(const Expr &Access) const { return node(&Access); }
-  /// Id of the access Tensor[Indices...], if the trees hold one.
-  std::optional<unsigned>
-  findAccess(const std::string &Tensor,
-             const std::vector<std::string> &Indices) const;
 
   /// Tensor id of access \p Id.
   unsigned accessTensor(unsigned Id) const { return Accesses[Id].front(); }

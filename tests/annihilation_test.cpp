@@ -42,8 +42,17 @@ ExprPtr acc(const std::string &T, std::vector<std::string> Idx) {
 bool annihilatesA(const StmtPtr &S, double Fill) {
   TreeIds Ids;
   Ids.add(S);
-  const std::optional<unsigned> A = Ids.findAccess("A", {"a", "b"});
-  return accessAnnihilatesSubtree(S, Ids, A ? *A : Ids.accessCount(), Fill);
+  unsigned Key = Ids.accessCount();
+  Stmt::walk(S, [&](const StmtPtr &N) {
+    if (N->kind() != StmtKind::Assign && N->kind() != StmtKind::DefScalar)
+      return;
+    std::vector<ExprPtr> Reads;
+    Expr::collectAccesses(N->rhs(), Reads);
+    for (const ExprPtr &A : Reads)
+      if (A->str() == "A[a, b]")
+        Key = Ids.accessId(*A);
+  });
+  return accessAnnihilatesSubtree(S, Ids, Key, Fill);
 }
 
 } // namespace
