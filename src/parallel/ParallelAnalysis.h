@@ -75,8 +75,8 @@ LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop);
 /// loop with no feasible ancestor requirement is found the walk still
 /// descends, but the executor only ever activates one level per nest.
 /// One bottom-up walk: each loop is classified from the facts its body
-/// returned (keyed by TreeIds ids), which then join the enclosing
-/// loop's, so no subtree is walked twice.
+/// returned (keyed by name ids), which then join the enclosing loop's,
+/// so no subtree is walked twice.
 StmtPtr annotateParallelLoops(const StmtPtr &Root);
 
 } // namespace systec

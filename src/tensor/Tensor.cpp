@@ -521,11 +521,12 @@ enum : uint8_t { InOff = 1, InDiag = 2 };
 /// mark() walks the stored positions once: it sets each value
 /// position's half from its coordinates, deciding each pair of modes at
 /// the level that binds the deeper one, and gives every other position
-/// the union of its children's halves. Then each Dense position below
-/// the top takes its parent's halves instead (a Dense level keeps every
-/// coordinate under a kept parent), so every depth above the bottom
-/// says which halves keep each position. fill() copies both halves
-/// level by level into arrays of exactly their size.
+/// the union of its children's halves. Then each Dense position above
+/// the bottom takes its parent's halves instead (a Dense level keeps
+/// every coordinate under a kept parent, and both halves keep the
+/// root), so every depth above the bottom says which halves keep each
+/// position. fill() copies both halves level by level into arrays of
+/// exactly their size.
 class DiagonalFilter {
 public:
   DiagonalFilter(const Tensor &T,
@@ -543,10 +544,8 @@ public:
     for (const auto &[A, B] : Pairs)
       Partners[N - 1 - std::min(A, B)].push_back(std::max(A, B));
     Kept[0] = {1, 1};
-    if (N == 0) {
-      Mask[0][0] = InOff; // one entry, no modes to compare
-      return;
-    }
+    if (N == 0)
+      return; // one entry, no modes to compare: see fill()
     mark(0, 0, false);
     Mask[0][0] = InOff | InDiag;
     for (unsigned L = 0; L < N; ++L) {
@@ -603,7 +602,12 @@ public:
     const uint8_t *Bottom = Mask[N].data();
     for (unsigned H = 0; H < 2; ++H)
       Vals[H].reserve(static_cast<size_t>(Kept[N][H]));
-    if (N > 0 && T.level(N - 1).Kind == LevelKind::Dense) {
+    if (N == 0) {
+      Vals[0].push_back(V[0]);
+      Vals[1].push_back(F);
+      return;
+    }
+    if (T.level(N - 1).Kind == LevelKind::Dense) {
       // Every value position under a kept parent stays, holding the
       // fill value where its entry went to the other half.
       const int64_t Dim = T.level(N - 1).Dim;

@@ -260,6 +260,16 @@ TEST(TensorSparse, SplitDiagonalPartial) {
   EXPECT_EQ(Diag.at({1, 1, 2}), 1.0);
 }
 
+TEST(TensorSparse, SplitDiagonalOrderZero) {
+  // A 0-d tensor has no pair of modes to compare: its one value is off
+  // the diagonal, and the diagonal half holds the fill value.
+  Tensor T = Tensor::dense({}, 0.5);
+  T.vals()[0] = 3.0;
+  auto [Off, Diag] = T.splitDiagonal(Partition::none(0));
+  EXPECT_EQ(Off.vals(), std::vector<double>{3.0});
+  EXPECT_EQ(Diag.vals(), std::vector<double>{0.5});
+}
+
 //===----------------------------------------------------------------------===//
 // Structured formats
 //===----------------------------------------------------------------------===//
