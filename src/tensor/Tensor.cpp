@@ -527,12 +527,18 @@ enum : uint8_t { InOff = 1, InDiag = 2 };
 /// root), so every depth above the bottom says which halves keep each
 /// position. fill() copies both halves level by level into arrays of
 /// exactly their size.
+///
+/// Which half a position goes to follows the data, not a pattern a
+/// branch predictor can learn, so the inner loops do not branch on it:
+/// mark() compares a fixed number of partner coordinates per level, and
+/// fill() writes every position at each half's cursor and advances only
+/// the cursors of the halves that keep it.
 class DiagonalFilter {
 public:
   DiagonalFilter(const Tensor &T,
                  const std::vector<std::pair<unsigned, unsigned>> &Pairs)
-      : T(T), N(T.order()), Count(N + 1, 1), Mask(N + 1), Partners(N),
-        Coord(N), Marked(N + 1, {0, 0}), Kept(N + 1) {
+      : T(T), N(T.order()), Count(N + 1, 1), Mask(N + 1), Coord(N + 1, -1),
+        Marked(N + 1, {0, 0}), Kept(N + 1) {
     for (unsigned L = 0; L < N; ++L) {
       const Level &Lev = T.level(L);
       Count[L + 1] = Lev.Kind == LevelKind::Dense
@@ -541,8 +547,17 @@ public:
     }
     for (unsigned D = 0; D <= N; ++D)
       Mask[D].resize(static_cast<size_t>(Count[D]));
+    // Per level, the modes paired with the level's mode that a level
+    // above binds, padded with mode N, whose coordinate stays -1.
+    std::vector<std::vector<unsigned>> ByLevel(N);
     for (const auto &[A, B] : Pairs)
-      Partners[N - 1 - std::min(A, B)].push_back(std::max(A, B));
+      ByLevel[N - 1 - std::min(A, B)].push_back(std::max(A, B));
+    for (const std::vector<unsigned> &P : ByLevel)
+      Width = std::max(Width, static_cast<unsigned>(P.size()));
+    Partners.assign(size_t(N) * Width, N);
+    for (unsigned L = 0; L < N; ++L)
+      std::copy(ByLevel[L].begin(), ByLevel[L].end(),
+                Partners.begin() + L * Width);
     Kept[0] = {1, 1};
     if (N == 0)
       return; // one entry, no modes to compare: see fill()
@@ -576,37 +591,36 @@ public:
       }
       if (Src.Kind == LevelKind::Dense)
         continue;
-      Level &Off = Levels[0][L], &Diag = Levels[1][L];
-      Off.Ptr.reserve(static_cast<size_t>(Kept[L][0]) + 1);
-      Diag.Ptr.reserve(static_cast<size_t>(Kept[L][1]) + 1);
-      Off.Crd.reserve(static_cast<size_t>(Kept[L + 1][0]));
-      Diag.Crd.reserve(static_cast<size_t>(Kept[L + 1][1]));
+      // A Ptr cursor never passes its last slot; a Crd cursor reaches
+      // the end only after the half's last coordinate, when the writes
+      // stop.
+      Cursor<int64_t> Ptr[2], Crd[2];
+      for (unsigned H = 0; H < 2; ++H) {
+        Ptr[H].open(Levels[H][L].Ptr, Kept[L][H] + 1);
+        Crd[H].open(Levels[H][L].Crd, Kept[L + 1][H]);
+      }
       const uint8_t *Above = Mask[L].data(), *Below = Mask[L + 1].data();
       for (int64_t Q = 0; Q < Count[L]; ++Q) {
-        if (Above[Q] & InOff)
-          Off.Ptr.push_back(static_cast<int64_t>(Off.Crd.size()));
-        if (Above[Q] & InDiag)
-          Diag.Ptr.push_back(static_cast<int64_t>(Diag.Crd.size()));
-        for (int64_t K = Src.Ptr[Q]; K < Src.Ptr[Q + 1]; ++K) {
-          if (Below[K] & InOff)
-            Off.Crd.push_back(Src.Crd[K]);
-          if (Below[K] & InDiag)
-            Diag.Crd.push_back(Src.Crd[K]);
-        }
+        for (unsigned H = 0; H < 2; ++H)
+          Ptr[H].put(Crd[H].N, Above[Q] >> H & 1);
+        for (int64_t K = Src.Ptr[Q]; K < Src.Ptr[Q + 1]; ++K)
+          for (unsigned H = 0; H < 2; ++H)
+            Crd[H].put(Src.Crd[K], Below[K] >> H & 1);
       }
-      Off.Ptr.push_back(static_cast<int64_t>(Off.Crd.size()));
-      Diag.Ptr.push_back(static_cast<int64_t>(Diag.Crd.size()));
+      for (unsigned H = 0; H < 2; ++H)
+        Ptr[H].put(Crd[H].N, 1);
     }
     const double *V = T.valsData();
     const double F = T.fill();
-    const uint8_t *Bottom = Mask[N].data();
+    Cursor<double> Out[2];
     for (unsigned H = 0; H < 2; ++H)
-      Vals[H].reserve(static_cast<size_t>(Kept[N][H]));
+      Out[H].open(Vals[H], Kept[N][H]);
     if (N == 0) {
-      Vals[0].push_back(V[0]);
-      Vals[1].push_back(F);
+      Out[0].put(V[0], 1);
+      Out[1].put(F, 1);
       return;
     }
+    const uint8_t *Bottom = Mask[N].data();
     if (T.level(N - 1).Kind == LevelKind::Dense) {
       // Every value position under a kept parent stays, holding the
       // fill value where its entry went to the other half.
@@ -614,23 +628,41 @@ public:
       for (int64_t Q = 0; Q < Count[N - 1]; ++Q)
         for (int64_t P = Q * Dim; P < (Q + 1) * Dim; ++P)
           for (unsigned H = 0; H < 2; ++H)
-            if (Mask[N - 1][Q] & (1u << H))
-              Vals[H].push_back(Bottom[P] & (1u << H) ? V[P] : F);
+            Out[H].put(Bottom[P] >> H & 1 ? V[P] : F, Mask[N - 1][Q] >> H & 1);
       return;
     }
     for (int64_t P = 0; P < Count[N]; ++P)
-      Vals[Bottom[P] & InOff ? 0 : 1].push_back(V[P]);
+      for (unsigned H = 0; H < 2; ++H)
+        Out[H].put(V[P], Bottom[P] >> H & 1);
   }
 
 private:
+  /// Appends to an array sized up front to exactly what it will hold.
+  template <typename Elem> struct Cursor {
+    Elem *Data = nullptr;
+    int64_t Size = 0, N = 0;
+    void open(std::vector<Elem> &Array, int64_t Exact) {
+      Array.resize(static_cast<size_t>(Exact));
+      Data = Array.data();
+      Size = Exact;
+    }
+    /// Writes \p X at the cursor and moves past it when \p Keep is 1.
+    void put(Elem X, unsigned Keep) {
+      if (N < Size)
+        Data[N] = X;
+      N += Keep;
+    }
+  };
+
   const Tensor &T;
   const unsigned N;
   std::vector<int64_t> Count;             ///< positions per depth
   std::vector<std::vector<uint8_t>> Mask; ///< halves per depth and position
-  /// Per level, the modes paired with the level's mode that a level
-  /// above binds.
-  std::vector<std::vector<unsigned>> Partners;
-  std::vector<int64_t> Coord; ///< the walk's coordinate of each mode
+  /// Width partner modes per level (see the constructor).
+  std::vector<unsigned> Partners;
+  unsigned Width = 0;
+  /// The walk's coordinate of each mode, then the padding mode's -1.
+  std::vector<int64_t> Coord;
   /// Per depth, the positions marked with each half, and the positions
   /// each half keeps.
   std::vector<std::array<int64_t, 2>> Marked, Kept;
@@ -643,15 +675,15 @@ private:
   /// tensor must see, which validate(Deep) checks.
   uint8_t mark(unsigned L, int64_t P, bool Diag) {
     const Level &Lev = T.level(L);
-    const unsigned M = N - 1 - L;
     const bool Dense = Lev.Kind == LevelKind::Dense;
     const int64_t Begin = Dense ? P * Lev.Dim : Lev.Ptr[P];
     const int64_t End = Dense ? Begin + Lev.Dim : Lev.Ptr[P + 1];
     if (!Dense && (Begin < 0 || Begin > End || End > Count[L + 1]))
       fatalError("diagonal split: level " + std::to_string(L) +
                  " fibers not in fibertree order");
+    const unsigned *Pair = Partners.data() + L * Width;
     uint8_t *Out = Mask[L + 1].data();
-    std::array<int64_t, 2> &Marks = Marked[L + 1];
+    int64_t Offs = 0, Diags = 0;
     uint8_t Any = 0;
     for (int64_t K = Begin; K < End; ++K) {
       const int64_t C = Dense ? K - Begin : Lev.Crd[K];
@@ -666,20 +698,22 @@ private:
                      "order");
       }
       bool D = Diag;
-      for (unsigned B : Partners[L])
-        D |= C == Coord[B];
+      for (unsigned J = 0; J < Width; ++J)
+        D |= C == Coord[Pair[J]];
       uint8_t Halves;
       if (L + 1 == N) {
         Halves = D ? InDiag : InOff;
       } else {
-        Coord[M] = C;
+        Coord[N - 1 - L] = C;
         Halves = mark(L + 1, K, D);
       }
       Out[K] = Halves;
-      Marks[0] += Halves & InOff;
-      Marks[1] += Halves >> 1;
+      Offs += Halves & InOff;
+      Diags += Halves >> 1;
       Any |= Halves;
     }
+    Marked[L + 1][0] += Offs;
+    Marked[L + 1][1] += Diags;
     return Any;
   }
 };
