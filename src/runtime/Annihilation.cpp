@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace systec {
@@ -66,6 +67,65 @@ private:
   double Fill;
   bool Failed = false;
   std::vector<ScalarState> Scalars; // by scalar id
+  std::vector<AbsVal> Operands;     // see eval(Call)
+
+  /// A loop body walked without failing: the state the walk started
+  /// from and the state it ended in.
+  struct Walked {
+    const Stmt *Body;
+    std::vector<ScalarState> From, To;
+  };
+  /// A walk is a function of the state it starts from, and every pass of
+  /// an enclosing loop's fixpoint re-walks the loops inside it, mostly
+  /// from states seen before: when every level of a nest takes two
+  /// passes, the innermost body is otherwise walked 2^depth times.
+  std::vector<Walked> Memo;
+
+  void walkBody(const StmtPtr &Body) {
+    for (const Walked &W : Memo)
+      if (W.Body == Body.get() && W.From == Scalars) {
+        Scalars = W.To;
+        return;
+      }
+    std::vector<ScalarState> From = Scalars;
+    walk(Body);
+    if (!Failed)
+      Memo.push_back({Body.get(), std::move(From), Scalars});
+  }
+
+  /// The abstract value of \p Op applied to \p Args.
+  static AbsVal fold(OpKind Op, std::span<const AbsVal> Args) {
+    bool AllKnown = true;
+    for (const AbsVal &A : Args)
+      AllKnown &= A.has_value();
+    if (AllKnown) {
+      // evalOp folds left-to-right exactly like the expression VM, so
+      // the folded constant is the value the runtime would compute.
+      double Acc = *Args[0];
+      for (size_t I = 1; I < Args.size(); ++I)
+        Acc = evalOp(Op, Acc, *Args[I]);
+      if (std::isnan(Acc))
+        return std::nullopt;
+      return Acc;
+    }
+    // Per-operand absorption: a known operand that annihilates the
+    // operator forces the whole call regardless of the unknown
+    // co-operands. Two known operands forcing different results
+    // (inf + -inf) stay unknown.
+    AbsVal Forced;
+    for (const AbsVal &A : Args) {
+      if (!A)
+        continue;
+      if (std::isnan(*A))
+        return std::nullopt;
+      if (AbsVal F = opAbsorbingResult(Op, *A)) {
+        if (Forced && *Forced != *F)
+          return std::nullopt;
+        Forced = F;
+      }
+    }
+    return Forced;
+  }
 
   AbsVal eval(const ExprPtr &E) {
     switch (E->kind()) {
@@ -78,39 +138,17 @@ private:
       // including other accesses of the same tensor — varies freely.
       return Ids.accessId(*E) == Key ? AbsVal(Fill) : std::nullopt;
     case ExprKind::Call: {
-      std::vector<AbsVal> Args;
-      bool AllKnown = true;
+      // The operands' values wait on one stack while the call folds
+      // them, so evaluating a call allocates nothing.
+      const size_t Base = Operands.size();
       for (const ExprPtr &A : E->args()) {
-        Args.push_back(eval(A));
-        AllKnown &= Args.back().has_value();
+        const AbsVal V = eval(A);
+        Operands.push_back(V);
       }
-      if (AllKnown) {
-        // evalOp folds left-to-right exactly like the expression VM, so
-        // the folded constant is the value the runtime would compute.
-        double Acc = *Args[0];
-        for (size_t I = 1; I < Args.size(); ++I)
-          Acc = evalOp(E->op(), Acc, *Args[I]);
-        if (std::isnan(Acc))
-          return std::nullopt;
-        return Acc;
-      }
-      // Per-operand absorption: a known operand that annihilates the
-      // operator forces the whole call regardless of the unknown
-      // co-operands. Two known operands forcing different results
-      // (inf + -inf) stay unknown.
-      AbsVal Forced;
-      for (const AbsVal &A : Args) {
-        if (!A)
-          continue;
-        if (std::isnan(*A))
-          return std::nullopt;
-        if (AbsVal F = opAbsorbingResult(E->op(), *A)) {
-          if (Forced && *Forced != *F)
-            return std::nullopt;
-          Forced = F;
-        }
-      }
-      return Forced;
+      const AbsVal R =
+          fold(E->op(), std::span<const AbsVal>(Operands).subspan(Base));
+      Operands.resize(Base);
+      return R;
     }
     case ExprKind::Lut:
       return std::nullopt;
@@ -144,7 +182,7 @@ private:
       // bounds the iteration; the cap is sheer paranoia.
       for (unsigned Pass = 0; Pass < 16; ++Pass) {
         auto Before = Scalars;
-        walk(S->body());
+        walkBody(S->body());
         joinInto(Scalars, Before);
         if (Scalars == Before)
           break;
