@@ -5,7 +5,6 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <cstdint>
 
 namespace systec {
 
@@ -34,54 +33,15 @@ std::optional<unsigned> NameIds::find(const std::string &Name) const {
   return It->second;
 }
 
-size_t TreeIds::NodeTable::slotOf(const void *Node) const {
-  // Fibonacci hashing of the address; Slots.size() is a power of two.
-  const uint64_t H =
-      (reinterpret_cast<uintptr_t>(Node) >> 4) * 0x9E3779B97F4A7C15ull;
-  return static_cast<size_t>(H >> 32) & (Slots.size() - 1);
-}
-
-void TreeIds::NodeTable::insert(const void *Node, unsigned Id) {
-  if (2 * (Used + 1) > Slots.size()) {
-    std::vector<std::pair<const void *, unsigned>> Old(
-        std::max<size_t>(64, 2 * Slots.size()));
-    Old.swap(Slots);
-    Used = 0;
-    for (const auto &[N, I] : Old)
-      if (N)
-        insert(N, I);
-  }
-  for (size_t S = slotOf(Node);; S = (S + 1) & (Slots.size() - 1)) {
-    if (Slots[S].first == Node)
-      return; // a shared node: same id
-    if (!Slots[S].first) {
-      Slots[S] = {Node, Id};
-      ++Used;
-      return;
-    }
-  }
-}
-
-const unsigned *TreeIds::NodeTable::find(const void *Node) const {
-  if (Slots.empty())
-    return nullptr;
-  for (size_t S = slotOf(Node);; S = (S + 1) & (Slots.size() - 1)) {
-    if (Slots[S].first == Node)
-      return &Slots[S].second;
-    if (!Slots[S].first)
-      return nullptr;
-  }
-}
-
 void TreeIds::add(const StmtPtr &Root) { internStmt(*Root); }
 
 void TreeIds::listLoopReads(const StmtPtr &Root) { recordLoopReads(*Root); }
 
 unsigned TreeIds::node(const void *N) const {
-  const unsigned *Id = NodeIds.find(N);
-  if (!Id)
+  auto It = NodeIds.find(N);
+  if (It == NodeIds.end())
     fatalError("tree ids: node outside the interned trees");
-  return *Id;
+  return It->second;
 }
 
 void TreeIds::internExpr(const Expr &E) {
@@ -89,10 +49,10 @@ void TreeIds::internExpr(const Expr &E) {
   case ExprKind::Literal:
     return;
   case ExprKind::Scalar:
-    NodeIds.insert(&E, Scalars.intern(E.scalarName()));
+    NodeIds.emplace(&E, Scalars.intern(E.scalarName()));
     return;
   case ExprKind::Access: {
-    if (NodeIds.find(&E))
+    if (NodeIds.count(&E))
       return; // a shared node, interned already
     Key.assign(1, Tensors.intern(E.tensorName()));
     for (const std::string &I : E.indices())
@@ -102,7 +62,7 @@ void TreeIds::internExpr(const Expr &E) {
       It = AccessIndex.emplace(Key, unsigned(Accesses.size())).first;
       Accesses.push_back(Key);
     }
-    NodeIds.insert(&E, It->second);
+    NodeIds.emplace(&E, It->second);
     return;
   }
   case ExprKind::Call:
@@ -137,7 +97,7 @@ void TreeIds::internStmt(const Stmt &S) {
     internExpr(*S.rhs());
     return;
   case StmtKind::DefScalar:
-    NodeIds.insert(&S, Scalars.intern(S.scalarName()));
+    NodeIds.emplace(&S, Scalars.intern(S.scalarName()));
     internExpr(*S.rhs());
     return;
   case StmtKind::Replicate:

@@ -92,24 +92,13 @@ public:
   std::vector<unsigned> reads(const Stmt &S) const;
 
 private:
-  /// Open-addressing map from a node's address to its id.
-  class NodeTable {
-  public:
-    void insert(const void *Node, unsigned Id);
-    const unsigned *find(const void *Node) const;
-
-  private:
-    std::vector<std::pair<const void *, unsigned>> Slots;
-    size_t Used = 0;
-    size_t slotOf(const void *Node) const;
-  };
-
   NameIds Indices, Scalars, Tensors;
   /// Per access id: the tensor id, then the index ids.
   std::vector<std::vector<unsigned>> Accesses;
   std::map<std::vector<unsigned>, unsigned> AccessIndex; ///< inverse
   std::vector<unsigned> Key; ///< scratch access key
-  NodeTable NodeIds; ///< Access and Scalar expressions, DefScalar statements
+  /// Access and Scalar expressions and DefScalar statements -> id.
+  std::unordered_map<const void *, unsigned> NodeIds;
   /// Loop statement -> reads() of its body.
   std::unordered_map<const Stmt *, std::vector<unsigned>> LoopReads;
 
