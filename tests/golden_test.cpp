@@ -8,19 +8,26 @@
 ///    compared with the checked-in `tests/golden/paper_kernels.txt`
 ///    (the report's "naive kernel" section is `Naive.str()`);
 ///  - an FNV-1a-64 digest of `report()` for the same kernels under
-///    each of the ten single-switch-off `PipelineOptions`;
+///    each of the nine single-switch-off `PipelineOptions`;
 ///  - an FNV-1a-64 digest of `report()` for the fuzz corpus's einsums
 ///    `makeCase(S).E`, S = 0-2999;
-///  - an FNV-1a-64 digest of every loop's `parallelInfo()` in both
-///    lowerings over the same three sets (`Stmt::str` does not print
-///    the annotation, so `report()` cannot see it).
+///  - an FNV-1a-64 digest of `analyzeLoopParallelism` over every loop
+///    of both lowerings in the same three sets: the verdict, the
+///    triangle depth and each merge operator by target.
 ///
-/// It also pins what `tryPrepare` builds from the front end's output:
-/// an FNV-1a-64 digest, over the paper kernels at compile-cold sizes
-/// and the fuzz cases `makeCase(S)`, S = 0-2999, of one counted
-/// `tryRunBody`'s `ExecReport::structureKey()` (loop engines, drivers,
-/// forms and exact counters) and every `MicroKernelStats` field, for
-/// both lowerings on the default engines at Threads 1 and 2.
+/// It also pins what `tryPrepare` builds from the front end's output,
+/// over the paper kernels at compile-cold sizes and the fuzz cases
+/// `makeCase(S)`, S = 0-2999:
+///
+///  - an FNV-1a-64 digest of one counted `tryRunBody`'s
+///    `ExecReport::structureKey()` (loop engines, drivers, forms and
+///    exact counters) and every `MicroKernelStats` field, for both
+///    lowerings on the default engines at Threads 1 and 2;
+///  - an FNV-1a-64 digest of one traced `tryRun` per lowering at
+///    Threads 2 and 3: each loop's call count (a loop that runs as
+///    parallel chunks counts one call per chunk), the run's pool-task
+///    total and the output bits. It pins which loop each prepare runs
+///    in parallel.
 ///
 /// A change that means to move the front end or the prepared plans
 /// regenerates them:
@@ -35,6 +42,8 @@
 
 #include "data/Generators.h"
 #include "kernels/Kernels.h"
+#include "observability/Trace.h"
+#include "parallel/ParallelAnalysis.h"
 #include "support/Counters.h"
 
 #include <gtest/gtest.h>
@@ -53,9 +62,10 @@ using namespace systec;
 namespace {
 
 const char *const FuzzCorpusDigest = "78895e4184295796";
-const char *const AblationDigest = "c84fb4193c0e9b3b";
-const char *const ParallelDigest = "63e01e4d5c1389e4";
+const char *const AblationDigest = "a9ec8d3ebf825401";
+const char *const ClassifierDigest = "0756fc9239e108cc";
 const char *const PreparedPlanDigest = "a8a60ddd4f6ec203";
+const char *const ParallelRunDigest = "78b6cc7db721f69e";
 
 std::vector<std::pair<std::string, Einsum>> paperKernels() {
   return {{"ssymv", makeSsymv()},     {"bellmanford", makeBellmanFord()},
@@ -94,8 +104,7 @@ std::vector<PipelineOptions> ablations() {
         &PipelineOptions::ConsolidateBlocks,
         &PipelineOptions::GroupAcrossBranches,
         &PipelineOptions::SimplicialLut, &PipelineOptions::DiagonalSplit,
-        &PipelineOptions::Concordize, &PipelineOptions::Workspace,
-        &PipelineOptions::Parallelize}) {
+        &PipelineOptions::Concordize, &PipelineOptions::Workspace}) {
     PipelineOptions O;
     O.*Switch = false;
     Out.push_back(O);
@@ -103,22 +112,33 @@ std::vector<PipelineOptions> ablations() {
   return Out;
 }
 
-/// Appends every loop's index and parallel annotation, in preorder.
-uint64_t hashParallelInfo(uint64_t Hash, const Kernel &K) {
+/// Appends every loop's index and `analyzeLoopParallelism` verdict, in
+/// preorder: safe or not, the triangle depth and each merge operator
+/// by target.
+uint64_t hashClassifier(uint64_t Hash, const Kernel &K) {
   for (const StmtPtr &Root : {K.Body, K.Epilogue})
     if (Root)
       Stmt::walk(Root, [&Hash](const StmtPtr &S) {
         if (S->kind() != StmtKind::Loop)
           return;
-        const ParallelAnnotation &P = S->parallelInfo();
-        Hash = fnv1a(Hash, S->loopIndex() + (P.IsParallel ? ":par" : ":seq") +
-                               std::to_string(P.TriangleDepth) + ";");
+        const LoopParallelism LP = analyzeLoopParallelism(S);
+        EXPECT_EQ(S->parallelInfo().IsParallel, LP.Safe) << S->str();
+        if (LP.Safe)
+          EXPECT_EQ(S->parallelInfo().TriangleDepth, LP.TriangleDepth)
+              << S->str();
+        std::string Row = S->loopIndex() + (LP.Safe ? ":par" : ":seq") +
+                          std::to_string(LP.TriangleDepth);
+        for (const auto &[Name, Op] : LP.TensorMergeOps)
+          Row += " " + Name + "=" + opInfo(Op).Ident;
+        for (const auto &[Name, Op] : LP.ScalarMergeOps)
+          Row += " $" + Name + "=" + opInfo(Op).Ident;
+        Hash = fnv1a(Hash, Row + ";");
       });
   return Hash;
 }
 
-uint64_t hashParallelInfo(uint64_t Hash, const CompileResult &R) {
-  return hashParallelInfo(hashParallelInfo(Hash, R.Naive), R.Optimized);
+uint64_t hashClassifier(uint64_t Hash, const CompileResult &R) {
+  return hashClassifier(hashClassifier(Hash, R.Naive), R.Optimized);
 }
 
 /// One kernel's inputs, bound by name, and its output's shape.
@@ -166,22 +186,39 @@ std::vector<PreparedCase> coldCases() {
   return Out;
 }
 
+/// Calls \p Fn on each prepared-plan case in order: the paper kernels
+/// at compile-cold sizes, then `makeCase(S)`, S = 0-2999.
+template <typename FnT> void forEachPreparedCase(FnT &&Fn) {
+  for (PreparedCase &C : coldCases())
+    Fn(C);
+  for (uint64_t S = 0; S < 3000; ++S) {
+    fuzzharness::FuzzCase FC = fuzzharness::makeCase(S);
+    PreparedCase C{std::move(FC.E), std::move(FC.Inputs), FC.OutDims,
+                   FC.OutInit};
+    Fn(C);
+  }
+}
+
+/// Binds \p C's inputs and \p Out to \p Ex and prepares it.
+Status prepareCase(Executor &Ex, PreparedCase &C, Tensor &Out) {
+  for (auto &[Name, T] : C.Inputs)
+    Ex.bind(Name, &T);
+  Ex.bind(C.E.Output->tensorName(), &Out);
+  return Ex.tryPrepare();
+}
+
 /// Prepares both lowerings of \p C on the default engines at Threads 1
 /// and 2, runs each body once with counters on, and appends the run's
 /// structure key and the plan's MicroKernelStats.
 uint64_t hashPrepared(uint64_t Hash, PreparedCase &C) {
   const CompileResult R = compileEinsum(C.E);
-  const std::string OutName = C.E.Output->tensorName();
   for (const Kernel *K : {&R.Naive, &R.Optimized})
     for (unsigned Threads : {1u, 2u}) {
       Tensor Out = Tensor::dense(C.OutDims, C.OutInit);
       ExecOptions O;
       O.Threads = Threads;
       Executor Ex(*K, O);
-      for (auto &[Name, T] : C.Inputs)
-        Ex.bind(Name, &T);
-      Ex.bind(OutName, &Out);
-      Status P = Ex.tryPrepare();
+      Status P = prepareCase(Ex, C, Out);
       EXPECT_TRUE(P.ok()) << K->Name << ": " << P.str();
       if (!P.ok())
         return fnv1a(Hash, P.str());
@@ -197,6 +234,38 @@ uint64_t hashPrepared(uint64_t Hash, PreparedCase &C) {
             M.FusedBandedCoWalkers, M.FusedLutFactors, M.BlockedLoops,
             M.BlockedAccumLoops})
         Row += std::to_string(V) + ",";
+      Hash = fnv1a(Hash, Row + "\n");
+    }
+  return Hash;
+}
+
+/// Prepares both lowerings of \p C at Threads 2 and 3, runs each once
+/// with tracing on, and appends each loop's call count, the run's
+/// pool-task total and the output's bits.
+uint64_t hashParallelRun(uint64_t Hash, PreparedCase &C) {
+  const CompileResult R = compileEinsum(C.E);
+  for (const Kernel *K : {&R.Naive, &R.Optimized})
+    for (unsigned Threads : {2u, 3u}) {
+      Tensor Out = Tensor::dense(C.OutDims, C.OutInit);
+      ExecOptions O;
+      O.Threads = Threads;
+      Executor Ex(*K, O);
+      Status P = prepareCase(Ex, C, Out);
+      EXPECT_TRUE(P.ok()) << K->Name << ": " << P.str();
+      if (!P.ok())
+        return fnv1a(Hash, P.str());
+      obs::ExecReport Rep;
+      EXPECT_TRUE(Ex.tryRun(&Rep).ok()) << K->Name;
+      obs::clearTrace();
+      std::string Row = "calls:";
+      for (const obs::LoopStat &L : Rep.Loops)
+        Row += std::to_string(L.Calls) + ",";
+      uint64_t Tasks = 0;
+      for (const obs::WorkerStat &W : Rep.Workers)
+        Tasks += W.Tasks;
+      Row += ";tasks:" + std::to_string(Tasks) + ";out:";
+      Row.append(reinterpret_cast<const char *>(Out.vals().data()),
+                 Out.vals().size() * sizeof(double));
       Hash = fnv1a(Hash, Row + "\n");
     }
   return Hash;
@@ -225,6 +294,13 @@ TEST(Golden, PaperKernelReportsMatchCheckedInText) {
 }
 
 TEST(Golden, AblationMatrixDigest) {
+  // The Parallelize switch moved no report: Stmt::str prints no
+  // parallel annotation.
+  PipelineOptions NoParallel;
+  NoParallel.Parallelize = false;
+  for (const auto &[Name, E] : paperKernels())
+    EXPECT_EQ(compileEinsum(E, NoParallel).report(), compileEinsum(E).report())
+        << Name;
   uint64_t Hash = FnvBasis;
   for (const PipelineOptions &O : ablations())
     for (const auto &[Name, E] : paperKernels())
@@ -245,35 +321,42 @@ TEST(Golden, FuzzCorpusDigest) {
     EXPECT_EQ(hex(Hash), FuzzCorpusDigest);
 }
 
-TEST(Golden, ParallelAnnotationDigest) {
+TEST(Golden, LoopClassifierDigest) {
   uint64_t Hash = FnvBasis;
   for (const auto &[Name, E] : paperKernels())
-    Hash = hashParallelInfo(Hash, compileEinsum(E));
+    Hash = hashClassifier(Hash, compileEinsum(E));
   for (const PipelineOptions &O : ablations())
     for (const auto &[Name, E] : paperKernels())
-      Hash = hashParallelInfo(Hash, compileEinsum(E, O));
+      Hash = hashClassifier(Hash, compileEinsum(E, O));
   for (uint64_t S = 0; S < 3000; ++S)
-    Hash = hashParallelInfo(Hash, compileEinsum(fuzzharness::makeCase(S).E));
+    Hash = hashClassifier(Hash, compileEinsum(fuzzharness::makeCase(S).E));
   if (updating())
-    std::printf("ParallelDigest = \"%s\"\n", hex(Hash).c_str());
+    std::printf("ClassifierDigest = \"%s\"\n", hex(Hash).c_str());
   else
-    EXPECT_EQ(hex(Hash), ParallelDigest);
+    EXPECT_EQ(hex(Hash), ClassifierDigest);
 }
 
 TEST(Golden, PreparedPlanDigest) {
   const bool CountersWereOn = countersEnabled();
   setCountersEnabled(true);
   uint64_t Hash = FnvBasis;
-  for (PreparedCase &C : coldCases())
-    Hash = hashPrepared(Hash, C);
-  for (uint64_t S = 0; S < 3000; ++S) {
-    fuzzharness::FuzzCase F = fuzzharness::makeCase(S);
-    PreparedCase C{std::move(F.E), std::move(F.Inputs), F.OutDims, F.OutInit};
-    Hash = hashPrepared(Hash, C);
-  }
+  forEachPreparedCase([&Hash](PreparedCase &C) { Hash = hashPrepared(Hash, C); });
   setCountersEnabled(CountersWereOn);
   if (updating())
     std::printf("PreparedPlanDigest = \"%s\"\n", hex(Hash).c_str());
   else
     EXPECT_EQ(hex(Hash), PreparedPlanDigest);
+}
+
+TEST(Golden, ParallelRunDigest) {
+  const bool TracingWasOn = obs::tracingEnabled();
+  obs::setTracingEnabled(true);
+  uint64_t Hash = FnvBasis;
+  forEachPreparedCase(
+      [&Hash](PreparedCase &C) { Hash = hashParallelRun(Hash, C); });
+  obs::setTracingEnabled(TracingWasOn);
+  if (updating())
+    std::printf("ParallelRunDigest = \"%s\"\n", hex(Hash).c_str());
+  else
+    EXPECT_EQ(hex(Hash), ParallelRunDigest);
 }
