@@ -2,10 +2,12 @@
 ///
 /// \file
 /// Demonstrates the parallel execution runtime: compiles SSYMV, prints
-/// the optimized kernel's IR and the loops the parallelism analysis
-/// marked (with their triangle depth, which balances their chunks),
-/// then runs the optimized kernel across thread counts and reports
-/// timings and result agreement.
+/// the optimized kernel's IR and the parallelism analysis's verdict on
+/// each of its loops (safe or not, the triangle depth that balances
+/// its chunks, and the outputs it privatizes), then runs the optimized
+/// kernel across thread counts and reports timings and result
+/// agreement. At Threads > 1, tryPrepare runs the outermost safe loop
+/// of each nest in parallel.
 ///
 /// Build and run:
 ///   cmake -B build && cmake --build build --target example_parallel_scaling
@@ -16,6 +18,7 @@
 #include "core/Compiler.h"
 #include "data/Generators.h"
 #include "kernels/Kernels.h"
+#include "parallel/ParallelAnalysis.h"
 #include "runtime/Executor.h"
 
 #include <chrono>
@@ -33,12 +36,23 @@ int main(int Argc, char **Argv) {
 
   CompileResult C = compileEinsum(makeSsymv());
   std::printf("=== optimized kernel ===\n%s\n", C.Optimized.str().c_str());
-  std::printf("=== loops marked parallel ===\n");
+  std::printf("=== parallel contract of each loop ===\n");
   Stmt::walk(C.Optimized.Body, [](const StmtPtr &S) {
-    if (S->kind() != StmtKind::Loop || !S->parallelInfo().IsParallel)
+    if (S->kind() != StmtKind::Loop)
       return;
-    std::printf("  for %s: parallel, triangle depth %d\n",
-                S->loopIndex().c_str(), S->parallelInfo().TriangleDepth);
+    const LoopParallelism LP = analyzeLoopParallelism(S);
+    if (!LP.Safe) {
+      std::printf("  for %s: sequential\n", S->loopIndex().c_str());
+      return;
+    }
+    std::printf("  for %s: parallel, triangle depth %d",
+                S->loopIndex().c_str(), LP.TriangleDepth);
+    for (const auto &[Name, Op] : LP.TensorMergeOps)
+      std::printf(", privatizes %s (%s)", Name.c_str(), opInfo(Op).Name);
+    for (const auto &[Name, Op] : LP.ScalarMergeOps)
+      std::printf(", privatizes scalar %s (%s)", Name.c_str(),
+                  opInfo(Op).Name);
+    std::printf("\n");
   });
   std::printf("\n");
 

@@ -2,7 +2,6 @@
 
 #include "core/Lower.h"
 
-#include "parallel/ParallelAnalysis.h"
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
@@ -271,8 +270,7 @@ void concordizeKernel(Kernel &K) {
   K.Body = FixStmt(K.Body);
 }
 
-Kernel lowerNaive(const Einsum &E, bool Concordize, bool Workspace,
-                  bool Parallelize) {
+Kernel lowerNaive(const Einsum &E, bool Concordize, bool Workspace) {
   Kernel K;
   K.Name = E.Name + "_naive";
   K.Decls = E.Decls;
@@ -307,10 +305,6 @@ Kernel lowerNaive(const Einsum &E, bool Concordize, bool Workspace,
   }
   if (Concordize)
     concordizeKernel(K);
-  // Annotate after concordization: the alias rewrite rebuilds loop
-  // nodes and would drop earlier annotations.
-  if (Parallelize)
-    K.Body = annotateParallelLoops(K.Body);
   return K;
 }
 
@@ -372,8 +366,6 @@ Kernel lowerSymmetric(const SymKernel &SK) {
         Stmt::replicate(K.OutputName, SK.Analysis.OutputSymmetry);
   if (SK.Concordize)
     concordizeKernel(K);
-  if (SK.Parallelize)
-    K.Body = annotateParallelLoops(K.Body);
   return K;
 }
 

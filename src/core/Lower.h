@@ -25,10 +25,9 @@ namespace systec {
 
 /// Lowers the einsum without symmetry exploitation. \p Concordize
 /// transposes inputs to iterate in loop order (on by default so the
-/// baseline is fair). \p Parallelize runs the parallelism analysis and
-/// annotates distributable loops.
+/// baseline is fair).
 Kernel lowerNaive(const Einsum &E, bool Concordize = true,
-                  bool Workspace = true, bool Parallelize = true);
+                  bool Workspace = true);
 
 /// Lowers a symmetrized and optimized kernel.
 Kernel lowerSymmetric(const SymKernel &SK);

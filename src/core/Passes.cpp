@@ -467,7 +467,6 @@ void runPasses(SymKernel &SK, const PipelineOptions &Options) {
   SK.SplitDiagonal = Options.DiagonalSplit;
   SK.Concordize = Options.Concordize;
   SK.UseWorkspaces = Options.Workspace;
-  SK.Parallelize = Options.Parallelize;
 }
 
 } // namespace systec

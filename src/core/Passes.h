@@ -36,9 +36,6 @@ struct PipelineOptions {
   bool DiagonalSplit = true;
   bool Concordize = true;
   bool Workspace = true;
-  /// Annotate parallelizable loops (ParallelAnalysis) so the executor
-  /// can distribute them; off disables multi-threading per kernel.
-  bool Parallelize = true;
 };
 
 /// Keeps only assignments writing the canonical triangle of a

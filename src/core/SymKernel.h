@@ -88,10 +88,6 @@ struct SymKernel {
   /// in loop order.
   bool Concordize = false;
 
-  /// Parallelism analysis (runtime extension): annotate loops the
-  /// parallel executor may distribute across threads.
-  bool Parallelize = false;
-
   /// The compilation's interned forms. Copies of the kernel share it;
   /// it is not thread-safe, so a kernel and its copies stay on one
   /// thread while passes run.

@@ -96,21 +96,6 @@ const StmtPtr &Stmt::body() const {
   return Body;
 }
 
-const ParallelAnnotation &Stmt::parallelInfo() const {
-  assert(Kind == StmtKind::Loop && "not a loop");
-  return Parallel;
-}
-
-StmtPtr Stmt::withParallel(ParallelAnnotation Info) const {
-  assert(Kind == StmtKind::Loop && "not a loop");
-  auto S = std::shared_ptr<Stmt>(new Stmt());
-  S->Kind = StmtKind::Loop;
-  S->Index = Index;
-  S->Body = Body;
-  S->Parallel = Info;
-  return S;
-}
-
 const Cond &Stmt::condition() const {
   assert(Kind == StmtKind::If && "not an if");
   return Condition;
@@ -258,8 +243,7 @@ StmtPtr Stmt::renameIndices(
     return block(std::move(NewStmts));
   }
   case StmtKind::Loop:
-    return loop(Map(S->Index), renameIndices(S->Body, Map))
-        ->withParallel(S->Parallel);
+    return loop(Map(S->Index), renameIndices(S->Body, Map));
   case StmtKind::If:
     return ifThen(S->Condition.renamed(Map), renameIndices(S->Body, Map));
   case StmtKind::Assign:
@@ -284,8 +268,7 @@ StmtPtr Stmt::renameTensors(
     return block(std::move(NewStmts));
   }
   case StmtKind::Loop:
-    return loop(S->Index, renameTensors(S->Body, Map))
-        ->withParallel(S->Parallel);
+    return loop(S->Index, renameTensors(S->Body, Map));
   case StmtKind::If:
     return ifThen(S->Condition, renameTensors(S->Body, Map));
   case StmtKind::Assign:

@@ -35,22 +35,6 @@ enum class StmtKind {
   Replicate, ///< copy canonical triangle of an output to all triangles
 };
 
-/// Parallel-execution annotation for Loop statements, attached by
-/// ParallelAnalysis after lowering. Metadata only: ignored by
-/// structural equality and by the surface-syntax printer; the executor
-/// turns it into a multi-threaded plan.
-struct ParallelAnnotation {
-  /// The loop's iterations may run concurrently (possibly with
-  /// privatized accumulators; the runtime re-derives the privatization
-  /// set against its bound tensors).
-  bool IsParallel = false;
-  /// Workload shape across the iteration space: 0 for uniform, +d when
-  /// the inner work grows like v^d toward high coordinates (canonical
-  /// triangle with a d-long chain below this loop), -d when it shrinks.
-  /// Drives the triangle-balanced schedule.
-  int TriangleDepth = 0;
-};
-
 /// An immutable statement node.
 class Stmt {
 public:
@@ -74,11 +58,6 @@ public:
   // Loop.
   const std::string &loopIndex() const;
   const StmtPtr &body() const;
-  /// The parallel annotation (Loop only; default-constructed when the
-  /// loop is sequential).
-  const ParallelAnnotation &parallelInfo() const;
-  /// Copy of this Loop carrying \p Info.
-  StmtPtr withParallel(ParallelAnnotation Info) const;
   // If.
   const Cond &condition() const;
   // Assign.
@@ -122,7 +101,6 @@ private:
   std::string Index;              // Loop index / DefScalar name /
                                   // Replicate tensor
   StmtPtr Body;                   // Loop / If
-  ParallelAnnotation Parallel;    // Loop (metadata)
   Cond Condition;                 // If
   ExprPtr Lhs, Rhs;               // Assign (Rhs also DefScalar init)
   std::optional<OpKind> ReduceOp; // Assign

@@ -31,13 +31,6 @@ public:
       return Low >> Id & 1;
     return Id / 64 <= High.size() && (High[Id / 64 - 1] >> (Id % 64) & 1);
   }
-  void unite(const IdSet &O) {
-    Low |= O.Low;
-    if (O.High.size() > High.size())
-      High.resize(O.High.size());
-    for (size_t I = 0; I < O.High.size(); ++I)
-      High[I] |= O.High[I];
-  }
   void intersect(const IdSet &O) {
     Low &= O.Low;
     High.resize(std::min(High.size(), O.High.size()));
@@ -64,14 +57,6 @@ struct WriteOps {
     else if (*Op != *W)
       Consistent = false;
   }
-  void merge(const WriteOps &O) {
-    AllReduce &= O.AllReduce;
-    Consistent &= O.Consistent;
-    if (!Op)
-      Op = O.Op;
-    else if (O.Op && *Op != *O.Op)
-      Consistent = false;
-  }
   /// The one associative operator every write reduces with, if any.
   std::optional<OpKind> mergeOp() const {
     if (AllReduce && Consistent && Op && opInfo(*Op).Associative)
@@ -87,10 +72,8 @@ struct TargetWrites {
   WriteOps Ops;
 };
 
-/// Everything the classifier needs about one subtree, keyed by name ids
-/// of the analysis. Collected once per subtree, bottom-up: a loop's
-/// facts are its body's, merged into the enclosing subtree's with the
-/// loop's own index among the inner loop variables.
+/// Everything the classifier needs about a loop's body, keyed by name
+/// ids of the analysis.
 struct BodyFacts {
   std::vector<TargetWrites> Tensors, Scalars;
   IdSet ScalarDefs;    ///< DefScalar inside the subtree
@@ -113,27 +96,6 @@ struct BodyFacts {
     return Ts.emplace_back(TargetWrites{Id, IdSet(), WriteOps()});
   }
 
-  void merge(const BodyFacts &O) {
-    bool New;
-    for (const TargetWrites &W : O.Tensors) {
-      TargetWrites &T = target(Tensors, W.Id, New);
-      if (New) {
-        T = W;
-      } else {
-        T.Indices.intersect(W.Indices);
-        T.Ops.merge(W.Ops);
-      }
-    }
-    for (const TargetWrites &W : O.Scalars)
-      target(Scalars, W.Id, New).Ops.merge(W.Ops);
-    ScalarDefs.unite(O.ScalarDefs);
-    TensorReads.unite(O.TensorReads);
-    ScalarReads.unite(O.ScalarReads);
-    InnerLoopVars.unite(O.InnerLoopVars);
-    addAtoms(O.OrderAtoms);
-    SawReplicate |= O.SawReplicate;
-  }
-
   void addAtoms(const std::vector<std::pair<unsigned, unsigned>> &More) {
     if (More.empty())
       return;
@@ -145,54 +107,29 @@ struct BodyFacts {
   }
 };
 
-/// One analysis: the name ids, and the bottom-up walk that collects
-/// facts and annotates loops.
+/// One analysis: the name ids, the walk that collects a body's facts
+/// and the classifier over them.
 class Analysis {
 public:
-  /// Rebuilds \p S with every loop annotated (reusing every subtree the
-  /// annotation leaves as it was) and adds \p S's facts to \p F. Each
-  /// node is visited once: a loop is classified from the facts its body
-  /// returned, which then flow into the enclosing subtree's.
-  StmtPtr annotate(const StmtPtr &S, BodyFacts &F) {
+  /// Adds \p S's facts to \p F.
+  void collect(const StmtPtr &S, BodyFacts &F) {
     switch (S->kind()) {
-    case StmtKind::Block: {
-      std::vector<StmtPtr> Stmts;
-      bool Same = true;
-      for (const StmtPtr &C : S->stmts()) {
-        Stmts.push_back(annotate(C, F));
-        Same &= Stmts.back() == C;
-      }
-      return Same ? S : Stmt::block(std::move(Stmts));
-    }
-    case StmtKind::If: {
+    case StmtKind::Block:
+      for (const StmtPtr &C : S->stmts())
+        collect(C, F);
+      return;
+    case StmtKind::If:
       collectAtoms(S->condition(), F);
-      StmtPtr Body = annotate(S->body(), F);
-      return Body == S->body() ? S : Stmt::ifThen(S->condition(), Body);
-    }
-    case StmtKind::Loop: {
-      const unsigned Var = Indices.intern(S->loopIndex());
-      BodyFacts Inner;
-      StmtPtr Body = annotate(S->body(), Inner);
-      const LoopParallelism LP = classify(Inner, Var);
-      const ParallelAnnotation Want =
-          LP.Safe ? ParallelAnnotation{true, LP.TriangleDepth}
-                  : ParallelAnnotation{};
-      const ParallelAnnotation &Had = S->parallelInfo();
-      StmtPtr L = S;
-      if (Body != S->body() || Had.IsParallel != Want.IsParallel ||
-          Had.TriangleDepth != Want.TriangleDepth) {
-        L = Stmt::loop(S->loopIndex(), std::move(Body));
-        if (LP.Safe)
-          L = L->withParallel(Want);
-      }
-      Inner.InnerLoopVars.insert(Var);
-      F.merge(Inner);
-      return L;
-    }
+      collect(S->body(), F);
+      return;
+    case StmtKind::Loop:
+      F.InnerLoopVars.insert(Indices.intern(S->loopIndex()));
+      collect(S->body(), F);
+      return;
     case StmtKind::DefScalar:
       F.ScalarDefs.insert(Scalars.intern(S->scalarName()));
       collectRhs(*S->rhs(), F);
-      return S;
+      return;
     case StmtKind::Assign: {
       collectRhs(*S->rhs(), F);
       const Expr &Lhs = *S->lhs();
@@ -200,7 +137,7 @@ public:
       if (Lhs.kind() == ExprKind::Scalar) {
         BodyFacts::target(F.Scalars, Scalars.intern(Lhs.scalarName()), New)
             .Ops.add(S->reduceOp());
-        return S;
+        return;
       }
       IdSet Idx;
       for (const std::string &I : Lhs.indices())
@@ -212,11 +149,11 @@ public:
       else
         T.Indices.intersect(Idx);
       T.Ops.add(S->reduceOp());
-      return S;
+      return;
     }
     case StmtKind::Replicate:
       F.SawReplicate = true;
-      return S;
+      return;
     }
     unreachable("unknown statement kind");
   }
@@ -329,14 +266,8 @@ LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
   Analysis A;
   const unsigned Var = A.Indices.intern(Loop->loopIndex());
   BodyFacts F;
-  A.annotate(Loop->body(), F);
+  A.collect(Loop->body(), F);
   return A.classify(F, Var);
-}
-
-StmtPtr annotateParallelLoops(const StmtPtr &Root) {
-  Analysis A;
-  BodyFacts F;
-  return A.annotate(Root, F);
 }
 
 } // namespace systec

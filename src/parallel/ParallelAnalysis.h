@@ -1,8 +1,11 @@
 //===- parallel/ParallelAnalysis.h - Loop parallelism analysis *- C++ -*-===//
 ///
 /// \file
-/// Decides, per loop of a lowered kernel, whether its iterations can
-/// run concurrently and how. A loop over x is parallelizable when every
+/// Decides whether the iterations of one loop can run concurrently and
+/// how. The plan compiler (`setUpParallel`) asks at prepare, at
+/// Threads > 1, for each loop it reaches: outermost first, and never
+/// inside a loop it has already made parallel. The kernel IR carries
+/// no parallel marking. A loop over x is parallelizable when every
 /// write in its body falls into one of two classes:
 ///
 ///  - Disjoint: a tensor whose every assignment in the body carries x
@@ -21,7 +24,7 @@
 ///
 /// The analysis also classifies the workload shape: canonical-triangle
 /// conditions (inner <= x chains produced by the symmetry passes) make
-/// the work under x grow polynomially, which the annotation records so
+/// the work under x grow polynomially, which the contract records so
 /// the scheduler can pick triangle-balanced partitioning.
 ///
 //===----------------------------------------------------------------------===//
@@ -56,7 +59,10 @@ struct LoopParallelism {
   /// name -> merge operator. (Scalars defined inside the body are
   /// iteration-private and need no treatment.)
   std::map<std::string, OpKind> ScalarMergeOps;
-  /// Workload shape (see ParallelAnnotation::TriangleDepth).
+  /// Workload shape across the iteration space: 0 for uniform, +d when
+  /// the inner work grows like v^d toward high coordinates (canonical
+  /// triangle with a d-long chain below this loop), -d when it shrinks.
+  /// Drives the triangle-balanced schedule.
   int TriangleDepth = 0;
 
   bool needsPrivatization() const {
@@ -64,20 +70,10 @@ struct LoopParallelism {
   }
 };
 
-/// Analyzes one Loop statement (kind must be Loop) in isolation. An
-/// unsafe loop's contract is empty apart from Safe == false.
+/// Analyzes one Loop statement (kind must be Loop) in isolation: one
+/// walk collects its body's facts, keyed by name ids, and classifies
+/// them. An unsafe loop's contract is empty apart from Safe == false.
 LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop);
-
-/// Rewrites \p Root, attaching a ParallelAnnotation to every loop that
-/// analyzeLoopParallelism accepts. Marks every feasible loop along each
-/// nest spine (outer ones included) so the runtime can pick the
-/// outermost level whose privatization footprint fits memory; once a
-/// loop with no feasible ancestor requirement is found the walk still
-/// descends, but the executor only ever activates one level per nest.
-/// One bottom-up walk: each loop is classified from the facts its body
-/// returned (keyed by name ids), which then join the enclosing loop's,
-/// so no subtree is walked twice.
-StmtPtr annotateParallelLoops(const StmtPtr &Root);
 
 } // namespace systec
 

@@ -469,13 +469,15 @@ private:
     return nullptr;
   }
 
-  /// Activates parallel execution for \p S if it is the outermost
-  /// annotated loop of its nest and the privatization footprint fits
-  /// the budget. Returns whether the loop was activated (the body then
-  /// compiles with nested parallelism suppressed).
+  /// The one place a loop's parallel contract is decided. At
+  /// Threads > 1, classifies \p S (analyzeLoopParallelism) unless an
+  /// enclosing loop was activated, and activates it when it is safe
+  /// and its privatization footprint fits the budget. Loops compile
+  /// outermost first, so each nest activates its outermost such loop.
+  /// Returns whether the loop was activated (the body then compiles
+  /// with nested parallelism suppressed).
   bool setUpParallel(const StmtPtr &S, PlanLoop &Loop) {
-    if (InParallel || E.Options.Threads <= 1 ||
-        !S->parallelInfo().IsParallel)
+    if (InParallel || E.Options.Threads <= 1)
       return false;
     LoopParallelism LP = analyzeLoopParallelism(S);
     if (!LP.Safe)

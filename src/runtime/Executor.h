@@ -66,18 +66,20 @@ struct ExecOptions {
   /// Lift comparisons into loop bounds; disabling evaluates them as
   /// residual predicates.
   bool EnableBoundLifting = true;
-  /// Parallel lanes for loops the parallelism analysis marked safe.
-  /// 1 keeps the plan fully sequential. N > 1 splits each parallel
-  /// loop into N tasks run on the shared thread pool: triangle-balanced
-  /// chunks on loops the analysis marks triangular, static blocks
-  /// otherwise (parallel/Schedule.h). Outputs not indexed by the loop
+  /// Parallel lanes. 1 keeps the plan fully sequential and classifies
+  /// no loop. N > 1 has tryPrepare classify loops outermost first
+  /// (parallel/ParallelAnalysis.h) and split the outermost safe loop of
+  /// each nest whose privatization fits the budget into N tasks run on
+  /// the shared thread pool: triangle-balanced chunks on loops the
+  /// analysis finds triangular, static blocks otherwise
+  /// (parallel/Schedule.h). Outputs not indexed by the loop
   /// variable get per-task privatized accumulators merged in task
   /// order, so results are reproducible for a fixed Threads.
   unsigned Threads = 1;
   /// Ceiling, in bytes, on privatized accumulator storage summed over
   /// all tasks of one parallel loop. A loop whose privatization would
   /// exceed it is left sequential at that level and never allocates;
-  /// an inner annotated loop (typically with disjoint writes) runs
+  /// an inner safe loop (typically with disjoint writes) runs
   /// parallel instead. The default is 2^24 doubles.
   size_t PrivatizationBudgetBytes = size_t(1) << 27;
   /// Structural integrity checks run by tryPrepare() on every bound

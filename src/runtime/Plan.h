@@ -346,8 +346,9 @@ public:
   /// activated loop of each nest).
   struct ParPlan {
     bool Enabled = false;
-    /// Triangle depth from the parallelism analysis (0: not
-    /// triangular); makeChunks balances the loop's chunks by it.
+    /// Triangle depth from the loop's analyzeLoopParallelism contract,
+    /// taken at prepare (0: not triangular); makeChunks balances the
+    /// loop's chunks by it.
     int TriDepth = 0;
     unsigned Threads = 1;
     ThreadPool *Pool = nullptr;

@@ -628,9 +628,8 @@ inline void checkDifferentialMatrix(uint64_t Seed) {
 // Lut-operand harness
 //===----------------------------------------------------------------------===//
 
-/// Rebuilds \p S with \p OnAssign applied to every Assign, preserving
-/// loop parallel annotations (so the Threads axis stays meaningful).
-/// OnAssign additionally receives the loop indices bound at the
+/// Rebuilds \p S with \p OnAssign applied to every Assign. OnAssign
+/// additionally receives the loop indices bound at the
 /// assignment's position, outermost first — a lookup table may only
 /// compare indices that are actually in scope there.
 inline StmtPtr mapAssigns(
@@ -649,8 +648,7 @@ inline StmtPtr mapAssigns(
     Bound.push_back(S->loopIndex());
     StmtPtr Body = mapAssigns(S->body(), Bound, OnAssign);
     Bound.pop_back();
-    return Stmt::loop(S->loopIndex(), std::move(Body))
-        ->withParallel(S->parallelInfo());
+    return Stmt::loop(S->loopIndex(), std::move(Body));
   }
   case StmtKind::If:
     return Stmt::ifThen(S->condition(),

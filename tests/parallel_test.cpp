@@ -241,7 +241,6 @@ TEST(ParallelAnalysis, SsymvOuterLoopsPrivatizeOutput) {
   std::vector<StmtPtr> Nests = topLoops(R.Optimized.Body);
   ASSERT_GE(Nests.size(), 1u);
   for (const StmtPtr &L : Nests) {
-    EXPECT_TRUE(L->parallelInfo().IsParallel);
     LoopParallelism LP = analyzeLoopParallelism(L);
     EXPECT_TRUE(LP.Safe);
     // y[i] is written under the j loop: reduction privatization.
@@ -249,7 +248,7 @@ TEST(ParallelAnalysis, SsymvOuterLoopsPrivatizeOutput) {
     EXPECT_EQ(LP.TensorMergeOps.at("y"), OpKind::Add);
   }
   // The off-diagonal nest iterates the strict triangle i < j.
-  EXPECT_EQ(Nests[0]->parallelInfo().TriangleDepth, 1);
+  EXPECT_EQ(analyzeLoopParallelism(Nests[0]).TriangleDepth, 1);
 }
 
 TEST(ParallelAnalysis, SsyrkOuterLoopPrivatizesAndInnerIsDisjoint) {
@@ -258,8 +257,8 @@ TEST(ParallelAnalysis, SsyrkOuterLoopPrivatizesAndInnerIsDisjoint) {
   // Off-diagonal (i < j) and diagonal (i == j) nests.
   ASSERT_GE(Nests.size(), 1u);
   for (const StmtPtr &K : Nests) {
-    ASSERT_TRUE(K->parallelInfo().IsParallel);
     LoopParallelism LPk = analyzeLoopParallelism(K);
+    ASSERT_TRUE(LPk.Safe);
     EXPECT_TRUE(LPk.TensorMergeOps.count("C"));
 
     // Walk to the j loop under k: its writes carry j, so no
@@ -270,7 +269,6 @@ TEST(ParallelAnalysis, SsyrkOuterLoopPrivatizesAndInnerIsDisjoint) {
                   Cur->kind() == StmtKind::If);
       Cur = Cur->kind() == StmtKind::Block ? Cur->stmts()[0] : Cur->body();
     }
-    EXPECT_TRUE(Cur->parallelInfo().IsParallel);
     LoopParallelism LPj = analyzeLoopParallelism(Cur);
     EXPECT_TRUE(LPj.Safe);
     EXPECT_FALSE(LPj.needsPrivatization());
@@ -324,31 +322,6 @@ TEST(ParallelAnalysis, DisjointOverwriteIsAllowed) {
   LoopParallelism LP = analyzeLoopParallelism(Loop);
   EXPECT_TRUE(LP.Safe);
   EXPECT_FALSE(LP.needsPrivatization());
-}
-
-TEST(ParallelAnalysis, PipelineSwitchDisablesAnnotationEverywhere) {
-  PipelineOptions Opt;
-  Opt.Parallelize = false;
-  CompileResult R = compileEinsum(makeSsymv(), Opt);
-  for (const Kernel *K : {&R.Naive, &R.Optimized})
-    for (const StmtPtr &L : topLoops(K->Body))
-      EXPECT_FALSE(L->parallelInfo().IsParallel) << K->Name;
-}
-
-TEST(ParallelAnalysis, AnnotationSurvivesRenames) {
-  CompileResult R = compileEinsum(makeSsymv());
-  StmtPtr Renamed = Stmt::renameIndices(
-      R.Optimized.Body, [](const std::string &N) { return N + "_r"; });
-  std::vector<StmtPtr> Nests = topLoops(Renamed);
-  ASSERT_GE(Nests.size(), 1u);
-  EXPECT_TRUE(Nests[0]->parallelInfo().IsParallel);
-}
-
-TEST(ParallelAnalysis, EqualityIgnoresAnnotation) {
-  StmtPtr A = Stmt::loop("i", Stmt::assign(Expr::access("y", {"i"}),
-                                           OpKind::Add, Expr::lit(1)));
-  StmtPtr B = A->withParallel(ParallelAnnotation{true, 1});
-  EXPECT_TRUE(Stmt::equal(A, B));
 }
 
 //===----------------------------------------------------------------------===//
@@ -523,8 +496,7 @@ TEST(ParallelRuntime, SparseTopLevelWalkerSplits) {
   K.LoopOrder = {"i"};
   K.OutputName = "y";
   K.Body = Stmt::loop("i", Stmt::assign(Expr::access("y", {}), OpKind::Add,
-                                        Expr::access("r", {"i"})))
-               ->withParallel(ParallelAnnotation{true, 0});
+                                        Expr::access("r", {"i"})));
   Coo Entries({1000});
   double Total = 0;
   for (int64_t I = 3; I < 1000; I += 7) {
@@ -546,21 +518,17 @@ TEST(ParallelRuntime, SparseTopLevelWalkerSplits) {
   }
 }
 
-TEST(ParallelRuntime, ThreadsOneMatchesAnnotatedPlan) {
-  // At Threads=1 the parallel-annotated plan runs exactly like the plan
-  // compiled without annotations: the same bits and counters, no pool
-  // task on any worker or caller, and nothing merged.
+TEST(ParallelRuntime, ThreadsOneRunsNoPoolTask) {
+  // At Threads=1 prepare classifies no loop: the run starts no pool
+  // task on any worker or caller and merges nothing.
   DetCase C = std::move(determinismCases()[0]);
-  const CompileResult Annotated = compileEinsum(C.E);
-  PipelineOptions NoParallel;
-  NoParallel.Parallelize = false;
-  const CompileResult Plain = compileEinsum(C.E, NoParallel);
+  const CompileResult R = compileEinsum(C.E);
   ExecOptions O;
   O.Threads = 1;
 
   Tensor A = Tensor::dense(C.OutDims, 0.0);
   A.setAllValues(C.OutInit);
-  Executor E(Annotated.Optimized, O);
+  Executor E(R.Optimized, O);
   for (auto &[Name, T] : C.Inputs)
     E.bind(Name, &T);
   E.bind(C.E.Output->tensorName(), &A);
@@ -581,14 +549,6 @@ TEST(ParallelRuntime, ThreadsOneMatchesAnnotatedPlan) {
   EXPECT_FALSE(TasksMoved(Before.Workers, After.Workers));
   EXPECT_FALSE(TasksMoved(Before.Callers, After.Callers));
   EXPECT_EQ(Rep.phaseNs("merge"), 0u);
-
-  CounterSnapshot PlainCounts;
-  Tensor B = runKernel(Plain.Optimized, C, O, &PlainCounts);
-  EXPECT_EQ(A.vals(), B.vals());
-  EXPECT_EQ(Rep.Counters.SparseReads, PlainCounts.SparseReads);
-  EXPECT_EQ(Rep.Counters.Reductions, PlainCounts.Reductions);
-  EXPECT_EQ(Rep.Counters.ScalarOps, PlainCounts.ScalarOps);
-  EXPECT_EQ(Rep.Counters.OutputWrites, PlainCounts.OutputWrites);
 }
 
 //===----------------------------------------------------------------------===//
