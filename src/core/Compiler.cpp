@@ -61,7 +61,7 @@ CompileResult compileEinsum(const Einsum &E,
   EndPhase("symmetrize");
   runPasses(R.Sym, Options);
   EndPhase("passes");
-  R.Naive = lowerNaive(E, /*Concordize=*/true, /*Workspace=*/true);
+  R.Naive = lowerNaive(E);
   EndPhase("lower-naive");
   R.Optimized = lowerSymmetric(R.Sym);
   EndPhase("lower-optimized");

@@ -270,7 +270,7 @@ void concordizeKernel(Kernel &K) {
   K.Body = FixStmt(K.Body);
 }
 
-Kernel lowerNaive(const Einsum &E, bool Concordize, bool Workspace) {
+Kernel lowerNaive(const Einsum &E) {
   Kernel K;
   K.Name = E.Name + "_naive";
   K.Decls = E.Decls;
@@ -286,7 +286,7 @@ Kernel lowerNaive(const Einsum &E, bool Concordize, bool Workspace) {
       D = std::max(D, static_cast<unsigned>(It->second) + 1);
   }
   const unsigned NLoops = static_cast<unsigned>(E.LoopOrder.size());
-  if (Workspace && D < NLoops) {
+  if (D < NLoops) {
     // Accumulate in a register across the loops the output does not
     // index (e.g. the scalar output of SYPRD).
     std::vector<std::string> InnerLoops(E.LoopOrder.begin() + D,
@@ -303,8 +303,7 @@ Kernel lowerNaive(const Einsum &E, bool Concordize, bool Workspace) {
     K.Body = Stmt::loops(E.LoopOrder,
                          Stmt::assign(E.Output, E.ReduceOp, E.Rhs));
   }
-  if (Concordize)
-    concordizeKernel(K);
+  concordizeKernel(K);
   return K;
 }
 

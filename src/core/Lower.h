@@ -23,11 +23,11 @@
 
 namespace systec {
 
-/// Lowers the einsum without symmetry exploitation. \p Concordize
-/// transposes inputs to iterate in loop order (on by default so the
-/// baseline is fair).
-Kernel lowerNaive(const Einsum &E, bool Concordize = true,
-                  bool Workspace = true);
+/// Lowers the einsum without symmetry exploitation. Like the optimized
+/// kernel, it accumulates in a register across the loops the output
+/// does not index and transposes inputs to iterate in loop order, so
+/// the baseline is fair.
+Kernel lowerNaive(const Einsum &E);
 
 /// Lowers a symmetrized and optimized kernel.
 Kernel lowerSymmetric(const SymKernel &SK);
