@@ -488,9 +488,21 @@ TEST(ParallelRuntime, CountersStayExact) {
   EXPECT_EQ(Seq.OutputWrites, Par.OutputWrites);
 }
 
+namespace {
+/// Pool tasks run by one report's run, over every worker and the caller.
+uint64_t poolTasks(const obs::ExecReport &Rep) {
+  uint64_t Tasks = 0;
+  for (const obs::WorkerStat &W : Rep.Workers)
+    Tasks += W.Tasks;
+  return Tasks;
+}
+} // namespace
+
 TEST(ParallelRuntime, SparseTopLevelWalkerSplits) {
   // A loop driven by a top-level Sparse walker: chunks gallop to their
-  // start coordinate (the range-splitting iterator).
+  // start coordinate (the range-splitting iterator). No compiler marked
+  // the hand-built loop; prepare classifies it and, at Threads 4, runs
+  // it as parallel chunks.
   Kernel K;
   K.Name = "sparsesum";
   K.LoopOrder = {"i"};
@@ -513,8 +525,41 @@ TEST(ParallelRuntime, SparseTopLevelWalkerSplits) {
     Executor E(K, O);
     E.bind("r", &Rt).bind("y", &Y);
     ASSERT_TRUE(E.tryPrepare().ok());
-    ASSERT_TRUE(E.tryRun().ok());
+    obs::ExecReport Rep;
+    ASSERT_TRUE(E.tryRun(&Rep).ok());
     EXPECT_EQ(Y.at({0}), Total) << "threads " << Threads;
+    if (Threads > 1)
+      EXPECT_GT(poolTasks(Rep), 0u);
+  }
+}
+
+TEST(ParallelRuntime, HandBuiltSharedOverwriteStaysSequential) {
+  // for i: y[] = r[i] overwrites one cell on every iteration, so the
+  // classifier rejects the loop: at Threads 4 it runs no pool task and
+  // leaves the last entry's value, as at Threads 1.
+  Kernel K;
+  K.Name = "lastentry";
+  K.LoopOrder = {"i"};
+  K.OutputName = "y";
+  K.Body = Stmt::loop("i", Stmt::assign(Expr::access("y", {}), std::nullopt,
+                                        Expr::access("r", {"i"})));
+  Coo Entries({1000});
+  for (int64_t I = 3; I < 1000; I += 6)
+    Entries.add({I}, static_cast<double>(I % 13 + 1));
+  TensorFormat F;
+  F.Levels = {LevelKind::Sparse};
+  Tensor Rt = Tensor::fromCoo(std::move(Entries), F);
+  for (unsigned Threads : {1u, 4u}) {
+    Tensor Y = Tensor::dense({1}, -1.0);
+    ExecOptions O;
+    O.Threads = Threads;
+    Executor E(K, O);
+    E.bind("r", &Rt).bind("y", &Y);
+    ASSERT_TRUE(E.tryPrepare().ok());
+    obs::ExecReport Rep;
+    ASSERT_TRUE(E.tryRun(&Rep).ok());
+    EXPECT_EQ(Y.at({0}), 999 % 13 + 1) << "threads " << Threads;
+    EXPECT_EQ(poolTasks(Rep), 0u) << "threads " << Threads;
   }
 }
 
