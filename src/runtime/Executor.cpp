@@ -716,8 +716,9 @@ private:
     }
   }
 
-  /// Stamps \p Loop's interned span label, engine and driver names, and
-  /// its report-side metadata row, as run by \p Engine.
+  /// Stamps \p Loop's engine and driver names and its report-side
+  /// metadata row (whose label traced runs use as the loop's span
+  /// name), as run by \p Engine.
   void stampTraceIdentity(PlanLoop &Loop, const std::string &Var,
                           const char *Engine) {
     // Every engine iterates the loop's first walker, or its plain range.
@@ -729,11 +730,8 @@ private:
                                 .Kind);
     Loop.EngineName = Engine;
     Loop.DriverName = Driver;
-    const std::string Label =
-        "loop " + Var + " [" + Engine + "/" + Driver + "]";
-    Loop.TraceLabel = obs::internName(Label);
     obs::LoopStat Meta;
-    Meta.Label = Label;
+    Meta.Label = "loop " + Var + " [" + Engine + "/" + Driver + "]";
     Meta.Engine = Engine;
     Meta.Driver = Driver;
     if (Loop.Fused && std::string_view(Engine) == "Fused")
@@ -1115,6 +1113,16 @@ obs::WorkerStat windowWorker(const std::string &Name,
 
 } // namespace
 
+void Executor::snapshotTracing() {
+  Ctx->TraceOn = obs::tracingEnabled();
+  if (!Ctx->TraceOn || Ctx->LoopLabels)
+    return;
+  TraceLabels.clear();
+  for (const obs::LoopStat &L : LoopMeta)
+    TraceLabels.push_back(obs::internName(L.Label));
+  Ctx->LoopLabels = TraceLabels.data();
+}
+
 Status Executor::tryRun(obs::ExecReport *Out) {
   if (Status S = tryRunBody(Out); !S.ok())
     return S;
@@ -1126,7 +1134,7 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
     return Status::error(ErrCode::InvalidArgument,
                          "tryRunBody called before tryPrepare");
   Ctx->CountersOn = countersEnabled();
-  Ctx->TraceOn = obs::tracingEnabled();
+  snapshotTracing();
   std::fill(Ctx->LoopCalls.begin(), Ctx->LoopCalls.end(), uint64_t(0));
   std::fill(Ctx->LoopNs.begin(), Ctx->LoopNs.end(), uint64_t(0));
   Ctx->MergeNs = 0;
@@ -1261,7 +1269,7 @@ Status Executor::tryRunEpilogue(obs::ExecReport *Out) {
                          "tryRunEpilogue called before tryPrepare");
   if (EpiloguePlan) {
     Ctx->CountersOn = countersEnabled();
-    Ctx->TraceOn = obs::tracingEnabled();
+    snapshotTracing();
     const uint64_t T0 = obs::nowNs();
     EpiloguePlan->exec(*Ctx);
     const uint64_t T1 = obs::nowNs();

@@ -362,6 +362,15 @@ private:
   /// recorded at plan compilation; cloned into each report with the
   /// run's call/time aggregates filled in.
   std::vector<obs::LoopStat> LoopMeta;
+  /// LoopMeta's labels, interned as span names by the first traced run
+  /// after a prepare (ExecCtx::LoopLabels points here).
+  std::vector<const char *> TraceLabels;
+
+  /// Snapshots the tracing switch into the run's context and, on the
+  /// first traced run of a plan, interns its loop labels: interning
+  /// takes the trace registry's process-wide lock, which untraced
+  /// prepares and runs never touch.
+  void snapshotTracing();
 };
 
 } // namespace systec

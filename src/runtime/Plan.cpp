@@ -340,9 +340,9 @@ void PlanLoop::tracedRange(ExecCtx &C, int64_t Lo, int64_t Hi) {
   rangeBody(C, Lo, Hi);
   --LoopSpanDepth;
   const uint64_t Dur = obs::nowNs() - T0;
-  if (Raw && TraceLabel && obs::tracingEnabled())
-    obs::emitSpan(TraceLabel, "loop", T0, Dur, Lo, Hi);
   if (TraceId < C.LoopCalls.size()) {
+    if (Raw && C.LoopLabels && obs::tracingEnabled())
+      obs::emitSpan(C.LoopLabels[TraceId], "loop", T0, Dur, Lo, Hi);
     ++C.LoopCalls[TraceId];
     C.LoopNs[TraceId] += Dur;
   }

@@ -143,6 +143,10 @@ struct ExecCtx {
   /// inner loops, whose raw trace spans are suppressed to keep event
   /// volume bounded.
   std::vector<uint64_t> LoopCalls, LoopNs;
+  /// Per plan loop, indexed like LoopCalls, the interned span name
+  /// ("loop i [Fused/SparseWalk]"); null until the executor's first
+  /// traced run of the plan.
+  const char *const *LoopLabels = nullptr;
   /// Nanoseconds spent merging privatized accumulators and task
   /// deltas after parallel loops (always collected; a subset of the
   /// run's execute time).
@@ -365,12 +369,10 @@ public:
   ParPlan Par;
 
   /// Observability identity, assigned at plan compilation: TraceId
-  /// indexes ExecCtx::LoopCalls/LoopNs; TraceLabel is the interned
-  /// span name ("loop i [Fused/SparseWalk]"); EngineName/DriverName
+  /// indexes ExecCtx::LoopCalls/LoopNs/LoopLabels; EngineName/DriverName
   /// ("Interp"/"Fused"/"Blocked", "Range"/"SparseWalk"/...) surface in
   /// ExecReport.
   unsigned TraceId = 0;
-  const char *TraceLabel = nullptr;
   const char *EngineName = nullptr;
   const char *DriverName = nullptr;
 
