@@ -5,7 +5,9 @@
 /// dimension/nonzero specification for all 30 matrices and, for the
 /// benchmark subset (all 30 under SYSTEC_BENCH_FULL=1), builds the
 /// synthetic Erdős–Rényi stand-in and reports the achieved symmetric
-/// nonzero count (the substitution documented in DESIGN.md).
+/// nonzero count. The SuiteSparse matrices themselves would need a
+/// download, so each stand-in matches its matrix's dimension and
+/// nonzero count instead.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,11 +4,11 @@
 /// Workload generators for the paper's evaluation (Section 5.2):
 /// uniformly distributed symmetric random sparse tensors via an
 /// Erdős–Rényi distribution, random dense factor matrices, and the
-/// Vuduc et al. matrix collection (Table 2). The SuiteSparse downloads
-/// the paper uses are substituted with synthetic Erdős–Rényi matrices
-/// matching each matrix's dimension and nonzero count, symmetrized as
-/// A + Aᵀ exactly like the paper symmetrizes the asymmetric members of
-/// the suite (see DESIGN.md for the substitution rationale).
+/// Vuduc et al. matrix collection (Table 2). The paper's SuiteSparse
+/// matrices would need a download, so synthetic Erdős–Rényi stand-ins
+/// match each matrix's dimension and nonzero count instead, symmetrized
+/// as A + Aᵀ exactly like the paper symmetrizes the asymmetric members
+/// of the suite.
 ///
 //===----------------------------------------------------------------------===//
 
