@@ -4,11 +4,12 @@
 /// Ablation benchmark for the compiler's design choices: each
 /// optimization pass / runtime feature is disabled individually on
 /// SSYMV (bandwidth-bound) and 3-d MTTKRP (compute-bound) and timed
-/// against the full pipeline. The inputs are synthetic Erdős–Rényi
-/// symmetric tensors: SuiteSparse matrices would need a download. This quantifies the contribution of
+/// against the full pipeline. This quantifies the contribution of
 /// diagonal splitting (4.2.9), workspaces (4.2.8), concordization
 /// (4.2.3), block consolidation + grouping + lookup tables
-/// (4.2.4-4.2.6), and the runtime's bound lifting.
+/// (4.2.4-4.2.6), and the runtime's bound lifting. The inputs are
+/// synthetic Erdős–Rényi symmetric tensors: SuiteSparse matrices would
+/// need a download.
 ///
 //===----------------------------------------------------------------------===//
 

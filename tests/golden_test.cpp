@@ -329,7 +329,8 @@ TEST(Golden, PreparedPlanDigest) {
   const bool CountersWereOn = countersEnabled();
   setCountersEnabled(true);
   uint64_t Hash = FnvBasis;
-  forEachPreparedCase([&Hash](PreparedCase &C) { Hash = hashPrepared(Hash, C); });
+  forEachPreparedCase(
+      [&Hash](PreparedCase &C) { Hash = hashPrepared(Hash, C); });
   setCountersEnabled(CountersWereOn);
   if (updating())
     std::printf("PreparedPlanDigest = \"%s\"\n", hex(Hash).c_str());
