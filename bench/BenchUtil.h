@@ -288,6 +288,14 @@ inline void writeBenchJson(const std::string &Path,
   std::printf("wrote %s (%zu records)\n", Path.c_str(), Records.size());
 }
 
+/// Options for the per-loop engines only: the default list without the
+/// native tier.
+inline ExecOptions perLoopEngines() {
+  ExecOptions O;
+  O.Engines = {Engine::Blocked, Engine::Fused, Engine::Interp};
+  return O;
+}
+
 /// Heap-allocated workload state kept alive for the benchmark run.
 struct Holder {
   std::map<std::string, Tensor> Tensors;
@@ -295,8 +303,10 @@ struct Holder {
 
   Tensor &tensor(const std::string &Name) { return Tensors.at(Name); }
 
+  /// An executor on the per-loop engines, named outright so no timed
+  /// run tiers up to the native body mid-measurement.
   Executor &addExecutor(const Kernel &K) {
-    Executors.push_back(std::make_unique<Executor>(K));
+    Executors.push_back(std::make_unique<Executor>(K, perLoopEngines()));
     return *Executors.back();
   }
 };

@@ -2,18 +2,28 @@
 
 #include "jit/NativeKernelCache.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <dlfcn.h>
+#include <elf.h>
+#include <fcntl.h>
+#include <link.h>
+#include <spawn.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 namespace systec {
 namespace jit {
@@ -27,6 +37,14 @@ namespace fs = std::filesystem;
 /// interpreter. -w because the emitted flat-slot style leaves unused
 /// variables by design.
 const char *compileFlags() { return "-std=c++17 -O2 -fPIC -shared -w"; }
+
+/// The exported symbol the cache appends to every TU it compiles and
+/// checks after dlopen (see the header's "Verification").
+const char *keySymbol() { return "systec_native_key"; }
+
+/// Compiler timeout of later runs (setCompileTimeoutMs).
+std::atomic<uint64_t> CompileTimeoutMs{
+    NativeKernelCache::DefaultCompileTimeoutMs};
 
 uint64_t nowNs() {
   return static_cast<uint64_t>(
@@ -98,6 +116,19 @@ Status prepareCacheDir(const std::string &Dir) {
   return requireOwned(Dir, "cache directory");
 }
 
+/// A cold build writes into \p Dir; its owner must be able to. Checked
+/// on the mode bits rather than by trying, so a directory its owner
+/// made read-only is refused even where the process could override the
+/// bits.
+Status requireWritable(const std::string &Dir) {
+  struct stat S;
+  if (::stat(Dir.c_str(), &S) == 0 && (S.st_mode & S_IWUSR))
+    return Status::success();
+  return Status::error(ErrCode::ResourceExhausted,
+                       "cache directory '" + Dir +
+                           "' is read-only; cannot build a new object");
+}
+
 std::string readFirstLine(const std::string &Path) {
   std::ifstream In(Path);
   std::string Line;
@@ -115,10 +146,86 @@ std::string readTail(const std::string &Path, size_t MaxBytes = 2000) {
   return All;
 }
 
-/// One-time probe of the host compiler: runs `--version`, remembers
-/// availability and the identification line. Cached per process (the
-/// compiler does not come and go); the SYSTEC_JIT_DISABLE escape hatch
-/// is checked dynamically by callers so tests can flip it per case.
+/// How one spawned tool run ended.
+struct SpawnResult {
+  bool Exited0 = false;  ///< ran and exited with status 0
+  bool TimedOut = false; ///< killed at the timeout
+  bool Aborted = false;  ///< killed because the caller aborted
+  std::string Error;     ///< why it failed, when it did
+};
+
+/// Runs \p Argv (Argv[0] searched on PATH; no shell) with stdin from
+/// /dev/null and stdout and stderr into \p OutPath, in a process group
+/// of its own, for at most CompileTimeoutMs. On timeout or when
+/// \p Abort becomes true the whole group is killed and the child reaped
+/// before this returns, so nothing the tool started outlives the call.
+SpawnResult runTimed(const std::vector<std::string> &Argv,
+                     const std::string &OutPath,
+                     const std::atomic<bool> *Abort) {
+  SpawnResult R;
+  std::vector<char *> Args;
+  for (const std::string &A : Argv)
+    Args.push_back(const_cast<char *>(A.c_str()));
+  Args.push_back(nullptr);
+  posix_spawn_file_actions_t Files;
+  posix_spawn_file_actions_init(&Files);
+  posix_spawn_file_actions_addopen(&Files, 0, "/dev/null", O_RDONLY, 0);
+  posix_spawn_file_actions_addopen(&Files, 1, OutPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  posix_spawn_file_actions_adddup2(&Files, 1, 2);
+  posix_spawnattr_t Attr;
+  posix_spawnattr_init(&Attr);
+  sigset_t NoSignals;
+  sigemptyset(&NoSignals);
+  posix_spawnattr_setsigmask(&Attr, &NoSignals);
+  posix_spawnattr_setpgroup(&Attr, 0);
+  posix_spawnattr_setflags(&Attr, POSIX_SPAWN_SETPGROUP |
+                                      POSIX_SPAWN_SETSIGMASK);
+  pid_t Pid = 0;
+  const int Rc =
+      posix_spawnp(&Pid, Args[0], &Files, &Attr, Args.data(), environ);
+  posix_spawnattr_destroy(&Attr);
+  posix_spawn_file_actions_destroy(&Files);
+  if (Rc != 0) {
+    R.Error = "cannot start '" + Argv[0] + "': " + std::strerror(Rc);
+    return R;
+  }
+  const uint64_t TimeoutMs = CompileTimeoutMs.load();
+  const uint64_t Deadline = nowNs() + TimeoutMs * 1000000ull;
+  unsigned SleepUs = 200;
+  for (;;) {
+    int St = 0;
+    const pid_t W = ::waitpid(Pid, &St, WNOHANG);
+    if (W == Pid) {
+      R.Exited0 = WIFEXITED(St) && WEXITSTATUS(St) == 0;
+      if (!R.Exited0)
+        R.Error = WIFEXITED(St)
+                      ? "exited " + std::to_string(WEXITSTATUS(St))
+                      : "killed by signal " + std::to_string(WTERMSIG(St));
+      return R;
+    }
+    if (W < 0 && errno != EINTR) {
+      R.Error = std::string("waitpid: ") + std::strerror(errno);
+      return R;
+    }
+    const bool Stop = Abort && Abort->load();
+    if (Stop || nowNs() >= Deadline) {
+      ::kill(-Pid, SIGKILL);
+      while (::waitpid(Pid, &St, 0) < 0 && errno == EINTR) {
+      }
+      (Stop ? R.Aborted : R.TimedOut) = true;
+      R.Error = Stop ? "abandoned: the caller aborted the build"
+                     : "killed after the " + std::to_string(TimeoutMs) +
+                           " ms timeout";
+      return R;
+    }
+    ::usleep(SleepUs);
+    SleepUs = std::min(SleepUs * 2, 5000u);
+  }
+}
+
+/// One probe of a host compiler: runs `--version`, remembers
+/// availability and the identification line.
 struct ToolchainProbe {
   bool Available = false;
   std::string Command;
@@ -126,24 +233,31 @@ struct ToolchainProbe {
   std::string Reason;
 };
 
+/// Probes by compiler command. Namespace-scope, so they outlive the
+/// background builder (constructed on first use) at exit.
+std::mutex ProbeMu;
+std::map<std::string, ToolchainProbe> Probes;
+
+/// The probe of the current compiler command, run once per command
+/// (the compiler does not come and go, but SYSTEC_JIT_CXX may change);
+/// the SYSTEC_JIT_DISABLE escape hatch is checked dynamically by
+/// callers so tests can flip it per case.
 const ToolchainProbe &probeToolchain() {
-  static const ToolchainProbe P = [] {
-    ToolchainProbe T;
-    T.Command = compilerCommand();
-    const std::string Dir = defaultCacheDir();
-    if (Status S = prepareCacheDir(Dir); !S.ok()) {
-      T.Reason = "toolchain probe: " + S.str();
-      return T;
-    }
+  const std::string Command = compilerCommand();
+  std::lock_guard<std::mutex> Lock(ProbeMu);
+  if (auto It = Probes.find(Command); It != Probes.end())
+    return It->second;
+  ToolchainProbe T;
+  T.Command = Command;
+  const std::string Dir = defaultCacheDir();
+  if (Status S = prepareCacheDir(Dir); !S.ok()) {
+    T.Reason = "toolchain probe: " + S.str();
+  } else {
     std::string Out = Dir + "/probe-" + std::to_string(getpid()) + ".txt";
-    std::error_code EC;
-    std::string Cmd =
-        "\"" + T.Command + "\" --version > \"" + Out + "\" 2>&1";
-    int Rc = std::system(Cmd.c_str());
-    if (Rc != 0) {
+    SpawnResult R = runTimed({T.Command, "--version"}, Out, nullptr);
+    if (!R.Exited0) {
       T.Reason = "host compiler '" + T.Command +
-                 "' not runnable (--version exited " + std::to_string(Rc) +
-                 ")";
+                 "' not runnable (--version: " + R.Error + ")";
     } else {
       T.Id = readFirstLine(Out);
       T.Available = !T.Id.empty();
@@ -151,15 +265,151 @@ const ToolchainProbe &probeToolchain() {
         T.Reason = "host compiler '" + T.Command +
                    "' produced no version banner";
     }
+    std::error_code EC;
     fs::remove(Out, EC);
-    return T;
-  }();
-  return P;
+  }
+  return Probes.emplace(Command, std::move(T)).first->second;
 }
 
 bool jitDisabled() {
   const char *Env = std::getenv("SYSTEC_JIT_DISABLE");
   return Env && *Env && std::string(Env) != "0";
+}
+
+/// Whether \p So is a whole ELF object: its program headers, loaded
+/// segments and section headers all lie inside the file. dlopen maps
+/// the segments of a cut-off object past its end and faults (SIGBUS)
+/// on touching them instead of failing, so this check comes first.
+bool elfIntact(const std::string &So) {
+  std::ifstream In(So, std::ios::binary);
+  ElfW(Ehdr) H;
+  if (!In.read(reinterpret_cast<char *>(&H), sizeof(H)) ||
+      std::memcmp(H.e_ident, ELFMAG, SELFMAG) != 0 ||
+      H.e_phentsize != sizeof(ElfW(Phdr)))
+    return false;
+  std::error_code EC;
+  const uint64_t Size = fs::file_size(So, EC);
+  auto Within = [&](uint64_t Off, uint64_t Len) {
+    return Off <= Size && Len <= Size - Off;
+  };
+  if (EC || !Within(H.e_phoff, uint64_t(H.e_phnum) * sizeof(ElfW(Phdr))) ||
+      !Within(H.e_shoff, uint64_t(H.e_shnum) * H.e_shentsize))
+    return false;
+  In.seekg(static_cast<std::streamoff>(H.e_phoff));
+  for (unsigned I = 0; I < H.e_phnum; ++I) {
+    ElfW(Phdr) P;
+    if (!In.read(reinterpret_cast<char *>(&P), sizeof(P)) ||
+        (P.p_type == PT_LOAD && !Within(P.p_offset, P.p_filesz)))
+      return false;
+  }
+  return true;
+}
+
+/// dlopens \p So and checks its entry point and key symbol.
+Expected<NativeKernelCache::Loaded> openVerified(const std::string &So,
+                                                 const std::string &Key) {
+  if (!elfIntact(So))
+    return Status::error(ErrCode::Internal,
+                         "not a whole ELF object (truncated?)");
+  void *Handle = dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (!Handle) {
+    const char *E = dlerror();
+    return Status::error(ErrCode::Internal,
+                         "dlopen failed: " + std::string(E ? E : "?"));
+  }
+  std::shared_ptr<void> Shared(Handle, [](void *H) { dlclose(H); });
+  const char *Found = static_cast<const char *>(dlsym(Handle, keySymbol()));
+  if (!Found || Key != Found)
+    return Status::error(ErrCode::Internal,
+                         std::string("key symbol '") + keySymbol() +
+                             (Found ? "' names another build" : "' missing"));
+  void *Sym = dlsym(Handle, nativeEntrySymbol());
+  if (!Sym)
+    return Status::error(ErrCode::Internal,
+                         std::string("entry symbol '") +
+                             nativeEntrySymbol() + "' not found");
+  NativeKernelCache::Loaded L;
+  L.Fn = reinterpret_cast<NativeKernelFn>(Sym);
+  L.Handle = std::move(Shared);
+  L.SoPath = So;
+  return L;
+}
+
+/// Loads `<Dir>/<Hash>.so`, building it first when it is missing, and
+/// rebuilding it once when the cached file fails to open or verify.
+Expected<NativeKernelCache::Loaded>
+openOrBuild(const std::string &Dir, const std::string &Hash,
+            const std::string &Source, const ToolchainProbe &P,
+            const std::atomic<bool> *Abort) {
+  std::error_code EC;
+  const std::string Base = Dir + "/" + Hash;
+  const std::string So = Base + ".so";
+  const std::string Key = Hash + "-" + std::to_string(Source.size());
+
+  if (fs::exists(So, EC)) {
+    if (Status S = requireOwned(So, "cached object"); !S.ok())
+      return S;
+    if (auto L = openVerified(So, Key))
+      return L;
+    fs::remove(So, EC); // unusable: rebuild it below
+  }
+  if (Status S = requireWritable(Dir); !S.ok())
+    return S;
+
+  // Persist the compiled input next to the object (debuggability and
+  // the compile input), then build to a temp name and rename — the
+  // atomic publish that makes concurrent same-key compiles safe.
+  const std::string Pid = std::to_string(getpid());
+  const std::string CppTmp = Base + ".cpp.tmp." + Pid;
+  const std::string Cpp = Base + ".cpp";
+  {
+    std::ofstream Out(CppTmp);
+    Out << Source << "\nextern \"C\" const char " << keySymbol()
+        << "[] = \"" << Key << "\";\n";
+    if (!Out)
+      return Status::error(ErrCode::ResourceExhausted,
+                           "cannot write source '" + CppTmp + "'");
+  }
+  fs::rename(CppTmp, Cpp, EC);
+  if (EC)
+    return Status::error(ErrCode::ResourceExhausted,
+                         "cannot publish source '" + Cpp +
+                             "': " + EC.message());
+
+  const std::string SoTmp = So + ".tmp." + Pid;
+  const std::string Log = Base + ".log." + Pid;
+  std::vector<std::string> Argv{P.Command};
+  std::istringstream Flags(compileFlags());
+  for (std::string F; Flags >> F;)
+    Argv.push_back(F);
+  Argv.insert(Argv.end(), {"-o", SoTmp, Cpp});
+  const uint64_t T0 = nowNs();
+  SpawnResult R = runTimed(Argv, Log, Abort);
+  const uint64_t CompileNs = nowNs() - T0;
+  if (!R.Exited0) {
+    std::string Tail = R.TimedOut || R.Aborted ? "" : readTail(Log);
+    fs::remove(Log, EC);
+    fs::remove(SoTmp, EC);
+    const ErrCode Code = R.TimedOut  ? ErrCode::DeadlineExceeded
+                         : R.Aborted ? ErrCode::Cancelled
+                                     : ErrCode::Internal;
+    return Status::error(Code, "compilation failed (" + R.Error + ")" +
+                                   (Tail.empty() ? "" : ": " + Tail))
+        .withContext(Cpp);
+  }
+  fs::remove(Log, EC);
+  fs::rename(SoTmp, So, EC);
+  if (EC)
+    return Status::error(ErrCode::ResourceExhausted,
+                         "cannot publish object '" + So +
+                             "': " + EC.message());
+  if (Status S = requireOwned(So, "cached object"); !S.ok())
+    return S;
+  auto L = openVerified(So, Key);
+  if (!L)
+    return L.takeStatus().withContext(So);
+  L->CompileNs = CompileNs;
+  return L;
 }
 
 } // namespace
@@ -191,9 +441,14 @@ void NativeKernelCache::dropHandles() {
   Handles.clear();
 }
 
+void NativeKernelCache::setCompileTimeoutMs(uint64_t Ms) {
+  CompileTimeoutMs.store(Ms);
+}
+
 Expected<NativeKernelCache::Loaded>
 NativeKernelCache::load(const std::string &Source,
-                        const std::string &CacheDir) {
+                        const std::string &CacheDir,
+                        const std::atomic<bool> *Abort) {
   std::string Reason;
   if (!compilerAvailable(&Reason))
     return Status::error(ErrCode::ResourceExhausted, Reason)
@@ -212,93 +467,43 @@ NativeKernelCache::load(const std::string &Source,
   const std::string Hash =
       fnv1aHex(Source + '\0' + P.Id + '\0' + compileFlags());
 
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (auto It = Handles.find(Hash); It != Handles.end()) {
-    Loaded L = It->second;
-    L.CompileNs = 0; // registry hit: nothing compiled for this load
-    return L;
-  }
-
-  std::error_code EC;
-
-  const std::string Base = Dir + "/" + Hash;
-  const std::string So = Base + ".so";
-  uint64_t CompileNs = 0;
-
-  if (!fs::exists(So, EC)) {
-    // Cold: persist the source next to the object (debuggability and
-    // the compile input), then build to a temp name and rename — the
-    // atomic publish that makes concurrent same-key compiles safe.
-    const std::string Pid = std::to_string(getpid());
-    const std::string CppTmp = Base + ".cpp.tmp." + Pid;
-    const std::string Cpp = Base + ".cpp";
-    {
-      std::ofstream Out(CppTmp);
-      Out << Source;
-      if (!Out)
-        return Status::error(ErrCode::ResourceExhausted,
-                             "cannot write source '" + CppTmp + "'")
-            .withContext("native kernel cache");
+  // The lock covers the registry lookup and the publish only. A load
+  // that finds the key in flight waits for that build instead of
+  // starting its own, then takes its outcome.
+  auto Mine = std::make_shared<Building>();
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    for (;;) {
+      if (auto It = Handles.find(Hash); It != Handles.end()) {
+        Loaded L = It->second;
+        L.CompileNs = 0; // registry hit: nothing compiled for this load
+        return L;
+      }
+      auto B = InFlight.find(Hash);
+      if (B == InFlight.end())
+        break;
+      std::shared_ptr<Building> Other = B->second;
+      BuildCv.wait(Lock, [&] { return Other->Done; });
+      if (!Other->Err.ok())
+        return Other->Err.clone();
     }
-    fs::rename(CppTmp, Cpp, EC);
-    if (EC)
-      return Status::error(ErrCode::ResourceExhausted,
-                           "cannot publish source '" + Cpp +
-                               "': " + EC.message())
-          .withContext("native kernel cache");
-
-    const std::string SoTmp = So + ".tmp." + Pid;
-    const std::string Log = Base + ".log." + Pid;
-    std::string Cmd = "\"" + P.Command + "\" " + compileFlags() +
-                      " -o \"" + SoTmp + "\" \"" + Cpp + "\" 2> \"" +
-                      Log + "\"";
-    const uint64_t T0 = nowNs();
-    int Rc = std::system(Cmd.c_str());
-    CompileNs = nowNs() - T0;
-    if (Rc != 0) {
-      std::string Tail = readTail(Log);
-      fs::remove(Log, EC);
-      fs::remove(SoTmp, EC);
-      return Status::error(ErrCode::Internal,
-                           "compilation failed (exit " +
-                               std::to_string(Rc) + "): " + Tail)
-          .withContext("native kernel cache")
-          .withContext(Cpp);
-    }
-    fs::remove(Log, EC);
-    fs::rename(SoTmp, So, EC);
-    if (EC)
-      return Status::error(ErrCode::ResourceExhausted,
-                           "cannot publish object '" + So +
-                               "': " + EC.message())
-          .withContext("native kernel cache");
+    InFlight.emplace(Hash, Mine);
   }
 
-  if (Status S = requireOwned(So, "cached object"); !S.ok())
-    return std::move(S).withContext("native kernel cache");
-  void *Handle = dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (!Handle) {
-    const char *E = dlerror();
-    return Status::error(ErrCode::Internal,
-                         "dlopen failed: " + std::string(E ? E : "?"))
-        .withContext("native kernel cache")
-        .withContext(So);
+  Expected<Loaded> L = openOrBuild(Dir, Hash, Source, P, Abort);
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (L)
+      Handles[Hash] = *L;
+    else
+      Mine->Err =
+          L.takeStatus().withContext("native kernel cache");
+    Mine->Done = true;
+    InFlight.erase(Hash);
   }
-  std::shared_ptr<void> Shared(Handle, [](void *H) { dlclose(H); });
-  void *Sym = dlsym(Handle, nativeEntrySymbol());
-  if (!Sym)
-    return Status::error(ErrCode::Internal,
-                         std::string("entry symbol '") +
-                             nativeEntrySymbol() + "' not found")
-        .withContext("native kernel cache")
-        .withContext(So);
-
-  Loaded L;
-  L.Fn = reinterpret_cast<NativeKernelFn>(Sym);
-  L.Handle = std::move(Shared);
-  L.CompileNs = CompileNs;
-  L.SoPath = So;
-  Handles.emplace(Hash, L);
+  BuildCv.notify_all();
+  if (!Mine->Err.ok())
+    return Mine->Err.clone();
   return L;
 }
 

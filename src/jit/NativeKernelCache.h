@@ -12,23 +12,42 @@
 /// pinned at 0), making the cache the natural persistence layer under
 /// the in-memory PlanCache.
 ///
-/// Concurrency: compilation writes to `<hash>.so.tmp.<pid>` and
-/// atomically renames into place, so concurrent processes racing on the
-/// same key each produce a valid object and the last rename wins;
-/// dlopened handles are shared process-wide through an internal
-/// registry, so N executors of one kernel hold one mapping.
+/// Verification: the `.cpp` the cache compiles is the emitted source
+/// plus one exported key symbol naming the hash and the source length.
+/// Every object is checked against it after `dlopen`; a cached file
+/// that `dlopen` rejects (truncated, say) or whose key does not match
+/// (another kernel's object under this name) is rebuilt once.
+///
+/// The compiler runs without a shell (posix_spawn, PATH-searched), in
+/// its own process group, under a timeout (setCompileTimeoutMs); a
+/// compiler that overruns it, or whose caller aborts the load, is
+/// killed with its whole group and reaped before load() returns, so no
+/// compiler outlives the call.
+///
+/// Concurrency: the cache lock covers only the registry lookup and the
+/// publish, never a compile, so a registry hit never waits behind an
+/// unrelated build. Concurrent loads of one key share a single build
+/// (later callers wait for it and get its outcome). Compilation writes
+/// to `<hash>.so.tmp.<pid>` and atomically renames into place, so
+/// processes racing on the same key each produce a valid object and the
+/// last rename wins; dlopened handles are shared process-wide through
+/// the registry, so N executors of one kernel hold one mapping.
 ///
 /// Ownership: the cache directory (created with mode 0700 when missing)
 /// and every `.so` must belong to the effective user — the path itself
 /// and its symlink target alike — before anything is written to or
 /// dlopened from it; the default path is predictable and the names are
 /// reproducible hashes, so another user's directory or file is refused.
+/// A directory its owner cannot write (mode without u+w) serves warm
+/// objects but refuses cold builds.
 ///
 /// Fallback contract: every failure path — no host compiler on PATH,
-/// a cache directory or object another user owns, compilation error,
-/// dlopen/dlsym failure — returns a typed Status (never aborts). `SYSTEC_JIT_DISABLE=1` forces the unavailable path
-/// (for testing degraded environments); `SYSTEC_JIT_CXX` overrides the
-/// compiler (default: the compiler that built the library, then `c++`).
+/// a cache directory or object another user owns, a read-only cache
+/// directory, compilation error or timeout, dlopen/dlsym failure —
+/// returns a typed Status (never aborts). `SYSTEC_JIT_DISABLE=1` forces
+/// the unavailable path (for testing degraded environments);
+/// `SYSTEC_JIT_CXX` overrides the compiler (default: the compiler that
+/// built the library, then `c++`). Both are read on every call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +57,8 @@
 #include "jit/NativeAbi.h"
 #include "support/Status.h"
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,18 +83,25 @@ public:
     std::string SoPath;
   };
 
+  /// How long one compiler run may take before it is killed.
+  static constexpr uint64_t DefaultCompileTimeoutMs = 60000;
+
   /// The process-wide cache (shared dlopen registry).
   static NativeKernelCache &instance();
 
   /// Compiles (or reuses) \p Source and returns its entry point.
   /// \p CacheDir names the on-disk cache directory; empty resolves to
-  /// $SYSTEC_JIT_CACHE_DIR, then a per-user temp default.
+  /// $SYSTEC_JIT_CACHE_DIR, then a per-user temp default. When
+  /// \p Abort becomes true while the compiler runs, the compiler is
+  /// killed and the load fails with ErrCode::Cancelled.
   Expected<Loaded> load(const std::string &Source,
-                        const std::string &CacheDir);
+                        const std::string &CacheDir,
+                        const std::atomic<bool> *Abort = nullptr);
 
-  /// Whether a host compiler is available right now (probes once;
-  /// SYSTEC_JIT_DISABLE is re-read per call). On false, \p Reason (if
-  /// non-null) receives the explanation load() would return.
+  /// Whether a host compiler is available right now (probes each
+  /// compiler command once; SYSTEC_JIT_DISABLE is re-read per call).
+  /// On false, \p Reason (if non-null) receives the explanation load()
+  /// would return.
   static bool compilerAvailable(std::string *Reason = nullptr);
 
   /// The compiler identification line mixed into cache keys (first
@@ -86,9 +114,21 @@ public:
   /// ownership); only future loads re-open.
   void dropHandles();
 
+  /// Testing hook: sets the compiler timeout (probe and compile) of
+  /// later runs; DefaultCompileTimeoutMs restores the default.
+  void setCompileTimeoutMs(uint64_t Ms);
+
 private:
+  /// One build in progress; loads of the same key wait for it.
+  struct Building {
+    bool Done = false;
+    Status Err; ///< the build's failure, shared with the waiters
+  };
+
   std::mutex Mu;
+  std::condition_variable BuildCv;
   std::map<std::string, Loaded> Handles; ///< content hash -> loaded
+  std::map<std::string, std::shared_ptr<Building>> InFlight;
 };
 
 } // namespace jit

@@ -81,7 +81,7 @@ std::string ExecReport::toJson() const {
       Out += ',';
   }
   Out += "],\"counters\":" + counterJson(Counters) + ",\"options\":\"" +
-         Options + "\"";
+         Options + "\",\"body_engine\":\"" + BodyEngine + "\"";
   if (!AbortReason.empty())
     Out += ",\"abort_reason\":\"" + AbortReason + "\"";
   Out += '}';

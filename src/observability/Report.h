@@ -78,6 +78,11 @@ struct ExecReport {
   /// other.
   CounterSnapshot Counters;
   std::string Options; ///< execOptionsSummary() of the run's options
+  /// What ran the body: "native" for the JIT-compiled body, otherwise
+  /// the per-loop tiers ("blocked>fused>interp", ...; Loops says which
+  /// tier ran each loop). Excluded from structureKey(): a tier-up
+  /// changes it, not the outputs or counters.
+  std::string BodyEngine;
   /// Empty on a completed run; the errCodeName() of the stop reason
   /// ("cancelled", "deadline-exceeded") when the run was aborted.
   /// Deliberately excluded from structureKey(): whether a deadline
@@ -91,8 +96,8 @@ struct ExecReport {
   /// A timing-free fingerprint: phase names, loop labels/engines/
   /// drivers, and the counter deltas — everything that must be
   /// invariant across Threads for a fixed plan. Excludes all
-  /// Ns fields, loop call counts (chunking-dependent), and worker
-  /// activity (pool-size-dependent).
+  /// Ns fields, loop call counts (chunking-dependent), worker
+  /// activity (pool-size-dependent) and BodyEngine (tier-dependent).
   std::string structureKey() const;
 
   /// {"materialize":0.012,...} — per-phase milliseconds, for bench

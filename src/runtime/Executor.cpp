@@ -4,8 +4,8 @@
 
 #include "core/Codegen.h"
 #include "ir/TreeIds.h"
+#include "jit/NativeBuilder.h"
 #include "jit/NativeEngine.h"
-#include "jit/NativeKernelCache.h"
 #include "observability/Trace.h"
 #include "parallel/ParallelAnalysis.h"
 #include "parallel/ThreadPool.h"
@@ -811,7 +811,105 @@ Status Executor::sanitizeOptions() {
   for (const std::string &Note : Resolved.Notes)
     Clamps.push_back(Note);
   Options.Engines = Resolved.Order;
+  std::vector<Engine> Tiers;
+  for (Engine E : Resolved.Order)
+    if (E != Engine::Native)
+      Tiers.push_back(E);
+  TierEngines = enginesSummary(Tiers);
   return Status::success();
+}
+
+Status Executor::nativeDeclineFor() const {
+  if (!Resolved.UseNative)
+    return Status::success();
+  auto Decline = [&](const std::string &Why) {
+    return Status::error(ErrCode::InvalidOptions,
+                         "native body not used: " + Why)
+        .withContext("kernel '" + K.Name + "' native engine");
+  };
+  if (Options.Threads > 1)
+    return Decline("it runs one thread in Threads=1 fold order (threads=" +
+                   std::to_string(Options.Threads) + ")");
+  if (Resolved.NativeAfterBlocked && MKStats.BlockedLoops > 0)
+    return Decline("blocked precedes native and the plan runs " +
+                   std::to_string(MKStats.BlockedLoops) +
+                   " blocked panel nest(s)");
+  if (Options.Cancel || Options.DeadlineMs > 0)
+    return Decline("it polls cancel and deadline only at entry (controlled "
+                   "runs stay on the per-loop tiers)");
+  return Status::success();
+}
+
+void Executor::tierUp() {
+  if (NativePlan || !NativeStatus.ok())
+    return;
+  if (NativeJob) {
+    if (NativeJob->done())
+      installNative();
+    return;
+  }
+  if (++NativeRuns == 2)
+    requestNative();
+}
+
+void Executor::requestNative() {
+  auto Emitted = emitNativeTU(*BodyPlan, *Ctx, K.Name);
+  if (!Emitted) {
+    NativeStatus = Emitted.takeStatus().withContext("kernel '" + K.Name +
+                                                    "' native engine");
+    return;
+  }
+  NativeSource = std::move(Emitted->Source);
+  NativeArgs = std::move(Emitted->Args);
+  NativeJob = jit::NativeBuilder::instance().submit(NativeSource,
+                                                    Options.NativeCacheDir);
+}
+
+void Executor::installNative() {
+  Expected<jit::NativeKernelCache::Loaded> &L = NativeJob->result();
+  if (!L) {
+    NativeStatus = L.status().clone().withContext("kernel '" + K.Name +
+                                                  "' native engine");
+  } else {
+    // The handle moves out: the plan node is then the only holder this
+    // executor has of the mapping.
+    auto NP = std::make_unique<jit::PlanNative>();
+    NP->Fn = L->Fn;
+    NP->Handle = std::move(L->Handle);
+    NP->Args = std::move(NativeArgs);
+    NativePlan = std::move(NP);
+    NativeCompileNs = L->CompileNs;
+  }
+  NativeJob.reset();
+}
+
+Status Executor::awaitNative() {
+  if (!Prepared)
+    return Status::error(ErrCode::InvalidArgument,
+                         "awaitNative called before tryPrepare");
+  if (!Resolved.UseNative)
+    return Status::error(ErrCode::InvalidOptions,
+                         "native engine not in the engine list " +
+                             enginesSummary(Resolved.Order))
+        .withContext("kernel '" + K.Name + "'");
+  if (!NativeDecline.ok())
+    return NativeDecline.clone();
+  if (!NativePlan && NativeStatus.ok()) {
+    if (!NativeJob)
+      requestNative();
+    if (NativeJob) {
+      NativeJob->wait();
+      installNative();
+    }
+  }
+  return NativeStatus.clone();
+}
+
+const std::string &Executor::nativeSource() const {
+  if (NativeSource.empty() && Prepared && Resolved.UseNative)
+    if (auto Emitted = emitNativeTU(*BodyPlan, *Ctx, K.Name))
+      NativeSource = std::move(Emitted->Source);
+  return NativeSource;
 }
 
 Status Executor::tryPrepare() {
@@ -872,38 +970,9 @@ Status Executor::tryPrepare() {
     obs::emitSpan("materialize", "phase", M0, MaterializeNs);
     obs::emitSpan("plan-compile", "phase", M1, PlanCompileNs);
   }
-  // Native engine: emit the compiled body as a C-ABI TU, build it
-  // through the on-disk .so cache, and stage the resulting plan node in
-  // front of the interpreted tree. Every failure (no host compiler,
-  // unsupported plan shape, compile/dlopen error) lands in NativeStatus
-  // and falls back to the engines behind it — prepare still succeeds.
-  NativePlan.reset();
-  NativeStatus = Status::success();
-  NativeCompileNs = 0;
-  if (Resolved.UseNative) {
-    auto Emitted = emitNativeTU(*BodyPlan, *Ctx, K.Name);
-    if (!Emitted) {
-      NativeStatus = Emitted.takeStatus().withContext("kernel '" + K.Name +
-                                                      "' native engine");
-    } else {
-      NativeSource = Emitted->Source;
-      auto L = jit::NativeKernelCache::instance().load(
-          Emitted->Source, Options.NativeCacheDir);
-      if (!L) {
-        NativeStatus = L.takeStatus().withContext("kernel '" + K.Name +
-                                                  "' native engine");
-      } else {
-        auto NP = std::make_unique<jit::PlanNative>();
-        NP->Fn = L->Fn;
-        NP->Handle = L->Handle;
-        NP->Args = std::move(Emitted->Args);
-        NativePlan = std::move(NP);
-        NativeCompileNs = L->CompileNs;
-        if (obs::tracingEnabled() && NativeCompileNs)
-          obs::emitSpan("native-compile", "phase", M2, NativeCompileNs);
-      }
-    }
-  }
+  // Native is a tier runs reach in the background (tierUp); prepare
+  // only records whether the options allow it.
+  NativeDecline = nativeDeclineFor();
   Report.Options = execOptionsSummary(Options);
   Prepared = true;
   return Status::success();
@@ -1084,13 +1153,14 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
   // The table fill is this "run"'s materialization work; plan
   // compilation and specialization were skipped outright — which is the
   // whole point, and what the phase timers pin in reports of rebound
-  // runs. The staged native body is reused as-is (it marshals operands
-  // from the table per call), so a rebound run compiled nothing either.
+  // runs. An installed or pending native body is kept as-is (it
+  // marshals operands from the table per call); whether the rebound
+  // runs may use it follows the adopted per-request knobs.
   ValidateNs = NewValidateNs;
   MaterializeNs = obs::nowNs() - R0;
   PlanCompileNs = 0;
   SpecializeNs = 0;
-  NativeCompileNs = 0;
+  NativeDecline = nativeDeclineFor();
   Report.Options = execOptionsSummary(Options);
   return Status::success();
 }
@@ -1181,11 +1251,15 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
     Before = ThreadPool::global().activitySnapshot();
   }
 
+  // Engine dispatch: an installed native body supersedes the plan tree
+  // (it was compiled from it and honors the same contracts) on every
+  // run the options allow; otherwise the per-loop tiers run as always.
+  const bool NativeAllowed = Resolved.UseNative && NativeDecline.ok();
+  if (NativeAllowed)
+    tierUp();
+  const bool RunNative = NativeAllowed && NativePlan;
   const uint64_t T0 = obs::nowNs();
-  // Engine dispatch: a staged native plan supersedes the interpreted
-  // tree (it was compiled from it and honors the same contracts); when
-  // the native build fell back, the interpreted tree runs as always.
-  (NativePlan ? NativePlan.get() : BodyPlan.get())->exec(*Ctx);
+  (RunNative ? NativePlan.get() : BodyPlan.get())->exec(*Ctx);
   const uint64_t T1 = obs::nowNs();
   if (Ctx->TraceOn)
     obs::emitSpan("execute", "phase", T0, T1 - T0);
@@ -1194,11 +1268,6 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
   Report.Phases.push_back({"materialize", MaterializeNs});
   Report.Phases.push_back({"plan-compile", PlanCompileNs});
   Report.Phases.push_back({"specialize", SpecializeNs});
-  // Reported whenever the native engine was requested: the compiler
-  // wall time of this prepare, pinned at 0 on a warm .so-cache start
-  // and on every rebound run (the warm-start acceptance signal).
-  if (Resolved.UseNative)
-    Report.Phases.push_back({"native-compile", NativeCompileNs});
   if (Options.ValidateInputs != ValidationLevel::None)
     Report.Phases.push_back({"validate", ValidateNs});
   Report.Phases.push_back({"execute", T1 - T0});
@@ -1209,6 +1278,7 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
     Report.Loops[L].Calls = Ctx->LoopCalls[L];
     Report.Loops[L].Ns = Ctx->LoopNs[L];
   }
+  Report.BodyEngine = RunNative ? engineName(Engine::Native) : TierEngines;
   Report.Workers.clear();
   if (Pooled) {
     const ThreadPool::ActivitySnapshot After =

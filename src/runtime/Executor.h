@@ -41,18 +41,28 @@ struct ExecCtx;
 struct RunControl;
 } // namespace detail
 
+namespace jit {
+class NativeBuild;
+} // namespace jit
+
 /// Execution options (ablation switches).
 struct ExecOptions {
   /// Ordered engine-preference list (runtime/EngineRegistry.h), the
   /// one place engines are chosen. tryPrepare() normalizes it
-  /// (EngineResolution); the default resolves to blocked>fused>interp.
-  /// Dropping Fused (or Blocked) is the ablation switch for the
-  /// micro-kernel specializer (or the blocked output engine); outputs
-  /// and counters are identical either way. {Engine::Native, ...} asks
-  /// for the JIT-compiled whole-body engine with graceful typed
-  /// fallback to the rest of the list (nativeStatus() records why).
-  std::vector<Engine> Engines = {Engine::Blocked, Engine::Fused,
-                                 Engine::Interp};
+  /// (EngineResolution). The default, blocked>native>fused>interp,
+  /// runs the per-loop tiers first and tiers a Threads=1 executor up
+  /// to the native body in the background; a plan whose blocked engine
+  /// installed a panel nest keeps it. Native first
+  /// ({Engine::Native, ...}) tiers up every plan. Either way native
+  /// serves only uncontrolled Threads=1 runs: it runs one thread in
+  /// Threads=1 fold order and polls cancel and deadline only at entry,
+  /// so Threads > 1 and runs with a cancel token or a deadline stay on
+  /// the per-loop tiers (nativeStatus() says why). Dropping Fused (or
+  /// Blocked, or Native) is the ablation switch for the micro-kernel
+  /// specializer (or the blocked output engine, or the JIT); outputs
+  /// and counters are identical either way.
+  std::vector<Engine> Engines = {Engine::Blocked, Engine::Native,
+                                 Engine::Fused, Engine::Interp};
   /// On-disk directory for the native engine's compiled-.so cache
   /// (src/jit/NativeKernelCache.h). Empty resolves to the
   /// SYSTEC_JIT_CACHE_DIR environment variable, then a per-user temp
@@ -263,23 +273,42 @@ public:
   /// Options.Engines (empty before prepare).
   const std::vector<Engine> &engines() const { return Resolved.Order; }
 
-  /// Outcome of the native (JIT) engine build when Engine::Native led
-  /// the preference list: ok() when the body runs natively; otherwise a
-  /// typed Status saying why the executor fell back to the rest of the
-  /// list (ErrCode::ResourceExhausted when no host compiler is
-  /// available, Internal for a compile/emission failure — the run
-  /// itself still succeeds either way). Ok-and-meaningless when Native
-  /// was never requested.
-  const Status &nativeStatus() const { return NativeStatus; }
+  /// Why this executor's runs stay off the native body, as a typed
+  /// Status; the runs themselves succeed either way.
+  /// ErrCode::InvalidOptions when the options rule native out
+  /// (Threads > 1, a cancel token or deadline, or Blocked ahead of
+  /// Native on a plan with a blocked panel nest); the build's failure
+  /// otherwise (ResourceExhausted when no host compiler is available or
+  /// the cache directory is refused, DeadlineExceeded when the compiler
+  /// overran its timeout, Internal for an emission, compile or dlopen
+  /// failure). ok() while the build is pending or once the body is
+  /// installed, and when Native is not in the engine list.
+  const Status &nativeStatus() const {
+    return NativeDecline.ok() ? NativeStatus : NativeDecline;
+  }
 
-  /// True when tryRunBody() dispatches to the JIT-compiled native body.
+  /// True once the native body is installed: every later run the
+  /// options allow (see nativeStatus()) dispatches to it.
   bool usesNativeEngine() const { return NativePlan != nullptr; }
 
-  /// The C-ABI translation unit emitted for the native engine (empty
-  /// unless Native led the preference list and emission succeeded —
-  /// populated even if the subsequent compile/dlopen failed, for
-  /// diagnostics and compile-check tests).
-  const std::string &nativeSource() const { return NativeSource; }
+  /// Requests the native build now, unless a run already did, blocks
+  /// until it resolves and installs the body, so the next run is
+  /// native. Returns nativeStatus() (ok when the body is installed);
+  /// InvalidOptions when Native is not in the engine list. For callers
+  /// that mean "native" from the first run — benchmarks and
+  /// differential tests — so their numbers and checks do not mix
+  /// engines. Not for request paths: it waits for the compiler.
+  [[nodiscard]] Status awaitNative();
+
+  /// Compiler wall time of the build that produced the installed
+  /// native body; 0 when its .so came from the on-disk cache or the
+  /// in-process registry (the warm-start signal), and before install.
+  uint64_t nativeCompileNs() const { return NativeCompileNs; }
+
+  /// The C-ABI translation unit the native engine builds from, emitted
+  /// on first request (empty unless Native is in the engine list and
+  /// emission succeeds). For diagnostics and compile-check tests.
+  const std::string &nativeSource() const;
 
 private:
   friend class PlanCompiler;
@@ -313,19 +342,30 @@ private:
 
   /// Engine preference order resolved by sanitizeOptions().
   EngineResolution Resolved;
-  /// JIT-compiled whole-body plan (null unless Native resolved first
-  /// AND the build succeeded); tryRunBody() dispatches to it over
-  /// BodyPlan. Holds the dlopened .so alive via a shared handle.
+  /// The per-loop tiers (the resolved order without Native), as the
+  /// reports of runs that did not run the native body name them.
+  std::string TierEngines;
+
+  /// The native tier (docs/CODEGEN.md, "Tiered execution"). The second
+  /// uncontrolled Threads=1 run emits the TU and submits it to the
+  /// background builder (NativeJob); a later run's start installs the
+  /// resolved build as NativePlan, which tryRunBody() then dispatches
+  /// to over BodyPlan. NativePlan holds the dlopened .so alive via a
+  /// shared handle.
   std::unique_ptr<detail::PlanNode> NativePlan;
-  /// Why NativePlan is null although Native was requested (see
-  /// nativeStatus()).
+  std::shared_ptr<jit::NativeBuild> NativeJob;
+  /// The pending build's operands (NativeEmitResult::Args).
+  std::vector<unsigned> NativeArgs;
+  /// Uncontrolled Threads=1 runs before the build was requested.
+  unsigned NativeRuns = 0;
+  /// The build's failure, sticky (see nativeStatus()).
   Status NativeStatus;
+  /// The options' rule against native, refreshed by tryPrepare() and
+  /// rebind() (see nativeStatus()).
+  Status NativeDecline;
   /// Emitted native TU (see nativeSource()).
-  std::string NativeSource;
-  /// Wall time of the native source emission + compiler invocation at
-  /// prepare; 0 on a warm .so-cache hit (the acceptance signal for
-  /// cross-process cache reuse) and on rebind. Reported as the
-  /// "native-compile" phase whenever Native was requested.
+  mutable std::string NativeSource;
+  /// See nativeCompileNs().
   uint64_t NativeCompileNs = 0;
 
   /// Option values tryPrepare() clamped (see optionClamps()).
@@ -335,6 +375,16 @@ private:
   std::unique_ptr<detail::RunControl> Ctl;
 
   [[nodiscard]] Status sanitizeOptions();
+  /// The rule of the current options against native runs (ok when
+  /// there is none; see nativeStatus()).
+  Status nativeDeclineFor() const;
+  /// At the start of an uncontrolled Threads=1 run, never inside one:
+  /// installs a resolved build, or requests one on the second run.
+  void tierUp();
+  /// Emits the TU and submits it to the background builder.
+  void requestNative();
+  /// Installs the resolved build, or records its failure.
+  void installNative();
   /// Materializes the kernel's diagonal splits and transposes over the
   /// bindings in \p B, replacing split/transposed names and appending
   /// the materialized tensors to \p O. Shared by tryPrepare() and

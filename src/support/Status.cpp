@@ -41,4 +41,12 @@ std::string Status::str() const {
   return Out;
 }
 
+Status Status::clone() const {
+  if (ok())
+    return success();
+  Status S = error(code(), message());
+  S.Payload->Context = context();
+  return S;
+}
+
 } // namespace systec

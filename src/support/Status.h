@@ -96,6 +96,10 @@ public:
   /// Renders "code: frame1: frame2: message" ("ok" on success).
   std::string str() const;
 
+  /// An equal Status (code, message and context frames): statuses are
+  /// move-only, so one outcome shared by several holders is cloned.
+  Status clone() const;
+
 private:
   struct Rep {
     ErrCode Code = ErrCode::Internal;

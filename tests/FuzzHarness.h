@@ -339,9 +339,13 @@ inline ValidationLevel envValidationLevel() {
   return V;
 }
 
+/// Prepares and runs \p K once over \p F. With \p Native, the run is
+/// native from the start: the build is awaited first and its outcome
+/// stored there (a typed decline or failure leaves the per-loop tiers).
 inline Tensor run(const Kernel &K, FuzzCase &F,
                   const ExecOptions &O = ExecOptions(),
-                  CounterSnapshot *Counts = nullptr) {
+                  CounterSnapshot *Counts = nullptr,
+                  Status *Native = nullptr) {
   Tensor Out = Tensor::dense(F.OutDims, 0.0);
   Out.setAllValues(F.OutInit);
   ExecOptions Opts = O;
@@ -353,6 +357,8 @@ inline Tensor run(const Kernel &K, FuzzCase &F,
   E.bind("O", &Out);
   obs::ExecReport Rep;
   EXPECT_TRUE(E.tryPrepare().ok());
+  if (Native)
+    *Native = E.awaitNative();
   EXPECT_TRUE(E.tryRun(&Rep).ok());
   if (Counts)
     *Counts = Rep.Counters;
@@ -390,9 +396,9 @@ inline ExecOptions parallelOptions(uint64_t Seed) {
 
 /// Runs \p K with counters on and takes the counts from its report.
 inline Tensor runCounted(const Kernel &K, FuzzCase &F, const ExecOptions &O,
-                         CounterSnapshot &Snap) {
+                         CounterSnapshot &Snap, Status *Native = nullptr) {
   setCountersEnabled(true);
-  return run(K, F, O, &Snap);
+  return run(K, F, O, &Snap, Native);
 }
 
 //===----------------------------------------------------------------------===//
@@ -477,6 +483,11 @@ inline void checkRebindCell(const Kernel &K, FuzzCase &F, const Tensor &Ref,
       E.bind(Name, &T);
     E.bind("O", &DecoyOut);
     ASSERT_TRUE(E.tryPrepare().ok());
+    if (NativeCell && nativeCellEnabled()) {
+      const Status NS = E.awaitNative();
+      if (O.Threads > 1)
+        EXPECT_EQ(NS.code(), ErrCode::InvalidOptions) << NS.str();
+    }
     ASSERT_TRUE(E.tryRun().ok());
     Decoys.clear(); // a pointer the rebind missed now dangles
   }
@@ -504,11 +515,14 @@ inline void checkRebindCell(const Kernel &K, FuzzCase &F, const Tensor &Ref,
 /// so every case differentially pins that blocking changes neither a
 /// value bit nor a runtime counter.
 ///
-/// \p NativeCell additionally runs native-1 and native-4 cells through
-/// the JIT engine (Engine::Native first; a failed emission or build
-/// falls back to fused per the engine contract, which must still match
-/// the oracle). Callers subsample this cell — every fresh case is a
-/// distinct TU, so each native cell costs one host-compiler invocation.
+/// \p NativeCell additionally runs native-1 and native-4 cells with
+/// Engine::Native first, each awaiting its build before the run. The
+/// native-1 cell runs the JIT engine (a failed emission or build falls
+/// back to fused per the engine contract, which must still match the
+/// oracle); the native-4 cell must get the typed Threads > 1 decline
+/// (InvalidOptions) and run the per-loop tiers. Callers subsample this
+/// cell — every fresh case is a distinct TU, so each native cell costs
+/// one host-compiler invocation.
 ///
 /// The rebind cell prepares and runs over decoy inputs (decoyLike),
 /// destroys them, rebinds onto the case's inputs and runs again: the
@@ -551,9 +565,9 @@ inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
     }
     expectCountersEqual(Snap, FirstSnap);
   }
-  // The JIT cells: the native engine is sequential by contract (it
-  // reproduces the Threads=1 fold order at any thread count), so both
-  // cells must be bit-identical to the oracle and counter-identical to
+  // The JIT cells: the native body runs one thread in Threads=1 fold
+  // order, so Threads=4 declines it with a typed status; both cells
+  // must be bit-identical to the oracle and counter-identical to
   // interp-1.
   if (NativeCell && nativeCellEnabled()) {
     for (unsigned Threads : {1u, 4u}) {
@@ -562,7 +576,10 @@ inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
       O.Engines = {Engine::Native, Engine::Fused, Engine::Interp};
       O.Threads = Threads;
       CounterSnapshot Snap;
-      Tensor Out = runCounted(K, F, O, Snap);
+      Status NS;
+      Tensor Out = runCounted(K, F, O, Snap, &NS);
+      if (Threads > 1)
+        EXPECT_EQ(NS.code(), ErrCode::InvalidOptions) << NS.str();
       ASSERT_EQ(Out.vals().size(), Ref.vals().size());
       for (size_t I = 0; I < Out.vals().size(); ++I)
         EXPECT_EQ(Out.vals()[I], Ref.vals()[I]) << "element " << I;

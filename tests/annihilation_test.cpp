@@ -224,8 +224,10 @@ RunResult runKernel(const Kernel &K, std::map<std::string, Tensor> &Inputs,
   setCountersEnabled(true);
   obs::ExecReport Rep;
   EXPECT_TRUE(E.tryPrepare().ok());
+  if (E.engines().front() == Engine::Native)
+    EXPECT_TRUE(E.awaitNative().ok());
   EXPECT_TRUE(E.tryRun(&Rep).ok());
-  R.Native = E.usesNativeEngine();
+  R.Native = Rep.BodyEngine == "native";
   R.Stats = E.microKernelStats();
   R.Counters = Rep.Counters;
   return R;

@@ -12,18 +12,27 @@
 /// runs return Cancelled / DeadlineExceeded, restore their outputs, and
 /// surface the reason in ExecReport::AbortReason. Every malformed-kernel
 /// rule, and a null binding, comes back from tryPrepare as a typed
-/// Status.
+/// Status. The native build's faults — a hanging compiler, a truncated
+/// or wrong-key cached object, a read-only cache directory — end in a
+/// typed status or a rebuild, with interpreter-identical output.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "FaultInjection.h"
 #include "FuzzHarness.h"
 
+#include "kernels/Kernels.h"
+
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <csignal>
 #include <map>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace systec;
 using namespace systec::fault;
@@ -372,4 +381,171 @@ TEST(HardenedExecution, MalformedKernelInputsReturnTypedStatus) {
     EXPECT_EQ(Bad.tryRunBody().code(), ErrCode::InvalidArgument)
         << "a rejected executor must stay unprepared";
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Native build faults
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+namespace fs = std::filesystem;
+
+/// A fresh directory, removed (made writable first) on destruction.
+struct ScratchDir {
+  std::string Path;
+  explicit ScratchDir(const std::string &Tag)
+      : Path(::testing::TempDir() + "systec-fault-" + Tag + "-" +
+             std::to_string(::getpid())) {
+    fs::remove_all(Path);
+    fs::create_directories(Path);
+  }
+  ~ScratchDir() {
+    std::error_code EC;
+    fs::permissions(Path, fs::perms::owner_all, EC);
+    fs::remove_all(Path, EC);
+  }
+};
+
+std::vector<std::string> soFiles(const std::string &Dir) {
+  std::vector<std::string> Out;
+  for (const auto &Ent : fs::directory_iterator(Dir))
+    if (Ent.path().extension() == ".so")
+      Out.push_back(Ent.path().string());
+  return Out;
+}
+
+/// The native build's outcome for one ssymv executor.
+struct NativeFaultRun {
+  Status Native;
+  uint64_t CompileNs = 0;
+};
+
+/// Runs ssymv over an \p N x \p N symmetric matrix (each N is its own
+/// TU) on the interpreter and native-first with \p CacheDir, awaiting
+/// the build; the outputs must be identical whatever the build did.
+NativeFaultRun runSsymvNative(int64_t N, const std::string &CacheDir) {
+  Rng R(static_cast<uint64_t>(N));
+  Tensor A = generateSymmetricTensor(2, N, 4 * N, R, TensorFormat::csf(2));
+  Tensor X = generateDenseVector(N, R);
+  const CompileResult C = compileEinsum(makeSsymv());
+  NativeFaultRun NR;
+  auto Run = [&](const ExecOptions &O, bool Native) {
+    Tensor Y = Tensor::dense({N}, 0.0);
+    Executor E(C.Optimized, O);
+    E.bind("A", &A).bind("x", &X).bind("y", &Y);
+    EXPECT_TRUE(E.tryPrepare().ok());
+    if (Native) {
+      NR.Native = E.awaitNative();
+      NR.CompileNs = E.nativeCompileNs();
+    }
+    EXPECT_TRUE(E.tryRun().ok());
+    return Y;
+  };
+  ExecOptions Interp, Native;
+  Interp.Engines = {Engine::Interp};
+  Native.Engines = {Engine::Native, Engine::Fused, Engine::Interp};
+  Native.NativeCacheDir = CacheDir;
+  const Tensor YI = Run(Interp, false);
+  const Tensor YN = Run(Native, true);
+  EXPECT_EQ(YN.vals(), YI.vals()) << "native-first differs from interp";
+  return NR;
+}
+
+#define SKIP_WITHOUT_COMPILER()                                          \
+  do {                                                                   \
+    std::string Reason_;                                                 \
+    if (!jit::NativeKernelCache::compilerAvailable(&Reason_))            \
+      GTEST_SKIP() << "no JIT toolchain: " << Reason_;                   \
+  } while (0)
+
+} // namespace
+
+TEST(NativeBuildFault, HangingCompilerIsKilledAtTheTimeout) {
+  // A compiler that answers the version probe and then never finishes.
+  ScratchDir D("hang");
+  const std::string Script = D.Path + "/hang-cxx";
+  const std::string PidFile = D.Path + "/pid";
+  {
+    std::ofstream Out(Script);
+    Out << "#!/bin/sh\n"
+        << "case \"$1\" in --version) echo 'hang-cxx 1'; exit 0;; esac\n"
+        << "echo $$ > '" << PidFile << "'\n"
+        << "exec sleep 600\n";
+  }
+  fs::permissions(Script, fs::perms::owner_all);
+  const char *Prev = std::getenv("SYSTEC_JIT_CXX");
+  const std::string PrevCxx = Prev ? Prev : "";
+  ::setenv("SYSTEC_JIT_CXX", Script.c_str(), 1);
+  jit::NativeKernelCache::instance().setCompileTimeoutMs(300);
+  const NativeFaultRun R = runSsymvNative(34, D.Path + "/cache");
+  jit::NativeKernelCache::instance().setCompileTimeoutMs(
+      jit::NativeKernelCache::DefaultCompileTimeoutMs);
+  if (Prev)
+    ::setenv("SYSTEC_JIT_CXX", PrevCxx.c_str(), 1);
+  else
+    ::unsetenv("SYSTEC_JIT_CXX");
+
+  EXPECT_EQ(R.Native.code(), ErrCode::DeadlineExceeded) << R.Native.str();
+  EXPECT_NE(R.Native.str().find("timeout"), std::string::npos)
+      << R.Native.str();
+  // The compiler was killed and reaped: it is no child of this process
+  // and no process at all any more.
+  pid_t Pid = 0;
+  std::ifstream(PidFile) >> Pid;
+  ASSERT_GT(Pid, 0);
+  errno = 0;
+  EXPECT_EQ(::waitpid(Pid, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  errno = 0;
+  EXPECT_EQ(::kill(Pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH);
+}
+
+TEST(NativeBuildFault, TruncatedObjectIsRebuilt) {
+  SKIP_WITHOUT_COMPILER();
+  ScratchDir D("truncated");
+  const NativeFaultRun Cold = runSsymvNative(35, D.Path);
+  ASSERT_TRUE(Cold.Native.ok()) << Cold.Native.str();
+  const std::vector<std::string> So = soFiles(D.Path);
+  ASSERT_EQ(So.size(), 1u);
+  // Unmapped first: no handle to the object may outlive the truncation.
+  jit::NativeKernelCache::instance().dropHandles();
+  fs::resize_file(So[0], fs::file_size(So[0]) / 2);
+
+  const NativeFaultRun R = runSsymvNative(35, D.Path);
+  EXPECT_TRUE(R.Native.ok()) << R.Native.str();
+  EXPECT_GT(R.CompileNs, 0u) << "the truncated object was not rebuilt";
+}
+
+TEST(NativeBuildFault, WrongKeyObjectIsRebuilt) {
+  SKIP_WITHOUT_COMPILER();
+  ScratchDir D("wrongkey");
+  ASSERT_TRUE(runSsymvNative(36, D.Path).Native.ok());
+  const std::vector<std::string> Mine = soFiles(D.Path);
+  ASSERT_EQ(Mine.size(), 1u);
+  ASSERT_TRUE(runSsymvNative(37, D.Path).Native.ok());
+  const std::vector<std::string> Both = soFiles(D.Path);
+  ASSERT_EQ(Both.size(), 2u);
+  const std::string &Other = Both[0] == Mine[0] ? Both[1] : Both[0];
+  // Another kernel's valid object under this kernel's name (both
+  // unmapped first).
+  jit::NativeKernelCache::instance().dropHandles();
+  fs::copy_file(Other, Mine[0], fs::copy_options::overwrite_existing);
+
+  const NativeFaultRun R = runSsymvNative(36, D.Path);
+  EXPECT_TRUE(R.Native.ok()) << R.Native.str();
+  EXPECT_GT(R.CompileNs, 0u) << "the wrong-key object was not rebuilt";
+}
+
+TEST(NativeBuildFault, ReadOnlyCacheDirFallsBackTyped) {
+  SKIP_WITHOUT_COMPILER();
+  ScratchDir D("readonly");
+  fs::permissions(D.Path, fs::perms::owner_read | fs::perms::owner_exec);
+  jit::NativeKernelCache::instance().dropHandles();
+  const NativeFaultRun R = runSsymvNative(38, D.Path);
+  EXPECT_EQ(R.Native.code(), ErrCode::ResourceExhausted) << R.Native.str();
+  EXPECT_NE(R.Native.str().find("read-only"), std::string::npos)
+      << R.Native.str();
+  EXPECT_TRUE(fs::is_empty(D.Path));
 }

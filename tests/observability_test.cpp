@@ -18,6 +18,7 @@
 
 #include "core/Compiler.h"
 #include "data/Generators.h"
+#include "jit/NativeKernelCache.h"
 #include "kernels/Kernels.h"
 #include "observability/Histogram.h"
 #include "observability/Report.h"
@@ -437,6 +438,27 @@ TEST(ExecReport, StructureKeyInvariantAcrossThreads) {
   ASSERT_EQ(Keys.size(), 3u);
   EXPECT_EQ(Keys[0], Keys[1]);
   EXPECT_EQ(Keys[1], Keys[2]);
+}
+
+TEST(ExecReport, BodyEngineNamesTheTierAcrossATierUp) {
+  std::string Reason;
+  if (!jit::NativeKernelCache::compilerAvailable(&Reason))
+    GTEST_SKIP() << "no JIT toolchain: " << Reason;
+  TracingGuard G(false);
+  SsymvFixture F(ExecOptions{}, /*N=*/120, /*Seed=*/13);
+  const obs::ExecReport Before = F.run();
+  EXPECT_EQ(Before.BodyEngine, "blocked>fused>interp");
+  EXPECT_NE(Before.toJson().find("\"body_engine\":\"blocked>fused>interp\""),
+            std::string::npos);
+  const Status S = F.E.awaitNative();
+  ASSERT_TRUE(S.ok()) << S.str();
+  const obs::ExecReport After = F.run();
+  EXPECT_EQ(After.BodyEngine, "native");
+  EXPECT_NE(After.toJson().find("\"body_engine\":\"native\""),
+            std::string::npos);
+  // The tier is not part of the structure: same phases, loops and
+  // counters on both sides of the switch.
+  EXPECT_EQ(After.structureKey(), Before.structureKey());
 }
 
 TEST(ExecReport, TracingFlagRecordsPhaseAndLoopSpans) {

@@ -254,8 +254,10 @@ TEST_P(RebindSweep, ReboundRunIsBitIdenticalAndSkipsCompilation) {
       E.bind(Name, &T);
     E.bind(W1.E.Output->tensorName(), &Out1);
     ASSERT_TRUE(E.tryPrepare().ok());
-    if (Native)
-      ASSERT_TRUE(E.usesNativeEngine()) << E.nativeStatus().str();
+    if (Native) {
+      Status S = E.awaitNative();
+      ASSERT_TRUE(S.ok()) << S.str();
+    }
     obs::ExecReport First;
     ASSERT_TRUE(E.tryRun(&First).ok());
     EXPECT_GT(First.phaseNs("plan-compile"), 0u);
@@ -271,14 +273,11 @@ TEST_P(RebindSweep, ReboundRunIsBitIdenticalAndSkipsCompilation) {
 
   // The hit path must skip plan compilation and specialization
   // outright — pinned at exactly zero, not "small" — and the native
-  // body is reused without invoking the compiler.
+  // body is reused as it is.
   EXPECT_EQ(Second.phaseNs("plan-compile"), 0u);
   EXPECT_EQ(Second.phaseNs("specialize"), 0u);
-  if (Native) {
-    ASSERT_NE(Second.structureKey().find("native-compile,"),
-              std::string::npos);
-    EXPECT_EQ(Second.phaseNs("native-compile"), 0u);
-  }
+  if (Native)
+    EXPECT_EQ(Second.BodyEngine, "native");
 
   // Results and counters are bit-identical to a fresh solo run over
   // the same tensors, and the structure key matches (same phases, same
