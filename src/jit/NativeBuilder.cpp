@@ -11,20 +11,10 @@ namespace jit {
 
 namespace {
 
-/// Builds that run at once.
+/// Builds that run at once. One installs all eight paper kernels'
+/// bodies within 1.5 s of kernels-exec's counter checks on a 4-CPU VM
+/// (docs/CODEGEN.md).
 constexpr unsigned BuildWorkers = 1;
-
-uint64_t jobHash(const std::string &Source, const std::string &Dir) {
-  uint64_t H = 1469598103934665603ull;
-  for (const std::string *S : {&Source, &Dir}) {
-    for (unsigned char C : *S) {
-      H ^= C;
-      H *= 1099511628211ull;
-    }
-    H *= 1099511628211ull; // separator
-  }
-  return H;
-}
 
 } // namespace
 
@@ -60,7 +50,6 @@ NativeBuilder &NativeBuilder::instance() {
 std::shared_ptr<NativeBuild> NativeBuilder::submit(std::string Source,
                                                    std::string CacheDir) {
   auto Build = std::make_shared<NativeBuild>();
-  const uint64_t H = jobHash(Source, CacheDir);
   std::unique_lock<std::mutex> Lock(Mu);
   if (Stopping.load()) {
     Lock.unlock();
@@ -70,7 +59,7 @@ std::shared_ptr<NativeBuild> NativeBuilder::submit(std::string Source,
   }
   auto Join = [&](auto &Jobs) {
     for (const std::shared_ptr<Job> &J : Jobs)
-      if (J->matches(H, Source, CacheDir)) {
+      if (J->Source == Source && J->Dir == CacheDir) {
         J->Waiters.push_back(Build);
         return true;
       }
@@ -93,7 +82,6 @@ std::shared_ptr<NativeBuild> NativeBuilder::submit(std::string Source,
     return Build;
   }
   auto J = std::make_shared<Job>();
-  J->Hash = H;
   J->Source = std::move(Source);
   J->Dir = std::move(CacheDir);
   J->Waiters.push_back(Build);

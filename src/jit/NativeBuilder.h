@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -80,13 +79,8 @@ private:
   NativeBuilder() = default;
 
   struct Job {
-    uint64_t Hash = 0; ///< of source and directory, to compare cheaply
     std::string Source, Dir;
     std::vector<std::weak_ptr<NativeBuild>> Waiters;
-    bool matches(uint64_t H, const std::string &S,
-                 const std::string &D) const {
-      return Hash == H && Source == S && Dir == D;
-    }
     bool abandoned() const;
   };
 

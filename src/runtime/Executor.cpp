@@ -1055,7 +1055,7 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
         .withContext("kernel '" + K.Name + "'");
   // Engine agreement: the run's resolved preference order must match
   // what this executor was prepared with — the compiled plans (and the
-  // staged native body) embody that choice. A plan-cache keyed on the
+  // native tier) embody that choice. A plan-cache keyed on the
   // resolved list guarantees this; direct callers get a typed error
   // rather than a silently different engine.
   {
