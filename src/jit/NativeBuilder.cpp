@@ -11,9 +11,9 @@ namespace jit {
 
 namespace {
 
-/// Builds that run at once. One installs all eight paper kernels'
-/// bodies within 1.5 s of kernels-exec's counter checks on a 4-CPU VM
-/// (docs/CODEGEN.md).
+/// Builds that run at once. One is enough for every Threads=1 kind of
+/// kernels-exec to run native by the end of its 3 s warm-up from a cold
+/// cache on a 4-CPU VM (docs/CODEGEN.md).
 constexpr unsigned BuildWorkers = 1;
 
 } // namespace

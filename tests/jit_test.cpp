@@ -38,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -510,6 +511,40 @@ TEST(NativeCache, WarmStartCompilesNothing) {
   ASSERT_TRUE(R2.Native) << R2.NativeStatus.str();
   EXPECT_EQ(CompileNs, 0u);
   EXPECT_EQ(Tensor::maxAbsDiff(R2.Out, R1.Out), 0.0);
+}
+
+TEST(NativeCache, ConcurrentLoadsOfOneKeyShareOneBuild) {
+  SKIP_WITHOUT_COMPILER();
+  ScratchCacheDir Dir("shared");
+  jit::NativeKernelCache::instance().dropHandles();
+  Workload W = makeWorkload("bellmanford", 61, 3);
+  CompileResult C = compileEinsum(W.E);
+  ExecOptions Opt;
+  Opt.Engines = nativeFirst();
+  Tensor Out = Tensor::dense(W.OutDims, 0.0);
+  Executor E(C.Optimized, Opt);
+  for (auto &[Name, T] : W.Inputs)
+    E.bind(Name, &T);
+  E.bind(W.E.Output->tensorName(), &Out);
+  ASSERT_TRUE(E.tryPrepare().ok());
+  const std::string Source = E.nativeSource();
+
+  // Loads racing on one key: the cache lock is not held across the
+  // compile, so they meet in flight and share its one build.
+  std::vector<uint64_t> CompileNs(4, 0);
+  std::vector<std::thread> Loaders;
+  for (size_t I = 0; I < CompileNs.size(); ++I)
+    Loaders.emplace_back([&, I] {
+      auto L = jit::NativeKernelCache::instance().load(Source, Dir.Path);
+      EXPECT_TRUE(L.ok()) << L.status().str();
+      if (L)
+        CompileNs[I] = L->CompileNs;
+    });
+  for (std::thread &T : Loaders)
+    T.join();
+  EXPECT_EQ(std::count_if(CompileNs.begin(), CompileNs.end(),
+                          [](uint64_t Ns) { return Ns > 0; }),
+            1);
 }
 
 //===----------------------------------------------------------------------===//
