@@ -8,9 +8,9 @@
 ///
 ///  - Determinism: the emitted body replicates the interpreter's
 ///    sequential fold order, so outputs are bit-identical to a
-///    Threads=1 interpreted run (the native engine does not replicate
-///    the parallel task decomposition; under Threads>1 options it still
-///    produces the sequential — not the task-merged — fold order).
+///    Threads=1 interpreted run. It does not replicate the parallel
+///    task decomposition, which is why executors at Threads > 1 never
+///    install it.
 ///  - Counters: the kernel returns its SparseReads / Reductions /
 ///    ScalarOps / OutputWrites deltas, accounted at the interpreter's
 ///    exact charge points; they fold into ExecCtx::Local under the
@@ -19,8 +19,8 @@
 ///    the execution context's access table, so a plan-cache hit, which
 ///    only refills that table, reaches the native body unchanged.
 ///  - Cancellation: polled at body entry only — a native body is one
-///    cancellation region (documented in docs/CODEGEN.md); runs that
-///    need per-iteration responsiveness use the interpreted engines.
+///    cancellation region, so runs with a cancel token or deadline use
+///    the per-loop engines instead (docs/CODEGEN.md).
 ///
 //===----------------------------------------------------------------------===//
 

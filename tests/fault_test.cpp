@@ -477,6 +477,9 @@ TEST(NativeBuildFault, HangingCompilerIsKilledAtTheTimeout) {
   const char *Prev = std::getenv("SYSTEC_JIT_CXX");
   const std::string PrevCxx = Prev ? Prev : "";
   ::setenv("SYSTEC_JIT_CXX", Script.c_str(), 1);
+  // Probed under the default timeout first, so only the compile meets
+  // the short one.
+  EXPECT_TRUE(jit::NativeKernelCache::compilerAvailable());
   jit::NativeKernelCache::instance().setCompileTimeoutMs(300);
   const NativeFaultRun R = runSsymvNative(34, D.Path + "/cache");
   jit::NativeKernelCache::instance().setCompileTimeoutMs(
