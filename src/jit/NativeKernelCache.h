@@ -14,9 +14,10 @@
 ///
 /// Verification: the `.cpp` the cache compiles is the emitted source
 /// plus one exported key symbol naming the hash and the source length.
-/// Every object is checked against it after `dlopen`; a cached file
-/// that `dlopen` rejects (truncated, say) or whose key does not match
-/// (another kernel's object under this name) is rebuilt once.
+/// Every object must be a whole ELF file before `dlopen` (which faults
+/// on a truncated one instead of failing) and carry this key after it;
+/// a cached file that fails either check, or that `dlopen` rejects, is
+/// rebuilt once.
 ///
 /// The compiler runs without a shell (posix_spawn, PATH-searched), in
 /// its own process group, under a timeout (setCompileTimeoutMs); a
