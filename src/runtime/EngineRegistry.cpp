@@ -35,11 +35,9 @@ EngineResolution resolveEngines(const std::vector<Engine> &Requested) {
   for (Engine E : Requested) {
     if (std::find(R.Order.begin(), R.Order.end(), E) != R.Order.end())
       continue; // duplicate
-    if (E == Engine::Native && !R.Order.empty() &&
-        R.Order != std::vector<Engine>{Engine::Blocked}) {
+    if (E == Engine::Native && !R.Order.empty()) {
       R.Notes.push_back("engines: native is whole-body and only "
-                        "effective first or directly after blocked -> "
-                        "dropped");
+                        "effective as the first preference -> dropped");
       continue;
     }
     R.Order.push_back(E);
@@ -49,19 +47,15 @@ EngineResolution resolveEngines(const std::vector<Engine> &Requested) {
       std::find(R.Order.begin(), R.Order.end(), Engine::Fused) ==
           R.Order.end()) {
     // Blocked engines are specializations of the fused ones; insert
-    // the prerequisite right after Blocked (and a Native behind it).
+    // the prerequisite right after Blocked.
     auto It = std::find(R.Order.begin(), R.Order.end(), Engine::Blocked);
-    if (It + 1 != R.Order.end() && It[1] == Engine::Native)
-      ++It;
     R.Order.insert(It + 1, Engine::Fused);
     R.Notes.push_back("engines: blocked without fused -> fused inserted");
   }
   if (std::find(R.Order.begin(), R.Order.end(), Engine::Interp) ==
       R.Order.end())
     R.Order.push_back(Engine::Interp);
-  R.NativeAfterBlocked =
-      R.Order[0] == Engine::Blocked && R.Order[1] == Engine::Native;
-  R.UseNative = R.Order.front() == Engine::Native || R.NativeAfterBlocked;
+  R.UseNative = R.Order.front() == Engine::Native;
   R.UseFused = std::find(R.Order.begin(), R.Order.end(), Engine::Fused) !=
                R.Order.end();
   R.UseBlocked = std::find(R.Order.begin(), R.Order.end(),

@@ -26,26 +26,23 @@
 ///               a per-loop engine: runs start on the per-loop engines
 ///               and a Threads=1 executor's second run hands its TU to
 ///               a background builder; a later run installs the body
-///               (docs/CODEGEN.md, "Tiered execution"). It has two
-///               positions. First, it tiers up every plan. Directly
-///               after Blocked (the default,
-///               blocked>native>fused>interp), a plan whose blocked
-///               engine installed a panel nest keeps the blocked nest
-///               and every other plan tiers up. Listed anywhere else it
-///               is dropped with a clamp note. It never serves
-///               Threads > 1 or runs with a cancel token or deadline:
-///               its body runs one thread in Threads=1 fold order and
-///               polls only at entry. Falls back to the per-loop
-///               engines when no host compiler is available, the plan
-///               contains an unemittable shape, or the build fails —
-///               each a typed Status recorded on the executor, never an
-///               abort.
+///               (docs/CODEGEN.md, "Tiered execution"). Whole-body:
+///               it is consulted only as the *first* preference (the
+///               default is native>blocked>fused>interp); listed
+///               anywhere else it is dropped with a clamp note. It
+///               never serves Threads > 1 or runs with a cancel token
+///               or deadline: its body runs one thread in Threads=1
+///               fold order and polls only at entry. Falls back to the
+///               per-loop engines when no host compiler is available,
+///               the plan contains an unemittable shape, or the build
+///               fails — each a typed Status recorded on the executor,
+///               never an abort.
 ///
 /// Order among Blocked/Fused/Interp is immaterial: membership toggles
 /// the per-loop specialization (each loop independently runs the most
 /// specialized engine whose shape matches), it does not rank them.
-/// The list form exists so Native — the only whole-body engine — can
-/// be placed ahead of, or right behind, the blocked engine.
+/// The list form exists so Native — the only whole-body engine — has a
+/// place to be first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,14 +72,10 @@ bool parseEngine(const std::string &Name, Engine &Out);
 /// The resolved, normalized engine configuration for one executor.
 struct EngineResolution {
   /// Normalized preference order: deduplicated, Interp-terminated,
-  /// Blocked implies Fused, Native only first or directly after
-  /// Blocked.
+  /// Blocked implies Fused, Native only in front position.
   std::vector<Engine> Order;
-  /// The native tier requested, in either position.
+  /// The native tier requested (Order.front() == Native).
   bool UseNative = false;
-  /// Native directly after Blocked: a plan with a blocked panel nest
-  /// keeps it instead of tiering up.
-  bool NativeAfterBlocked = false;
   /// Per-loop specialization switches derived from membership — what
   /// the plan compiler consumes.
   bool UseBlocked = false;

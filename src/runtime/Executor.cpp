@@ -830,10 +830,6 @@ Status Executor::nativeDeclineFor() const {
   if (Options.Threads > 1)
     return Decline("it runs one thread in Threads=1 fold order (threads=" +
                    std::to_string(Options.Threads) + ")");
-  if (Resolved.NativeAfterBlocked && MKStats.BlockedLoops > 0)
-    return Decline("blocked precedes native and the plan runs " +
-                   std::to_string(MKStats.BlockedLoops) +
-                   " blocked panel nest(s)");
   if (Options.Cancel || Options.DeadlineMs > 0)
     return Decline("it polls cancel and deadline only at entry (controlled "
                    "runs stay on the per-loop tiers)");

@@ -49,19 +49,17 @@ class NativeBuild;
 struct ExecOptions {
   /// Ordered engine-preference list (runtime/EngineRegistry.h), the
   /// one place engines are chosen. tryPrepare() normalizes it
-  /// (EngineResolution). The default, blocked>native>fused>interp,
+  /// (EngineResolution). The default, native>blocked>fused>interp,
   /// runs the per-loop tiers first and tiers a Threads=1 executor up
-  /// to the native body in the background; a plan whose blocked engine
-  /// installed a panel nest keeps it. Native first
-  /// ({Engine::Native, ...}) tiers up every plan. Either way native
-  /// serves only uncontrolled Threads=1 runs: it runs one thread in
-  /// Threads=1 fold order and polls cancel and deadline only at entry,
-  /// so Threads > 1 and runs with a cancel token or a deadline stay on
-  /// the per-loop tiers (nativeStatus() says why). Dropping Fused (or
-  /// Blocked, or Native) is the ablation switch for the micro-kernel
-  /// specializer (or the blocked output engine, or the JIT); outputs
-  /// and counters are identical either way.
-  std::vector<Engine> Engines = {Engine::Blocked, Engine::Native,
+  /// to the native body in the background. Native serves only
+  /// uncontrolled Threads=1 runs: it runs one thread in Threads=1 fold
+  /// order and polls cancel and deadline only at entry, so Threads > 1
+  /// and runs with a cancel token or a deadline stay on the per-loop
+  /// tiers (nativeStatus() says why). Dropping Fused (or Blocked, or
+  /// Native) is the ablation switch for the micro-kernel specializer
+  /// (or the blocked output engine, or the JIT); outputs and counters
+  /// are identical either way.
+  std::vector<Engine> Engines = {Engine::Native, Engine::Blocked,
                                  Engine::Fused, Engine::Interp};
   /// On-disk directory for the native engine's compiled-.so cache
   /// (src/jit/NativeKernelCache.h). Empty resolves to the
@@ -276,8 +274,7 @@ public:
   /// Why this executor's runs stay off the native body, as a typed
   /// Status; the runs themselves succeed either way.
   /// ErrCode::InvalidOptions when the options rule native out
-  /// (Threads > 1, a cancel token or deadline, or Blocked ahead of
-  /// Native on a plan with a blocked panel nest); the build's failure
+  /// (Threads > 1, a cancel token or deadline); the build's failure
   /// otherwise (ResourceExhausted when no host compiler is available or
   /// the cache directory is refused, DeadlineExceeded when the compiler
   /// overran its timeout, Internal for an emission, compile or dlopen

@@ -9,9 +9,9 @@
 ///  - Tiered execution: default executors start on the per-loop tiers
 ///    and install the background-built native body at the start of a
 ///    later run, bit-identical with equal counters; Threads=2 and
-///    controlled runs never install it, default ssyrk keeps its
-///    blocked nest, and destroying an executor with a pending build is
-///    safe.
+///    controlled runs never install it, default ssyrk leaves its
+///    blocked nest for it, and destroying an executor with a pending
+///    build is safe.
 ///  - On-disk .so cache reuse: a fresh "process" (simulated by dropping
 ///    the in-memory handle registry) over a warm cache directory
 ///    compiles nothing (Executor::nativeCompileNs() pinned at 0).
@@ -196,33 +196,25 @@ TEST(EngineRegistry, ExplicitListNormalizes) {
   R = resolveEngines({});
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Interp}));
 
-  // Native anywhere but first or directly after blocked is dropped
-  // with a note.
+  // Native anywhere but first is dropped with a note, right behind
+  // blocked too.
   R = resolveEngines({Engine::Fused, Engine::Native});
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Fused, Engine::Interp}));
   EXPECT_FALSE(R.UseNative);
   ASSERT_EQ(R.Notes.size(), 1u);
-  R = resolveEngines({Engine::Blocked, Engine::Fused, Engine::Native});
+  R = resolveEngines({Engine::Blocked, Engine::Native, Engine::Fused});
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Blocked, Engine::Fused,
                                           Engine::Interp}));
   EXPECT_FALSE(R.UseNative);
   ASSERT_EQ(R.Notes.size(), 1u);
 
-  // The default puts native directly after blocked: it tiers up every
-  // plan but one whose blocked engine installed a panel nest.
+  // The default puts native first: every plan tiers up.
   R = resolveEngines(ExecOptions().Engines);
-  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Blocked, Engine::Native,
+  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Native, Engine::Blocked,
                                           Engine::Fused, Engine::Interp}));
   EXPECT_TRUE(R.UseNative);
-  EXPECT_TRUE(R.NativeAfterBlocked);
+  EXPECT_TRUE(R.UseBlocked);
   EXPECT_TRUE(R.Notes.empty());
-
-  // Blocked behind native gets its Fused inserted after the native.
-  R = resolveEngines({Engine::Blocked, Engine::Native});
-  EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Blocked, Engine::Native,
-                                          Engine::Fused, Engine::Interp}));
-  EXPECT_TRUE(R.NativeAfterBlocked);
-  EXPECT_EQ(R.Notes.size(), 1u);
 
   // Blocked without Fused gets Fused inserted (with a note).
   R = resolveEngines({Engine::Blocked});
@@ -236,7 +228,6 @@ TEST(EngineRegistry, ExplicitListNormalizes) {
   EXPECT_EQ(R.Order, (std::vector<Engine>{Engine::Native, Engine::Fused,
                                           Engine::Interp}));
   EXPECT_TRUE(R.UseNative);
-  EXPECT_FALSE(R.NativeAfterBlocked);
   EXPECT_TRUE(R.UseFused);
 }
 
@@ -445,28 +436,19 @@ TEST(TierUp, ExecutorDestroyedWhileBuildPendingIsSafe) {
   expectSameRun(First, FirstOut, Native, T.Out);
 }
 
-TEST(TierUp, DefaultSsyrkKeepsBlockedNest) {
+TEST(TierUp, DefaultSsyrkTiersUpFromItsBlockedNest) {
   SKIP_WITHOUT_COMPILER();
-  TieredRun Default("ssyrk", 47, ExecOptions());
-  EXPECT_GT(Default.E->microKernelStats().BlockedLoops, 0u);
-  const obs::ExecReport First = Default.run();
-  for (int Run = 0; Run < 3; ++Run)
-    EXPECT_EQ(Default.run().BodyEngine, "blocked>fused>interp");
-  Status S = Default.E->awaitNative();
-  EXPECT_EQ(S.code(), ErrCode::InvalidOptions) << S.str();
-  EXPECT_NE(S.str().find("blocked"), std::string::npos) << S.str();
-  EXPECT_FALSE(Default.E->usesNativeEngine());
-
-  // Native first tiers the same plan up, with the same result.
-  ExecOptions NativeFirst;
-  NativeFirst.Engines = {Engine::Native, Engine::Blocked, Engine::Fused,
-                         Engine::Interp};
-  TieredRun Native("ssyrk", 47, NativeFirst);
-  S = Native.E->awaitNative();
+  TieredRun T("ssyrk", 47, ExecOptions());
+  EXPECT_GT(T.E->microKernelStats().BlockedLoops, 0u);
+  const obs::ExecReport First = T.run();
+  const Tensor FirstOut = T.Out;
+  EXPECT_EQ(First.BodyEngine, "blocked>fused>interp");
+  Status S = T.E->awaitNative();
   ASSERT_TRUE(S.ok()) << S.str();
-  obs::ExecReport Rep = Native.run();
-  EXPECT_EQ(Rep.BodyEngine, "native");
-  expectSameRun(First, Default.Out, Rep, Native.Out, /*SameKey=*/false);
+  obs::ExecReport Native = T.run();
+  EXPECT_EQ(Native.BodyEngine, "native");
+  // The blocked panels' counts are engine-specific, so the key moves.
+  expectSameRun(First, FirstOut, Native, T.Out, /*SameKey=*/false);
 }
 
 //===----------------------------------------------------------------------===//
@@ -630,11 +612,11 @@ TEST(EngineKeys, ResolvedListKeysPlans) {
   Tensor Out = Tensor::dense(W.OutDims, 0.0);
   B[W.E.Output->tensorName()] = &Out;
 
-  ExecOptions Default; // blocked>native>fused>interp
+  ExecOptions Default; // native>blocked>fused>interp
   ExecOptions Typed;
-  Typed.Engines = {Engine::Blocked, Engine::Native, Engine::Fused,
+  Typed.Engines = {Engine::Native, Engine::Blocked, Engine::Fused,
                    Engine::Interp};
-  ExecOptions Normalized; // native dropped (after fused) -> no native
+  ExecOptions Normalized; // native dropped (not first) -> no native
   Normalized.Engines = {Engine::Blocked, Engine::Fused, Engine::Native,
                         Engine::Interp};
   ExecOptions NativeOpt;
@@ -645,12 +627,12 @@ TEST(EngineKeys, ResolvedListKeysPlans) {
   const std::string KNorm = PlanCache::makeKey(W.E, B, Normalized);
   const std::string KNative = PlanCache::makeKey(W.E, B, NativeOpt);
 
-  // Equivalent requests share one plan; native-first and a list
-  // without native are distinct.
+  // Equivalent requests share one plan; a list without blocked and a
+  // list without native are distinct.
   EXPECT_EQ(KDefault, KTyped);
   EXPECT_NE(KTyped, KNorm);
   EXPECT_NE(KNative, KDefault);
-  EXPECT_NE(KDefault.find("engines=blocked>native>fused>interp"),
+  EXPECT_NE(KDefault.find("engines=native>blocked>fused>interp"),
             std::string::npos);
   EXPECT_NE(KNorm.find("engines=blocked>fused>interp"), std::string::npos);
   EXPECT_NE(KNative.find("engines=native>fused>interp"), std::string::npos);
