@@ -228,6 +228,7 @@ SpawnResult runTimed(const std::vector<std::string> &Argv,
 /// availability and the identification line.
 struct ToolchainProbe {
   bool Available = false;
+  bool Aborted = false; ///< the caller aborted it: nothing was learned
   std::string Command;
   std::string Id;
   std::string Reason;
@@ -237,25 +238,32 @@ struct ToolchainProbe {
 /// background builder (constructed on first use) at exit.
 std::mutex ProbeMu;
 std::map<std::string, ToolchainProbe> Probes;
+std::atomic<unsigned> ProbeRuns{0};
 
 /// The probe of the current compiler command, run once per command
 /// (the compiler does not come and go, but SYSTEC_JIT_CXX may change);
 /// the SYSTEC_JIT_DISABLE escape hatch is checked dynamically by
-/// callers so tests can flip it per case.
-const ToolchainProbe &probeToolchain() {
+/// callers so tests can flip it per case. The compiler runs outside
+/// ProbeMu, so a slow one holds up no other caller, and an aborted
+/// probe is not remembered.
+ToolchainProbe probeToolchain(const std::atomic<bool> *Abort = nullptr) {
   const std::string Command = compilerCommand();
-  std::lock_guard<std::mutex> Lock(ProbeMu);
-  if (auto It = Probes.find(Command); It != Probes.end())
-    return It->second;
+  {
+    std::lock_guard<std::mutex> Lock(ProbeMu);
+    if (auto It = Probes.find(Command); It != Probes.end())
+      return It->second;
+  }
   ToolchainProbe T;
   T.Command = Command;
   const std::string Dir = defaultCacheDir();
   if (Status S = prepareCacheDir(Dir); !S.ok()) {
     T.Reason = "toolchain probe: " + S.str();
   } else {
-    std::string Out = Dir + "/probe-" + std::to_string(getpid()) + ".txt";
-    SpawnResult R = runTimed({T.Command, "--version"}, Out, nullptr);
+    std::string Out = Dir + "/probe-" + std::to_string(getpid()) + "-" +
+                      std::to_string(ProbeRuns++) + ".txt";
+    SpawnResult R = runTimed({T.Command, "--version"}, Out, Abort);
     if (!R.Exited0) {
+      T.Aborted = R.Aborted;
       T.Reason = "host compiler '" + T.Command +
                  "' not runnable (--version: " + R.Error + ")";
     } else {
@@ -268,6 +276,9 @@ const ToolchainProbe &probeToolchain() {
     std::error_code EC;
     fs::remove(Out, EC);
   }
+  if (T.Aborted)
+    return T;
+  std::lock_guard<std::mutex> Lock(ProbeMu);
   return Probes.emplace(Command, std::move(T)).first->second;
 }
 
@@ -425,14 +436,14 @@ bool NativeKernelCache::compilerAvailable(std::string *Reason) {
       *Reason = "JIT disabled by SYSTEC_JIT_DISABLE";
     return false;
   }
-  const ToolchainProbe &P = probeToolchain();
+  const ToolchainProbe P = probeToolchain();
   if (!P.Available && Reason)
     *Reason = P.Reason;
   return P.Available;
 }
 
 std::string NativeKernelCache::compilerId() {
-  const ToolchainProbe &P = probeToolchain();
+  const ToolchainProbe P = probeToolchain();
   return P.Available ? P.Id : std::string();
 }
 
@@ -449,9 +460,15 @@ Expected<NativeKernelCache::Loaded>
 NativeKernelCache::load(const std::string &Source,
                         const std::string &CacheDir,
                         const std::atomic<bool> *Abort) {
-  std::string Reason;
-  if (!compilerAvailable(&Reason))
-    return Status::error(ErrCode::ResourceExhausted, Reason)
+  if (jitDisabled())
+    return Status::error(ErrCode::ResourceExhausted,
+                         "JIT disabled by SYSTEC_JIT_DISABLE")
+        .withContext("native kernel cache");
+  const ToolchainProbe P = probeToolchain(Abort);
+  if (!P.Available)
+    return Status::error(P.Aborted ? ErrCode::Cancelled
+                                   : ErrCode::ResourceExhausted,
+                         P.Reason)
         .withContext("native kernel cache");
 
   std::string Dir = CacheDir;
@@ -463,14 +480,14 @@ NativeKernelCache::load(const std::string &Source,
   if (Status S = prepareCacheDir(Dir); !S.ok())
     return std::move(S).withContext("native kernel cache");
 
-  const ToolchainProbe &P = probeToolchain();
   const std::string Hash =
       fnv1aHex(Source + '\0' + P.Id + '\0' + compileFlags());
 
   // The lock covers the registry lookup and the publish only. A load
-  // that finds the key in flight waits for that build instead of
-  // starting its own, then takes its outcome.
-  auto Mine = std::make_shared<Building>();
+  // that finds the key in flight waits for that build (or its own
+  // abort) and takes the object it publishes. A failed build is not
+  // shared: its directory, timeout or abort may be its caller's own,
+  // so a waiter then builds for itself.
   {
     std::unique_lock<std::mutex> Lock(Mu);
     for (;;) {
@@ -479,15 +496,15 @@ NativeKernelCache::load(const std::string &Source,
         L.CompileNs = 0; // registry hit: nothing compiled for this load
         return L;
       }
-      auto B = InFlight.find(Hash);
-      if (B == InFlight.end())
+      if (!InFlight.count(Hash))
         break;
-      std::shared_ptr<Building> Other = B->second;
-      BuildCv.wait(Lock, [&] { return Other->Done; });
-      if (!Other->Err.ok())
-        return Other->Err.clone();
+      if (Abort && Abort->load())
+        return Status::error(ErrCode::Cancelled,
+                             "abandoned: the caller aborted the build")
+            .withContext("native kernel cache");
+      BuildCv.wait_for(Lock, std::chrono::milliseconds(5));
     }
-    InFlight.emplace(Hash, Mine);
+    InFlight.insert(Hash);
   }
 
   Expected<Loaded> L = openOrBuild(Dir, Hash, Source, P, Abort);
@@ -495,15 +512,11 @@ NativeKernelCache::load(const std::string &Source,
     std::lock_guard<std::mutex> Lock(Mu);
     if (L)
       Handles[Hash] = *L;
-    else
-      Mine->Err =
-          L.takeStatus().withContext("native kernel cache");
-    Mine->Done = true;
     InFlight.erase(Hash);
   }
   BuildCv.notify_all();
-  if (!Mine->Err.ok())
-    return Mine->Err.clone();
+  if (!L)
+    return L.takeStatus().withContext("native kernel cache");
   return L;
 }
 

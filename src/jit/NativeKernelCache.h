@@ -23,12 +23,18 @@
 /// its own process group, under a timeout (setCompileTimeoutMs); a
 /// compiler that overruns it, or whose caller aborts the load, is
 /// killed with its whole group and reaped before load() returns, so no
-/// compiler outlives the call.
+/// compiler outlives the call. Its own group keeps the terminal's
+/// SIGINT from reaching it: a host ended by a signal, which runs no
+/// destructor and so no abort, leaves a running compiler to finish (or
+/// hang) on its own.
 ///
 /// Concurrency: the cache lock covers only the registry lookup and the
-/// publish, never a compile, so a registry hit never waits behind an
-/// unrelated build. Concurrent loads of one key share a single build
-/// (later callers wait for it and get its outcome). Compilation writes
+/// publish, never a compile (nor the compiler probe), so a registry hit
+/// never waits behind an unrelated build. Concurrent loads of one key
+/// share a single build: later callers wait for it (or for their own
+/// abort) and take the object it publishes; when it fails they build
+/// for themselves, since a failure may belong to its caller's
+/// directory, timeout or abort. Compilation writes
 /// to `<hash>.so.tmp.<pid>` and atomically renames into place, so
 /// processes racing on the same key each produce a valid object and the
 /// last rename wins; dlopened handles are shared process-wide through
@@ -64,6 +70,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 
 namespace systec {
@@ -120,16 +127,11 @@ public:
   void setCompileTimeoutMs(uint64_t Ms);
 
 private:
-  /// One build in progress; loads of the same key wait for it.
-  struct Building {
-    bool Done = false;
-    Status Err; ///< the build's failure, shared with the waiters
-  };
-
   std::mutex Mu;
   std::condition_variable BuildCv;
   std::map<std::string, Loaded> Handles; ///< content hash -> loaded
-  std::map<std::string, std::shared_ptr<Building>> InFlight;
+  /// Hashes being built; loads of one of them wait for it.
+  std::set<std::string> InFlight;
 };
 
 } // namespace jit

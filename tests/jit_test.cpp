@@ -39,6 +39,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -527,6 +528,59 @@ TEST(NativeCache, ConcurrentLoadsOfOneKeyShareOneBuild) {
   EXPECT_EQ(std::count_if(CompileNs.begin(), CompileNs.end(),
                           [](uint64_t Ns) { return Ns > 0; }),
             1);
+
+  // Only an object is shared, never a failure: a waiter whose in-flight
+  // build failed for its caller builds for itself. First a build its
+  // caller aborts: a load into another directory waits for it, then
+  // compiles.
+  jit::NativeKernelCache::instance().dropHandles();
+  ScratchCacheDir Aborted("shared-aborted"), Mine("shared-mine");
+  std::atomic<bool> Abort{false};
+  std::thread First([&] {
+    auto L = jit::NativeKernelCache::instance().load(Source, Aborted.Path,
+                                                     &Abort);
+    EXPECT_EQ(L.status().code(), ErrCode::Cancelled) << L.status().str();
+  });
+  // The source is published just before the compiler starts.
+  auto Compiling = [&] {
+    std::error_code EC;
+    for (const auto &F : std::filesystem::directory_iterator(Aborted.Path, EC))
+      if (F.path().extension() == ".cpp")
+        return true;
+    return false;
+  };
+  for (int Ms = 0; Ms < 30000 && !Compiling(); ++Ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(Compiling());
+  std::thread Second([&] {
+    auto L = jit::NativeKernelCache::instance().load(Source, Mine.Path);
+    ASSERT_TRUE(L.ok()) << L.status().str();
+    EXPECT_GT(L->CompileNs, 0u);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Abort = true;
+  First.join();
+  Second.join();
+
+  // Then a read-only directory beside a writable one: the writable
+  // load succeeds whichever of the two starts first.
+  for (int Round = 0; Round < 3; ++Round) {
+    jit::NativeKernelCache::instance().dropHandles();
+    ScratchCacheDir ReadOnly("shared-ro"), Writable("shared-rw");
+    std::filesystem::create_directories(ReadOnly.Path);
+    std::filesystem::permissions(ReadOnly.Path,
+                                 std::filesystem::perms::owner_read |
+                                     std::filesystem::perms::owner_exec);
+    std::thread RO([&] {
+      auto L = jit::NativeKernelCache::instance().load(Source, ReadOnly.Path);
+      if (!L.ok())
+        EXPECT_EQ(L.status().code(), ErrCode::ResourceExhausted)
+            << L.status().str();
+    });
+    auto L = jit::NativeKernelCache::instance().load(Source, Writable.Path);
+    EXPECT_TRUE(L.ok()) << L.status().str();
+    RO.join();
+  }
 }
 
 //===----------------------------------------------------------------------===//
