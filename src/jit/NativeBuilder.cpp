@@ -9,15 +9,6 @@
 namespace systec {
 namespace jit {
 
-namespace {
-
-/// Builds that run at once. One is enough for every Threads=1 kind of
-/// kernels-exec to run native by the end of its 3 s warm-up from a cold
-/// cache on a 4-CPU VM (docs/CODEGEN.md).
-constexpr unsigned BuildWorkers = 1;
-
-} // namespace
-
 void NativeBuild::wait() {
   std::unique_lock<std::mutex> Lock(Mu);
   Cv.wait(Lock, [&] { return done(); });
@@ -57,15 +48,13 @@ std::shared_ptr<NativeBuild> NativeBuilder::submit(std::string Source,
                                  "native builder shut down"));
     return Build;
   }
-  auto Join = [&](auto &Jobs) {
-    for (const std::shared_ptr<Job> &J : Jobs)
-      if (J->Source == Source && J->Dir == CacheDir) {
-        J->Waiters.push_back(Build);
-        return true;
-      }
-    return false;
+  auto Join = [&](const std::shared_ptr<Job> &J) {
+    if (!J || J->Source != Source || J->Dir != CacheDir)
+      return false;
+    J->Waiters.push_back(Build);
+    return true;
   };
-  if (Join(Running) || Join(Queue))
+  if (Join(Running) || std::any_of(Queue.begin(), Queue.end(), Join))
     return Build;
   if (Queue.size() >= MaxQueued)
     Queue.erase(std::remove_if(Queue.begin(), Queue.end(),
@@ -86,9 +75,8 @@ std::shared_ptr<NativeBuild> NativeBuilder::submit(std::string Source,
   J->Dir = std::move(CacheDir);
   J->Waiters.push_back(Build);
   Queue.push_back(std::move(J));
-  if (Workers.empty())
-    for (unsigned W = 0; W < BuildWorkers; ++W)
-      Workers.emplace_back([this] { workerLoop(); });
+  if (!Worker.joinable())
+    Worker = std::thread([this] { workerLoop(); });
   Lock.unlock();
   WorkCv.notify_one();
   return Build;
@@ -105,12 +93,12 @@ void NativeBuilder::workerLoop() {
     Queue.pop_front();
     if (J->abandoned())
       continue; // every executor that asked is gone
-    Running.push_back(J);
+    Running = J;
     Lock.unlock();
     Expected<NativeKernelCache::Loaded> R =
         NativeKernelCache::instance().load(J->Source, J->Dir, &Stopping);
     Lock.lock();
-    Running.erase(std::find(Running.begin(), Running.end(), J));
+    Running.reset();
     std::vector<std::shared_ptr<NativeBuild>> Live;
     for (const std::weak_ptr<NativeBuild> &W : J->Waiters)
       if (std::shared_ptr<NativeBuild> B = W.lock())
@@ -144,8 +132,8 @@ NativeBuilder::~NativeBuilder() {
       if (std::shared_ptr<NativeBuild> B = W.lock())
         B->resolve(Status::error(ErrCode::Cancelled,
                                  "native builder shut down"));
-  for (std::thread &T : Workers)
-    T.join();
+  if (Worker.joinable())
+    Worker.join();
 }
 
 } // namespace jit

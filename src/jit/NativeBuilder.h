@@ -14,10 +14,12 @@
 ///    executor of one kernel.
 ///  - Owner-scoped: the worker holds builds weakly. A job none of whose
 ///    executors is alive any more is dropped before it starts.
-///  - Clean shutdown: at process exit queued jobs are dropped, a running
-///    compiler is killed and reaped (NativeKernelCache::load's abort),
-///    and the worker is joined; every unresolved build resolves with
-///    ErrCode::Cancelled.
+///  - Clean shutdown: at a normal process exit (return from main, or
+///    exit()) queued jobs are dropped, a running compiler is killed and
+///    reaped (NativeKernelCache::load's abort), and the worker is
+///    joined; every unresolved build resolves with ErrCode::Cancelled.
+///    A process ended by a signal runs no destructor: a compiler it
+///    started finishes (or hangs) on its own (NativeKernelCache.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,8 +91,11 @@ private:
   std::mutex Mu;
   std::condition_variable WorkCv;
   std::deque<std::shared_ptr<Job>> Queue;
-  std::vector<std::shared_ptr<Job>> Running;
-  std::vector<std::thread> Workers;
+  std::shared_ptr<Job> Running; ///< the job the worker is building
+  /// One worker, started by the first submit: it is enough for every
+  /// Threads=1 kind of kernels-exec to run native by the end of its 3 s
+  /// warm-up from a cold cache on a 4-CPU VM (docs/CODEGEN.md).
+  std::thread Worker;
   std::atomic<bool> Stopping{false};
 };
 
